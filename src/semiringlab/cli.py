@@ -324,7 +324,6 @@ def _plain(value):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--cap-carrier", type=int, default=4096)
     common.add_argument("--cap-ideals", type=int, default=16)
 
     parser = argparse.ArgumentParser(

@@ -17,29 +17,17 @@ from .tables import (
     CayleyStructure,
     StructureConstants,
     Table,
+    associative_witness,
     check_laws,
+    commutative_witness,
+    distributive_witness,
     freeze_table,
     is_semifield,
+    least_witness,
+    medial_witness,
+    transpose,
     _neutral,
-    _scan1,
-    _scan2,
-    _scan3,
 )
-
-
-def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
-    """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
-    n = len(table)
-    t = freeze_table(table, n, n, "magma")
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                ac = t[a][c]
-                for d in range(n):
-                    if t[ab][t[c][d]] != t[ac][t[b][d]]:
-                        return (a, b, c, d)
-    return None
 
 
 def magma_endomorphisms(table: Table, cap: int = CARRIER_CAP) -> tuple[tuple[int, ...], ...]:
@@ -179,9 +167,6 @@ def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str
     gamma = constants.gamma
     carrier = list(itertools.product(range(ksize), repeat=dim))
 
-    def kdot(a, b):  # product of two coefficients
-        return kmul[a][b]
-
     zero_k = rep.zero
     add_rows = []
     mul_rows = []
@@ -197,9 +182,9 @@ def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str
                 for j in range(dim):
                     if b[j] == zero_k:
                         continue
-                    scale = kdot(a[i], b[j])
+                    scale = kmul[a[i]][b[j]]
                     for t in range(dim):
-                        term = kdot(scale, gamma[i][j][t])
+                        term = kmul[scale][gamma[i][j][t]]
                         coeffs[t] = kadd[coeffs[t]][term]
             row.append(encode_tuple(coeffs, ksize))
         mul_rows.append(row)
@@ -276,15 +261,17 @@ def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
     if one is None:
         witnesses["n2_right_identity"] = ()
 
-    w = _scan3(n, lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]])
+    w = distributive_witness(add, mul)
     if w is None:
-        w = _scan3(n, lambda a, b, c: mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]])
+        w = distributive_witness(add, transpose(mul))
     axioms["n3_distributive"] = w is None
     if w is not None:
         witnesses["n3_distributive"] = w
 
     if zero is not None and one is not None:
-        w4 = _scan1(n, lambda a: mul[a][comp[a]] != zero or add[a][comp[a]] != one)
+        w4 = least_witness(
+            (n,), lambda: ([(mul[a][c], add[a][c]) for a, c in enumerate(comp)], [(zero, one)] * n)
+        )
     else:
         w4 = ()
     axioms["n4_complement"] = w4 is None
@@ -373,10 +360,10 @@ def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int
     """Validate a commutative monoid table, returning it with its identity."""
     n = len(table)
     t = freeze_table(table, n, n, "monoid")
-    w = _scan3(n, lambda a, b, c: t[t[a][b]][c] != t[a][t[b][c]])
+    w = associative_witness(t, t)
     if w is not None:
         raise StructureError(f"monoid operation not associative, witness {w}")
-    w = _scan2(n, lambda a, b: t[a][b] != t[b][a])
+    w = commutative_witness(t)
     if w is not None:
         raise StructureError(f"monoid operation not commutative, witness {w}")
     e = _neutral(t, n)

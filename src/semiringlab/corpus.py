@@ -328,9 +328,6 @@ def corpus() -> tuple[CorpusEntry, ...]:
     return entries
 
 
-CLAIM_CLASSES = ("ringoid", "with_zero", "na_hemiring", "na_semiring", "semiring", "commutative_semiring")
-
-
 def claim_holds(s: CayleyStructure, claim: str) -> bool:
     from .tables import is_semifield  # local to avoid a cycle at import time
 

@@ -53,11 +53,9 @@ def semimodule_to_json(m: FiniteSemimodule, claims=()) -> dict:
 
 def _structure_from_doc(doc: dict) -> CayleyStructure:
     try:
-        size = int(doc["size"])
-        add = doc["add"]
-        mul = doc["mul"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"missing or malformed field: {exc}") from exc
+        size, add, mul = doc["size"], doc["add"], doc["mul"]
+    except KeyError as exc:
+        raise StructureError(f"missing field: {exc}") from exc
     return CayleyStructure(
         size=size,
         add=add,
@@ -96,9 +94,9 @@ def ingest_doc(doc: dict) -> Union[CayleyStructure, FiniteSemimodule]:
         raise StructureError(f"semimodule file missing {sorted(missing)}")
     m = FiniteSemimodule(
         semiring=s,
-        msize=int(doc["msize"]),
+        msize=doc["msize"],
         madd=doc["madd"],
-        mzero=int(doc["mzero"]),
+        mzero=doc["mzero"],
         action=doc["action"],
         name=str(doc.get("name", "")),
     )

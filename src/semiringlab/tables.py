@@ -1,16 +1,22 @@
 """Finite algebraic structures as dense Cayley tables, with exhaustive law checks.
 
 Carriers are index sets 0..size-1 and binary operations are row-major tables,
-so every law is decidable by quantifier elimination over the carrier. Failing
-laws always carry the lexicographically least witness tuple, which keeps
-reports deterministic and golden-testable.
+so every law is decidable by quantifier elimination over the carrier. Every
+law is scanned by one kernel, ``least_witness``: it walks the prefixes of the
+law's variables in lexicographic order and compares the two sides of the law
+as whole rows over the last variable. Failing laws therefore always carry the
+lexicographically least witness tuple, which keeps reports deterministic and
+golden-testable. Mediality of addition follows from associativity plus
+commutativity, so ``check_laws`` settles it without a scan when both hold and
+scans all four variables otherwise.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import StructureError
 
@@ -35,19 +41,27 @@ LAW_NAMES = (
 )
 
 
+def _is_index(v) -> bool:
+    """An int that is not a bool: the only value a table entry or size may be."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def freeze_table(rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: str = "table") -> Table:
-    """Copy rows into tuples, validating shape and entry range."""
+    """Copy rows into tuples, validating type, shape and entry range."""
+    if not isinstance(rows, (list, tuple)):
+        raise StructureError(f"{what}: expected a list of rows, got {type(rows).__name__}")
     if len(rows) != nrows:
         raise StructureError(f"{what}: expected {nrows} rows, got {len(rows)}")
     out = []
     for i, row in enumerate(rows):
-        frozen = tuple(int(v) for v in row)
-        if len(frozen) != ncols:
-            raise StructureError(f"{what}: row {i} has length {len(frozen)}, expected {ncols}")
-        for v in frozen:
-            if not 0 <= v < ncols:
-                raise StructureError(f"{what}: entry {v} in row {i} out of range 0..{ncols - 1}")
-        out.append(frozen)
+        if not isinstance(row, (list, tuple)):
+            raise StructureError(f"{what}: row {i} is a {type(row).__name__}, not a list")
+        if len(row) != ncols:
+            raise StructureError(f"{what}: row {i} has length {len(row)}, expected {ncols}")
+        for v in row:
+            if not (_is_index(v) and 0 <= v < ncols):
+                raise StructureError(f"{what}: entry {v!r} in row {i} is not an integer in 0..{ncols - 1}")
+        out.append(tuple(row))
     return tuple(out)
 
 
@@ -69,14 +83,14 @@ class CayleyStructure:
     name: str = ""
 
     def __post_init__(self):
-        if self.size <= 0:
-            raise StructureError("carrier must be nonempty")
+        if not _is_index(self.size) or self.size <= 0:
+            raise StructureError(f"carrier size must be a positive integer, got {self.size!r}")
         object.__setattr__(self, "add", freeze_table(self.add, self.size, self.size, "add"))
         object.__setattr__(self, "mul", freeze_table(self.mul, self.size, self.size, "mul"))
         for label in ("zero", "one"):
             v = getattr(self, label)
-            if v is not None and not 0 <= v < self.size:
-                raise StructureError(f"{label}={v} out of range for carrier of size {self.size}")
+            if v is not None and not (_is_index(v) and 0 <= v < self.size):
+                raise StructureError(f"{label}={v!r} is not an element of a carrier of size {self.size}")
 
     def elements(self) -> range:
         return range(self.size)
@@ -160,44 +174,69 @@ def _neutral(table: Table, n: int) -> Optional[int]:
     return None
 
 
-def _scan1(n, bad):
-    for a in range(n):
-        if bad(a):
-            return (a,)
+def least_witness(shape: Sequence[int], rows: Callable[..., tuple]) -> Optional[tuple[int, ...]]:
+    """Lexicographically least tuple over ``range(shape[0]) x ... x range(shape[-1])``
+    that falsifies a law, or None when the law holds.
+
+    ``rows(*prefix)`` gives the law's two sides at a prefix of every coordinate
+    but the last, as two sequences of one type indexed by the last coordinate.
+    Prefixes are walked in lexicographic order, and the first differing index
+    of the first unequal pair closes the witness.
+    """
+    for prefix in itertools.product(*(range(n) for n in shape[:-1])):
+        lhs, rhs = rows(*prefix)
+        if lhs != rhs:
+            for last, (x, y) in enumerate(zip(lhs, rhs)):
+                if x != y:
+                    return (*prefix, last)
     return None
 
 
-def _scan2(n, bad):
-    for a in range(n):
-        for b in range(n):
-            if bad(a, b):
-                return (a, b)
-    return None
+def transpose(table: Table) -> Table:
+    return tuple(zip(*table))
 
 
-def _scan3(n, bad):
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if bad(a, b, c):
-                    return (a, b, c)
-    return None
+def associative_witness(mul: Table, act: Table) -> Optional[tuple[int, int, int]]:
+    """Least (s, t, x) with (st)x != s(tx) for an action ``act`` of the
+    magma ``mul``; ``act = mul`` gives associativity of ``mul`` itself."""
+    n = len(mul)
+    return least_witness(
+        (n, n, len(act[0])), lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
+    )
 
 
-def _scan4(n, bad):
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if bad(a, b, c, d):
-                        return (a, b, c, d)
-    return None
+def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
+    """Least (a, b) with ab != ba."""
+    cols = transpose(table)
+    return least_witness((len(table),) * 2, lambda a: (table[a], cols[a]))
+
+
+def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int]]:
+    """Least (a, b, c) with a(b+c) != ab+ac, where ``mul`` has one row per
+    multiplier and one column per element of ``add``. Right distributivity is
+    this law for ``transpose(mul)``."""
+    n = len(add)
+    return least_witness(
+        (len(mul), n, n),
+        lambda a, b: ([mul[a][x] for x in add[b]], [add[mul[a][b]][y] for y in mul[a]]),
+    )
+
+
+def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
+    """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
+    n = len(table)
+    t = freeze_table(table, n, n, "magma")
+    return least_witness(
+        (n,) * 4,
+        lambda a, b, c: ([t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]),
+    )
 
 
 @functools.lru_cache(maxsize=None)
 def check_laws(s: CayleyStructure) -> LawReport:
     """Decide every law flag exhaustively, with lexicographically least witnesses."""
     n, add, mul = s.size, s.add, s.mul
+    mul_cols = transpose(mul)
     witnesses: dict = {}
 
     def settle(law: str, witness) -> bool:
@@ -206,26 +245,15 @@ def check_laws(s: CayleyStructure) -> LawReport:
         witnesses[law] = witness
         return False
 
-    left_distributive = settle(
-        "left_distributive",
-        _scan3(n, lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
-    )
-    right_distributive = settle(
-        "right_distributive",
-        _scan3(n, lambda a, b, c: mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]),
-    )
-    add_associative = settle(
-        "add_associative", _scan3(n, lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]])
-    )
-    add_commutative = settle("add_commutative", _scan2(n, lambda a, b: add[a][b] != add[b][a]))
+    left_distributive = settle("left_distributive", distributive_witness(add, mul))
+    right_distributive = settle("right_distributive", distributive_witness(add, mul_cols))
+    add_associative = settle("add_associative", associative_witness(add, add))
+    add_commutative = settle("add_commutative", commutative_witness(add))
     add_medial = settle(
-        "add_medial",
-        _scan4(n, lambda a, b, c, d: add[add[a][b]][add[c][d]] != add[add[a][c]][add[b][d]]),
+        "add_medial", None if add_associative and add_commutative else medial_witness(add)
     )
-    mul_associative = settle(
-        "mul_associative", _scan3(n, lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]])
-    )
-    mul_commutative = settle("mul_commutative", _scan2(n, lambda a, b: mul[a][b] != mul[b][a]))
+    mul_associative = settle("mul_associative", associative_witness(mul, mul))
+    mul_commutative = settle("mul_commutative", commutative_witness(mul))
 
     zero = _neutral(add, n)
     has_zero = settle("has_zero", None if zero is not None else ())
@@ -236,12 +264,20 @@ def check_laws(s: CayleyStructure) -> LawReport:
     else:
         z = zero
         zero_absorbing = settle(
-            "zero_absorbing", _scan1(n, lambda x: mul[z][x] != z or mul[x][z] != z)
+            "zero_absorbing", least_witness((n,), lambda: (list(zip(mul[z], mul_cols[z])), [(z, z)] * n))
         )
         zerosumfree = settle(
-            "zerosumfree", _scan2(n, lambda a, b: add[a][b] == z and (a != z or b != z))
+            "zerosumfree",
+            least_witness(
+                (n, n), lambda a: ([v == z and (a != z or b != z) for b, v in enumerate(add[a])], [False] * n)
+            ),
         )
-        entire = settle("entire", _scan2(n, lambda a, b: mul[a][b] == z and a != z and b != z))
+        entire = settle(
+            "entire",
+            least_witness(
+                (n, n), lambda a: ([v == z and a != z and b != z for b, v in enumerate(mul[a])], [False] * n)
+            ),
+        )
 
     one = _neutral(mul, n)
     has_one = settle("has_one", None if one is not None else ())
@@ -251,16 +287,19 @@ def check_laws(s: CayleyStructure) -> LawReport:
     else:
         z, e = zero, one
 
-        def lacks_unique_complement(r):
-            count = 0
-            for rp in range(n):
-                if mul[r][rp] == z and mul[rp][r] == z and add[r][rp] == e and add[rp][r] == e:
-                    count += 1
-            return count != 1
+        def complements(r):
+            return sum(
+                mul[r][rp] == z and mul[rp][r] == z and add[r][rp] == e and add[rp][r] == e
+                for rp in range(n)
+            )
 
-        complemented = settle("complemented", _scan1(n, lacks_unique_complement))
+        complemented = settle(
+            "complemented", least_witness((n,), lambda: ([complements(r) for r in range(n)], [1] * n))
+        )
 
-    mul_idempotent = settle("mul_idempotent", _scan1(n, lambda r: mul[r][r] != r))
+    mul_idempotent = settle(
+        "mul_idempotent", least_witness((n,), lambda: ([mul[r][r] for r in range(n)], list(range(n))))
+    )
 
     return LawReport(
         left_distributive=left_distributive,
@@ -368,14 +407,14 @@ class FiniteSemimodule:
     name: str = ""
 
     def __post_init__(self):
-        if self.msize <= 0:
-            raise StructureError("module carrier must be nonempty")
+        if not _is_index(self.msize) or self.msize <= 0:
+            raise StructureError(f"module carrier size must be a positive integer, got {self.msize!r}")
         object.__setattr__(self, "madd", freeze_table(self.madd, self.msize, self.msize, "madd"))
         object.__setattr__(
             self, "action", freeze_table(self.action, self.semiring.size, self.msize, "action")
         )
-        if not 0 <= self.mzero < self.msize:
-            raise StructureError("mzero out of range")
+        if not (_is_index(self.mzero) and 0 <= self.mzero < self.msize):
+            raise StructureError(f"mzero={self.mzero!r} is not an element of the module")
 
     def elements(self) -> range:
         return range(self.msize)
@@ -434,57 +473,29 @@ def semimodule_check(m: FiniteSemimodule) -> SemimoduleReport:
         witnesses[axiom] = witness
         return False
 
-    add_associative = settle(
-        "add_associative", _scan3(k, lambda a, b, c: madd[madd[a][b]][c] != madd[a][madd[b][c]])
-    )
-    add_commutative = settle("add_commutative", _scan2(k, lambda a, b: madd[a][b] != madd[b][a]))
+    add_associative = settle("add_associative", associative_witness(madd, madd))
+    add_commutative = settle("add_commutative", commutative_witness(madd))
     zero_neutral = settle(
-        "zero_neutral", _scan1(k, lambda x: madd[mz][x] != x or madd[x][mz] != x)
+        "zero_neutral",
+        least_witness(
+            (k,), lambda: (list(zip(madd[mz], (row[mz] for row in madd))), [(x, x) for x in range(k)])
+        ),
     )
-
-    action_associative = None
-    for st in range(n):
-        for t in range(n):
-            for x in range(k):
-                if act[smul[st][t]][x] != act[st][act[t][x]]:
-                    action_associative = (st, t, x)
-                    break
-            if action_associative:
-                break
-        if action_associative:
-            break
-    action_associative = settle("action_associative", action_associative)
-
-    action_unital = settle("action_unital", _scan1(k, lambda x: act[one_s][x] != x))
-
-    scalar_add = None
-    for st in range(n):
-        for t in range(n):
-            for x in range(k):
-                if act[sadd[st][t]][x] != madd[act[st][x]][act[t][x]]:
-                    scalar_add = (st, t, x)
-                    break
-            if scalar_add:
-                break
-        if scalar_add:
-            break
-    scalar_add_distributes = settle("scalar_add_distributes", scalar_add)
-
-    module_add = None
-    for st in range(n):
-        for x in range(k):
-            for y in range(k):
-                if act[st][madd[x][y]] != madd[act[st][x]][act[st][y]]:
-                    module_add = (st, x, y)
-                    break
-            if module_add:
-                break
-        if module_add:
-            break
-    module_add_distributes = settle("module_add_distributes", module_add)
-
-    zero_scalar_absorbs = settle("zero_scalar_absorbs", _scan1(k, lambda x: act[zero_s][x] != mz))
-    scalar_zero_absorbs = settle("scalar_zero_absorbs", _scan1(n, lambda st: act[st][mz] != mz))
+    action_associative = settle("action_associative", associative_witness(smul, act))
+    action_unital = settle("action_unital", least_witness((k,), lambda: (list(act[one_s]), list(range(k)))))
+    scalar_add_distributes = settle(
+        "scalar_add_distributes",
+        least_witness(
+            (n, n, k), lambda s, t: (list(act[sadd[s][t]]), [madd[x][y] for x, y in zip(act[s], act[t])])
+        ),
+    )
+    module_add_distributes = settle("module_add_distributes", distributive_witness(madd, act))
+    zero_scalar_absorbs = settle(
+        "zero_scalar_absorbs", least_witness((k,), lambda: (list(act[zero_s]), [mz] * k))
+    )
+    scalar_zero_absorbs = settle(
+        "scalar_zero_absorbs", least_witness((n,), lambda: ([row[mz] for row in act], [mz] * n))
+    )
 
     return SemimoduleReport(
         add_associative=add_associative,

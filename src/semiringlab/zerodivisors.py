@@ -313,14 +313,10 @@ def total_quotient(s: CayleyStructure) -> QuotientSemiring:
 def annihilator_extension_check(q: QuotientSemiring, x: int) -> bool:
     """The extension of an element annihilator equals the annihilator of the
     element's image, for every base element x."""
-    base_ann = annihilator(base_module(q.base), [x])
+    base_ann = annihilator(self_action(q.base), [x])
     extended = q.extend(base_ann)
-    image_ann = annihilator(base_module(q.structure), [q.canonical[x]])
+    image_ann = annihilator(self_action(q.structure), [q.canonical[x]])
     return extended.mask == image_ann.mask
-
-
-def base_module(s: CayleyStructure) -> FiniteSemimodule:
-    return self_action(s)
 
 
 @dataclass(frozen=True)

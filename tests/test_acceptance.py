@@ -239,3 +239,15 @@ def test_criterion_11_determinism(capsys):
     out_b = capsys.readouterr().out
     ok = code_a == code_b == 0 and out_a == out_b and json.loads(out_a)["tallies"]["failed"] == 0
     _verdict(11, ok, f"{len(out_a)} bytes, identical")
+
+
+def test_criterion_12_full_verify_all(capsys):
+    code = main(["verify-all", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    skipped = [row["check"] for row in doc["results"] if row["status"] == "skip"]
+    ok = (
+        code == 0
+        and doc["tallies"] == {"checks": 302, "passed": 301, "failed": 0, "skipped": 1}
+        and skipped == ["austere-z6/monoid-slices-d0/self"]
+    )
+    _verdict(12, ok, f"tallies {doc['tallies']}, skipped {skipped}")

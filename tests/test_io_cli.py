@@ -197,9 +197,42 @@ def test_cli_zdiv_with_slice(capsys):
     assert doc["slice"]["verdict"] == "holds"
 
 
-def test_cli_ingest_error_exit_code(capsys, tmp_path):
+def _boolean_doc(**changes):
+    doc = structure_to_json(boolean_semifield(), claims=["semiring"])
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _boolean_doc_with_cell(value):
+    return _boolean_doc(add=[[0, 1], [1, value]])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{",
+        _boolean_doc(add=5),
+        _boolean_doc(zero="x"),
+        _boolean_doc(msize=1, madd=[[0]], mzero=0, action=5),
+        _boolean_doc(add=[[0, [1]], [1, 1]]),
+        _boolean_doc_with_cell(1.7),
+        _boolean_doc_with_cell(True),
+        _boolean_doc(size="2"),
+    ],
+    ids=[
+        "truncated",
+        "add-scalar",
+        "zero-string",
+        "action-scalar",
+        "nested-row",
+        "float-entry",
+        "bool-entry",
+        "string-size",
+    ],
+)
+def test_cli_ingest_error_exit_code(capsys, tmp_path, text):
     path = tmp_path / "broken.json"
-    path.write_text("{")
+    path.write_text(text)
     code, _, err = run_cli(capsys, "ingest", str(path))
     assert code == 2
     assert "input error" in err

@@ -1,6 +1,7 @@
 """Law checking and semimodule axioms against independent in-test oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
     LAW_NAMES,
+    SEMIMODULE_AXIOMS,
     check_laws,
     is_semifield,
     semimodule_check,
@@ -90,41 +92,154 @@ def test_malformed_table_rejected():
         CayleyStructure(size=2, add=((0, 1),), mul=((0, 0), (0, 1)))
 
 
+def _least(sizes, bad):
+    """Least tuple of the product of ranges on which ``bad`` holds, one tuple at a time."""
+    return next((t for t in itertools.product(*(range(n) for n in sizes)) if bad(*t)), None)
+
+
+def oracle_laws(add, mul):
+    """Zero, one and least witnesses of every law, each scanned by its definition."""
+    n = len(add)
+
+    def neutral(op):
+        return next((e for e in range(n) if all(op[e][x] == x == op[x][e] for x in range(n))), None)
+
+    z, e = neutral(add), neutral(mul)
+    found = {
+        "left_distributive": _least((n,) * 3, lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
+        "right_distributive": _least((n,) * 3, lambda a, b, c: mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]),
+        "add_associative": _least((n,) * 3, lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]]),
+        "add_commutative": _least((n,) * 2, lambda a, b: add[a][b] != add[b][a]),
+        "add_medial": _least(
+            (n,) * 4, lambda a, b, c, d: add[add[a][b]][add[c][d]] != add[add[a][c]][add[b][d]]
+        ),
+        "mul_associative": _least((n,) * 3, lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]]),
+        "mul_commutative": _least((n,) * 2, lambda a, b: mul[a][b] != mul[b][a]),
+        "has_zero": None if z is not None else (),
+        "zero_absorbing": () if z is None else _least((n,), lambda x: mul[z][x] != z or mul[x][z] != z),
+        "has_one": None if e is not None else (),
+        "zerosumfree": () if z is None else _least((n,) * 2, lambda a, b: add[a][b] == z and (a, b) != (z, z)),
+        "entire": () if z is None else _least((n,) * 2, lambda a, b: mul[a][b] == z and a != z and b != z),
+        "complemented": ()
+        if z is None or e is None
+        else _least(
+            (n,),
+            lambda r: sum(mul[r][c] == z == mul[c][r] and add[r][c] == e == add[c][r] for c in range(n)) != 1,
+        ),
+        "mul_idempotent": _least((n,), lambda r: mul[r][r] != r),
+    }
+    return z, e, {law: w for law, w in found.items() if w is not None}
+
+
+def assert_laws_match_oracle(add, mul):
+    rep = check_laws(CayleyStructure(size=len(add), add=add, mul=mul))
+    zero, one, witnesses = oracle_laws(add, mul)
+    assert (rep.zero, rep.one) == (zero, one)
+    assert rep.witnesses == witnesses
+    assert [rep.flag(law) for law in LAW_NAMES] == [law not in witnesses for law in LAW_NAMES]
+
+
+def _square(flat, n):
+    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _one_cell_mutants(table, rng, count):
+    n = len(table)
+    for _ in range(count):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(r) for r in table]
+        rows[i][j] = (rows[i][j] + 1 + rng.randrange(n - 1)) % n
+        yield tuple(map(tuple, rows))
+
+
 tables2 = st.tuples(*(st.integers(0, 1) for _ in range(4)))
 tables3 = st.tuples(*(st.integers(0, 2) for _ in range(9)))
 
 
 @given(tables2, tables2)
 def test_random_tables_witnesses_are_valid_size2(add_flat, mul_flat):
-    _assert_witnesses_falsify(2, add_flat, mul_flat)
+    assert_laws_match_oracle(_square(add_flat, 2), _square(mul_flat, 2))
 
 
 @given(tables3, tables3)
 def test_random_tables_witnesses_are_valid_size3(add_flat, mul_flat):
-    _assert_witnesses_falsify(3, add_flat, mul_flat)
+    assert_laws_match_oracle(_square(add_flat, 3), _square(mul_flat, 3))
 
 
-def _assert_witnesses_falsify(n, add_flat, mul_flat):
-    add = tuple(tuple(add_flat[i * n : (i + 1) * n]) for i in range(n))
-    mul = tuple(tuple(mul_flat[i * n : (i + 1) * n]) for i in range(n))
-    s = CayleyStructure(size=n, add=add, mul=mul)
-    rep = check_laws(s)
-    w = rep.witnesses
-    if "left_distributive" in w:
-        a, b, c = w["left_distributive"]
-        assert mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]
-    if "add_commutative" in w:
-        a, b = w["add_commutative"]
-        assert add[a][b] != add[b][a]
-    if "mul_associative" in w:
-        a, b, c = w["mul_associative"]
-        assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
-    if "add_medial" in w:
-        a, b, c, d = w["add_medial"]
-        assert add[add[a][b]][add[c][d]] != add[add[a][c]][add[b][d]]
-    if rep.has_zero:
-        z = rep.zero
-        assert all(add[z][x] == x == add[x][z] for x in range(n))
+def test_corpus_one_cell_mutants_match_oracle(all_entries):
+    rng = random.Random(0)
+    for entry in all_entries:
+        s = entry.structure
+        assert_laws_match_oracle(s.add, s.mul)
+        for add in _one_cell_mutants(s.add, rng, 8):
+            assert_laws_match_oracle(add, s.mul)
+        for mul in _one_cell_mutants(s.mul, rng, 8):
+            assert_laws_match_oracle(s.add, mul)
+
+
+@pytest.mark.parametrize(
+    "p, q, n",
+    [(2, 2, 3), (1, 0, 3), (2, 1, 3), (1, 3, 4), (3, 3, 5)],
+)
+def test_medial_additions_outside_commutative_monoids(p, q, n):
+    """x + y = px + qy mod n is medial, but associative and commutative only
+    for some (p, q), so mediality is decided by the full scan here."""
+    add = tuple(tuple((p * x + q * y) % n for y in range(n)) for x in range(n))
+    mul = tuple(tuple(x * y % n for y in range(n)) for x in range(n))
+    rep = check_laws(CayleyStructure(size=n, add=add, mul=mul))
+    assert rep.add_medial and not (rep.add_associative and rep.add_commutative)
+    assert_laws_match_oracle(add, mul)
+    for mutant in _one_cell_mutants(add, random.Random(n), 6):
+        assert_laws_match_oracle(mutant, mul)
+
+
+def oracle_semimodule(m):
+    """Least witnesses of the nine semimodule axioms, each scanned by its definition."""
+    n, k = m.semiring.size, m.msize
+    sadd, smul, madd, act, mz = m.semiring.add, m.semiring.mul, m.madd, m.action, m.mzero
+    zero_s, one_s, _ = oracle_laws(sadd, smul)
+    found = {
+        "add_associative": _least((k,) * 3, lambda a, b, c: madd[madd[a][b]][c] != madd[a][madd[b][c]]),
+        "add_commutative": _least((k,) * 2, lambda a, b: madd[a][b] != madd[b][a]),
+        "zero_neutral": _least((k,), lambda x: madd[mz][x] != x or madd[x][mz] != x),
+        "action_associative": _least((n, n, k), lambda r, t, x: act[smul[r][t]][x] != act[r][act[t][x]]),
+        "action_unital": _least((k,), lambda x: act[one_s][x] != x),
+        "scalar_add_distributes": _least(
+            (n, n, k), lambda r, t, x: act[sadd[r][t]][x] != madd[act[r][x]][act[t][x]]
+        ),
+        "module_add_distributes": _least(
+            (n, k, k), lambda r, x, y: act[r][madd[x][y]] != madd[act[r][x]][act[r][y]]
+        ),
+        "zero_scalar_absorbs": _least((k,), lambda x: act[zero_s][x] != mz),
+        "scalar_zero_absorbs": _least((n,), lambda r: act[r][mz] != mz),
+    }
+    return {axiom: w for axiom, w in found.items() if w is not None}
+
+
+def test_semimodule_axioms_match_oracle(all_entries):
+    rng = random.Random(0)
+    for entry in all_entries:
+        s = entry.structure
+        if not check_laws(s).is_semiring:
+            continue
+        own = self_action(s)
+        modules = [own, componentwise_module(s, 2)] if s.size <= 3 else [own]
+        for _ in range(12):
+            k = rng.randrange(1, 4)
+            madd = tuple(tuple(rng.randrange(k) for _ in range(k)) for _ in range(k))
+            action = tuple(tuple(rng.randrange(k) for _ in range(k)) for _ in range(s.size))
+            modules.append(FiniteSemimodule(s, k, madd, rng.randrange(k), action))
+        for madd in _one_cell_mutants(own.madd, rng, 6):
+            modules.append(FiniteSemimodule(s, s.size, madd, own.mzero, own.action))
+        for action in _one_cell_mutants(own.action, rng, 6):
+            modules.append(FiniteSemimodule(s, s.size, own.madd, own.mzero, action))
+        for m in modules:
+            rep = semimodule_check(m)
+            witnesses = oracle_semimodule(m)
+            assert rep.witnesses == witnesses
+            assert [getattr(rep, axiom) for axiom in SEMIMODULE_AXIOMS] == [
+                axiom not in witnesses for axiom in SEMIMODULE_AXIOMS
+            ]
 
 
 def test_self_action_is_semimodule_for_every_corpus_semiring(all_entries):
