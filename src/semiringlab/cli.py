@@ -52,11 +52,17 @@ def _resolve(ref: str) -> CayleyStructure:
     return loaded.semiring
 
 
-def _parse_gens(text: str) -> list[int]:
+def _element(s: CayleyStructure, x: int) -> int:
+    if not 0 <= x < s.size:
+        raise StructureError(f"element {x} is out of range for a carrier of size {s.size}")
+    return x
+
+
+def _parse_gens(s: CayleyStructure, text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(part) for part in text.split(",")]
+    return [_element(s, int(part)) for part in text.split(",")]
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -111,7 +117,7 @@ def cmd_laws(args) -> int:
 def cmd_ideals(args) -> int:
     s = _resolve(args.structure)
     rows = []
-    for ideal in enumerate_ideals(s, args.side, cap=args.cap_ideals):
+    for ideal in enumerate_ideals(s, args.side):
         row = {"members": list(ideal.members())}
         if args.side == TWO_SIDED:
             cls = classify_ideal(ideal)
@@ -155,8 +161,8 @@ def cmd_packed(args) -> int:
 
 def cmd_avoid(args) -> int:
     s = _resolve(args.structure)
-    target = generate_ideal(s, _parse_gens(args.target))
-    covers = [generate_ideal(s, _parse_gens(c)) for c in args.cover]
+    target = generate_ideal(s, _parse_gens(s, args.target))
+    covers = [generate_ideal(s, _parse_gens(s, c)) for c in args.cover]
     if args.mode == "ringoid":
         report = avoidance_witness(target, covers)
     elif args.mode == "semiring":
@@ -164,19 +170,19 @@ def cmd_avoid(args) -> int:
     elif args.mode in ("radical", "semiprime"):
         report = union_avoidance_suite(target, covers, args.mode)
     elif args.mode == "t-semiprime":
-        t_set = mult_closure(s, _parse_gens(args.t_set or ""))
+        t_set = mult_closure(s, _parse_gens(s, args.t_set or ""))
         report = t_semiprime_avoidance(target, covers, t_set)
     else:  # davis
         if args.element is None:
             raise StructureError("davis mode needs --element")
-        report = davis_witness(args.element, target, covers)
+        report = davis_witness(_element(s, args.element), target, covers)
     doc = {
         "job": {
             "command": "avoid",
             "structure": args.structure,
             "mode": args.mode,
-            "target": _parse_gens(args.target),
-            "covers": [_parse_gens(c) for c in args.cover],
+            "target": _parse_gens(s, args.target),
+            "covers": [_parse_gens(s, c) for c in args.cover],
         },
         "verdict": report.verdict,
         "witness": report.witness if not isinstance(report.witness, tuple) else list(report.witness),
@@ -189,16 +195,16 @@ def cmd_avoid(args) -> int:
 
 def cmd_mccoy(args) -> int:
     s = _resolve(args.structure)
-    target = generate_ideal(s, _parse_gens(args.target))
-    covers = [generate_ideal(s, _parse_gens(c)) for c in args.cover]
+    target = generate_ideal(s, _parse_gens(s, args.target))
+    covers = [generate_ideal(s, _parse_gens(s, c)) for c in args.cover]
     cov = covering(target, covers)
     report = mccoy_exponent(cov)
     doc = {
         "job": {
             "command": "mccoy",
             "structure": args.structure,
-            "target": _parse_gens(args.target),
-            "covers": [_parse_gens(c) for c in args.cover],
+            "target": _parse_gens(s, args.target),
+            "covers": [_parse_gens(s, c) for c in args.cover],
         },
         "efficient": cov.efficient,
         "verdict": report.verdict,
@@ -213,6 +219,7 @@ def cmd_mccoy(args) -> int:
 def cmd_zdiv(args) -> int:
     s = _resolve(args.structure)
     m = self_action(s)
+    slice_report = None if args.degree_cap is None else monoid_zd_check(s, m, args.degree_cap)
     report = zero_divisor_report(s, m)
     doc = {
         "job": {"command": "zdiv", "structure": args.structure, "degree_cap": args.degree_cap},
@@ -227,8 +234,7 @@ def cmd_zdiv(args) -> int:
         "few": report.few,
         "property_a": report.property_a,
     }
-    if args.degree_cap is not None:
-        slice_report = monoid_zd_check(s, m, args.degree_cap)
+    if slice_report is not None:
         doc["slice"] = {
             "verdict": slice_report.verdict,
             "violated_hypothesis": slice_report.violated_hypothesis,
@@ -324,7 +330,6 @@ def _plain(value):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--cap-ideals", type=int, default=16)
 
     parser = argparse.ArgumentParser(
         prog="semiringlab",

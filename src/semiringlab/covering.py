@@ -9,6 +9,7 @@ TheoremViolation instead of guessing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -32,6 +33,7 @@ from .ideals import (
     residual,
     _semiprime_elementwise,
     annihilator,
+    closed_sets,
 )
 from .tables import CayleyStructure, FiniteSemimodule, check_laws
 
@@ -389,17 +391,12 @@ def mccoy_exponent(cov: Covering) -> WitnessReport:
         return _unmet("efficiency")
 
     masks = [c.mask for c in cov.covers]
-    total = masks[0]
-    for m in masks[1:]:
-        total &= m
-    # any n-1 of the covers must already intersect to the full intersection
+    total = functools.reduce(int.__and__, masks)
+    # inside the target, any n-1 of the covers already meet in all n
+    target = cov.target.mask
     for skip in range(len(masks)):
-        part = None
-        for k, m in enumerate(masks):
-            if k == skip:
-                continue
-            part = m if part is None else part & m
-        if part != total:
+        part = functools.reduce(int.__and__, masks[:skip] + masks[skip + 1:])
+        if target & part != target & total:
             raise TheoremViolation("intersection lemma failed on an efficient covering")
 
     k_max = len(ideal_masks(s, TWO_SIDED))
@@ -495,21 +492,15 @@ def t_semiprime_avoidance(
 
 
 def _annihilator_ideal_masks(m: FiniteSemimodule) -> tuple[int, ...]:
-    """All annihilator ideals: intersections of element annihilators."""
-    s = m.semiring
-    base = sorted(
-        {annihilator(m, [x]).mask for x in range(m.msize)}, key=mask_members
-    )
-    found = set(base)
-    queue = list(base)
-    while queue:
-        a = queue.pop()
-        for b in list(found):
-            meet = a & b
-            if meet not in found:
-                found.add(meet)
-                queue.append(meet)
-    return tuple(sorted(found, key=mask_members))
+    """All annihilator ideals: intersections of element annihilators, the
+    closed sets of the meet of the element annihilators containing a set."""
+    anns = {annihilator(m, [x]).mask for x in range(m.msize)}
+    full = (1 << m.semiring.size) - 1
+
+    def close(mask: int) -> int:
+        return functools.reduce(int.__and__, [am for am in anns if mask & ~am == 0], full)
+
+    return tuple(sorted(closed_sets(m.semiring.size, close), key=mask_members))
 
 
 def annihilator_avoidance(

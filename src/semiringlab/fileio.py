@@ -86,7 +86,10 @@ def ingest_doc(doc: dict) -> Union[CayleyStructure, FiniteSemimodule]:
         raise StructureError("top level must be a JSON object")
     s = _structure_from_doc(doc)
     verify_designations(s)
-    _verify_claims(s, doc.get("claims", ()))
+    claims = doc.get("claims", [])
+    if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
+        raise StructureError("claims must be a list of law names")
+    _verify_claims(s, claims)
     if not MODULE_KEYS & doc.keys():
         return s
     missing = MODULE_KEYS - doc.keys()

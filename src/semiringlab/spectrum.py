@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import HypothesesUnmet, TheoremViolation
-from .limits import IDEAL_ENUM_CAP, SPEC_POWERSET_CAP
+from .limits import SPEC_POWERSET_CAP
 from .ideals import (
     IdealSet,
     TWO_SIDED,
@@ -33,19 +33,19 @@ BATTERY_CONDITIONS = (
 
 
 @functools.lru_cache(maxsize=None)
-def _spec_masks(s: CayleyStructure, cap: int = IDEAL_ENUM_CAP) -> tuple[int, ...]:
+def _spec_masks(s: CayleyStructure) -> tuple[int, ...]:
     out = []
-    for m in ideal_masks(s, TWO_SIDED, cap):
+    for m in ideal_masks(s, TWO_SIDED):
         ideal = IdealSet(structure=s, side=TWO_SIDED, mask=m)
         if ideal.is_proper and is_prime(ideal)[0]:
             out.append(m)
     return tuple(out)
 
 
-def spec_of(s: CayleyStructure, cap: int = IDEAL_ENUM_CAP) -> tuple[IdealSet, ...]:
+def spec_of(s: CayleyStructure) -> tuple[IdealSet, ...]:
     """All proper two-sided prime ideals, sorted by member tuple."""
     return tuple(
-        IdealSet(structure=s, side=TWO_SIDED, mask=m) for m in _spec_masks(s, cap)
+        IdealSet(structure=s, side=TWO_SIDED, mask=m) for m in _spec_masks(s)
     )
 
 

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import StructureError, TheoremViolation
+from .errors import CapExceeded, StructureError, TheoremViolation
+from .limits import CARRIER_CAP
 from .ideals import (
     IdealSet,
     TWO_SIDED,
@@ -381,8 +382,15 @@ def monoid_zd_check(
     Scalars are tuples of base coefficients indexed by exponents 0..degree_cap.
     The containment direction that rests on an external annihilation theorem
     is downgraded to witness search: an absent annihilator in the slice is
-    inconclusive, never a refutation.
+    inconclusive, never a refutation. Slices of more than ``CARRIER_CAP``
+    scalars or module polynomials raise :class:`CapExceeded` up front.
     """
+    if degree_cap < 0:
+        raise StructureError("degree cap must be nonnegative")
+    length = degree_cap + 1
+    # testing the length first keeps the power small and bounds 1-element carriers
+    if length > CARRIER_CAP or max(s.size, m.msize) ** length > CARRIER_CAP:
+        raise CapExceeded(f"degree cap {degree_cap} gives a slice of more than {CARRIER_CAP} polynomials")
     rep = check_laws(s)
     if not rep.is_commutative_semiring:
         return WitnessReport(verdict=UNMET, violated_hypothesis="commutative-semiring")
@@ -413,7 +421,6 @@ def monoid_zd_check(
     if union != z_mask:
         raise TheoremViolation("associated primes do not cover the zero divisors")
 
-    length = degree_cap + 1
     sadd, smul = s.add, s.mul
     madd, act, mz = m.madd, m.action, m.mzero
 

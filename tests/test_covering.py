@@ -256,6 +256,17 @@ def test_mccoy_rejects_nonsubtractive_structure():
     assert report.verdict == UNMET and report.violated_hypothesis == "subtractive-semiring"
 
 
+def test_mccoy_suite_on_f2xy_times_boolean():
+    """The intersection lemma holds inside the target only: here two of the
+    three covers can meet in more than all three outside the target."""
+    from semiringlab.constructions import direct_product
+    from semiringlab.suites import CorpusEntry, PASS, mccoy_suite
+
+    s = direct_product([dual_numbers_mod2(), boolean_semifield()])
+    rows = list(mccoy_suite(CorpusEntry(name="f2xy*boolean", structure=s, claims=())))
+    assert [r.status for r in rows] == [PASS]
+
+
 # --- corollary suites --------------------------------------------------------------
 
 def test_radical_mode_two_covers():

@@ -1,8 +1,11 @@
 """Structure files, corpus integrity, and the command line workbench."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from semiringlab.cli import main
 from semiringlab.corpus import (
@@ -11,6 +14,7 @@ from semiringlab.corpus import (
     corpus_entry,
     corpus_names,
     cross_product_hemiring,
+    saturating,
 )
 from semiringlab.errors import StructureError
 from semiringlab.fileio import ingest, ingest_doc, semimodule_to_json, structure_to_json
@@ -218,6 +222,10 @@ def _boolean_doc_with_cell(value):
         _boolean_doc_with_cell(1.7),
         _boolean_doc_with_cell(True),
         _boolean_doc(size="2"),
+        _boolean_doc(claims=5),
+        _boolean_doc(claims=None),
+        _boolean_doc(claims="semiring"),
+        _boolean_doc(claims={"semiring": 1}),
     ],
     ids=[
         "truncated",
@@ -228,6 +236,10 @@ def _boolean_doc_with_cell(value):
         "float-entry",
         "bool-entry",
         "string-size",
+        "claims-int",
+        "claims-null",
+        "claims-string",
+        "claims-object",
     ],
 )
 def test_cli_ingest_error_exit_code(capsys, tmp_path, text):
@@ -236,6 +248,66 @@ def test_cli_ingest_error_exit_code(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, "ingest", str(path))
     assert code == 2
     assert "input error" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+VALID_DOCS = (
+    structure_to_json(boolean_semifield(), claims=["semiring"]),
+    semimodule_to_json(self_action(boolean_semifield()), claims=["semiring"]),
+)
+
+
+@given(st.sampled_from(VALID_DOCS), st.data())
+def test_cli_ingest_fuzzed_field_never_crashes(tmp_path_factory, doc, data):
+    """A valid document with one field replaced by any JSON value loads or
+    is refused as an input error; it never raises out of the CLI."""
+    field = data.draw(st.sampled_from(sorted(doc)))
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps({**doc, field: data.draw(json_values)}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["ingest", str(path)]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--target", "1", "--cover", "1", "--mode", "davis", "--element", "9"],
+        ["--target", "1", "--cover", "1", "--mode", "t-semiprime", "--t-set", "9"],
+        ["--target", "-1", "--cover", "1"],
+    ],
+    ids=["davis-element", "t-set", "negative-target"],
+)
+def test_cli_element_arguments_are_range_checked(capsys, argv):
+    code, _, err = run_cli(capsys, "avoid", "boolean", *argv)
+    assert code == 2
+    assert "out of range" in err
+
+
+@pytest.mark.parametrize("degree_cap,want", [("-1", 2), ("40", 3)])
+def test_cli_zdiv_degree_cap_is_bounded(capsys, degree_cap, want):
+    code, _, err = run_cli(capsys, "zdiv", "boolean", "--degree-cap", degree_cap)
+    assert code == want
+    assert ("input error" if want == 2 else "cap exceeded") in err
+
+
+@pytest.mark.parametrize("command", ["ideals", "spec", "packed", "zdiv", "quotient"])
+def test_cli_seventeen_elements_fit_the_ideal_cap(capsys, tmp_path, command):
+    s = saturating(16)
+    assert s.size == 17
+    path = tmp_path / "saturating-17.json"
+    path.write_text(json.dumps(structure_to_json(s)))
+    code, out, _ = run_cli(capsys, command, str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["job"]["command"] == command
+
+
+def test_cli_cap_ideals_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["ideals", "boolean", "--cap-ideals", "40"])
 
 
 def test_cli_unknown_scope_exit_code(capsys):
