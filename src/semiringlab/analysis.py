@@ -1,0 +1,112 @@
+"""One lazily filled analysis context per structure.
+
+Everything the package derives from a structure's tables, and reads more
+than once, lives in one :class:`Analysis` per structure. Each fact is
+computed on its first read and read back afterwards. A context holds:
+
+- ``laws``: the :class:`~semiringlab.tables.LawReport`;
+- ``absorb``, ``principal`` and ``lattice``, keyed by side: what an ideal
+  holding each element must hold, the principal ideal masks and the ideal
+  lattice;
+- ``spectrum`` (the prime ideal masks) and ``quotient`` (the total
+  quotient semiring);
+- ``all_subtractive``: whether every two-sided ideal is subtractive;
+- per mask: ``subtractive`` and ``prime``, each with its least witness,
+  and ``radical``, the radical's mask. Subtractiveness and the radical do
+  not depend on the side, so they are keyed on the mask alone;
+- ``classification``, keyed by (mask, T-mask), with None for no T.
+
+The module that owns a fact computes it with a private function, which
+the context calls once per key; a computation that raises stores nothing,
+so the same input raises again, and every theorem cross-check inside it
+runs once per distinct input. The public functions (``check_laws``,
+``ideal_masks``, ``is_subtractive`` and the rest) are reads of the
+context.
+
+Structures that compare equal share one context, so equal structures
+built separately share their facts. Contexts are kept for the life of the
+process, so every distinct structure analysed stays in memory. The radical
+is stored as a mask, which ``radical`` wraps in an ideal of the caller's
+own structure. ``counts`` gives, per fact, how many values were computed
+and how many reads were answered from a context, and ``context_count`` how
+many contexts there are.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+from typing import Callable
+
+FACTS = (
+    "laws",
+    "absorb",
+    "principal",
+    "lattice",
+    "spectrum",
+    "quotient",
+    "all_subtractive",
+    "subtractive",
+    "prime",
+    "radical",
+    "classification",
+)
+
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+_FILLED = dict.fromkeys(FACTS, 0)
+_REUSED = dict.fromkeys(FACTS, 0)
+_MISSING = object()
+
+
+class Analysis:
+    """The facts derived so far about one structure, one table per kind."""
+
+    __slots__ = ("facts",)
+
+    def __init__(self):
+        self.facts: dict[str, dict] = {}
+
+    def get(self, kind: str, key, compute: Callable, *args):
+        """The ``kind`` fact at ``key``, computed as ``compute(*args)`` on
+        the first read."""
+        table = self.facts.get(kind)
+        if table is None:
+            table = self.facts[kind] = {}
+        value = table.get(key, _MISSING)
+        if value is not _MISSING:
+            _REUSED[kind] += 1
+            return value
+        value = table[key] = compute(*args)
+        _FILLED[kind] += 1
+        return value
+
+
+_CONTEXTS: dict = {}
+
+
+def analysis(s) -> Analysis:
+    """The context of a structure, shared by every structure equal to it."""
+    ctx = _CONTEXTS.get(s)
+    if ctx is None:
+        ctx = _CONTEXTS[s] = Analysis()
+    return ctx
+
+
+def context_count() -> int:
+    return len(_CONTEXTS)
+
+
+def counts() -> dict[str, tuple[int, int]]:
+    """Per fact kind, (values computed, reads answered from a context)."""
+    return {kind: (_FILLED[kind], _REUSED[kind]) for kind in FACTS}
+
+
+def reader(kind: str):
+    """Mark a function as the read of one fact kind and give it the
+    ``cache_info()`` of a cached function: reuses are hits, fills misses."""
+
+    def mark(fn):
+        fn.cache_info = lambda: CacheInfo(_REUSED[kind], _FILLED[kind], None, _FILLED[kind])
+        return fn
+
+    return mark

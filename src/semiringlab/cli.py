@@ -14,8 +14,9 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
+from . import analysis
 from .corpus import corpus, corpus_entry, corpus_names, corpus_semimodules
 from .covering import covering, mccoy_exponent, semiring_avoidance, davis_witness
 from .errors import CapExceeded, StructureError, TheoremViolation
@@ -286,7 +287,14 @@ def cmd_verify_all(args) -> int:
     }
     _emit(doc, args.json)
     if args.timing:
-        print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
+        counts = analysis.counts()
+        filled = sum(f for f, _ in counts.values())
+        reused = sum(r for _, r in counts.values())
+        print(
+            f"elapsed: {elapsed:.2f}s; analysis: {analysis.context_count()} contexts, "
+            f"{filled} facts computed, {reused} reads reused",
+            file=sys.stderr,
+        )
     return 1 if tallies["failed"] else 0
 
 
@@ -320,7 +328,7 @@ def cmd_corpus(args) -> int:
 
 
 def _plain(value):
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(k): _plain(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
@@ -385,7 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", parents=[common], help="run every theorem suite")
     p.add_argument("--scope", help="comma separated corpus names")
     p.add_argument("--seed", type=int, default=0, help="seed for sum-tree sampling")
-    p.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
+    p.add_argument(
+        "--timing", action="store_true", help="print elapsed time and analysis-context counts to stderr"
+    )
     p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("ingest", parents=[common], help="load and verify a structure file")

@@ -355,7 +355,7 @@ def verify_entry_claims(entry: CorpusEntry) -> None:
     if failing:
         raise StructureError(
             f"corpus entry {entry.name} fails its own claims {failing}: "
-            f"witnesses {rep.witnesses}"
+            f"witnesses {dict(rep.witnesses)}"
         )
 
 

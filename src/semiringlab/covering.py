@@ -18,11 +18,11 @@ from .ideals import (
     IdealSet,
     MultiplicativeSet,
     TWO_SIDED,
+    all_ideals_subtractive,
     classify_ideal,
     evaluate_tree,
     generated_product,
     ideal_masks,
-    enumerate_ideals,
     is_prime,
     is_subtractive,
     iter_bits,
@@ -370,12 +370,6 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     )
 
 
-def _subtractive_structure(s: CayleyStructure) -> bool:
-    return all(
-        is_subtractive(i)[0] for i in enumerate_ideals(s, TWO_SIDED)
-    )
-
-
 def mccoy_exponent(cov: Covering) -> WitnessReport:
     """Least power of the target landing inside the intersection of an
     efficient covering with at least three covers."""
@@ -383,7 +377,7 @@ def mccoy_exponent(cov: Covering) -> WitnessReport:
     rep = check_laws(s)
     if not rep.is_commutative_semiring:
         return _unmet("commutative-semiring")
-    if not _subtractive_structure(s):
+    if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     if len(cov.covers) < 3:
         return _unmet("cover-count", count=len(cov.covers))
@@ -423,7 +417,7 @@ def union_avoidance_suite(
     rep = check_laws(s)
     if not rep.is_commutative_semiring:
         return _unmet("commutative-semiring")
-    if not _subtractive_structure(s):
+    if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     covers = list(covers)
     if ideal.mask & ~_union_mask(covers):
@@ -453,7 +447,7 @@ def t_semiprime_avoidance(
     rep = check_laws(s)
     if not rep.is_commutative_semiring:
         return _unmet("commutative-semiring")
-    if not _subtractive_structure(s):
+    if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     covers = list(covers)
     if ideal.mask & ~_union_mask(covers):

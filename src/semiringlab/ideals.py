@@ -2,20 +2,25 @@
 
 Ideals are bitmasks over the carrier wrapped in :class:`IdealSet`. All
 enumeration orders and returned witnesses are deterministic: ideals sort by
-their member tuples and element scans run in ascending index order.
+their member tuples and element scans run in ascending index order. The
+lattices, principal ideals and per-mask facts (subtractive, prime, radical,
+classification) are read from the structure's analysis context
+(:mod:`semiringlab.analysis`); each is computed once by a private function
+here.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from .analysis import analysis, reader
 from .errors import CapExceeded, HypothesesUnmet, StructureError, TheoremViolation
 from .limits import BRUTE_FORCE_CAP, IDEAL_ENUM_CAP
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
+    _freeze_witnesses,
     check_laws,
     require_commutative_semiring,
     require_semimodule,
@@ -160,10 +165,13 @@ def _close(table, absorb: Sequence[int], mask: int) -> int:
     return mask
 
 
-@functools.lru_cache(maxsize=None)
 def _absorb(s: CayleyStructure, side: str) -> tuple[int, ...]:
     """Per element x, what an ideal of the side holding x must hold: the
     products r*x (left), x*r (right) or both (two-sided) over all r."""
+    return analysis(s).get("absorb", side, _absorb_masks, s, side)
+
+
+def _absorb_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
     rows, cols = s.mul, tuple(zip(*s.mul))
     if side == LEFT:
         return tuple(map(mask_of, cols))
@@ -223,12 +231,16 @@ def generate_ideal(s: CayleyStructure, gens: Iterable[int], side: str = TWO_SIDE
     return IdealSet(structure=s, side=side, mask=close_mask(s, mask, side))
 
 
-@functools.lru_cache(maxsize=None)
+@reader("principal")
 def principal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
+    return analysis(s).get("principal", side, _principal_masks, s, side)
+
+
+def _principal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
     return tuple(close_mask(s, 1 << x, side) for x in range(s.size))
 
 
-@functools.lru_cache(maxsize=None)
+@reader("lattice")
 def ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
     """All ideal masks of the side, sorted by member tuple.
 
@@ -236,6 +248,10 @@ def ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
     NextClosure (:func:`closed_sets`). ``brute_force_ideal_masks`` is the
     oracle in the test suite.
     """
+    return analysis(s).get("lattice", side, _ideal_masks, s, side)
+
+
+def _ideal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
     masks = closed_sets(s.size, lambda m: close_mask(s, m, side))
     return tuple(sorted((m for m in masks if m), key=mask_members))
 
@@ -257,7 +273,11 @@ def brute_force_ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[
 
 def is_subtractive(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check both cancellation directions; witness is the least failing pair."""
-    s, mask = ideal.structure, ideal.mask
+    s = ideal.structure
+    return analysis(s).get("subtractive", ideal.mask, _subtractive, s, ideal.mask)
+
+
+def _subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
     add = s.add
     for x in range(s.size):
         for y in range(s.size):
@@ -269,6 +289,16 @@ def is_subtractive(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
             if mask >> y & 1 and not mask >> x & 1:
                 return False, (x, y)
     return True, None
+
+
+def all_ideals_subtractive(s: CayleyStructure) -> bool:
+    """Whether every two-sided ideal is subtractive, as the covering
+    corollaries assume."""
+    return analysis(s).get("all_subtractive", None, _all_ideals_subtractive, s)
+
+
+def _all_ideals_subtractive(s: CayleyStructure) -> bool:
+    return all(is_subtractive(i)[0] for i in enumerate_ideals(s, TWO_SIDED))
 
 
 def _set_product_into(s: CayleyStructure, amask: int, bmask: int, target: int) -> bool:
@@ -289,7 +319,10 @@ def is_prime(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
         raise ValueError("primality is defined for two-sided ideals")
     if not ideal.is_proper:
         raise ValueError("primality is defined for proper ideals")
-    mask = ideal.mask
+    return analysis(s).get("prime", ideal.mask, _prime, s, ideal.mask)
+
+
+def _prime(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
     principal = principal_masks(s, TWO_SIDED)
     witness = None
     for a in range(s.size):
@@ -321,6 +354,7 @@ def is_prime(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
             if sandwich_witness:
                 break
         if (sandwich_witness is None) != ringoid_prime:
+            ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
             raise TheoremViolation(
                 f"prime criteria disagree on {ideal!r}: "
                 f"principal={ringoid_prime} sandwich={sandwich_witness is None}"
@@ -344,11 +378,16 @@ def radical(ideal: IdealSet) -> IdealSet:
     """Elements with some positive power inside the ideal."""
     s = ideal.structure
     require_commutative_semiring(s)
-    mask = 0
-    for x in range(s.size):
-        if any(ideal.mask >> p & 1 for p in power_orbit(s, x)):
-            mask |= 1 << x
+    mask = analysis(s).get("radical", ideal.mask, _radical_mask, s, ideal.mask)
     return IdealSet(structure=s, side=ideal.side, mask=mask)
+
+
+def _radical_mask(s: CayleyStructure, mask: int) -> int:
+    out = 0
+    for x in range(s.size):
+        if any(mask >> p & 1 for p in power_orbit(s, x)):
+            out |= 1 << x
+    return out
 
 
 def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
@@ -439,7 +478,10 @@ class IdealClassification:
     radical_ideal: Optional[bool]
     t_semiprime: Optional[bool]
     t_element: Optional[int]
-    witnesses: dict
+    witnesses: Mapping
+
+    def __post_init__(self):
+        _freeze_witnesses(self)
 
     def __repr__(self):
         flags = {
@@ -465,6 +507,12 @@ def classify_ideal(
     s = ideal.structure
     if ideal.side != TWO_SIDED:
         raise ValueError("classification applies to two-sided ideals")
+    t_mask = None if t_set is None else t_set.mask
+    return analysis(s).get("classification", (ideal.mask, t_mask), _classification, s, ideal.mask, t_mask)
+
+
+def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> IdealClassification:
+    ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
     rep = check_laws(s)
     witnesses: dict = {}
 
@@ -558,11 +606,11 @@ def classify_ideal(
 
     t_semiprime: Optional[bool] = None
     t_element: Optional[int] = None
-    if t_set is not None:
-        if ideal.mask & t_set.mask:
+    if t_mask is not None:
+        if ideal.mask & t_mask:
             raise StructureError("T-semiprimeness needs an ideal disjoint from T")
         mul = s.mul
-        for t in iter_bits(t_set.mask):
+        for t in iter_bits(t_mask):
             if all(
                 ideal.mask >> mul[t][x] & 1
                 for x in range(s.size)

@@ -1,17 +1,19 @@
-"""Prime spectra, the closed-set calculus, and the compactly-packed battery."""
+"""Prime spectra, the closed-set calculus, and the compactly-packed battery.
+
+The prime ideal masks are read from the structure's analysis context."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .analysis import analysis
 from .errors import HypothesesUnmet, TheoremViolation
 from .limits import SPEC_POWERSET_CAP
 from .ideals import (
     IdealSet,
     TWO_SIDED,
-    enumerate_ideals,
+    all_ideals_subtractive,
     generate_ideal,
     ideal_masks,
     is_prime,
@@ -32,8 +34,11 @@ BATTERY_CONDITIONS = (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def _spec_masks(s: CayleyStructure) -> tuple[int, ...]:
+    return analysis(s).get("spectrum", None, _prime_masks, s)
+
+
+def _prime_masks(s: CayleyStructure) -> tuple[int, ...]:
     out = []
     for m in ideal_masks(s, TWO_SIDED):
         ideal = IdealSet(structure=s, side=TWO_SIDED, mask=m)
@@ -203,9 +208,8 @@ def principal_open_refinement(
     rep = check_laws(s)
     if not rep.is_semiring:
         raise HypothesesUnmet("needs a semiring")
-    for i in enumerate_ideals(s, TWO_SIDED):
-        if not is_subtractive(i)[0]:
-            raise HypothesesUnmet("needs every ideal subtractive")
+    if not all_ideals_subtractive(s):
+        raise HypothesesUnmet("needs every ideal subtractive")
     for p in points:
         if ideal.issubset(p):
             raise HypothesesUnmet("a point lies outside the open set of the ideal")

@@ -43,6 +43,7 @@ from .errors import CapExceeded, HypothesesUnmet, TheoremViolation
 from .ideals import (
     IdealSet,
     TWO_SIDED,
+    all_ideals_subtractive,
     annihilator,
     brute_force_ideal_masks,
     classify_ideal,
@@ -122,7 +123,7 @@ def _documented_flag(s: CayleyStructure, flag: str, rep) -> Optional[bool]:
     if flag == "commutative":
         return rep.mul_commutative
     if flag == "subtractive":
-        return all(is_subtractive(i)[0] for i in enumerate_ideals(s, TWO_SIDED))
+        return all_ideals_subtractive(s)
     if flag in ("weak_gaussian", "compactly_packed"):
         battery = compactly_packed_battery(s)
         return getattr(battery, flag)
@@ -338,9 +339,7 @@ def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[Che
     keep the family enumeration small."""
     s = entry.structure
     rep = check_laws(s)
-    if not rep.is_commutative_semiring:
-        return
-    if not all(is_subtractive(i)[0] for i in enumerate_ideals(s, TWO_SIDED)):
+    if not rep.is_commutative_semiring or not all_ideals_subtractive(s):
         return
     base = f"{entry.name}/corollaries"
     lattice = enumerate_ideals(s, TWO_SIDED)
@@ -383,11 +382,9 @@ def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult
     exponent within the ideal-count bound."""
     s = entry.structure
     rep = check_laws(s)
-    if not rep.is_commutative_semiring:
+    if not rep.is_commutative_semiring or not all_ideals_subtractive(s):
         return
     lattice = enumerate_ideals(s, TWO_SIDED)
-    if not all(is_subtractive(i)[0] for i in lattice):
-        return
     base = f"{entry.name}/mccoy"
     found = 0
     for size in range(3, max_family + 1):

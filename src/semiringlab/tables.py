@@ -16,8 +16,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
+from .analysis import analysis, reader
 from .errors import StructureError
 
 Row = tuple[int, ...]
@@ -38,6 +40,18 @@ LAW_NAMES = (
     "entire",
     "complemented",
     "mul_idempotent",
+)
+
+# The laws a semiring must satisfy besides zero != one (``LawReport.is_semiring``).
+SEMIRING_LAWS = (
+    "left_distributive",
+    "right_distributive",
+    "add_associative",
+    "add_commutative",
+    "has_zero",
+    "zero_absorbing",
+    "has_one",
+    "mul_associative",
 )
 
 
@@ -73,6 +87,9 @@ class CayleyStructure:
     produced honestly by the constructors in this package; files are verified
     on ingest. ``check_laws`` always rediscovers neutral elements from the
     tables, independently of any designation.
+
+    The hash covers the tables only and is computed once, so looking up the
+    structure's analysis context never rehashes them.
     """
 
     size: int
@@ -91,6 +108,15 @@ class CayleyStructure:
             v = getattr(self, label)
             if v is not None and not (_is_index(v) and 0 <= v < self.size):
                 raise StructureError(f"{label}={v!r} is not an element of a carrier of size {self.size}")
+        object.__setattr__(self, "_hash", hash((self.size, self.add, self.mul)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __init_subclass__(cls, **kwargs):
+        # @dataclass would give each subclass a hash over all of its fields
+        super().__init_subclass__(**kwargs)
+        cls.__hash__ = CayleyStructure.__hash__
 
     def elements(self) -> range:
         return range(self.size)
@@ -124,7 +150,10 @@ class LawReport:
     mul_idempotent: bool
     zero: Optional[int]
     one: Optional[int]
-    witnesses: dict
+    witnesses: Mapping
+
+    def __post_init__(self):
+        _freeze_witnesses(self)
 
     def flag(self, law: str) -> bool:
         if law not in LAW_NAMES:
@@ -163,6 +192,12 @@ class LawReport:
     def __repr__(self):
         failing = sorted(self.witnesses)
         return f"<LawReport ok={not failing} failing={failing}>"
+
+
+def _freeze_witnesses(report) -> None:
+    """Replace a report's witnesses by a read-only copy: reports are shared
+    through the analysis context, so a write would change later answers."""
+    object.__setattr__(report, "witnesses", MappingProxyType(dict(report.witnesses)))
 
 
 def _neutral(table: Table, n: int) -> Optional[int]:
@@ -232,9 +267,13 @@ def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, i
     )
 
 
-@functools.lru_cache(maxsize=None)
+@reader("laws")
 def check_laws(s: CayleyStructure) -> LawReport:
     """Decide every law flag exhaustively, with lexicographically least witnesses."""
+    return analysis(s).get("laws", None, _law_report, s)
+
+
+def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
     witnesses: dict = {}
@@ -338,7 +377,11 @@ def verify_designations(s: CayleyStructure) -> None:
 def require_semiring(s: CayleyStructure) -> LawReport:
     rep = check_laws(s)
     if not rep.is_semiring:
-        raise StructureError(f"{s.name or 'structure'} is not a semiring: fails {sorted(rep.witnesses)}")
+        failing = sorted(law for law in SEMIRING_LAWS if law in rep.witnesses)
+        reasons = [f"fails {failing}"] if failing else []
+        if rep.has_zero and rep.has_one and rep.zero == rep.one:
+            reasons.append("zero equals one")
+        raise StructureError(f"{s.name or 'structure'} is not a semiring: {'; '.join(reasons)}")
     return rep
 
 
@@ -447,7 +490,10 @@ class SemimoduleReport:
     module_add_distributes: bool
     zero_scalar_absorbs: bool
     scalar_zero_absorbs: bool
-    witnesses: dict
+    witnesses: Mapping
+
+    def __post_init__(self):
+        _freeze_witnesses(self)
 
     @property
     def valid(self) -> bool:

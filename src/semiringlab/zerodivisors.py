@@ -7,11 +7,12 @@ verdicts, contents, and the bounded-degree monoid checks.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
+from .analysis import analysis, reader
 from .errors import CapExceeded, StructureError, TheoremViolation
 from .limits import CARRIER_CAP
 from .ideals import (
@@ -196,7 +197,7 @@ class QuotientSemiring:
     base: CayleyStructure
     structure: CayleyStructure
     units: tuple[int, ...]  # non-zero-divisors of the base, ascending
-    pair_class: dict  # (s, u) -> class index
+    pair_class: Mapping  # (s, u) -> class index; read-only, as the quotient is shared
     canonical: tuple[int, ...]  # base element -> class of (element, 1)
     maximal_ideals: tuple[IdealSet, ...]
 
@@ -211,8 +212,12 @@ class QuotientSemiring:
         return f"<QuotientSemiring size={self.structure.size} of {self.base.name or 'S'}>"
 
 
-@functools.lru_cache(maxsize=None)
+@reader("quotient")
 def total_quotient(s: CayleyStructure) -> QuotientSemiring:
+    return analysis(s).get("quotient", None, _total_quotient, s)
+
+
+def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
     rep = require_commutative_semiring(s)
     mul, add = s.mul, s.add
     z_mask = zero_divisor_mask(self_action(s))
@@ -305,7 +310,7 @@ def total_quotient(s: CayleyStructure) -> QuotientSemiring:
         base=s,
         structure=q,
         units=tuple(units),
-        pair_class=pair_class,
+        pair_class=MappingProxyType(pair_class),
         canonical=canonical,
         maximal_ideals=maximal,
     )

@@ -5,6 +5,7 @@ properties, so no tolerances apply beyond the stated wall-clock bound on the
 cross-product golden.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -251,3 +252,14 @@ def test_criterion_12_full_verify_all(capsys):
         and skipped == ["austere-z6/monoid-slices-d0/self"]
     )
     _verdict(12, ok, f"tallies {doc['tallies']}, skipped {skipped}")
+
+
+VERIFY_ALL_SEED_0_SHA256 = "8c89c638da2f35ff735dcd38e524dc2c1cd3533de39edf26aa4b8f9d29c2659a"
+
+
+def test_verify_all_json_is_byte_identical(capsys):
+    """The full ``verify-all --json --seed 0`` report, pinned byte for byte."""
+    code = main(["verify-all", "--json", "--seed", "0"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert code == 0
+    assert digest == VERIFY_ALL_SEED_0_SHA256

@@ -1,0 +1,224 @@
+"""The analysis context: every fact it holds against its compute function run
+from scratch, sharing between equal structures, one computation per key,
+and read-only reports."""
+
+import contextlib
+import dataclasses
+import json
+
+import pytest
+from hypothesis import given, strategies as st
+
+from semiringlab import analysis as ctxmod
+from semiringlab import ideals, spectrum, tables, zerodivisors
+from semiringlab.analysis import analysis
+from semiringlab.cli import _plain
+from semiringlab.corpus import chain_semiring, corpus_semimodules
+from semiringlab.ideals import (
+    SIDES,
+    TWO_SIDED,
+    IdealSet,
+    _absorb,
+    all_ideals_subtractive,
+    classify_ideal,
+    enumerate_ideals,
+    ideal_masks,
+    is_prime,
+    is_subtractive,
+    mult_closure,
+    principal_masks,
+    radical,
+)
+from semiringlab.spectrum import _spec_masks
+from semiringlab.tables import CayleyStructure, check_laws, semimodule_check
+from semiringlab.zerodivisors import total_quotient
+
+
+@contextlib.contextmanager
+def fresh_contexts():
+    """Run with an empty context registry, so every fact is rebuilt."""
+    saved = ctxmod._CONTEXTS
+    ctxmod._CONTEXTS = {}
+    try:
+        yield
+    finally:
+        ctxmod._CONTEXTS = saved
+
+
+def reads(s):
+    """Every fact of the structure, read through the public functions, as
+    (kind, key, value read)."""
+    rep = check_laws(s)
+    out = [("laws", None, rep), ("all_subtractive", None, all_ideals_subtractive(s))]
+    for side in SIDES:
+        out.append(("absorb", side, _absorb(s, side)))
+        out.append(("principal", side, principal_masks(s, side)))
+        out.append(("lattice", side, ideal_masks(s, side)))
+        for i in enumerate_ideals(s, side):
+            out.append(("subtractive", i.mask, is_subtractive(i)))
+    out.append(("spectrum", None, _spec_masks(s)))
+    t_set = mult_closure(s, [rep.one]) if rep.is_commutative_semiring else None
+    for i in enumerate_ideals(s, TWO_SIDED):
+        out.append(("classification", (i.mask, None), classify_ideal(i)))
+        if i.is_proper:
+            out.append(("prime", i.mask, is_prime(i)))
+        if t_set is not None:
+            out.append(("radical", i.mask, radical(i).mask))
+            if not i.mask & t_set.mask:
+                out.append(("classification", (i.mask, t_set.mask), classify_ideal(i, t_set)))
+    if t_set is not None:
+        out.append(("quotient", None, total_quotient(s)))
+    return out
+
+
+COMPUTE = {
+    "laws": lambda s, key: tables._law_report(s),
+    "absorb": lambda s, side: ideals._absorb_masks(s, side),
+    "principal": lambda s, side: ideals._principal_masks(s, side),
+    "lattice": lambda s, side: ideals._ideal_masks(s, side),
+    "spectrum": lambda s, key: spectrum._prime_masks(s),
+    "quotient": lambda s, key: zerodivisors._total_quotient(s),
+    "all_subtractive": lambda s, key: ideals._all_ideals_subtractive(s),
+    "subtractive": lambda s, mask: ideals._subtractive(s, mask),
+    "prime": lambda s, mask: ideals._prime(s, mask),
+    "radical": lambda s, mask: ideals._radical_mask(s, mask),
+    "classification": lambda s, key: ideals._classification(s, *key),
+}
+
+
+def check_against_scratch(s):
+    """Each value read equals its compute function run on a freshly built
+    equal structure, with every context it depends on rebuilt as well."""
+    got = reads(s)
+    twin = dataclasses.replace(s)
+    assert twin is not s and twin == s and hash(twin) == hash(s)
+    assert analysis(twin) is analysis(s)
+    assert {kind for kind, _, _ in got} == set(analysis(s).facts)
+    with fresh_contexts():
+        for kind, key, value in got:
+            assert COMPUTE[kind](twin, key) == value, (s.name, kind, key)
+
+
+@st.composite
+def small_structures(draw):
+    """Arbitrary tables of size 1-4: most have no laws and no zero."""
+    n = draw(st.integers(1, 4))
+    table = st.lists(
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+    return CayleyStructure(size=n, add=draw(table), mul=draw(table), name="drawn")
+
+
+@given(small_structures())
+def test_every_fact_matches_scratch_on_small_tables(s):
+    check_against_scratch(s)
+
+
+def test_every_fact_matches_scratch_on_the_corpus(all_entries):
+    for entry in all_entries:
+        check_against_scratch(entry.structure)
+
+
+def test_equal_structures_share_one_context():
+    def build(name="twin"):
+        return CayleyStructure(
+            size=2, add=[[0, 1], [1, 1]], mul=[[0, 0], [0, 1]], zero=0, one=1, name=name
+        )
+
+    a, b = build(), build()
+    assert a is not b
+    assert analysis(a) is analysis(b)
+    assert check_laws(a) is check_laws(b)
+    assert ideal_masks(a) is ideal_masks(b)
+    assert analysis(build("other")) is not analysis(a)
+
+
+def test_each_per_mask_fact_is_computed_once(monkeypatch):
+    calls = {}
+    for name in ("_subtractive", "_prime", "_radical_mask", "_classification", "_all_ideals_subtractive"):
+        original = getattr(ideals, name)
+
+        def counted(*args, _name=name, _original=original):
+            key = (_name, args[1:])
+            calls[key] = calls.get(key, 0) + 1
+            return _original(*args)
+
+        monkeypatch.setattr(ideals, name, counted)
+
+    def build():
+        s = chain_semiring()
+        return CayleyStructure(size=s.size, add=s.add, mul=s.mul, zero=s.zero, one=s.one, name="once")
+
+    for _ in range(3):
+        s = build()
+        for i in enumerate_ideals(s, TWO_SIDED):
+            for side in SIDES:
+                is_subtractive(IdealSet(structure=s, side=side, mask=i.mask))
+            classify_ideal(i)
+            radical(i)
+            if i.is_proper:
+                is_prime(i)
+        all_ideals_subtractive(s)
+    lattice = ideal_masks(build())
+    assert calls and set(calls.values()) == {1}
+    for name in ("_subtractive", "_radical_mask", "_classification"):
+        assert sum(k[0] == name for k in calls) == len(lattice), name
+
+
+def test_counts_record_fills_and_reuses():
+    s = CayleyStructure(size=2, add=[[0, 1], [1, 1]], mul=[[0, 0], [0, 1]], name="counted")
+    before = ctxmod.counts()
+    check_laws(s)
+    check_laws(s)
+    after = ctxmod.counts()
+    assert after["laws"] == (before["laws"][0] + 1, before["laws"][1] + 1)
+    info = check_laws.cache_info()
+    assert (info.misses, info.hits) == after["laws"]
+
+
+# --- read-only reports --------------------------------------------------------
+
+
+def test_law_report_witnesses_are_read_only():
+    s = CayleyStructure(size=2, add=[[0, 1], [1, 0]], mul=[[1, 1], [1, 1]], name="ro")
+    rep = check_laws(s)
+    assert rep.witnesses
+    before = dict(rep.witnesses)
+    with pytest.raises(TypeError):
+        rep.witnesses["has_one"] = ()
+    with pytest.raises(TypeError):
+        del rep.witnesses[next(iter(before))]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.witnesses = {}
+    assert check_laws(s).witnesses == before
+    assert json.loads(json.dumps(_plain(rep.witnesses))) == {
+        k: list(v) for k, v in before.items()
+    }
+
+
+def test_classification_witnesses_are_read_only():
+    s = chain_semiring()
+    cls = classify_ideal(enumerate_ideals(s, TWO_SIDED)[0])
+    with pytest.raises(TypeError):
+        cls.witnesses["prime"] = ()
+    assert isinstance(_plain(cls.witnesses), dict)
+
+
+def test_semimodule_witnesses_are_read_only(all_entries):
+    for entry in all_entries:
+        for m in corpus_semimodules(entry).values():
+            with pytest.raises(TypeError):
+                semimodule_check(m).witnesses["zero_neutral"] = ()
+
+
+def test_quotient_pair_classes_are_read_only():
+    q = total_quotient(chain_semiring())
+    with pytest.raises(TypeError):
+        q.pair_class[(0, 0)] = 1
+
+
+def test_a_report_copies_the_dict_it_is_given():
+    witnesses = {"zero_neutral": (0,)}
+    rep = tables.SemimoduleReport(*([False] + [True] * 8), witnesses=witnesses)
+    witnesses.clear()
+    assert rep.witnesses == {"zero_neutral": (0,)}

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -334,3 +335,34 @@ def test_cli_verify_scope_runs_clean(capsys):
     doc = json.loads(out)
     assert doc["tallies"]["failed"] == 0
     assert doc["tallies"]["checks"] > 0
+
+
+@pytest.mark.parametrize("command", ["packed", "zdiv", "quotient"])
+def test_cli_one_element_ring_is_refused_for_zero_equal_one(capsys, tmp_path, command):
+    s = CayleyStructure(size=1, add=[[0]], mul=[[0]], zero=0, one=0, name="trivial")
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps(structure_to_json(s)))
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert "trivial is not a semiring: zero equals one" in err
+    assert "fails" not in err
+
+
+def test_not_a_semiring_names_only_semiring_conditions(capsys):
+    code, _, err = run_cli(capsys, "packed", "bool3-cross")
+    assert code == 2
+    assert "bool3-cross is not a semiring: fails ['has_one', 'mul_associative']" in err
+    for law in ("complemented", "entire", "mul_idempotent"):
+        assert law not in err
+
+
+def test_cli_timing_reports_the_analysis_context_on_stderr_only(capsys):
+    argv = ("verify-all", "--scope", "boolean,chain-3", "--json")
+    code, plain, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    code, timed, err = run_cli(capsys, *argv, "--timing")
+    assert code == 0
+    assert timed == plain
+    assert re.fullmatch(
+        r"elapsed: \d+\.\d\ds; analysis: \d+ contexts, \d+ facts computed, \d+ reads reused\n", err
+    )
