@@ -12,9 +12,14 @@ computed on its first read and read back afterwards. A context holds:
   quotient semiring);
 - ``all_subtractive``: whether every two-sided ideal is subtractive;
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
-  and ``radical``, the radical's mask. Subtractiveness and the radical do
-  not depend on the side, so they are keyed on the mask alone;
+  ``radical``, the radical's mask, and ``square``, the mask of the
+  elementwise square {u*v : u, v in the mask}. Subtractiveness, the radical
+  and the square do not depend on the side, so they are keyed on the mask
+  alone;
 - ``classification``, keyed by (mask, T-mask), with None for no T.
+
+A semimodule has a context of its own, holding ``semimodule``: its
+:class:`~semiringlab.tables.SemimoduleReport`.
 
 The module that owns a fact computes it with a private function, which
 the context calls once per key; a computation that raises stores nothing,
@@ -23,13 +28,13 @@ runs once per distinct input. The public functions (``check_laws``,
 ``ideal_masks``, ``is_subtractive`` and the rest) are reads of the
 context.
 
-Structures that compare equal share one context, so equal structures
-built separately share their facts. Contexts are kept for the life of the
-process, so every distinct structure analysed stays in memory. The radical
-is stored as a mask, which ``radical`` wraps in an ideal of the caller's
-own structure. ``counts`` gives, per fact, how many values were computed
-and how many reads were answered from a context, and ``context_count`` how
-many contexts there are.
+Structures (and semimodules) that compare equal share one context, so
+equal structures built separately share their facts. Contexts are kept for
+the life of the process, so every distinct structure analysed stays in
+memory. The radical is stored as a mask, which ``radical`` wraps in an
+ideal of the caller's own structure. ``counts`` gives, per fact, how many
+values were computed and how many reads were answered from a context, and
+``context_count`` how many contexts there are.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ FACTS = (
     "subtractive",
     "prime",
     "radical",
+    "square",
     "classification",
+    "semimodule",
 )
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -70,13 +77,12 @@ class Analysis:
         """The ``kind`` fact at ``key``, computed as ``compute(*args)`` on
         the first read."""
         table = self.facts.get(kind)
-        if table is None:
-            table = self.facts[kind] = {}
-        value = table.get(key, _MISSING)
+        value = _MISSING if table is None else table.get(key, _MISSING)
         if value is not _MISSING:
             _REUSED[kind] += 1
             return value
-        value = table[key] = compute(*args)
+        value = compute(*args)
+        self.facts.setdefault(kind, {})[key] = value
         _FILLED[kind] += 1
         return value
 

@@ -499,6 +499,39 @@ def _semiprime_elementwise(s: CayleyStructure, mask: int) -> Optional[tuple[int]
     return None
 
 
+def _square_mask(s: CayleyStructure, mask: int) -> int:
+    """The elementwise square {u*v : u, v in the mask}."""
+    mul = s.mul
+    members = mask_members(mask)
+    square = 0
+    for u in members:
+        row = mul[u]
+        for v in members:
+            square |= 1 << row[v]
+    return square
+
+
+def _two_absorbing_witness(s: CayleyStructure, mask: int) -> Optional[tuple[int, int, int]]:
+    """The least (x, y, z) with (x*y)*z in the ideal and none of x*y, y*z,
+    x*z, or None if the ideal is 2-absorbing.
+
+    ``inside[w]`` is the row {z : w*z in the ideal}, so for each (x, y) with
+    x*y outside, the failing z are the bits of inside[x*y] & ~inside[y] &
+    ~inside[x], and the lowest one is the least."""
+    mul, n = s.mul, s.size
+    inside = [mask_of(z for z in range(n) if mask >> row[z] & 1) for row in mul]
+    for x in range(n):
+        row, not_x = mul[x], ~inside[x]
+        for y in range(n):
+            xy = row[y]
+            if mask >> xy & 1:
+                continue
+            bad = inside[xy] & ~inside[y] & not_x
+            if bad:
+                return x, y, (bad & -bad).bit_length() - 1
+    return None
+
+
 def classify_ideal(
     ideal: IdealSet,
     t_set: Optional[MultiplicativeSet] = None,
@@ -533,22 +566,17 @@ def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> Ide
         witnesses["prime"] = ()
 
     lattice = ideal_masks(s, TWO_SIDED)
+    ctx = analysis(s)
 
     if proper:
         semiprime = True
         for jm in lattice:
-            square = 0
-            mul = s.mul
-            for u in iter_bits(jm):
-                row = mul[u]
-                for v in iter_bits(jm):
-                    square |= 1 << row[v]
-            if square & ~ideal.mask == 0 and jm & ~ideal.mask:
+            if jm & ~mask and ctx.get("square", jm, _square_mask, s, jm) & ~mask == 0:
                 semiprime = False
                 witnesses["semiprime"] = mask_members(jm)
                 break
         if rep.is_commutative_semiring:
-            elem = _semiprime_elementwise(s, ideal.mask)
+            elem = _semiprime_elementwise(s, mask)
             if (elem is None) != semiprime:
                 raise TheoremViolation(
                     "elementwise and ideal-square semiprime criteria disagree"
@@ -560,29 +588,10 @@ def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> Ide
         witnesses["semiprime"] = ()
 
     if proper:
-        two_absorbing = True
-        mul = s.mul
-        done = False
-        for x in range(s.size):
-            for y in range(s.size):
-                xy = mul[x][y]
-                for z in range(s.size):
-                    if not ideal.mask >> mul[xy][z] & 1:
-                        continue
-                    if (
-                        ideal.mask >> xy & 1
-                        or ideal.mask >> mul[y][z] & 1
-                        or ideal.mask >> mul[x][z] & 1
-                    ):
-                        continue
-                    two_absorbing = False
-                    witnesses["two_absorbing"] = (x, y, z)
-                    done = True
-                    break
-                if done:
-                    break
-            if done:
-                break
+        w = _two_absorbing_witness(s, mask)
+        two_absorbing = w is None
+        if w is not None:
+            witnesses["two_absorbing"] = w
     else:
         two_absorbing = False
         witnesses["two_absorbing"] = ()

@@ -3,10 +3,11 @@
 ``IDEAL_ENUM_CAP`` bounds the number of closed sets (ideals, subsemimodules,
 annihilator ideals) one enumeration may produce, not the carrier size; a
 carrier of at most 16 elements has at most 2^16 subsets, so it never trips
-there. The other caps bound carrier sizes and powerset enumerations.
+there. ``CARRIER_CAP`` bounds carrier sizes and polynomial slices, and
+``BRUTE_FORCE_CAP`` the carriers whose subsets the brute-force ideal oracle
+filters.
 """
 
 CARRIER_CAP = 4096
 IDEAL_ENUM_CAP = 1 << 16
-SPEC_POWERSET_CAP = 20
 BRUTE_FORCE_CAP = 10

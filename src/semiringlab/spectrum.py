@@ -9,7 +9,6 @@ from typing import Optional, Sequence
 
 from .analysis import analysis
 from .errors import HypothesesUnmet, TheoremViolation
-from .limits import SPEC_POWERSET_CAP
 from .ideals import (
     IdealSet,
     TWO_SIDED,
@@ -111,40 +110,38 @@ class SpectrumReport:
         )
 
 
-def compactly_packed_battery(
-    s: CayleyStructure, powerset_cap: int = SPEC_POWERSET_CAP
-) -> SpectrumReport:
+def _union_condition(targets: Sequence[int], primes: Sequence[int]) -> bool:
+    """Whether no target (a nonempty mask) is covered by a family of primes
+    none of which contains it.
+
+    Every such family lies inside {P : P does not contain the target}, so a
+    target is covered by one exactly when that largest family covers it; one
+    union per target decides the condition.
+    """
+    for target in targets:
+        union = 0
+        for pm in primes:
+            if target & ~pm:
+                union |= pm
+        if target & ~union == 0:
+            return False
+    return True
+
+
+def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
     """Evaluate the five equivalent packedness conditions independently.
 
     On a finite spectrum the arbitrary prime families of the first two
-    conditions are exactly the subsets of the spectrum, so both are decided
-    by powerset enumeration. All five verdicts must agree.
+    conditions are subsets of the spectrum, and :func:`_union_condition`
+    decides them without enumerating those subsets. All five verdicts must
+    agree.
     """
     require_commutative_semiring(s)
     primes = _spec_masks(s)
-    if len(primes) > powerset_cap:
-        raise HypothesesUnmet(
-            f"spectrum of size {len(primes)} exceeds the powerset cap {powerset_cap}"
-        )
     lattice = ideal_masks(s, TWO_SIDED)
-    nprimes = len(primes)
 
-    def contained_in_some(target: int, family: Sequence[int]) -> bool:
-        return any(target & ~pm == 0 for pm in family)
-
-    def union_condition(targets: Sequence[int]) -> bool:
-        for choice in range(1, 1 << nprimes):
-            family = [primes[i] for i in range(nprimes) if choice >> i & 1]
-            union = 0
-            for pm in family:
-                union |= pm
-            for target in targets:
-                if target & ~union == 0 and not contained_in_some(target, family):
-                    return False
-        return True
-
-    cond1 = union_condition(lattice)
-    cond2 = union_condition(primes)
+    cond1 = _union_condition(lattice, primes)
+    cond2 = _union_condition(primes, primes)
 
     def radical_of_principal_masks() -> tuple[int, ...]:
         return tuple(

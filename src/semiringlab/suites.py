@@ -179,19 +179,17 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     yield _result(f"{base}/subtractive-intersections", ok)
 
     # products of ideals stay inside intersections (checked inside the helper)
-    for a in lattice:
-        for b in lattice:
-            set_product_mask(a, b)
+    products = [[set_product_mask(a, b) for b in lattice] for a in lattice]
     yield _result(f"{base}/product-inside-intersection", True, f"{len(lattice)}^2 pairs")
 
     if rep.is_commutative_semiring:
         ok_rad = True
-        for i in lattice:
-            r = radical(i)
+        radicals = [radical(i) for i in lattice]
+        for i, r in zip(lattice, radicals):
             if i.mask & ~r.mask or radical(r).mask != r.mask:
                 ok_rad = False
-            for j in lattice:
-                if i.issubset(j) and not r.issubset(radical(j)):
+            for j, rj in zip(lattice, radicals):
+                if i.issubset(j) and not r.issubset(rj):
                     ok_rad = False
         yield _result(f"{base}/radical-extensive-idempotent-monotone", ok_rad)
 
@@ -201,9 +199,8 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
         for p in lattice:
             if not p.is_proper or not is_prime(p)[0]:
                 continue
-            for a in lattice:
-                for b in lattice:
-                    prod = set_product_mask(a, b)
+            for a, row in zip(lattice, products):
+                for b, prod in zip(lattice, row):
                     if prod & ~p.mask == 0 and not (a.issubset(p) or b.issubset(p)):
                         ok_pairs = False
         yield _result(f"{base}/prime-ideal-pair-criterion", ok_pairs)

@@ -13,7 +13,6 @@ scans all four variables otherwise.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -440,7 +439,12 @@ class StructureConstants:
 
 @dataclass(frozen=True, repr=False)
 class FiniteSemimodule:
-    """A finite commutative monoid with a scalar action by a finite semiring."""
+    """A finite commutative monoid with a scalar action by a finite semiring.
+
+    As for :class:`CayleyStructure`, the hash leaves out the name and is
+    computed once, so looking up the module's analysis context never
+    rehashes its tables.
+    """
 
     semiring: CayleyStructure
     msize: int
@@ -458,6 +462,12 @@ class FiniteSemimodule:
         )
         if not (_is_index(self.mzero) and 0 <= self.mzero < self.msize):
             raise StructureError(f"mzero={self.mzero!r} is not an element of the module")
+        object.__setattr__(
+            self, "_hash", hash((self.semiring, self.msize, self.madd, self.mzero, self.action))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def elements(self) -> range:
         return range(self.msize)
@@ -503,9 +513,13 @@ class SemimoduleReport:
         return f"<SemimoduleReport ok={self.valid} failing={sorted(self.witnesses)}>"
 
 
-@functools.lru_cache(maxsize=None)
+@reader("semimodule")
 def semimodule_check(m: FiniteSemimodule) -> SemimoduleReport:
     """Exhaustively verify the commutative-monoid and scalar-action axioms."""
+    return analysis(m).get("semimodule", None, _semimodule_report, m)
+
+
+def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
     rep = require_semiring(m.semiring)
     zero_s, one_s = rep.zero, rep.one
     n, k = m.semiring.size, m.msize

@@ -227,10 +227,19 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
 
     pairs = [(a, u) for a in range(s.size) for u in units]
 
+    # near[x] = {y : w*x = w*y for some non-zero-divisor w}
+    near = [0] * s.size
+    for w in units:
+        row = mul[w]
+        fibre = [0] * s.size
+        for y in range(s.size):
+            fibre[row[y]] |= 1 << y
+        for x in range(s.size):
+            near[x] |= fibre[row[x]]
+
     def related(p, q) -> bool:
         (a, u), (b, v) = p, q
-        av, bu = mul[a][v], mul[b][u]
-        return any(mul[w][av] == mul[w][bu] for w in units)
+        return bool(near[mul[a][v]] >> mul[b][u] & 1)
 
     # union-find over the raw relation; the relation is transitive, which the
     # exactness pass below re-checks

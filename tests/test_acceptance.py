@@ -13,9 +13,10 @@ import time
 import pytest
 
 from semiringlab.cli import main
-from semiringlab.corpus import corpus, corpus_entry, corpus_semimodules
+from semiringlab.corpus import corpus, corpus_entry, corpus_semimodules, saturating
 from semiringlab.covering import covering, mccoy_exponent, semiring_avoidance
 from semiringlab.errors import TheoremViolation
+from semiringlab.fileio import structure_to_json
 from semiringlab.ideals import (
     IdealSet,
     TWO_SIDED,
@@ -263,3 +264,23 @@ def test_verify_all_json_is_byte_identical(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert code == 0
     assert digest == VERIFY_ALL_SEED_0_SHA256
+
+
+SATURATING_16_SHA256 = {
+    "ideals": "c6f02f9bb16d20bf7d6c9bc8fdfe9e5c39df488be55d6eb48bb78c846b14d07e",
+    "quotient": "5843ff92f53b9fe752194a9c4503b7df9c33d175803443cc1dd8738a152dff85",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SATURATING_16_SHA256))
+def test_saturating_16_json_is_byte_identical(command, tmp_path, monkeypatch, capsys):
+    """``ideals`` (every classification flag) and ``quotient`` on the
+    16-element saturating semiring, pinned byte for byte. The report echoes
+    the file argument, so the file is named relative to the working
+    directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "saturating-16.json").write_text(json.dumps(structure_to_json(saturating(15))))
+    code = main([command, "saturating-16.json", "--json"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert code == 0
+    assert digest == SATURATING_16_SHA256[command]

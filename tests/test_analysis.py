@@ -14,6 +14,7 @@ from semiringlab import ideals, spectrum, tables, zerodivisors
 from semiringlab.analysis import analysis
 from semiringlab.cli import _plain
 from semiringlab.corpus import chain_semiring, corpus_semimodules
+from semiringlab.errors import StructureError
 from semiringlab.ideals import (
     SIDES,
     TWO_SIDED,
@@ -68,6 +69,9 @@ def reads(s):
                 out.append(("classification", (i.mask, t_set.mask), classify_ideal(i, t_set)))
     if t_set is not None:
         out.append(("quotient", None, total_quotient(s)))
+    # squares have no public read: each is checked as the classifications left it
+    for mask, square in analysis(s).facts.get("square", {}).items():
+        out.append(("square", mask, square))
     return out
 
 
@@ -82,8 +86,14 @@ COMPUTE = {
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
     "prime": lambda s, mask: ideals._prime(s, mask),
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
+    "square": lambda s, mask: ideals._square_mask(s, mask),
     "classification": lambda s, key: ideals._classification(s, *key),
+    "semimodule": lambda m, key: tables._semimodule_report(m),
 }
+
+
+def test_every_fact_kind_has_an_oracle():
+    assert set(COMPUTE) == set(ctxmod.FACTS)
 
 
 def check_against_scratch(s):
@@ -119,6 +129,18 @@ def test_every_fact_matches_scratch_on_the_corpus(all_entries):
         check_against_scratch(entry.structure)
 
 
+def test_semimodule_reports_match_scratch(all_entries):
+    for entry in all_entries:
+        for m in corpus_semimodules(entry).values():
+            got = semimodule_check(m)
+            twin = dataclasses.replace(m)
+            assert twin is not m and twin == m and hash(twin) == hash(m)
+            assert analysis(twin) is analysis(m)
+            assert set(analysis(m).facts) == {"semimodule"}
+            with fresh_contexts():
+                assert COMPUTE["semimodule"](twin, None) == got, m.name
+
+
 def test_equal_structures_share_one_context():
     def build(name="twin"):
         return CayleyStructure(
@@ -135,7 +157,14 @@ def test_equal_structures_share_one_context():
 
 def test_each_per_mask_fact_is_computed_once(monkeypatch):
     calls = {}
-    for name in ("_subtractive", "_prime", "_radical_mask", "_classification", "_all_ideals_subtractive"):
+    for name in (
+        "_subtractive",
+        "_prime",
+        "_radical_mask",
+        "_square_mask",
+        "_classification",
+        "_all_ideals_subtractive",
+    ):
         original = getattr(ideals, name)
 
         def counted(*args, _name=name, _original=original):
@@ -163,6 +192,15 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
     assert calls and set(calls.values()) == {1}
     for name in ("_subtractive", "_radical_mask", "_classification"):
         assert sum(k[0] == name for k in calls) == len(lattice), name
+
+
+def test_a_computation_that_raises_leaves_no_trace():
+    s = CayleyStructure(size=2, add=[[0, 1], [1, 0]], mul=[[1, 1], [1, 1]], name="raises")
+    for _ in range(2):
+        with pytest.raises(StructureError):
+            total_quotient(s)
+    assert "quotient" not in analysis(s).facts
+    check_against_scratch(s)
 
 
 def test_counts_record_fills_and_reuses():

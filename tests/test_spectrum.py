@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from semiringlab.corpus import (
     austere_z6,
@@ -24,6 +25,7 @@ from semiringlab.ideals import (
     radical,
 )
 from semiringlab.spectrum import (
+    _union_condition,
     compactly_packed_battery,
     principal_open_refinement,
     spec_of,
@@ -109,6 +111,42 @@ def test_battery_agreement_corpus(commutative_entries):
     for e in commutative_entries:
         battery = compactly_packed_battery(e.structure)
         assert len(set(battery.equivalence_table.values())) == 1
+
+
+def powerset_union_condition(targets, primes):
+    """The union condition over every nonempty family of at most 10 primes:
+    no target lies in the family's union unless some member contains it."""
+    assert len(primes) <= 10
+    for choice in range(1, 1 << len(primes)):
+        family = [pm for i, pm in enumerate(primes) if choice >> i & 1]
+        union = 0
+        for pm in family:
+            union |= pm
+        for target in targets:
+            if target & ~union == 0 and not any(target & ~pm == 0 for pm in family):
+                return False
+    return True
+
+
+@given(
+    st.lists(st.integers(1, 63), max_size=10),
+    st.lists(st.integers(1, 63), min_size=1, max_size=8),
+)
+def test_union_condition_matches_powerset(primes, targets):
+    assert _union_condition(targets, primes) == powerset_union_condition(targets, primes)
+
+
+def test_battery_union_conditions_match_powerset(commutative_entries):
+    ladder = [saturating(top) for top in (12, 13, 14, 15, 16)]
+    verdicts = set()
+    for s in [e.structure for e in commutative_entries] + ladder:
+        primes = [p.mask for p in spec_of(s)]
+        lattice = [i.mask for i in enumerate_ideals(s)]
+        table = compactly_packed_battery(s).equivalence_table
+        assert table["ideal_union_containment"] == powerset_union_condition(lattice, primes)
+        assert table["prime_union_containment"] == powerset_union_condition(primes, primes)
+        verdicts.add(table["ideal_union_containment"])
+    assert verdicts == {True, False}
 
 
 def test_weak_gaussian_finite_spec_packs(commutative_entries):
