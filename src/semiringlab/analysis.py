@@ -12,10 +12,11 @@ computed on its first read and read back afterwards. A context holds:
   quotient semiring);
 - ``all_subtractive``: whether every two-sided ideal is subtractive;
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
-  ``radical``, the radical's mask, and ``square``, the mask of the
-  elementwise square {u*v : u, v in the mask}. Subtractiveness, the radical
-  and the square do not depend on the side, so they are keyed on the mask
-  alone;
+  ``radical``, the radical's mask, ``square``, the mask of the elementwise
+  square {u*v : u, v in the mask}, and ``residual``, the residual rows
+  {y : x*y in the mask} for every element x. Subtractiveness, the radical,
+  the square and the residual rows do not depend on the side, so they are
+  keyed on the mask alone;
 - ``classification``, keyed by (mask, T-mask), with None for no T.
 
 A semimodule has a context of its own, holding ``semimodule``: its
@@ -54,6 +55,7 @@ FACTS = (
     "prime",
     "radical",
     "square",
+    "residual",
     "classification",
     "semimodule",
 )

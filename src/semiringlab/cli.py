@@ -30,7 +30,7 @@ from .ideals import (
 )
 from .covering import avoidance_witness, t_semiprime_avoidance, union_avoidance_suite
 from .spectrum import compactly_packed_battery, spec_of
-from .suites import FAIL, PASS, SKIP, verify_all
+from .suites import FAIL, PASS, verify_all
 from .tables import CayleyStructure, check_laws, LAW_NAMES, self_action
 from .zerodivisors import (
     few_zero_divisors,

@@ -203,7 +203,7 @@ def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
     """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab)."""
     k = h.constants.semifield
     kmul = k.mul
-    ksize, dim = k.size, h.constants.dim
+    ksize = k.size
 
     def scale(alpha, idx):
         coords = h.coords(idx)

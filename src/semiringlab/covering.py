@@ -23,17 +23,21 @@ from .ideals import (
     evaluate_tree,
     generated_product,
     ideal_masks,
+    image,
     is_prime,
     is_subtractive,
     iter_bits,
     left_comb,
     mask_members,
+    maximal_masks,
     principal_masks,
-    radical,
+    radical_mask,
     residual,
+    residual_rows,
     _semiprime_elementwise,
     annihilator,
     closed_sets,
+    union_mask,
 )
 from .tables import CayleyStructure, FiniteSemimodule, check_laws
 
@@ -78,16 +82,9 @@ class Covering:
         return self.target.structure
 
 
-def _union_mask(ideals: Sequence[IdealSet]) -> int:
-    mask = 0
-    for i in ideals:
-        mask |= i.mask
-    return mask
-
-
 def _is_efficient(target: IdealSet, covers: Sequence[IdealSet]) -> bool:
     for skip in range(len(covers)):
-        rest = _union_mask([c for k, c in enumerate(covers) if k != skip])
+        rest = union_mask(c.mask for k, c in enumerate(covers) if k != skip)
         if target.mask & ~rest == 0:
             return False
     return True
@@ -99,7 +96,7 @@ def covering(target: IdealSet, covers: Sequence[IdealSet]) -> Covering:
         raise ValueError("a covering needs at least one cover")
     if any(c.structure != target.structure for c in covers):
         raise ValueError("covers live over a different structure")
-    if target.mask & ~_union_mask(covers):
+    if target.mask & ~union_mask(c.mask for c in covers):
         raise ValueError("not a covering: target escapes the union")
     return Covering(target=target, covers=covers, efficient=_is_efficient(target, covers))
 
@@ -112,7 +109,7 @@ def efficient_reduce(cov: Covering) -> Covering:
         changed = False
         for skip in range(len(covers)):
             rest = [c for k, c in enumerate(covers) if k != skip]
-            if rest and cov.target.mask & ~_union_mask(rest) == 0:
+            if rest and cov.target.mask & ~union_mask(c.mask for c in rest) == 0:
                 covers = rest
                 changed = True
                 break
@@ -142,13 +139,13 @@ def _prime_pair_product(
     s: CayleyStructure, principal: Sequence[int], left: int, right: int, prime_mask: int
 ) -> int:
     """Least product of principal-ideal members avoiding a prime that
-    contains neither generator."""
-    mul = s.mul
+    contains neither generator: for the least u in (left) whose residual
+    row misses part of (right), its product with the least v missed."""
+    rows = residual_rows(s, prime_mask)
     for u in iter_bits(principal[left]):
-        row = mul[u]
-        for v in iter_bits(principal[right]):
-            if not prime_mask >> row[v] & 1:
-                return row[v]
+        missed = principal[right] & ~rows[u]
+        if missed:
+            return s.mul[u][(missed & -missed).bit_length() - 1]
     raise TheoremViolation(
         "no product of principal-ideal members avoids the prime; primality is broken"
     )
@@ -176,7 +173,7 @@ def behrens_elements(
     if pattern is None:
         pattern = []
         for i, p in enumerate(primes):
-            others = _union_mask([q for k, q in enumerate(primes) if k != i])
+            others = union_mask(q.mask for k, q in enumerate(primes) if k != i)
             a_i = _scan_avoiding(ideal.mask & p.mask, others)
             if a_i is None:
                 raise HypothesesUnmet(f"no pattern element for prime {i}")
@@ -254,7 +251,7 @@ def avoidance_witness(ideal: IdealSet, primes: Sequence[IdealSet]) -> WitnessRep
         if ideal.issubset(p):
             return _unmet("containment", index=k)
     s = ideal.structure
-    union = _union_mask(primes)
+    union = union_mask(p.mask for p in primes)
     scanned = _scan_avoiding(ideal.mask, union)
     constructed = _avoid_constructive(s, ideal, primes)
     if scanned is None:
@@ -275,7 +272,7 @@ def semiring_avoidance(ideal: IdealSet, covers: Sequence[IdealSet]) -> WitnessRe
     what the non-subtractive counterexamples exhibit.
     """
     covers = list(covers)
-    if ideal.mask & ~_union_mask(covers):
+    if ideal.mask & ~union_mask(c.mask for c in covers):
         raise ValueError("not a covering")
     violations = []
     for k, p in enumerate(covers):
@@ -318,14 +315,9 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     bad = _verify_subtractive_primes(primes)
     if bad is not None:
         return bad
-    principal = principal_masks(s, TWO_SIDED)
     add = s.add
-    sum_mask = 0
-    for u in iter_bits(principal[x]):
-        row = add[u]
-        for v in iter_bits(ideal.mask):
-            sum_mask |= 1 << row[v]
-    union = _union_mask(primes)
+    sum_mask = image(add, principal_masks(s, TWO_SIDED)[x], ideal.mask)
+    union = union_mask(p.mask for p in primes)
     if sum_mask & ~union == 0:
         return _unmet("containment", detail="(x) + I lies inside the union")
 
@@ -337,27 +329,14 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     if scanned is None:
         raise TheoremViolation("no witness by scan despite verified hypotheses")
 
-    # constructive route: multiply the ideal through the primes missing x,
-    # then avoid the primes containing x
-    keep = []
-    for i, p in enumerate(primes):
-        if any(p.mask != q.mask and p.mask & ~q.mask == 0 for q in primes):
-            continue  # strictly inside another prime
-        if any(q.mask == p.mask for q in primes[:i]):
-            continue  # duplicate
-        keep.append(p)
-    containing_x = [p for p in keep if x in p]
-    missing_x = [p for p in keep if x not in p]
-    chain = ideal.mask
-    mul = s.mul
-    for p in missing_x:
-        nxt = 0
-        for u in iter_bits(chain):
-            row = mul[u]
-            for v in iter_bits(p.mask):
-                nxt |= 1 << row[v]
-        chain = nxt
-    avoid = _union_mask(containing_x)
+    # constructive route: multiply the ideal through the maximal primes
+    # missing x, then avoid the maximal primes containing x
+    chain, avoid = ideal.mask, 0
+    for pm in maximal_masks(p.mask for p in primes):
+        if pm >> x & 1:
+            avoid |= pm
+        else:
+            chain = image(s.mul, chain, pm)
     constructed = _scan_avoiding(chain, avoid)
     if constructed is None:
         raise TheoremViolation("constructive route found no element")
@@ -420,12 +399,12 @@ def union_avoidance_suite(
     if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     covers = list(covers)
-    if ideal.mask & ~_union_mask(covers):
+    if ideal.mask & ~union_mask(c.mask for c in covers):
         raise ValueError("not a covering")
     qualifying = 0
     for c in covers:
         if mode == "radical":
-            if radical(c).mask == c.mask:
+            if radical_mask(s, c.mask) == c.mask:
                 qualifying += 1
         else:
             if c.is_proper and _semiprime_elementwise(s, c.mask) is None:
@@ -450,7 +429,7 @@ def t_semiprime_avoidance(
     if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     covers = list(covers)
-    if ideal.mask & ~_union_mask(covers):
+    if ideal.mask & ~union_mask(c.mask for c in covers):
         raise ValueError("not a covering")
     t_elements = []
     for k, p in enumerate(covers):
@@ -476,11 +455,7 @@ def t_semiprime_avoidance(
         raise TheoremViolation("semiprime avoidance failed on residual quotients")
     j = inner.witness
     t = t_elements[j]
-    mul = s.mul
-    scaled = 0
-    for a in iter_bits(ideal.mask):
-        scaled |= 1 << mul[t][a]
-    if scaled & ~covers[j].mask:
+    if image(s.mul, 1 << t, ideal.mask) & ~covers[j].mask:
         raise TheoremViolation("t*I escaped the chosen cover")
     return WitnessReport(verdict=HOLDS, witness=(t, j))
 
@@ -518,19 +493,18 @@ def annihilator_avoidance(
         ]
         if not killed or annihilator(m, killed).mask != c.mask:
             return _unmet("annihilator-covers", index=k)
-    if ideal.mask & ~_union_mask(covers):
+    if ideal.mask & ~union_mask(c.mask for c in covers):
         raise ValueError("not a covering")
     full = (1 << s.size) - 1
-    anns = [am for am in _annihilator_ideal_masks(m) if am != full]
-    maximal = [
-        am for am in anns if not any(other != am and am & ~other == 0 for other in anns)
-    ]
+    maximal = sorted(
+        maximal_masks(am for am in _annihilator_ideal_masks(m) if am != full), key=mask_members
+    )
     enlarged = []
     for c in covers:
-        host = next(am for am in sorted(maximal, key=mask_members) if c.mask & ~am == 0)
+        host = next(am for am in maximal if c.mask & ~am == 0)
         p = IdealSet(structure=s, side=TWO_SIDED, mask=host)
-        ok, w = is_subtractive(p)
-        prime, pw = (is_prime(p) if p.is_proper else (False, ()))
+        ok = is_subtractive(p)[0]
+        prime = p.is_proper and is_prime(p)[0]
         if not (ok and prime):
             raise TheoremViolation("maximal annihilator is not a subtractive prime")
         enlarged.append(p)

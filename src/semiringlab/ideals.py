@@ -7,6 +7,13 @@ lattices, principal ideals and per-mask facts (subtractive, prime, radical,
 classification) are read from the structure's analysis context
 (:mod:`semiringlab.analysis`); each is computed once by a private function
 here.
+
+Four mask kernels serve every module: :func:`image` (the mask of all
+products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
+(the masks not strictly inside another) and :func:`residual_rows` (per
+element x, the residual {y : x*y in a mask}, kept in the context). Prime,
+2-absorbing and T-semiprime tests, residual quotients and the Behrens
+products of :mod:`semiringlab.covering` all read the residual rows.
 """
 
 from __future__ import annotations
@@ -49,6 +56,30 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
+
+
+def image(table, a: int, b: int) -> int:
+    """The mask of {table[x][y] : x in a, y in b}: a set product or sum."""
+    out = 0
+    right = mask_members(b)
+    for x in iter_bits(a):
+        row = table[x]
+        for y in right:
+            out |= 1 << row[y]
+    return out
+
+
+def union_mask(masks: Iterable[int]) -> int:
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
+def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    """The distinct masks not strictly inside another, in first-seen order."""
+    distinct = tuple(dict.fromkeys(masks))
+    return tuple(m for m in distinct if not any(o != m and m & ~o == 0 for o in distinct))
 
 
 @dataclass(frozen=True)
@@ -240,6 +271,15 @@ def _principal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
     return tuple(close_mask(s, 1 << x, side) for x in range(s.size))
 
 
+def residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
+    """Per element x, the residual {y : x*y in the mask}."""
+    return analysis(s).get("residual", mask, _residual_rows, s, mask)
+
+
+def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
+    return tuple(mask_of(y for y, xy in enumerate(row) if mask >> xy & 1) for row in s.mul)
+
+
 @reader("lattice")
 def ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
     """All ideal masks of the side, sorted by member tuple.
@@ -301,16 +341,6 @@ def _all_ideals_subtractive(s: CayleyStructure) -> bool:
     return all(is_subtractive(i)[0] for i in enumerate_ideals(s, TWO_SIDED))
 
 
-def _set_product_into(s: CayleyStructure, amask: int, bmask: int, target: int) -> bool:
-    mul = s.mul
-    for u in iter_bits(amask):
-        row = mul[u]
-        for v in iter_bits(bmask):
-            if not target >> row[v] & 1:
-                return False
-    return True
-
-
 def is_prime(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     """Primality via principal-ideal products; on semirings the element-wise
     sandwich criterion is computed as well and the two must agree."""
@@ -323,41 +353,37 @@ def is_prime(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def _prime(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
+    """The least (a, b) outside the mask with (a)(b) inside, read off the
+    residual rows: (a)(b) lies in the mask exactly when (b) lies in every
+    row of a member of (a), and x*t*y does for every t exactly when y lies
+    in every row of an x*t."""
+    rows = residual_rows(s, mask)
+    full = (1 << s.size) - 1
+
+    def meet(elements) -> int:
+        out = full
+        for u in elements:
+            out &= rows[u]
+        return out
+
     principal = principal_masks(s, TWO_SIDED)
+    outside = [x for x in range(s.size) if not mask >> x & 1]
     witness = None
-    for a in range(s.size):
-        if mask >> a & 1:
-            continue
-        for b in range(s.size):
-            if mask >> b & 1:
-                continue
-            if _set_product_into(s, principal[a], principal[b], mask):
-                witness = (a, b)
-                break
-        if witness:
+    for a in outside:
+        inner = meet(iter_bits(principal[a]))
+        b = next((b for b in outside if principal[b] & ~inner == 0), None)
+        if b is not None:
+            witness = (a, b)
             break
     ringoid_prime = witness is None
 
-    rep = check_laws(s)
-    if rep.is_semiring:
-        mul = s.mul
-        sandwich_witness = None
-        for x in range(s.size):
-            if mask >> x & 1:
-                continue
-            for y in range(s.size):
-                if mask >> y & 1:
-                    continue
-                if all(mask >> mul[mul[x][t]][y] & 1 for t in range(s.size)):
-                    sandwich_witness = (x, y)
-                    break
-            if sandwich_witness:
-                break
-        if (sandwich_witness is None) != ringoid_prime:
+    if check_laws(s).is_semiring:
+        sandwich_prime = not any(meet(s.mul[x]) & ~mask for x in outside)
+        if sandwich_prime != ringoid_prime:
             ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
             raise TheoremViolation(
                 f"prime criteria disagree on {ideal!r}: "
-                f"principal={ringoid_prime} sandwich={sandwich_witness is None}"
+                f"principal={ringoid_prime} sandwich={sandwich_prime}"
             )
     return ringoid_prime, witness
 
@@ -378,8 +404,13 @@ def radical(ideal: IdealSet) -> IdealSet:
     """Elements with some positive power inside the ideal."""
     s = ideal.structure
     require_commutative_semiring(s)
-    mask = analysis(s).get("radical", ideal.mask, _radical_mask, s, ideal.mask)
-    return IdealSet(structure=s, side=ideal.side, mask=mask)
+    return IdealSet(structure=s, side=ideal.side, mask=radical_mask(s, ideal.mask))
+
+
+def radical_mask(s: CayleyStructure, mask: int) -> int:
+    """The radical's mask, for a caller that has checked that the structure
+    is a commutative semiring."""
+    return analysis(s).get("radical", mask, _radical_mask, s, mask)
 
 
 def _radical_mask(s: CayleyStructure, mask: int) -> int:
@@ -398,12 +429,7 @@ def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
         raise HypothesesUnmet("sum of ideals needs an additively medial ringoid")
     if a.side != b.side:
         raise ValueError("sides differ")
-    add = s.add
-    mask = 0
-    for x in iter_bits(a.mask):
-        row = add[x]
-        for y in iter_bits(b.mask):
-            mask |= 1 << row[y]
+    mask = image(s.add, a.mask, b.mask)
     bad = ideal_violation(s, mask, a.side)
     if bad is not None:
         raise TheoremViolation(f"medial sum failed to be an ideal: {bad}")
@@ -412,13 +438,7 @@ def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
 
 def set_product_mask(a: IdealSet, b: IdealSet) -> int:
     """Raw elementwise products. Not an ideal in general."""
-    s = a.structure
-    mul = s.mul
-    mask = 0
-    for x in iter_bits(a.mask):
-        row = mul[x]
-        for y in iter_bits(b.mask):
-            mask |= 1 << row[y]
+    mask = image(a.structure.mul, a.mask, b.mask)
     if a.side == RIGHT and b.side == LEFT or a.side == b.side == TWO_SIDED:
         meet = a.mask & b.mask
         if mask & ~meet:
@@ -458,7 +478,7 @@ def residual(ideal: IdealSet, t: int) -> IdealSet:
     """Elements whose product with t lands in the ideal."""
     s = ideal.structure
     require_commutative_semiring(s)
-    mask = mask_of(x for x in range(s.size) if ideal.mask >> s.mul[t][x] & 1)
+    mask = residual_rows(s, ideal.mask)[t]
     bad = ideal_violation(s, mask, ideal.side)
     if bad is not None:
         raise TheoremViolation(f"residual failed to be an ideal: {bad}")
@@ -501,25 +521,18 @@ def _semiprime_elementwise(s: CayleyStructure, mask: int) -> Optional[tuple[int]
 
 def _square_mask(s: CayleyStructure, mask: int) -> int:
     """The elementwise square {u*v : u, v in the mask}."""
-    mul = s.mul
-    members = mask_members(mask)
-    square = 0
-    for u in members:
-        row = mul[u]
-        for v in members:
-            square |= 1 << row[v]
-    return square
+    return image(s.mul, mask, mask)
 
 
 def _two_absorbing_witness(s: CayleyStructure, mask: int) -> Optional[tuple[int, int, int]]:
     """The least (x, y, z) with (x*y)*z in the ideal and none of x*y, y*z,
     x*z, or None if the ideal is 2-absorbing.
 
-    ``inside[w]`` is the row {z : w*z in the ideal}, so for each (x, y) with
-    x*y outside, the failing z are the bits of inside[x*y] & ~inside[y] &
-    ~inside[x], and the lowest one is the least."""
+    ``inside[w]`` is the residual row {z : w*z in the ideal}, so for each
+    (x, y) with x*y outside, the failing z are the bits of inside[x*y] &
+    ~inside[y] & ~inside[x], and the lowest one is the least."""
     mul, n = s.mul, s.size
-    inside = [mask_of(z for z in range(n) if mask >> row[z] & 1) for row in mul]
+    inside = residual_rows(s, mask)
     for x in range(n):
         row, not_x = mul[x], ~inside[x]
         for y in range(n):
@@ -618,15 +631,10 @@ def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> Ide
     if t_mask is not None:
         if ideal.mask & t_mask:
             raise StructureError("T-semiprimeness needs an ideal disjoint from T")
-        mul = s.mul
-        for t in iter_bits(t_mask):
-            if all(
-                ideal.mask >> mul[t][x] & 1
-                for x in range(s.size)
-                if ideal.mask >> mul[x][x] & 1
-            ):
-                t_element = t
-                break
+        # the least t in T with t*x in the ideal for every x with x*x in it
+        squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
+        rows = residual_rows(s, mask)
+        t_element = next((t for t in iter_bits(t_mask) if squared_in & ~rows[t] == 0), None)
         t_semiprime = t_element is not None
         if not t_semiprime:
             witnesses["t_semiprime"] = ()
@@ -752,11 +760,8 @@ def maximal_annihilator_primes(s: CayleyStructure, m: FiniteSemimodule) -> tuple
         if nm == zero_mask or nm == full:
             continue
         gamma.add(annihilator(m, mask_members(nm)).mask)
-    maximal = [
-        am for am in gamma if not any(other != am and am & ~other == 0 for other in gamma)
-    ]
     out = []
-    for am in sorted(maximal, key=mask_members):
+    for am in sorted(maximal_masks(gamma), key=mask_members):
         ideal = IdealSet(structure=s, side=TWO_SIDED, mask=am)
         ok, w = is_subtractive(ideal)
         if not ok:
@@ -779,12 +784,7 @@ def krull_separation(s: CayleyStructure, t_set: MultiplicativeSet, ideal: IdealS
         for jm in ideal_masks(s, TWO_SIDED)
         if jm & t_set.mask == 0 and ideal.mask & ~jm == 0
     ]
-    maximal = [
-        jm
-        for jm in candidates
-        if not any(other != jm and jm & ~other == 0 for other in candidates)
-    ]
-    best = min(maximal, key=mask_members)
+    best = min(maximal_masks(candidates), key=mask_members)
     result = IdealSet(structure=s, side=TWO_SIDED, mask=best)
     prime, w = is_prime(result)
     if not prime:

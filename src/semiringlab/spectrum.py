@@ -5,7 +5,7 @@ The prime ideal masks are read from the structure's analysis context."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .analysis import analysis
 from .errors import HypothesesUnmet, TheoremViolation
@@ -13,13 +13,14 @@ from .ideals import (
     IdealSet,
     TWO_SIDED,
     all_ideals_subtractive,
-    generate_ideal,
     ideal_masks,
     is_prime,
     is_subtractive,
     iter_bits,
     mask_members,
-    radical,
+    principal_masks,
+    radical_mask,
+    union_mask,
     _semiprime_elementwise,
 )
 from .tables import CayleyStructure, check_laws, require_commutative_semiring
@@ -119,11 +120,7 @@ def _union_condition(targets: Sequence[int], primes: Sequence[int]) -> bool:
     union per target decides the condition.
     """
     for target in targets:
-        union = 0
-        for pm in primes:
-            if target & ~pm:
-                union |= pm
-        if target & ~union == 0:
+        if target & ~union_mask(pm for pm in primes if target & ~pm) == 0:
             return False
     return True
 
@@ -143,12 +140,7 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
     cond1 = _union_condition(lattice, primes)
     cond2 = _union_condition(primes, primes)
 
-    def radical_of_principal_masks() -> tuple[int, ...]:
-        return tuple(
-            radical(generate_ideal(s, [x], TWO_SIDED)).mask for x in range(s.size)
-        )
-
-    principal_radicals = radical_of_principal_masks()
+    principal_radicals = tuple(radical_mask(s, pm) for pm in principal_masks(s, TWO_SIDED))
 
     radical_principal_map = {}
     cond3 = True
@@ -173,8 +165,7 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
 
     cond5 = True
     for m in lattice:
-        ideal = IdealSet(structure=s, side=TWO_SIDED, mask=m)
-        if radical(ideal).mask != m:
+        if radical_mask(s, m) != m:
             continue
         if m not in principal_radicals:
             cond5 = False
@@ -210,18 +201,16 @@ def principal_open_refinement(
     for p in points:
         if ideal.issubset(p):
             raise HypothesesUnmet("a point lies outside the open set of the ideal")
-    avoid = 0
-    for p in points:
-        avoid |= p.mask
+    avoid = union_mask(p.mask for p in points)
     x = None
     for a in iter_bits(ideal.mask & ~avoid):
         x = a
         break
     if x is None:
         raise TheoremViolation("no refinement element despite verified hypotheses")
-    x_ideal = generate_ideal(s, [x], TWO_SIDED)
-    v_x, d_x = vanishing_sets(s, x_ideal)
-    v_i, d_i = vanishing_sets(s, ideal)
+    x_ideal = IdealSet(structure=s, side=TWO_SIDED, mask=principal_masks(s, TWO_SIDED)[x])
+    _, d_x = vanishing_sets(s, x_ideal)
+    _, d_i = vanishing_sets(s, ideal)
     d_x_masks = {p.mask for p in d_x}
     if any(p.mask not in d_x_masks for p in points):
         raise TheoremViolation("refinement misses a point")

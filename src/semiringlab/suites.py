@@ -29,7 +29,6 @@ from .corpus import (
     diamond_lattice,
 )
 from .covering import (
-    HOLDS,
     UNMET,
     avoidance_witness,
     behrens_elements,
@@ -54,12 +53,14 @@ from .ideals import (
     ideal_masks,
     is_prime,
     is_subtractive,
-    iter_bits,
-    mask_members,
+    mask_of,
     mult_closure,
+    principal_masks,
     radical,
+    radical_mask,
     random_tree,
     set_product_mask,
+    union_mask,
 )
 from .limits import BRUTE_FORCE_CAP
 from .spectrum import compactly_packed_battery, spec_of, zariski_axioms
@@ -154,9 +155,7 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     singletons = [(x,) for x in range(s.size)]
     pairs = [(x, y) for x in range(s.size) for y in range(x + 1, s.size)]
     for gens in singletons + pairs:
-        gen_mask = 0
-        for g in gens:
-            gen_mask |= 1 << g
+        gen_mask = mask_of(gens)
         meet = None
         for m in masks:
             if gen_mask & ~m == 0:
@@ -291,13 +290,22 @@ def _sample_tree_shapes(s, target, family, rng, samples: int = 3) -> None:
         bs = behrens_elements(target, family)
     except HypothesesUnmet:
         return
-    union = 0
-    for p in family:
-        union |= p.mask
+    union = union_mask(p.mask for p in family)
     for _ in range(samples):
         tree = random_tree(bs, rng)
         value = evaluate_tree(s, tree)
         assert value in target and not union >> value & 1, (tree, value)
+
+
+def _coverings(candidates, sizes, targets) -> Iterator[tuple[tuple[IdealSet, ...], IdealSet]]:
+    """Each (family, target) with the target inside the family's union, for
+    the families of each size drawn from the candidates in turn."""
+    for size in sizes:
+        for family in itertools.combinations(candidates, size):
+            union = union_mask(c.mask for c in family)
+            for target in targets:
+                if target.mask & ~union == 0:
+                    yield family, target
 
 
 def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
@@ -313,21 +321,14 @@ def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> It
         i.mask: (i.is_proper and is_prime(i)[0]) for i in lattice
     }
     coverings = 0
-    for size in range(1, max_family + 1):
-        for family in itertools.combinations(subtractive, size):
-            non_primes = [c for c in family if not prime_mask[c.mask]]
-            if len(non_primes) > 2:
-                continue
-            ordered = non_primes + [c for c in family if prime_mask[c.mask]]
-            union = 0
-            for c in family:
-                union |= c.mask
-            for target in lattice:
-                if target.mask & ~union:
-                    continue
-                report = semiring_avoidance(target, ordered)
-                assert report.holds, (target, family)
-                coverings += 1
+    for family, target in _coverings(subtractive, range(1, max_family + 1), lattice):
+        non_primes = [c for c in family if not prime_mask[c.mask]]
+        if len(non_primes) > 2:
+            continue
+        ordered = non_primes + [c for c in family if prime_mask[c.mask]]
+        report = semiring_avoidance(target, ordered)
+        assert report.holds, (target, family)
+        coverings += 1
     yield _result(base, True, f"{coverings} coverings")
 
 
@@ -340,37 +341,20 @@ def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[Che
         return
     base = f"{entry.name}/corollaries"
     lattice = enumerate_ideals(s, TWO_SIDED)
+    t_set = mult_closure(s, [rep.one])
     counts = {"radical": 0, "semiprime": 0, "t-semiprime": 0}
-    for size in range(1, max_family + 1):
-        for family in itertools.combinations(lattice, size):
-            union = 0
-            for c in family:
-                union |= c.mask
-            for mode in ("radical", "semiprime"):
-                for target in lattice:
-                    if target.mask & ~union:
-                        continue
-                    report = union_avoidance_suite(target, list(family), mode)
-                    if report.verdict == UNMET:
-                        continue
-                    assert report.holds
-                    counts[mode] += 1
-    one = rep.one
-    t_set = mult_closure(s, [one])
-    for size in range(1, max_family + 1):
-        for family in itertools.combinations(lattice, size):
-            union = 0
-            for c in family:
-                union |= c.mask
-            for target in lattice:
-                if target.mask & ~union:
-                    continue
-                report = t_semiprime_avoidance(target, list(family), t_set)
-                if report.verdict == UNMET:
-                    continue
-                assert report.holds
-                t, idx = report.witness
-                counts["t-semiprime"] += 1
+    for family, target in _coverings(lattice, range(1, max_family + 1), lattice):
+        covers = list(family)
+        reports = {
+            "radical": union_avoidance_suite(target, covers, "radical"),
+            "semiprime": union_avoidance_suite(target, covers, "semiprime"),
+            "t-semiprime": t_semiprime_avoidance(target, covers, t_set),
+        }
+        for mode, report in reports.items():
+            if report.verdict == UNMET:
+                continue
+            assert report.holds
+            counts[mode] += 1
     yield _result(base, True, str(counts))
 
 
@@ -384,20 +368,13 @@ def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult
     lattice = enumerate_ideals(s, TWO_SIDED)
     base = f"{entry.name}/mccoy"
     found = 0
-    for size in range(3, max_family + 1):
-        for family in itertools.combinations(lattice, size):
-            union = 0
-            for c in family:
-                union |= c.mask
-            for target in lattice:
-                if target.mask & ~union:
-                    continue
-                cov = covering(target, list(family))
-                if not cov.efficient:
-                    continue
-                report = mccoy_exponent(cov)
-                assert report.holds and report.exponent <= len(lattice)
-                found += 1
+    for family, target in _coverings(lattice, range(3, max_family + 1), lattice):
+        cov = covering(target, list(family))
+        if not cov.efficient:
+            continue
+        report = mccoy_exponent(cov)
+        assert report.holds and report.exponent <= len(lattice)
+        found += 1
     yield _result(base, True, f"{found} efficient coverings")
 
 
@@ -414,14 +391,14 @@ def packed_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     # the radical of a principal ideal is the meet of the primes through it
     primes = spec_of(s)
     ok = True
-    for x in range(s.size):
+    for x, principal in enumerate(principal_masks(s, TWO_SIDED)):
         meet = None
         for p in primes:
             if x in p:
                 meet = p.mask if meet is None else meet & p.mask
         if meet is None:
             meet = (1 << s.size) - 1
-        if radical(generate_ideal(s, [x], TWO_SIDED)).mask != meet:
+        if radical_mask(s, principal) != meet:
             ok = False
     yield _result(f"{base}/radical-meets-primes", ok)
 
@@ -431,15 +408,10 @@ def packed_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     # definitional re-check when packed: unions of prime families trap ideals
     if battery.compactly_packed:
         lattice = enumerate_ideals(s, TWO_SIDED)
-        ok = True
-        for k in range(1, len(primes) + 1):
-            for family in itertools.combinations(primes, k):
-                union = 0
-                for p in family:
-                    union |= p.mask
-                for i in lattice:
-                    if i.mask & ~union == 0 and not any(i.issubset(p) for p in family):
-                        ok = False
+        ok = all(
+            any(i.issubset(p) for p in family)
+            for family, i in _coverings(primes, range(1, len(primes) + 1), lattice)
+        )
         yield _result(f"{base}/packed-definition", ok)
 
 

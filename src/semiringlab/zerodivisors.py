@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .analysis import analysis, reader
 from .errors import CapExceeded, StructureError, TheoremViolation
@@ -25,7 +25,9 @@ from .ideals import (
     is_subtractive,
     iter_bits,
     mask_members,
+    maximal_masks,
     radical,
+    union_mask,
 )
 from .covering import FAILS, HOLDS, UNMET, WitnessReport
 from .spectrum import compactly_packed_battery, spec_of
@@ -116,22 +118,14 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
     require_semimodule(m)
     z = zero_divisor_mask(m)
 
-    decomposition = []
-    union = 0
-    for x, ann in _element_annihilators(m):
-        rad = radical(ann)
-        union |= rad.mask
-        decomposition.append((x, rad.members()))
-    if union != z:
+    radicals = [(x, radical(ann)) for x, ann in _element_annihilators(m)]
+    if union_mask(rad.mask for _, rad in radicals) != z:
         raise TheoremViolation(
             "zero divisors differ from the union of radical annihilators"
         )
 
     ass = ass_primes(m)
-    ass_union = 0
-    for _, ann in ass:
-        ass_union |= ann.mask
-    very_few = ass_union == z
+    very_few = union_mask(ann.mask for _, ann in ass) == z
     if not very_few:
         raise TheoremViolation(
             "finite semimodule without very few zero-divisors; primality of "
@@ -144,7 +138,7 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
 
     return ZeroDivisorReport(
         zset=mask_members(z),
-        radical_decomposition=tuple(decomposition),
+        radical_decomposition=tuple((x, rad.members()) for x, rad in radicals),
         ass=tuple((x, ann.members()) for x, ann in ass),
         very_few=very_few,
         few=_few_for_module(s, m),
@@ -154,11 +148,8 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
 
 def _few_for_module(s: CayleyStructure, m: FiniteSemimodule) -> bool:
     z = zero_divisor_mask(m)
-    union = 0
-    for p in spec_of(s):
-        if p.issubset(z) and is_subtractive(p)[0]:
-            union |= p.mask
-    return union == z
+    inside = (p.mask for p in spec_of(s) if p.issubset(z) and is_subtractive(p)[0])
+    return union_mask(inside) == z
 
 
 def few_zero_divisors(s: CayleyStructure) -> tuple[bool, tuple[IdealSet, ...]]:
@@ -171,18 +162,11 @@ def few_zero_divisors(s: CayleyStructure) -> tuple[bool, tuple[IdealSet, ...]]:
     """
     require_commutative_semiring(s)
     z = zero_divisor_mask(self_action(s))
-    inside = [p for p in spec_of(s) if p.issubset(z) and is_subtractive(p)[0]]
-    union = 0
-    for p in inside:
-        union |= p.mask
-    if union != z:
+    inside = [p.mask for p in spec_of(s) if p.issubset(z) and is_subtractive(p)[0]]
+    if union_mask(inside) != z:
         return False, ()
-    maximal = [
-        p
-        for p in inside
-        if not any(q.mask != p.mask and p.mask & ~q.mask == 0 for q in inside)
-    ]
-    return True, tuple(sorted(maximal, key=lambda p: p.members()))
+    maximal = sorted(maximal_masks(inside), key=mask_members)
+    return True, tuple(IdealSet(structure=s, side=TWO_SIDED, mask=pm) for pm in maximal)
 
 
 @dataclass(frozen=True, repr=False)
@@ -309,12 +293,8 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
             raise TheoremViolation("a non-zero-divisor failed to become a unit")
 
     full = (1 << size) - 1
-    proper = [m for m in ideal_masks(q, TWO_SIDED) if m != full]
-    maximal = tuple(
-        IdealSet(structure=q, side=TWO_SIDED, mask=m)
-        for m in proper
-        if not any(other != m and m & ~other == 0 for other in proper)
-    )
+    proper = (m for m in ideal_masks(q, TWO_SIDED) if m != full)
+    maximal = tuple(IdealSet(structure=q, side=TWO_SIDED, mask=m) for m in maximal_masks(proper))
     return QuotientSemiring(
         base=s,
         structure=q,
@@ -417,25 +397,10 @@ def monoid_zd_check(
             verdict=UNMET, violated_hypothesis="property-a", details={"ideal": bad.members()}
         )
     z_mask = zero_divisor_mask(m)
-    primes = [ann for _, ann in ass_primes(m)]
-    maximal = [
-        p
-        for p in primes
-        if not any(q.mask != p.mask and p.mask & ~q.mask == 0 for q in primes)
-    ]
-    seen = set()
-    decomposition = []
-    for p in maximal:
-        if p.mask not in seen:
-            seen.add(p.mask)
-            decomposition.append(p)
-    union = 0
-    for p in decomposition:
-        union |= p.mask
-    if union != z_mask:
+    decomposition = maximal_masks(ann.mask for _, ann in ass_primes(m))
+    if union_mask(decomposition) != z_mask:
         raise TheoremViolation("associated primes do not cover the zero divisors")
 
-    sadd, smul = s.add, s.mul
     madd, act, mz = m.madd, m.action, m.mzero
 
     def poly_times_module(f, g):
@@ -458,9 +423,7 @@ def monoid_zd_check(
     zero_poly = tuple([mz] * length)
     for f in itertools.product(range(s.size), repeat=length):
         tallies["slice_size"] += 1
-        in_decomposition = any(
-            all(p.mask >> c & 1 for c in f) for p in decomposition
-        )
+        in_decomposition = any(all(pm >> c & 1 for c in f) for pm in decomposition)
         if in_decomposition:
             tallies["sup_checked"] += 1
             killer = None

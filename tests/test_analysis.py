@@ -29,6 +29,7 @@ from semiringlab.ideals import (
     mult_closure,
     principal_masks,
     radical,
+    residual_rows,
 )
 from semiringlab.spectrum import _spec_masks
 from semiringlab.tables import CayleyStructure, check_laws, semimodule_check
@@ -60,6 +61,7 @@ def reads(s):
     out.append(("spectrum", None, _spec_masks(s)))
     t_set = mult_closure(s, [rep.one]) if rep.is_commutative_semiring else None
     for i in enumerate_ideals(s, TWO_SIDED):
+        out.append(("residual", i.mask, residual_rows(s, i.mask)))
         out.append(("classification", (i.mask, None), classify_ideal(i)))
         if i.is_proper:
             out.append(("prime", i.mask, is_prime(i)))
@@ -87,6 +89,7 @@ COMPUTE = {
     "prime": lambda s, mask: ideals._prime(s, mask),
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
     "square": lambda s, mask: ideals._square_mask(s, mask),
+    "residual": lambda s, mask: ideals._residual_rows(s, mask),
     "classification": lambda s, key: ideals._classification(s, *key),
     "semimodule": lambda m, key: tables._semimodule_report(m),
 }
@@ -162,6 +165,7 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
         "_prime",
         "_radical_mask",
         "_square_mask",
+        "_residual_rows",
         "_classification",
         "_all_ideals_subtractive",
     ):

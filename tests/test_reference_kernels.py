@@ -1,12 +1,16 @@
-"""The bit-row kernels of ideal classification and the total quotient
-against the loops they replaced, kept here as slow references: the per-J
-square loop for semiprimeness, the triple loop for 2-absorbing ideals and
-the scan over every non-zero-divisor for the localization relation. Every
+"""The bit-row and mask kernels against the loops they replaced, kept here
+as slow references: the per-J square loop for semiprimeness, the triple
+loop for 2-absorbing ideals, the all() loop for the T-element and the scan
+over every non-zero-divisor for the localization relation; the pairwise
+product test and the triple-loop sandwich for primality, the residual
+comprehension, the principal-product scan behind the Behrens elements,
+Davis' keep-and-chain loop and the maximal-family comprehension. Every
 field and witness must agree, and a computation that raises must raise the
 same error."""
 
 import dataclasses
 import functools
+import itertools
 from types import MappingProxyType
 from typing import Optional
 
@@ -20,6 +24,16 @@ from semiringlab.corpus import (
     diamond_lattice,
     saturating,
 )
+from semiringlab import ideals
+from semiringlab.covering import (
+    HOLDS,
+    WitnessReport,
+    _prime_pair_product,
+    _scan_avoiding,
+    _unmet,
+    _verify_subtractive_primes,
+    davis_witness,
+)
 from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.ideals import (
     TWO_SIDED,
@@ -29,13 +43,20 @@ from semiringlab.ideals import (
     classify_ideal,
     enumerate_ideals,
     ideal_masks,
+    image,
     is_prime,
     is_subtractive,
     iter_bits,
     mask_members,
+    mask_of,
+    maximal_masks,
     mult_closure,
+    principal_masks,
     radical,
+    residual,
+    residual_rows,
 )
+from semiringlab.spectrum import spec_of
 from semiringlab.tables import CayleyStructure, check_laws, require_commutative_semiring, self_action
 from semiringlab.zerodivisors import QuotientSemiring, total_quotient, zero_divisor_mask
 
@@ -365,3 +386,221 @@ def test_classification_matches_reference_on_the_saturating_ladder():
 def test_quotient_matches_reference_on_the_saturating_ladder():
     for top in LADDER:
         assert_quotients_match(saturating(top))
+
+
+# --- primality, residuals and the covering constructions ----------------------
+
+
+def _set_product_into(s: CayleyStructure, amask: int, bmask: int, target: int) -> bool:
+    mul = s.mul
+    for u in iter_bits(amask):
+        row = mul[u]
+        for v in iter_bits(bmask):
+            if not target >> row[v] & 1:
+                return False
+    return True
+
+
+def reference_prime(s: CayleyStructure, mask: int):
+    principal = principal_masks(s, TWO_SIDED)
+    witness = None
+    for a in range(s.size):
+        if mask >> a & 1:
+            continue
+        for b in range(s.size):
+            if mask >> b & 1:
+                continue
+            if _set_product_into(s, principal[a], principal[b], mask):
+                witness = (a, b)
+                break
+        if witness:
+            break
+    ringoid_prime = witness is None
+    if check_laws(s).is_semiring:
+        mul = s.mul
+        sandwich_witness = None
+        for x in range(s.size):
+            if mask >> x & 1:
+                continue
+            for y in range(s.size):
+                if mask >> y & 1:
+                    continue
+                if all(mask >> mul[mul[x][t]][y] & 1 for t in range(s.size)):
+                    sandwich_witness = (x, y)
+                    break
+            if sandwich_witness:
+                break
+        if (sandwich_witness is None) != ringoid_prime:
+            ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+            raise TheoremViolation(
+                f"prime criteria disagree on {ideal!r}: "
+                f"principal={ringoid_prime} sandwich={sandwich_witness is None}"
+            )
+    return ringoid_prime, witness
+
+
+def reference_residual(ideal: IdealSet, t: int) -> IdealSet:
+    s = ideal.structure
+    require_commutative_semiring(s)
+    mask = mask_of(x for x in range(s.size) if ideal.mask >> s.mul[t][x] & 1)
+    bad = ideals.ideal_violation(s, mask, ideal.side)
+    if bad is not None:
+        raise TheoremViolation(f"residual failed to be an ideal: {bad}")
+    if ideal.mask & ~mask:
+        raise TheoremViolation("residual does not contain the ideal")
+    return IdealSet(structure=s, side=ideal.side, mask=mask)
+
+
+def reference_prime_pair_product(s, principal, left, right, prime_mask) -> int:
+    mul = s.mul
+    for u in iter_bits(principal[left]):
+        row = mul[u]
+        for v in iter_bits(principal[right]):
+            if not prime_mask >> row[v] & 1:
+                return row[v]
+    raise TheoremViolation(
+        "no product of principal-ideal members avoids the prime; primality is broken"
+    )
+
+
+def _union(ideal_sets) -> int:
+    mask = 0
+    for i in ideal_sets:
+        mask |= i.mask
+    return mask
+
+
+def reference_davis_witness(x: int, ideal: IdealSet, primes) -> WitnessReport:
+    s = ideal.structure
+    if not check_laws(s).is_semiring:
+        return _unmet("semiring")
+    primes = list(primes)
+    bad = _verify_subtractive_primes(primes)
+    if bad is not None:
+        return bad
+    principal = principal_masks(s, TWO_SIDED)
+    add = s.add
+    sum_mask = 0
+    for u in iter_bits(principal[x]):
+        row = add[u]
+        for v in iter_bits(ideal.mask):
+            sum_mask |= 1 << row[v]
+    union = _union(primes)
+    if sum_mask & ~union == 0:
+        return _unmet("containment", detail="(x) + I lies inside the union")
+    scanned = None
+    for y in iter_bits(ideal.mask):
+        if not union >> add[x][y] & 1:
+            scanned = y
+            break
+    if scanned is None:
+        raise TheoremViolation("no witness by scan despite verified hypotheses")
+    keep = []
+    for i, p in enumerate(primes):
+        if any(p.mask != q.mask and p.mask & ~q.mask == 0 for q in primes):
+            continue  # strictly inside another prime
+        if any(q.mask == p.mask for q in primes[:i]):
+            continue  # duplicate
+        keep.append(p)
+    containing_x = [p for p in keep if x in p]
+    missing_x = [p for p in keep if x not in p]
+    chain = ideal.mask
+    mul = s.mul
+    for p in missing_x:
+        nxt = 0
+        for u in iter_bits(chain):
+            row = mul[u]
+            for v in iter_bits(p.mask):
+                nxt |= 1 << row[v]
+        chain = nxt
+    avoid = _union(containing_x)
+    constructed = _scan_avoiding(chain, avoid)
+    if constructed is None:
+        raise TheoremViolation("constructive route found no element")
+    if constructed not in ideal:
+        raise TheoremViolation("constructive element escaped the ideal")
+    if union >> add[x][constructed] & 1:
+        raise TheoremViolation("constructive element fails avoidance")
+    return WitnessReport(verdict=HOLDS, witness=scanned, details={"constructive": constructed})
+
+
+def reference_maximal_masks(masks) -> tuple:
+    """The maximal-family comprehension of the zero-divisor decomposition,
+    with its removal of repeated masks."""
+    maximal = [m for m in masks if not any(o != m and m & ~o == 0 for o in masks)]
+    seen = set()
+    out = []
+    for m in maximal:
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
+    return tuple(out)
+
+
+def assert_primality_matches(s, masks, pair_masks, checked_ideals):
+    """_prime on the masks; the residual rows of every subset (of every
+    ideal past 8 elements); the Behrens product of every pair of generators
+    against each of pair_masks; and, for every ideal of checked_ideals, its
+    residual quotient by each element and Davis' witness for each element
+    and family of up to three primes, repeats allowed."""
+    for mask in masks:
+        assert outcome(ideals._prime, s, mask) == outcome(reference_prime, s, mask), (s.name, mask)
+    for mask in range(1 << s.size) if s.size <= 8 else ideal_masks(s, TWO_SIDED):
+        expected = tuple(mask_of(y for y in range(s.size) if mask >> row[y] & 1) for row in s.mul)
+        assert residual_rows(s, mask) == expected, (s.name, mask)
+    for ideal, t in itertools.product(checked_ideals, range(s.size)):
+        assert outcome(residual, ideal, t) == outcome(reference_residual, ideal, t), (s.name, ideal, t)
+    principal = principal_masks(s, TWO_SIDED)
+    for pm, a, b in itertools.product(pair_masks, range(s.size), range(s.size)):
+        fast = outcome(_prime_pair_product, s, principal, a, b, pm)
+        assert fast == outcome(reference_prime_pair_product, s, principal, a, b, pm), (s.name, pm, a, b)
+    if not check_laws(s).is_semiring:
+        return
+    primes = spec_of(s)
+    families = [f for k in range(4) for f in itertools.combinations_with_replacement(primes, k)]
+    for x, ideal, family in itertools.product(range(s.size), checked_ideals, families):
+        fast = outcome(davis_witness, x, ideal, family)
+        assert fast == outcome(reference_davis_witness, x, ideal, family), (s.name, x, ideal, family)
+
+
+def assert_small_structure_matches(s):
+    proper = range(1, (1 << s.size) - 1)
+    proper_ideals = [m for m in ideal_masks(s, TWO_SIDED) if m != (1 << s.size) - 1]
+    assert_primality_matches(s, proper, proper_ideals, enumerate_ideals(s, TWO_SIDED))
+
+
+@given(any_tables())
+def test_primality_residuals_and_constructions_match_references_on_any_tables(s):
+    assert_small_structure_matches(s)
+
+
+@given(relabelled_semirings())
+def test_primality_residuals_and_constructions_match_references_on_relabelled_semirings(s):
+    assert_small_structure_matches(s)
+
+
+def test_primality_residuals_and_constructions_match_references_on_the_corpus(all_entries):
+    for entry in all_entries:
+        assert_small_structure_matches(entry.structure)
+
+
+def test_primality_residuals_and_constructions_match_references_on_the_saturating_ladder():
+    for top in LADDER:
+        s = saturating(top)
+        full = (1 << s.size) - 1
+        proper = [m for m in ideal_masks(s, TWO_SIDED) if m != full]
+        principal = sorted(set(principal_masks(s)), key=mask_members)
+        checked = [IdealSet(structure=s, side=TWO_SIDED, mask=m) for m in principal]
+        assert_primality_matches(s, proper, [p.mask for p in spec_of(s)], checked)
+
+
+@given(any_tables())
+def test_image_matches_the_pairwise_loop(s):
+    for a, b in itertools.product(range(1 << s.size), repeat=2):
+        expected = mask_of({s.mul[x][y] for x in iter_bits(a) for y in iter_bits(b)})
+        assert image(s.mul, a, b) == expected
+
+
+@given(st.lists(st.integers(0, 63), max_size=10))
+def test_maximal_masks_match_the_comprehension(masks):
+    assert maximal_masks(masks) == reference_maximal_masks(masks)
