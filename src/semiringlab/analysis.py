@@ -11,6 +11,9 @@ computed on its first read and read back afterwards. A context holds:
 - ``spectrum`` (the prime ideal masks) and ``quotient`` (the total
   quotient semiring);
 - ``all_subtractive``: whether every two-sided ideal is subtractive;
+- ``annihilators``, keyed by side (left or right, for a structure with
+  absorbing zero): per element x, the mask of the r with r*x = 0 (left) or
+  x*r = 0 (right);
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
   ``radical``, the radical's mask, ``square``, the mask of the elementwise
   square {u*v : u, v in the mask}, and ``residual``, the residual rows
@@ -20,7 +23,8 @@ computed on its first read and read back afterwards. A context holds:
 - ``classification``, keyed by (mask, T-mask), with None for no T.
 
 A semimodule has a context of its own, holding ``semimodule``: its
-:class:`~semiringlab.tables.SemimoduleReport`.
+:class:`~semiringlab.tables.SemimoduleReport`, and ``annihilators``, keyed
+by None: per module element x, the mask of the scalars r with r*x = 0.
 
 The module that owns a fact computes it with a private function, which
 the context calls once per key; a computation that raises stores nothing,
@@ -51,6 +55,7 @@ FACTS = (
     "spectrum",
     "quotient",
     "all_subtractive",
+    "annihilators",
     "subtractive",
     "prime",
     "radical",

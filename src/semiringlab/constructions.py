@@ -135,6 +135,8 @@ def encode_tuple(values: Sequence[int], base: int) -> int:
 
 
 def decode_tuple(idx: int, base: int, length: int) -> tuple[int, ...]:
+    if not 0 <= idx < base**length:
+        raise StructureError(f"index {idx} outside 0..{base**length - 1}")
     out = [0] * length
     for pos in range(length - 1, -1, -1):
         idx, out[pos] = divmod(idx, base)
@@ -301,6 +303,8 @@ class ProductStructure(CayleyStructure):
     factors: tuple = ()
 
     def coords(self, idx: int) -> tuple[int, ...]:
+        if not 0 <= idx < self.size:
+            raise StructureError(f"index {idx} outside 0..{self.size - 1}")
         out = []
         for f in reversed(self.factors):
             idx, r = divmod(idx, f.size)

@@ -32,10 +32,11 @@ from .ideals import (
     maximal_masks,
     principal_masks,
     radical_mask,
-    residual,
     residual_rows,
+    semiprime_residual,
     _semiprime_elementwise,
     annihilator,
+    annihilator_rows,
     closed_sets,
     union_mask,
 )
@@ -67,6 +68,11 @@ class WitnessReport:
 
 def _unmet(hypothesis: str, **details) -> WitnessReport:
     return WitnessReport(verdict=UNMET, violated_hypothesis=hypothesis, details=details)
+
+
+def _require_covered(ideal: IdealSet, covers: Sequence[IdealSet]) -> None:
+    if ideal.mask & ~union_mask(c.mask for c in covers):
+        raise ValueError("not a covering")
 
 
 @dataclass(frozen=True)
@@ -272,8 +278,7 @@ def semiring_avoidance(ideal: IdealSet, covers: Sequence[IdealSet]) -> WitnessRe
     what the non-subtractive counterexamples exhibit.
     """
     covers = list(covers)
-    if ideal.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering")
+    _require_covered(ideal, covers)
     violations = []
     for k, p in enumerate(covers):
         ok, w = is_subtractive(p)
@@ -399,8 +404,7 @@ def union_avoidance_suite(
     if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     covers = list(covers)
-    if ideal.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering")
+    _require_covered(ideal, covers)
     qualifying = 0
     for c in covers:
         if mode == "radical":
@@ -429,9 +433,8 @@ def t_semiprime_avoidance(
     if not all_ideals_subtractive(s):
         return _unmet("subtractive-semiring")
     covers = list(covers)
-    if ideal.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering")
-    t_elements = []
+    _require_covered(ideal, covers)
+    t_elements, residuals = [], []
     for k, p in enumerate(covers):
         if p.mask & t_set.mask:
             return _unmet("t-disjointness", index=k)
@@ -440,16 +443,11 @@ def t_semiprime_avoidance(
             return _unmet("2-absorbing", index=k, witness=cls.witnesses.get("two_absorbing"))
         if not cls.t_semiprime:
             return _unmet("t-semiprime", index=k)
-        t_k = None
-        for t in iter_bits(t_set.mask):
-            r = residual(p, t)
-            if r.is_proper and _semiprime_elementwise(s, r.mask) is None:
-                t_k = t
-                break
-        if t_k is None:
+        found = semiprime_residual(p, t_set)
+        if found is None:
             raise TheoremViolation("T-semiprime cover with no semiprime residual")
-        t_elements.append(t_k)
-    residuals = [residual(p, t) for p, t in zip(covers, t_elements)]
+        t_elements.append(found[0])
+        residuals.append(found[1])
     inner = union_avoidance_suite(ideal, residuals, "semiprime")
     if not inner.holds:
         raise TheoremViolation("semiprime avoidance failed on residual quotients")
@@ -482,19 +480,16 @@ def annihilator_avoidance(
     if not rep.is_semiring:
         return _unmet("semiring")
     covers = list(covers)
-    act, mz = m.action, m.mzero
+    rows = annihilator_rows(m)
     for k, c in enumerate(covers):
         if not c.is_proper:
             # only annihilators of sets with a nonzero element are proper,
             # and the containment conclusion needs a proper prime
             return _unmet("annihilator-covers", index=k, detail="not proper")
-        killed = [
-            x for x in range(m.msize) if all(act[r][x] == mz for r in iter_bits(c.mask))
-        ]
+        killed = [x for x, row in enumerate(rows) if c.mask & ~row == 0]
         if not killed or annihilator(m, killed).mask != c.mask:
             return _unmet("annihilator-covers", index=k)
-    if ideal.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering")
+    _require_covered(ideal, covers)
     full = (1 << s.size) - 1
     maximal = sorted(
         maximal_masks(am for am in _annihilator_ideal_masks(m) if am != full), key=mask_members

@@ -8,16 +8,19 @@ classification) are read from the structure's analysis context
 (:mod:`semiringlab.analysis`); each is computed once by a private function
 here.
 
-Four mask kernels serve every module: :func:`image` (the mask of all
+Five mask kernels serve every module: :func:`image` (the mask of all
 products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
-(the masks not strictly inside another) and :func:`residual_rows` (per
-element x, the residual {y : x*y in a mask}, kept in the context). Prime,
+(the masks not strictly inside another), and two kept in the context:
+:func:`residual_rows` (per element x, the residual {y : x*y in a mask})
+and :func:`annihilator_rows` (per element x, the scalars killing x). Prime,
 2-absorbing and T-semiprime tests, residual quotients and the Behrens
-products of :mod:`semiringlab.covering` all read the residual rows.
+products of :mod:`semiringlab.covering` read the residual rows; every
+annihilator and zero-divisor set reads the annihilator rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -278,6 +281,29 @@ def residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
 
 def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
     return tuple(mask_of(y for y, xy in enumerate(row) if mask >> xy & 1) for row in s.mul)
+
+
+def annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: str = LEFT) -> tuple[int, ...]:
+    """Per element x, the mask of the scalars killing x: {r : r*x = 0} for a
+    semimodule's action (which has no side) or for the left side of a
+    structure with absorbing zero, and {r : x*r = 0} for its right side."""
+    key = None if isinstance(target, FiniteSemimodule) else side
+    return analysis(target).get("annihilators", key, _annihilator_rows, target, key)
+
+
+def _annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: Optional[str]) -> tuple[int, ...]:
+    if side is None:
+        table, zero = target.action, target.mzero
+    else:
+        rep = check_laws(target)
+        if not rep.is_with_zero:
+            raise StructureError("annihilators need a structure with absorbing zero")
+        if side == RIGHT:
+            return residual_rows(target, 1 << rep.zero)
+        if side != LEFT:
+            raise ValueError("annihilator side must be left or right")
+        table, zero = target.mul, rep.zero
+    return tuple(mask_of(r for r, y in enumerate(col) if y == zero) for col in zip(*table))
 
 
 @reader("lattice")
@@ -653,6 +679,16 @@ def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> Ide
     )
 
 
+def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tuple[int, IdealSet]]:
+    """The least t in T whose residual quotient (I : t) is proper and
+    semiprime, with that quotient, or None if there is no such t."""
+    for t in iter_bits(t_set.mask):
+        r = residual(ideal, t)
+        if r.is_proper and _semiprime_elementwise(ideal.structure, r.mask) is None:
+            return t, r
+    return None
+
+
 def t_semiprime_equivalence(
     ideal: IdealSet, t_set: MultiplicativeSet
 ) -> tuple[bool, Union[int, tuple, None]]:
@@ -668,19 +704,14 @@ def t_semiprime_equivalence(
     if not cls.two_absorbing:
         raise HypothesesUnmet("equivalence needs a 2-absorbing ideal")
     direct = cls.t_semiprime
-    residual_t = None
-    for t in iter_bits(t_set.mask):
-        r = residual(ideal, t)
-        if r.is_proper and _semiprime_elementwise(s, r.mask) is None:
-            residual_t = t
-            break
-    via_residual = residual_t is not None
+    found = semiprime_residual(ideal, t_set)
+    via_residual = found is not None
     if direct != via_residual:
         raise TheoremViolation(
             f"T-semiprime equivalence broken: direct={direct} residual={via_residual}"
         )
     if direct:
-        return True, min(cls.t_element, residual_t)
+        return True, min(cls.t_element, found[0])
     return False, None
 
 
@@ -700,35 +731,22 @@ def annihilator(
         raise StructureError("annihilator of the empty set is undefined")
     if isinstance(target, FiniteSemimodule):
         require_semimodule(target)
-        s = target.semiring
-        act, mz = target.action, target.mzero
+        s, side = target.semiring, TWO_SIDED
         if any(not 0 <= x < target.msize for x in xs):
             raise StructureError("module element out of range")
-        mask = mask_of(
-            r for r in range(s.size) if all(act[r][x] == mz for x in xs)
-        )
-        result = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
-        bad = ideal_violation(s, mask, TWO_SIDED)
-        if bad is not None:
-            raise StructureError(f"annihilator is not two-sided here: {bad}")
     else:
         s = target
-        rep = check_laws(s)
-        if not rep.is_with_zero:
+        if not check_laws(s).is_with_zero:
             raise StructureError("annihilators need a structure with absorbing zero")
         if any(not 0 <= x < s.size for x in xs):
             raise StructureError("element out of range")
-        z, mul = rep.zero, s.mul
-        if side == LEFT:
-            mask = mask_of(r for r in range(s.size) if all(mul[r][x] == z for x in xs))
-        elif side == RIGHT:
-            mask = mask_of(r for r in range(s.size) if all(mul[x][r] == z for x in xs))
-        else:
-            raise ValueError("annihilator side must be left or right")
-        result = IdealSet(structure=s, side=side, mask=mask)
-        bad = ideal_violation(s, mask, side)
-        if bad is not None:
-            raise StructureError(f"annihilator is not a {side} ideal here: {bad}")
+    rows = annihilator_rows(target, side)
+    mask = functools.reduce(int.__and__, (rows[x] for x in xs))
+    result = IdealSet(structure=s, side=side, mask=mask)
+    bad = ideal_violation(s, mask, side)
+    if bad is not None:
+        what = "two-sided" if side == TWO_SIDED else f"a {side} ideal"
+        raise StructureError(f"annihilator is not {what} here: {bad}")
     if check_laws(result.structure).mul_associative:
         ok, w = is_subtractive(result)
         if not ok:

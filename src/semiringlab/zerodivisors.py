@@ -19,12 +19,14 @@ from .ideals import (
     IdealSet,
     TWO_SIDED,
     annihilator,
+    annihilator_rows,
     generate_ideal,
     ideal_masks,
     is_prime,
     is_subtractive,
     iter_bits,
     mask_members,
+    mask_of,
     maximal_masks,
     radical,
     union_mask,
@@ -44,14 +46,7 @@ from .constructions import MonoidSemiring
 
 def zero_divisor_mask(m: FiniteSemimodule) -> int:
     """Scalars killing some nonzero module element; empty for the zero module."""
-    s = m.semiring
-    act, mz = m.action, m.mzero
-    mask = 0
-    for r in range(s.size):
-        row = act[r]
-        if any(row[x] == mz for x in range(m.msize) if x != mz):
-            mask |= 1 << r
-    return mask
+    return union_mask(row for x, row in enumerate(annihilator_rows(m)) if x != m.mzero)
 
 
 @dataclass(frozen=True, repr=False)
@@ -98,16 +93,9 @@ def property_a_check(
     require_commutative_semiring(s)
     require_semimodule(m)
     z = zero_divisor_mask(m)
-    act, mz = m.action, m.mzero
+    rows = [row for x, row in enumerate(annihilator_rows(m)) if x != m.mzero]
     for im in ideal_masks(s, TWO_SIDED):
-        if im & ~z:
-            continue
-        scalars = list(iter_bits(im))
-        if not any(
-            all(act[r][x] == mz for r in scalars)
-            for x in range(m.msize)
-            if x != mz
-        ):
+        if im & ~z == 0 and not any(im & ~row == 0 for row in rows):
             return False, IdealSet(structure=s, side=TWO_SIDED, mask=im)
     return True, None
 
@@ -141,15 +129,14 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
         radical_decomposition=tuple((x, rad.members()) for x, rad in radicals),
         ass=tuple((x, ann.members()) for x, ann in ass),
         very_few=very_few,
-        few=_few_for_module(s, m),
+        few=union_mask(_subtractive_primes_inside(s, z)) == z,
         property_a=prop_a,
     )
 
 
-def _few_for_module(s: CayleyStructure, m: FiniteSemimodule) -> bool:
-    z = zero_divisor_mask(m)
-    inside = (p.mask for p in spec_of(s) if p.issubset(z) and is_subtractive(p)[0])
-    return union_mask(inside) == z
+def _subtractive_primes_inside(s: CayleyStructure, z: int) -> list[int]:
+    """The masks of the subtractive primes inside the zero-divisor set z."""
+    return [p.mask for p in spec_of(s) if p.issubset(z) and is_subtractive(p)[0]]
 
 
 def few_zero_divisors(s: CayleyStructure) -> tuple[bool, tuple[IdealSet, ...]]:
@@ -162,7 +149,7 @@ def few_zero_divisors(s: CayleyStructure) -> tuple[bool, tuple[IdealSet, ...]]:
     """
     require_commutative_semiring(s)
     z = zero_divisor_mask(self_action(s))
-    inside = [p.mask for p in spec_of(s) if p.issubset(z) and is_subtractive(p)[0]]
+    inside = _subtractive_primes_inside(s, z)
     if union_mask(inside) != z:
         return False, ()
     maximal = sorted(maximal_masks(inside), key=mask_members)
@@ -203,62 +190,50 @@ def total_quotient(s: CayleyStructure) -> QuotientSemiring:
 
 def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
     rep = require_commutative_semiring(s)
-    mul, add = s.mul, s.add
+    mul, add, n = s.mul, s.add, s.size
     z_mask = zero_divisor_mask(self_action(s))
-    units = [u for u in range(s.size) if not z_mask >> u & 1]
+    units = [u for u in range(n) if not z_mask >> u & 1]
     if rep.one not in units:
         raise TheoremViolation("one turned out to be a zero-divisor")
 
-    pairs = [(a, u) for a in range(s.size) for u in units]
-
     # near[x] = {y : w*x = w*y for some non-zero-divisor w}
-    near = [0] * s.size
+    near = [0] * n
     for w in units:
         row = mul[w]
-        fibre = [0] * s.size
-        for y in range(s.size):
+        fibre = [0] * n
+        for y in range(n):
             fibre[row[y]] |= 1 << y
-        for x in range(s.size):
+        for x in range(n):
             near[x] |= fibre[row[x]]
 
-    def related(p, q) -> bool:
-        (a, u), (b, v) = p, q
-        return bool(near[mul[a][v]] >> mul[b][u] & 1)
-
-    # union-find over the raw relation; the relation is transitive, which the
-    # exactness pass below re-checks
-    parent = {p: p for p in pairs}
-
-    def find(p):
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
-    for i, p in enumerate(pairs):
-        for q in pairs[i + 1 :]:
-            if related(p, q):
-                rp, rq = find(p), find(q)
-                if rp != rq:
-                    parent[max(rp, rq)] = min(rp, rq)
-
-    classes: dict = {}
-    for p in pairs:
-        classes.setdefault(find(p), []).append(p)
-    reps = sorted(classes)
-    class_index = {r: i for i, r in enumerate(reps)}
-    pair_class = {p: class_index[find(p)] for p in pairs}
-    for r, members in classes.items():
-        for p in members:
-            if not related(p, r):
-                raise TheoremViolation("localization relation is not transitive here")
-
-    size = len(reps)
+    # (a, u) ~ (b, v) exactly when b*u is near a*v, that is when b lies in
+    # below[u][a*v] = {b : b*u near a*v}. The row of (a, u) holds (b, v) at
+    # bit shift[v] + b, one block of n bits per unit.
+    shift = {v: k * n for k, v in enumerate(units)}
+    below = {}
+    for u in units:
+        fibre = [0] * n
+        for b in range(n):
+            fibre[mul[b][u]] |= 1 << b
+        below[u] = [union_mask(fibre[y] for y in iter_bits(near[x])) for x in range(n)]
+    by_row: dict = {}  # row -> its pairs, the least first
+    for a in range(n):
+        for u in units:
+            row = union_mask(below[u][mul[a][v]] << shift[v] for v in units)
+            by_row.setdefault(row, []).append((a, u))
+    # the relation is an equivalence exactly when each row is the set of the
+    # pairs that share it
+    for row, pairs in by_row.items():
+        if mask_of(shift[v] + b for b, v in pairs) != row:
+            raise TheoremViolation("localization relation is not transitive here")
+    classes = list(by_row.values())
+    pair_class = {p: i for i, pairs in enumerate(classes) for p in pairs}
+    size = len(classes)
 
     def combine(table_op, i, j):
         results = set()
-        for a, u in classes[reps[i]]:
-            for b, v in classes[reps[j]]:
+        for a, u in classes[i]:
+            for b, v in classes[j]:
                 if table_op is add:
                     num = add[mul[a][v]][mul[b][u]]
                 else:
@@ -402,6 +377,7 @@ def monoid_zd_check(
         raise TheoremViolation("associated primes do not cover the zero divisors")
 
     madd, act, mz = m.madd, m.action, m.mzero
+    killers = [row for b, row in enumerate(annihilator_rows(m)) if b != mz]
 
     def poly_times_module(f, g):
         out = [mz] * (2 * length - 1)
@@ -423,17 +399,11 @@ def monoid_zd_check(
     zero_poly = tuple([mz] * length)
     for f in itertools.product(range(s.size), repeat=length):
         tallies["slice_size"] += 1
-        in_decomposition = any(all(pm >> c & 1 for c in f) for pm in decomposition)
+        coefficients = mask_of(f)
+        in_decomposition = any(coefficients & ~pm == 0 for pm in decomposition)
         if in_decomposition:
             tallies["sup_checked"] += 1
-            killer = None
-            for b in range(m.msize):
-                if b == mz:
-                    continue
-                if all(act[c][b] == mz for c in f):
-                    killer = b
-                    break
-            if killer is None:
+            if not any(coefficients & ~row == 0 for row in killers):
                 raise TheoremViolation(
                     "polynomial with coefficients in a decomposition prime has "
                     "no constant annihilator despite Property (A)"

@@ -269,15 +269,17 @@ def test_verify_all_json_is_byte_identical(capsys):
 SATURATING_16_SHA256 = {
     "ideals": "c6f02f9bb16d20bf7d6c9bc8fdfe9e5c39df488be55d6eb48bb78c846b14d07e",
     "quotient": "5843ff92f53b9fe752194a9c4503b7df9c33d175803443cc1dd8738a152dff85",
+    "zdiv": "27f83812314f54b31c874d3c4073bb2b0d0619fd7f1c6af4b3beba945534a034",
+    "packed": "e265464911b2962774a6ace32a4b4f109115494e6ef5fe93bad4490081146311",
 }
 
 
 @pytest.mark.parametrize("command", sorted(SATURATING_16_SHA256))
 def test_saturating_16_json_is_byte_identical(command, tmp_path, monkeypatch, capsys):
-    """``ideals`` (every classification flag) and ``quotient`` on the
-    16-element saturating semiring, pinned byte for byte. The report echoes
-    the file argument, so the file is named relative to the working
-    directory."""
+    """``ideals`` (every classification flag), ``quotient``, ``zdiv`` and
+    ``packed`` on the 16-element saturating semiring, pinned byte for byte.
+    The report echoes the file argument, so the file is named relative to
+    the working directory."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "saturating-16.json").write_text(json.dumps(structure_to_json(saturating(15))))
     code = main([command, "saturating-16.json", "--json"])

@@ -16,11 +16,15 @@ from semiringlab.cli import _plain
 from semiringlab.corpus import chain_semiring, corpus_semimodules
 from semiringlab.errors import StructureError
 from semiringlab.ideals import (
+    LEFT,
+    RIGHT,
     SIDES,
     TWO_SIDED,
     IdealSet,
     _absorb,
     all_ideals_subtractive,
+    annihilator,
+    annihilator_rows,
     classify_ideal,
     enumerate_ideals,
     ideal_masks,
@@ -32,7 +36,7 @@ from semiringlab.ideals import (
     residual_rows,
 )
 from semiringlab.spectrum import _spec_masks
-from semiringlab.tables import CayleyStructure, check_laws, semimodule_check
+from semiringlab.tables import CayleyStructure, check_laws, self_action, semimodule_check
 from semiringlab.zerodivisors import total_quotient
 
 
@@ -59,6 +63,9 @@ def reads(s):
         for i in enumerate_ideals(s, side):
             out.append(("subtractive", i.mask, is_subtractive(i)))
     out.append(("spectrum", None, _spec_masks(s)))
+    if rep.is_with_zero:
+        for side in (LEFT, RIGHT):
+            out.append(("annihilators", side, annihilator_rows(s, side)))
     t_set = mult_closure(s, [rep.one]) if rep.is_commutative_semiring else None
     for i in enumerate_ideals(s, TWO_SIDED):
         out.append(("residual", i.mask, residual_rows(s, i.mask)))
@@ -85,6 +92,7 @@ COMPUTE = {
     "spectrum": lambda s, key: spectrum._prime_masks(s),
     "quotient": lambda s, key: zerodivisors._total_quotient(s),
     "all_subtractive": lambda s, key: ideals._all_ideals_subtractive(s),
+    "annihilators": lambda target, side: ideals._annihilator_rows(target, side),
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
     "prime": lambda s, mask: ideals._prime(s, mask),
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
@@ -133,15 +141,17 @@ def test_every_fact_matches_scratch_on_the_corpus(all_entries):
 
 
 def test_semimodule_reports_match_scratch(all_entries):
+    """A semimodule context owns its report and its annihilator rows."""
     for entry in all_entries:
         for m in corpus_semimodules(entry).values():
-            got = semimodule_check(m)
+            got = {"semimodule": semimodule_check(m), "annihilators": annihilator_rows(m)}
             twin = dataclasses.replace(m)
             assert twin is not m and twin == m and hash(twin) == hash(m)
             assert analysis(twin) is analysis(m)
-            assert set(analysis(m).facts) == {"semimodule"}
+            assert set(analysis(m).facts) == set(got)
             with fresh_contexts():
-                assert COMPUTE["semimodule"](twin, None) == got, m.name
+                for kind, value in got.items():
+                    assert COMPUTE[kind](twin, None) == value, (m.name, kind)
 
 
 def test_equal_structures_share_one_context():
@@ -166,6 +176,7 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
         "_radical_mask",
         "_square_mask",
         "_residual_rows",
+        "_annihilator_rows",
         "_classification",
         "_all_ideals_subtractive",
     ):
@@ -192,8 +203,13 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
             if i.is_proper:
                 is_prime(i)
         all_ideals_subtractive(s)
+        for x in range(s.size):
+            for side in (LEFT, RIGHT):
+                annihilator(s, [x], side)
+            annihilator(self_action(s), [x])
     lattice = ideal_masks(build())
     assert calls and set(calls.values()) == {1}
+    assert sum(k[0] == "_annihilator_rows" for k in calls) == 3
     for name in ("_subtractive", "_radical_mask", "_classification"):
         assert sum(k[0] == name for k in calls) == len(lattice), name
 

@@ -129,6 +129,15 @@ def test_cross_product_matches_direct_formula():
             assert cross.coords(cross.mul[i][j]) == direct(u, v)
 
 
+def test_coords_reject_an_index_outside_the_carrier():
+    product = direct_product([chain_semiring(), boolean_semifield()])
+    for structure in (cross_product_hemiring(), product):
+        assert structure.coords(structure.size - 1)
+        for idx in (-1, structure.size):
+            with pytest.raises(StructureError):
+                structure.coords(idx)
+
+
 def test_zero_constants_give_null_multiplication():
     gamma = tuple(tuple((0,) * 2 for _ in range(2)) for _ in range(2))
     h = hemialgebra(StructureConstants(semifield=boolean_semifield(), dim=2, gamma=gamma))

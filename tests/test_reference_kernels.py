@@ -4,9 +4,11 @@ loop for 2-absorbing ideals, the all() loop for the T-element and the scan
 over every non-zero-divisor for the localization relation; the pairwise
 product test and the triple-loop sandwich for primality, the residual
 comprehension, the principal-product scan behind the Behrens elements,
-Davis' keep-and-chain loop and the maximal-family comprehension. Every
-field and witness must agree, and a computation that raises must raise the
-same error."""
+Davis' keep-and-chain loop and the maximal-family comprehension; the
+three-branch annihilator, the zero-divisor loop, the Property (A) loop, the
+constant-killer loop and the killed list, which the annihilator rows
+replaced. Every field and witness must agree, and a computation that raises
+must raise the same error."""
 
 import dataclasses
 import functools
@@ -21,6 +23,7 @@ from semiringlab.corpus import (
     boolean_semifield,
     boolean_square,
     chain_semiring,
+    corpus_semimodules,
     diamond_lattice,
     saturating,
 )
@@ -57,8 +60,20 @@ from semiringlab.ideals import (
     residual_rows,
 )
 from semiringlab.spectrum import spec_of
-from semiringlab.tables import CayleyStructure, check_laws, require_commutative_semiring, self_action
-from semiringlab.zerodivisors import QuotientSemiring, total_quotient, zero_divisor_mask
+from semiringlab.tables import (
+    CayleyStructure,
+    FiniteSemimodule,
+    check_laws,
+    require_commutative_semiring,
+    require_semimodule,
+    self_action,
+)
+from semiringlab.zerodivisors import (
+    QuotientSemiring,
+    property_a_check,
+    total_quotient,
+    zero_divisor_mask,
+)
 
 LADDER = (12, 13, 14, 15, 16)
 
@@ -179,7 +194,7 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
 def reference_total_quotient(s: CayleyStructure) -> QuotientSemiring:
     rep = require_commutative_semiring(s)
     mul, add = s.mul, s.add
-    z_mask = zero_divisor_mask(self_action(s))
+    z_mask = reference_zero_divisor_mask(self_action(s))
     units = [u for u in range(s.size) if not z_mask >> u & 1]
     if rep.one not in units:
         raise TheoremViolation("one turned out to be a zero-divisor")
@@ -604,3 +619,174 @@ def test_image_matches_the_pairwise_loop(s):
 @given(st.lists(st.integers(0, 63), max_size=10))
 def test_maximal_masks_match_the_comprehension(masks):
     assert maximal_masks(masks) == reference_maximal_masks(masks)
+
+
+# --- annihilator rows -----------------------------------------------------------
+
+
+def reference_annihilator(target, xs, side=ideals.LEFT) -> IdealSet:
+    xs = sorted(set(xs))
+    if not xs:
+        raise StructureError("annihilator of the empty set is undefined")
+    if isinstance(target, FiniteSemimodule):
+        require_semimodule(target)
+        s = target.semiring
+        act, mz = target.action, target.mzero
+        if any(not 0 <= x < target.msize for x in xs):
+            raise StructureError("module element out of range")
+        mask = mask_of(r for r in range(s.size) if all(act[r][x] == mz for x in xs))
+        result = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+        bad = ideals.ideal_violation(s, mask, TWO_SIDED)
+        if bad is not None:
+            raise StructureError(f"annihilator is not two-sided here: {bad}")
+    else:
+        s = target
+        rep = check_laws(s)
+        if not rep.is_with_zero:
+            raise StructureError("annihilators need a structure with absorbing zero")
+        if any(not 0 <= x < s.size for x in xs):
+            raise StructureError("element out of range")
+        z, mul = rep.zero, s.mul
+        if side == ideals.LEFT:
+            mask = mask_of(r for r in range(s.size) if all(mul[r][x] == z for x in xs))
+        elif side == ideals.RIGHT:
+            mask = mask_of(r for r in range(s.size) if all(mul[x][r] == z for x in xs))
+        else:
+            raise ValueError("annihilator side must be left or right")
+        result = IdealSet(structure=s, side=side, mask=mask)
+        bad = ideals.ideal_violation(s, mask, side)
+        if bad is not None:
+            raise StructureError(f"annihilator is not a {side} ideal here: {bad}")
+    if check_laws(result.structure).mul_associative:
+        ok, w = is_subtractive(result)
+        if not ok:
+            raise TheoremViolation(f"annihilator not subtractive, witness {w}")
+    return result
+
+
+def reference_zero_divisor_mask(m: FiniteSemimodule) -> int:
+    act, mz = m.action, m.mzero
+    mask = 0
+    for r in range(m.semiring.size):
+        row = act[r]
+        if any(row[x] == mz for x in range(m.msize) if x != mz):
+            mask |= 1 << r
+    return mask
+
+
+def reference_property_a_check(s: CayleyStructure, m: FiniteSemimodule):
+    require_commutative_semiring(s)
+    require_semimodule(m)
+    z = reference_zero_divisor_mask(m)
+    act, mz = m.action, m.mzero
+    for im in ideal_masks(s, TWO_SIDED):
+        if im & ~z:
+            continue
+        scalars = list(iter_bits(im))
+        if not any(all(act[r][x] == mz for r in scalars) for x in range(m.msize) if x != mz):
+            return False, IdealSet(structure=s, side=TWO_SIDED, mask=im)
+    return True, None
+
+
+def reference_constant_killer(m: FiniteSemimodule, f) -> Optional[int]:
+    """The least nonzero module element every coefficient of f kills."""
+    act, mz = m.action, m.mzero
+    for b in range(m.msize):
+        if b == mz:
+            continue
+        if all(act[c][b] == mz for c in f):
+            return b
+    return None
+
+
+def reference_killed(m: FiniteSemimodule, cover_mask: int) -> list[int]:
+    """The module elements every scalar of the cover kills."""
+    act, mz = m.action, m.mzero
+    return [x for x in range(m.msize) if all(act[r][x] == mz for r in iter_bits(cover_mask))]
+
+
+def _subsets(n: int):
+    """Every nonempty subset of range(n) up to 8 elements, else the
+    singletons and pairs."""
+    if n <= 8:
+        return [mask_members(mask) for mask in range(1, 1 << n)]
+    return [(x,) for x in range(n)] + list(itertools.combinations(range(n), 2))
+
+
+def annihilator_outcome(fn, *args):
+    """As :func:`outcome`, also for the ValueError of an unknown side."""
+    try:
+        return outcome(fn, *args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def assert_structure_annihilators_match(s: CayleyStructure):
+    for side in (ideals.LEFT, ideals.RIGHT, TWO_SIDED):
+        for xs in _subsets(s.size) + [(s.size,)]:
+            fast = annihilator_outcome(ideals.annihilator, s, xs, side)
+            slow = annihilator_outcome(reference_annihilator, s, xs, side)
+            assert fast == slow, (s.name, xs, side)
+
+
+def assert_module_annihilators_match(m: FiniteSemimodule):
+    """annihilator, the zero-divisor set and Property (A), and the row tests
+    of the constant killer and the killed list, on every scalar mask (every
+    ideal and every mask of at most two scalars past 8 scalars)."""
+    s = m.semiring
+    for xs in _subsets(m.msize) + [(m.msize,)]:
+        assert outcome(ideals.annihilator, m, xs) == outcome(reference_annihilator, m, xs), (m.name, xs)
+    assert zero_divisor_mask(m) == reference_zero_divisor_mask(m), m.name
+    fast = outcome(property_a_check, s, m)
+    assert fast == outcome(reference_property_a_check, s, m), m.name
+    rows = ideals.annihilator_rows(m)
+    if s.size <= 8:
+        masks = range(1 << s.size)
+    else:
+        masks = sorted(set(ideal_masks(s, TWO_SIDED)) | {mask_of(p) for p in _subsets(s.size)})
+    for mask in masks:
+        killer = next((b for b, row in enumerate(rows) if b != m.mzero and mask & ~row == 0), None)
+        assert killer == reference_constant_killer(m, mask_members(mask)), (m.name, mask)
+        killed = [x for x, row in enumerate(rows) if mask & ~row == 0]
+        assert killed == reference_killed(m, mask), (m.name, mask)
+
+
+@st.composite
+def tables_with_zero(draw):
+    """Arbitrary tables of size 1-5, most of them patched to an absorbing
+    additive zero at a drawn element, so both annihilator sides have rows;
+    with the left-multiplication module they carry, lawful or not."""
+    s = draw(any_tables())
+    if draw(st.integers(0, 3)):
+        n, z = s.size, draw(st.integers(0, s.size - 1))
+        add, mul = [list(r) for r in s.add], [list(r) for r in s.mul]
+        for x in range(n):
+            add[z][x] = add[x][z] = x
+            mul[z][x] = mul[x][z] = z
+        s = CayleyStructure(size=n, add=add, mul=mul, name="drawn-with-zero")
+    zero = check_laws(s).zero
+    if zero is None:
+        return s, None
+    return s, FiniteSemimodule(semiring=s, msize=s.size, madd=s.add, mzero=zero, action=s.mul, name="drawn-module")
+
+
+@given(tables_with_zero())
+def test_annihilators_match_references_on_any_tables(drawn):
+    s, m = drawn
+    assert_structure_annihilators_match(s)
+    if m is not None:
+        assert_module_annihilators_match(m)
+
+
+def test_annihilators_match_references_on_the_corpus(all_entries):
+    for entry in all_entries:
+        assert_structure_annihilators_match(entry.structure)
+        for m in corpus_semimodules(entry).values():
+            assert_module_annihilators_match(m)
+
+
+def test_annihilators_match_references_on_the_saturating_ladder():
+    for top in LADDER:
+        s = saturating(top)
+        assert_structure_annihilators_match(s)
+        assert_module_annihilators_match(self_action(s))

@@ -238,6 +238,14 @@ def test_content_requires_monoid_semiring():
         content(chain_semiring(), 0)
 
 
+def test_content_rejects_an_index_outside_the_carrier():
+    ms = monoid_semiring(chain_semiring(), ((0, 1), (1, 0)))
+    assert ms.size == 9
+    for f in (-1, 9, 27):
+        with pytest.raises(StructureError):
+            content(ms, f)
+
+
 # --- bounded-degree slices -----------------------------------------------------------
 
 def test_slice_degree_zero_matches_report(commutative_entries):
