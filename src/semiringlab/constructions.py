@@ -56,10 +56,10 @@ def endomorphism_ringoid(
 ) -> EndomorphismRingoid:
     """The endomorphisms of a medial magma under pointwise sum and composition."""
     n = len(table)
-    base = freeze_table(table, n, n, "magma")
-    bad = medial_witness(base)
+    bad = medial_witness(table)  # validates the table as an n-element magma
     if bad is not None:
         raise StructureError(f"magma is not medial, witness {bad}")
+    base = tuple(map(tuple, table))
     endos = magma_endomorphisms(base, cap)
     index = {f: i for i, f in enumerate(endos)}
     size = len(endos)

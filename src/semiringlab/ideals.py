@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .analysis import analysis, reader
+from .closure import close, iter_bits
 from .errors import CapExceeded, HypothesesUnmet, StructureError, TheoremViolation
 from .limits import BRUTE_FORCE_CAP, IDEAL_ENUM_CAP
 from .tables import (
@@ -41,13 +42,6 @@ LEFT = "left"
 RIGHT = "right"
 TWO_SIDED = "two-sided"
 SIDES = (LEFT, RIGHT, TWO_SIDED)
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -142,7 +136,7 @@ def multiplicative_set(s: CayleyStructure, members: Iterable[int]) -> Multiplica
 
 def mult_closure(s: CayleyStructure, gens: Iterable[int]) -> MultiplicativeSet:
     rep = require_semiring(s)
-    mask = _close(s.mul, (0,) * s.size, mask_of(gens) | 1 << rep.one)
+    mask = close(s.mul, (0,) * s.size, mask_of(gens) | 1 << rep.one)
     return MultiplicativeSet(structure=s, mask=mask)
 
 
@@ -182,23 +176,6 @@ def make_ideal(s: CayleyStructure, members: Iterable[int], side: str = TWO_SIDED
     return IdealSet(structure=s, side=side, mask=mask)
 
 
-def _close(table, absorb: Sequence[int], mask: int) -> int:
-    """Least superset of the mask closed under the binary table and holding
-    ``absorb[x]`` for each member x. Each pair of members is looked up once:
-    a round pairs the members new in it with every member, in both orders."""
-    fresh, mask = mask, 0
-    while fresh:
-        mask |= fresh
-        grown = 0
-        for x in iter_bits(fresh):
-            grown |= absorb[x]
-            row = table[x]
-            for y in iter_bits(mask):
-                grown |= 1 << row[y] | 1 << table[y][x]
-        fresh = grown & ~mask
-    return mask
-
-
 def _absorb(s: CayleyStructure, side: str) -> tuple[int, ...]:
     """Per element x, what an ideal of the side holding x must hold: the
     products r*x (left), x*r (right) or both (two-sided) over all r."""
@@ -218,7 +195,7 @@ def _absorb_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
 
 def close_mask(s: CayleyStructure, mask: int, side: str) -> int:
     """Least superset closed under addition and the side's multiplications."""
-    return _close(s.add, _absorb(s, side), mask)
+    return close(s.add, _absorb(s, side), mask)
 
 
 def closed_sets(n: int, close: Callable[[int], int]) -> tuple[int, ...]:
@@ -759,7 +736,7 @@ def subsemimodule_masks(m: FiniteSemimodule) -> tuple[int, ...]:
     require_semimodule(m)
     act, zero = m.action, 1 << m.mzero
     absorb = tuple(mask_of(row[x] for row in act) for x in range(m.msize))
-    masks = closed_sets(m.msize, lambda mask: _close(m.madd, absorb, mask | zero))
+    masks = closed_sets(m.msize, lambda mask: close(m.madd, absorb, mask | zero))
     return tuple(sorted(masks, key=mask_members))
 
 

@@ -1,14 +1,26 @@
 """Finite algebraic structures as dense Cayley tables, with exhaustive law checks.
 
 Carriers are index sets 0..size-1 and binary operations are row-major tables,
-so every law is decidable by quantifier elimination over the carrier. Every
-law is scanned by one kernel, ``least_witness``: it walks the prefixes of the
+so every law is decidable by quantifier elimination over the carrier. One
+kernel, ``least_witness``, finds every witness: it walks the prefixes of the
 law's variables in lexicographic order and compares the two sides of the law
 as whole rows over the last variable. Failing laws therefore always carry the
 lexicographically least witness tuple, which keeps reports deterministic and
-golden-testable. Mediality of addition follows from associativity plus
-commutativity, so ``check_laws`` settles it without a scan when both hold and
-scans all four variables otherwise.
+golden-testable.
+
+``check_laws`` proves some laws on a generating set instead of scanning every
+tuple. ``generators`` picks one greedily with the closure kernel of
+:mod:`semiringlab.closure`. By Light's test (Clifford & Preston, *The
+Algebraic Theory of Semigroups*, vol. 1, 1961), an operation is associative
+when (xg)y = x(gy) for every generator g; this is applied to both operations.
+Over an associative addition, a(g+c) = ag+ac for every additive generator g
+gives left distributivity, and the same test on the transposed
+multiplication gives right distributivity. A reduced test only says "holds":
+when it fails, the full ``least_witness`` scan runs, so every witness is the
+one the full scan finds. Mediality of addition follows from associativity
+plus commutativity, so it is settled without a scan when both hold. Otherwise
+only the prefixes with b < c are walked: swapping b and c swaps the two sides
+of (a+b)+(c+d) = (a+c)+(b+d), so the least failing tuple has b < c.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .analysis import analysis, reader
+from .closure import close
 from .errors import StructureError
 
 Row = tuple[int, ...]
@@ -230,13 +243,16 @@ def transpose(table: Table) -> Table:
     return tuple(zip(*table))
 
 
+def _associative_rows(mul: Table, act: Table) -> Callable:
+    """(st)x and s(tx) as rows over x, at a prefix (s, t)."""
+    return lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
+
+
 def associative_witness(mul: Table, act: Table) -> Optional[tuple[int, int, int]]:
     """Least (s, t, x) with (st)x != s(tx) for an action ``act`` of the
     magma ``mul``; ``act = mul`` gives associativity of ``mul`` itself."""
     n = len(mul)
-    return least_witness(
-        (n, n, len(act[0])), lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
-    )
+    return least_witness((n, n, len(act[0])), _associative_rows(mul, act))
 
 
 def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
@@ -245,30 +261,69 @@ def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
     return least_witness((len(table),) * 2, lambda a: (table[a], cols[a]))
 
 
+def _distributive_rows(add: Table, mul: Table) -> Callable:
+    """a(b+c) and ab+ac as rows over c, at a prefix (a, b)."""
+    return lambda a, b: ([mul[a][x] for x in add[b]], [add[mul[a][b]][y] for y in mul[a]])
+
+
 def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int]]:
     """Least (a, b, c) with a(b+c) != ab+ac, where ``mul`` has one row per
     multiplier and one column per element of ``add``. Right distributivity is
     this law for ``transpose(mul)``."""
     n = len(add)
-    return least_witness(
-        (len(mul), n, n),
-        lambda a, b: ([mul[a][x] for x in add[b]], [add[mul[a][b]][y] for y in mul[a]]),
-    )
+    return least_witness((len(mul), n, n), _distributive_rows(add, mul))
 
 
 def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
     """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
     n = len(table)
-    t = freeze_table(table, n, n, "magma")
-    return least_witness(
-        (n,) * 4,
-        lambda a, b, c: ([t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]),
-    )
+    return _medial_witness(freeze_table(table, n, n, "magma"))
+
+
+def _medial_witness(t: Table) -> Optional[tuple[int, int, int, int]]:
+    """``medial_witness`` of a validated table. Swapping b and c swaps the
+    two sides, so the failing tuples are symmetric under b <-> c and none
+    has b = c: the least one has b < c, and only those prefixes are walked."""
+    n = len(t)
+    pairs = tuple(itertools.combinations(range(n), 2))
+
+    def rows(a, k):
+        b, c = pairs[k]
+        return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
+
+    w = least_witness((n, len(pairs), n), rows)
+    return None if w is None else (w[0], *pairs[w[1]], w[2])
+
+
+def generators(table: Table) -> tuple[int, ...]:
+    """A generating set of the magma ``table``, picked greedily: the least
+    element outside the subset generated so far, until that is the carrier."""
+    n = len(table)
+    full, absorb = (1 << n) - 1, (0,) * n
+    gens: list[int] = []
+    closed = 0
+    while closed != full:
+        g = (~closed & (closed + 1)).bit_length() - 1  # the least element outside
+        gens.append(g)
+        closed = close(table, absorb, 1 << g, closed)
+    return tuple(gens)
+
+
+def _generated_witness(gens: Sequence[int], shape: Sequence[int], rows: Callable) -> Optional[tuple[int, ...]]:
+    """``least_witness(shape, rows)`` for a law in three variables that holds
+    once it holds with its middle variable on ``gens``. That reduced test
+    only ever says "holds": when it fails, or when ``gens`` is the whole
+    middle range and so reduces nothing, the full scan runs."""
+    first, middle, last = shape
+    if len(gens) < middle and least_witness((first, len(gens), last), lambda a, i: rows(a, gens[i])) is None:
+        return None
+    return least_witness(shape, rows)
 
 
 @reader("laws")
 def check_laws(s: CayleyStructure) -> LawReport:
-    """Decide every law flag exhaustively, with lexicographically least witnesses."""
+    """Decide every law flag over the whole carrier, with lexicographically
+    least witnesses."""
     return analysis(s).get("laws", None, _law_report, s)
 
 
@@ -283,14 +338,28 @@ def _law_report(s: CayleyStructure) -> LawReport:
         witnesses[law] = witness
         return False
 
-    left_distributive = settle("left_distributive", distributive_witness(add, mul))
-    right_distributive = settle("right_distributive", distributive_witness(add, mul_cols))
-    add_associative = settle("add_associative", associative_witness(add, add))
+    # Light's test: (x+g)+y = x+(g+y) for every additive generator g makes
+    # the addition associative; the multiplication is tested the same way
+    add_gens = generators(add)
+    add_assoc_w = _generated_witness(add_gens, (n, n, n), _associative_rows(add, add))
+    # over an associative addition, a(g+c) = ag+ac for every additive
+    # generator g gives a(b+c) = ab+ac for every b, by induction on b;
+    # otherwise every b is scanned
+    dist_gens = add_gens if add_assoc_w is None else range(n)
+    left_distributive = settle(
+        "left_distributive", _generated_witness(dist_gens, (n, n, n), _distributive_rows(add, mul))
+    )
+    right_distributive = settle(
+        "right_distributive", _generated_witness(dist_gens, (n, n, n), _distributive_rows(add, mul_cols))
+    )
+    add_associative = settle("add_associative", add_assoc_w)
     add_commutative = settle("add_commutative", commutative_witness(add))
     add_medial = settle(
-        "add_medial", None if add_associative and add_commutative else medial_witness(add)
+        "add_medial", None if add_associative and add_commutative else _medial_witness(add)
     )
-    mul_associative = settle("mul_associative", associative_witness(mul, mul))
+    mul_associative = settle(
+        "mul_associative", _generated_witness(generators(mul), (n, n, n), _associative_rows(mul, mul))
+    )
     mul_commutative = settle("mul_commutative", commutative_witness(mul))
 
     zero = _neutral(add, n)

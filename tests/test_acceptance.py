@@ -8,10 +8,15 @@ cross-product golden.
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import semiringlab
 from semiringlab.cli import main
 from semiringlab.corpus import corpus, corpus_entry, corpus_semimodules, saturating
 from semiringlab.covering import covering, mccoy_exponent, semiring_avoidance
@@ -264,6 +269,21 @@ def test_verify_all_json_is_byte_identical(capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert code == 0
     assert digest == VERIFY_ALL_SEED_0_SHA256
+
+
+def test_verify_all_json_is_byte_identical_under_python_O():
+    """The same report from a fresh interpreter run with ``-O``, which
+    strips ``assert`` statements: every theorem check must still run."""
+    src = str(Path(semiringlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "semiringlab", "verify-all", "--json", "--seed", "0"],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SEED_0_SHA256
 
 
 SATURATING_16_SHA256 = {

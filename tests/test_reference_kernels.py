@@ -7,15 +7,19 @@ comprehension, the principal-product scan behind the Behrens elements,
 Davis' keep-and-chain loop and the maximal-family comprehension; the
 three-branch annihilator, the zero-divisor loop, the Property (A) loop, the
 constant-killer loop and the killed list, which the annihilator rows
-replaced. Every field and witness must agree, and a computation that raises
-must raise the same error."""
+replaced; the scan of mediality over all four variables, which the walk
+over b < c replaced, and the filter of every n^(n*n) table, which the pruned
+search for medial magmas replaced. Every field and witness must agree, and
+a computation that raises must raise the same error."""
 
 import dataclasses
 import functools
 import itertools
+import random
 from types import MappingProxyType
 from typing import Optional
 
+import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab.corpus import (
@@ -28,6 +32,7 @@ from semiringlab.corpus import (
     saturating,
 )
 from semiringlab import ideals
+from semiringlab.constructions import endomorphism_ringoid, medial_witness
 from semiringlab.covering import (
     HOLDS,
     WitnessReport,
@@ -37,7 +42,7 @@ from semiringlab.covering import (
     _verify_subtractive_primes,
     davis_witness,
 )
-from semiringlab.errors import StructureError, TheoremViolation
+from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
 from semiringlab.ideals import (
     TWO_SIDED,
     IdealClassification,
@@ -60,10 +65,13 @@ from semiringlab.ideals import (
     residual_rows,
 )
 from semiringlab.spectrum import spec_of
+from semiringlab.suites import medial_magma_corpus
 from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
     check_laws,
+    freeze_table,
+    least_witness,
     require_commutative_semiring,
     require_semimodule,
     self_action,
@@ -790,3 +798,74 @@ def test_annihilators_match_references_on_the_saturating_ladder():
         s = saturating(top)
         assert_structure_annihilators_match(s)
         assert_module_annihilators_match(self_action(s))
+
+
+# --- mediality --------------------------------------------------------------------
+
+
+def reference_medial_witness(table) -> Optional[tuple]:
+    """The scan over all four variables that the b < c walk replaced."""
+    n = len(table)
+    t = freeze_table(table, n, n, "magma")
+    return least_witness(
+        (n,) * 4,
+        lambda a, b, c: ([t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]),
+    )
+
+
+def reference_medial_magma_corpus(size_cap: int = 3, per_size_cap: int = 400) -> list:
+    """The filter over every n^(n*n) table that the pruned search replaced."""
+    batch = []
+    for n in range(1, size_cap + 1):
+        count = 0
+        for flat in itertools.product(range(n), repeat=n * n):
+            table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
+            if reference_medial_witness(table) is None:
+                batch.append(table)
+                count += 1
+                if count >= per_size_cap:
+                    break
+    return batch + medial_magma_corpus(size_cap=0)
+
+
+@given(any_tables())
+def test_medial_witness_matches_the_full_scan_on_any_tables(s):
+    assert medial_witness(s.add) == reference_medial_witness(s.add)
+    assert medial_witness(s.mul) == reference_medial_witness(s.mul)
+
+
+def _endomorphism_additions():
+    out = []
+    for table in medial_magma_corpus():
+        try:
+            out.append(endomorphism_ringoid(table, cap=64).add)
+        except CapExceeded:
+            pass
+    return out
+
+
+def test_medial_witness_matches_the_full_scan_on_endomorphism_additions():
+    """Every endomorphism-ringoid addition of ``endomorphism_suite`` holds,
+    and so does each one-cell mutant's least witness. The 64-element one
+    (the endomorphisms of the constant magma) is left out: its full scan
+    alone walks 2^18 rows of 64."""
+    rng = random.Random(0)
+    additions = [add for add in _endomorphism_additions() if len(add) < 64]
+    assert len(additions) == 384
+    for add in additions:
+        assert medial_witness(add) == reference_medial_witness(add) is None
+        if len(add) >= 10:
+            for _ in range(4):
+                rows = [list(row) for row in add]
+                i, j = rng.randrange(len(add)), rng.randrange(len(add))
+                rows[i][j] = (rows[i][j] + 1 + rng.randrange(len(add) - 1)) % len(add)
+                assert medial_witness(rows) == reference_medial_witness(rows)
+
+
+@pytest.mark.parametrize("per_size_cap", [400, 7, 1])
+def test_medial_magma_corpus_matches_the_exhaustive_filter(per_size_cap):
+    """Element by element and in order. A cap of 7 cuts the ten medial
+    tables of size 2 and the 369 of size 3; a cap of 1 keeps one a size."""
+    fast = medial_magma_corpus(per_size_cap=per_size_cap)
+    assert fast == reference_medial_magma_corpus(per_size_cap=per_size_cap)
+    assert len(fast) == {400: 385, 7: 20, 1: 8}[per_size_cap]

@@ -1,15 +1,18 @@
 """Law checking and semimodule axioms against independent in-test oracles."""
 
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from semiringlab.constructions import direct_product
 from semiringlab.corpus import (
     boolean_semifield,
     chain_semiring,
     componentwise_module,
+    corpus,
     cross_product_hemiring,
     saturating,
 )
@@ -20,6 +23,7 @@ from semiringlab.tables import (
     LAW_NAMES,
     SEMIMODULE_AXIOMS,
     check_laws,
+    generators,
     is_semifield,
     semimodule_check,
     self_action,
@@ -94,32 +98,81 @@ def test_malformed_table_rejected():
 
 def _least(sizes, bad):
     """Least tuple of the product of ranges on which ``bad`` holds, one tuple at a time."""
-    return next((t for t in itertools.product(*(range(n) for n in sizes)) if bad(*t)), None)
+    return next(itertools.compress(_tuples(sizes), itertools.starmap(bad, _tuples(sizes))), None)
+
+
+def _tuples(sizes):
+    return itertools.product(*(range(n) for n in sizes))
+
+
+def _least_by_rows(sizes, bad):
+    """``_least`` for a ``bad`` that takes every coordinate but the last and
+    answers for each value of the last in turn: still one tuple at a time,
+    without a call per tuple."""
+    for prefix in _tuples(sizes[:-1]):
+        flags = bad(*prefix)
+        if True in flags:
+            return (*prefix, flags.index(True))
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_magma(op):
+    """The neutral element and the least associativity and commutativity
+    witnesses of one table, each scanned by its definition. They are kept
+    per table, since a one-cell mutant of one table of a structure shares
+    the other with its original."""
+    n = len(op)
+    neutral = next((e for e in range(n) if all(op[e][x] == x == op[x][e] for x in range(n))), None)
+
+    def non_associative(a, b):  # (ab)c != a(bc), for each c
+        ab, opa, opb = op[op[a][b]], op[a], op[b]
+        return [ab[c] != opa[opb[c]] for c in range(n)]
+
+    associative = _least_by_rows((n,) * 3, non_associative)
+    commutative = _least((n,) * 2, lambda a, b: op[a][b] != op[b][a])
+    return neutral, associative, commutative
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_medial(op):
+    """The least mediality witness of one table. An associative and
+    commutative operation is medial, so the n^4 scan only runs where it can
+    fail."""
+    n = len(op)
+    if oracle_magma(op)[1:] == (None, None):
+        return None
+    return _least((n,) * 4, lambda a, b, c, d: op[op[a][b]][op[c][d]] != op[op[a][c]][op[b][d]])
 
 
 def oracle_laws(add, mul):
-    """Zero, one and least witnesses of every law, each scanned by its definition."""
+    """Zero, one and least witnesses of every law, each scanned by its
+    definition, in the order ``check_laws`` reports them."""
     n = len(add)
+    z, add_associative, add_commutative = oracle_magma(add)
+    e, mul_associative, mul_commutative = oracle_magma(mul)
 
-    def neutral(op):
-        return next((e for e in range(n) if all(op[e][x] == x == op[x][e] for x in range(n))), None)
+    def non_left_distributive(a, b):  # a(b+c) != ab+ac, for each c
+        ma, addb, ab_plus = mul[a], add[b], add[mul[a][b]]
+        return [ma[addb[c]] != ab_plus[ma[c]] for c in range(n)]
 
-    z, e = neutral(add), neutral(mul)
+    def non_right_distributive(a, b):  # (b+c)a != ba+ca, for each c
+        addb, ba_plus = add[b], add[mul[b][a]]
+        return [mul[addb[c]][a] != ba_plus[mul[c][a]] for c in range(n)]
+
     found = {
-        "left_distributive": _least((n,) * 3, lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
-        "right_distributive": _least((n,) * 3, lambda a, b, c: mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]),
-        "add_associative": _least((n,) * 3, lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]]),
-        "add_commutative": _least((n,) * 2, lambda a, b: add[a][b] != add[b][a]),
-        "add_medial": _least(
-            (n,) * 4, lambda a, b, c, d: add[add[a][b]][add[c][d]] != add[add[a][c]][add[b][d]]
-        ),
-        "mul_associative": _least((n,) * 3, lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]]),
-        "mul_commutative": _least((n,) * 2, lambda a, b: mul[a][b] != mul[b][a]),
+        "left_distributive": _least_by_rows((n,) * 3, non_left_distributive),
+        "right_distributive": _least_by_rows((n,) * 3, non_right_distributive),
+        "add_associative": add_associative,
+        "add_commutative": add_commutative,
+        "add_medial": oracle_medial(add),
+        "mul_associative": mul_associative,
+        "mul_commutative": mul_commutative,
         "has_zero": None if z is not None else (),
         "zero_absorbing": () if z is None else _least((n,), lambda x: mul[z][x] != z or mul[x][z] != z),
-        "has_one": None if e is not None else (),
         "zerosumfree": () if z is None else _least((n,) * 2, lambda a, b: add[a][b] == z and (a, b) != (z, z)),
         "entire": () if z is None else _least((n,) * 2, lambda a, b: mul[a][b] == z and a != z and b != z),
+        "has_one": None if e is not None else (),
         "complemented": ()
         if z is None or e is None
         else _least(
@@ -136,6 +189,7 @@ def assert_laws_match_oracle(add, mul):
     zero, one, witnesses = oracle_laws(add, mul)
     assert (rep.zero, rep.one) == (zero, one)
     assert rep.witnesses == witnesses
+    assert list(rep.witnesses) == list(witnesses)
     assert [rep.flag(law) for law in LAW_NAMES] == [law not in witnesses for law in LAW_NAMES]
 
 
@@ -166,6 +220,29 @@ def test_random_tables_witnesses_are_valid_size3(add_flat, mul_flat):
     assert_laws_match_oracle(_square(add_flat, 3), _square(mul_flat, 3))
 
 
+def _generated(table, gens):
+    """The subset generated by ``gens``: products taken until nothing is new."""
+    got = set(gens)
+    while True:
+        new = {table[x][y] for x in got for y in got} - got
+        if not new:
+            return got
+        got |= new
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*(st.integers(0, n - 1) for _ in range(n * n)))))
+def test_generators_are_picked_greedily_and_generate(flat):
+    """Each generator is the least element outside the subset generated by
+    the ones before it, and together they generate the carrier: the reduced
+    law tests are sound only on a generating set."""
+    n = round(len(flat) ** 0.5)
+    table = _square(flat, n)
+    gens = generators(table)
+    for i, g in enumerate(gens):
+        assert g == min(set(range(n)) - _generated(table, gens[:i]))
+    assert _generated(table, gens) == set(range(n))
+
+
 def test_corpus_one_cell_mutants_match_oracle(all_entries):
     rng = random.Random(0)
     for entry in all_entries:
@@ -175,6 +252,40 @@ def test_corpus_one_cell_mutants_match_oracle(all_entries):
             assert_laws_match_oracle(add, s.mul)
         for mul in _one_cell_mutants(s.mul, rng, 8):
             assert_laws_match_oracle(s.add, mul)
+
+
+def _relabelled(table, perm):
+    """The table carried along the permutation: perm[x]*perm[y] = perm[x*y]."""
+    out = [[0] * len(table) for _ in table]
+    for x, row in enumerate(table):
+        for y, v in enumerate(row):
+            out[perm[x]][perm[y]] = perm[v]
+    return tuple(map(tuple, out))
+
+
+def test_flag_products_relabellings_and_mutants_match_oracle():
+    """The products of ``product_flag_suite`` have associative addition and
+    3-10 additive generators, so associativity and both distributive laws
+    are proved on generators there. A relabelled copy has other generators;
+    a one-cell mutant mostly fails the reduced test, and the full scan must
+    then find the least witness."""
+    rng = random.Random(8)
+    entries = [e.structure for e in corpus() if e.structure.size <= 8]
+    pairs = [(a, b) for a, b in itertools.combinations(entries, 2) if a.size * b.size <= 64]
+    assert len(pairs) == 36
+    for a, b in pairs:
+        p = direct_product([a, b])
+        assert check_laws(p).add_associative and len(generators(p.add)) < p.size
+        assert_laws_match_oracle(p.add, p.mul)
+        perm = list(range(p.size))
+        rng.shuffle(perm)
+        add, mul = _relabelled(p.add, perm), _relabelled(p.mul, perm)
+        assert generators(add) != tuple(sorted(perm[g] for g in generators(p.add)))
+        assert_laws_match_oracle(add, mul)
+        for mutant in _one_cell_mutants(p.add, rng, 8):
+            assert_laws_match_oracle(mutant, p.mul)
+        for mutant in _one_cell_mutants(p.mul, rng, 8):
+            assert_laws_match_oracle(p.add, mutant)
 
 
 @pytest.mark.parametrize(
