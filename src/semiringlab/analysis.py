@@ -14,13 +14,21 @@ computed on its first read and read back afterwards. A context holds:
 - ``annihilators``, keyed by side (left or right, for a structure with
   absorbing zero): per element x, the mask of the r with r*x = 0 (left) or
   x*r = 0 (right);
+- ``plane``, keyed by value v: the value plane of v, the mask of the
+  n*n cells x*n + y with x*y = v. Planes are filled on demand, all those a
+  read still lacks in one pass over the multiplication table;
+- ``orbits``: per element x, the mask of its power orbit x, x^2, x^3, ...;
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
   ``radical``, the radical's mask, ``square``, the mask of the elementwise
   square {u*v : u, v in the mask}, and ``residual``, the residual rows
-  {y : x*y in the mask} for every element x. Subtractiveness, the radical,
-  the square and the residual rows do not depend on the side, so they are
-  keyed on the mask alone;
-- ``classification``, keyed by (mask, T-mask), with None for no T.
+  {y : x*y in the mask} for every element x, cut from the OR of the planes
+  of the mask's members. Subtractiveness, the radical, the square and the
+  residual rows do not depend on the side, so they are keyed on the mask
+  alone;
+- ``classification``, keyed by (mask, T-mask), with None for no T, and
+  ``semiprime_residual``, keyed by (mask, T-mask): the least t in T whose
+  residual quotient of the two-sided ideal is proper and semiprime, with
+  that quotient's mask, or None.
 
 A semimodule has a context of its own, holding ``semimodule``: its
 :class:`~semiringlab.tables.SemimoduleReport`, and ``annihilators``, keyed
@@ -36,8 +44,9 @@ context.
 Structures (and semimodules) that compare equal share one context, so
 equal structures built separately share their facts. Contexts are kept for
 the life of the process, so every distinct structure analysed stays in
-memory. The radical is stored as a mask, which ``radical`` wraps in an
-ideal of the caller's own structure. ``counts`` gives, per fact, how many
+memory. The radical and the semiprime residual quotient are stored as
+masks, which ``radical`` and ``semiprime_residual`` wrap in ideals of the
+caller's own structure. ``counts`` gives, per fact, how many
 values were computed and how many reads were answered from a context, and
 ``context_count`` how many contexts there are.
 """
@@ -58,10 +67,13 @@ FACTS = (
     "annihilators",
     "subtractive",
     "prime",
+    "plane",
+    "orbits",
     "radical",
     "square",
     "residual",
     "classification",
+    "semiprime_residual",
     "semimodule",
 )
 
@@ -92,6 +104,19 @@ class Analysis:
         self.facts.setdefault(kind, {})[key] = value
         _FILLED[kind] += 1
         return value
+
+    def fill(self, kind: str, keys: list, compute: Callable, *args) -> list:
+        """The ``kind`` facts at ``keys``, the missing ones computed together
+        as ``compute(*args, missing)``, which returns their values in order."""
+        table = self.facts.get(kind, {})
+        missing = [key for key in keys if key not in table]
+        if missing:
+            values = compute(*args, missing)
+            table = self.facts.setdefault(kind, table)
+            table.update(zip(missing, values))
+            _FILLED[kind] += len(missing)
+        _REUSED[kind] += len(keys) - len(missing)
+        return [table[key] for key in keys]
 
 
 _CONTEXTS: dict = {}

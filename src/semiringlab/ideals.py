@@ -13,9 +13,18 @@ products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
 (the masks not strictly inside another), and two kept in the context:
 :func:`residual_rows` (per element x, the residual {y : x*y in a mask})
 and :func:`annihilator_rows` (per element x, the scalars killing x). Prime,
-2-absorbing and T-semiprime tests, residual quotients and the Behrens
-products of :mod:`semiringlab.covering` read the residual rows; every
-annihilator and zero-divisor set reads the annihilator rows.
+2-absorbing and T-semiprime tests, residual quotients, right annihilators
+and the Behrens products of :mod:`semiringlab.covering` read the residual
+rows; every other annihilator and zero-divisor set reads the annihilator
+rows.
+
+The residual rows of a mask are the OR of the value planes of its
+members, cut into n rows of n bits: the plane of v marks the cells
+x*n + y with x*y = v. The context keeps the cut rows per mask. Planes
+are built when first needed, those a mask still lacks in one pass over
+the table, so a large carrier whose callers need few values never builds
+the n^3 bits of all planes. Radicals read one power-orbit mask per
+element: the radical of I is {x : orbit(x) meets I}.
 """
 
 from __future__ import annotations
@@ -257,7 +266,29 @@ def residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
 
 
 def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
-    return tuple(mask_of(y for y, xy in enumerate(row) if mask >> xy & 1) for row in s.mul)
+    """The OR of the value planes of the mask's members, cut into n rows."""
+    n = s.size
+    cells = union_mask(analysis(s).fill("plane", list(iter_bits(mask)), _planes, s))
+    full = (1 << n) - 1
+    return tuple(cells >> shift & full for shift in range(0, n * n, n))
+
+
+def _planes(s: CayleyStructure, values: list[int]) -> list[int]:
+    """Per value v, the mask of the cells x*n + y with x*y = v, in one pass
+    over the table: each row is sorted into its n-bit fibres before any is
+    shifted into a plane."""
+    n = s.size
+    planes = dict.fromkeys(values, 0)
+    for x, row in enumerate(s.mul):
+        fibres = dict.fromkeys(values, 0)
+        for y, xy in enumerate(row):
+            if xy in fibres:
+                fibres[xy] |= 1 << y
+        shift = x * n
+        for v, fibre in fibres.items():
+            if fibre:
+                planes[v] |= fibre << shift
+    return list(planes.values())
 
 
 def annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: str = LEFT) -> tuple[int, ...]:
@@ -417,11 +448,16 @@ def radical_mask(s: CayleyStructure, mask: int) -> int:
 
 
 def _radical_mask(s: CayleyStructure, mask: int) -> int:
-    out = 0
-    for x in range(s.size):
-        if any(mask >> p & 1 for p in power_orbit(s, x)):
-            out |= 1 << x
-    return out
+    return mask_of(x for x, orbit in enumerate(_orbits(s)) if orbit & mask)
+
+
+def _orbits(s: CayleyStructure) -> tuple[int, ...]:
+    """Per element x, the mask of its power orbit."""
+    return analysis(s).get("orbits", None, _orbit_masks, s)
+
+
+def _orbit_masks(s: CayleyStructure) -> tuple[int, ...]:
+    return tuple(mask_of(power_orbit(s, x)) for x in range(s.size))
 
 
 def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
@@ -657,12 +693,26 @@ def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> Ide
 
 
 def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tuple[int, IdealSet]]:
-    """The least t in T whose residual quotient (I : t) is proper and
-    semiprime, with that quotient, or None if there is no such t."""
-    for t in iter_bits(t_set.mask):
+    """The least t in T whose residual quotient (I : t) of a two-sided ideal
+    is proper and semiprime, with that quotient, or None if there is no
+    such t."""
+    s = ideal.structure
+    if ideal.side != TWO_SIDED:
+        raise ValueError("semiprime residuals are taken of two-sided ideals")
+    key = (ideal.mask, t_set.mask)
+    found = analysis(s).get("semiprime_residual", key, _semiprime_residual, s, *key)
+    if found is None:
+        return None
+    t, mask = found
+    return t, IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+
+
+def _semiprime_residual(s: CayleyStructure, mask: int, t_mask: int) -> Optional[tuple[int, int]]:
+    ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+    for t in iter_bits(t_mask):
         r = residual(ideal, t)
-        if r.is_proper and _semiprime_elementwise(ideal.structure, r.mask) is None:
-            return t, r
+        if r.is_proper and _semiprime_elementwise(s, r.mask) is None:
+            return t, r.mask
     return None
 
 

@@ -229,22 +229,7 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
     classes = list(by_row.values())
     pair_class = {p: i for i, pairs in enumerate(classes) for p in pairs}
     size = len(classes)
-
-    def combine(table_op, i, j):
-        results = set()
-        for a, u in classes[i]:
-            for b, v in classes[j]:
-                if table_op is add:
-                    num = add[mul[a][v]][mul[b][u]]
-                else:
-                    num = mul[a][b]
-                results.add(pair_class[(num, mul[u][v])])
-        if len(results) != 1:
-            raise TheoremViolation("quotient operation is not well defined")
-        return results.pop()
-
-    add_rows = [[combine(add, i, j) for j in range(size)] for i in range(size)]
-    mul_rows = [[combine(mul, i, j) for j in range(size)] for i in range(size)]
+    add_rows, mul_rows = _quotient_tables(s, classes)
     one_u = rep.one
     q = CayleyStructure(
         size=size,
@@ -278,6 +263,51 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
         canonical=canonical,
         maximal_ideals=maximal,
     )
+
+
+def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
+    """The addition and multiplication tables over classes of pairs (a, u),
+    each class listed with its representative first.
+
+    Per operation, every pair p gets the row of the classes of p op q over
+    all pairs q, with (a, u) + (b, v) = (a*v + b*u, u*v) and
+    (a, u) * (b, v) = (a*b, u*v). The operation is well defined exactly when
+    every pair has its representative's row and that row is constant on each
+    class; so every product is computed and compared, and a failure raises
+    :class:`TheoremViolation`.
+    """
+    add, mul, n = s.add, s.mul, s.size
+    cols = tuple(zip(*mul))
+    by_den: dict = {}  # u -> the class of (a, u) for each a
+    for i, members in enumerate(classes):
+        for a, u in members:
+            by_den.setdefault(u, [0] * n)[a] = i
+    dens = sorted(by_den)
+    # a row holds one block per v: the classes of p op (b, v), by b
+    blocks = [by_den[v] for v in dens]
+    first = [(dens.index(u), a) for a, u in (members[0] for members in classes)]
+
+    def table(product) -> list:
+        rows = []
+        for members in classes:
+            row = product(*members[0])
+            entries = [row[k][b] for k, b in first]
+            if [[entries[c] for c in block] for block in blocks] != row or any(
+                product(a, u) != row for a, u in members[1:]
+            ):
+                raise TheoremViolation("quotient operation is not well defined")
+            rows.append(entries)
+        return rows
+
+    def add_row(a: int, u: int) -> list:
+        ra, cu, ru = mul[a], cols[u], mul[u]
+        return [list(map(by_den[ru[v]].__getitem__, map(add[ra[v]].__getitem__, cu))) for v in dens]
+
+    def mul_row(a: int, u: int) -> list:
+        ra, ru = mul[a], mul[u]
+        return [list(map(by_den[ru[v]].__getitem__, ra)) for v in dens]
+
+    return table(add_row), table(mul_row)
 
 
 def annihilator_extension_check(q: QuotientSemiring, x: int) -> bool:

@@ -5,6 +5,7 @@ and read-only reports."""
 import contextlib
 import dataclasses
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +35,7 @@ from semiringlab.ideals import (
     principal_masks,
     radical,
     residual_rows,
+    semiprime_residual,
 )
 from semiringlab.spectrum import _spec_masks
 from semiringlab.tables import CayleyStructure, check_laws, self_action, semimodule_check
@@ -76,11 +78,17 @@ def reads(s):
             out.append(("radical", i.mask, radical(i).mask))
             if not i.mask & t_set.mask:
                 out.append(("classification", (i.mask, t_set.mask), classify_ideal(i, t_set)))
+                found = semiprime_residual(i, t_set)
+                stored = None if found is None else (found[0], found[1].mask)
+                out.append(("semiprime_residual", (i.mask, t_set.mask), stored))
     if t_set is not None:
+        out.append(("orbits", None, ideals._orbits(s)))
         out.append(("quotient", None, total_quotient(s)))
-    # squares have no public read: each is checked as the classifications left it
-    for mask, square in analysis(s).facts.get("square", {}).items():
-        out.append(("square", mask, square))
+    # squares and planes have no public read: each is checked as the
+    # classifications and residual rows left it
+    for kind in ("square", "plane"):
+        for key, value in analysis(s).facts.get(kind, {}).items():
+            out.append((kind, key, value))
     return out
 
 
@@ -95,10 +103,13 @@ COMPUTE = {
     "annihilators": lambda target, side: ideals._annihilator_rows(target, side),
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
     "prime": lambda s, mask: ideals._prime(s, mask),
+    "plane": lambda s, value: ideals._planes(s, [value])[0],
+    "orbits": lambda s, key: ideals._orbit_masks(s),
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
     "square": lambda s, mask: ideals._square_mask(s, mask),
     "residual": lambda s, mask: ideals._residual_rows(s, mask),
     "classification": lambda s, key: ideals._classification(s, *key),
+    "semiprime_residual": lambda s, key: ideals._semiprime_residual(s, *key),
     "semimodule": lambda m, key: tables._semimodule_report(m),
 }
 
@@ -174,6 +185,7 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
         "_subtractive",
         "_prime",
         "_radical_mask",
+        "_orbit_masks",
         "_square_mask",
         "_residual_rows",
         "_annihilator_rows",
@@ -212,6 +224,46 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
     assert sum(k[0] == "_annihilator_rows" for k in calls) == 3
     for name in ("_subtractive", "_radical_mask", "_classification"):
         assert sum(k[0] == name for k in calls) == len(lattice), name
+
+
+def test_each_plane_is_built_once(monkeypatch):
+    """Planes are built on demand, every plane a read lacks in one pass."""
+    built = []
+    original = ideals._planes
+
+    def counted(s, values):
+        built.append(list(values))
+        return original(s, values)
+
+    monkeypatch.setattr(ideals, "_planes", counted)
+    s = chain_semiring()
+    with fresh_contexts():
+        for mask in (1, (1 << s.size) - 1, *range(1 << s.size)):
+            residual_rows(s, mask)
+    assert built == [[0], [1, 2]]
+
+
+def test_one_residual_row_set_of_a_large_carrier_stays_small():
+    """The right annihilators of a 512-element lattice need the plane of
+    zero alone: 32 KiB, where all 512 planes would take 16 MiB."""
+    n = 512
+    s = CayleyStructure(
+        size=n,
+        add=[[a | b for b in range(n)] for a in range(n)],
+        mul=[[a & b for b in range(n)] for a in range(n)],
+        name="lattice-512",
+    )
+    hash(s)
+    with fresh_contexts():
+        tracemalloc.start()
+        try:
+            rows = residual_rows(s, 1 << 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[0] == (1 << n) - 1 and rows[n - 1] == 1
+        assert set(analysis(s).facts["plane"]) == {0}
+    assert peak <= 1 << 20, peak
 
 
 def test_a_computation_that_raises_leaves_no_trace():

@@ -20,6 +20,7 @@ from semiringlab.corpus import (
 )
 from semiringlab.errors import HypothesesUnmet, StructureError
 from semiringlab.ideals import (
+    LEFT,
     IdealSet,
     TWO_SIDED,
     all_tree_shapes,
@@ -43,6 +44,7 @@ from semiringlab.ideals import (
     radical,
     residual,
     set_product_mask,
+    semiprime_residual,
     subtractive_sumtree_property,
     t_semiprime_equivalence,
 )
@@ -397,6 +399,16 @@ def test_equivalence_semiprime_case():
     t_set = mult_closure(t, [2])
     holds, witness = t_semiprime_equivalence(p, t_set)
     assert holds and witness == 2  # the unit element realizes the equivalence
+
+
+def test_semiprime_residual_is_taken_of_two_sided_ideals():
+    t = chain_semiring()
+    p = make_ideal(t, [0, 1])
+    t_set = mult_closure(t, [2])
+    found = semiprime_residual(p, t_set)
+    assert found[0] == 2 and found[1] == p
+    with pytest.raises(ValueError):
+        semiprime_residual(make_ideal(t, [0, 1], LEFT), t_set)
 
 
 def test_equivalence_rejects_meeting_t():

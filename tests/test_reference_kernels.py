@@ -1,16 +1,18 @@
 """The bit-row and mask kernels against the loops they replaced, kept here
 as slow references: the per-J square loop for semiprimeness, the triple
-loop for 2-absorbing ideals, the all() loop for the T-element and the scan
-over every non-zero-divisor for the localization relation; the pairwise
-product test and the triple-loop sandwich for primality, the residual
-comprehension, the principal-product scan behind the Behrens elements,
-Davis' keep-and-chain loop and the maximal-family comprehension; the
-three-branch annihilator, the zero-divisor loop, the Property (A) loop, the
-constant-killer loop and the killed list, which the annihilator rows
-replaced; the scan of mediality over all four variables, which the walk
-over b < c replaced, and the filter of every n^(n*n) table, which the pruned
-search for medial magmas replaced. Every field and witness must agree, and
-a computation that raises must raise the same error."""
+loop for 2-absorbing ideals, the all() loop for the T-element, the scan
+over every non-zero-divisor for the localization relation and the
+per-class-pair combine for the quotient tables; the pairwise product test
+and the triple-loop sandwich for primality, the residual comprehension
+(which the value planes replaced), the power-orbit scan for radicals
+(which the orbit masks replaced), the principal-product scan behind the
+Behrens elements, Davis' keep-and-chain loop and the maximal-family
+comprehension; the three-branch annihilator, the zero-divisor loop, the
+Property (A) loop, the constant-killer loop and the killed list, which the
+annihilator rows replaced; the scan of mediality over all four variables,
+which the walk over b < c replaced, and the filter of every n^(n*n) table,
+which the pruned search for medial magmas replaced. Every field and witness
+must agree, and a computation that raises must raise the same error."""
 
 import dataclasses
 import functools
@@ -560,17 +562,40 @@ def reference_maximal_masks(masks) -> tuple:
     return tuple(out)
 
 
+def reference_residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
+    return tuple(mask_of(y for y, xy in enumerate(row) if mask >> xy & 1) for row in s.mul)
+
+
+def reference_radical(s: CayleyStructure, mask: int) -> int:
+    out = 0
+    for x in range(s.size):
+        if any(mask >> p & 1 for p in ideals.power_orbit(s, x)):
+            out |= 1 << x
+    return out
+
+
+def assert_rows_and_radicals_match(s):
+    """Every residual row and the radical of every subset; past 8 elements,
+    of every ideal and of 64 seeded arbitrary masks."""
+    if s.size <= 8:
+        masks = range(1 << s.size)
+    else:
+        rng = random.Random(s.size)
+        masks = [*ideal_masks(s, TWO_SIDED), *(rng.getrandbits(s.size) for _ in range(64))]
+    for mask in masks:
+        assert residual_rows(s, mask) == reference_residual_rows(s, mask), (s.name, mask)
+        assert ideals.radical_mask(s, mask) == reference_radical(s, mask), (s.name, mask)
+
+
 def assert_primality_matches(s, masks, pair_masks, checked_ideals):
-    """_prime on the masks; the residual rows of every subset (of every
-    ideal past 8 elements); the Behrens product of every pair of generators
-    against each of pair_masks; and, for every ideal of checked_ideals, its
-    residual quotient by each element and Davis' witness for each element
-    and family of up to three primes, repeats allowed."""
+    """_prime on the masks; the residual rows and radicals of
+    assert_rows_and_radicals_match; the Behrens product of every pair of
+    generators against each of pair_masks; and, for every ideal of
+    checked_ideals, its residual quotient by each element and Davis' witness
+    for each element and family of up to three primes, repeats allowed."""
     for mask in masks:
         assert outcome(ideals._prime, s, mask) == outcome(reference_prime, s, mask), (s.name, mask)
-    for mask in range(1 << s.size) if s.size <= 8 else ideal_masks(s, TWO_SIDED):
-        expected = tuple(mask_of(y for y in range(s.size) if mask >> row[y] & 1) for row in s.mul)
-        assert residual_rows(s, mask) == expected, (s.name, mask)
+    assert_rows_and_radicals_match(s)
     for ideal, t in itertools.product(checked_ideals, range(s.size)):
         assert outcome(residual, ideal, t) == outcome(reference_residual, ideal, t), (s.name, ideal, t)
     principal = principal_masks(s, TWO_SIDED)

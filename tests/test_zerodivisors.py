@@ -12,14 +12,16 @@ from semiringlab.corpus import (
     chain_semiring,
     componentwise_module,
     corpus_semimodules,
+    diamond_lattice,
     saturating,
     zero_module,
 )
 from semiringlab.covering import UNMET
-from semiringlab.errors import StructureError
+from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.ideals import annihilator, enumerate_ideals, generate_ideal, mask_of
-from semiringlab.tables import check_laws, self_action
+from semiringlab.tables import CayleyStructure, check_laws, self_action
 from semiringlab.zerodivisors import (
+    _quotient_tables,
     annihilator_extension_check,
     ass_primes,
     content,
@@ -171,6 +173,52 @@ def test_quotient_austere_collapses_to_boolean():
     assert q.structure.size == 2
     assert q.canonical[0] == 0
     assert set(q.canonical[1:]) == {1}
+
+
+def quotient_classes(q):
+    """The classes of pairs of a quotient, each least pair first."""
+    classes = [[] for _ in range(q.structure.size)]
+    for pair, c in sorted(q.pair_class.items()):
+        classes[c].append(pair)
+    return classes
+
+
+def test_quotient_tables_rebuild_the_quotient(commutative_entries):
+    for e in commutative_entries:
+        q = total_quotient(e.structure)
+        add, mul = _quotient_tables(e.structure, quotient_classes(q))
+        assert (tuple(map(tuple, add)), tuple(map(tuple, mul))) == (q.structure.add, q.structure.mul)
+
+
+def test_quotient_tables_reject_a_pair_moved_into_the_zero_class():
+    s = saturating(5)
+    zero, rest = quotient_classes(total_quotient(s))
+    assert zero[0] == (0, 1) and rest[0] == (1, 1)
+    with pytest.raises(TheoremViolation, match="not well defined"):
+        _quotient_tables(s, [zero + [(1, 1)], rest[1:]])
+
+
+def test_quotient_tables_reject_two_merged_classes():
+    s = diamond_lattice()
+    classes = quotient_classes(total_quotient(s))
+    assert classes == [[(0, 3)], [(1, 3)], [(2, 3)], [(3, 3)]]
+    with pytest.raises(TheoremViolation, match="not well defined"):
+        _quotient_tables(s, [[(0, 3)], [(1, 3), (2, 3)], [(3, 3)]])
+
+
+def test_quotient_tables_reject_a_member_off_its_representatives_row():
+    """With one = (3, 3) representing {1, a, b}, every representative's row
+    is constant on each class; only a*b = 0 tells a from one."""
+    with pytest.raises(TheoremViolation, match="not well defined"):
+        _quotient_tables(diamond_lattice(), [[(0, 3)], [(3, 3), (1, 3), (2, 3)]])
+
+
+def test_quotient_tables_reject_a_row_split_on_a_class():
+    """x*y = y is not commutative, so a row need not be constant on a class
+    even when every member shares its representative's row."""
+    s = CayleyStructure(size=2, add=[[0, 0], [0, 0]], mul=[[0, 1], [0, 1]])
+    with pytest.raises(TheoremViolation, match="not well defined"):
+        _quotient_tables(s, [[(0, 0)], [(1, 0), (0, 1), (1, 1)]])
 
 
 def test_quotient_units_become_invertible(commutative_entries):
