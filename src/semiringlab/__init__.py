@@ -53,7 +53,6 @@ from .covering import (
     annihilator_avoidance,
     avoidance_witness,
     behrens_elements,
-    covering,
     davis_witness,
     efficient_reduce,
     mccoy_exponent,

@@ -28,7 +28,10 @@ computed on its first read and read back afterwards. A context holds:
 - ``classification``, keyed by (mask, T-mask), with None for no T, and
   ``semiprime_residual``, keyed by (mask, T-mask): the least t in T whose
   residual quotient of the two-sided ideal is proper and semiprime, with
-  that quotient's mask, or None.
+  that quotient's mask, or None;
+- ``self_action``: for a semiring, the semiring as a semimodule over
+  itself, one module per structure, so the module's own facts are
+  computed once.
 
 A semimodule has a context of its own, holding ``semimodule``: its
 :class:`~semiringlab.tables.SemimoduleReport`, and ``annihilators``, keyed
@@ -41,14 +44,14 @@ runs once per distinct input. The public functions (``check_laws``,
 ``ideal_masks``, ``is_subtractive`` and the rest) are reads of the
 context.
 
-Structures (and semimodules) that compare equal share one context, so
-equal structures built separately share their facts. Contexts are kept for
-the life of the process, so every distinct structure analysed stays in
-memory. The radical and the semiprime residual quotient are stored as
-masks, which ``radical`` and ``semiprime_residual`` wrap in ideals of the
-caller's own structure. ``counts`` gives, per fact, how many
-values were computed and how many reads were answered from a context, and
-``context_count`` how many contexts there are.
+Each structure (and semimodule) owns its context: ``analysis`` attaches it
+to the object on first use and reads it back afterwards, so a context is
+freed with its structure, and an equal structure built separately starts
+with an empty context of its own. The radical and the semiprime residual
+quotient are stored as masks, which ``radical`` and ``semiprime_residual``
+wrap in ideals. ``counts`` gives, per fact, how many values were computed
+and how many reads were answered from a context, and ``context_count``
+how many contexts have been created.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ FACTS = (
     "classification",
     "semiprime_residual",
     "semimodule",
+    "self_action",
 )
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -119,19 +123,24 @@ class Analysis:
         return [table[key] for key in keys]
 
 
-_CONTEXTS: dict = {}
+_created = 0
 
 
 def analysis(s) -> Analysis:
-    """The context of a structure, shared by every structure equal to it."""
-    ctx = _CONTEXTS.get(s)
-    if ctx is None:
-        ctx = _CONTEXTS[s] = Analysis()
-    return ctx
+    """The context of a structure or semimodule, attached to it on first use."""
+    global _created
+    try:
+        return s._analysis
+    except AttributeError:
+        _created += 1
+        ctx = Analysis()
+        object.__setattr__(s, "_analysis", ctx)
+        return ctx
 
 
 def context_count() -> int:
-    return len(_CONTEXTS)
+    """How many contexts have been created."""
+    return _created
 
 
 def counts() -> dict[str, tuple[int, int]]:

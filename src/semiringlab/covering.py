@@ -72,7 +72,7 @@ def _unmet(hypothesis: str, **details) -> WitnessReport:
 
 def _require_covered(ideal: IdealSet, covers: Sequence[IdealSet]) -> None:
     if ideal.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering")
+        raise ValueError("not a covering: target escapes the union")
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def covering(target: IdealSet, covers: Sequence[IdealSet]) -> Covering:
         raise ValueError("a covering needs at least one cover")
     if any(c.structure != target.structure for c in covers):
         raise ValueError("covers live over a different structure")
-    if target.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering: target escapes the union")
+    _require_covered(target, covers)
     return Covering(target=target, covers=covers, efficient=_is_efficient(target, covers))
 
 

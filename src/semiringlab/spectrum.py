@@ -154,10 +154,10 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
         if found is None:
             cond3 = False
 
+    full = (1 << s.size) - 1
     cond4 = True
     for m in lattice:
-        ideal = IdealSet(structure=s, side=TWO_SIDED, mask=m)
-        if not ideal.is_proper or _semiprime_elementwise(s, m) is not None:
+        if m == full or _semiprime_elementwise(s, m) is not None:
             continue
         if m not in principal_radicals:
             cond4 = False

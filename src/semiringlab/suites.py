@@ -23,8 +23,8 @@ from .corpus import (
     CorpusEntry,
     claim_holds,
     corpus,
+    corpus_entry,
     corpus_semimodules,
-    cross_product_hemiring,
     diamond_lattice,
 )
 from .covering import (
@@ -612,15 +612,13 @@ def product_flag_suite() -> Iterator[CheckResult]:
 
 
 def hemialgebra_suite() -> Iterator[CheckResult]:
-    cross = cross_product_hemiring()
+    cross = corpus_entry("bool3-cross").structure
     w = scalar_identity_witness(cross)
     yield _result("constructions/scalar-identity", w is None, str(w or ""))
 
 
 def austere_suite() -> Iterator[CheckResult]:
-    from .corpus import austere_z6
-
-    s = austere_z6()
+    s = corpus_entry("austere-z6").structure
     rep = check_laws(s)
     yield _result("austere-z6/zerosumfree-entire", rep.zerosumfree and rep.entire)
     full = (1 << s.size) - 1

@@ -99,9 +99,6 @@ class CayleyStructure:
     produced honestly by the constructors in this package; files are verified
     on ingest. ``check_laws`` always rediscovers neutral elements from the
     tables, independently of any designation.
-
-    The hash covers the tables only and is computed once, so looking up the
-    structure's analysis context never rehashes them.
     """
 
     size: int
@@ -120,15 +117,6 @@ class CayleyStructure:
             v = getattr(self, label)
             if v is not None and not (_is_index(v) and 0 <= v < self.size):
                 raise StructureError(f"{label}={v!r} is not an element of a carrier of size {self.size}")
-        object.__setattr__(self, "_hash", hash((self.size, self.add, self.mul)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __init_subclass__(cls, **kwargs):
-        # @dataclass would give each subclass a hash over all of its fields
-        super().__init_subclass__(**kwargs)
-        cls.__hash__ = CayleyStructure.__hash__
 
     def elements(self) -> range:
         return range(self.size)
@@ -508,12 +496,7 @@ class StructureConstants:
 
 @dataclass(frozen=True, repr=False)
 class FiniteSemimodule:
-    """A finite commutative monoid with a scalar action by a finite semiring.
-
-    As for :class:`CayleyStructure`, the hash leaves out the name and is
-    computed once, so looking up the module's analysis context never
-    rehashes its tables.
-    """
+    """A finite commutative monoid with a scalar action by a finite semiring."""
 
     semiring: CayleyStructure
     msize: int
@@ -531,12 +514,6 @@ class FiniteSemimodule:
         )
         if not (_is_index(self.mzero) and 0 <= self.mzero < self.msize):
             raise StructureError(f"mzero={self.mzero!r} is not an element of the module")
-        object.__setattr__(
-            self, "_hash", hash((self.semiring, self.msize, self.madd, self.mzero, self.action))
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def elements(self) -> range:
         return range(self.msize)
@@ -648,7 +625,12 @@ def require_semimodule(m: FiniteSemimodule) -> SemimoduleReport:
 
 
 def self_action(s: CayleyStructure) -> FiniteSemimodule:
-    """A semiring viewed as a semimodule over itself by left multiplication."""
+    """A semiring viewed as a semimodule over itself by left multiplication;
+    every call on the same structure returns the same module."""
+    return analysis(s).get("self_action", None, _self_action, s)
+
+
+def _self_action(s: CayleyStructure) -> FiniteSemimodule:
     rep = require_semiring(s)
     return FiniteSemimodule(
         semiring=s,

@@ -1,10 +1,11 @@
 """The analysis context: every fact it holds against its compute function run
-from scratch, sharing between equal structures, one computation per key,
-and read-only reports."""
+from scratch, one context owned by each structure and freed with it, one
+computation per key, and read-only reports."""
 
-import contextlib
 import dataclasses
+import gc
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -42,17 +43,6 @@ from semiringlab.tables import CayleyStructure, check_laws, self_action, semimod
 from semiringlab.zerodivisors import total_quotient
 
 
-@contextlib.contextmanager
-def fresh_contexts():
-    """Run with an empty context registry, so every fact is rebuilt."""
-    saved = ctxmod._CONTEXTS
-    ctxmod._CONTEXTS = {}
-    try:
-        yield
-    finally:
-        ctxmod._CONTEXTS = saved
-
-
 def reads(s):
     """Every fact of the structure, read through the public functions, as
     (kind, key, value read)."""
@@ -65,6 +55,8 @@ def reads(s):
         for i in enumerate_ideals(s, side):
             out.append(("subtractive", i.mask, is_subtractive(i)))
     out.append(("spectrum", None, _spec_masks(s)))
+    if rep.is_semiring:
+        out.append(("self_action", None, self_action(s)))
     if rep.is_with_zero:
         for side in (LEFT, RIGHT):
             out.append(("annihilators", side, annihilator_rows(s, side)))
@@ -111,6 +103,7 @@ COMPUTE = {
     "classification": lambda s, key: ideals._classification(s, *key),
     "semiprime_residual": lambda s, key: ideals._semiprime_residual(s, *key),
     "semimodule": lambda m, key: tables._semimodule_report(m),
+    "self_action": lambda s, key: tables._self_action(s),
 }
 
 
@@ -120,15 +113,15 @@ def test_every_fact_kind_has_an_oracle():
 
 def check_against_scratch(s):
     """Each value read equals its compute function run on a freshly built
-    equal structure, with every context it depends on rebuilt as well."""
+    equal structure, which starts with an empty context of its own, so every
+    fact it depends on is rebuilt as well."""
     got = reads(s)
     twin = dataclasses.replace(s)
     assert twin is not s and twin == s and hash(twin) == hash(s)
-    assert analysis(twin) is analysis(s)
+    assert analysis(twin) is not analysis(s)
     assert {kind for kind, _, _ in got} == set(analysis(s).facts)
-    with fresh_contexts():
-        for kind, key, value in got:
-            assert COMPUTE[kind](twin, key) == value, (s.name, kind, key)
+    for kind, key, value in got:
+        assert COMPUTE[kind](twin, key) == value, (s.name, kind, key)
 
 
 @st.composite
@@ -156,57 +149,85 @@ def test_semimodule_reports_match_scratch(all_entries):
     for entry in all_entries:
         for m in corpus_semimodules(entry).values():
             got = {"semimodule": semimodule_check(m), "annihilators": annihilator_rows(m)}
-            twin = dataclasses.replace(m)
+            # a twin over a twin semiring, so the semiring's facts are rebuilt too
+            twin = dataclasses.replace(m, semiring=dataclasses.replace(m.semiring))
             assert twin is not m and twin == m and hash(twin) == hash(m)
-            assert analysis(twin) is analysis(m)
+            assert analysis(twin) is not analysis(m)
+            assert analysis(twin.semiring) is not analysis(m.semiring)
             assert set(analysis(m).facts) == set(got)
-            with fresh_contexts():
-                for kind, value in got.items():
-                    assert COMPUTE[kind](twin, None) == value, (m.name, kind)
+            for kind, value in got.items():
+                assert COMPUTE[kind](twin, None) == value, (m.name, kind)
 
 
-def test_equal_structures_share_one_context():
+def test_each_structure_owns_its_context():
     def build(name="twin"):
         return CayleyStructure(
             size=2, add=[[0, 1], [1, 1]], mul=[[0, 0], [0, 1]], zero=0, one=1, name=name
         )
 
     a, b = build(), build()
-    assert a is not b
-    assert analysis(a) is analysis(b)
-    assert check_laws(a) is check_laws(b)
-    assert ideal_masks(a) is ideal_masks(b)
-    assert analysis(build("other")) is not analysis(a)
+    assert a is not b and a == b
+    assert analysis(a) is analysis(a)
+    assert analysis(a) is not analysis(b)
+    assert check_laws(a) is check_laws(a)
+    assert check_laws(a) is not check_laws(b) and check_laws(a) == check_laws(b)
+    assert ideal_masks(a) is ideal_masks(a)
+    assert self_action(a) is self_action(a)
+    assert self_action(a) is not self_action(b) and self_action(a) == self_action(b)
+    created = ctxmod.context_count()
+    analysis(build("other"))
+    assert ctxmod.context_count() == created + 1
+
+
+def test_contexts_are_freed_with_their_structures():
+    """Analysing 3,000 distinct 16-element structures and dropping them
+    leaves no memory behind, so a long-lived process that ingests new
+    structures does not grow."""
+    rng = random.Random(0)
+    n = 16
+
+    def table():
+        return [rng.choices(range(n), k=n) for _ in range(n)]
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for k in range(3000):
+            check_laws(CayleyStructure(size=n, add=table(), mul=table(), name=f"dropped-{k}"))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 1 << 20, after - before
 
 
 def test_each_per_mask_fact_is_computed_once(monkeypatch):
     calls = {}
-    for name in (
-        "_subtractive",
-        "_prime",
-        "_radical_mask",
-        "_orbit_masks",
-        "_square_mask",
-        "_residual_rows",
-        "_annihilator_rows",
-        "_classification",
-        "_all_ideals_subtractive",
+    for module, name in (
+        (ideals, "_subtractive"),
+        (ideals, "_prime"),
+        (ideals, "_radical_mask"),
+        (ideals, "_orbit_masks"),
+        (ideals, "_square_mask"),
+        (ideals, "_residual_rows"),
+        (ideals, "_annihilator_rows"),
+        (ideals, "_classification"),
+        (ideals, "_all_ideals_subtractive"),
+        (tables, "_self_action"),
+        (tables, "_semimodule_report"),
     ):
-        original = getattr(ideals, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             key = (_name, args[1:])
             calls[key] = calls.get(key, 0) + 1
             return _original(*args)
 
-        monkeypatch.setattr(ideals, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    def build():
-        s = chain_semiring()
-        return CayleyStructure(size=s.size, add=s.add, mul=s.mul, zero=s.zero, one=s.one, name="once")
-
+    s = chain_semiring()
     for _ in range(3):
-        s = build()
         for i in enumerate_ideals(s, TWO_SIDED):
             for side in SIDES:
                 is_subtractive(IdealSet(structure=s, side=side, mask=i.mask))
@@ -219,8 +240,10 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
             for side in (LEFT, RIGHT):
                 annihilator(s, [x], side)
             annihilator(self_action(s), [x])
-    lattice = ideal_masks(build())
+    lattice = ideal_masks(s)
     assert calls and set(calls.values()) == {1}
+    # one module per semiring, however often self_action is called
+    assert ("_self_action", ()) in calls and ("_semimodule_report", ()) in calls
     assert sum(k[0] == "_annihilator_rows" for k in calls) == 3
     for name in ("_subtractive", "_radical_mask", "_classification"):
         assert sum(k[0] == name for k in calls) == len(lattice), name
@@ -237,9 +260,8 @@ def test_each_plane_is_built_once(monkeypatch):
 
     monkeypatch.setattr(ideals, "_planes", counted)
     s = chain_semiring()
-    with fresh_contexts():
-        for mask in (1, (1 << s.size) - 1, *range(1 << s.size)):
-            residual_rows(s, mask)
+    for mask in (1, (1 << s.size) - 1, *range(1 << s.size)):
+        residual_rows(s, mask)
     assert built == [[0], [1, 2]]
 
 
@@ -253,16 +275,14 @@ def test_one_residual_row_set_of_a_large_carrier_stays_small():
         mul=[[a & b for b in range(n)] for a in range(n)],
         name="lattice-512",
     )
-    hash(s)
-    with fresh_contexts():
-        tracemalloc.start()
-        try:
-            rows = residual_rows(s, 1 << 0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert rows[0] == (1 << n) - 1 and rows[n - 1] == 1
-        assert set(analysis(s).facts["plane"]) == {0}
+    tracemalloc.start()
+    try:
+        rows = residual_rows(s, 1 << 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[0] == (1 << n) - 1 and rows[n - 1] == 1
+    assert set(analysis(s).facts["plane"]) == {0}
     assert peak <= 1 << 20, peak
 
 
