@@ -48,13 +48,13 @@ from .ideals import (
     t_semiprime_equivalence,
 )
 from .covering import (
-    Covering,
     WitnessReport,
     annihilator_avoidance,
     avoidance_witness,
     behrens_elements,
     davis_witness,
     efficient_reduce,
+    is_efficient,
     mccoy_exponent,
     semiring_avoidance,
     t_semiprime_avoidance,

@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import analysis
 from .corpus import corpus, corpus_entry, corpus_names, corpus_semimodules
-from .covering import covering, mccoy_exponent, semiring_avoidance, davis_witness
+from .covering import is_efficient, mccoy_exponent, semiring_avoidance, davis_witness
 from .errors import CapExceeded, StructureError, TheoremViolation
 from .fileio import ingest, structure_to_json
 from .ideals import (
@@ -198,8 +198,7 @@ def cmd_mccoy(args) -> int:
     s = _resolve(args.structure)
     target = generate_ideal(s, _parse_gens(s, args.target))
     covers = [generate_ideal(s, _parse_gens(s, c)) for c in args.cover]
-    cov = covering(target, covers)
-    report = mccoy_exponent(cov)
+    report = mccoy_exponent(target, covers)
     doc = {
         "job": {
             "command": "mccoy",
@@ -207,7 +206,7 @@ def cmd_mccoy(args) -> int:
             "target": _parse_gens(s, args.target),
             "covers": [_parse_gens(s, c) for c in args.cover],
         },
-        "efficient": cov.efficient,
+        "efficient": is_efficient(target, covers),
         "verdict": report.verdict,
         "exponent": report.exponent,
         "violated_hypothesis": report.violated_hypothesis,

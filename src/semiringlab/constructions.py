@@ -47,9 +47,6 @@ class EndomorphismRingoid(CayleyStructure):
     base: Table = ()
     endos: tuple = ()
 
-    def endo(self, idx: int) -> tuple[int, ...]:
-        return self.endos[idx]
-
 
 def endomorphism_ringoid(
     table: Sequence[Sequence[int]], cap: int = CARRIER_CAP, name: str = ""

@@ -1,6 +1,14 @@
 """Covering and avoidance checks: efficient coverings, avoidance witnesses,
 exponent bounds for efficient coverings, and the corollary suites.
 
+Every check takes (target, covers), after Davis' element or the module of
+the annihilator form. :func:`is_efficient`, :func:`efficient_reduce` and
+:func:`mccoy_exponent` reject no covers, covers over another structure and
+an uncovered target with ValueError. The corollaries share one hypothesis
+gate (a commutative semiring whose ideals are all subtractive) and read
+stored facts: each cover's classification flags, the semiprime residual
+per (cover, T) and the element annihilators.
+
 Operations validate their hypotheses first. Reports never publish an
 unchecked verdict: every holds verdict re-verifies the claimed witness, and
 a verified-hypothesis run that cannot reach the guaranteed conclusion raises
@@ -31,13 +39,10 @@ from .ideals import (
     mask_members,
     maximal_masks,
     principal_masks,
-    radical_mask,
     residual_rows,
     semiprime_residual,
-    _semiprime_elementwise,
     annihilator,
     annihilator_rows,
-    closed_sets,
     union_mask,
 )
 from .tables import CayleyStructure, FiniteSemimodule, check_laws
@@ -75,50 +80,50 @@ def _require_covered(ideal: IdealSet, covers: Sequence[IdealSet]) -> None:
         raise ValueError("not a covering: target escapes the union")
 
 
-@dataclass(frozen=True)
-class Covering:
-    """A target ideal together with an ordered list of covering ideals."""
-
-    target: IdealSet
-    covers: tuple[IdealSet, ...]
-    efficient: bool
-
-    @property
-    def structure(self) -> CayleyStructure:
-        return self.target.structure
-
-
-def _is_efficient(target: IdealSet, covers: Sequence[IdealSet]) -> bool:
-    for skip in range(len(covers)):
-        rest = union_mask(c.mask for k, c in enumerate(covers) if k != skip)
-        if target.mask & ~rest == 0:
-            return False
-    return True
-
-
-def covering(target: IdealSet, covers: Sequence[IdealSet]) -> Covering:
+def _covering(target: IdealSet, covers: Sequence[IdealSet]) -> tuple[IdealSet, ...]:
+    """The covers as a tuple, once they are known to cover the target."""
     covers = tuple(covers)
     if not covers:
         raise ValueError("a covering needs at least one cover")
     if any(c.structure != target.structure for c in covers):
         raise ValueError("covers live over a different structure")
     _require_covered(target, covers)
-    return Covering(target=target, covers=covers, efficient=_is_efficient(target, covers))
+    return covers
 
 
-def efficient_reduce(cov: Covering) -> Covering:
+def _redundant(target: IdealSet, covers: Sequence[IdealSet]) -> Optional[int]:
+    """The index of the first cover whose removal still leaves the target
+    covered, or None when the covering is efficient."""
+    for skip in range(len(covers)):
+        if target.mask & ~union_mask(c.mask for k, c in enumerate(covers) if k != skip) == 0:
+            return skip
+    return None
+
+
+def is_efficient(target: IdealSet, covers: Sequence[IdealSet]) -> bool:
+    """Whether no cover can be dropped from a covering of the target."""
+    return _redundant(target, _covering(target, covers)) is None
+
+
+def efficient_reduce(target: IdealSet, covers: Sequence[IdealSet]) -> tuple[IdealSet, ...]:
     """Greedily drop redundant covers, leftmost first, until efficient."""
-    covers = list(cov.covers)
-    changed = True
-    while changed:
-        changed = False
-        for skip in range(len(covers)):
-            rest = [c for k, c in enumerate(covers) if k != skip]
-            if rest and cov.target.mask & ~union_mask(c.mask for c in rest) == 0:
-                covers = rest
-                changed = True
-                break
-    return covering(cov.target, covers)
+    covers = _covering(target, covers)
+    while len(covers) > 1:
+        skip = _redundant(target, covers)
+        if skip is None:
+            break
+        covers = covers[:skip] + covers[skip + 1:]
+    return covers
+
+
+def _corollary_unmet(s: CayleyStructure) -> Optional[WitnessReport]:
+    """The report for a structure outside the corollaries' setting, a
+    commutative semiring whose ideals are all subtractive, or None."""
+    if not check_laws(s).is_commutative_semiring:
+        return _unmet("commutative-semiring")
+    if not all_ideals_subtractive(s):
+        return _unmet("subtractive-semiring")
+    return None
 
 
 def _verify_subtractive_primes(primes: Sequence[IdealSet]) -> Optional[WitnessReport]:
@@ -170,6 +175,8 @@ def behrens_elements(
     n = len(primes)
     if n == 0:
         raise ValueError("need at least one prime")
+    if pattern is not None and len(pattern) != n:
+        raise ValueError(f"pattern has {len(pattern)} elements for {n} primes")
     if n == 1:
         a = _scan_avoiding(ideal.mask, primes[0].mask)
         if a is None:
@@ -353,31 +360,28 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     )
 
 
-def mccoy_exponent(cov: Covering) -> WitnessReport:
+def mccoy_exponent(target: IdealSet, covers: Sequence[IdealSet]) -> WitnessReport:
     """Least power of the target landing inside the intersection of an
     efficient covering with at least three covers."""
-    s = cov.structure
-    rep = check_laws(s)
-    if not rep.is_commutative_semiring:
-        return _unmet("commutative-semiring")
-    if not all_ideals_subtractive(s):
-        return _unmet("subtractive-semiring")
-    if len(cov.covers) < 3:
-        return _unmet("cover-count", count=len(cov.covers))
-    if not cov.efficient:
+    covers = _covering(target, covers)
+    unmet = _corollary_unmet(target.structure)
+    if unmet is not None:
+        return unmet
+    if len(covers) < 3:
+        return _unmet("cover-count", count=len(covers))
+    if _redundant(target, covers) is not None:
         return _unmet("efficiency")
 
-    masks = [c.mask for c in cov.covers]
+    masks = [c.mask for c in covers]
     total = functools.reduce(int.__and__, masks)
     # inside the target, any n-1 of the covers already meet in all n
-    target = cov.target.mask
     for skip in range(len(masks)):
         part = functools.reduce(int.__and__, masks[:skip] + masks[skip + 1:])
-        if target & part != target & total:
+        if target.mask & part != target.mask & total:
             raise TheoremViolation("intersection lemma failed on an efficient covering")
 
-    k_max = len(ideal_masks(s, TWO_SIDED))
-    power = cov.target
+    k_max = len(ideal_masks(target.structure, TWO_SIDED))
+    power = target
     for k in range(1, k_max + 1):
         if power.mask & ~total == 0:
             return WitnessReport(
@@ -385,7 +389,7 @@ def mccoy_exponent(cov: Covering) -> WitnessReport:
                 exponent=k,
                 details={"intersection": mask_members(total)},
             )
-        power = generated_product(power, cov.target)
+        power = generated_product(power, target)
     raise TheoremViolation("no exponent within the ideal-count bound")
 
 
@@ -393,27 +397,28 @@ def union_avoidance_suite(
     ideal: IdealSet, covers: Sequence[IdealSet], mode: str
 ) -> WitnessReport:
     """Containing index when all but at most two covers are radical ideals
-    (mode 'radical') or semiprime ideals (mode 'semiprime')."""
+    (mode 'radical') or semiprime ideals (mode 'semiprime'), read from each
+    cover's stored classification. In a commutative semiring every one-sided
+    ideal is two-sided, so a cover is classified by its mask alone."""
     if mode not in ("radical", "semiprime"):
         raise ValueError("mode must be 'radical' or 'semiprime'")
     s = ideal.structure
-    rep = check_laws(s)
-    if not rep.is_commutative_semiring:
-        return _unmet("commutative-semiring")
-    if not all_ideals_subtractive(s):
-        return _unmet("subtractive-semiring")
+    unmet = _corollary_unmet(s)
+    if unmet is not None:
+        return unmet
     covers = list(covers)
     _require_covered(ideal, covers)
-    qualifying = 0
-    for c in covers:
-        if mode == "radical":
-            if radical_mask(s, c.mask) == c.mask:
-                qualifying += 1
-        else:
-            if c.is_proper and _semiprime_elementwise(s, c.mask) is None:
-                qualifying += 1
-    if qualifying < len(covers) - 2:
-        return _unmet("hypothesis-count", qualifying=qualifying, needed=len(covers) - 2)
+    needed = len(covers) - 2
+    # two covers may miss the hypothesis, so only larger families are counted
+    if needed > 0:
+        flag = "radical_ideal" if mode == "radical" else "semiprime"
+        qualifying = 0
+        for c in covers:
+            if c.structure is not s or c.side != TWO_SIDED:
+                c = IdealSet(structure=s, side=TWO_SIDED, mask=c.mask)
+            qualifying += getattr(classify_ideal(c), flag)
+        if qualifying < needed:
+            return _unmet("hypothesis-count", qualifying=qualifying, needed=needed)
     for k, c in enumerate(covers):
         if ideal.issubset(c):
             return WitnessReport(verdict=HOLDS, witness=k)
@@ -426,11 +431,9 @@ def t_semiprime_avoidance(
     """Some t in T with t*I inside one of the covers, each cover being
     T-semiprime and 2-absorbing. The t comes out of the residual quotients."""
     s = ideal.structure
-    rep = check_laws(s)
-    if not rep.is_commutative_semiring:
-        return _unmet("commutative-semiring")
-    if not all_ideals_subtractive(s):
-        return _unmet("subtractive-semiring")
+    unmet = _corollary_unmet(s)
+    if unmet is not None:
+        return unmet
     covers = list(covers)
     _require_covered(ideal, covers)
     t_elements, residuals = [], []
@@ -457,18 +460,6 @@ def t_semiprime_avoidance(
     return WitnessReport(verdict=HOLDS, witness=(t, j))
 
 
-def _annihilator_ideal_masks(m: FiniteSemimodule) -> tuple[int, ...]:
-    """All annihilator ideals: intersections of element annihilators, the
-    closed sets of the meet of the element annihilators containing a set."""
-    anns = {annihilator(m, [x]).mask for x in range(m.msize)}
-    full = (1 << m.semiring.size) - 1
-
-    def close(mask: int) -> int:
-        return functools.reduce(int.__and__, [am for am in anns if mask & ~am == 0], full)
-
-    return tuple(sorted(closed_sets(m.semiring.size, close), key=mask_members))
-
-
 def annihilator_avoidance(
     m: FiniteSemimodule, ideal: IdealSet, covers: Sequence[IdealSet]
 ) -> WitnessReport:
@@ -489,10 +480,11 @@ def annihilator_avoidance(
         if not killed or annihilator(m, killed).mask != c.mask:
             return _unmet("annihilator-covers", index=k)
     _require_covered(ideal, covers)
+    # every Ann(X) is the meet of the Ann(x), x in X, so a maximal proper
+    # annihilator ideal is a maximal proper element annihilator
     full = (1 << s.size) - 1
-    maximal = sorted(
-        maximal_masks(am for am in _annihilator_ideal_masks(m) if am != full), key=mask_members
-    )
+    element_anns = (annihilator(m, [x]).mask for x in range(m.msize))
+    maximal = sorted(maximal_masks(am for am in element_anns if am != full), key=mask_members)
     enlarged = []
     for c in covers:
         host = next(am for am in maximal if c.mask & ~am == 0)

@@ -22,7 +22,6 @@ from .tables import (
     verify_designations,
 )
 
-STRUCTURE_KEYS = {"name", "size", "add", "mul", "zero", "one", "claims"}
 MODULE_KEYS = {"msize", "madd", "mzero", "action"}
 
 

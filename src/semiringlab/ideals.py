@@ -500,8 +500,8 @@ def ideal_intersect(a: IdealSet, b: IdealSet) -> IdealSet:
 
 
 def ideal_arith(op: str, a: IdealSet, b: IdealSet):
-    """Dispatch used by the CLI; op is one of sum, set_product,
-    generated_product, intersect."""
+    """Dispatch by name; op is one of sum, set_product, generated_product,
+    intersect."""
     if op == "sum":
         return ideal_sum(a, b)
     if op == "set_product":

@@ -31,7 +31,7 @@ from .covering import (
     UNMET,
     avoidance_witness,
     behrens_elements,
-    covering,
+    is_efficient,
     mccoy_exponent,
     semiring_avoidance,
     t_semiprime_avoidance,
@@ -379,10 +379,9 @@ def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult
     base = f"{entry.name}/mccoy"
     found = 0
     for family, target in _coverings(lattice, range(3, max_family + 1), lattice):
-        cov = covering(target, list(family))
-        if not cov.efficient:
+        if not is_efficient(target, family):
             continue
-        report = mccoy_exponent(cov)
+        report = mccoy_exponent(target, family)
         _check(report.holds and report.exponent <= len(lattice))
         found += 1
     yield _result(base, True, f"{found} efficient coverings")

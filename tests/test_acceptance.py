@@ -19,7 +19,7 @@ import pytest
 import semiringlab
 from semiringlab.cli import main
 from semiringlab.corpus import corpus, corpus_entry, corpus_semimodules, saturating
-from semiringlab.covering import covering, mccoy_exponent, semiring_avoidance
+from semiringlab.covering import mccoy_exponent, semiring_avoidance
 from semiringlab.errors import TheoremViolation
 from semiringlab.fileio import structure_to_json
 from semiringlab.ideals import (
@@ -134,7 +134,7 @@ def test_criterion_06_mccoy_exponents():
     s = corpus_entry("f2xy").structure
     target = generate_ideal(s, [1, 2])
     lines = [generate_ideal(s, [g]) for g in (2, 1, 3)]
-    report = mccoy_exponent(covering(target, lines))
+    report = mccoy_exponent(target, lines)
     golden_ok = report.holds and report.exponent == 2
     failures = []
     found = 0

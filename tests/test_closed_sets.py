@@ -1,6 +1,7 @@
-"""NextClosure against slow references: ideals, subsemimodules and
-annihilator ideals, each compared with a direct filter or intersection, and
-the cap on the number of closed sets."""
+"""NextClosure and the annihilator hosts against slow references: ideals
+and subsemimodules against a direct filter, the maximal proper annihilator
+ideals against brute-force intersections, and the cap on the number of
+closed sets."""
 
 import itertools
 
@@ -8,18 +9,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab.corpus import corpus_semimodules
-from semiringlab.covering import _annihilator_ideal_masks
+from semiringlab.covering import annihilator_avoidance
 from semiringlab.errors import CapExceeded
 from semiringlab.ideals import (
     SIDES,
+    TWO_SIDED,
+    IdealSet,
+    annihilator,
     brute_force_ideal_masks,
     closed_sets,
     ideal_masks,
     mask_members,
+    maximal_masks,
     subsemimodule_masks,
 )
 from semiringlab.limits import IDEAL_ENUM_CAP
-from semiringlab.tables import CayleyStructure
+from semiringlab.tables import CayleyStructure, check_laws
 
 
 @st.composite
@@ -74,16 +79,31 @@ def test_subsemimodules_match_subset_filter(all_entries):
 
 
 def test_annihilator_ideals_are_all_intersections(all_entries):
+    """The maximal proper intersections of element annihilators, found by
+    brute force, are the maximal proper element annihilators, and they are
+    the hosts annihilator_avoidance picks."""
+    hosted = 0
     for label, m in _module_pairs(all_entries):
-        n = m.semiring.size
+        s, n = m.semiring, m.semiring.size
+        full = (1 << n) - 1
         element_anns = {
             sum(1 << r for r in range(n) if m.action[r][x] == m.mzero) for x in range(m.msize)
         }
-        want = set()
+        meets = set()
         for k in range(1, len(element_anns) + 1):
             for family in itertools.combinations(sorted(element_anns), k):
-                meet = (1 << n) - 1
+                meet = full
                 for am in family:
                     meet &= am
-                want.add(meet)
-        assert _annihilator_ideal_masks(m) == tuple(sorted(want, key=mask_members)), label
+                meets.add(meet)
+        want = sorted(maximal_masks(am for am in meets if am != full), key=mask_members)
+        elements = (annihilator(m, [x]).mask for x in range(m.msize))
+        assert want == sorted(maximal_masks(am for am in elements if am != full), key=mask_members), label
+        if not check_laws(s).is_semiring:
+            continue
+        for host in want:
+            p = IdealSet(structure=s, side=TWO_SIDED, mask=host)
+            report = annihilator_avoidance(m, p, [p])
+            assert report.holds and report.details["prime"] == mask_members(host), label
+            hosted += 1
+    assert hosted >= 10

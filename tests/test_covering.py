@@ -18,9 +18,9 @@ from semiringlab.covering import (
     annihilator_avoidance,
     avoidance_witness,
     behrens_elements,
-    covering,
     davis_witness,
     efficient_reduce,
+    is_efficient,
     mccoy_exponent,
     semiring_avoidance,
     t_semiprime_avoidance,
@@ -31,6 +31,7 @@ from semiringlab.ideals import (
     annihilator,
     enumerate_ideals,
     generate_ideal,
+    is_prime,
     make_ideal,
     mult_closure,
     set_product_mask,
@@ -43,24 +44,23 @@ from semiringlab.tables import check_laws, self_action
 def test_reduce_drops_duplicates():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
-    cov = efficient_reduce(covering(mid, [mid, mid]))
-    assert len(cov.covers) == 1 and cov.efficient
+    covers = efficient_reduce(mid, [mid, mid])
+    assert len(covers) == 1 and is_efficient(mid, covers)
 
 
 def test_reduce_keeps_single_containing_cover():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
     zero = make_ideal(t, [0])
-    cov = efficient_reduce(covering(mid, [mid, zero, zero]))
-    assert [c.members() for c in cov.covers] == [(0, 1)]
+    covers = efficient_reduce(mid, [mid, zero, zero])
+    assert [c.members() for c in covers] == [(0, 1)]
 
 
 def test_f2xy_three_lines_efficient():
     s = dual_numbers_mod2()
     target = generate_ideal(s, [1, 2])
     lines = [generate_ideal(s, [g]) for g in (2, 1, 3)]
-    cov = covering(target, lines)
-    assert cov.efficient
+    assert is_efficient(target, lines)
     # oracle: every two lines miss one nonzero point of the plane
     for a, b in itertools.combinations(lines, 2):
         assert target.mask & ~(a.mask | b.mask) != 0
@@ -68,8 +68,14 @@ def test_f2xy_three_lines_efficient():
 
 def test_not_a_covering_raises():
     t = chain_semiring()
-    with pytest.raises(ValueError):
-        covering(make_ideal(t, [0, 1, 2]), [make_ideal(t, [0, 1])])
+    whole, mid = make_ideal(t, [0, 1, 2]), make_ideal(t, [0, 1])
+    for check in (is_efficient, efficient_reduce, mccoy_exponent):
+        with pytest.raises(ValueError, match="not a covering"):
+            check(whole, [mid])
+        with pytest.raises(ValueError, match="at least one cover"):
+            check(mid, [])
+        with pytest.raises(ValueError, match="different structure"):
+            check(mid, [make_ideal(boolean_square(), [0, 1])])
 
 
 # --- ringoid avoidance ----------------------------------------------------------
@@ -141,6 +147,18 @@ def test_behrens_needs_pattern():
     # the same prime leaves none
     with pytest.raises(HypothesesUnmet):
         behrens_elements(whole, [mid, mid])
+
+
+def test_behrens_rejects_a_pattern_of_the_wrong_length():
+    from semiringlab.corpus import corpus_entry
+
+    s = corpus_entry("lattice-4").structure
+    whole = make_ideal(s, range(s.size))
+    primes = [p for p in enumerate_ideals(s) if p.is_proper and is_prime(p)[0]][:2]
+    assert len(primes) == 2
+    for pattern in ([0], [0, 0, 0]):
+        with pytest.raises(ValueError, match=f"pattern has {len(pattern)} elements for 2 primes"):
+            behrens_elements(whole, primes, pattern)
 
 
 def test_behrens_three_primes_on_cube():
@@ -225,14 +243,14 @@ def test_mccoy_f2xy_exponent_two():
     meet = lines[0].mask & lines[1].mask & lines[2].mask
     assert square == 1 and meet == 1  # both are the zero ideal
     assert target.mask & ~meet  # the first power does not fit
-    report = mccoy_exponent(covering(target, lines))
+    report = mccoy_exponent(target, lines)
     assert report.holds and report.exponent == 2
 
 
 def test_mccoy_rejects_small_families():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
-    report = mccoy_exponent(covering(mid, [mid, mid]))
+    report = mccoy_exponent(mid, [mid, mid])
     assert report.verdict == UNMET and report.violated_hypothesis == "cover-count"
 
 
@@ -242,9 +260,8 @@ def test_mccoy_rejects_inefficient_covering():
     s = dual_numbers_mod2()
     zero = generate_ideal(s, [])
     lines = [generate_ideal(s, [g]) for g in (2, 1, 3)]
-    cov = covering(zero, lines)
-    assert not cov.efficient
-    report = mccoy_exponent(cov)
+    assert not is_efficient(zero, lines)
+    report = mccoy_exponent(zero, lines)
     assert report.verdict == UNMET and report.violated_hypothesis == "efficiency"
 
 
@@ -252,7 +269,7 @@ def test_mccoy_rejects_nonsubtractive_structure():
     s = austere_z6()
     target = generate_ideal(s, [3, 4])
     covers = [generate_ideal(s, [3]), generate_ideal(s, [4]), make_ideal(s, range(7))]
-    report = mccoy_exponent(covering(target, covers))
+    report = mccoy_exponent(target, covers)
     assert report.verdict == UNMET and report.violated_hypothesis == "subtractive-semiring"
 
 
@@ -274,6 +291,21 @@ def test_radical_mode_two_covers():
     mid = make_ideal(t, [0, 1])
     report = union_avoidance_suite(mid, [mid, make_ideal(t, [0, 1, 2])], "radical")
     assert report.holds and report.witness == 0
+
+
+def test_left_labelled_cover_qualifies_by_its_mask():
+    """In a commutative semiring a left ideal is two-sided, so a cover
+    labelled left is classified by its mask and still counts."""
+    from semiringlab.ideals import LEFT, IdealSet
+
+    s = dual_numbers_mod2()
+    plane = generate_ideal(s, [1, 2])  # prime, so radical and semiprime
+    lines = [generate_ideal(s, [g]) for g in (2, 1)]  # neither
+    left_plane = IdealSet(structure=s, side=LEFT, mask=plane.mask)
+    for mode in ("radical", "semiprime"):
+        report = union_avoidance_suite(plane, lines + [left_plane], mode)
+        assert report.holds and report.witness == 2, mode
+        assert union_avoidance_suite(plane, lines + [plane], mode) == report
 
 
 def test_semiprime_mode_chain():

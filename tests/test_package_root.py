@@ -57,4 +57,4 @@ def test_covering_imports_as_a_module():
     from semiringlab import covering
 
     assert c is covering is sys.modules["semiringlab.covering"]
-    assert callable(c.covering)
+    assert callable(c.mccoy_exponent)

@@ -11,8 +11,11 @@ comprehension; the three-branch annihilator, the zero-divisor loop, the
 Property (A) loop, the constant-killer loop and the killed list, which the
 annihilator rows replaced; the scan of mediality over all four variables,
 which the walk over b < c replaced, and the filter of every n^(n*n) table,
-which the pruned search for medial magmas replaced. Every field and witness
-must agree, and a computation that raises must raise the same error."""
+which the pruned search for medial magmas replaced; the skip-one loops of
+the efficiency test and of the greedy reduction, and the radical and
+elementwise semiprime scans behind the union corollaries, which the stored
+classification flags replaced. Every field and witness must agree, and a
+computation that raises must raise the same error."""
 
 import dataclasses
 import functools
@@ -43,6 +46,8 @@ from semiringlab.covering import (
     _unmet,
     _verify_subtractive_primes,
     davis_witness,
+    efficient_reduce,
+    is_efficient,
 )
 from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
 from semiringlab.ideals import (
@@ -65,6 +70,7 @@ from semiringlab.ideals import (
     radical,
     residual,
     residual_rows,
+    union_mask,
 )
 from semiringlab.spectrum import spec_of
 from semiringlab.suites import medial_magma_corpus
@@ -823,6 +829,79 @@ def test_annihilators_match_references_on_the_saturating_ladder():
         s = saturating(top)
         assert_structure_annihilators_match(s)
         assert_module_annihilators_match(self_action(s))
+
+
+# --- coverings ------------------------------------------------------------------
+
+
+def reference_is_efficient(target: IdealSet, covers) -> bool:
+    """The skip-one loop that ``_redundant`` replaced in the efficiency test."""
+    for skip in range(len(covers)):
+        rest = union_mask(c.mask for k, c in enumerate(covers) if k != skip)
+        if target.mask & ~rest == 0:
+            return False
+    return True
+
+
+def reference_efficient_reduce(target: IdealSet, covers) -> tuple:
+    """The restart-on-drop loop that ``efficient_reduce`` had of its own."""
+    covers = list(covers)
+    changed = True
+    while changed:
+        changed = False
+        for skip in range(len(covers)):
+            rest = [c for k, c in enumerate(covers) if k != skip]
+            if rest and target.mask & ~union_mask(c.mask for c in rest) == 0:
+                covers = rest
+                changed = True
+                break
+    return tuple(covers)
+
+
+def test_efficiency_matches_the_skip_one_loops(all_entries):
+    """Every family of at most four lattice ideals, repeats allowed, in
+    sorted and in reversed order, and every lattice ideal it covers."""
+    checked = 0
+    for entry in all_entries:
+        lattice = enumerate_ideals(entry.structure, TWO_SIDED)
+        for k in range(1, 5):
+            for family in itertools.combinations_with_replacement(lattice, k):
+                union = union_mask(c.mask for c in family)
+                for covers in (family, family[::-1]):
+                    for target in lattice:
+                        if target.mask & ~union:
+                            continue
+                        assert is_efficient(target, covers) == reference_is_efficient(target, covers)
+                        assert efficient_reduce(target, covers) == reference_efficient_reduce(target, covers)
+                        checked += 1
+    assert checked > 1000
+
+
+def assert_union_flags_match(s: CayleyStructure):
+    """The classification flags that the radical and semiprime union
+    corollaries count against the per-cover scans they replaced."""
+    if not check_laws(s).is_commutative_semiring:
+        return
+    full = (1 << s.size) - 1
+    for mask in ideal_masks(s, TWO_SIDED):
+        cls = classify_ideal(IdealSet(structure=s, side=TWO_SIDED, mask=mask))
+        assert cls.radical_ideal == (ideals.radical_mask(s, mask) == mask), (s.name, mask)
+        assert cls.semiprime == (mask != full and _semiprime_elementwise(s, mask) is None), (s.name, mask)
+
+
+@given(relabelled_semirings())
+def test_union_flags_match_the_scans_on_relabelled_semirings(s):
+    assert_union_flags_match(s)
+
+
+@given(any_tables())
+def test_union_flags_match_the_scans_on_any_tables(s):
+    assert_union_flags_match(s)
+
+
+def test_union_flags_match_the_scans_on_the_corpus_and_ladder(all_entries):
+    for s in [e.structure for e in all_entries] + [saturating(top) for top in LADDER]:
+        assert_union_flags_match(s)
 
 
 # --- mediality --------------------------------------------------------------------
