@@ -14,21 +14,24 @@ computed on its first read and read back afterwards. A context holds:
 - ``annihilators``, keyed by side (left or right, for a structure with
   absorbing zero): per element x, the mask of the r with r*x = 0 (left) or
   x*r = 0 (right);
-- ``plane``, keyed by value v: the value plane of v, the mask of the
-  n*n cells x*n + y with x*y = v. Planes are filled on demand, all those a
-  read still lacks in one pass over the multiplication table;
+- ``plane`` and ``sum_plane``, keyed by value v: the value plane of v,
+  the mask of the n*n cells x*n + y with x*y = v (``plane``) or x+y = v
+  (``sum_plane``). Planes are filled on demand, all those a read still
+  lacks in one pass over the table;
 - ``orbits``: per element x, the mask of its power orbit x, x^2, x^3, ...;
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
-  ``radical``, the radical's mask, ``square``, the mask of the elementwise
-  square {u*v : u, v in the mask}, and ``residual``, the residual rows
+  ``radical``, the radical's mask, and ``residual``, the residual rows
   {y : x*y in the mask} for every element x, cut from the OR of the planes
-  of the mask's members. Subtractiveness, the radical, the square and the
-  residual rows do not depend on the side, so they are keyed on the mask
-  alone;
-- ``classification``, keyed by (mask, T-mask), with None for no T, and
-  ``semiprime_residual``, keyed by (mask, T-mask): the least t in T whose
-  residual quotient of the two-sided ideal is proper and semiprime, with
-  that quotient's mask, or None;
+  of the mask's members. Subtractiveness, the radical and the residual rows
+  do not depend on the side, so they are keyed on the mask alone;
+- ``classes``: the classification of every two-sided ideal, keyed by its
+  mask, from one pass over the lattice. The pass stores each ideal's
+  subtractive, prime and radical verdicts as the per-mask facts above, and
+  cuts each ideal's residual rows without storing them;
+- keyed by (mask, T-mask): ``classification``, a classification with its
+  T-part added, and ``semiprime_residual``, the least t in T whose residual
+  quotient of the two-sided ideal is proper and semiprime, with that
+  quotient's mask, or None;
 - ``self_action``: for a semiring, the semiring as a semimodule over
   itself, one module per structure, so the module's own facts are
   computed once.
@@ -71,10 +74,11 @@ FACTS = (
     "subtractive",
     "prime",
     "plane",
+    "sum_plane",
     "orbits",
     "radical",
-    "square",
     "residual",
+    "classes",
     "classification",
     "semiprime_residual",
     "semimodule",
@@ -85,7 +89,6 @@ CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 _FILLED = dict.fromkeys(FACTS, 0)
 _REUSED = dict.fromkeys(FACTS, 0)
-_MISSING = object()
 
 
 class Analysis:
@@ -99,9 +102,11 @@ class Analysis:
     def get(self, kind: str, key, compute: Callable, *args):
         """The ``kind`` fact at ``key``, computed as ``compute(*args)`` on
         the first read."""
-        table = self.facts.get(kind)
-        value = _MISSING if table is None else table.get(key, _MISSING)
-        if value is not _MISSING:
+        try:
+            value = self.facts[kind][key]
+        except KeyError:
+            pass
+        else:
             _REUSED[kind] += 1
             return value
         value = compute(*args)
@@ -113,12 +118,17 @@ class Analysis:
         """The ``kind`` facts at ``keys``, the missing ones computed together
         as ``compute(*args, missing)``, which returns their values in order."""
         table = self.facts.get(kind, {})
+        try:
+            values = [table[key] for key in keys]
+        except KeyError:
+            pass
+        else:
+            _REUSED[kind] += len(keys)
+            return values
         missing = [key for key in keys if key not in table]
-        if missing:
-            values = compute(*args, missing)
-            table = self.facts.setdefault(kind, table)
-            table.update(zip(missing, values))
-            _FILLED[kind] += len(missing)
+        table = self.facts.setdefault(kind, table)
+        table.update(zip(missing, compute(*args, missing)))
+        _FILLED[kind] += len(missing)
         _REUSED[kind] += len(keys) - len(missing)
         return [table[key] for key in keys]
 

@@ -2,12 +2,13 @@
 exponent bounds for efficient coverings, and the corollary suites.
 
 Every check takes (target, covers), after Davis' element or the module of
-the annihilator form. :func:`is_efficient`, :func:`efficient_reduce` and
-:func:`mccoy_exponent` reject no covers, covers over another structure and
-an uncovered target with ValueError. The corollaries share one hypothesis
-gate (a commutative semiring whose ideals are all subtractive) and read
-stored facts: each cover's classification flags, the semiprime residual
-per (cover, T) and the element annihilators.
+the annihilator form. The seven whose covers must cover the target reject
+no covers, covers over another structure and an uncovered target with
+ValueError; :func:`avoidance_witness` and :func:`davis_witness` take primes
+that the target escapes. The corollaries share one hypothesis gate (a
+commutative semiring whose ideals are all subtractive) and read stored
+facts: each cover's classification flags, the semiprime residual per
+(cover, T) and the element annihilators.
 
 Operations validate their hypotheses first. Reports never publish an
 unchecked verdict: every holds verdict re-verifies the claimed witness, and
@@ -75,19 +76,20 @@ def _unmet(hypothesis: str, **details) -> WitnessReport:
     return WitnessReport(verdict=UNMET, violated_hypothesis=hypothesis, details=details)
 
 
-def _require_covered(ideal: IdealSet, covers: Sequence[IdealSet]) -> None:
-    if ideal.mask & ~union_mask(c.mask for c in covers):
-        raise ValueError("not a covering: target escapes the union")
-
-
 def _covering(target: IdealSet, covers: Sequence[IdealSet]) -> tuple[IdealSet, ...]:
-    """The covers as a tuple, once they are known to cover the target."""
+    """The covers as a tuple, once they are known to cover the target. The
+    structures are compared by identity first, so the usual case of covers
+    built over the target's own structure costs no table comparison."""
     covers = tuple(covers)
     if not covers:
         raise ValueError("a covering needs at least one cover")
-    if any(c.structure != target.structure for c in covers):
-        raise ValueError("covers live over a different structure")
-    _require_covered(target, covers)
+    s, union = target.structure, 0
+    for c in covers:
+        if c.structure is not s and c.structure != s:
+            raise ValueError("covers live over a different structure")
+        union |= c.mask
+    if target.mask & ~union:
+        raise ValueError("not a covering: target escapes the union")
     return covers
 
 
@@ -283,8 +285,7 @@ def semiring_avoidance(ideal: IdealSet, covers: Sequence[IdealSet]) -> WitnessRe
     plain failure naming the broken hypothesis; that combination is exactly
     what the non-subtractive counterexamples exhibit.
     """
-    covers = list(covers)
-    _require_covered(ideal, covers)
+    covers = _covering(ideal, covers)
     violations = []
     for k, p in enumerate(covers):
         ok, w = is_subtractive(p)
@@ -406,8 +407,7 @@ def union_avoidance_suite(
     unmet = _corollary_unmet(s)
     if unmet is not None:
         return unmet
-    covers = list(covers)
-    _require_covered(ideal, covers)
+    covers = _covering(ideal, covers)
     needed = len(covers) - 2
     # two covers may miss the hypothesis, so only larger families are counted
     if needed > 0:
@@ -434,8 +434,7 @@ def t_semiprime_avoidance(
     unmet = _corollary_unmet(s)
     if unmet is not None:
         return unmet
-    covers = list(covers)
-    _require_covered(ideal, covers)
+    covers = _covering(ideal, covers)
     t_elements, residuals = [], []
     for k, p in enumerate(covers):
         if p.mask & t_set.mask:
@@ -479,7 +478,7 @@ def annihilator_avoidance(
         killed = [x for x, row in enumerate(rows) if c.mask & ~row == 0]
         if not killed or annihilator(m, killed).mask != c.mask:
             return _unmet("annihilator-covers", index=k)
-    _require_covered(ideal, covers)
+    covers = _covering(ideal, covers)
     # every Ann(X) is the meet of the Ann(x), x in X, so a maximal proper
     # annihilator ideal is a maximal proper element annihilator
     full = (1 << s.size) - 1

@@ -3,10 +3,10 @@
 Ideals are bitmasks over the carrier wrapped in :class:`IdealSet`. All
 enumeration orders and returned witnesses are deterministic: ideals sort by
 their member tuples and element scans run in ascending index order. The
-lattices, principal ideals and per-mask facts (subtractive, prime, radical,
-classification) are read from the structure's analysis context
-(:mod:`semiringlab.analysis`); each is computed once by a private function
-here.
+lattices, principal ideals, per-mask facts (subtractive, prime, radical)
+and the classification of the whole two-sided lattice are read from the
+structure's analysis context (:mod:`semiringlab.analysis`); each is
+computed once by a private function here.
 
 Five mask kernels serve every module: :func:`image` (the mask of all
 products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
@@ -20,16 +20,24 @@ rows.
 
 The residual rows of a mask are the OR of the value planes of its
 members, cut into n rows of n bits: the plane of v marks the cells
-x*n + y with x*y = v. The context keeps the cut rows per mask. Planes
+x*n + y with x*y = v. Subtractivity reads the additive residual rows
+{y : x+y in the mask}, cut alike from sum planes (x+y = v). Planes
 are built when first needed, those a mask still lacks in one pass over
 the table, so a large carrier whose callers need few values never builds
 the n^3 bits of all planes. Radicals read one power-orbit mask per
 element: the radical of I is {x : orbit(x) meets I}.
+
+:func:`classify_ideal` reads one pass over the two-sided lattice. It
+stores the subtractive, prime and radical verdicts that
+:func:`is_subtractive`, :func:`is_prime` and :func:`radical_mask` read,
+and compute for any other mask through the same kernels.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -61,7 +69,12 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def image(table, a: int, b: int) -> int:
@@ -76,10 +89,7 @@ def image(table, a: int, b: int) -> int:
 
 
 def union_mask(masks: Iterable[int]) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+    return functools.reduce(operator.or_, masks, 0)
 
 
 def maximal_masks(masks: Iterable[int]) -> tuple[int, ...]:
@@ -265,21 +275,21 @@ def residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
     return analysis(s).get("residual", mask, _residual_rows, s, mask)
 
 
-def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
+def _residual_rows(s: CayleyStructure, mask: int, members: Optional[tuple[int, ...]] = None) -> tuple[int, ...]:
     """The OR of the value planes of the mask's members, cut into n rows."""
-    n = s.size
-    cells = union_mask(analysis(s).fill("plane", list(iter_bits(mask)), _planes, s))
-    full = (1 << n) - 1
-    return tuple(cells >> shift & full for shift in range(0, n * n, n))
+    n, full = s.size, (1 << s.size) - 1
+    members = mask_members(mask) if members is None else members
+    cells = union_mask(analysis(s).fill("plane", members, _planes, s.mul))
+    return tuple([cells >> shift & full for shift in range(0, n * n, n)])
 
 
-def _planes(s: CayleyStructure, values: list[int]) -> list[int]:
-    """Per value v, the mask of the cells x*n + y with x*y = v, in one pass
-    over the table: each row is sorted into its n-bit fibres before any is
-    shifted into a plane."""
-    n = s.size
+def _planes(table, values: list[int]) -> list[int]:
+    """Per value v, the mask of the cells x*n + y with table[x][y] = v, in
+    one pass over the table: each row is sorted into its n-bit fibres before
+    any is shifted into a plane."""
+    n = len(table)
     planes = dict.fromkeys(values, 0)
-    for x, row in enumerate(s.mul):
+    for x, row in enumerate(table):
         fibres = dict.fromkeys(values, 0)
         for y, xy in enumerate(row):
             if xy in fibres:
@@ -351,17 +361,21 @@ def is_subtractive(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     return analysis(s).get("subtractive", ideal.mask, _subtractive, s, ideal.mask)
 
 
-def _subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
-    add = s.add
-    for x in range(s.size):
-        for y in range(s.size):
-            total_in = mask >> add[x][y] & 1
-            if not total_in:
-                continue
-            if mask >> x & 1 and not mask >> y & 1:
-                return False, (x, y)
-            if mask >> y & 1 and not mask >> x & 1:
-                return False, (x, y)
+def _subtractive(
+    s: CayleyStructure, mask: int, members: Optional[tuple[int, ...]] = None
+) -> tuple[bool, Optional[tuple[int, int]]]:
+    """The least (x, y) with x+y in the mask and just one of x, y in it. Row
+    x of the additive residual {y : x+y in the mask}, cut from the OR of the
+    members' sum planes, must lie inside the mask when x does and miss it
+    otherwise."""
+    n, full = s.size, (1 << s.size) - 1
+    members = mask_members(mask) if members is None else members
+    cells = union_mask(analysis(s).fill("sum_plane", members, _planes, s.add))
+    for x in range(n):
+        row = cells >> x * n & full
+        bad = row & ~mask if mask >> x & 1 else row & mask
+        if bad:
+            return False, (x, (bad & -bad).bit_length() - 1)
     return True, None
 
 
@@ -386,33 +400,33 @@ def is_prime(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     return analysis(s).get("prime", ideal.mask, _prime, s, ideal.mask)
 
 
-def _prime(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
+def _prime(
+    s: CayleyStructure, mask: int, rows: Optional[tuple[int, ...]] = None
+) -> tuple[bool, Optional[tuple[int, int]]]:
     """The least (a, b) outside the mask with (a)(b) inside, read off the
-    residual rows: (a)(b) lies in the mask exactly when (b) lies in every
-    row of a member of (a), and x*t*y does for every t exactly when y lies
-    in every row of an x*t."""
-    rows = residual_rows(s, mask)
-    full = (1 << s.size) - 1
-
-    def meet(elements) -> int:
-        out = full
-        for u in elements:
-            out &= rows[u]
-        return out
-
+    residual rows (the mask's own unless given): (a)(b) lies in the mask
+    exactly when (b) lies in the meet of the rows of the members of (a), so
+    b lies in it and in the row of a; and x*t*y does for every t exactly
+    when y lies in the meet of the rows of the values x*t."""
+    if rows is None:
+        rows = residual_rows(s, mask)
+    outside = ((1 << s.size) - 1) & ~mask
     principal = principal_masks(s, TWO_SIDED)
-    outside = [x for x in range(s.size) if not mask >> x & 1]
     witness = None
-    for a in outside:
-        inner = meet(iter_bits(principal[a]))
-        b = next((b for b in outside if principal[b] & ~inner == 0), None)
-        if b is not None:
-            witness = (a, b)
-            break
+    for a in iter_bits(outside):
+        if rows[a] & outside:
+            inner = _meet(rows, principal[a], outside)
+            for b in iter_bits(inner & outside):
+                if principal[b] & ~inner == 0:
+                    witness = (a, b)
+                    break
+            if witness:
+                break
     ringoid_prime = witness is None
 
     if check_laws(s).is_semiring:
-        sandwich_prime = not any(meet(s.mul[x]) & ~mask for x in outside)
+        values = _absorb(s, RIGHT)
+        sandwich_prime = not any(_meet(rows, values[x], outside) & outside for x in iter_bits(outside))
         if sandwich_prime != ringoid_prime:
             ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
             raise TheoremViolation(
@@ -420,6 +434,18 @@ def _prime(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int
                 f"principal={ringoid_prime} sandwich={sandwich_prime}"
             )
     return ringoid_prime, witness
+
+
+def _meet(rows: Sequence[int], elements: int, outside: int) -> int:
+    """The AND of the rows of the elements, cut short once none of ``outside`` is left."""
+    out = -1
+    while elements:
+        low = elements & -elements
+        elements ^= low
+        out &= rows[low.bit_length() - 1]
+        if not out & outside:
+            break
+    return out
 
 
 def power_orbit(s: CayleyStructure, x: int) -> tuple[int, ...]:
@@ -448,7 +474,11 @@ def radical_mask(s: CayleyStructure, mask: int) -> int:
 
 
 def _radical_mask(s: CayleyStructure, mask: int) -> int:
-    return mask_of(x for x, orbit in enumerate(_orbits(s)) if orbit & mask)
+    out = 0
+    for x, orbit in enumerate(_orbits(s)):
+        if orbit & mask:
+            out |= 1 << x
+    return out
 
 
 def _orbits(s: CayleyStructure) -> tuple[int, ...]:
@@ -543,11 +573,11 @@ class IdealClassification:
         _freeze_witnesses(self)
 
     def __repr__(self):
-        flags = {
-            k: getattr(self, k)
-            for k in ("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal")
-        }
+        flags = {k: getattr(self, k) for k in _FLAGS}
         return f"<IdealClassification {flags}>"
+
+
+_FLAGS = ("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal")
 
 
 def _semiprime_elementwise(s: CayleyStructure, mask: int) -> Optional[tuple[int]]:
@@ -558,138 +588,105 @@ def _semiprime_elementwise(s: CayleyStructure, mask: int) -> Optional[tuple[int]
     return None
 
 
-def _square_mask(s: CayleyStructure, mask: int) -> int:
-    """The elementwise square {u*v : u, v in the mask}."""
-    return image(s.mul, mask, mask)
-
-
-def _two_absorbing_witness(s: CayleyStructure, mask: int) -> Optional[tuple[int, int, int]]:
+def _two_absorbing_witness(s: CayleyStructure, inside: tuple[int, ...]) -> Optional[tuple[int, int, int]]:
     """The least (x, y, z) with (x*y)*z in the ideal and none of x*y, y*z,
-    x*z, or None if the ideal is 2-absorbing.
-
-    ``inside[w]`` is the residual row {z : w*z in the ideal}, so for each
-    (x, y) with x*y outside, the failing z are the bits of inside[x*y] &
-    ~inside[y] & ~inside[x], and the lowest one is the least."""
-    mul, n = s.mul, s.size
-    inside = residual_rows(s, mask)
-    for x in range(n):
-        row, not_x = mul[x], ~inside[x]
-        for y in range(n):
-            xy = row[y]
-            if mask >> xy & 1:
-                continue
-            bad = inside[xy] & ~inside[y] & not_x
+    x*z, or None if the ideal is 2-absorbing. Read off the residual rows
+    {z : w*z in the ideal}: the y with x*y outside are the bits missing from
+    inside[x], and the failing z the bits of inside[x*y] & ~inside[y] & ~inside[x]."""
+    full = (1 << s.size) - 1
+    for x, row in enumerate(s.mul):
+        not_x = ~inside[x]
+        ys = full & not_x
+        while ys:
+            low = ys & -ys
+            ys ^= low
+            y = low.bit_length() - 1
+            bad = inside[row[y]] & ~inside[y] & not_x
             if bad:
                 return x, y, (bad & -bad).bit_length() - 1
     return None
 
 
-def classify_ideal(
-    ideal: IdealSet,
-    t_set: Optional[MultiplicativeSet] = None,
-) -> IdealClassification:
-    """Decide all classification flags exhaustively for a two-sided ideal."""
+def classify_ideal(ideal: IdealSet, t_set: Optional[MultiplicativeSet] = None) -> IdealClassification:
+    """All classification flags of a two-sided ideal, read from the lattice
+    pass; a T-set adds the least t in T with t*x in the ideal for every x
+    with x*x in it."""
     s = ideal.structure
     if ideal.side != TWO_SIDED:
         raise ValueError("classification applies to two-sided ideals")
-    t_mask = None if t_set is None else t_set.mask
-    return analysis(s).get("classification", (ideal.mask, t_mask), _classification, s, ideal.mask, t_mask)
+    if t_set is not None:
+        key = (ideal.mask, t_set.mask)
+        return analysis(s).get("classification", key, _t_classification, s, *key)
+    cls = analysis(s).get("classes", None, _classify_lattice, s).get(ideal.mask)
+    if cls is None:
+        raise StructureError(f"not a two-sided ideal: {ideal!r}")
+    return cls
 
 
-def _classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> IdealClassification:
-    ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
-    rep = check_laws(s)
-    witnesses: dict = {}
+def _t_classification(s: CayleyStructure, mask: int, t_mask: int) -> IdealClassification:
+    cls = classify_ideal(IdealSet(structure=s, side=TWO_SIDED, mask=mask))
+    if mask & t_mask:
+        raise StructureError("T-semiprimeness needs an ideal disjoint from T")
+    squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
+    rows = residual_rows(s, mask)
+    t_element = next((t for t in iter_bits(t_mask) if squared_in & ~rows[t] == 0), None)
+    witnesses = dict(cls.witnesses)
+    if t_element is None:
+        witnesses["t_semiprime"] = ()
+    return dataclasses.replace(cls, t_semiprime=t_element is not None, t_element=t_element, witnesses=witnesses)
 
-    subtractive, w = is_subtractive(ideal)
-    if w is not None:
-        witnesses["subtractive"] = w
 
-    proper = ideal.is_proper
-    if not proper:
-        witnesses["proper"] = ()
+def _classify_lattice(s: CayleyStructure) -> dict[int, IdealClassification]:
+    """The classification of every two-sided ideal, by mask, in one pass.
 
-    if proper:
-        prime, w = is_prime(ideal)
-        if w is not None:
-            witnesses["prime"] = w
-    else:
-        prime = False
-        witnesses["prime"] = ()
-
-    lattice = ideal_masks(s, TWO_SIDED)
-    ctx = analysis(s)
-
-    if proper:
-        semiprime = True
-        for jm in lattice:
-            if jm & ~mask and ctx.get("square", jm, _square_mask, s, jm) & ~mask == 0:
-                semiprime = False
-                witnesses["semiprime"] = mask_members(jm)
-                break
-        if rep.is_commutative_semiring:
-            elem = _semiprime_elementwise(s, mask)
-            if (elem is None) != semiprime:
-                raise TheoremViolation(
-                    "elementwise and ideal-square semiprime criteria disagree"
-                )
-            if elem is not None:
+    Bit j of ``holds[v]`` (``squared[v]``) is set when v lies in the j-th
+    ideal of the lattice (in its elementwise square), so the first ideal
+    outside I whose square lies inside I, and the first proper strict
+    superset of I, are lowest bits of a few ORs and ANDs. Each ideal's
+    residual rows serve its prime and 2-absorbing tests and are dropped;
+    its subtractive, prime and radical verdicts are stored per mask. A flag
+    is false exactly when its witness is recorded."""
+    ctx, commutative = analysis(s), check_laws(s).is_commutative_semiring
+    lattice, full = ideal_masks(s, TWO_SIDED), (1 << s.size) - 1
+    members = list(map(mask_members, lattice))
+    holds, squared = [0] * s.size, [0] * s.size
+    for j, jm in enumerate(members):
+        for v in jm:
+            holds[v] |= 1 << j
+    for x, row in enumerate(s.mul):
+        for y, xy in enumerate(row):
+            squared[xy] |= holds[x] & holds[y]
+    improper = 1 << lattice.index(full)
+    out = {}
+    for j, mask in enumerate(lattice):
+        witnesses = {"subtractive": ctx.get("subtractive", mask, _subtractive, s, mask, members[j])[1]}
+        if mask == full:
+            witnesses.update(dict.fromkeys(_FLAGS[1:], ()))  # every flag but subtractive fails
+        else:
+            rows = _residual_rows(s, mask, members[j])
+            witnesses["prime"] = ctx.get("prime", mask, _prime, s, mask, rows)[1]
+            outside = mask_members(full & ~mask)
+            first = union_mask(map(holds.__getitem__, outside)) & ~union_mask(map(squared.__getitem__, outside))
+            witnesses["semiprime"] = members[(first & -first).bit_length() - 1] if first else None
+            if commutative:
+                elem = _semiprime_elementwise(s, mask)
+                if (elem is None) != (not first):
+                    raise TheoremViolation("elementwise and ideal-square semiprime criteria disagree")
                 witnesses["semiprime"] = elem
-    else:
-        semiprime = False
-        witnesses["semiprime"] = ()
-
-    if proper:
-        w = _two_absorbing_witness(s, mask)
-        two_absorbing = w is None
-        if w is not None:
-            witnesses["two_absorbing"] = w
-    else:
-        two_absorbing = False
-        witnesses["two_absorbing"] = ()
-
-    maximal = proper
-    if proper:
-        full = (1 << s.size) - 1
-        for jm in lattice:
-            if jm != full and jm != ideal.mask and ideal.mask & ~jm == 0:
-                maximal = False
-                witnesses["maximal"] = mask_members(jm)
-                break
-    else:
-        witnesses["maximal"] = ()
-
-    radical_ideal: Optional[bool] = None
-    if rep.is_commutative_semiring:
-        radical_ideal = radical(ideal).mask == ideal.mask
-        if not radical_ideal:
-            witnesses["radical_ideal"] = mask_members(radical(ideal).mask & ~ideal.mask)[:1]
-
-    t_semiprime: Optional[bool] = None
-    t_element: Optional[int] = None
-    if t_mask is not None:
-        if ideal.mask & t_mask:
-            raise StructureError("T-semiprimeness needs an ideal disjoint from T")
-        # the least t in T with t*x in the ideal for every x with x*x in it
-        squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
-        rows = residual_rows(s, mask)
-        t_element = next((t for t in iter_bits(t_mask) if squared_in & ~rows[t] == 0), None)
-        t_semiprime = t_element is not None
-        if not t_semiprime:
-            witnesses["t_semiprime"] = ()
-
-    return IdealClassification(
-        subtractive=subtractive,
-        proper=proper,
-        prime=prime,
-        semiprime=semiprime,
-        two_absorbing=two_absorbing,
-        maximal=maximal,
-        radical_ideal=radical_ideal,
-        t_semiprime=t_semiprime,
-        t_element=t_element,
-        witnesses=witnesses,
-    )
+            witnesses["two_absorbing"] = _two_absorbing_witness(s, rows)
+            above = functools.reduce(int.__and__, map(holds.__getitem__, members[j])) & ~(1 << j | improper)
+            witnesses["maximal"] = members[(above & -above).bit_length() - 1] if above else None
+        radical_ideal = None
+        if commutative:
+            extra = ctx.get("radical", mask, _radical_mask, s, mask) & ~mask
+            radical_ideal = not extra
+            witnesses["radical_ideal"] = mask_members(extra)[:1] if extra else None
+        witnesses = {k: w for k, w in witnesses.items() if w is not None}
+        flags = {k: k not in witnesses for k in _FLAGS}
+        out[mask] = IdealClassification(
+            **flags, radical_ideal=radical_ideal, t_semiprime=None, t_element=None, witnesses=witnesses
+        )
+    return out
 
 
 def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tuple[int, IdealSet]]:

@@ -15,7 +15,7 @@ from semiringlab import analysis as ctxmod
 from semiringlab import ideals, spectrum, tables, zerodivisors
 from semiringlab.analysis import analysis
 from semiringlab.cli import _plain
-from semiringlab.corpus import chain_semiring, corpus_semimodules
+from semiringlab.corpus import chain_semiring, corpus_semimodules, saturating
 from semiringlab.errors import StructureError
 from semiringlab.ideals import (
     LEFT,
@@ -38,7 +38,7 @@ from semiringlab.ideals import (
     residual_rows,
     semiprime_residual,
 )
-from semiringlab.spectrum import _spec_masks
+from semiringlab.spectrum import _spec_masks, compactly_packed_battery, spec_of
 from semiringlab.tables import CayleyStructure, check_laws, self_action, semimodule_check
 from semiringlab.zerodivisors import total_quotient
 
@@ -61,9 +61,10 @@ def reads(s):
         for side in (LEFT, RIGHT):
             out.append(("annihilators", side, annihilator_rows(s, side)))
     t_set = mult_closure(s, [rep.one]) if rep.is_commutative_semiring else None
-    for i in enumerate_ideals(s, TWO_SIDED):
+    lattice = enumerate_ideals(s, TWO_SIDED)
+    out.append(("classes", None, {i.mask: classify_ideal(i) for i in lattice}))
+    for i in lattice:
         out.append(("residual", i.mask, residual_rows(s, i.mask)))
-        out.append(("classification", (i.mask, None), classify_ideal(i)))
         if i.is_proper:
             out.append(("prime", i.mask, is_prime(i)))
         if t_set is not None:
@@ -76,9 +77,9 @@ def reads(s):
     if t_set is not None:
         out.append(("orbits", None, ideals._orbits(s)))
         out.append(("quotient", None, total_quotient(s)))
-    # squares and planes have no public read: each is checked as the
-    # classifications and residual rows left it
-    for kind in ("square", "plane"):
+    # planes have no public read: each is checked as the residual rows and
+    # subtractive tests left it
+    for kind in ("plane", "sum_plane"):
         for key, value in analysis(s).facts.get(kind, {}).items():
             out.append((kind, key, value))
     return out
@@ -95,12 +96,13 @@ COMPUTE = {
     "annihilators": lambda target, side: ideals._annihilator_rows(target, side),
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
     "prime": lambda s, mask: ideals._prime(s, mask),
-    "plane": lambda s, value: ideals._planes(s, [value])[0],
+    "plane": lambda s, value: ideals._planes(s.mul, [value])[0],
+    "sum_plane": lambda s, value: ideals._planes(s.add, [value])[0],
     "orbits": lambda s, key: ideals._orbit_masks(s),
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
-    "square": lambda s, mask: ideals._square_mask(s, mask),
     "residual": lambda s, mask: ideals._residual_rows(s, mask),
-    "classification": lambda s, key: ideals._classification(s, *key),
+    "classes": lambda s, key: ideals._classify_lattice(s),
+    "classification": lambda s, key: ideals._t_classification(s, *key),
     "semiprime_residual": lambda s, key: ideals._semiprime_residual(s, *key),
     "semimodule": lambda m, key: tables._semimodule_report(m),
     "self_action": lambda s, key: tables._self_action(s),
@@ -209,10 +211,9 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
         (ideals, "_prime"),
         (ideals, "_radical_mask"),
         (ideals, "_orbit_masks"),
-        (ideals, "_square_mask"),
         (ideals, "_residual_rows"),
         (ideals, "_annihilator_rows"),
-        (ideals, "_classification"),
+        (ideals, "_classify_lattice"),
         (ideals, "_all_ideals_subtractive"),
         (tables, "_self_action"),
         (tables, "_semimodule_report"),
@@ -241,12 +242,47 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
                 annihilator(s, [x], side)
             annihilator(self_action(s), [x])
     lattice = ideal_masks(s)
+    # the lattice pass cuts the residual rows of each proper ideal once and
+    # drops them, and a read of the residual fact cuts its mask's rows once
+    cut = {}
+    for key in [key for key in calls if key[0] == "_residual_rows"]:
+        cut[key[1][0]] = cut.get(key[1][0], 0) + calls.pop(key)
+    stored = analysis(s).facts["residual"]
+    proper = set(lattice) - {(1 << s.size) - 1}
+    assert cut == {m: (m in proper) + (m in stored) for m in proper | set(stored)}
     assert calls and set(calls.values()) == {1}
     # one module per semiring, however often self_action is called
     assert ("_self_action", ()) in calls and ("_semimodule_report", ()) in calls
     assert sum(k[0] == "_annihilator_rows" for k in calls) == 3
-    for name in ("_subtractive", "_radical_mask", "_classification"):
-        assert sum(k[0] == name for k in calls) == len(lattice), name
+    assert ("_classify_lattice", ()) in calls
+    for name in ("_subtractive", "_radical_mask", "_prime"):
+        assert sum(k[0] == name for k in calls) == len(lattice) - (name == "_prime"), name
+
+
+def test_the_lattice_pass_leaves_no_per_mask_work():
+    """Classifying every ideal runs one lattice pass, which stores each
+    ideal's prime, subtractive and radical verdicts; the spectrum and the
+    packed battery then compute none, and no lattice ideal's residual rows
+    or square are kept."""
+    s = saturating(16)
+    lattice = enumerate_ideals(s, TWO_SIDED)
+    before = ctxmod.counts()
+    for i in lattice:
+        classify_ideal(i)
+    classified = ctxmod.counts()
+    spec_of(s)
+    compactly_packed_battery(s)
+    after = ctxmod.counts()
+    assert classified["classes"][0] - before["classes"][0] == 1
+    assert classified["classes"][1] - before["classes"][1] == len(lattice) - 1
+    assert classified["prime"][0] - before["prime"][0] == len(lattice) - 1
+    for kind in ("subtractive", "radical"):
+        assert classified[kind][0] - before[kind][0] == len(lattice), kind
+    for kind in ("prime", "subtractive", "radical"):
+        assert after[kind][0] == classified[kind][0], kind
+        assert after[kind][1] > classified[kind][1], kind
+    assert "square" not in ctxmod.FACTS
+    assert not set(analysis(s).facts.get("residual", {})) & {i.mask for i in lattice}
 
 
 def test_each_plane_is_built_once(monkeypatch):

@@ -67,15 +67,48 @@ def test_f2xy_three_lines_efficient():
 
 
 def test_not_a_covering_raises():
+    """Every check that takes (target, covers) validates the covering. On
+    the chain {0, 1} is the annihilator of 1, and the chain is a commutative
+    semiring with every ideal subtractive, so each check reaches the test."""
     t = chain_semiring()
     whole, mid = make_ideal(t, [0, 1, 2]), make_ideal(t, [0, 1])
-    for check in (is_efficient, efficient_reduce, mccoy_exponent):
+    t_set = mult_closure(t, [t.one])
+    checks = (
+        is_efficient,
+        efficient_reduce,
+        mccoy_exponent,
+        semiring_avoidance,
+        lambda target, covers: union_avoidance_suite(target, covers, "radical"),
+        lambda target, covers: t_semiprime_avoidance(target, covers, t_set),
+        lambda target, covers: annihilator_avoidance(self_action(t), target, covers),
+    )
+    for check in checks:
         with pytest.raises(ValueError, match="not a covering"):
             check(whole, [mid])
         with pytest.raises(ValueError, match="at least one cover"):
             check(mid, [])
         with pytest.raises(ValueError, match="different structure"):
             check(mid, [make_ideal(boolean_square(), [0, 1])])
+
+
+def test_covers_over_another_structure_are_not_compared_as_bits():
+    """The chain ideal {0, 1} and the boolean-square ideal generated by 1
+    have the same mask, so a bitwise containment test alone would report
+    the chain ideal inside the foreign cover."""
+    target = make_ideal(chain_semiring(), [0, 1])
+    foreign = generate_ideal(boolean_square(), [1])
+    assert foreign.mask == target.mask
+    with pytest.raises(ValueError, match="different structure"):
+        semiring_avoidance(target, [foreign])
+    for mode in ("radical", "semiprime"):
+        with pytest.raises(ValueError, match="different structure"):
+            union_avoidance_suite(target, [foreign], mode)
+
+
+def test_an_equal_structure_built_apart_is_not_foreign():
+    t = chain_semiring()
+    mid = make_ideal(t, [0, 1])
+    assert semiring_avoidance(mid, [make_ideal(chain_semiring(), [0, 1])]).holds
 
 
 # --- ringoid avoidance ----------------------------------------------------------

@@ -9,13 +9,15 @@ and the triple-loop sandwich for primality, the residual comprehension
 Behrens elements, Davis' keep-and-chain loop and the maximal-family
 comprehension; the three-branch annihilator, the zero-divisor loop, the
 Property (A) loop, the constant-killer loop and the killed list, which the
-annihilator rows replaced; the scan of mediality over all four variables,
+annihilator rows replaced; the cell search for subtractivity, which the sum
+planes replaced; the scan of mediality over all four variables,
 which the walk over b < c replaced, and the filter of every n^(n*n) table,
 which the pruned search for medial magmas replaced; the skip-one loops of
 the efficiency test and of the greedy reduction, and the radical and
 elementwise semiprime scans behind the union corollaries, which the stored
-classification flags replaced. Every field and witness must agree, and a
-computation that raises must raise the same error."""
+classification flags replaced. The classification oracle reads only these
+loops, never the kernels it checks. Every field and witness must agree,
+and a computation that raises must raise the same error."""
 
 import dataclasses
 import functools
@@ -59,7 +61,6 @@ from semiringlab.ideals import (
     enumerate_ideals,
     ideal_masks,
     image,
-    is_prime,
     is_subtractive,
     iter_bits,
     mask_members,
@@ -67,7 +68,6 @@ from semiringlab.ideals import (
     maximal_masks,
     mult_closure,
     principal_masks,
-    radical,
     residual,
     residual_rows,
     union_mask,
@@ -118,7 +118,7 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
     rep = check_laws(s)
     witnesses: dict = {}
 
-    subtractive, w = is_subtractive(ideal)
+    subtractive, w = reference_subtractive(s, mask)
     if w is not None:
         witnesses["subtractive"] = w
 
@@ -127,7 +127,7 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
         witnesses["proper"] = ()
 
     if proper:
-        prime, w = is_prime(ideal)
+        prime, w = reference_prime(s, mask)
         if w is not None:
             witnesses["prime"] = w
     else:
@@ -188,7 +188,7 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
 
     radical_ideal = None
     if rep.is_commutative_semiring:
-        rad = radical(ideal).mask
+        rad = reference_radical(s, mask)
         radical_ideal = rad == mask
         if not radical_ideal:
             witnesses["radical_ideal"] = mask_members(rad & ~mask)[:1]
@@ -205,6 +205,21 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
         t_element=None,
         witnesses=witnesses,
     )
+
+
+def reference_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
+    """The n^2 cell search that the sum planes replaced."""
+    add = s.add
+    for x in range(s.size):
+        for y in range(s.size):
+            total_in = mask >> add[x][y] & 1
+            if not total_in:
+                continue
+            if mask >> x & 1 and not mask >> y & 1:
+                return False, (x, y)
+            if mask >> y & 1 and not mask >> x & 1:
+                return False, (x, y)
+    return True, None
 
 
 def reference_total_quotient(s: CayleyStructure) -> QuotientSemiring:
@@ -380,6 +395,23 @@ def relabelled_semirings(draw):
 @given(any_tables())
 def test_classification_matches_reference_on_any_tables(s):
     assert_classifications_match(s)
+
+
+def assert_subtractive_matches(s):
+    for side in ideals.SIDES:
+        for mask in ideal_masks(s, side):
+            fast = is_subtractive(IdealSet(structure=s, side=side, mask=mask))
+            assert fast == reference_subtractive(s, mask), (s.name, side, mask)
+
+
+@given(any_tables())
+def test_subtractive_matches_the_cell_search_on_any_tables(s):
+    assert_subtractive_matches(s)
+
+
+def test_subtractive_matches_the_cell_search_on_the_corpus(all_entries):
+    for entry in all_entries:
+        assert_subtractive_matches(entry.structure)
 
 
 @given(any_tables())
