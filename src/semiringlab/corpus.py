@@ -94,10 +94,6 @@ def diamond_lattice() -> CayleyStructure:
     )
 
 
-def diamond_complement() -> tuple[int, ...]:
-    return (3, 2, 1, 0)
-
-
 def dual_numbers_mod2() -> CayleyStructure:
     """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
     the two-element field. Element (a, b, c) = a + bx + cy sits at index

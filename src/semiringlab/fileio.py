@@ -40,16 +40,6 @@ def structure_to_json(s: CayleyStructure, claims=()) -> dict:
     return doc
 
 
-def semimodule_to_json(m: FiniteSemimodule, claims=()) -> dict:
-    doc = structure_to_json(m.semiring, claims)
-    doc["name"] = m.name or doc["name"]
-    doc["msize"] = m.msize
-    doc["madd"] = [list(r) for r in m.madd]
-    doc["mzero"] = m.mzero
-    doc["action"] = [list(r) for r in m.action]
-    return doc
-
-
 def _structure_from_doc(doc: dict) -> CayleyStructure:
     try:
         size, add, mul = doc["size"], doc["add"], doc["mul"]

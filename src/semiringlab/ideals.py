@@ -8,6 +8,14 @@ and the classification of the whole two-sided lattice are read from the
 structure's analysis context (:mod:`semiringlab.analysis`); each is
 computed once by a private function here.
 
+Ideal lattices come from Close-by-One (:func:`semiringlab.closure.close_by_one`)
+over joins with the stored principal ideals. Where addition is
+associative and commutative and multiplication distributes on the ideal's
+side, the ideal generated by an ideal A and x is A | (x) | A + (x), one
+set image; every other table (the ringoids and medial additions of the
+avoidance theorems) joins by the closure fixpoint, grown from A.
+Subsemimodules always meet that premise.
+
 Five mask kernels serve every module: :func:`image` (the mask of all
 products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
 (the masks not strictly inside another), and two kept in the context:
@@ -39,12 +47,12 @@ import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .analysis import analysis, reader
-from .closure import close, iter_bits
+from .closure import close, close_by_one, iter_bits, mask_members
 from .errors import CapExceeded, HypothesesUnmet, StructureError, TheoremViolation
-from .limits import BRUTE_FORCE_CAP, IDEAL_ENUM_CAP
+from .limits import BRUTE_FORCE_CAP
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
@@ -66,15 +74,6 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         mask |= 1 << i
     return mask
-
-
-def mask_members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def image(table, a: int, b: int) -> int:
@@ -187,14 +186,6 @@ def ideal_violation(s: CayleyStructure, mask: int, side: str) -> Optional[tuple]
     return None
 
 
-def make_ideal(s: CayleyStructure, members: Iterable[int], side: str = TWO_SIDED) -> IdealSet:
-    mask = mask_of(members)
-    bad = ideal_violation(s, mask, side)
-    if bad is not None:
-        raise StructureError(f"not a {side} ideal: violation {bad}")
-    return IdealSet(structure=s, side=side, mask=mask)
-
-
 def _absorb(s: CayleyStructure, side: str) -> tuple[int, ...]:
     """Per element x, what an ideal of the side holding x must hold: the
     products r*x (left), x*r (right) or both (two-sided) over all r."""
@@ -215,33 +206,6 @@ def _absorb_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
 def close_mask(s: CayleyStructure, mask: int, side: str) -> int:
     """Least superset closed under addition and the side's multiplications."""
     return close(s.add, _absorb(s, side), mask)
-
-
-def closed_sets(n: int, close: Callable[[int], int]) -> tuple[int, ...]:
-    """Every closed set of a closure operator on the subsets of n elements,
-    in lectic order (Ganter's NextClosure, 1984).
-
-    The set after a closed set A is close((A & low) | 1 << i) for the
-    largest i outside A whose closure adds nothing below i, where low masks
-    the elements below i; so each closed set costs at most n closures. More
-    than ``IDEAL_ENUM_CAP`` closed sets raise :class:`CapExceeded`.
-    """
-    full = (1 << n) - 1
-    found = [close(0)]
-    while found[-1] != full:
-        if len(found) == IDEAL_ENUM_CAP:
-            raise CapExceeded(f"more than {IDEAL_ENUM_CAP} closed sets on {n} elements")
-        a = found[-1]
-        for i in reversed(range(n)):
-            bit = 1 << i
-            if a & bit:
-                continue
-            low = bit - 1
-            b = close(a & low | bit)
-            if b & low == a & low:
-                break
-        found.append(b)
-    return tuple(found)
 
 
 def generate_ideal(s: CayleyStructure, gens: Iterable[int], side: str = TWO_SIDED) -> IdealSet:
@@ -328,16 +292,49 @@ def _annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: Op
 def ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
     """All ideal masks of the side, sorted by member tuple.
 
-    The ideals are the nonempty closed sets of ``close_mask``, enumerated by
-    NextClosure (:func:`closed_sets`). ``brute_force_ideal_masks`` is the
+    The ideals are the nonempty closed sets of ``close_mask``;
+    Close-by-One (:func:`close_by_one`) enumerates them from the principal
+    ideals. The join of an ideal with a principal ideal is their sum, one
+    set image, when ``_sum_joins`` holds, and their closure, grown from
+    the ideal, on every other table. ``brute_force_ideal_masks`` is the
     oracle in the test suite.
     """
     return analysis(s).get("lattice", side, _ideal_masks, s, side)
 
 
 def _ideal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
-    masks = closed_sets(s.size, lambda m: close_mask(s, m, side))
+    add, principal = s.add, principal_masks(s, side)
+    if _sum_joins(check_laws(s), side):
+        def join(a: int, j: int) -> int:
+            return _sum_join(add, a, principal[j])
+    else:
+        absorb = _absorb(s, side)
+
+        def join(a: int, j: int) -> int:
+            return close(add, absorb, principal[j], a)
+    # the empty set is the least closed set
+    masks = close_by_one(0, principal, join)
     return tuple(sorted((m for m in masks if m), key=mask_members))
+
+
+def _sum_joins(rep, side: str) -> bool:
+    """Whether the ideal generated by an ideal A and an element x is
+    A | (x) | A + (x), with (x) the principal ideal: addition associative
+    and commutative makes A + (x) closed under addition, and distributivity
+    on the side's multiplications (both for two-sided ideals) makes it
+    absorb them."""
+    return (
+        rep.add_associative
+        and rep.add_commutative
+        and (side == RIGHT or rep.left_distributive)
+        and (side == LEFT or rep.right_distributive)
+    )
+
+
+def _sum_join(add, a: int, p: int) -> int:
+    """a | p | a + p for two masks closed under the addition: a sum with
+    both terms in a, or both in p, is already there."""
+    return a | p | image(add, p & ~a, a & ~p)
 
 
 def enumerate_ideals(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[IdealSet, ...]:
@@ -779,11 +776,16 @@ def annihilator(
 
 
 def subsemimodule_masks(m: FiniteSemimodule) -> tuple[int, ...]:
-    """All subsets containing zero and closed under addition and the action."""
+    """All subsets containing zero and closed under addition and the action.
+
+    A semimodule's addition is associative and commutative and the action
+    distributes over it, so the join of a subsemimodule with the one
+    generated by x is their sum, and Close-by-One enumerates them."""
     require_semimodule(m)
-    act, zero = m.action, 1 << m.mzero
+    madd, act, zero = m.madd, m.action, 1 << m.mzero
     absorb = tuple(mask_of(row[x] for row in act) for x in range(m.msize))
-    masks = closed_sets(m.msize, lambda mask: close(m.madd, absorb, mask | zero))
+    principal = [close(madd, absorb, 1 << x | zero) for x in range(m.msize)]
+    masks = close_by_one(close(madd, absorb, zero), principal, lambda a, j: _sum_join(madd, a, principal[j]))
     return tuple(sorted(masks, key=mask_members))
 
 

@@ -269,12 +269,25 @@ def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
     """The addition and multiplication tables over classes of pairs (a, u),
     each class listed with its representative first.
 
-    Per operation, every pair p gets the row of the classes of p op q over
-    all pairs q, with (a, u) + (b, v) = (a*v + b*u, u*v) and
-    (a, u) * (b, v) = (a*b, u*v). The operation is well defined exactly when
-    every pair has its representative's row and that row is constant on each
-    class; so every product is computed and compared, and a failure raises
-    :class:`TheoremViolation`.
+    Per operation, the representative p of each class gets the row of the
+    classes of p op q over all pairs q, with (a, u) + (b, v) =
+    (a*v + b*u, u*v) and (a, u) * (b, v) = (a*b, u*v), and that row must be
+    constant on each class. Every other member must agree with its
+    representative on the translation generators: the columns (b, 1) and
+    (1, v) for multiplication and (b, 1) for addition. Where x*1 = x, the
+    pairs satisfy
+
+        (a, u) * (b, v) = ((a, u) * (b, 1)) * (1, v),
+        (a, u) + (b, v) = (((a, u) * (v, 1)) + (b, 1)) * (1, v),
+
+    so once every class is closed under these translations, each member's
+    full row is its representative's. (The addition identity needs
+    multiplication to be well defined, which its own check settles.) The
+    generator columns are columns of the full row, so the check fails on
+    exactly the inputs where comparing full rows fails. The denominators
+    must hold such a one and be closed under multiplication, and the
+    classes must list every pair over them, as the total quotient's
+    non-zero-divisors do; any failure raises :class:`TheoremViolation`.
     """
     add, mul, n = s.add, s.mul, s.size
     cols = tuple(zip(*mul))
@@ -286,14 +299,23 @@ def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
     # a row holds one block per v: the classes of p op (b, v), by b
     blocks = [by_den[v] for v in dens]
     first = [(dens.index(u), a) for a, u in (members[0] for members in classes)]
+    one = next((e for e in dens if all(mul[x][e] == x for x in range(n))), None)
+    if (
+        one is None
+        or any(mul[u][v] not in by_den for u in dens for v in dens)
+        or len({p for members in classes for p in members}) != n * len(dens)
+    ):
+        raise TheoremViolation("quotient operation is not well defined")
+    at_one = dens.index(one)
 
-    def table(product) -> list:
+    def table(product, generators, of_row) -> list:
         rows = []
         for members in classes:
             row = product(*members[0])
             entries = [row[k][b] for k, b in first]
+            want = of_row(row)
             if [[entries[c] for c in block] for block in blocks] != row or any(
-                product(a, u) != row for a, u in members[1:]
+                generators(a, u) != want for a, u in members[1:]
             ):
                 raise TheoremViolation("quotient operation is not well defined")
             rows.append(entries)
@@ -307,7 +329,17 @@ def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
         ra, ru = mul[a], mul[u]
         return [list(map(by_den[ru[v]].__getitem__, ra)) for v in dens]
 
-    return table(add_row), table(mul_row)
+    def add_generators(a: int, u: int) -> list:
+        """The columns (b, 1) of ``add_row(a, u)``."""
+        return list(map(by_den[u].__getitem__, map(add[a].__getitem__, cols[u])))
+
+    def mul_generators(a: int, u: int) -> tuple:
+        """The columns (b, 1) and (1, v) of ``mul_row(a, u)``."""
+        return list(map(by_den[u].__getitem__, mul[a])), [by_den[mul[u][v]][a] for v in dens]
+
+    add_rows = table(add_row, add_generators, lambda row: row[at_one])
+    mul_rows = table(mul_row, mul_generators, lambda row: (row[at_one], [block[one] for block in row]))
+    return add_rows, mul_rows
 
 
 def annihilator_extension_check(q: QuotientSemiring, x: int) -> bool:

@@ -21,13 +21,14 @@ from semiringlab.corpus import (
     boolean_semifield,
     chain_semiring,
     cross_product_hemiring,
-    diamond_complement,
     diamond_lattice,
     saturating,
 )
 from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.ideals import enumerate_ideals, is_subtractive
 from semiringlab.tables import check_laws
+
+from helpers import diamond_complement
 
 
 # --- endomorphism structures -------------------------------------------------

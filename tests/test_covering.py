@@ -32,11 +32,12 @@ from semiringlab.ideals import (
     enumerate_ideals,
     generate_ideal,
     is_prime,
-    make_ideal,
     mult_closure,
     set_product_mask,
 )
 from semiringlab.tables import check_laws, self_action
+
+from helpers import make_ideal
 
 
 # --- efficient coverings --------------------------------------------------------

@@ -35,7 +35,6 @@ from semiringlab.ideals import (
     is_subtractive,
     krull_separation,
     left_comb,
-    make_ideal,
     mask_members,
     mask_of,
     maximal_annihilator_primes,
@@ -49,6 +48,8 @@ from semiringlab.ideals import (
     t_semiprime_equivalence,
 )
 from semiringlab.tables import CayleyStructure, check_laws, self_action
+
+from helpers import make_ideal
 
 
 def subset_filter_oracle(s, side):

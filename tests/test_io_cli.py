@@ -18,8 +18,10 @@ from semiringlab.corpus import (
     saturating,
 )
 from semiringlab.errors import StructureError
-from semiringlab.fileio import ingest, ingest_doc, semimodule_to_json, structure_to_json
+from semiringlab.fileio import ingest, ingest_doc, structure_to_json
 from semiringlab.tables import CayleyStructure, FiniteSemimodule, check_laws, self_action
+
+from helpers import semimodule_to_json
 
 
 # --- ingest -----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The bit-row and mask kernels against the loops they replaced, kept here
 as slow references: the per-J square loop for semiprimeness, the triple
 loop for 2-absorbing ideals, the all() loop for the T-element, the scan
-over every non-zero-divisor for the localization relation and the
-per-class-pair combine for the quotient tables; the pairwise product test
+over every non-zero-divisor for the localization relation, the
+per-class-pair combine for the quotient tables and the full row compare of
+every class member, which the translation generators replaced; the
+pairwise product test
 and the triple-loop sandwich for primality, the residual comprehension
 (which the value planes replaced), the power-orbit scan for radicals
 (which the orbit masks replaced), the principal-product scan behind the
@@ -86,10 +88,13 @@ from semiringlab.tables import (
 )
 from semiringlab.zerodivisors import (
     QuotientSemiring,
+    _quotient_tables,
     property_a_check,
     total_quotient,
     zero_divisor_mask,
 )
+
+from helpers import quotient_classes
 
 LADDER = (12, 13, 14, 15, 16)
 
@@ -449,6 +454,149 @@ def test_classification_matches_reference_on_the_saturating_ladder():
 def test_quotient_matches_reference_on_the_saturating_ladder():
     for top in LADDER:
         assert_quotients_match(saturating(top))
+
+
+def reference_quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
+    """The addition and multiplication tables over classes of pairs (a, u),
+    each class listed with its representative first.
+
+    Per operation, every pair p gets the row of the classes of p op q over
+    all pairs q, with (a, u) + (b, v) = (a*v + b*u, u*v) and
+    (a, u) * (b, v) = (a*b, u*v). The operation is well defined exactly when
+    every pair has its representative's row and that row is constant on each
+    class; so every product is computed and compared, and a failure raises
+    :class:`TheoremViolation`.
+    """
+    add, mul, n = s.add, s.mul, s.size
+    cols = tuple(zip(*mul))
+    by_den: dict = {}  # u -> the class of (a, u) for each a
+    for i, members in enumerate(classes):
+        for a, u in members:
+            by_den.setdefault(u, [0] * n)[a] = i
+    dens = sorted(by_den)
+    # a row holds one block per v: the classes of p op (b, v), by b
+    blocks = [by_den[v] for v in dens]
+    first = [(dens.index(u), a) for a, u in (members[0] for members in classes)]
+
+    def table(product) -> list:
+        rows = []
+        for members in classes:
+            row = product(*members[0])
+            entries = [row[k][b] for k, b in first]
+            if [[entries[c] for c in block] for block in blocks] != row or any(
+                product(a, u) != row for a, u in members[1:]
+            ):
+                raise TheoremViolation("quotient operation is not well defined")
+            rows.append(entries)
+        return rows
+
+    def add_row(a: int, u: int) -> list:
+        ra, cu, ru = mul[a], cols[u], mul[u]
+        return [list(map(by_den[ru[v]].__getitem__, map(add[ra[v]].__getitem__, cu))) for v in dens]
+
+    def mul_row(a: int, u: int) -> list:
+        ra, ru = mul[a], mul[u]
+        return [list(map(by_den[ru[v]].__getitem__, ra)) for v in dens]
+
+    return table(add_row), table(mul_row)
+
+
+def tables_or_error(fn, s, classes):
+    """fn's tables, or the type and message of whatever it raised."""
+    try:
+        return fn(s, classes)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def translation_premises(s: CayleyStructure, classes: list) -> bool:
+    """Whether the denominators hold a right one and are closed under
+    multiplication, and the classes list every pair over them: where
+    ``_quotient_tables`` compares members on the translation generators
+    only, and outside of which it raises."""
+    pairs = {p for members in classes for p in members}
+    dens = {u for _, u in pairs}
+    return (
+        any(all(row[e] == x for x, row in enumerate(s.mul)) for e in dens)
+        and all(s.mul[u][v] in dens for u in dens for v in dens)
+        and len(pairs) == s.size * len(dens)
+    )
+
+
+def assert_quotient_tables_match(s, classes):
+    """The tables or the error of the full row compare where the premises
+    hold, and the error otherwise."""
+    fast = tables_or_error(_quotient_tables, s, classes)
+    if translation_premises(s, classes):
+        assert fast == tables_or_error(reference_quotient_tables, s, classes), (s.name, classes)
+    else:
+        assert fast == (TheoremViolation, "quotient operation is not well defined"), (s.name, classes)
+    return fast
+
+
+def test_quotient_tables_match_the_row_compare_on_the_corpus(commutative_entries):
+    for e in commutative_entries:
+        classes = quotient_classes(total_quotient(e.structure))
+        assert isinstance(assert_quotient_tables_match(e.structure, classes), tuple)
+
+
+@st.composite
+def mutated_partitions(draw):
+    """A commutative semiring with the pair classes of its total quotient,
+    mutated by a few drawn steps: two classes merged, one pair moved to
+    another class (a class it empties is dropped), a new representative
+    drawn, or a pair dropped, which leaves a partition of fewer pairs that
+    ``_quotient_tables`` must reject."""
+    s = draw(st.sampled_from(SMALL_SEMIRINGS + (saturating(6),)))
+    classes = [list(c) for c in quotient_classes(total_quotient(s))]
+    for step in draw(st.lists(st.sampled_from(("merge", "move", "lead", "drop")), min_size=1, max_size=3)):
+        i = draw(st.integers(0, len(classes) - 1))
+        j = draw(st.integers(0, len(classes) - 1))
+        if step == "merge" and i != j:
+            i, j = sorted((i, j))
+            classes[i] += classes.pop(j)
+        elif step in ("move", "drop"):
+            pair = classes[i].pop(draw(st.integers(0, len(classes[i]) - 1)))
+            if step == "move":
+                classes[j].append(pair)
+            if not classes[i]:
+                classes.pop(i)
+        elif step == "lead":
+            k = draw(st.integers(0, len(classes[i]) - 1))
+            classes[i].insert(0, classes[i].pop(k))
+        if not classes:
+            classes = [[(0, s.one)]]
+    return s, classes
+
+
+@given(mutated_partitions())
+def test_quotient_tables_match_the_row_compare_on_mutated_partitions(drawn):
+    assert_quotient_tables_match(*drawn)
+
+
+@st.composite
+def partitioned_tables(draw):
+    """Arbitrary tables of size 2-3 whose element e is a right one, with
+    denominators that hold e and a drawn partition of their pairs, each
+    class in a drawn order: most are no quotient, and where a product of
+    denominators falls outside them ``_quotient_tables`` must reject the
+    classes."""
+    n = draw(st.integers(2, 3))
+    e = draw(st.integers(0, n - 1))
+    cells = st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    add, mul = draw(cells), draw(cells)
+    for x in range(n):
+        mul[x][e] = x
+    dens = sorted({e} | set(draw(st.lists(st.integers(0, n - 1), max_size=n))))
+    pairs = draw(st.permutations([(a, u) for u in dens for a in range(n)]))
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    classes = [[p for p, label in zip(pairs, labels) if label == c] for c in sorted(set(labels))]
+    return CayleyStructure(size=n, add=add, mul=mul, name="drawn"), classes
+
+
+@given(partitioned_tables())
+def test_quotient_tables_match_the_row_compare_on_any_partition(drawn):
+    assert_quotient_tables_match(*drawn)
 
 
 # --- primality, residuals and the covering constructions ----------------------

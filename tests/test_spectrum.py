@@ -21,7 +21,6 @@ from semiringlab.ideals import (
     enumerate_ideals,
     generate_ideal,
     is_prime,
-    make_ideal,
     radical,
 )
 from semiringlab.spectrum import (
@@ -33,6 +32,8 @@ from semiringlab.spectrum import (
     zariski_axioms,
 )
 from semiringlab.tables import check_laws
+
+from helpers import make_ideal
 
 
 def brute_spec(s):

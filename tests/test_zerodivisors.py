@@ -34,6 +34,8 @@ from semiringlab.zerodivisors import (
     zero_divisor_report,
 )
 
+from helpers import quotient_classes
+
 
 # --- zero-divisor reports -------------------------------------------------------
 
@@ -175,14 +177,6 @@ def test_quotient_austere_collapses_to_boolean():
     assert set(q.canonical[1:]) == {1}
 
 
-def quotient_classes(q):
-    """The classes of pairs of a quotient, each least pair first."""
-    classes = [[] for _ in range(q.structure.size)]
-    for pair, c in sorted(q.pair_class.items()):
-        classes[c].append(pair)
-    return classes
-
-
 def test_quotient_tables_rebuild_the_quotient(commutative_entries):
     for e in commutative_entries:
         q = total_quotient(e.structure)
@@ -219,6 +213,16 @@ def test_quotient_tables_reject_a_row_split_on_a_class():
     s = CayleyStructure(size=2, add=[[0, 0], [0, 0]], mul=[[0, 1], [0, 1]])
     with pytest.raises(TheoremViolation, match="not well defined"):
         _quotient_tables(s, [[(0, 0)], [(1, 0), (0, 1), (1, 1)]])
+
+
+def test_quotient_tables_reject_a_member_off_its_representative_on_a_column_1_v():
+    """1 is a right one but not a left one. The member (0, 1) agrees with
+    its representative (0, 0) on every column (b, 1) and on every addition
+    column, and each representative's row is constant on each class; only
+    the product with (1, 0), a column (1, v), tells them apart."""
+    s = CayleyStructure(size=3, add=[[1, 2, 1], [1, 1, 2], [1, 1, 2]], mul=[[0, 0, 0], [2, 1, 1], [2, 2, 1]])
+    with pytest.raises(TheoremViolation, match="not well defined"):
+        _quotient_tables(s, [[(0, 0), (0, 1)], [(1, 0), (2, 1), (1, 1), (2, 0)], [(2, 2), (0, 2), (1, 2)]])
 
 
 def test_quotient_units_become_invertible(commutative_entries):
