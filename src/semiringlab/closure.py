@@ -12,17 +12,10 @@ lattices and subsemimodules with it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import CapExceeded
 from .limits import IDEAL_ENUM_CAP
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def mask_members(mask: int) -> tuple[int, ...]:

@@ -17,15 +17,14 @@ from .tables import (
     CayleyStructure,
     StructureConstants,
     Table,
-    associative_witness,
     check_laws,
-    commutative_witness,
     distributive_witness,
     freeze_table,
     is_semifield,
     least_witness,
     medial_witness,
     transpose,
+    _additive_laws,
     _neutral,
 )
 
@@ -244,38 +243,19 @@ def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
     if len(comp) != n or any(not 0 <= v < n for v in comp):
         raise StructureError("complement table malformed")
 
-    axioms: dict = {}
-    witnesses: dict = {}
     zero = _neutral(add, n)
-    axioms["n1_additive_unital"] = zero is not None
-    if zero is None:
-        witnesses["n1_additive_unital"] = ()
-
-    one = None
-    for e in range(n):
-        if all(mul[x][e] == x for x in range(n)):
-            one = e
-            break
-    axioms["n2_right_identity"] = one is not None
-    if one is None:
-        witnesses["n2_right_identity"] = ()
-
-    w = distributive_witness(add, mul)
-    if w is None:
-        w = distributive_witness(add, transpose(mul))
-    axioms["n3_distributive"] = w is None
-    if w is not None:
-        witnesses["n3_distributive"] = w
-
-    if zero is not None and one is not None:
-        w4 = least_witness(
+    one = next((e for e in range(n) if all(mul[x][e] == x for x in range(n))), None)
+    found = {
+        "n1_additive_unital": None if zero is not None else (),
+        "n2_right_identity": None if one is not None else (),
+        # the left law's witness, else the right law's (a witness is never empty)
+        "n3_distributive": distributive_witness(add, mul) or distributive_witness(add, transpose(mul)),
+        "n4_complement": () if zero is None or one is None else least_witness(
             (n,), lambda: ([(mul[a][c], add[a][c]) for a, c in enumerate(comp)], [(zero, one)] * n)
-        )
-    else:
-        w4 = ()
-    axioms["n4_complement"] = w4 is None
-    if w4 is not None:
-        witnesses["n4_complement"] = w4
+        ),
+    }
+    witnesses = {axiom: w for axiom, w in found.items() if w is not None}
+    axioms = {axiom: axiom not in witnesses for axiom in found}
 
     derived = None
     if all(axioms.values()) and zero != one:
@@ -361,12 +341,11 @@ def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int
     """Validate a commutative monoid table, returning it with its identity."""
     n = len(table)
     t = freeze_table(table, n, n, "monoid")
-    w = associative_witness(t, t)
-    if w is not None:
-        raise StructureError(f"monoid operation not associative, witness {w}")
-    w = commutative_witness(t)
-    if w is not None:
-        raise StructureError(f"monoid operation not commutative, witness {w}")
+    associative, commutative, _ = _additive_laws(t, ())
+    if associative is not None:
+        raise StructureError(f"monoid operation not associative, witness {associative}")
+    if commutative is not None:
+        raise StructureError(f"monoid operation not commutative, witness {commutative}")
     e = _neutral(t, n)
     if e is None:
         raise StructureError("monoid has no identity")

@@ -35,7 +35,6 @@ from .ideals import (
     image,
     is_prime,
     is_subtractive,
-    iter_bits,
     left_comb,
     mask_members,
     maximal_masks,
@@ -142,9 +141,8 @@ def _verify_subtractive_primes(primes: Sequence[IdealSet]) -> Optional[WitnessRe
 
 
 def _scan_avoiding(target_mask: int, avoid_mask: int) -> Optional[int]:
-    for a in iter_bits(target_mask & ~avoid_mask):
-        return a
-    return None
+    rest = target_mask & ~avoid_mask
+    return (rest & -rest).bit_length() - 1 if rest else None
 
 
 def _prime_pair_product(
@@ -154,7 +152,7 @@ def _prime_pair_product(
     contains neither generator: for the least u in (left) whose residual
     row misses part of (right), its product with the least v missed."""
     rows = residual_rows(s, prime_mask)
-    for u in iter_bits(principal[left]):
+    for u in mask_members(principal[left]):
         missed = principal[right] & ~rows[u]
         if missed:
             return s.mul[u][(missed & -missed).bit_length() - 1]
@@ -223,7 +221,7 @@ def behrens_elements(
 def _avoid_constructive(s: CayleyStructure, ideal: IdealSet, primes: list[IdealSet]) -> int:
     n = len(primes)
     if n == 0:
-        return min(iter_bits(ideal.mask))
+        return (ideal.mask & -ideal.mask).bit_length() - 1
     if n == 1:
         a = _scan_avoiding(ideal.mask, primes[0].mask)
         if a is None:
@@ -334,7 +332,7 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
         return _unmet("containment", detail="(x) + I lies inside the union")
 
     scanned = None
-    for y in iter_bits(ideal.mask):
+    for y in mask_members(ideal.mask):
         if not union >> add[x][y] & 1:
             scanned = y
             break

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .analysis import analysis, reader
-from .closure import close, close_by_one, iter_bits, mask_members
+from .closure import close, close_by_one, mask_members
 from .errors import CapExceeded, HypothesesUnmet, StructureError, TheoremViolation
 from .limits import BRUTE_FORCE_CAP
 from .tables import (
@@ -76,11 +76,19 @@ def mask_of(indices: Iterable[int]) -> int:
     return mask
 
 
+def _element_mask(s: CayleyStructure, members: Iterable[int]) -> int:
+    """The mask of the members, each checked to be an element of ``s``."""
+    members = list(members)
+    if any(not 0 <= x < s.size for x in members):
+        raise StructureError("element out of range")
+    return mask_of(members)
+
+
 def image(table, a: int, b: int) -> int:
     """The mask of {table[x][y] : x in a, y in b}: a set product or sum."""
     out = 0
     right = mask_members(b)
-    for x in iter_bits(a):
+    for x in mask_members(a):
         row = table[x]
         for y in right:
             out |= 1 << row[y]
@@ -142,11 +150,12 @@ class MultiplicativeSet:
 def multiplicative_set(s: CayleyStructure, members: Iterable[int]) -> MultiplicativeSet:
     """Validate that the members contain one and are closed under multiplication."""
     rep = require_semiring(s)
-    mask = mask_of(members)
+    mask = _element_mask(s, members)
     if not mask >> rep.one & 1:
         raise StructureError("multiplicative set must contain one")
-    for x in iter_bits(mask):
-        for y in iter_bits(mask):
+    members = mask_members(mask)
+    for x in members:
+        for y in members:
             if not mask >> s.mul[x][y] & 1:
                 raise StructureError(f"not multiplicatively closed: {x}*{y} escapes")
     return MultiplicativeSet(structure=s, mask=mask)
@@ -154,7 +163,7 @@ def multiplicative_set(s: CayleyStructure, members: Iterable[int]) -> Multiplica
 
 def mult_closure(s: CayleyStructure, gens: Iterable[int]) -> MultiplicativeSet:
     rep = require_semiring(s)
-    mask = close(s.mul, (0,) * s.size, mask_of(gens) | 1 << rep.one)
+    mask = close(s.mul, (0,) * s.size, _element_mask(s, gens) | 1 << rep.one)
     return MultiplicativeSet(structure=s, mask=mask)
 
 
@@ -165,7 +174,7 @@ def ideal_violation(s: CayleyStructure, mask: int, side: str) -> Optional[tuple]
     if mask == 0:
         return ("empty",)
     add, mul, n = s.add, s.mul, s.size
-    elems = list(iter_bits(mask))
+    elems = mask_members(mask)
     for x in elems:
         row = add[x]
         for y in elems:
@@ -214,14 +223,12 @@ def generate_ideal(s: CayleyStructure, gens: Iterable[int], side: str = TWO_SIDE
     The empty generator set is only meaningful when the structure has an
     absorbing zero, in which case it yields the zero ideal.
     """
-    mask = mask_of(gens)
+    mask = _element_mask(s, gens)
     if mask == 0:
         rep = check_laws(s)
         if not rep.is_with_zero:
             raise StructureError("empty generating set needs a structure with zero")
         mask = 1 << rep.zero
-    if mask >> s.size:
-        raise StructureError("generator out of range")
     return IdealSet(structure=s, side=side, mask=close_mask(s, mask, side))
 
 
@@ -409,21 +416,31 @@ def _prime(
         rows = residual_rows(s, mask)
     outside = ((1 << s.size) - 1) & ~mask
     principal = principal_masks(s, TWO_SIDED)
-    witness = None
-    for a in iter_bits(outside):
+    # both scans peel bits off the mask: they mostly stop early, before a
+    # list of the members would pay for itself
+    witness, rest = None, outside
+    while rest and witness is None:
+        low = rest & -rest
+        rest ^= low
+        a = low.bit_length() - 1
         if rows[a] & outside:
             inner = _meet(rows, principal[a], outside)
-            for b in iter_bits(inner & outside):
+            bs = inner & outside
+            while bs and witness is None:
+                low = bs & -bs
+                bs ^= low
+                b = low.bit_length() - 1
                 if principal[b] & ~inner == 0:
                     witness = (a, b)
-                    break
-            if witness:
-                break
     ringoid_prime = witness is None
 
     if check_laws(s).is_semiring:
         values = _absorb(s, RIGHT)
-        sandwich_prime = not any(_meet(rows, values[x], outside) & outside for x in iter_bits(outside))
+        sandwich_prime, rest = True, outside
+        while rest and sandwich_prime:
+            low = rest & -rest
+            rest ^= low
+            sandwich_prime = not _meet(rows, values[low.bit_length() - 1], outside) & outside
         if sandwich_prime != ringoid_prime:
             ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
             raise TheoremViolation(
@@ -626,7 +643,12 @@ def _t_classification(s: CayleyStructure, mask: int, t_mask: int) -> IdealClassi
         raise StructureError("T-semiprimeness needs an ideal disjoint from T")
     squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
     rows = residual_rows(s, mask)
-    t_element = next((t for t in iter_bits(t_mask) if squared_in & ~rows[t] == 0), None)
+    t_element, rest = None, t_mask
+    while rest and t_element is None:
+        low = rest & -rest
+        rest ^= low
+        if squared_in & ~rows[low.bit_length() - 1] == 0:
+            t_element = low.bit_length() - 1
     witnesses = dict(cls.witnesses)
     if t_element is None:
         witnesses["t_semiprime"] = ()
@@ -703,7 +725,7 @@ def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tu
 
 def _semiprime_residual(s: CayleyStructure, mask: int, t_mask: int) -> Optional[tuple[int, int]]:
     ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
-    for t in iter_bits(t_mask):
+    for t in mask_members(t_mask):
         r = residual(ideal, t)
         if r.is_proper and _semiprime_elementwise(s, r.mask) is None:
             return t, r.mask

@@ -16,7 +16,6 @@ from .ideals import (
     ideal_masks,
     is_prime,
     is_subtractive,
-    iter_bits,
     mask_members,
     principal_masks,
     radical_mask,
@@ -202,12 +201,10 @@ def principal_open_refinement(
         if ideal.issubset(p):
             raise HypothesesUnmet("a point lies outside the open set of the ideal")
     avoid = union_mask(p.mask for p in points)
-    x = None
-    for a in iter_bits(ideal.mask & ~avoid):
-        x = a
-        break
-    if x is None:
+    rest = ideal.mask & ~avoid
+    if not rest:
         raise TheoremViolation("no refinement element despite verified hypotheses")
+    x = (rest & -rest).bit_length() - 1
     x_ideal = IdealSet(structure=s, side=TWO_SIDED, mask=principal_masks(s, TWO_SIDED)[x])
     _, d_x = vanishing_sets(s, x_ideal)
     _, d_i = vanishing_sets(s, ideal)

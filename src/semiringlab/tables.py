@@ -15,12 +15,28 @@ Algebraic Theory of Semigroups*, vol. 1, 1961), an operation is associative
 when (xg)y = x(gy) for every generator g; this is applied to both operations.
 Over an associative addition, a(g+c) = ag+ac for every additive generator g
 gives left distributivity, and the same test on the transposed
-multiplication gives right distributivity. A reduced test only says "holds":
-when it fails, the full ``least_witness`` scan runs, so every witness is the
-one the full scan finds. Mediality of addition follows from associativity
-plus commutativity, so it is settled without a scan when both hold. Otherwise
-only the prefixes with b < c are walked: swapping b and c swaps the two sides
-of (a+b)+(c+d) = (a+c)+(b+d), so the least failing tuple has b < c.
+multiplication gives right distributivity. ``_additive_laws`` is the one
+place that holds these premises: ``check_laws``, the semimodule check and
+``commutative_monoid_table`` all take an addition's laws from it. A reduced
+test only says "holds": when it fails, the full ``least_witness`` scan runs,
+so every witness is the one the full scan finds. Mediality of addition
+follows from associativity plus commutativity, so it is settled without a
+scan when both hold. Otherwise only the prefixes with b < c are walked:
+swapping b and c swaps the two sides of (a+b)+(c+d) = (a+c)+(b+d), so the
+least failing tuple has b < c.
+
+``semimodule_check`` runs on a semiring that ``require_semiring`` has
+proved, so it reduces two more laws over the scalars. The t with
+(st)x = s(tx) for every s and x are closed under products, because the
+semiring's multiplication is associative: Light's test over the generators
+of that multiplication proves the action associative. Once the module's
+addition is associative, the t with (s+t)x = sx+tx for every s and x are
+closed under sums, so that law is tested on the semiring's additive
+generators.
+
+Every report is built from its witnesses: each law's witness, or None when
+it holds, goes into one dict in report order, and a flag is False exactly
+when its law has an entry.
 """
 
 from __future__ import annotations
@@ -236,13 +252,6 @@ def _associative_rows(mul: Table, act: Table) -> Callable:
     return lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
 
 
-def associative_witness(mul: Table, act: Table) -> Optional[tuple[int, int, int]]:
-    """Least (s, t, x) with (st)x != s(tx) for an action ``act`` of the
-    magma ``mul``; ``act = mul`` gives associativity of ``mul`` itself."""
-    n = len(mul)
-    return least_witness((n, n, len(act[0])), _associative_rows(mul, act))
-
-
 def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
     """Least (a, b) with ab != ba."""
     cols = transpose(table)
@@ -315,106 +324,63 @@ def check_laws(s: CayleyStructure) -> LawReport:
     return analysis(s).get("laws", None, _law_report, s)
 
 
+def _additive_laws(add: Table, muls: Sequence[Table]) -> tuple[Optional[tuple], Optional[tuple], list]:
+    """The associativity and commutativity witnesses of ``add``, and the
+    distributivity witness of each table of ``muls`` over it (one row per
+    multiplier, one column per element of ``add``).
+
+    Light's test: (x+g)+y = x+(g+y) for every generator g of ``add`` makes
+    it associative. Over an associative addition, a(g+c) = ag+ac for every
+    generator g gives a(b+c) = ab+ac for every b, by induction on b;
+    otherwise every b is scanned."""
+    n = len(add)
+    gens = generators(add)
+    associative = _generated_witness(gens, (n, n, n), _associative_rows(add, add))
+    dist_gens = gens if associative is None else range(n)
+    distributive = [_generated_witness(dist_gens, (len(mul), n, n), _distributive_rows(add, mul)) for mul in muls]
+    return associative, commutative_witness(add), distributive
+
+
 def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
-    witnesses: dict = {}
+    add_associative, add_commutative, (left, right) = _additive_laws(add, (mul, mul_cols))
+    zero, one = _neutral(add, n), _neutral(mul, n)
+    z, e = zero, one
 
-    def settle(law: str, witness) -> bool:
-        if witness is None:
-            return True
-        witnesses[law] = witness
-        return False
-
-    # Light's test: (x+g)+y = x+(g+y) for every additive generator g makes
-    # the addition associative; the multiplication is tested the same way
-    add_gens = generators(add)
-    add_assoc_w = _generated_witness(add_gens, (n, n, n), _associative_rows(add, add))
-    # over an associative addition, a(g+c) = ag+ac for every additive
-    # generator g gives a(b+c) = ab+ac for every b, by induction on b;
-    # otherwise every b is scanned
-    dist_gens = add_gens if add_assoc_w is None else range(n)
-    left_distributive = settle(
-        "left_distributive", _generated_witness(dist_gens, (n, n, n), _distributive_rows(add, mul))
-    )
-    right_distributive = settle(
-        "right_distributive", _generated_witness(dist_gens, (n, n, n), _distributive_rows(add, mul_cols))
-    )
-    add_associative = settle("add_associative", add_assoc_w)
-    add_commutative = settle("add_commutative", commutative_witness(add))
-    add_medial = settle(
-        "add_medial", None if add_associative and add_commutative else _medial_witness(add)
-    )
-    mul_associative = settle(
-        "mul_associative", _generated_witness(generators(mul), (n, n, n), _associative_rows(mul, mul))
-    )
-    mul_commutative = settle("mul_commutative", commutative_witness(mul))
-
-    zero = _neutral(add, n)
-    has_zero = settle("has_zero", None if zero is not None else ())
-    if zero is None:
-        zero_absorbing = settle("zero_absorbing", ())
-        zerosumfree = settle("zerosumfree", ())
-        entire = settle("entire", ())
-    else:
-        z = zero
-        zero_absorbing = settle(
-            "zero_absorbing", least_witness((n,), lambda: (list(zip(mul[z], mul_cols[z])), [(z, z)] * n))
-        )
-        zerosumfree = settle(
-            "zerosumfree",
-            least_witness(
-                (n, n), lambda a: ([v == z and (a != z or b != z) for b, v in enumerate(add[a])], [False] * n)
-            ),
-        )
-        entire = settle(
-            "entire",
-            least_witness(
-                (n, n), lambda a: ([v == z and a != z and b != z for b, v in enumerate(mul[a])], [False] * n)
-            ),
+    def complements(r):
+        return sum(
+            mul[r][rp] == z and mul[rp][r] == z and add[r][rp] == e and add[rp][r] == e for rp in range(n)
         )
 
-    one = _neutral(mul, n)
-    has_one = settle("has_one", None if one is not None else ())
-
-    if zero is None or one is None:
-        complemented = settle("complemented", ())
-    else:
-        z, e = zero, one
-
-        def complements(r):
-            return sum(
-                mul[r][rp] == z and mul[rp][r] == z and add[r][rp] == e and add[rp][r] == e
-                for rp in range(n)
-            )
-
-        complemented = settle(
-            "complemented", least_witness((n,), lambda: ([complements(r) for r in range(n)], [1] * n))
-        )
-
-    mul_idempotent = settle(
-        "mul_idempotent", least_witness((n,), lambda: ([mul[r][r] for r in range(n)], list(range(n))))
-    )
-
-    return LawReport(
-        left_distributive=left_distributive,
-        right_distributive=right_distributive,
-        add_associative=add_associative,
-        add_commutative=add_commutative,
-        add_medial=add_medial,
-        mul_associative=mul_associative,
-        mul_commutative=mul_commutative,
-        has_zero=has_zero,
-        zero_absorbing=zero_absorbing,
-        has_one=has_one,
-        zerosumfree=zerosumfree,
-        entire=entire,
-        complemented=complemented,
-        mul_idempotent=mul_idempotent,
-        zero=zero,
-        one=one,
-        witnesses=witnesses,
-    )
+    found = {
+        "left_distributive": left,
+        "right_distributive": right,
+        "add_associative": add_associative,
+        "add_commutative": add_commutative,
+        "add_medial": (
+            None if add_associative is None and add_commutative is None else _medial_witness(add)
+        ),
+        "mul_associative": _generated_witness(generators(mul), (n, n, n), _associative_rows(mul, mul)),
+        "mul_commutative": commutative_witness(mul),
+        "has_zero": None if zero is not None else (),
+        "zero_absorbing": () if zero is None else least_witness(
+            (n,), lambda: (list(zip(mul[z], mul_cols[z])), [(z, z)] * n)
+        ),
+        "zerosumfree": () if zero is None else least_witness(
+            (n, n), lambda a: ([v == z and (a != z or b != z) for b, v in enumerate(add[a])], [False] * n)
+        ),
+        "entire": () if zero is None else least_witness(
+            (n, n), lambda a: ([v == z and a != z and b != z for b, v in enumerate(mul[a])], [False] * n)
+        ),
+        "has_one": None if one is not None else (),
+        "complemented": () if zero is None or one is None else least_witness(
+            (n,), lambda: ([complements(r) for r in range(n)], [1] * n)
+        ),
+        "mul_idempotent": least_witness((n,), lambda: ([mul[r][r] for r in range(n)], list(range(n)))),
+    }
+    witnesses = {law: w for law, w in found.items() if w is not None}
+    return LawReport(**{law: law not in witnesses for law in LAW_NAMES}, zero=zero, one=one, witnesses=witnesses)
 
 
 def verify_designations(s: CayleyStructure) -> None:
@@ -567,54 +533,33 @@ def semimodule_check(m: FiniteSemimodule) -> SemimoduleReport:
 
 def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
     rep = require_semiring(m.semiring)
-    zero_s, one_s = rep.zero, rep.one
     n, k = m.semiring.size, m.msize
     sadd, smul = m.semiring.add, m.semiring.mul
     madd, act, mz = m.madd, m.action, m.mzero
-    witnesses: dict = {}
-
-    def settle(axiom, witness):
-        if witness is None:
-            return True
-        witnesses[axiom] = witness
-        return False
-
-    add_associative = settle("add_associative", associative_witness(madd, madd))
-    add_commutative = settle("add_commutative", commutative_witness(madd))
-    zero_neutral = settle(
-        "zero_neutral",
-        least_witness(
+    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(madd, (act,))
+    # the t with (s+t)x = sx+tx for every s and x are closed under sums
+    # once the module's addition is associative, as the semiring's is
+    sum_gens = generators(sadd) if add_associative is None else range(n)
+    found = {
+        "add_associative": add_associative,
+        "add_commutative": add_commutative,
+        "zero_neutral": least_witness(
             (k,), lambda: (list(zip(madd[mz], (row[mz] for row in madd))), [(x, x) for x in range(k)])
         ),
-    )
-    action_associative = settle("action_associative", associative_witness(smul, act))
-    action_unital = settle("action_unital", least_witness((k,), lambda: (list(act[one_s]), list(range(k)))))
-    scalar_add_distributes = settle(
-        "scalar_add_distributes",
-        least_witness(
-            (n, n, k), lambda s, t: (list(act[sadd[s][t]]), [madd[x][y] for x, y in zip(act[s], act[t])])
+        # Light's test over the scalars: the t with (st)x = s(tx) for every s
+        # and x are closed under products, as the semiring's multiplication
+        # is associative
+        "action_associative": _generated_witness(generators(smul), (n, n, k), _associative_rows(smul, act)),
+        "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
+        "scalar_add_distributes": _generated_witness(
+            sum_gens, (n, n, k), lambda s, t: (list(act[sadd[s][t]]), [madd[x][y] for x, y in zip(act[s], act[t])])
         ),
-    )
-    module_add_distributes = settle("module_add_distributes", distributive_witness(madd, act))
-    zero_scalar_absorbs = settle(
-        "zero_scalar_absorbs", least_witness((k,), lambda: (list(act[zero_s]), [mz] * k))
-    )
-    scalar_zero_absorbs = settle(
-        "scalar_zero_absorbs", least_witness((n,), lambda: ([row[mz] for row in act], [mz] * n))
-    )
-
-    return SemimoduleReport(
-        add_associative=add_associative,
-        add_commutative=add_commutative,
-        zero_neutral=zero_neutral,
-        action_associative=action_associative,
-        action_unital=action_unital,
-        scalar_add_distributes=scalar_add_distributes,
-        module_add_distributes=module_add_distributes,
-        zero_scalar_absorbs=zero_scalar_absorbs,
-        scalar_zero_absorbs=scalar_zero_absorbs,
-        witnesses=witnesses,
-    )
+        "module_add_distributes": module_add_distributes,
+        "zero_scalar_absorbs": least_witness((k,), lambda: (list(act[rep.zero]), [mz] * k)),
+        "scalar_zero_absorbs": least_witness((n,), lambda: ([row[mz] for row in act], [mz] * n)),
+    }
+    witnesses = {axiom: w for axiom, w in found.items() if w is not None}
+    return SemimoduleReport(**{axiom: axiom not in witnesses for axiom in SEMIMODULE_AXIOMS}, witnesses=witnesses)
 
 
 def require_semimodule(m: FiniteSemimodule) -> SemimoduleReport:

@@ -24,7 +24,6 @@ from .ideals import (
     ideal_masks,
     is_prime,
     is_subtractive,
-    iter_bits,
     mask_members,
     mask_of,
     maximal_masks,
@@ -174,7 +173,7 @@ class QuotientSemiring:
 
     def extend(self, ideal: IdealSet) -> IdealSet:
         mask = 0
-        for a in iter_bits(ideal.mask):
+        for a in mask_members(ideal.mask):
             for u in self.units:
                 mask |= 1 << self.pair_class[(a, u)]
         return IdealSet(structure=self.structure, side=TWO_SIDED, mask=mask)
@@ -215,7 +214,7 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
         fibre = [0] * n
         for b in range(n):
             fibre[mul[b][u]] |= 1 << b
-        below[u] = [union_mask(fibre[y] for y in iter_bits(near[x])) for x in range(n)]
+        below[u] = [union_mask(fibre[y] for y in mask_members(near[x])) for x in range(n)]
     by_row: dict = {}  # row -> its pairs, the least first
     for a in range(n):
         for u in units:

@@ -1,15 +1,22 @@
 """Builders that only the tests use: a checked ideal from its members, the
 diamond lattice's complement map, a semimodule's JSON document, the pair
-classes of a total quotient, and NextClosure, the reference enumerator of
-closed sets."""
+classes of a total quotient, NextClosure, the reference enumerator of
+closed sets, and the bit iterator the reference kernels walk masks with."""
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from semiringlab.errors import CapExceeded, StructureError
 from semiringlab.fileio import structure_to_json
 from semiringlab.ideals import TWO_SIDED, IdealSet, ideal_violation, mask_of
 from semiringlab.limits import IDEAL_ENUM_CAP
 from semiringlab.tables import CayleyStructure, FiniteSemimodule
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def make_ideal(s: CayleyStructure, members: Iterable[int], side: str = TWO_SIDED) -> IdealSet:

@@ -258,6 +258,25 @@ def test_monoid_must_be_commutative():
         monoid_semiring(b, ((0, 0), (1, 1)))
 
 
+@pytest.mark.parametrize(
+    "monoid,message",
+    [
+        # x*y = 1 - x is neither associative nor commutative: associativity is reported
+        (((1, 1), (0, 0)), "monoid operation not associative, witness (0, 0, 0)"),
+        # x*y = -(x+y) mod 3: (0*0)*1 = 2 but 0*(0*1) = 1
+        (((0, 2, 1), (2, 1, 0), (1, 0, 2)), "monoid operation not associative, witness (0, 0, 1)"),
+        # the left projection x*y = x: 0*1 = 0 but 1*0 = 1
+        (((0, 0), (1, 1)), "monoid operation not commutative, witness (0, 1)"),
+        (((0, 0), (0, 0)), "monoid has no identity"),
+    ],
+    ids=["not-associative-first", "not-associative", "not-commutative", "no-identity"],
+)
+def test_monoid_semiring_rejections_name_the_least_witness(monoid, message):
+    with pytest.raises(StructureError) as raised:
+        monoid_semiring(boolean_semifield(), monoid)
+    assert str(raised.value) == message
+
+
 def test_truncated_polynomials_degree_zero():
     b = boolean_semifield()
     ph = truncated_polynomial_hemiring(b, 0)

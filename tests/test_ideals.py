@@ -96,6 +96,21 @@ def test_generate_from_empty_set():
     assert generate_ideal(t, []).members() == (0,)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda s: multiplicative_set(s, [2, 7]),
+        lambda s: mult_closure(s, [7]),
+        lambda s: multiplicative_set(s, [-1, 2]),
+        lambda s: generate_ideal(s, [-1]),
+    ],
+    ids=["multiplicative-set", "mult-closure", "negative-member", "negative-generator"],
+)
+def test_set_constructors_reject_elements_outside_the_carrier(build):
+    with pytest.raises(StructureError, match="element out of range"):
+        build(chain_semiring())
+
+
 def test_generate_empty_needs_zero():
     # a ringoid with constant operations has no additive neutral
     s = CayleyStructure(size=2, add=((1, 1), (1, 1)), mul=((1, 1), (1, 1)))

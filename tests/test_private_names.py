@@ -1,14 +1,19 @@
-"""Every private top-level function or constant of the package is read
+"""Every private top-level function, class or constant of the package is read
 somewhere in the package, so a helper that loses its last caller cannot
 linger. Reads from tests do not count, and a function reading only itself
-is not read. Like ``test_unused_imports``, the check walks syntax trees."""
+is not read. Every public top-level function or class is exported from the
+package root, read somewhere in the package, the tests or the benchmark, or
+traced by the benchmark. Like ``test_unused_imports``, the checks walk
+syntax trees."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import semiringlab
 
 PACKAGE = Path(semiringlab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _private(name: str) -> bool:
@@ -16,10 +21,11 @@ def _private(name: str) -> bool:
 
 
 def _defined(node: ast.stmt) -> list[str]:
-    """The private names a top-level statement defines."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
+    """The private names a top-level statement defines, and the public
+    names of a function or class."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
         names = [t.id for t in node.targets if isinstance(t, ast.Name)]
     elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
         names = [node.target.id]
@@ -41,20 +47,39 @@ def _reads(node: ast.AST) -> set[str]:
     return out
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each private top-level function or constant that
-    no statement of the package reads, other than its own definition."""
+def unread_names(sources: dict[str, str], private: bool, read_elsewhere: frozenset = frozenset()) -> list[str]:
+    """``module.name`` for each private (or public) top-level name the
+    sources define that no other statement of theirs reads and that is not
+    in ``read_elsewhere``."""
     defined, read_by = [], []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = _defined(node)
+            names = [name for name in _defined(node) if _private(name) == private]
             defined += [(module, name, node) for name in names]
             read_by.append((node, _reads(node)))
     return sorted(
         f"{module}.{name}"
         for module, name, home in defined
-        if not any(name in reads for node, reads in read_by if node is not home)
+        if name not in read_elsewhere and not any(name in reads for node, reads in read_by if node is not home)
     )
+
+
+def traced_names() -> set[str]:
+    """The function names the benchmark's tracer wraps."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {name for names in tracing.TRACED.values() for name in names}
+
+
+def unused_public_names(sources: dict[str, str], outside: list[str], exported, traced) -> list[str]:
+    """``module.name`` for each public top-level function or class of the
+    package that is not exported, not traced, and read neither by another
+    statement of the package nor by the ``outside`` sources."""
+    elsewhere = set(exported) | set(traced)
+    for source in outside:
+        elsewhere |= _reads(ast.parse(source))
+    return unread_names(sources, private=False, read_elsewhere=frozenset(elsewhere))
 
 
 def test_the_check_finds_an_unread_helper():
@@ -70,9 +95,33 @@ def test_the_check_finds_an_unread_helper():
         ),
         "b": "from . import a\nfrom .a import _imported\nx = a._by_attribute\n",
     }
-    assert unread_private_names(sources) == ["a._UNUSED", "a._recursive"]
+    assert unread_names(sources, private=True) == ["a._UNUSED", "a._recursive"]
 
 
 def test_every_private_name_is_read():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert unread_private_names(sources) == []
+    assert unread_names(sources, private=True) == []
+
+
+def test_the_check_finds_an_unused_public_name():
+    sources = {
+        "a": (
+            "def exported():\n    pass\n"
+            "def traced():\n    pass\n"
+            "def tested():\n    pass\n"
+            "def called():\n    pass\n"
+            "def caller():\n    return called()\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Unused:\n    pass\n"
+            "LIMIT = 3\n"
+        ),
+    }
+    outside = ["from a import tested\n"]
+    found = unused_public_names(sources, outside, exported={"exported"}, traced={"traced", "caller"})
+    assert found == ["a.Unused", "a.recursive"]
+
+
+def test_every_public_name_is_exported_read_or_traced():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    outside = [p.read_text() for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))]
+    assert unused_public_names(sources, outside, semiringlab.__all__, traced_names()) == []

@@ -64,7 +64,6 @@ from semiringlab.ideals import (
     ideal_masks,
     image,
     is_subtractive,
-    iter_bits,
     mask_members,
     mask_of,
     maximal_masks,
@@ -94,7 +93,7 @@ from semiringlab.zerodivisors import (
     zero_divisor_mask,
 )
 
-from helpers import quotient_classes
+from helpers import iter_bits, quotient_classes
 
 LADDER = (12, 13, 14, 15, 16)
 

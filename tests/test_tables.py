@@ -329,8 +329,11 @@ def oracle_semimodule(m):
 
 def test_semimodule_axioms_match_oracle(all_entries):
     rng = random.Random(0)
-    for entry in all_entries:
-        s = entry.structure
+    # saturating(12) comes last: its addition has two generators, so the
+    # mutants of its self action take the reduced scans over the scalars
+    # and over the module's additive generators
+    assert len(generators(saturating(12).add)) == 2
+    for s in [entry.structure for entry in all_entries] + [saturating(12)]:
         if not check_laws(s).is_semiring:
             continue
         own = self_action(s)
