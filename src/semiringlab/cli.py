@@ -267,6 +267,8 @@ def cmd_quotient(args) -> int:
 def cmd_verify_all(args) -> int:
     scope = None if args.scope is None else [n for n in args.scope.split(",") if n]
     if scope is not None:
+        if not scope:
+            raise StructureError(f"--scope {args.scope!r} names no corpus entry")
         known = set(corpus_names())
         unknown = [name for name in scope if name not in known]
         if unknown:

@@ -2,12 +2,17 @@
 
 Every constructed carrier is a tuple space encoded big-endian, so the index
 order of the carrier agrees with lexicographic order on the tuples and all
-outputs are deterministic.
+outputs are deterministic. Two kernels build every table of such a carrier:
+``product_table``, the componentwise operation folded one table at a time,
+and ``convolution_table``, the bilinear product of coefficient tuples. One
+codec, ``encode_tuple``/``decode_tuple`` with a radix per digit, serves every
+``coords``/``coeffs``/``index_of`` method and every designated zero and one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,6 +30,7 @@ from .tables import (
     medial_witness,
     transpose,
     _additive_laws,
+    _is_index,
     _neutral,
 )
 
@@ -95,6 +101,9 @@ def austere_extension(
 ) -> AustereExtension:
     n = len(mul_table)
     base = freeze_table(mul_table, n, n, "magma")
+    for label, v in (("zero", zero), ("one", one)):
+        if not (_is_index(v) and 0 <= v < n):
+            raise StructureError(f"{label}={v!r} is not an element of a {n}-element magma")
     if zero == one:
         raise StructureError("absorbing element and identity must differ")
     if any(base[one][x] != x or base[x][one] != x for x in range(n)):
@@ -123,20 +132,65 @@ def austere_extension(
     )
 
 
-def encode_tuple(values: Sequence[int], base: int) -> int:
+def encode_tuple(values: Sequence[int], radices: Sequence[int]) -> int:
+    """The index of a tuple whose digit p runs over range(radices[p])."""
     idx = 0
-    for v in values:
-        idx = idx * base + v
+    for v, r in zip(values, radices):
+        idx = idx * r + v
     return idx
 
 
-def decode_tuple(idx: int, base: int, length: int) -> tuple[int, ...]:
-    if not 0 <= idx < base**length:
-        raise StructureError(f"index {idx} outside 0..{base**length - 1}")
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        idx, out[pos] = divmod(idx, base)
-    return tuple(out)
+def decode_tuple(idx: int, radices: Sequence[int]) -> tuple[int, ...]:
+    size = math.prod(radices)
+    if not 0 <= idx < size:
+        raise StructureError(f"index {idx} outside 0..{size - 1}")
+    out = []
+    for r in reversed(radices):
+        idx, d = divmod(idx, r)
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def product_table(tables: Sequence[Table]) -> list[list[int]]:
+    """The componentwise operation on tuples, row tuple against column tuple.
+
+    Each table's entries index its columns, so a factor may be a square
+    operation table or a rectangular block of action rows. Folding one
+    table at a time appends one big-endian digit to every row, column and
+    entry.
+    """
+    out = [[0]]
+    for t in tables:
+        m = len(t[0])
+        out = [[v * m + w for v in row for w in trow] for row in out for trow in t]
+    return out
+
+
+def convolution_table(s: CayleyStructure, terms: Sequence[Sequence[tuple]]) -> list[list[int]]:
+    """The product of coefficient tuples over ``s``, with one coefficient
+    per entry of ``terms``.
+
+    Coefficient t of a*b is the sum, from the additive neutral and in the
+    listed order, of a_i b_j over the (i, j, c) in ``terms[t]``, each
+    multiplied on the right by c unless c is None.
+    """
+    n, add, mul = s.size, s.add, s.mul
+    zero = _neutral(add, n)
+    carrier = list(itertools.product(range(n), repeat=len(terms)))
+    rows = []
+    for a in carrier:
+        row = []
+        for b in carrier:
+            idx = 0
+            for coefficient in terms:
+                acc = zero
+                for i, j, c in coefficient:
+                    v = mul[a[i]][b[j]]
+                    acc = add[acc][v if c is None else mul[v][c]]
+                idx = idx * n + acc
+            row.append(idx)
+        rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True, repr=False)
@@ -144,10 +198,10 @@ class Hemialgebra(CayleyStructure):
     constants: Optional[StructureConstants] = None
 
     def coords(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, self.constants.semifield.size, self.constants.dim)
+        return decode_tuple(idx, (self.constants.semifield.size,) * self.constants.dim)
 
     def index_of(self, coords: Sequence[int]) -> int:
-        return encode_tuple(coords, self.constants.semifield.size)
+        return encode_tuple(coords, (self.constants.semifield.size,) * self.constants.dim)
 
 
 def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str = "") -> Hemialgebra:
@@ -156,41 +210,21 @@ def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str
     k = constants.semifield
     if not is_semifield(k):
         raise StructureError("structure constants must live over a semifield")
-    rep = check_laws(k)
-    dim, ksize = constants.dim, k.size
-    size = ksize**dim
+    dim, gamma = constants.dim, constants.gamma
+    size = k.size**dim
     if size > cap:
         raise CapExceeded(f"carrier of size {size} exceeds cap {cap}")
-    kadd, kmul = k.add, k.mul
-    gamma = constants.gamma
-    carrier = list(itertools.product(range(ksize), repeat=dim))
-
-    zero_k = rep.zero
-    add_rows = []
-    mul_rows = []
-    for a in carrier:
-        add_rows.append([encode_tuple([kadd[x][y] for x, y in zip(a, b)], ksize) for b in carrier])
-    for a in carrier:
-        row = []
-        for b in carrier:
-            coeffs = [zero_k] * dim
-            for i in range(dim):
-                if a[i] == zero_k:
-                    continue
-                for j in range(dim):
-                    if b[j] == zero_k:
-                        continue
-                    scale = kmul[a[i]][b[j]]
-                    for t in range(dim):
-                        term = kmul[scale][gamma[i][j][t]]
-                        coeffs[t] = kadd[coeffs[t]][term]
-            row.append(encode_tuple(coeffs, ksize))
-        mul_rows.append(row)
+    zero_k = check_laws(k).zero
+    # a zero constant adds a zero term, and zero is neutral in a semifield
+    terms = [
+        [(i, j, gamma[i][j][t]) for i in range(dim) for j in range(dim) if gamma[i][j][t] != zero_k]
+        for t in range(dim)
+    ]
     return Hemialgebra(
         size=size,
-        add=tuple(map(tuple, add_rows)),
-        mul=tuple(map(tuple, mul_rows)),
-        zero=encode_tuple([zero_k] * dim, ksize),
+        add=product_table([k.add] * dim),
+        mul=convolution_table(k, terms),
+        zero=encode_tuple([zero_k] * dim, [k.size] * dim),
         one=None,
         name=name or f"hemialgebra of dim {dim} over {k.name or 'K'}",
         constants=constants,
@@ -239,8 +273,8 @@ class NewmanReport:
 
 def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
     n, add, mul = s.size, s.add, s.mul
-    comp = tuple(int(v) for v in complement)
-    if len(comp) != n or any(not 0 <= v < n for v in comp):
+    comp = tuple(complement)
+    if len(comp) != n or not all(_is_index(v) and 0 <= v < n for v in comp):
         raise StructureError("complement table malformed")
 
     zero = _neutral(add, n)
@@ -280,56 +314,29 @@ class ProductStructure(CayleyStructure):
     factors: tuple = ()
 
     def coords(self, idx: int) -> tuple[int, ...]:
-        if not 0 <= idx < self.size:
-            raise StructureError(f"index {idx} outside 0..{self.size - 1}")
-        out = []
-        for f in reversed(self.factors):
-            idx, r = divmod(idx, f.size)
-            out.append(r)
-        return tuple(reversed(out))
+        return decode_tuple(idx, [f.size for f in self.factors])
 
     def index_of(self, coords: Sequence[int]) -> int:
-        idx = 0
-        for f, c in zip(self.factors, coords):
-            idx = idx * f.size + c
-        return idx
+        return encode_tuple(coords, [f.size for f in self.factors])
 
 
 def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, name: str = "") -> ProductStructure:
     factors = tuple(factors)
     if not factors:
         raise StructureError("need at least one factor")
-    size = 1
-    for f in factors:
-        size *= f.size
+    radices = [f.size for f in factors]
+    size = math.prod(radices)
     if size > cap:
         raise CapExceeded(f"product carrier of size {size} exceeds cap {cap}")
-
-    def pack(values):
-        idx = 0
-        for f, c in zip(factors, values):
-            idx = idx * f.size + c
-        return idx
-
-    coords = [tuple(c) for c in itertools.product(*(range(f.size) for f in factors))]
-    add = [
-        [pack([f.add[a[p]][b[p]] for p, f in enumerate(factors)]) for b in coords]
-        for a in coords
-    ]
-    mul = [
-        [pack([f.mul[a[p]][b[p]] for p, f in enumerate(factors)]) for b in coords]
-        for a in coords
-    ]
-    zero = None
+    zero = one = None
     if all(f.zero is not None for f in factors):
-        zero = pack([f.zero for f in factors])
-    one = None
+        zero = encode_tuple([f.zero for f in factors], radices)
     if all(f.one is not None for f in factors):
-        one = pack([f.one for f in factors])
+        one = encode_tuple([f.one for f in factors], radices)
     return ProductStructure(
         size=size,
-        add=tuple(map(tuple, add)),
-        mul=tuple(map(tuple, mul)),
+        add=product_table([f.add for f in factors]),
+        mul=product_table([f.mul for f in factors]),
         zero=zero,
         one=one,
         name=name or " x ".join(f.name or "?" for f in factors),
@@ -365,10 +372,10 @@ class MonoidSemiring(CayleyStructure):
     monoid_identity: int = 0
 
     def coeffs(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, self.base.size, len(self.monoid))
+        return decode_tuple(idx, (self.base.size,) * len(self.monoid))
 
     def index_of(self, coeffs: Sequence[int]) -> int:
-        return encode_tuple(coeffs, self.base.size)
+        return encode_tuple(coeffs, (self.base.size,) * len(self.monoid))
 
 
 def monoid_semiring(
@@ -382,39 +389,20 @@ def monoid_semiring(
     size = s.size**gn
     if size > cap:
         raise CapExceeded(f"monoid semiring of size {size} exceeds cap {cap}")
-    sadd, smul = s.add, s.mul
-    zero_s = rep.zero
-    # bucket the index pairs contributing to each convolution coefficient
-    buckets: list[list[tuple[int, int]]] = [[] for _ in range(gn)]
+    # coefficient k collects the index pairs (i, j) with g_i g_j = g_k
+    terms: list[list[tuple]] = [[] for _ in range(gn)]
     for i in range(gn):
         for j in range(gn):
-            buckets[g[i][j]].append((i, j))
-    carrier = list(itertools.product(range(s.size), repeat=gn))
-    add_rows = []
-    mul_rows = []
-    for a in carrier:
-        add_rows.append(
-            [encode_tuple([sadd[x][y] for x, y in zip(a, b)], s.size) for b in carrier]
-        )
-    for a in carrier:
-        row = []
-        for b in carrier:
-            coeffs = []
-            for k in range(gn):
-                acc = zero_s
-                for i, j in buckets[k]:
-                    acc = sadd[acc][smul[a[i]][b[j]]]
-                coeffs.append(acc)
-            row.append(encode_tuple(coeffs, s.size))
-        mul_rows.append(row)
-    one_coeffs = [zero_s] * gn
+            terms[g[i][j]].append((i, j, None))
+    radices = [s.size] * gn
+    one_coeffs = [rep.zero] * gn
     one_coeffs[e] = rep.one
     return MonoidSemiring(
         size=size,
-        add=tuple(map(tuple, add_rows)),
-        mul=tuple(map(tuple, mul_rows)),
-        zero=encode_tuple([zero_s] * gn, s.size),
-        one=encode_tuple(one_coeffs, s.size),
+        add=product_table([s.add] * gn),
+        mul=convolution_table(s, terms),
+        zero=encode_tuple([rep.zero] * gn, radices),
+        one=encode_tuple(one_coeffs, radices),
         name=name or f"{s.name or 'S'}[G] with |G|={gn}",
         base=s,
         monoid=g,
@@ -434,10 +422,10 @@ class PolynomialHemiring(CayleyStructure):
     degree_cap: int = 0
 
     def coeffs(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, self.base.size, self.degree_cap + 1)
+        return decode_tuple(idx, (self.base.size,) * (self.degree_cap + 1))
 
     def index_of(self, coeffs: Sequence[int]) -> int:
-        return encode_tuple(coeffs, self.base.size)
+        return encode_tuple(coeffs, (self.base.size,) * (self.degree_cap + 1))
 
 
 def truncated_polynomial_hemiring(
@@ -446,41 +434,21 @@ def truncated_polynomial_hemiring(
     rep = check_laws(h)
     if not rep.is_na_hemiring:
         raise StructureError("base must be a hemiring with commutative monoid addition")
-    if degree_cap < 0:
-        raise StructureError("degree cap must be nonnegative")
+    if not _is_index(degree_cap) or degree_cap < 0:
+        raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
     length = degree_cap + 1
     size = h.size**length
     if size > cap:
         raise CapExceeded(f"polynomial carrier of size {size} exceeds cap {cap}")
-    hadd, hmul = h.add, h.mul
-    zero_h = rep.zero
-    carrier = list(itertools.product(range(h.size), repeat=length))
-    add_rows = [
-        [encode_tuple([hadd[x][y] for x, y in zip(a, b)], h.size) for b in carrier]
-        for a in carrier
-    ]
-    mul_rows = []
-    for a in carrier:
-        row = []
-        for b in carrier:
-            coeffs = []
-            for k in range(length):
-                acc = zero_h
-                for i in range(k + 1):
-                    acc = hadd[acc][hmul[a[i]][b[k - i]]]
-                coeffs.append(acc)
-            row.append(encode_tuple(coeffs, h.size))
-        mul_rows.append(row)
+    radices = [h.size] * length
     one = None
     if rep.has_one:
-        one_coeffs = [zero_h] * length
-        one_coeffs[0] = rep.one
-        one = encode_tuple(one_coeffs, h.size)
+        one = encode_tuple([rep.one] + [rep.zero] * degree_cap, radices)
     return PolynomialHemiring(
         size=size,
-        add=tuple(map(tuple, add_rows)),
-        mul=tuple(map(tuple, mul_rows)),
-        zero=encode_tuple([zero_h] * length, h.size),
+        add=product_table([h.add] * length),
+        mul=convolution_table(h, [[(i, k - i, None) for i in range(k + 1)] for k in range(length)]),
+        zero=encode_tuple([rep.zero] * length, radices),
         one=one,
         name=name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}",
         base=h,

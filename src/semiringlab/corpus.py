@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 from .constructions import (
     StructureConstants,
     austere_extension,
+    convolution_table,
     direct_product,
+    encode_tuple,
     hemialgebra,
     monoid_semiring,
+    product_table,
 )
 from .errors import StructureError
 from .tables import CayleyStructure, FiniteSemimodule, check_laws, self_action
@@ -98,27 +101,17 @@ def dual_numbers_mod2() -> CayleyStructure:
     """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
     the two-element field. Element (a, b, c) = a + bx + cy sits at index
     4a + 2b + c."""
-    size = 8
-
-    def unpack(i):
-        return (i >> 2 & 1, i >> 1 & 1, i & 1)
-
-    def pack(a, b, c):
-        return a << 2 | b << 1 | c
-
-    add = [
-        [pack(*(x ^ y for x, y in zip(unpack(i), unpack(j)))) for j in range(size)]
-        for i in range(size)
-    ]
-    mul = []
-    for i in range(size):
-        a, b, c = unpack(i)
-        row = []
-        for j in range(size):
-            d, e, f = unpack(j)
-            row.append(pack(a & d, (a & e) ^ (b & d), (a & f) ^ (c & d)))
-        mul.append(row)
-    return CayleyStructure(size=size, add=add, mul=mul, zero=0, one=4, name="f2xy")
+    f2 = CayleyStructure(size=2, add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)), zero=0, one=1, name="f2")
+    # the coefficients of 1, x and y in (a + bx + cy)(d + ex + fy): ad, ae + bd, af + cd
+    terms = [[(0, 0, None)], [(0, 1, None), (1, 0, None)], [(0, 2, None), (2, 0, None)]]
+    return CayleyStructure(
+        size=8,
+        add=product_table([f2.add] * 3),
+        mul=convolution_table(f2, terms),
+        zero=encode_tuple((0, 0, 0), (2, 2, 2)),
+        one=encode_tuple((1, 0, 0), (2, 2, 2)),
+        name="f2xy",
+    )
 
 
 def cross_product_hemiring() -> CayleyStructure:
@@ -148,35 +141,12 @@ def boolean_c2() -> CayleyStructure:
 def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> FiniteSemimodule:
     """The semiring acting coordinatewise on tuples of itself."""
     rep = check_laws(s)
-    size = s.size**copies
-
-    def unpack(i):
-        out = []
-        for _ in range(copies):
-            i, r = divmod(i, s.size)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def pack(t):
-        i = 0
-        for v in t:
-            i = i * s.size + v
-        return i
-
-    madd = [
-        [pack(tuple(s.add[x][y] for x, y in zip(unpack(i), unpack(j)))) for j in range(size)]
-        for i in range(size)
-    ]
-    action = [
-        [pack(tuple(s.mul[r][x] for x in unpack(i))) for i in range(size)]
-        for r in range(s.size)
-    ]
     return FiniteSemimodule(
         semiring=s,
-        msize=size,
-        madd=madd,
-        mzero=pack((rep.zero,) * copies),
-        action=action,
+        msize=s.size**copies,
+        madd=product_table([s.add] * copies),
+        mzero=encode_tuple((rep.zero,) * copies, (s.size,) * copies),
+        action=[product_table([(row,)] * copies)[0] for row in s.mul],
         name=name or f"{s.name}^{copies}",
     )
 

@@ -102,6 +102,8 @@ def ingest(path: Union[str, Path]) -> Union[CayleyStructure, FiniteSemimodule]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructureError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise StructureError(f"{path}: JSON nested too deeply to read") from exc
     try:
         return ingest_doc(doc)
     except StructureError as exc:

@@ -438,8 +438,8 @@ class StructureConstants:
     gamma: tuple
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise StructureError("dimension must be positive")
+        if not _is_index(self.dim) or self.dim <= 0:
+            raise StructureError(f"dimension must be a positive integer, got {self.dim!r}")
         ksize = self.semifield.size
         if len(self.gamma) != self.dim:
             raise StructureError("gamma must have one block per basis vector")
@@ -449,12 +449,12 @@ class StructureConstants:
                 raise StructureError("gamma block has wrong shape")
             brows = []
             for j, row in enumerate(block):
-                row = tuple(int(v) for v in row)
+                row = tuple(row)
                 if len(row) != self.dim:
                     raise StructureError("gamma block has wrong shape")
                 for v in row:
-                    if not 0 <= v < ksize:
-                        raise StructureError(f"gamma entry {v} not in the semifield carrier")
+                    if not (_is_index(v) and 0 <= v < ksize):
+                        raise StructureError(f"gamma entry {v!r} not in the semifield carrier")
                 brows.append(row)
             frozen.append(tuple(brows))
         object.__setattr__(self, "gamma", tuple(frozen))

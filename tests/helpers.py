@@ -1,15 +1,28 @@
 """Builders that only the tests use: a checked ideal from its members, the
 diamond lattice's complement map, a semimodule's JSON document, the pair
 classes of a total quotient, NextClosure, the reference enumerator of
-closed sets, and the bit iterator the reference kernels walk masks with."""
+closed sets, the bit iterator the reference kernels walk masks with, and
+the per-constructor table loops that ``product_table`` and
+``convolution_table`` replaced: ``direct_product``, ``hemialgebra``,
+``monoid_semiring``, ``truncated_polynomial_hemiring``,
+``componentwise_module`` and ``dual_numbers_mod2``, each with the one-base
+``encode_tuple`` they packed cells with."""
 
-from typing import Callable, Iterable, Iterator
+import itertools
+from typing import Callable, Iterable, Iterator, Sequence
 
+from semiringlab.constructions import (
+    Hemialgebra,
+    MonoidSemiring,
+    PolynomialHemiring,
+    ProductStructure,
+    commutative_monoid_table,
+)
 from semiringlab.errors import CapExceeded, StructureError
 from semiringlab.fileio import structure_to_json
 from semiringlab.ideals import TWO_SIDED, IdealSet, ideal_violation, mask_of
-from semiringlab.limits import IDEAL_ENUM_CAP
-from semiringlab.tables import CayleyStructure, FiniteSemimodule
+from semiringlab.limits import CARRIER_CAP, IDEAL_ENUM_CAP
+from semiringlab.tables import CayleyStructure, FiniteSemimodule, StructureConstants, check_laws, is_semifield
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -76,3 +89,261 @@ def closed_sets(n: int, close: Callable[[int], int]) -> tuple[int, ...]:
                 break
         found.append(b)
     return tuple(found)
+
+
+def encode_tuple(values: Sequence[int], base: int) -> int:
+    idx = 0
+    for v in values:
+        idx = idx * base + v
+    return idx
+
+
+def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str = "") -> Hemialgebra:
+    """Tuple space over a semifield with componentwise addition and the
+    bilinear multiplication determined by the structure constants."""
+    k = constants.semifield
+    if not is_semifield(k):
+        raise StructureError("structure constants must live over a semifield")
+    rep = check_laws(k)
+    dim, ksize = constants.dim, k.size
+    size = ksize**dim
+    if size > cap:
+        raise CapExceeded(f"carrier of size {size} exceeds cap {cap}")
+    kadd, kmul = k.add, k.mul
+    gamma = constants.gamma
+    carrier = list(itertools.product(range(ksize), repeat=dim))
+
+    zero_k = rep.zero
+    add_rows = []
+    mul_rows = []
+    for a in carrier:
+        add_rows.append([encode_tuple([kadd[x][y] for x, y in zip(a, b)], ksize) for b in carrier])
+    for a in carrier:
+        row = []
+        for b in carrier:
+            coeffs = [zero_k] * dim
+            for i in range(dim):
+                if a[i] == zero_k:
+                    continue
+                for j in range(dim):
+                    if b[j] == zero_k:
+                        continue
+                    scale = kmul[a[i]][b[j]]
+                    for t in range(dim):
+                        term = kmul[scale][gamma[i][j][t]]
+                        coeffs[t] = kadd[coeffs[t]][term]
+            row.append(encode_tuple(coeffs, ksize))
+        mul_rows.append(row)
+    return Hemialgebra(
+        size=size,
+        add=tuple(map(tuple, add_rows)),
+        mul=tuple(map(tuple, mul_rows)),
+        zero=encode_tuple([zero_k] * dim, ksize),
+        one=None,
+        name=name or f"hemialgebra of dim {dim} over {k.name or 'K'}",
+        constants=constants,
+    )
+
+
+def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, name: str = "") -> ProductStructure:
+    factors = tuple(factors)
+    if not factors:
+        raise StructureError("need at least one factor")
+    size = 1
+    for f in factors:
+        size *= f.size
+    if size > cap:
+        raise CapExceeded(f"product carrier of size {size} exceeds cap {cap}")
+
+    def pack(values):
+        idx = 0
+        for f, c in zip(factors, values):
+            idx = idx * f.size + c
+        return idx
+
+    coords = [tuple(c) for c in itertools.product(*(range(f.size) for f in factors))]
+    add = [
+        [pack([f.add[a[p]][b[p]] for p, f in enumerate(factors)]) for b in coords]
+        for a in coords
+    ]
+    mul = [
+        [pack([f.mul[a[p]][b[p]] for p, f in enumerate(factors)]) for b in coords]
+        for a in coords
+    ]
+    zero = None
+    if all(f.zero is not None for f in factors):
+        zero = pack([f.zero for f in factors])
+    one = None
+    if all(f.one is not None for f in factors):
+        one = pack([f.one for f in factors])
+    return ProductStructure(
+        size=size,
+        add=tuple(map(tuple, add)),
+        mul=tuple(map(tuple, mul)),
+        zero=zero,
+        one=one,
+        name=name or " x ".join(f.name or "?" for f in factors),
+        factors=factors,
+    )
+
+
+def monoid_semiring(
+    s: CayleyStructure, monoid: Sequence[Sequence[int]], cap: int = CARRIER_CAP, name: str = ""
+) -> MonoidSemiring:
+    rep = check_laws(s)
+    if not rep.is_semiring:
+        raise StructureError("base must be a semiring")
+    g, e = commutative_monoid_table(monoid)
+    gn = len(g)
+    size = s.size**gn
+    if size > cap:
+        raise CapExceeded(f"monoid semiring of size {size} exceeds cap {cap}")
+    sadd, smul = s.add, s.mul
+    zero_s = rep.zero
+    # bucket the index pairs contributing to each convolution coefficient
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(gn)]
+    for i in range(gn):
+        for j in range(gn):
+            buckets[g[i][j]].append((i, j))
+    carrier = list(itertools.product(range(s.size), repeat=gn))
+    add_rows = []
+    mul_rows = []
+    for a in carrier:
+        add_rows.append(
+            [encode_tuple([sadd[x][y] for x, y in zip(a, b)], s.size) for b in carrier]
+        )
+    for a in carrier:
+        row = []
+        for b in carrier:
+            coeffs = []
+            for k in range(gn):
+                acc = zero_s
+                for i, j in buckets[k]:
+                    acc = sadd[acc][smul[a[i]][b[j]]]
+                coeffs.append(acc)
+            row.append(encode_tuple(coeffs, s.size))
+        mul_rows.append(row)
+    one_coeffs = [zero_s] * gn
+    one_coeffs[e] = rep.one
+    return MonoidSemiring(
+        size=size,
+        add=tuple(map(tuple, add_rows)),
+        mul=tuple(map(tuple, mul_rows)),
+        zero=encode_tuple([zero_s] * gn, s.size),
+        one=encode_tuple(one_coeffs, s.size),
+        name=name or f"{s.name or 'S'}[G] with |G|={gn}",
+        base=s,
+        monoid=g,
+        monoid_identity=e,
+    )
+
+
+def truncated_polynomial_hemiring(
+    h: CayleyStructure, degree_cap: int, cap: int = CARRIER_CAP, name: str = ""
+) -> PolynomialHemiring:
+    rep = check_laws(h)
+    if not rep.is_na_hemiring:
+        raise StructureError("base must be a hemiring with commutative monoid addition")
+    if degree_cap < 0:
+        raise StructureError("degree cap must be nonnegative")
+    length = degree_cap + 1
+    size = h.size**length
+    if size > cap:
+        raise CapExceeded(f"polynomial carrier of size {size} exceeds cap {cap}")
+    hadd, hmul = h.add, h.mul
+    zero_h = rep.zero
+    carrier = list(itertools.product(range(h.size), repeat=length))
+    add_rows = [
+        [encode_tuple([hadd[x][y] for x, y in zip(a, b)], h.size) for b in carrier]
+        for a in carrier
+    ]
+    mul_rows = []
+    for a in carrier:
+        row = []
+        for b in carrier:
+            coeffs = []
+            for k in range(length):
+                acc = zero_h
+                for i in range(k + 1):
+                    acc = hadd[acc][hmul[a[i]][b[k - i]]]
+                coeffs.append(acc)
+            row.append(encode_tuple(coeffs, h.size))
+        mul_rows.append(row)
+    one = None
+    if rep.has_one:
+        one_coeffs = [zero_h] * length
+        one_coeffs[0] = rep.one
+        one = encode_tuple(one_coeffs, h.size)
+    return PolynomialHemiring(
+        size=size,
+        add=tuple(map(tuple, add_rows)),
+        mul=tuple(map(tuple, mul_rows)),
+        zero=encode_tuple([zero_h] * length, h.size),
+        one=one,
+        name=name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}",
+        base=h,
+        degree_cap=degree_cap,
+    )
+
+
+def dual_numbers_mod2() -> CayleyStructure:
+    """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
+    the two-element field. Element (a, b, c) = a + bx + cy sits at index
+    4a + 2b + c."""
+    size = 8
+
+    def unpack(i):
+        return (i >> 2 & 1, i >> 1 & 1, i & 1)
+
+    def pack(a, b, c):
+        return a << 2 | b << 1 | c
+
+    add = [
+        [pack(*(x ^ y for x, y in zip(unpack(i), unpack(j)))) for j in range(size)]
+        for i in range(size)
+    ]
+    mul = []
+    for i in range(size):
+        a, b, c = unpack(i)
+        row = []
+        for j in range(size):
+            d, e, f = unpack(j)
+            row.append(pack(a & d, (a & e) ^ (b & d), (a & f) ^ (c & d)))
+        mul.append(row)
+    return CayleyStructure(size=size, add=add, mul=mul, zero=0, one=4, name="f2xy")
+
+
+def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> FiniteSemimodule:
+    """The semiring acting coordinatewise on tuples of itself."""
+    rep = check_laws(s)
+    size = s.size**copies
+
+    def unpack(i):
+        out = []
+        for _ in range(copies):
+            i, r = divmod(i, s.size)
+            out.append(r)
+        return tuple(reversed(out))
+
+    def pack(t):
+        i = 0
+        for v in t:
+            i = i * s.size + v
+        return i
+
+    madd = [
+        [pack(tuple(s.add[x][y] for x, y in zip(unpack(i), unpack(j)))) for j in range(size)]
+        for i in range(size)
+    ]
+    action = [
+        [pack(tuple(s.mul[r][x] for x in unpack(i))) for i in range(size)]
+        for r in range(s.size)
+    ]
+    return FiniteSemimodule(
+        semiring=s,
+        msize=size,
+        madd=madd,
+        mzero=pack((rep.zero,) * copies),
+        action=action,
+        name=name or f"{s.name}^{copies}",
+    )

@@ -1,6 +1,7 @@
 """Constructors checked against hand enumeration and the law oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,14 +21,18 @@ from semiringlab.corpus import (
     CROSS_GAMMA,
     boolean_semifield,
     chain_semiring,
+    componentwise_module,
+    corpus,
     cross_product_hemiring,
     diamond_lattice,
+    dual_numbers_mod2,
     saturating,
 )
 from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.ideals import enumerate_ideals, is_subtractive
 from semiringlab.tables import check_laws
 
+import helpers
 from helpers import diamond_complement
 
 
@@ -112,6 +117,13 @@ def test_austere_precondition_checks():
         austere_extension([[0, 1], [1, 0]], zero=0, one=1)  # 0 not absorbing
 
 
+def test_austere_designations_outside_the_magma_are_rejected():
+    # one=-1 would wrap to the last element, and zero=5 index past the table
+    for zero, one in ((0, -1), (5, 1), (0, True), (0.0, 1)):
+        with pytest.raises(StructureError, match="is not an element of a 2-element magma"):
+            austere_extension([[0, 0], [0, 1]], zero=zero, one=one)
+
+
 # --- hemialgebras -------------------------------------------------------------
 
 def test_cross_product_matches_direct_formula():
@@ -191,6 +203,24 @@ def test_newman_violation_carries_witness():
 def test_newman_rejects_malformed_complement():
     with pytest.raises(StructureError):
         newman_check(boolean_semifield(), [0, 2])
+
+
+def test_constructor_inputs_must_be_integers_in_range():
+    b = boolean_semifield()
+    one = ((1,),)
+    for entry in (1.7, "1", True):
+        with pytest.raises(StructureError, match="gamma entry"):
+            StructureConstants(semifield=b, dim=1, gamma=(((entry,),),))
+    for dim in (1.0, True, 0, "1"):
+        with pytest.raises(StructureError, match="dimension must be a positive integer"):
+            StructureConstants(semifield=b, dim=dim, gamma=(one,))
+    assert StructureConstants(semifield=b, dim=1, gamma=[[[1]]]).gamma == (one,)
+    for complement in ([1, 0.0], [3.9, 0], ["1", 0], [True, 0]):
+        with pytest.raises(StructureError, match="complement table malformed"):
+            newman_check(b, complement)
+    for degree_cap in (1.0, True, "1", -1):
+        with pytest.raises(StructureError, match="degree cap must be a nonnegative integer"):
+            truncated_polynomial_hemiring(b, degree_cap)
 
 
 # --- products -----------------------------------------------------------------
@@ -294,3 +324,49 @@ def test_truncated_polynomial_square_golden():
 def test_zero_polynomial_absorbs():
     ph = truncated_polynomial_hemiring(chain_semiring(), 1)
     assert all(ph.mul[ph.zero][i] == ph.zero == ph.mul[i][ph.zero] for i in range(ph.size))
+
+
+# --- the tuple-table kernels against the loops they replaced -----------------
+
+def test_tuple_kernels_reproduce_the_per_constructor_loops():
+    """Every constructor built on ``product_table``/``convolution_table``
+    gives the type, tables, designations and name of its old loop, kept in
+    ``helpers``; dataclass equality compares every field."""
+    entries = [e.structure for e in corpus()]
+    semirings = [s for s in entries if check_laws(s).is_semiring]
+    hemirings = [s for s in entries if check_laws(s).is_na_hemiring]
+    b = boolean_semifield()
+    monoids = [
+        ((0,),),
+        ((0, 1), (1, 0)),
+        ((0, 1), (1, 1)),
+        ((0, 1, 2), (1, 2, 0), (2, 0, 1)),
+        ((0, 1, 2), (1, 1, 1), (2, 1, 2)),
+    ]
+    rng = random.Random(15)
+    gammas = [
+        [[[rng.randrange(2) for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        for dim in (1, 1, 2, 2, 2, 3, 3, 3)
+    ]
+    cases = {
+        "direct_product": [([s, t],) for s, t in itertools.product(entries, repeat=2) if s.size * t.size <= 32]
+        + [(f,) for f in itertools.product(entries, repeat=3) if f[0].size * f[1].size * f[2].size <= 16]
+        + [([b] * k,) for k in range(1, 7)],
+        "componentwise_module": [(s, k) for s in semirings for k in range(4) if s.size**k <= 32],
+        "monoid_semiring": [(s, m) for s in semirings for m in monoids if s.size ** len(m) <= 32],
+        "truncated_polynomial_hemiring": [(h, d) for h in hemirings for d in range(3) if h.size ** (d + 1) <= 32],
+        "hemialgebra": [(StructureConstants(semifield=b, dim=len(g), gamma=g),) for g in gammas],
+        "dual_numbers_mod2": [()],
+    }
+    built_by = {
+        "direct_product": direct_product,
+        "componentwise_module": componentwise_module,
+        "monoid_semiring": monoid_semiring,
+        "truncated_polynomial_hemiring": truncated_polynomial_hemiring,
+        "hemialgebra": hemialgebra,
+        "dual_numbers_mod2": dual_numbers_mod2,
+    }
+    for name, arguments in cases.items():
+        for args in arguments:
+            built, expected = built_by[name](*args), getattr(helpers, name)(*args)
+            assert type(built) is type(expected) and built == expected, (name, args)

@@ -229,6 +229,7 @@ def _boolean_doc_with_cell(value):
         _boolean_doc(claims=None),
         _boolean_doc(claims="semiring"),
         _boolean_doc(claims={"semiring": 1}),
+        "[" * 200_000,  # the parser raises RecursionError, not JSONDecodeError
     ],
     ids=[
         "truncated",
@@ -243,6 +244,7 @@ def _boolean_doc_with_cell(value):
         "claims-null",
         "claims-string",
         "claims-object",
+        "deep-nesting",
     ],
 )
 def test_cli_ingest_error_exit_code(capsys, tmp_path, text):
@@ -318,10 +320,12 @@ def test_cli_unknown_scope_exit_code(capsys):
     assert code == 2
 
 
-def test_cli_empty_scope_is_empty_report(capsys):
-    code, out, _ = run_cli(capsys, "verify-all", "--scope", "", "--json")
-    assert code == 0
-    assert json.loads(out)["tallies"]["checks"] == 0
+def test_cli_empty_scope_is_an_input_error(capsys):
+    # an empty scope would run no check and report the full run's "scope": null
+    for scope in ("", ",", ",,"):
+        code, out, err = run_cli(capsys, "verify-all", "--scope", scope, "--json")
+        assert code == 2 and out == ""
+        assert "names no corpus entry" in err
 
 
 def test_cli_corpus_listing(capsys):
