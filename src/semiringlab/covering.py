@@ -8,7 +8,10 @@ ValueError; :func:`avoidance_witness` and :func:`davis_witness` take primes
 that the target escapes. The corollaries share one hypothesis gate (a
 commutative semiring whose ideals are all subtractive) and read stored
 facts: each cover's classification flags, the semiprime residual per
-(cover, T) and the element annihilators.
+(cover, T) and the element annihilators. The corollary and McCoy suites of
+:mod:`semiringlab.suites` run these statements on every covering of a
+lattice on a private per-family path, which reads what depends on the
+family alone once per family; the public checks here are its test oracle.
 
 Operations validate their hypotheses first. Reports never publish an
 unchecked verdict: every holds verdict re-verifies the claimed witness, and

@@ -24,7 +24,9 @@ and :func:`annihilator_rows` (per element x, the scalars killing x). Prime,
 2-absorbing and T-semiprime tests, residual quotients, right annihilators
 and the Behrens products of :mod:`semiringlab.covering` read the residual
 rows; every other annihilator and zero-divisor set reads the annihilator
-rows.
+rows. Annihilators, residuals and medial sums are checked to be ideals on
+masks, by what their members absorb and by their sum image; the cell scan
+of :func:`ideal_violation` runs only to name the witness of a failure.
 
 The residual rows of a mask are the OR of the value planes of its
 members, cut into n rows of n bits: the plane of v marks the cells
@@ -193,6 +195,14 @@ def ideal_violation(s: CayleyStructure, mask: int, side: str) -> Optional[tuple]
                 if not mask >> row[r] & 1:
                     return ("right-mul", x, r)
     return None
+
+
+def _is_ideal_mask(s: CayleyStructure, mask: int, side: str) -> bool:
+    """Whether a mask is an ideal of the side, tested on masks: it is
+    nonempty, and what its members absorb and its sum image lie inside it.
+    Callers scan with :func:`ideal_violation` only to name a failure."""
+    absorbed = union_mask(map(_absorb(s, side).__getitem__, mask_members(mask)))
+    return mask != 0 and (absorbed | image(s.add, mask, mask)) & ~mask == 0
 
 
 def _absorb(s: CayleyStructure, side: str) -> tuple[int, ...]:
@@ -513,9 +523,8 @@ def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
     if a.side != b.side:
         raise ValueError("sides differ")
     mask = image(s.add, a.mask, b.mask)
-    bad = ideal_violation(s, mask, a.side)
-    if bad is not None:
-        raise TheoremViolation(f"medial sum failed to be an ideal: {bad}")
+    if not _is_ideal_mask(s, mask, a.side):
+        raise TheoremViolation(f"medial sum failed to be an ideal: {ideal_violation(s, mask, a.side)}")
     return IdealSet(structure=s, side=a.side, mask=mask)
 
 
@@ -562,9 +571,8 @@ def residual(ideal: IdealSet, t: int) -> IdealSet:
     s = ideal.structure
     require_commutative_semiring(s)
     mask = residual_rows(s, ideal.mask)[t]
-    bad = ideal_violation(s, mask, ideal.side)
-    if bad is not None:
-        raise TheoremViolation(f"residual failed to be an ideal: {bad}")
+    if not _is_ideal_mask(s, mask, ideal.side):
+        raise TheoremViolation(f"residual failed to be an ideal: {ideal_violation(s, mask, ideal.side)}")
     if ideal.mask & ~mask:
         raise TheoremViolation("residual does not contain the ideal")
     return IdealSet(structure=s, side=ideal.side, mask=mask)
@@ -786,10 +794,9 @@ def annihilator(
     rows = annihilator_rows(target, side)
     mask = functools.reduce(int.__and__, (rows[x] for x in xs))
     result = IdealSet(structure=s, side=side, mask=mask)
-    bad = ideal_violation(s, mask, side)
-    if bad is not None:
+    if not _is_ideal_mask(s, mask, side):
         what = "two-sided" if side == TWO_SIDED else f"a {side} ideal"
-        raise StructureError(f"annihilator is not {what} here: {bad}")
+        raise StructureError(f"annihilator is not {what} here: {ideal_violation(s, mask, side)}")
     if check_laws(result.structure).mul_associative:
         ok, w = is_subtractive(result)
         if not ok:

@@ -9,6 +9,7 @@ line runner and the acceptance tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -27,16 +28,7 @@ from .corpus import (
     corpus_semimodules,
     diamond_lattice,
 )
-from .covering import (
-    UNMET,
-    avoidance_witness,
-    behrens_elements,
-    is_efficient,
-    mccoy_exponent,
-    semiring_avoidance,
-    t_semiprime_avoidance,
-    union_avoidance_suite,
-)
+from .covering import UNMET, avoidance_witness, behrens_elements, semiring_avoidance
 from .errors import CapExceeded, HypothesesUnmet, TheoremViolation
 from .ideals import (
     IdealSet,
@@ -48,8 +40,10 @@ from .ideals import (
     enumerate_ideals,
     evaluate_tree,
     generate_ideal,
+    generated_product,
     ideal_intersect,
     ideal_masks,
+    image,
     is_prime,
     is_subtractive,
     mask_of,
@@ -58,6 +52,7 @@ from .ideals import (
     radical,
     radical_mask,
     random_tree,
+    semiprime_residual,
     set_product_mask,
     union_mask,
 )
@@ -227,10 +222,11 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     if rep.is_commutative_semiring:
         m = self_action(s)
         act, mz = m.action, m.mzero
+        singles = [annihilator(m, [x]).mask for x in range(s.size)]
         ok_ann = True
         for x in range(s.size):
             for y in range(s.size):
-                lhs = annihilator(m, [x]).mask & annihilator(m, [y]).mask
+                lhs = singles[x] & singles[y]
                 scanned = mask_of(r for r in range(s.size) if act[r][x] == mz == act[r][y])
                 if lhs != scanned or lhs != annihilator(m, [x, y]).mask:
                     ok_ann = False
@@ -307,15 +303,18 @@ def _sample_tree_shapes(s, target, family, rng, samples: int = 3) -> None:
         _check(value in target and not union >> value & 1, (tree, value))
 
 
-def _coverings(candidates, sizes, targets) -> Iterator[tuple[tuple[IdealSet, ...], IdealSet]]:
-    """Each (family, target) with the target inside the family's union, for
-    the families of each size drawn from the candidates in turn."""
+def _coverings(candidates, sizes, targets) -> Iterator[tuple[tuple[IdealSet, ...], list[IdealSet]]]:
+    """Each family of each size drawn from the candidates in turn, with the
+    targets inside its union."""
     for size in sizes:
         for family in itertools.combinations(candidates, size):
             union = union_mask(c.mask for c in family)
-            for target in targets:
-                if target.mask & ~union == 0:
-                    yield family, target
+            yield family, [t for t in targets if t.mask & ~union == 0]
+
+
+def _first_inside(mask: int, masks: list[int]) -> Optional[int]:
+    """The index of the first of the masks holding the mask, or None."""
+    return next((k for k, m in enumerate(masks) if mask & ~m == 0), None)
 
 
 def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
@@ -331,60 +330,134 @@ def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> It
         i.mask: (i.is_proper and is_prime(i)[0]) for i in lattice
     }
     coverings = 0
-    for family, target in _coverings(subtractive, range(1, max_family + 1), lattice):
+    for family, covered in _coverings(subtractive, range(1, max_family + 1), lattice):
         non_primes = [c for c in family if not prime_mask[c.mask]]
         if len(non_primes) > 2:
             continue
         ordered = non_primes + [c for c in family if prime_mask[c.mask]]
-        report = semiring_avoidance(target, ordered)
-        _check(report.holds, (target, family))
-        coverings += 1
+        for target in covered:
+            report = semiring_avoidance(target, ordered)
+            _check(report.holds, (target, family))
+            coverings += 1
     yield _result(base, True, f"{coverings} coverings")
 
 
 def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[CheckResult]:
     """Radical, semiprime, and T-semiprime covering corollaries, bounded to
-    keep the family enumeration small."""
+    keep the family enumeration small, on the per-family path
+    :func:`_corollary_witnesses`, whose test oracle is the public checks."""
     s = entry.structure
     rep = check_laws(s)
     if not rep.is_commutative_semiring or not all_ideals_subtractive(s):
         return
-    base = f"{entry.name}/corollaries"
-    lattice = enumerate_ideals(s, TWO_SIDED)
-    t_set = mult_closure(s, [rep.one])
     counts = {"radical": 0, "semiprime": 0, "t-semiprime": 0}
-    for family, target in _coverings(lattice, range(1, max_family + 1), lattice):
-        covers = list(family)
-        reports = {
-            "radical": union_avoidance_suite(target, covers, "radical"),
-            "semiprime": union_avoidance_suite(target, covers, "semiprime"),
-            "t-semiprime": t_semiprime_avoidance(target, covers, t_set),
-        }
-        for mode, report in reports.items():
-            if report.verdict == UNMET:
-                continue
-            _check(report.holds)
-            counts[mode] += 1
-    yield _result(base, True, str(counts))
+    t_set = mult_closure(s, [rep.one])
+    for _, _, witnesses in _corollary_witnesses(enumerate_ideals(s, TWO_SIDED), t_set, max_family):
+        for mode, witness in zip(counts, witnesses):
+            counts[mode] += witness is not None
+    yield _result(f"{entry.name}/corollaries", True, str(counts))
+
+
+def _corollary_witnesses(lattice, t_set, max_family: int) -> Iterator[tuple]:
+    """Per covering of a lattice ideal by at most ``max_family`` lattice
+    ideals, (family, target, witnesses): the witnesses of
+    ``union_avoidance_suite`` in the radical and the semiprime mode and of
+    ``t_semiprime_avoidance``, each None where its hypotheses are unmet, on
+    a structure past their gate. The classification counts are read once
+    per family and the T-semiprime data at its first target; every theorem
+    check runs per pair."""
+    s = t_set.structure
+    for family, covered in _coverings(lattice, range(1, max_family + 1), lattice):
+        masks, classes = [c.mask for c in family], list(map(classify_ideal, family))
+        needed = len(family) - 2  # two covers may miss the hypothesis
+        met = [sum(c.radical_ideal for c in classes) >= needed, sum(c.semiprime for c in classes) >= needed]
+        t_data = None
+        for target in covered:
+            k = _first_inside(target.mask, masks)
+            for ok in met:
+                _check(not ok or k is not None, "no containing cover despite verified hypotheses")
+            t_data = _t_semiprime_residuals(family, t_set) if t_data is None else t_data
+            found = None
+            if t_data:
+                ts, residuals, enough = t_data
+                _check(enough, "semiprime avoidance failed on residual quotients")
+                j = _first_inside(target.mask, residuals)
+                _check(j is not None, "no containing cover despite verified hypotheses")
+                _check(image(s.mul, 1 << ts[j], target.mask) & ~masks[j] == 0, "t*I escaped the chosen cover")
+                found = (ts[j], j)
+            yield family, target, [k if ok else None for ok in met] + [found]
+
+
+def _t_semiprime_residuals(family, t_set) -> tuple:
+    """The least t of each cover's semiprime residual (P : t), the residual
+    masks, and whether enough of them are semiprime; or () at the first
+    cover, in order, that misses a hypothesis of ``t_semiprime_avoidance``."""
+    ts, residuals = [], []
+    for p in family:
+        cls = None if p.mask & t_set.mask else classify_ideal(p, t_set)
+        if cls is None or not (cls.two_absorbing and cls.t_semiprime):
+            return ()
+        found = semiprime_residual(p, t_set)
+        _check(found is not None, "T-semiprime cover with no semiprime residual")
+        ts.append(found[0])
+        residuals.append(found[1])
+    enough = sum(classify_ideal(r).semiprime for r in residuals) >= len(family) - 2
+    return ts, [r.mask for r in residuals], enough
 
 
 def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
     """Every efficient covering with at least three covers admits a finite
-    exponent within the ideal-count bound."""
+    exponent within the ideal-count bound, on the per-family path
+    :func:`_mccoy_exponents`, whose test oracle is the public checks."""
     s = entry.structure
     rep = check_laws(s)
     if not rep.is_commutative_semiring or not all_ideals_subtractive(s):
         return
     lattice = enumerate_ideals(s, TWO_SIDED)
-    base = f"{entry.name}/mccoy"
     found = 0
-    for family, target in _coverings(lattice, range(3, max_family + 1), lattice):
-        if not is_efficient(target, family):
-            continue
-        report = mccoy_exponent(target, family)
-        _check(report.holds and report.exponent <= len(lattice))
-        found += 1
-    yield _result(base, True, f"{found} efficient coverings")
+    for _, _, exponent in _mccoy_exponents(lattice, max_family):
+        if exponent is not None:
+            _check(exponent <= len(lattice))
+            found += 1
+    yield _result(f"{entry.name}/mccoy", True, f"{found} efficient coverings")
+
+
+def _mccoy_exponents(lattice, max_family: int) -> Iterator[tuple]:
+    """Per covering of a lattice ideal by three to ``max_family`` lattice
+    ideals, (family, target, exponent): the exponent of ``mccoy_exponent``
+    where ``is_efficient`` holds, else None, on a structure past their gate.
+    The unions and meets of all covers but one are built once per family,
+    and each target's powers once, as far as some family needs them."""
+    chains: dict[int, list[IdealSet]] = {}
+    for family, covered in _coverings(lattice, range(3, max_family + 1), lattice):
+        masks = [c.mask for c in family]
+        total = functools.reduce(int.__and__, masks)
+        rest = [masks[:k] + masks[k + 1:] for k in range(len(masks))]
+        unions, meets = [union_mask(r) for r in rest], [functools.reduce(int.__and__, r) for r in rest]
+        for target in covered:
+            mask, exponent = target.mask, None
+            if _first_inside(mask, unions) is None:
+                # inside the target, any n-1 of the covers already meet in all n
+                for meet in meets:
+                    _check(mask & meet == mask & total, "intersection lemma failed on an efficient covering")
+                exponent = _least_power_inside(chains.setdefault(mask, [target]), total, len(lattice))
+                _check(exponent is not None, "no exponent within the ideal-count bound")
+            yield family, target, exponent
+
+
+def _least_power_inside(chain: list[IdealSet], total: int, bound: int) -> Optional[int]:
+    """The least k <= bound with the k-th power of ``chain[0]`` inside
+    ``total``, or None. The chain holds the powers built so far and grows by
+    ``generated_product`` only as far as asked, and not once two successive
+    powers agree."""
+    for k in range(bound):
+        if k == len(chain):
+            if k > 1 and chain[-1].mask == chain[-2].mask:
+                return None
+            chain.append(generated_product(chain[-1], chain[0]))
+        if chain[k].mask & ~total == 0:
+            return k + 1
+    return None
 
 
 def packed_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
@@ -419,7 +492,8 @@ def packed_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
         lattice = enumerate_ideals(s, TWO_SIDED)
         ok = all(
             any(i.issubset(p) for p in family)
-            for family, i in _coverings(primes, range(1, len(primes) + 1), lattice)
+            for family, covered in _coverings(primes, range(1, len(primes) + 1), lattice)
+            for i in covered
         )
         yield _result(f"{base}/packed-definition", ok)
 

@@ -35,6 +35,7 @@ from .spectrum import compactly_packed_battery, spec_of
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
+    _is_index,
     check_laws,
     require_commutative_semiring,
     require_semimodule,
@@ -74,11 +75,11 @@ def _element_annihilators(m: FiniteSemimodule) -> list[tuple[int, IdealSet]]:
 
 def ass_primes(m: FiniteSemimodule) -> tuple[tuple[int, IdealSet], ...]:
     """Module elements whose annihilator is a prime ideal."""
-    out = []
-    for x, ann in _element_annihilators(m):
-        if ann.is_proper and is_prime(ann)[0]:
-            out.append((x, ann))
-    return tuple(out)
+    return _ass_primes(_element_annihilators(m))
+
+
+def _ass_primes(element_annihilators) -> tuple[tuple[int, IdealSet], ...]:
+    return tuple((x, ann) for x, ann in element_annihilators if ann.is_proper and is_prime(ann)[0])
 
 
 def property_a_check(
@@ -105,13 +106,14 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
     require_semimodule(m)
     z = zero_divisor_mask(m)
 
-    radicals = [(x, radical(ann)) for x, ann in _element_annihilators(m)]
+    anns = _element_annihilators(m)
+    radicals = [(x, radical(ann)) for x, ann in anns]
     if union_mask(rad.mask for _, rad in radicals) != z:
         raise TheoremViolation(
             "zero divisors differ from the union of radical annihilators"
         )
 
-    ass = ass_primes(m)
+    ass = _ass_primes(anns)
     very_few = union_mask(ann.mask for _, ann in ass) == z
     if not very_few:
         raise TheoremViolation(
@@ -415,8 +417,8 @@ def monoid_zd_check(
     inconclusive, never a refutation. Slices of more than ``CARRIER_CAP``
     scalars or module polynomials raise :class:`CapExceeded` up front.
     """
-    if degree_cap < 0:
-        raise StructureError("degree cap must be nonnegative")
+    if not _is_index(degree_cap) or degree_cap < 0:
+        raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
     length = degree_cap + 1
     # testing the length first keeps the power small and bounds 1-element carriers
     if length > CARRIER_CAP or max(s.size, m.msize) ** length > CARRIER_CAP:

@@ -11,10 +11,12 @@ and the triple-loop sandwich for primality, the residual comprehension
 Behrens elements, Davis' keep-and-chain loop and the maximal-family
 comprehension; the three-branch annihilator, the zero-divisor loop, the
 Property (A) loop, the constant-killer loop and the killed list, which the
-annihilator rows replaced; the cell search for subtractivity, which the sum
-planes replaced; the scan of mediality over all four variables,
-which the walk over b < c replaced, and the filter of every n^(n*n) table,
-which the pruned search for medial magmas replaced; the skip-one loops of
+annihilator rows replaced, and the cell scan of ``ideal_violation``, which
+the mask test of annihilators, residuals and medial sums replaced; the cell
+search for subtractivity, which the sum planes replaced; the scan of
+mediality over all four variables, which the walk over b < c replaced,
+and the filter of every n^(n*n) table, which the pruned search for medial
+magmas replaced; the skip-one loops of
 the efficiency test and of the greedy reduction, and the radical and
 elementwise semiprime scans behind the union corollaries, which the stored
 classification flags replaced. The classification oracle reads only these
@@ -1008,6 +1010,33 @@ def test_annihilators_match_references_on_the_saturating_ladder():
         s = saturating(top)
         assert_structure_annihilators_match(s)
         assert_module_annihilators_match(self_action(s))
+
+
+def assert_ideal_mask_test_matches(s: CayleyStructure) -> int:
+    """``ideals._is_ideal_mask`` against the cell scan of ``ideal_violation``
+    on every mask and side; returns the number of masks that are ideals of
+    one side and not of the other."""
+    one_sided = 0
+    for mask in range(1 << s.size):
+        scanned = [ideals.ideal_violation(s, mask, side) is None for side in ideals.SIDES]
+        assert [ideals._is_ideal_mask(s, mask, side) for side in ideals.SIDES] == scanned, (s.name, mask)
+        one_sided += scanned[0] != scanned[1]
+    return one_sided
+
+
+@given(any_tables())
+def test_ideal_mask_test_matches_the_cell_scan_on_any_tables(s):
+    assert_ideal_mask_test_matches(s)
+
+
+def test_ideal_mask_test_matches_the_cell_scan_on_the_corpus(all_entries):
+    for e in all_entries:
+        if e.structure.size <= 8:
+            assert_ideal_mask_test_matches(e.structure)
+    # x*y = x: each of the 15 nonempty masks is a right ideal, only the
+    # carrier a left one
+    projection = CayleyStructure(size=4, add=[[max(x, y) for y in range(4)] for x in range(4)], mul=[[x] * 4 for x in range(4)])
+    assert assert_ideal_mask_test_matches(projection) == 14
 
 
 # --- coverings ------------------------------------------------------------------

@@ -339,6 +339,13 @@ def test_slice_zero_polynomial():
     assert report.details["sup_checked"] == 4
 
 
+@pytest.mark.parametrize("cap", [1.0, True, -1])
+def test_slice_degree_cap_must_be_a_nonnegative_int(cap):
+    b = boolean_semifield()
+    with pytest.raises(StructureError, match="nonnegative integer"):
+        monoid_zd_check(b, self_action(b), cap)
+
+
 def test_slice_hypotheses():
     report = monoid_zd_check(austere_z6(), self_action(austere_z6()), 0)
     assert report.verdict == UNMET
