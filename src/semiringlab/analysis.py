@@ -37,8 +37,10 @@ computed on its first read and read back afterwards. A context holds:
   computed once.
 
 A semimodule has a context of its own, holding ``semimodule``: its
-:class:`~semiringlab.tables.SemimoduleReport`, and ``annihilators``, keyed
-by None: per module element x, the mask of the scalars r with r*x = 0.
+:class:`~semiringlab.tables.SemimoduleReport`; ``annihilators``, keyed
+by None: per module element x, the mask of the scalars r with r*x = 0;
+and ``element_annihilators``: per module element x, the annihilator
+ideal Ann(x), checked once as every annihilator is.
 
 The module that owns a fact computes it with a private function, which
 the context calls once per key; a computation that raises stores nothing,
@@ -82,6 +84,7 @@ FACTS = (
     "classification",
     "semiprime_residual",
     "semimodule",
+    "element_annihilators",
     "self_action",
 )
 

@@ -161,6 +161,9 @@ def cmd_packed(args) -> int:
 
 
 def cmd_avoid(args) -> int:
+    for flag, value, mode in (("--t-set", args.t_set, "t-semiprime"), ("--element", args.element, "davis")):
+        if value is not None and args.mode != mode:
+            raise StructureError(f"{flag} applies to {mode} mode only, not to {args.mode} mode")
     s = _resolve(args.structure)
     target = generate_ideal(s, _parse_gens(s, args.target))
     covers = [generate_ideal(s, _parse_gens(s, c)) for c in args.cover]

@@ -8,10 +8,14 @@ ValueError; :func:`avoidance_witness` and :func:`davis_witness` take primes
 that the target escapes. The corollaries share one hypothesis gate (a
 commutative semiring whose ideals are all subtractive) and read stored
 facts: each cover's classification flags, the semiprime residual per
-(cover, T) and the element annihilators. The corollary and McCoy suites of
-:mod:`semiringlab.suites` run these statements on every covering of a
-lattice on a private per-family path, which reads what depends on the
-family alone once per family; the public checks here are its test oracle.
+(cover, T) and the element annihilators.
+
+The radical, semiprime and T-semiprime corollaries and McCoy's exponent
+have one implementation, a kernel that checks a statement for one family of
+covers against every target it covers, reading what depends on the family
+alone once. The public checks run it on their one target after the gate;
+the corollary and McCoy suites of :mod:`semiringlab.suites` run it on every
+covering of a lattice.
 
 Operations validate their hypotheses first. Reports never publish an
 unchecked verdict: every holds verdict re-verifies the claimed witness, and
@@ -32,6 +36,7 @@ from .ideals import (
     TWO_SIDED,
     all_ideals_subtractive,
     classify_ideal,
+    element_annihilators,
     evaluate_tree,
     generated_product,
     ideal_masks,
@@ -42,6 +47,7 @@ from .ideals import (
     mask_members,
     maximal_masks,
     principal_masks,
+    require_same_structure,
     residual_rows,
     semiprime_residual,
     annihilator,
@@ -79,29 +85,34 @@ def _unmet(hypothesis: str, **details) -> WitnessReport:
 
 
 def _covering(target: IdealSet, covers: Sequence[IdealSet]) -> tuple[IdealSet, ...]:
-    """The covers as a tuple, once they are known to cover the target. The
-    structures are compared by identity first, so the usual case of covers
-    built over the target's own structure costs no table comparison."""
+    """The covers as a tuple, once they are known to live over the target's
+    structure (or one equal to it) and to cover the target."""
     covers = tuple(covers)
     if not covers:
         raise ValueError("a covering needs at least one cover")
     s, union = target.structure, 0
     for c in covers:
-        if c.structure is not s and c.structure != s:
-            raise ValueError("covers live over a different structure")
+        require_same_structure(s, c, "a cover")
         union |= c.mask
     if target.mask & ~union:
         raise ValueError("not a covering: target escapes the union")
     return covers
 
 
+def _first_inside(mask: int, masks: Sequence[int]) -> Optional[int]:
+    """The index of the first of the masks holding the mask, or None."""
+    return next((k for k, m in enumerate(masks) if mask & ~m == 0), None)
+
+
+def _unions_but_one(masks: Sequence[int]) -> list[int]:
+    """Per k, the union of every mask but the k-th."""
+    return [union_mask(masks[:k] + masks[k + 1:]) for k in range(len(masks))]
+
+
 def _redundant(target: IdealSet, covers: Sequence[IdealSet]) -> Optional[int]:
     """The index of the first cover whose removal still leaves the target
     covered, or None when the covering is efficient."""
-    for skip in range(len(covers)):
-        if target.mask & ~union_mask(c.mask for k, c in enumerate(covers) if k != skip) == 0:
-            return skip
-    return None
+    return _first_inside(target.mask, _unions_but_one([c.mask for c in covers]))
 
 
 def is_efficient(target: IdealSet, covers: Sequence[IdealSet]) -> bool:
@@ -299,11 +310,7 @@ def semiring_avoidance(ideal: IdealSet, covers: Sequence[IdealSet]) -> WitnessRe
         prime, w = is_prime(p)
         if not prime:
             violations.append(("primality", k, w))
-    containing = None
-    for k, p in enumerate(covers):
-        if ideal.issubset(p):
-            containing = k
-            break
+    containing = _first_inside(ideal.mask, [p.mask for p in covers])
     if containing is not None:
         return WitnessReport(
             verdict=HOLDS, witness=containing, details={"violations": tuple(violations)}
@@ -334,11 +341,7 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     if sum_mask & ~union == 0:
         return _unmet("containment", detail="(x) + I lies inside the union")
 
-    scanned = None
-    for y in mask_members(ideal.mask):
-        if not union >> add[x][y] & 1:
-            scanned = y
-            break
+    scanned = next((y for y in mask_members(ideal.mask) if not union >> add[x][y] & 1), None)
     if scanned is None:
         raise TheoremViolation("no witness by scan despite verified hypotheses")
 
@@ -362,6 +365,119 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     )
 
 
+# --- the covering kernel: per family of two-sided covers of a structure past
+# the corollaries' gate, one outcome per target, a witness or the report of
+# a hypothesis the family misses, built once for all its targets
+
+_MODE_FLAGS = {"radical": "radical_ideal", "semiprime": "semiprime"}
+
+
+def _union_outcomes(family: Sequence[IdealSet], targets: Sequence[IdealSet], mode: str) -> list:
+    """Per target, the index of the first cover holding it, when all but at
+    most two covers are radical (mode 'radical') or semiprime (mode
+    'semiprime'); else the hypothesis-count report."""
+    needed = len(family) - 2
+    # two covers may miss the hypothesis, so only larger families are counted
+    if needed > 0:
+        qualifying = sum(getattr(classify_ideal(c), _MODE_FLAGS[mode]) for c in family)
+        if qualifying < needed:
+            return [_unmet("hypothesis-count", qualifying=qualifying, needed=needed)] * len(targets)
+    masks = [c.mask for c in family]
+    found = [_first_inside(t.mask, masks) for t in targets]
+    if None in found:
+        raise TheoremViolation("no containing cover despite verified hypotheses")
+    return found
+
+
+def _t_semiprime_outcomes(
+    family: Sequence[IdealSet], targets: Sequence[IdealSet], t_set: MultiplicativeSet
+) -> list:
+    """Per target I, (t, j) with t*I inside the j-th cover, when every cover
+    is T-semiprime and 2-absorbing; else the report of the first cover, in
+    order, that is not. The t and j come out of the semiprime residuals
+    (P : t) of the covers, which cover I in turn."""
+    ts, residuals = [], []
+    for k, p in enumerate(family):
+        if p.mask & t_set.mask:
+            return [_unmet("t-disjointness", index=k)] * len(targets)
+        cls = classify_ideal(p, t_set)
+        if not cls.two_absorbing:
+            return [_unmet("2-absorbing", index=k, witness=cls.witnesses.get("two_absorbing"))] * len(targets)
+        if not cls.t_semiprime:
+            return [_unmet("t-semiprime", index=k)] * len(targets)
+        found = semiprime_residual(p, t_set)
+        if found is None:
+            raise TheoremViolation("T-semiprime cover with no semiprime residual")
+        ts.append(found[0])
+        residuals.append(found[1])
+    out = []
+    for target, j in zip(targets, _union_outcomes(residuals, targets, "semiprime")):
+        if isinstance(j, WitnessReport):
+            raise TheoremViolation("semiprime avoidance failed on residual quotients")
+        if image(target.structure.mul, 1 << ts[j], target.mask) & ~family[j].mask:
+            raise TheoremViolation("t*I escaped the chosen cover")
+        out.append((ts[j], j))
+    return out
+
+
+def _mccoy_outcomes(
+    family: Sequence[IdealSet], targets: Sequence[IdealSet], chains: Optional[dict] = None
+) -> list:
+    """Per target, the least k with the k-th power of the target inside the
+    intersection of a covering by at least three covers, where the covering
+    is efficient; else the efficiency report. ``chains`` holds the powers of
+    each target built so far, keyed by its mask, for reuse across families."""
+    chains = {} if chains is None else chains
+    masks = [c.mask for c in family]
+    unions = _unions_but_one(masks)
+    out, inefficient, meets = [], None, None
+    for target in targets:
+        mask = target.mask
+        if _first_inside(mask, unions) is not None:
+            inefficient = inefficient or _unmet("efficiency")
+            out.append(inefficient)
+            continue
+        if meets is None:  # few coverings are efficient, so meets wait for one
+            total = functools.reduce(int.__and__, masks)
+            meets = [functools.reduce(int.__and__, masks[:k] + masks[k + 1:]) for k in range(len(masks))]
+            bound = len(ideal_masks(family[0].structure, TWO_SIDED))
+        # inside the target, any n-1 of the covers already meet in all n
+        for meet in meets:
+            if mask & meet != mask & total:
+                raise TheoremViolation("intersection lemma failed on an efficient covering")
+        exponent = _least_power_inside(chains.setdefault(mask, [target]), total, bound)
+        if exponent is None:
+            raise TheoremViolation("no exponent within the ideal-count bound")
+        out.append(exponent)
+    return out
+
+
+def _least_power_inside(chain: list[IdealSet], total: int, bound: int) -> Optional[int]:
+    """The least k <= bound with the k-th power of ``chain[0]`` inside
+    ``total``, or None. The chain holds the powers built so far and grows by
+    ``generated_product`` only as far as asked, and not once two successive
+    powers agree."""
+    for k in range(bound):
+        if k == len(chain):
+            if k > 1 and chain[-1].mask == chain[-2].mask:
+                return None
+            chain.append(generated_product(chain[-1], chain[0]))
+        if chain[k].mask & ~total == 0:
+            return k + 1
+    return None
+
+
+def _two_sided(s: CayleyStructure, covers: Sequence[IdealSet]) -> list[IdealSet]:
+    """The covers as two-sided ideals of s: in a commutative semiring every
+    one-sided ideal is two-sided, so a cover is classified by its mask."""
+    return [IdealSet(structure=s, side=TWO_SIDED, mask=c.mask) for c in covers]
+
+
+def _report(outcome) -> WitnessReport:
+    """A kernel outcome of a public check as a report."""
+    return outcome if isinstance(outcome, WitnessReport) else WitnessReport(verdict=HOLDS, witness=outcome)
+
+
 def mccoy_exponent(target: IdealSet, covers: Sequence[IdealSet]) -> WitnessReport:
     """Least power of the target landing inside the intersection of an
     efficient covering with at least three covers."""
@@ -371,28 +487,11 @@ def mccoy_exponent(target: IdealSet, covers: Sequence[IdealSet]) -> WitnessRepor
         return unmet
     if len(covers) < 3:
         return _unmet("cover-count", count=len(covers))
-    if _redundant(target, covers) is not None:
-        return _unmet("efficiency")
-
-    masks = [c.mask for c in covers]
-    total = functools.reduce(int.__and__, masks)
-    # inside the target, any n-1 of the covers already meet in all n
-    for skip in range(len(masks)):
-        part = functools.reduce(int.__and__, masks[:skip] + masks[skip + 1:])
-        if target.mask & part != target.mask & total:
-            raise TheoremViolation("intersection lemma failed on an efficient covering")
-
-    k_max = len(ideal_masks(target.structure, TWO_SIDED))
-    power = target
-    for k in range(1, k_max + 1):
-        if power.mask & ~total == 0:
-            return WitnessReport(
-                verdict=HOLDS,
-                exponent=k,
-                details={"intersection": mask_members(total)},
-            )
-        power = generated_product(power, target)
-    raise TheoremViolation("no exponent within the ideal-count bound")
+    (exponent,) = _mccoy_outcomes(covers, [target])
+    if isinstance(exponent, WitnessReport):
+        return exponent
+    total = functools.reduce(int.__and__, (c.mask for c in covers))
+    return WitnessReport(verdict=HOLDS, exponent=exponent, details={"intersection": mask_members(total)})
 
 
 def union_avoidance_suite(
@@ -400,30 +499,15 @@ def union_avoidance_suite(
 ) -> WitnessReport:
     """Containing index when all but at most two covers are radical ideals
     (mode 'radical') or semiprime ideals (mode 'semiprime'), read from each
-    cover's stored classification. In a commutative semiring every one-sided
-    ideal is two-sided, so a cover is classified by its mask alone."""
-    if mode not in ("radical", "semiprime"):
+    cover's stored classification."""
+    if mode not in _MODE_FLAGS:
         raise ValueError("mode must be 'radical' or 'semiprime'")
     s = ideal.structure
     unmet = _corollary_unmet(s)
     if unmet is not None:
         return unmet
-    covers = _covering(ideal, covers)
-    needed = len(covers) - 2
-    # two covers may miss the hypothesis, so only larger families are counted
-    if needed > 0:
-        flag = "radical_ideal" if mode == "radical" else "semiprime"
-        qualifying = 0
-        for c in covers:
-            if c.structure is not s or c.side != TWO_SIDED:
-                c = IdealSet(structure=s, side=TWO_SIDED, mask=c.mask)
-            qualifying += getattr(classify_ideal(c), flag)
-        if qualifying < needed:
-            return _unmet("hypothesis-count", qualifying=qualifying, needed=needed)
-    for k, c in enumerate(covers):
-        if ideal.issubset(c):
-            return WitnessReport(verdict=HOLDS, witness=k)
-    raise TheoremViolation("no containing cover despite verified hypotheses")
+    covers = _two_sided(s, _covering(ideal, covers))
+    return _report(_union_outcomes(covers, [ideal], mode)[0])
 
 
 def t_semiprime_avoidance(
@@ -435,29 +519,9 @@ def t_semiprime_avoidance(
     unmet = _corollary_unmet(s)
     if unmet is not None:
         return unmet
-    covers = _covering(ideal, covers)
-    t_elements, residuals = [], []
-    for k, p in enumerate(covers):
-        if p.mask & t_set.mask:
-            return _unmet("t-disjointness", index=k)
-        cls = classify_ideal(p, t_set)
-        if not cls.two_absorbing:
-            return _unmet("2-absorbing", index=k, witness=cls.witnesses.get("two_absorbing"))
-        if not cls.t_semiprime:
-            return _unmet("t-semiprime", index=k)
-        found = semiprime_residual(p, t_set)
-        if found is None:
-            raise TheoremViolation("T-semiprime cover with no semiprime residual")
-        t_elements.append(found[0])
-        residuals.append(found[1])
-    inner = union_avoidance_suite(ideal, residuals, "semiprime")
-    if not inner.holds:
-        raise TheoremViolation("semiprime avoidance failed on residual quotients")
-    j = inner.witness
-    t = t_elements[j]
-    if image(s.mul, 1 << t, ideal.mask) & ~covers[j].mask:
-        raise TheoremViolation("t*I escaped the chosen cover")
-    return WitnessReport(verdict=HOLDS, witness=(t, j))
+    covers = _two_sided(s, _covering(ideal, covers))
+    require_same_structure(s, t_set, "T")
+    return _report(_t_semiprime_outcomes(covers, [ideal], t_set)[0])
 
 
 def annihilator_avoidance(
@@ -483,7 +547,7 @@ def annihilator_avoidance(
     # every Ann(X) is the meet of the Ann(x), x in X, so a maximal proper
     # annihilator ideal is a maximal proper element annihilator
     full = (1 << s.size) - 1
-    element_anns = (annihilator(m, [x]).mask for x in range(m.msize))
+    element_anns = (a.mask for a in element_annihilators(m))
     maximal = sorted(maximal_masks(am for am in element_anns if am != full), key=mask_members)
     enlarged = []
     for c in covers:

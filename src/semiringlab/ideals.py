@@ -149,6 +149,13 @@ class MultiplicativeSet:
         return bool(self.mask >> idx & 1)
 
 
+def require_same_structure(s: CayleyStructure, part: Union[IdealSet, MultiplicativeSet], what: str) -> None:
+    """Reject an ideal or a multiplicative set over a structure neither s
+    nor equal to it, whose mask would otherwise be read as bits of s."""
+    if part.structure is not s and part.structure != s:
+        raise StructureError(f"{what} lives over a different structure")
+
+
 def multiplicative_set(s: CayleyStructure, members: Iterable[int]) -> MultiplicativeSet:
     """Validate that the members contain one and are closed under multiplication."""
     rep = require_semiring(s)
@@ -637,6 +644,7 @@ def classify_ideal(ideal: IdealSet, t_set: Optional[MultiplicativeSet] = None) -
     if ideal.side != TWO_SIDED:
         raise ValueError("classification applies to two-sided ideals")
     if t_set is not None:
+        require_same_structure(s, t_set, "T")
         key = (ideal.mask, t_set.mask)
         return analysis(s).get("classification", key, _t_classification, s, *key)
     cls = analysis(s).get("classes", None, _classify_lattice, s).get(ideal.mask)
@@ -723,6 +731,7 @@ def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tu
     s = ideal.structure
     if ideal.side != TWO_SIDED:
         raise ValueError("semiprime residuals are taken of two-sided ideals")
+    require_same_structure(s, t_set, "T")
     key = (ideal.mask, t_set.mask)
     found = analysis(s).get("semiprime_residual", key, _semiprime_residual, s, *key)
     if found is None:
@@ -751,6 +760,7 @@ def t_semiprime_equivalence(
     """
     s = ideal.structure
     require_commutative_semiring(s)
+    require_same_structure(s, t_set, "T")
     cls = classify_ideal(ideal, t_set)
     if not cls.two_absorbing:
         raise HypothesesUnmet("equivalence needs a 2-absorbing ideal")
@@ -804,6 +814,17 @@ def annihilator(
     return result
 
 
+@reader("element_annihilators")
+def element_annihilators(m: FiniteSemimodule) -> tuple[IdealSet, ...]:
+    """Per module element x, the annihilator Ann(x), checked as
+    :func:`annihilator` checks it; one fact of the module's context."""
+    return analysis(m).get("element_annihilators", None, _element_annihilators, m)
+
+
+def _element_annihilators(m: FiniteSemimodule) -> tuple[IdealSet, ...]:
+    return tuple(annihilator(m, [x]) for x in range(m.msize))
+
+
 def subsemimodule_masks(m: FiniteSemimodule) -> tuple[int, ...]:
     """All subsets containing zero and closed under addition and the action.
 
@@ -850,6 +871,8 @@ def krull_separation(s: CayleyStructure, t_set: MultiplicativeSet, ideal: IdealS
     """A prime ideal containing the given one, maximal among ideals disjoint
     from the multiplicative set; ties break to the least member tuple."""
     require_commutative_semiring(s)
+    require_same_structure(s, t_set, "T")
+    require_same_structure(s, ideal, "the ideal")
     if ideal.mask & t_set.mask:
         raise HypothesesUnmet("ideal meets the multiplicative set")
     candidates = [

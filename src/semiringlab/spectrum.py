@@ -71,26 +71,22 @@ def zariski_axioms(s: CayleyStructure) -> bool:
     primes = _spec_masks(s)
     lattice = ideal_masks(s, TWO_SIDED)
 
-    def v_of(ideal_mask: int) -> frozenset:
-        return frozenset(i for i, pm in enumerate(primes) if ideal_mask & ~pm == 0)
+    def v_of(ideal_mask: int) -> int:
+        """The vanishing set, bit i for the i-th prime holding the ideal."""
+        return union_mask(1 << i for i, pm in enumerate(primes) if ideal_mask & ~pm == 0)
 
-    family = {}
-    for m in lattice:
-        family.setdefault(v_of(m), m)
-    full_ideal = (1 << s.size) - 1
-    if v_of(full_ideal) != frozenset():
+    # every ideal holds the zero, so a & b is itself a lattice mask
+    v = {m: v_of(m) for m in lattice}
+    family = set(v.values())
+    if v_of((1 << s.size) - 1) != 0:
         return False
-    zero = check_laws(s).zero
-    if v_of(1 << zero) != frozenset(range(len(primes))):
+    if v_of(1 << check_laws(s).zero) != (1 << len(primes)) - 1:
         return False
     for a in lattice:
+        va = v[a]
         for b in lattice:
-            va, vb = v_of(a), v_of(b)
-            if va | vb != v_of(a & b):
-                return False
-            if va | vb not in family:
-                return False
-            if va & vb not in family:
+            vb = v[b]
+            if va | vb != v[a & b] or va | vb not in family or va & vb not in family:
                 return False
     return True
 

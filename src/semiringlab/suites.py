@@ -9,7 +9,6 @@ line runner and the acceptance tests.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -28,7 +27,17 @@ from .corpus import (
     corpus_semimodules,
     diamond_lattice,
 )
-from .covering import UNMET, avoidance_witness, behrens_elements, semiring_avoidance
+from .covering import (
+    UNMET,
+    WitnessReport,
+    _corollary_unmet,
+    _mccoy_outcomes,
+    _t_semiprime_outcomes,
+    _union_outcomes,
+    avoidance_witness,
+    behrens_elements,
+    semiring_avoidance,
+)
 from .errors import CapExceeded, HypothesesUnmet, TheoremViolation
 from .ideals import (
     IdealSet,
@@ -37,22 +46,21 @@ from .ideals import (
     annihilator,
     brute_force_ideal_masks,
     classify_ideal,
+    element_annihilators,
     enumerate_ideals,
     evaluate_tree,
     generate_ideal,
-    generated_product,
     ideal_intersect,
     ideal_masks,
-    image,
     is_prime,
     is_subtractive,
+    krull_separation,
     mask_of,
     mult_closure,
     principal_masks,
     radical,
     radical_mask,
     random_tree,
-    semiprime_residual,
     set_product_mask,
     union_mask,
 )
@@ -60,6 +68,7 @@ from .limits import BRUTE_FORCE_CAP
 from .spectrum import compactly_packed_battery, spec_of, zariski_axioms
 from .tables import CayleyStructure, check_laws, self_action
 from .zerodivisors import (
+    annihilator_extension_check,
     ass_primes,
     few_zero_divisors,
     kasch_semilocal_report,
@@ -179,8 +188,14 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
                     ok = False
     yield _result(f"{base}/subtractive-intersections", ok)
 
-    # products of ideals stay inside intersections (checked inside the helper)
-    products = [[set_product_mask(a, b) for b in lattice] for a in lattice]
+    # products of ideals stay inside intersections (checked inside the
+    # helper); where multiplication commutes, (b, a) gives the product of (a, b)
+    products = [[0] * len(lattice) for _ in lattice]
+    for i, a in enumerate(lattice):
+        for j in range(i if rep.mul_commutative else 0, len(lattice)):
+            products[i][j] = set_product_mask(a, lattice[j])
+            if rep.mul_commutative:
+                products[j][i] = products[i][j]
     yield _result(f"{base}/product-inside-intersection", True, f"{len(lattice)}^2 pairs")
 
     if rep.is_commutative_semiring:
@@ -222,7 +237,7 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     if rep.is_commutative_semiring:
         m = self_action(s)
         act, mz = m.action, m.mzero
-        singles = [annihilator(m, [x]).mask for x in range(s.size)]
+        singles = [a.mask for a in element_annihilators(m)]
         ok_ann = True
         for x in range(s.size):
             for y in range(s.size):
@@ -234,8 +249,6 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
 
 
 def krull_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
-    from .ideals import krull_separation
-
     s = entry.structure
     if not check_laws(s).is_commutative_semiring:
         return
@@ -253,14 +266,6 @@ def krull_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     yield _result(base, True, f"{checked} separations")
 
 
-def _subtractive_primes(s: CayleyStructure) -> list[IdealSet]:
-    out = []
-    for p in spec_of(s):
-        if is_subtractive(p)[0]:
-            out.append(p)
-    return out
-
-
 def ringoid_avoidance(entry: CorpusEntry, seed: int = 0, max_family: int = 4) -> Iterator[CheckResult]:
     """Avoidance witness for every family of subtractive primes none of which
     contains the target ideal, by scan and by construction."""
@@ -270,7 +275,7 @@ def ringoid_avoidance(entry: CorpusEntry, seed: int = 0, max_family: int = 4) ->
     base = f"{entry.name}/ringoid-avoidance"
     try:
         lattice = enumerate_ideals(s, TWO_SIDED)
-        primes = _subtractive_primes(s)
+        primes = [p for p in spec_of(s) if is_subtractive(p)[0]]
     except CapExceeded as exc:
         yield CheckResult(name=base, status=SKIP, detail=str(exc))
         return
@@ -304,17 +309,14 @@ def _sample_tree_shapes(s, target, family, rng, samples: int = 3) -> None:
 
 
 def _coverings(candidates, sizes, targets) -> Iterator[tuple[tuple[IdealSet, ...], list[IdealSet]]]:
-    """Each family of each size drawn from the candidates in turn, with the
-    targets inside its union."""
+    """Each family of each size drawn from the candidates in turn that covers
+    some of the targets, with the targets inside its union."""
     for size in sizes:
         for family in itertools.combinations(candidates, size):
             union = union_mask(c.mask for c in family)
-            yield family, [t for t in targets if t.mask & ~union == 0]
-
-
-def _first_inside(mask: int, masks: list[int]) -> Optional[int]:
-    """The index of the first of the masks holding the mask, or None."""
-    return next((k for k, m in enumerate(masks) if mask & ~m == 0), None)
+            covered = [t for t in targets if t.mask & ~union == 0]
+            if covered:
+                yield family, covered
 
 
 def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
@@ -342,122 +344,45 @@ def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> It
     yield _result(base, True, f"{coverings} coverings")
 
 
+def _held(outcomes: list) -> int:
+    """How many outcomes of the covering kernel are witnesses."""
+    return sum(not isinstance(o, WitnessReport) for o in outcomes)
+
+
 def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[CheckResult]:
-    """Radical, semiprime, and T-semiprime covering corollaries, bounded to
-    keep the family enumeration small, on the per-family path
-    :func:`_corollary_witnesses`, whose test oracle is the public checks."""
+    """Radical, semiprime, and T-semiprime covering corollaries on every
+    covering of a lattice ideal by at most ``max_family`` lattice ideals,
+    counting the coverings that meet each corollary's hypotheses."""
     s = entry.structure
-    rep = check_laws(s)
-    if not rep.is_commutative_semiring or not all_ideals_subtractive(s):
+    if _corollary_unmet(s) is not None:
         return
     counts = {"radical": 0, "semiprime": 0, "t-semiprime": 0}
-    t_set = mult_closure(s, [rep.one])
-    for _, _, witnesses in _corollary_witnesses(enumerate_ideals(s, TWO_SIDED), t_set, max_family):
-        for mode, witness in zip(counts, witnesses):
-            counts[mode] += witness is not None
+    t_set = mult_closure(s, [check_laws(s).one])
+    lattice = enumerate_ideals(s, TWO_SIDED)
+    for family, covered in _coverings(lattice, range(1, max_family + 1), lattice):
+        counts["radical"] += _held(_union_outcomes(family, covered, "radical"))
+        counts["semiprime"] += _held(_union_outcomes(family, covered, "semiprime"))
+        counts["t-semiprime"] += _held(_t_semiprime_outcomes(family, covered, t_set))
     yield _result(f"{entry.name}/corollaries", True, str(counts))
 
 
-def _corollary_witnesses(lattice, t_set, max_family: int) -> Iterator[tuple]:
-    """Per covering of a lattice ideal by at most ``max_family`` lattice
-    ideals, (family, target, witnesses): the witnesses of
-    ``union_avoidance_suite`` in the radical and the semiprime mode and of
-    ``t_semiprime_avoidance``, each None where its hypotheses are unmet, on
-    a structure past their gate. The classification counts are read once
-    per family and the T-semiprime data at its first target; every theorem
-    check runs per pair."""
-    s = t_set.structure
-    for family, covered in _coverings(lattice, range(1, max_family + 1), lattice):
-        masks, classes = [c.mask for c in family], list(map(classify_ideal, family))
-        needed = len(family) - 2  # two covers may miss the hypothesis
-        met = [sum(c.radical_ideal for c in classes) >= needed, sum(c.semiprime for c in classes) >= needed]
-        t_data = None
-        for target in covered:
-            k = _first_inside(target.mask, masks)
-            for ok in met:
-                _check(not ok or k is not None, "no containing cover despite verified hypotheses")
-            t_data = _t_semiprime_residuals(family, t_set) if t_data is None else t_data
-            found = None
-            if t_data:
-                ts, residuals, enough = t_data
-                _check(enough, "semiprime avoidance failed on residual quotients")
-                j = _first_inside(target.mask, residuals)
-                _check(j is not None, "no containing cover despite verified hypotheses")
-                _check(image(s.mul, 1 << ts[j], target.mask) & ~masks[j] == 0, "t*I escaped the chosen cover")
-                found = (ts[j], j)
-            yield family, target, [k if ok else None for ok in met] + [found]
-
-
-def _t_semiprime_residuals(family, t_set) -> tuple:
-    """The least t of each cover's semiprime residual (P : t), the residual
-    masks, and whether enough of them are semiprime; or () at the first
-    cover, in order, that misses a hypothesis of ``t_semiprime_avoidance``."""
-    ts, residuals = [], []
-    for p in family:
-        cls = None if p.mask & t_set.mask else classify_ideal(p, t_set)
-        if cls is None or not (cls.two_absorbing and cls.t_semiprime):
-            return ()
-        found = semiprime_residual(p, t_set)
-        _check(found is not None, "T-semiprime cover with no semiprime residual")
-        ts.append(found[0])
-        residuals.append(found[1])
-    enough = sum(classify_ideal(r).semiprime for r in residuals) >= len(family) - 2
-    return ts, [r.mask for r in residuals], enough
-
-
 def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
-    """Every efficient covering with at least three covers admits a finite
-    exponent within the ideal-count bound, on the per-family path
-    :func:`_mccoy_exponents`, whose test oracle is the public checks."""
+    """Every efficient covering of a lattice ideal by three to
+    ``max_family`` lattice ideals admits a finite exponent within the
+    ideal-count bound. Each target's powers are built once, as far as some
+    family needs them."""
     s = entry.structure
-    rep = check_laws(s)
-    if not rep.is_commutative_semiring or not all_ideals_subtractive(s):
+    if _corollary_unmet(s) is not None:
         return
     lattice = enumerate_ideals(s, TWO_SIDED)
-    found = 0
-    for _, _, exponent in _mccoy_exponents(lattice, max_family):
-        if exponent is not None:
-            _check(exponent <= len(lattice))
-            found += 1
-    yield _result(f"{entry.name}/mccoy", True, f"{found} efficient coverings")
-
-
-def _mccoy_exponents(lattice, max_family: int) -> Iterator[tuple]:
-    """Per covering of a lattice ideal by three to ``max_family`` lattice
-    ideals, (family, target, exponent): the exponent of ``mccoy_exponent``
-    where ``is_efficient`` holds, else None, on a structure past their gate.
-    The unions and meets of all covers but one are built once per family,
-    and each target's powers once, as far as some family needs them."""
     chains: dict[int, list[IdealSet]] = {}
+    found = 0
     for family, covered in _coverings(lattice, range(3, max_family + 1), lattice):
-        masks = [c.mask for c in family]
-        total = functools.reduce(int.__and__, masks)
-        rest = [masks[:k] + masks[k + 1:] for k in range(len(masks))]
-        unions, meets = [union_mask(r) for r in rest], [functools.reduce(int.__and__, r) for r in rest]
-        for target in covered:
-            mask, exponent = target.mask, None
-            if _first_inside(mask, unions) is None:
-                # inside the target, any n-1 of the covers already meet in all n
-                for meet in meets:
-                    _check(mask & meet == mask & total, "intersection lemma failed on an efficient covering")
-                exponent = _least_power_inside(chains.setdefault(mask, [target]), total, len(lattice))
-                _check(exponent is not None, "no exponent within the ideal-count bound")
-            yield family, target, exponent
-
-
-def _least_power_inside(chain: list[IdealSet], total: int, bound: int) -> Optional[int]:
-    """The least k <= bound with the k-th power of ``chain[0]`` inside
-    ``total``, or None. The chain holds the powers built so far and grows by
-    ``generated_product`` only as far as asked, and not once two successive
-    powers agree."""
-    for k in range(bound):
-        if k == len(chain):
-            if k > 1 and chain[-1].mask == chain[-2].mask:
-                return None
-            chain.append(generated_product(chain[-1], chain[0]))
-        if chain[k].mask & ~total == 0:
-            return k + 1
-    return None
+        for exponent in _mccoy_outcomes(family, covered, chains):
+            if not isinstance(exponent, WitnessReport):
+                _check(exponent <= len(lattice))
+                found += 1
+    yield _result(f"{entry.name}/mccoy", True, f"{found} efficient coverings")
 
 
 def packed_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
@@ -520,8 +445,6 @@ def zdiv_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
 
 
 def quotient_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
-    from .zerodivisors import annihilator_extension_check
-
     s = entry.structure
     if not check_laws(s).is_commutative_semiring:
         return

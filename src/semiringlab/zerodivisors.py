@@ -20,6 +20,7 @@ from .ideals import (
     TWO_SIDED,
     annihilator,
     annihilator_rows,
+    element_annihilators,
     generate_ideal,
     ideal_masks,
     is_prime,
@@ -65,21 +66,13 @@ class ZeroDivisorReport:
         )
 
 
-def _element_annihilators(m: FiniteSemimodule) -> list[tuple[int, IdealSet]]:
-    return [
-        (x, annihilator(m, [x]))
-        for x in range(m.msize)
-        if x != m.mzero
-    ]
-
-
 def ass_primes(m: FiniteSemimodule) -> tuple[tuple[int, IdealSet], ...]:
     """Module elements whose annihilator is a prime ideal."""
-    return _ass_primes(_element_annihilators(m))
-
-
-def _ass_primes(element_annihilators) -> tuple[tuple[int, IdealSet], ...]:
-    return tuple((x, ann) for x, ann in element_annihilators if ann.is_proper and is_prime(ann)[0])
+    return tuple(
+        (x, ann)
+        for x, ann in enumerate(element_annihilators(m))
+        if x != m.mzero and ann.is_proper and is_prime(ann)[0]
+    )
 
 
 def property_a_check(
@@ -106,14 +99,13 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
     require_semimodule(m)
     z = zero_divisor_mask(m)
 
-    anns = _element_annihilators(m)
-    radicals = [(x, radical(ann)) for x, ann in anns]
+    radicals = [(x, radical(ann)) for x, ann in enumerate(element_annihilators(m)) if x != m.mzero]
     if union_mask(rad.mask for _, rad in radicals) != z:
         raise TheoremViolation(
             "zero divisors differ from the union of radical annihilators"
         )
 
-    ass = _ass_primes(anns)
+    ass = ass_primes(m)
     very_few = union_mask(ann.mask for _, ann in ass) == z
     if not very_few:
         raise TheoremViolation(
@@ -364,18 +356,11 @@ def kasch_semilocal_report(q: QuotientSemiring) -> KaschReport:
     """Match every maximal ideal of the quotient against element annihilators
     and recompute the zero-divisor verdicts inside the quotient."""
     qs = q.structure
-    matches = []
-    kasch = True
     module = self_action(qs)
-    for m in q.maximal_ideals:
-        found = None
-        for x in range(qs.size):
-            if annihilator(module, [x]).mask == m.mask:
-                found = x
-                break
-        if found is None:
-            kasch = False
-        matches.append((m.members(), found))
+    anns = [a.mask for a in element_annihilators(module)]
+    # each maximal ideal with the least element whose annihilator it is, or None
+    matches = [(m.members(), next((x for x, a in enumerate(anns) if a == m.mask), None)) for m in q.maximal_ideals]
+    kasch = all(found is not None for _, found in matches)
 
     few, decomposition = few_zero_divisors(q.base)
     semilocal = True

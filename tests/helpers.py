@@ -6,10 +6,14 @@ the per-constructor table loops that ``product_table`` and
 ``convolution_table`` replaced: ``direct_product``, ``hemialgebra``,
 ``monoid_semiring``, ``truncated_polynomial_hemiring``,
 ``componentwise_module`` and ``dual_numbers_mod2``, each with the one-base
-``encode_tuple`` they packed cells with."""
+``encode_tuple`` they packed cells with; and the per-pair bodies of the
+covering checks that the covering kernel replaced: ``mccoy_exponent``,
+``union_avoidance_suite`` and ``t_semiprime_avoidance``, with the skip-one
+``_redundant`` loop they tested efficiency with."""
 
+import functools
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from semiringlab.constructions import (
     Hemialgebra,
@@ -18,9 +22,23 @@ from semiringlab.constructions import (
     ProductStructure,
     commutative_monoid_table,
 )
-from semiringlab.errors import CapExceeded, StructureError
+from semiringlab.covering import HOLDS, WitnessReport, _corollary_unmet, _covering, _unmet
+from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
 from semiringlab.fileio import structure_to_json
-from semiringlab.ideals import TWO_SIDED, IdealSet, ideal_violation, mask_of
+from semiringlab.ideals import (
+    TWO_SIDED,
+    IdealSet,
+    MultiplicativeSet,
+    classify_ideal,
+    generated_product,
+    ideal_masks,
+    ideal_violation,
+    image,
+    mask_members,
+    mask_of,
+    semiprime_residual,
+    union_mask,
+)
 from semiringlab.limits import CARRIER_CAP, IDEAL_ENUM_CAP
 from semiringlab.tables import CayleyStructure, FiniteSemimodule, StructureConstants, check_laws, is_semifield
 
@@ -347,3 +365,113 @@ def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> Fin
         action=action,
         name=name or f"{s.name}^{copies}",
     )
+
+
+# --- the covering checks as they were before the covering kernel -----------
+
+
+def _redundant(target: IdealSet, covers: Sequence[IdealSet]) -> Optional[int]:
+    """The index of the first cover whose removal still leaves the target
+    covered, or None when the covering is efficient."""
+    for skip in range(len(covers)):
+        if target.mask & ~union_mask(c.mask for k, c in enumerate(covers) if k != skip) == 0:
+            return skip
+    return None
+
+
+def mccoy_exponent(target: IdealSet, covers: Sequence[IdealSet]) -> WitnessReport:
+    """Least power of the target landing inside the intersection of an
+    efficient covering with at least three covers."""
+    covers = _covering(target, covers)
+    unmet = _corollary_unmet(target.structure)
+    if unmet is not None:
+        return unmet
+    if len(covers) < 3:
+        return _unmet("cover-count", count=len(covers))
+    if _redundant(target, covers) is not None:
+        return _unmet("efficiency")
+
+    masks = [c.mask for c in covers]
+    total = functools.reduce(int.__and__, masks)
+    # inside the target, any n-1 of the covers already meet in all n
+    for skip in range(len(masks)):
+        part = functools.reduce(int.__and__, masks[:skip] + masks[skip + 1:])
+        if target.mask & part != target.mask & total:
+            raise TheoremViolation("intersection lemma failed on an efficient covering")
+
+    k_max = len(ideal_masks(target.structure, TWO_SIDED))
+    power = target
+    for k in range(1, k_max + 1):
+        if power.mask & ~total == 0:
+            return WitnessReport(
+                verdict=HOLDS,
+                exponent=k,
+                details={"intersection": mask_members(total)},
+            )
+        power = generated_product(power, target)
+    raise TheoremViolation("no exponent within the ideal-count bound")
+
+
+def union_avoidance_suite(
+    ideal: IdealSet, covers: Sequence[IdealSet], mode: str
+) -> WitnessReport:
+    """Containing index when all but at most two covers are radical ideals
+    (mode 'radical') or semiprime ideals (mode 'semiprime'), read from each
+    cover's stored classification. In a commutative semiring every one-sided
+    ideal is two-sided, so a cover is classified by its mask alone."""
+    if mode not in ("radical", "semiprime"):
+        raise ValueError("mode must be 'radical' or 'semiprime'")
+    s = ideal.structure
+    unmet = _corollary_unmet(s)
+    if unmet is not None:
+        return unmet
+    covers = _covering(ideal, covers)
+    needed = len(covers) - 2
+    # two covers may miss the hypothesis, so only larger families are counted
+    if needed > 0:
+        flag = "radical_ideal" if mode == "radical" else "semiprime"
+        qualifying = 0
+        for c in covers:
+            if c.structure is not s or c.side != TWO_SIDED:
+                c = IdealSet(structure=s, side=TWO_SIDED, mask=c.mask)
+            qualifying += getattr(classify_ideal(c), flag)
+        if qualifying < needed:
+            return _unmet("hypothesis-count", qualifying=qualifying, needed=needed)
+    for k, c in enumerate(covers):
+        if ideal.issubset(c):
+            return WitnessReport(verdict=HOLDS, witness=k)
+    raise TheoremViolation("no containing cover despite verified hypotheses")
+
+
+def t_semiprime_avoidance(
+    ideal: IdealSet, covers: Sequence[IdealSet], t_set: MultiplicativeSet
+) -> WitnessReport:
+    """Some t in T with t*I inside one of the covers, each cover being
+    T-semiprime and 2-absorbing. The t comes out of the residual quotients."""
+    s = ideal.structure
+    unmet = _corollary_unmet(s)
+    if unmet is not None:
+        return unmet
+    covers = _covering(ideal, covers)
+    t_elements, residuals = [], []
+    for k, p in enumerate(covers):
+        if p.mask & t_set.mask:
+            return _unmet("t-disjointness", index=k)
+        cls = classify_ideal(p, t_set)
+        if not cls.two_absorbing:
+            return _unmet("2-absorbing", index=k, witness=cls.witnesses.get("two_absorbing"))
+        if not cls.t_semiprime:
+            return _unmet("t-semiprime", index=k)
+        found = semiprime_residual(p, t_set)
+        if found is None:
+            raise TheoremViolation("T-semiprime cover with no semiprime residual")
+        t_elements.append(found[0])
+        residuals.append(found[1])
+    inner = union_avoidance_suite(ideal, residuals, "semiprime")
+    if not inner.holds:
+        raise TheoremViolation("semiprime avoidance failed on residual quotients")
+    j = inner.witness
+    t = t_elements[j]
+    if image(s.mul, 1 << t, ideal.mask) & ~covers[j].mask:
+        raise TheoremViolation("t*I escaped the chosen cover")
+    return WitnessReport(verdict=HOLDS, witness=(t, j))

@@ -28,6 +28,7 @@ from semiringlab.ideals import (
     annihilator,
     annihilator_rows,
     classify_ideal,
+    element_annihilators,
     enumerate_ideals,
     ideal_masks,
     is_prime,
@@ -105,6 +106,7 @@ COMPUTE = {
     "classification": lambda s, key: ideals._t_classification(s, *key),
     "semiprime_residual": lambda s, key: ideals._semiprime_residual(s, *key),
     "semimodule": lambda m, key: tables._semimodule_report(m),
+    "element_annihilators": lambda m, key: ideals._element_annihilators(m),
     "self_action": lambda s, key: tables._self_action(s),
 }
 
@@ -149,10 +151,15 @@ def test_every_fact_matches_scratch_on_the_corpus(all_entries):
 
 
 def test_semimodule_reports_match_scratch(all_entries):
-    """A semimodule context owns its report and its annihilator rows."""
+    """A semimodule context owns its report, its annihilator rows and its
+    element annihilators."""
     for entry in all_entries:
         for m in corpus_semimodules(entry).values():
-            got = {"semimodule": semimodule_check(m), "annihilators": annihilator_rows(m)}
+            got = {
+                "semimodule": semimodule_check(m),
+                "annihilators": annihilator_rows(m),
+                "element_annihilators": element_annihilators(m),
+            }
             # a twin over a twin semiring, so the semiring's facts are rebuilt too
             twin = dataclasses.replace(m, semiring=dataclasses.replace(m.semiring))
             assert twin is not m and twin == m and hash(twin) == hash(m)

@@ -9,6 +9,7 @@ from semiringlab.corpus import (
     boolean_semifield,
     boolean_square,
     chain_semiring,
+    diamond_lattice,
     dual_numbers_mod2,
 )
 from semiringlab.covering import (
@@ -26,14 +27,18 @@ from semiringlab.covering import (
     t_semiprime_avoidance,
     union_avoidance_suite,
 )
-from semiringlab.errors import HypothesesUnmet
+from semiringlab.errors import HypothesesUnmet, StructureError
 from semiringlab.ideals import (
     annihilator,
+    classify_ideal,
     enumerate_ideals,
     generate_ideal,
     is_prime,
+    krull_separation,
     mult_closure,
+    semiprime_residual,
     set_product_mask,
+    t_semiprime_equivalence,
 )
 from semiringlab.tables import check_laws, self_action
 
@@ -110,6 +115,38 @@ def test_an_equal_structure_built_apart_is_not_foreign():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
     assert semiring_avoidance(mid, [make_ideal(chain_semiring(), [0, 1])]).holds
+
+
+def _t_set_readers(s, zero, mid, t_set):
+    """Each check that reads a T-set alongside ideals of s, on a call that
+    reaches that read."""
+    return {
+        "classify_ideal": lambda: classify_ideal(zero, t_set),
+        "classify_ideal-mid": lambda: classify_ideal(mid, t_set),
+        "semiprime_residual": lambda: semiprime_residual(mid, t_set),
+        "t_semiprime_equivalence": lambda: t_semiprime_equivalence(mid, t_set),
+        "t_semiprime_avoidance": lambda: t_semiprime_avoidance(mid, [mid], t_set),
+        "krull_separation": lambda: krull_separation(s, t_set, zero),
+    }
+
+
+def test_a_t_set_over_another_structure_is_not_read_as_bits():
+    """A T-set of the four-element lattice passed with ideals of the chain
+    is refused by every check that reads it, and so is a foreign ideal in
+    the Krull separation; an equal chain built apart is accepted."""
+    t = chain_semiring()
+    zero, mid = make_ideal(t, [0]), make_ideal(t, [0, 1])
+    foreign = mult_closure(diamond_lattice(), [1])
+    for name, read in _t_set_readers(t, zero, mid, foreign).items():
+        with pytest.raises(StructureError, match="different structure"):
+            read()
+    with pytest.raises(StructureError, match="different structure"):
+        krull_separation(t, mult_closure(t, [t.one]), make_ideal(diamond_lattice(), [0]))
+    twin = mult_closure(chain_semiring(), [2])
+    assert twin.structure is not t
+    for name, read in _t_set_readers(t, zero, mid, twin).items():
+        assert read() == _t_set_readers(t, zero, mid, mult_closure(t, [2]))[name](), name
+    assert krull_separation(t, twin, make_ideal(chain_semiring(), [0])) == krull_separation(t, twin, zero)
 
 
 # --- ringoid avoidance ----------------------------------------------------------

@@ -292,6 +292,25 @@ def test_cli_element_arguments_are_range_checked(capsys, argv):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--mode", "radical", "--t-set", "2", "--element", "5"], "--t-set"),
+        (["--mode", "radical", "--element", "5"], "--element"),
+        (["--mode", "semiring", "--t-set", ""], "--t-set"),
+        (["--mode", "t-semiprime", "--t-set", "2", "--element", "1"], "--element"),
+        (["--mode", "davis", "--element", "1", "--t-set", "2"], "--t-set"),
+    ],
+    ids=["radical-both", "radical-element", "semiring-empty-t-set", "t-semiprime-element", "davis-t-set"],
+)
+def test_cli_flags_of_another_mode_are_input_errors(capsys, argv, flag):
+    """A flag that the chosen mode does not read is refused, not ignored,
+    even when the element it names is out of range."""
+    code, out, err = run_cli(capsys, "avoid", "chain-3", "--target", "1", "--cover", "1", *argv)
+    assert code == 2 and out == ""
+    assert "input error" in err and flag in err
+
+
 @pytest.mark.parametrize("degree_cap,want", [("-1", 2), ("40", 3)])
 def test_cli_zdiv_degree_cap_is_bounded(capsys, degree_cap, want):
     code, _, err = run_cli(capsys, "zdiv", "boolean", "--degree-cap", degree_cap)

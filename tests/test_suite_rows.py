@@ -1,20 +1,18 @@
-"""Suite rows pinned by digest, and the suites' per-family covering path
-checked against the public covering checks on every pair it visits."""
+"""Suite rows pinned by digest, and the covering kernel that the public
+corollary and McCoy checks and their suites share, checked against the
+per-pair checks it replaced (``tests/helpers.py``) on every pair the suites
+visit."""
 
 import hashlib
 import itertools
 
+import helpers
+from semiringlab import covering
 from semiringlab.corpus import CorpusEntry
-from semiringlab.covering import (
-    HOLDS,
-    UNMET,
-    is_efficient,
-    mccoy_exponent,
-    t_semiprime_avoidance,
-    union_avoidance_suite,
-)
-from semiringlab.ideals import TWO_SIDED, all_ideals_subtractive, enumerate_ideals, mult_closure
-from semiringlab.suites import _corollary_witnesses, _mccoy_exponents, run_entry_suites
+from semiringlab.covering import is_efficient
+from semiringlab.errors import TheoremViolation
+from semiringlab.ideals import LEFT, RIGHT, TWO_SIDED, IdealSet, all_ideals_subtractive, enumerate_ideals, mult_closure
+from semiringlab.suites import corollary_avoidance, mccoy_suite, run_entry_suites
 from semiringlab.tables import CayleyStructure, check_laws
 
 
@@ -99,10 +97,6 @@ def _pairs(lattice, sizes):
     ]
 
 
-def _verdict(witness):
-    return (UNMET, None) if witness is None else (HOLDS, witness)
-
-
 def _t_sets(s):
     """The suite's T = {1}, then, where there is one, the closure of the
     least element whose closure is larger and misses zero, so that the
@@ -112,37 +106,81 @@ def _t_sets(s):
     return [mult_closure(s, [rep.one])] + [t for t in closures if t.mask != 1 << rep.one and rep.zero not in t][:1]
 
 
-def test_per_family_corollaries_match_the_public_checks(commutative_entries):
-    """On every (family, target) pair ``corollary_avoidance`` visits, each
-    witness of the per-family path is the verdict and witness of the public
-    check: both modes of ``union_avoidance_suite`` and
-    ``t_semiprime_avoidance``, the latter also under a second T."""
+def _outcome(check, *args):
+    """The report of a check, or the type and message of what it raised."""
+    try:
+        return check(*args)
+    except TheoremViolation as exc:
+        return type(exc), str(exc)
+
+
+def _corollary_reports(check, target, family, t_set):
+    return [
+        _outcome(check.union_avoidance_suite, target, family, "radical"),
+        _outcome(check.union_avoidance_suite, target, family, "semiprime"),
+        _outcome(check.t_semiprime_avoidance, target, family, t_set),
+    ]
+
+
+def test_corollaries_match_the_oracle(commutative_entries):
+    """On every (family, target) pair ``corollary_avoidance`` visits, both
+    modes of ``union_avoidance_suite`` and ``t_semiprime_avoidance``, the
+    latter also under a second T, give the whole report of the per-pair
+    checks they replaced."""
     for s in _covering_structures(commutative_entries):
         lattice = enumerate_ideals(s, TWO_SIDED)
         for t_set in _t_sets(s):
-            visited = list(_corollary_witnesses(lattice, t_set, 3))
-            assert [(f, t) for f, t, _ in visited] == _pairs(lattice, range(1, 4))
-            for family, target, witnesses in visited:
-                reports = [
-                    union_avoidance_suite(target, family, "radical"),
-                    union_avoidance_suite(target, family, "semiprime"),
-                    t_semiprime_avoidance(target, family, t_set),
-                ]
-                got = [(r.verdict, r.witness) for r in reports]
-                assert got == list(map(_verdict, witnesses)), (s.name, t_set.members(), family, target)
+            for family, target in _pairs(lattice, range(1, 4)):
+                want = _corollary_reports(helpers, target, family, t_set)
+                got = _corollary_reports(covering, target, family, t_set)
+                assert got == want, (s.name, t_set.members(), family, target)
 
 
-def test_per_family_exponents_match_the_public_checks(commutative_entries):
-    """On every (family, target) pair ``mccoy_suite`` visits, the per-family
-    path finds an exponent exactly where ``is_efficient`` holds, and it is
-    the exponent of ``mccoy_exponent``."""
+def test_exponents_match_the_oracle(commutative_entries):
+    """On every (family, target) pair ``mccoy_suite`` visits, and on the
+    families of one and two covers it skips, ``mccoy_exponent`` gives the
+    whole report of the per-pair check it replaced, and ``is_efficient``
+    agrees with it."""
     for s in _covering_structures(commutative_entries):
         lattice = enumerate_ideals(s, TWO_SIDED)
-        visited = list(_mccoy_exponents(lattice, 4))
-        assert [(f, t) for f, t, _ in visited] == _pairs(lattice, range(3, 5))
-        for family, target, exponent in visited:
-            assert is_efficient(target, family) == (exponent is not None)
-            report = mccoy_exponent(target, family)
-            want = ("efficiency", None) if exponent is None else (None, exponent)
-            assert (report.violated_hypothesis, report.exponent) == want, (s.name, family, target)
-            assert report.verdict == _verdict(exponent)[0]
+        for family, target in _pairs(lattice, range(1, 5)):
+            want = _outcome(helpers.mccoy_exponent, target, family)
+            assert _outcome(covering.mccoy_exponent, target, family) == want, (s.name, family, target)
+            if len(family) >= 3:
+                assert is_efficient(target, family) == (want.violated_hypothesis != "efficiency")
+
+
+def test_suites_count_what_the_oracle_holds(commutative_entries):
+    """The counts of the corollary and McCoy suites are the numbers of
+    coverings on which the per-pair checks hold."""
+    for s in _covering_structures(commutative_entries):
+        entry = _entry(s)
+        lattice = enumerate_ideals(s, TWO_SIDED)
+        t_set = mult_closure(s, [check_laws(s).one])
+        counts = {"radical": 0, "semiprime": 0, "t-semiprime": 0}
+        for family, target in _pairs(lattice, range(1, 4)):
+            for mode, report in zip(counts, _corollary_reports(helpers, target, family, t_set)):
+                counts[mode] += report.holds
+        found = sum(helpers.mccoy_exponent(t, f).holds for f, t in _pairs(lattice, range(3, 5)))
+        assert [r.detail for r in corollary_avoidance(entry)] == [str(counts)], s.name
+        assert [r.detail for r in mccoy_suite(entry)] == [f"{found} efficient coverings"], s.name
+
+
+def test_relabelled_covers_are_classified_by_their_mask():
+    """A cover labelled left or right, or built over an equal structure
+    apart, gives the report of the two-sided cover with its mask."""
+    s = _product(_lattice4(), _chain3())
+    twin = _product(_lattice4(), _chain3())
+    lattice = enumerate_ideals(s, TWO_SIDED)
+    t_set = _t_sets(s)[-1]
+    for family, target in _pairs(lattice, range(1, 4))[::7]:
+        want = _corollary_reports(covering, target, family, t_set)
+        for relabel in (
+            lambda c: IdealSet(structure=s, side=LEFT, mask=c.mask),
+            lambda c: IdealSet(structure=s, side=RIGHT, mask=c.mask),
+            lambda c: IdealSet(structure=twin, side=TWO_SIDED, mask=c.mask),
+        ):
+            covers = [relabel(c) for c in family]
+            assert _corollary_reports(covering, target, covers, t_set) == want, (family, target)
+            if len(family) >= 3:
+                assert covering.mccoy_exponent(target, covers) == covering.mccoy_exponent(target, family)
