@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import HypothesesUnmet, TheoremViolation
 from .ideals import (
     IdealSet,
     MultiplicativeSet,
     TWO_SIDED,
+    _element_mask,
     all_ideals_subtractive,
     classify_ideal,
     element_annihilators,
@@ -328,6 +329,7 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     """Some y in the ideal with x+y outside every listed subtractive prime,
     provided (x) + ideal is not covered by the primes."""
     s = ideal.structure
+    _element_mask(s, [x])
     rep = check_laws(s)
     if not rep.is_semiring:
         return _unmet("semiring")
@@ -367,7 +369,8 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
 
 # --- the covering kernel: per family of two-sided covers of a structure past
 # the corollaries' gate, one outcome per target, a witness or the report of
-# a hypothesis the family misses, built once for all its targets
+# a hypothesis the family misses, built once for all its targets; McCoy's
+# takes one target, whose families the suite draws from the ideals missing it
 
 _MODE_FLAGS = {"radical": "radical_ideal", "semiprime": "semiprime"}
 
@@ -421,35 +424,25 @@ def _t_semiprime_outcomes(
 
 
 def _mccoy_outcomes(
-    family: Sequence[IdealSet], targets: Sequence[IdealSet], chains: Optional[dict] = None
-) -> list:
-    """Per target, the least k with the k-th power of the target inside the
-    intersection of a covering by at least three covers, where the covering
-    is efficient; else the efficiency report. ``chains`` holds the powers of
-    each target built so far, keyed by its mask, for reuse across families."""
-    chains = {} if chains is None else chains
+    family: Sequence[IdealSet], target: IdealSet, chain: list[IdealSet]
+) -> Union[int, WitnessReport]:
+    """The least k with the k-th power of the target inside the intersection
+    of a covering by at least three covers, where the covering is
+    efficient; else the efficiency report. ``chain`` holds the powers of
+    the target built so far, for reuse across its families."""
     masks = [c.mask for c in family]
-    unions = _unions_but_one(masks)
-    out, inefficient, meets = [], None, None
-    for target in targets:
-        mask = target.mask
-        if _first_inside(mask, unions) is not None:
-            inefficient = inefficient or _unmet("efficiency")
-            out.append(inefficient)
-            continue
-        if meets is None:  # few coverings are efficient, so meets wait for one
-            total = functools.reduce(int.__and__, masks)
-            meets = [functools.reduce(int.__and__, masks[:k] + masks[k + 1:]) for k in range(len(masks))]
-            bound = len(ideal_masks(family[0].structure, TWO_SIDED))
-        # inside the target, any n-1 of the covers already meet in all n
-        for meet in meets:
-            if mask & meet != mask & total:
-                raise TheoremViolation("intersection lemma failed on an efficient covering")
-        exponent = _least_power_inside(chains.setdefault(mask, [target]), total, bound)
-        if exponent is None:
-            raise TheoremViolation("no exponent within the ideal-count bound")
-        out.append(exponent)
-    return out
+    mask = target.mask
+    if _first_inside(mask, _unions_but_one(masks)) is not None:
+        return _unmet("efficiency")
+    total = functools.reduce(int.__and__, masks)
+    # inside the target, any n-1 of the covers already meet in all n
+    for k in range(len(masks)):
+        if mask & functools.reduce(int.__and__, masks[:k] + masks[k + 1:]) != mask & total:
+            raise TheoremViolation("intersection lemma failed on an efficient covering")
+    exponent = _least_power_inside(chain, total, len(ideal_masks(target.structure, TWO_SIDED)))
+    if exponent is None:
+        raise TheoremViolation("no exponent within the ideal-count bound")
+    return exponent
 
 
 def _least_power_inside(chain: list[IdealSet], total: int, bound: int) -> Optional[int]:
@@ -487,7 +480,7 @@ def mccoy_exponent(target: IdealSet, covers: Sequence[IdealSet]) -> WitnessRepor
         return unmet
     if len(covers) < 3:
         return _unmet("cover-count", count=len(covers))
-    (exponent,) = _mccoy_outcomes(covers, [target])
+    exponent = _mccoy_outcomes(covers, target, [target])
     if isinstance(exponent, WitnessReport):
         return exponent
     total = functools.reduce(int.__and__, (c.mask for c in covers))

@@ -59,6 +59,7 @@ from .tables import (
     CayleyStructure,
     FiniteSemimodule,
     _freeze_witnesses,
+    _is_index,
     check_laws,
     require_commutative_semiring,
     require_semimodule,
@@ -81,7 +82,7 @@ def mask_of(indices: Iterable[int]) -> int:
 def _element_mask(s: CayleyStructure, members: Iterable[int]) -> int:
     """The mask of the members, each checked to be an element of ``s``."""
     members = list(members)
-    if any(not 0 <= x < s.size for x in members):
+    if any(not (_is_index(x) and 0 <= x < s.size) for x in members):
         raise StructureError("element out of range")
     return mask_of(members)
 
@@ -577,6 +578,7 @@ def residual(ideal: IdealSet, t: int) -> IdealSet:
     """Elements whose product with t lands in the ideal."""
     s = ideal.structure
     require_commutative_semiring(s)
+    _element_mask(s, [t])
     mask = residual_rows(s, ideal.mask)[t]
     if not _is_ideal_mask(s, mask, ideal.side):
         raise TheoremViolation(f"residual failed to be an ideal: {ideal_violation(s, mask, ideal.side)}")
@@ -793,14 +795,13 @@ def annihilator(
     if isinstance(target, FiniteSemimodule):
         require_semimodule(target)
         s, side = target.semiring, TWO_SIDED
-        if any(not 0 <= x < target.msize for x in xs):
+        if any(not (_is_index(x) and 0 <= x < target.msize) for x in xs):
             raise StructureError("module element out of range")
     else:
         s = target
         if not check_laws(s).is_with_zero:
             raise StructureError("annihilators need a structure with absorbing zero")
-        if any(not 0 <= x < s.size for x in xs):
-            raise StructureError("element out of range")
+        _element_mask(s, xs)
     rows = annihilator_rows(target, side)
     mask = functools.reduce(int.__and__, (rows[x] for x in xs))
     result = IdealSet(structure=s, side=side, mask=mask)

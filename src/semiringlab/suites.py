@@ -369,16 +369,20 @@ def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[Che
 def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
     """Every efficient covering of a lattice ideal by three to
     ``max_family`` lattice ideals admits a finite exponent within the
-    ideal-count bound. Each target's powers are built once, as far as some
-    family needs them."""
+    ideal-count bound. A cover holding the target makes every other cover
+    redundant, so each target's families are drawn from the ideals that do
+    not hold it, and its powers are built once, as far as some family
+    needs them."""
     s = entry.structure
     if _corollary_unmet(s) is not None:
         return
     lattice = enumerate_ideals(s, TWO_SIDED)
-    chains: dict[int, list[IdealSet]] = {}
     found = 0
-    for family, covered in _coverings(lattice, range(3, max_family + 1), lattice):
-        for exponent in _mccoy_outcomes(family, covered, chains):
+    for target in lattice:
+        chain = [target]
+        missing = [c for c in lattice if target.mask & ~c.mask]
+        for family, _ in _coverings(missing, range(3, max_family + 1), [target]):
+            exponent = _mccoy_outcomes(family, target, chain)
             if not isinstance(exponent, WitnessReport):
                 _check(exponent <= len(lattice))
                 found += 1

@@ -18,7 +18,7 @@ from .limits import CARRIER_CAP
 from .ideals import (
     IdealSet,
     TWO_SIDED,
-    annihilator,
+    _element_mask,
     annihilator_rows,
     element_annihilators,
     generate_ideal,
@@ -29,6 +29,7 @@ from .ideals import (
     mask_of,
     maximal_masks,
     radical,
+    require_same_structure,
     union_mask,
 )
 from .covering import FAILS, HOLDS, UNMET, WitnessReport
@@ -151,11 +152,15 @@ def few_zero_divisors(s: CayleyStructure) -> tuple[bool, tuple[IdealSet, ...]]:
 
 @dataclass(frozen=True, repr=False)
 class QuotientSemiring:
-    """Localization of a commutative semiring at its non-zero-divisors.
+    """Localization of a commutative semiring at its non-zero-divisors U.
 
-    Pairs (s, u) collapse under the congruence demanding w*(s*v) = w*(t*u)
-    for some non-zero-divisor w; the auxiliary factor is required because a
-    non-zero-divisor of a semiring need not be additively cancellable.
+    Pairs (a, u) collapse under the congruence demanding w*(a*v) = w*(b*u)
+    for some w in U; the auxiliary factor is required because a
+    non-zero-divisor of a semiring need not be additively cancellable. On a
+    finite carrier the quotient is e*S, where e is the idempotent power of
+    the product p of U: every u in U divides p and so e, so e*u is a unit of
+    e*S, whose one is e; w*x = w*y for some w in U gives e*x = e*y, and e
+    lies in U. The class of (a, u) is the element e*a*(e*u)^-1 of e*S.
     """
 
     base: CayleyStructure
@@ -166,6 +171,7 @@ class QuotientSemiring:
     maximal_ideals: tuple[IdealSet, ...]
 
     def extend(self, ideal: IdealSet) -> IdealSet:
+        require_same_structure(self.base, ideal, "the ideal")
         mask = 0
         for a in mask_members(ideal.mask):
             for u in self.units:
@@ -182,59 +188,65 @@ def total_quotient(s: CayleyStructure) -> QuotientSemiring:
 
 
 def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
+    """The quotient as e*S (see :class:`QuotientSemiring`), with its classes
+    numbered by their least pair, a then u ascending, and the tables of s
+    restricted to their elements e*a*(e*u)^-1. The relation is still built
+    by its definition and must be the kernel of x -> e*x; any failure of
+    the lemma or of the quotient's laws raises :class:`TheoremViolation`."""
     rep = require_commutative_semiring(s)
     mul, add, n = s.mul, s.add, s.size
     z_mask = zero_divisor_mask(self_action(s))
     units = [u for u in range(n) if not z_mask >> u & 1]
-    if rep.one not in units:
+    one = rep.one
+    if one not in units:
         raise TheoremViolation("one turned out to be a zero-divisor")
+
+    def kernel(row) -> list:
+        """Per x, the mask of the y with row[y] = row[x]."""
+        fibre = [0] * n
+        for y, v in enumerate(row):
+            fibre[v] |= 1 << y
+        return [fibre[v] for v in row]
 
     # near[x] = {y : w*x = w*y for some non-zero-divisor w}
     near = [0] * n
     for w in units:
-        row = mul[w]
-        fibre = [0] * n
-        for y in range(n):
-            fibre[row[y]] |= 1 << y
-        for x in range(n):
-            near[x] |= fibre[row[x]]
-
-    # (a, u) ~ (b, v) exactly when b*u is near a*v, that is when b lies in
-    # below[u][a*v] = {b : b*u near a*v}. The row of (a, u) holds (b, v) at
-    # bit shift[v] + b, one block of n bits per unit.
-    shift = {v: k * n for k, v in enumerate(units)}
-    below = {}
+        near = [a | b for a, b in zip(near, kernel(mul[w]))]
+    # e is the idempotent power of the product p of the non-zero-divisors
+    p = one
     for u in units:
-        fibre = [0] * n
-        for b in range(n):
-            fibre[mul[b][u]] |= 1 << b
-        below[u] = [union_mask(fibre[y] for y in mask_members(near[x])) for x in range(n)]
-    by_row: dict = {}  # row -> its pairs, the least first
-    for a in range(n):
-        for u in units:
-            row = union_mask(below[u][mul[a][v]] << shift[v] for v in units)
-            by_row.setdefault(row, []).append((a, u))
-    # the relation is an equivalence exactly when each row is the set of the
-    # pairs that share it
-    for row, pairs in by_row.items():
-        if mask_of(shift[v] + b for b, v in pairs) != row:
-            raise TheoremViolation("localization relation is not transitive here")
-    classes = list(by_row.values())
-    pair_class = {p: i for i, pairs in enumerate(classes) for p in pairs}
-    size = len(classes)
-    add_rows, mul_rows = _quotient_tables(s, classes)
-    one_u = rep.one
+        p = mul[p][u]
+    e = p
+    while mul[e][e] != e:
+        e = mul[e][p]
+    times_e = mul[e]
+    if near != kernel(times_e):
+        raise TheoremViolation("localization relation is not the kernel of x -> e*x")
+
+    e_s = sorted(set(times_e))
+    inverse = {}
+    for u in units:
+        eu = times_e[u]
+        inverse[u] = next((c for c in e_s if mul[eu][c] == e), None)
+        if inverse[u] is None:
+            raise TheoremViolation("a non-zero-divisor has no inverse in e*S")
+    index: dict = {}  # class representative in e*S -> class, by least pair
+    pair_class = {
+        (a, u): index.setdefault(mul[times_e[a]][inverse[u]], len(index)) for a in range(n) for u in units
+    }
+    reps = list(index)
+    size = len(reps)
     q = CayleyStructure(
         size=size,
-        add=tuple(map(tuple, add_rows)),
-        mul=tuple(map(tuple, mul_rows)),
-        zero=pair_class[(rep.zero, one_u)],
-        one=pair_class[(one_u, one_u)],
+        add=[[index[add[r][t]] for t in reps] for r in reps],
+        mul=[[index[mul[r][t]] for t in reps] for r in reps],
+        zero=pair_class[(rep.zero, one)],
+        one=pair_class[(one, one)],
         name=f"Q({s.name or 'S'})",
     )
     require_commutative_semiring(q)
 
-    canonical = tuple(pair_class[(a, one_u)] for a in range(s.size))
+    canonical = tuple(pair_class[(a, one)] for a in range(s.size))
     for a in range(s.size):
         for b in range(s.size):
             if canonical[add[a][b]] != q.add[canonical[a]][canonical[b]]:
@@ -258,90 +270,13 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
     )
 
 
-def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
-    """The addition and multiplication tables over classes of pairs (a, u),
-    each class listed with its representative first.
-
-    Per operation, the representative p of each class gets the row of the
-    classes of p op q over all pairs q, with (a, u) + (b, v) =
-    (a*v + b*u, u*v) and (a, u) * (b, v) = (a*b, u*v), and that row must be
-    constant on each class. Every other member must agree with its
-    representative on the translation generators: the columns (b, 1) and
-    (1, v) for multiplication and (b, 1) for addition. Where x*1 = x, the
-    pairs satisfy
-
-        (a, u) * (b, v) = ((a, u) * (b, 1)) * (1, v),
-        (a, u) + (b, v) = (((a, u) * (v, 1)) + (b, 1)) * (1, v),
-
-    so once every class is closed under these translations, each member's
-    full row is its representative's. (The addition identity needs
-    multiplication to be well defined, which its own check settles.) The
-    generator columns are columns of the full row, so the check fails on
-    exactly the inputs where comparing full rows fails. The denominators
-    must hold such a one and be closed under multiplication, and the
-    classes must list every pair over them, as the total quotient's
-    non-zero-divisors do; any failure raises :class:`TheoremViolation`.
-    """
-    add, mul, n = s.add, s.mul, s.size
-    cols = tuple(zip(*mul))
-    by_den: dict = {}  # u -> the class of (a, u) for each a
-    for i, members in enumerate(classes):
-        for a, u in members:
-            by_den.setdefault(u, [0] * n)[a] = i
-    dens = sorted(by_den)
-    # a row holds one block per v: the classes of p op (b, v), by b
-    blocks = [by_den[v] for v in dens]
-    first = [(dens.index(u), a) for a, u in (members[0] for members in classes)]
-    one = next((e for e in dens if all(mul[x][e] == x for x in range(n))), None)
-    if (
-        one is None
-        or any(mul[u][v] not in by_den for u in dens for v in dens)
-        or len({p for members in classes for p in members}) != n * len(dens)
-    ):
-        raise TheoremViolation("quotient operation is not well defined")
-    at_one = dens.index(one)
-
-    def table(product, generators, of_row) -> list:
-        rows = []
-        for members in classes:
-            row = product(*members[0])
-            entries = [row[k][b] for k, b in first]
-            want = of_row(row)
-            if [[entries[c] for c in block] for block in blocks] != row or any(
-                generators(a, u) != want for a, u in members[1:]
-            ):
-                raise TheoremViolation("quotient operation is not well defined")
-            rows.append(entries)
-        return rows
-
-    def add_row(a: int, u: int) -> list:
-        ra, cu, ru = mul[a], cols[u], mul[u]
-        return [list(map(by_den[ru[v]].__getitem__, map(add[ra[v]].__getitem__, cu))) for v in dens]
-
-    def mul_row(a: int, u: int) -> list:
-        ra, ru = mul[a], mul[u]
-        return [list(map(by_den[ru[v]].__getitem__, ra)) for v in dens]
-
-    def add_generators(a: int, u: int) -> list:
-        """The columns (b, 1) of ``add_row(a, u)``."""
-        return list(map(by_den[u].__getitem__, map(add[a].__getitem__, cols[u])))
-
-    def mul_generators(a: int, u: int) -> tuple:
-        """The columns (b, 1) and (1, v) of ``mul_row(a, u)``."""
-        return list(map(by_den[u].__getitem__, mul[a])), [by_den[mul[u][v]][a] for v in dens]
-
-    add_rows = table(add_row, add_generators, lambda row: row[at_one])
-    mul_rows = table(mul_row, mul_generators, lambda row: (row[at_one], [block[one] for block in row]))
-    return add_rows, mul_rows
-
-
 def annihilator_extension_check(q: QuotientSemiring, x: int) -> bool:
     """The extension of an element annihilator equals the annihilator of the
     element's image, for every base element x."""
-    base_ann = annihilator(self_action(q.base), [x])
-    extended = q.extend(base_ann)
-    image_ann = annihilator(self_action(q.structure), [q.canonical[x]])
-    return extended.mask == image_ann.mask
+    _element_mask(q.base, [x])
+    base_ann = element_annihilators(self_action(q.base))[x]
+    image_ann = element_annihilators(self_action(q.structure))[q.canonical[x]]
+    return q.extend(base_ann).mask == image_ann.mask
 
 
 @dataclass(frozen=True)

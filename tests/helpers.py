@@ -9,7 +9,9 @@ the per-constructor table loops that ``product_table`` and
 ``encode_tuple`` they packed cells with; and the per-pair bodies of the
 covering checks that the covering kernel replaced: ``mccoy_exponent``,
 ``union_avoidance_suite`` and ``t_semiprime_avoidance``, with the skip-one
-``_redundant`` loop they tested efficiency with."""
+``_redundant`` loop they tested efficiency with; and ``_quotient_tables``,
+which built the total quotient's tables from its pair classes until the
+quotient became e*S."""
 
 import functools
 import itertools
@@ -475,3 +477,83 @@ def t_semiprime_avoidance(
     if image(s.mul, 1 << t, ideal.mask) & ~covers[j].mask:
         raise TheoremViolation("t*I escaped the chosen cover")
     return WitnessReport(verdict=HOLDS, witness=(t, j))
+
+
+# --- the quotient tables as they were before the quotient became e*S -------
+
+
+def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
+    """The addition and multiplication tables over classes of pairs (a, u),
+    each class listed with its representative first.
+
+    Per operation, the representative p of each class gets the row of the
+    classes of p op q over all pairs q, with (a, u) + (b, v) =
+    (a*v + b*u, u*v) and (a, u) * (b, v) = (a*b, u*v), and that row must be
+    constant on each class. Every other member must agree with its
+    representative on the translation generators: the columns (b, 1) and
+    (1, v) for multiplication and (b, 1) for addition. Where x*1 = x, the
+    pairs satisfy
+
+        (a, u) * (b, v) = ((a, u) * (b, 1)) * (1, v),
+        (a, u) + (b, v) = (((a, u) * (v, 1)) + (b, 1)) * (1, v),
+
+    so once every class is closed under these translations, each member's
+    full row is its representative's. (The addition identity needs
+    multiplication to be well defined, which its own check settles.) The
+    generator columns are columns of the full row, so the check fails on
+    exactly the inputs where comparing full rows fails. The denominators
+    must hold such a one and be closed under multiplication, and the
+    classes must list every pair over them, as the total quotient's
+    non-zero-divisors do; any failure raises :class:`TheoremViolation`.
+    """
+    add, mul, n = s.add, s.mul, s.size
+    cols = tuple(zip(*mul))
+    by_den: dict = {}  # u -> the class of (a, u) for each a
+    for i, members in enumerate(classes):
+        for a, u in members:
+            by_den.setdefault(u, [0] * n)[a] = i
+    dens = sorted(by_den)
+    # a row holds one block per v: the classes of p op (b, v), by b
+    blocks = [by_den[v] for v in dens]
+    first = [(dens.index(u), a) for a, u in (members[0] for members in classes)]
+    one = next((e for e in dens if all(mul[x][e] == x for x in range(n))), None)
+    if (
+        one is None
+        or any(mul[u][v] not in by_den for u in dens for v in dens)
+        or len({p for members in classes for p in members}) != n * len(dens)
+    ):
+        raise TheoremViolation("quotient operation is not well defined")
+    at_one = dens.index(one)
+
+    def table(product, generators, of_row) -> list:
+        rows = []
+        for members in classes:
+            row = product(*members[0])
+            entries = [row[k][b] for k, b in first]
+            want = of_row(row)
+            if [[entries[c] for c in block] for block in blocks] != row or any(
+                generators(a, u) != want for a, u in members[1:]
+            ):
+                raise TheoremViolation("quotient operation is not well defined")
+            rows.append(entries)
+        return rows
+
+    def add_row(a: int, u: int) -> list:
+        ra, cu, ru = mul[a], cols[u], mul[u]
+        return [list(map(by_den[ru[v]].__getitem__, map(add[ra[v]].__getitem__, cu))) for v in dens]
+
+    def mul_row(a: int, u: int) -> list:
+        ra, ru = mul[a], mul[u]
+        return [list(map(by_den[ru[v]].__getitem__, ra)) for v in dens]
+
+    def add_generators(a: int, u: int) -> list:
+        """The columns (b, 1) of ``add_row(a, u)``."""
+        return list(map(by_den[u].__getitem__, map(add[a].__getitem__, cols[u])))
+
+    def mul_generators(a: int, u: int) -> tuple:
+        """The columns (b, 1) and (1, v) of ``mul_row(a, u)``."""
+        return list(map(by_den[u].__getitem__, mul[a])), [by_den[mul[u][v]][a] for v in dens]
+
+    add_rows = table(add_row, add_generators, lambda row: row[at_one])
+    mul_rows = table(mul_row, mul_generators, lambda row: (row[at_one], [block[one] for block in row]))
+    return add_rows, mul_rows

@@ -303,6 +303,14 @@ def test_davis_rejects_covered_sum():
     assert report.verdict == UNMET and report.violated_hypothesis == "containment"
 
 
+def test_davis_rejects_an_element_outside_the_carrier():
+    """-1 would be read as a negative shift and 4 as a missing row."""
+    s = boolean_square()
+    for x in (-1, 4, 1.0, True):
+        with pytest.raises(StructureError, match="element out of range"):
+            davis_witness(x, generate_ideal(s, [1]), [generate_ideal(s, [2])])
+
+
 # --- exponent bounds ---------------------------------------------------------------
 
 def test_mccoy_f2xy_exponent_two():

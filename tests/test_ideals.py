@@ -103,8 +103,26 @@ def test_generate_from_empty_set():
         lambda s: mult_closure(s, [7]),
         lambda s: multiplicative_set(s, [-1, 2]),
         lambda s: generate_ideal(s, [-1]),
+        lambda s: generate_ideal(s, [1.0]),
+        lambda s: annihilator(s, [1.0]),
+        lambda s: annihilator(self_action(s), [1.0]),
+        # -1 would read the last row of the residuals and 3 none at all
+        lambda s: residual(generate_ideal(s, [0]), -1),
+        lambda s: residual(generate_ideal(s, [0]), 3),
+        lambda s: residual(generate_ideal(s, [0]), True),
     ],
-    ids=["multiplicative-set", "mult-closure", "negative-member", "negative-generator"],
+    ids=[
+        "multiplicative-set",
+        "mult-closure",
+        "negative-member",
+        "negative-generator",
+        "float-generator",
+        "float-annihilated",
+        "float-module-element",
+        "residual-negative",
+        "residual-past-the-end",
+        "residual-bool",
+    ],
 )
 def test_set_constructors_reject_elements_outside_the_carrier(build):
     with pytest.raises(StructureError, match="element out of range"):

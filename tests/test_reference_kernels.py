@@ -3,9 +3,10 @@ as slow references: the per-J square loop for semiprimeness, the triple
 loop for 2-absorbing ideals, the all() loop for the T-element, the scan
 over every non-zero-divisor for the localization relation, the
 per-class-pair combine for the quotient tables and the full row compare of
-every class member, which the translation generators replaced; the
-pairwise product test
-and the triple-loop sandwich for primality, the residual comprehension
+every class member, which the translation generators replaced (the
+generator tables, kept in ``helpers`` since the quotient became e*S, still
+meet that compare); the pairwise product test and the triple-loop sandwich
+for primality, the residual comprehension
 (which the value planes replaced), the power-orbit scan for radicals
 (which the orbit masks replaced), the principal-product scan behind the
 Behrens elements, Davis' keep-and-chain loop and the maximal-family
@@ -34,6 +35,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab.corpus import (
+    austere_z6,
     boolean_c2,
     boolean_semifield,
     boolean_square,
@@ -43,7 +45,7 @@ from semiringlab.corpus import (
     saturating,
 )
 from semiringlab import ideals
-from semiringlab.constructions import endomorphism_ringoid, medial_witness
+from semiringlab.constructions import direct_product, endomorphism_ringoid, medial_witness
 from semiringlab.covering import (
     HOLDS,
     WitnessReport,
@@ -89,13 +91,12 @@ from semiringlab.tables import (
 )
 from semiringlab.zerodivisors import (
     QuotientSemiring,
-    _quotient_tables,
     property_a_check,
     total_quotient,
     zero_divisor_mask,
 )
 
-from helpers import iter_bits, quotient_classes
+from helpers import _quotient_tables, iter_bits, quotient_classes
 
 LADDER = (12, 13, 14, 15, 16)
 
@@ -334,6 +335,7 @@ def assert_quotients_match(s):
     if not isinstance(slow, QuotientSemiring):
         assert fast == slow
         return
+    assert isinstance(fast, QuotientSemiring), (s.name, fast)
     assert fast.structure == slow.structure, s.name
     assert fast.units == slow.units
     assert dict(fast.pair_class) == dict(slow.pair_class)
@@ -444,6 +446,18 @@ def test_classification_matches_reference_on_the_corpus(all_entries):
 def test_quotient_matches_reference_on_the_corpus(all_entries):
     for entry in all_entries:
         assert_quotients_match(entry.structure)
+    # products whose quotient e*S is smaller than the base, so e is not the
+    # base's one, the first two with units in e*S other than e
+    for factors, size, units in (
+        ((saturating(3), _z(4)), 8, 2),
+        ((austere_z6(), _z(3)), 6, 2),
+        ((boolean_c2(), saturating(2)), 4, 1),
+    ):
+        s = direct_product(factors)
+        assert_quotients_match(s)
+        q = total_quotient(s).structure
+        assert q.size == size < s.size
+        assert sum(q.one in row for row in q.mul) == units
 
 
 def test_classification_matches_reference_on_the_saturating_ladder():

@@ -21,7 +21,6 @@ from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.ideals import annihilator, enumerate_ideals, generate_ideal, mask_of
 from semiringlab.tables import CayleyStructure, check_laws, self_action
 from semiringlab.zerodivisors import (
-    _quotient_tables,
     annihilator_extension_check,
     ass_primes,
     content,
@@ -34,7 +33,7 @@ from semiringlab.zerodivisors import (
     zero_divisor_report,
 )
 
-from helpers import quotient_classes
+from helpers import _quotient_tables, quotient_classes
 
 
 # --- zero-divisor reports -------------------------------------------------------
@@ -240,6 +239,24 @@ def test_annihilator_extension_everywhere(commutative_entries):
         q = total_quotient(e.structure)
         for x in range(e.structure.size):
             assert annihilator_extension_check(q, x)
+
+
+def test_annihilator_extension_rejects_an_element_outside_the_base():
+    """-1 would read the last element's annihilator."""
+    q = total_quotient(chain_semiring())
+    for x in (-1, 3, 1.0, True):
+        with pytest.raises(StructureError, match="element out of range"):
+            annihilator_extension_check(q, x)
+
+
+def test_extension_rejects_an_ideal_over_another_structure():
+    """Read as bits of lattice-4, a saturating ideal names pairs the
+    quotient lacks, and a chain-3 ideal gives a wrong extension."""
+    q = total_quotient(diamond_lattice())
+    for other in (saturating(5), chain_semiring()):
+        with pytest.raises(StructureError, match="different structure"):
+            q.extend(generate_ideal(other, [1]))
+    assert q.extend(generate_ideal(diamond_lattice(), [1])).members() == (0, 1)
 
 
 def test_kasch_chain():
