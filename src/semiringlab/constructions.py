@@ -30,6 +30,7 @@ from .tables import (
     medial_witness,
     transpose,
     _additive_laws,
+    _byte_views,
     _is_index,
     _neutral,
 )
@@ -348,7 +349,7 @@ def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int
     """Validate a commutative monoid table, returning it with its identity."""
     n = len(table)
     t = freeze_table(table, n, n, "monoid")
-    associative, commutative, _ = _additive_laws(t, ())
+    associative, commutative, _ = _additive_laws(t, _byte_views(t), ())
     if associative is not None:
         raise StructureError(f"monoid operation not associative, witness {associative}")
     if commutative is not None:

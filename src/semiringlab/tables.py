@@ -6,7 +6,14 @@ kernel, ``least_witness``, finds every witness: it walks the prefixes of the
 law's variables in lexicographic order and compares the two sides of the law
 as whole rows over the last variable. Failing laws therefore always carry the
 lexicographically least witness tuple, which keeps reports deterministic and
-golden-testable.
+golden-testable. The rows of the three-variable laws (associativity,
+distributivity, mediality) are ``bytes`` when the tables have at most 256
+columns: with ``rows[v]`` row v as bytes and ``luts[v]`` the same row padded
+to 256 entries, the gather ``[T[u][y] for y in T[v]]`` is
+``rows[v].translate(luts[u])``, done in C, and the two sides compare as
+memory. A report builds these byte views once per table, each row on first
+use, since a law that fails at its first prefixes reads only a few. Wider
+tables, from 257 elements up to ``CARRIER_CAP``, take the same laws on lists.
 
 ``check_laws`` proves some laws on a generating set instead of scanning every
 tuple. ``generators`` picks one greedily with the closure kernel of
@@ -18,12 +25,16 @@ gives left distributivity, and the same test on the transposed
 multiplication gives right distributivity. ``_additive_laws`` is the one
 place that holds these premises: ``check_laws``, the semimodule check and
 ``commutative_monoid_table`` all take an addition's laws from it. A reduced
-test only says "holds": when it fails, the full ``least_witness`` scan runs,
-so every witness is the one the full scan finds. Mediality of addition
-follows from associativity plus commutativity, so it is settled without a
-scan when both hold. Otherwise only the prefixes with b < c are walked:
-swapping b and c swaps the two sides of (a+b)+(c+d) = (a+c)+(b+d), so the
-least failing tuple has b < c.
+test only says "holds": when it fails, a full ``least_witness`` scan runs,
+so every witness is the one the full scan finds. Light's test is closed over
+every first coordinate at once, so its full scan starts again from the
+first prefix. Distributivity is closed for each multiplier on its own, so
+the multipliers before the first one that fails on generators have no
+witness, and only that multiplier's rows are scanned in full. Mediality
+of addition follows from associativity plus commutativity, so it is settled
+without a scan when both hold. Otherwise only the prefixes with b < c are
+walked: swapping b and c swaps the two sides of (a+b)+(c+d) = (a+c)+(b+d),
+so the least failing tuple has b < c.
 
 ``semimodule_check`` runs on a semiring that ``require_semiring`` has
 proved, so it reduces two more laws over the scalars. The t with
@@ -247,9 +258,56 @@ def transpose(table: Table) -> Table:
     return tuple(zip(*table))
 
 
-def _associative_rows(mul: Table, act: Table) -> Callable:
-    """(st)x and s(tx) as rows over x, at a prefix (s, t)."""
-    return lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
+class _ByteRows(dict):
+    """Row v of a table as ``bytes``, built on first use."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: Table):
+        self.table = table
+
+    def __missing__(self, v: int) -> bytes:
+        row = self[v] = bytes(self.table[v])
+        return row
+
+
+class _Luts(dict):
+    """Row v of a table's byte rows padded to the 256 entries that
+    ``bytes.translate`` reads, built on first use."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: _ByteRows):
+        self.rows = rows
+
+    def __missing__(self, v: int) -> bytes:
+        lut = self[v] = self.rows[v].ljust(256, b"\0")
+        return lut
+
+
+# The byte views (rows, luts) of a table, or None when it has more than 256 columns.
+Views = Optional[tuple[_ByteRows, _Luts]]
+
+
+def _byte_views(table: Table) -> Views:
+    """The byte views of ``table``: None when it has more than 256 columns,
+    as its entries then need not fit a byte. Every table here has its
+    entries below its column count, so ``rows[u].translate(luts[v])`` is the
+    gather ``[table[v][y] for y in table[u]]``. Each row is built on first
+    use: a law that fails at its first prefixes reads only a few."""
+    if len(table[0]) > 256:
+        return None
+    rows = _ByteRows(table)
+    return rows, _Luts(rows)
+
+
+def _associative_rows(mul: Table, act: Table, views: Views = None) -> Callable:
+    """(st)x and s(tx) as rows over x, at a prefix (s, t): ``bytes`` gathered
+    in C when ``views`` are the byte views of ``act``, lists otherwise."""
+    if views is None:
+        return lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
+    rows, luts = views
+    return lambda s, t: (rows[mul[s][t]], rows[t].translate(luts[s]))
 
 
 def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
@@ -258,9 +316,14 @@ def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
     return least_witness((len(table),) * 2, lambda a: (table[a], cols[a]))
 
 
-def _distributive_rows(add: Table, mul: Table) -> Callable:
-    """a(b+c) and ab+ac as rows over c, at a prefix (a, b)."""
-    return lambda a, b: ([mul[a][x] for x in add[b]], [add[mul[a][b]][y] for y in mul[a]])
+def _distributive_rows(add: Table, mul: Table, add_views: Views = None, mul_views: Views = None) -> Callable:
+    """a(b+c) and ab+ac as rows over c, at a prefix (a, b): ``bytes`` when
+    both tables have byte views (they have, or have not, together, as
+    ``mul`` has a column per element of ``add``), lists otherwise."""
+    if add_views is None or mul_views is None:
+        return lambda a, b: ([mul[a][x] for x in add[b]], [add[mul[a][b]][y] for y in mul[a]])
+    (add_rows, add_luts), (mul_rows, mul_luts) = add_views, mul_views
+    return lambda a, b: (add_rows[b].translate(mul_luts[a]), mul_rows[a].translate(add_luts[mul[a][b]]))
 
 
 def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int]]:
@@ -268,27 +331,41 @@ def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int
     multiplier and one column per element of ``add``. Right distributivity is
     this law for ``transpose(mul)``."""
     n = len(add)
-    return least_witness((len(mul), n, n), _distributive_rows(add, mul))
+    return least_witness((len(mul), n, n), _distributive_rows(add, mul, _byte_views(add), _byte_views(mul)))
 
 
 def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
     """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
     n = len(table)
-    return _medial_witness(freeze_table(table, n, n, "magma"))
+    t = freeze_table(table, n, n, "magma")
+    return _medial_witness(t, _byte_views(t))
 
 
-def _medial_witness(t: Table) -> Optional[tuple[int, int, int, int]]:
-    """``medial_witness`` of a validated table. Swapping b and c swaps the
-    two sides, so the failing tuples are symmetric under b <-> c and none
-    has b = c: the least one has b < c, and only those prefixes are walked."""
+def _medial_rows(t: Table, pairs: Sequence[tuple[int, int]], views: Views = None) -> Callable:
+    """(a+b)+(c+d) and (a+c)+(b+d) as rows over d, at a prefix (a, k) where
+    (b, c) = pairs[k]: ``bytes`` when ``views`` are the byte views of ``t``,
+    lists otherwise."""
+    if views is None:
+        def rows(a, k):
+            b, c = pairs[k]
+            return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
+    else:
+        byte_rows, luts = views
+
+        def rows(a, k):
+            b, c = pairs[k]
+            return byte_rows[c].translate(luts[t[a][b]]), byte_rows[b].translate(luts[t[a][c]])
+    return rows
+
+
+def _medial_witness(t: Table, views: Views) -> Optional[tuple[int, int, int, int]]:
+    """``medial_witness`` of a validated table with its byte views. Swapping
+    b and c swaps the two sides, so the failing tuples are symmetric under
+    b <-> c and none has b = c: the least one has b < c, and only those
+    prefixes are walked."""
     n = len(t)
     pairs = tuple(itertools.combinations(range(n), 2))
-
-    def rows(a, k):
-        b, c = pairs[k]
-        return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
-
-    w = least_witness((n, len(pairs), n), rows)
+    w = least_witness((n, len(pairs), n), _medial_rows(t, pairs, views))
     return None if w is None else (w[0], *pairs[w[1]], w[2])
 
 
@@ -317,6 +394,21 @@ def _generated_witness(gens: Sequence[int], shape: Sequence[int], rows: Callable
     return least_witness(shape, rows)
 
 
+def _first_block_witness(gens: Sequence[int], shape: Sequence[int], rows: Callable) -> Optional[tuple[int, ...]]:
+    """``least_witness(shape, rows)`` for a law in three variables that holds
+    at a first coordinate a once it holds there with its middle variable on
+    ``gens``. The reduced scan walks the first coordinates in order, so the
+    first a where it fails is the first a with any witness, and only a's
+    block is scanned in full. ``gens`` is either a proper subset or the
+    whole middle range in order, which reduces nothing."""
+    first, middle, last = shape
+    w = least_witness((first, len(gens), last), lambda a, i: rows(a, gens[i]))
+    if w is None or len(gens) == middle:
+        return w
+    a = w[0]
+    return (a, *least_witness((middle, last), lambda b: rows(a, b)))
+
+
 @reader("laws")
 def check_laws(s: CayleyStructure) -> LawReport:
     """Decide every law flag over the whole carrier, with lexicographically
@@ -324,27 +416,36 @@ def check_laws(s: CayleyStructure) -> LawReport:
     return analysis(s).get("laws", None, _law_report, s)
 
 
-def _additive_laws(add: Table, muls: Sequence[Table]) -> tuple[Optional[tuple], Optional[tuple], list]:
+def _additive_laws(
+    add: Table, add_views: Views, muls: Sequence[tuple[Table, Views]]
+) -> tuple[Optional[tuple], Optional[tuple], list]:
     """The associativity and commutativity witnesses of ``add``, and the
     distributivity witness of each table of ``muls`` over it (one row per
-    multiplier, one column per element of ``add``).
+    multiplier, one column per element of ``add``), each given with its
+    byte views.
 
     Light's test: (x+g)+y = x+(g+y) for every generator g of ``add`` makes
     it associative. Over an associative addition, a(g+c) = ag+ac for every
-    generator g gives a(b+c) = ab+ac for every b, by induction on b;
-    otherwise every b is scanned."""
+    generator g gives a(b+c) = ab+ac for every b, by induction on b, for
+    each multiplier a on its own; otherwise every b is scanned."""
     n = len(add)
     gens = generators(add)
-    associative = _generated_witness(gens, (n, n, n), _associative_rows(add, add))
+    associative = _generated_witness(gens, (n, n, n), _associative_rows(add, add, add_views))
     dist_gens = gens if associative is None else range(n)
-    distributive = [_generated_witness(dist_gens, (len(mul), n, n), _distributive_rows(add, mul)) for mul in muls]
+    distributive = [
+        _first_block_witness(dist_gens, (len(mul), n, n), _distributive_rows(add, mul, add_views, mul_views))
+        for mul, mul_views in muls
+    ]
     return associative, commutative_witness(add), distributive
 
 
 def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
-    add_associative, add_commutative, (left, right) = _additive_laws(add, (mul, mul_cols))
+    add_views, mul_views = _byte_views(add), _byte_views(mul)
+    add_associative, add_commutative, (left, right) = _additive_laws(
+        add, add_views, ((mul, mul_views), (mul_cols, _byte_views(mul_cols)))
+    )
     zero, one = _neutral(add, n), _neutral(mul, n)
     z, e = zero, one
 
@@ -359,9 +460,9 @@ def _law_report(s: CayleyStructure) -> LawReport:
         "add_associative": add_associative,
         "add_commutative": add_commutative,
         "add_medial": (
-            None if add_associative is None and add_commutative is None else _medial_witness(add)
+            None if add_associative is None and add_commutative is None else _medial_witness(add, add_views)
         ),
-        "mul_associative": _generated_witness(generators(mul), (n, n, n), _associative_rows(mul, mul)),
+        "mul_associative": _generated_witness(generators(mul), (n, n, n), _associative_rows(mul, mul, mul_views)),
         "mul_commutative": commutative_witness(mul),
         "has_zero": None if zero is not None else (),
         "zero_absorbing": () if zero is None else least_witness(
@@ -536,7 +637,10 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
     n, k = m.semiring.size, m.msize
     sadd, smul = m.semiring.add, m.semiring.mul
     madd, act, mz = m.madd, m.action, m.mzero
-    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(madd, (act,))
+    act_views = _byte_views(act)
+    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(
+        madd, _byte_views(madd), ((act, act_views),)
+    )
     # the t with (s+t)x = sx+tx for every s and x are closed under sums
     # once the module's addition is associative, as the semiring's is
     sum_gens = generators(sadd) if add_associative is None else range(n)
@@ -549,7 +653,7 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
         # Light's test over the scalars: the t with (st)x = s(tx) for every s
         # and x are closed under products, as the semiring's multiplication
         # is associative
-        "action_associative": _generated_witness(generators(smul), (n, n, k), _associative_rows(smul, act)),
+        "action_associative": _generated_witness(generators(smul), (n, n, k), _associative_rows(smul, act, act_views)),
         "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
         "scalar_add_distributes": _generated_witness(
             sum_gens, (n, n, k), lambda s, t: (list(act[sadd[s][t]]), [madd[x][y] for x, y in zip(act[s], act[t])])

@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from semiringlab import tables
 from semiringlab.constructions import direct_product
 from semiringlab.corpus import (
     boolean_semifield,
@@ -22,11 +23,20 @@ from semiringlab.tables import (
     FiniteSemimodule,
     LAW_NAMES,
     SEMIMODULE_AXIOMS,
+    _associative_rows,
+    _byte_views,
+    _distributive_rows,
+    _first_block_witness,
+    _law_report,
+    _medial_rows,
+    _semimodule_report,
     check_laws,
     generators,
     is_semifield,
+    least_witness,
     semimodule_check,
     self_action,
+    transpose,
     verify_designations,
 )
 
@@ -286,6 +296,186 @@ def test_flag_products_relabellings_and_mutants_match_oracle():
             assert_laws_match_oracle(mutant, p.mul)
         for mutant in _one_cell_mutants(p.mul, rng, 8):
             assert_laws_match_oracle(p.add, mutant)
+
+
+def test_first_block_scan_holds_for_any_generating_set():
+    """Over the cyclic group of order 4, the first multiplier is an
+    endomorphism and the second, f = (0, 1, 0, 0), first fails at
+    f(1+1) != f(1)+f(1). On the generators (0, 3) the reduced scan first
+    fails at b = 3; the full scan of that multiplier's block finds b = 1.
+    (With the greedy generators (0, 1) the reduced witness is already the
+    least, since every element below the first failing generator lies in
+    the sums of the ones before it.)"""
+    z4 = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
+    mul = ((0, 2, 0, 2), (0, 1, 0, 0))
+    rows = _distributive_rows(z4, mul)
+    assert least_witness((2, 4, 4), rows) == (1, 1, 1)
+    assert least_witness((2, 2, 4), lambda a, i: rows(a, (0, 3)[i])) == (1, 1, 1)  # that is b = 3
+    assert _first_block_witness((0, 3), (2, 4, 4), rows) == (1, 1, 1)
+    assert _first_block_witness(generators(z4), (2, 4, 4), rows) == (1, 1, 1)
+
+
+def _associative(mul, act):
+    """(st)x = s(tx), its middle variable reduced on ``mul``'s generators."""
+    n, k = len(mul), len(act[0])
+    views = _byte_views(act)
+    return (n, n, k), generators(mul), _associative_rows(mul, act), _associative_rows(mul, act, views)
+
+
+def _distributive(add, mul):
+    """a(b+c) = ab+ac, its middle variable reduced on ``add``'s generators."""
+    n = len(add)
+    views = _byte_views(add), _byte_views(mul)
+    return (len(mul), n, n), generators(add), _distributive_rows(add, mul), _distributive_rows(add, mul, *views)
+
+
+def _medial(add):
+    """(a+b)+(c+d) = (a+c)+(b+d) on the prefixes with b < c, unreduced."""
+    n = len(add)
+    pairs = tuple(itertools.combinations(range(n), 2))
+    every = range(len(pairs))
+    return (n, len(pairs), n), every, _medial_rows(add, pairs), _medial_rows(add, pairs, _byte_views(add))
+
+
+@functools.lru_cache(maxsize=None)
+def assert_byte_rows_match_list_rows_of(law, *operands):
+    """Byte rows and list rows of one law scan give one least witness, in
+    the full scan and in the scan with the middle variable on generators.
+    Kept per law and operands: a one-cell mutant of one table of a
+    structure shares the other with its original."""
+    (first, middle, last), gens, list_rows, byte_rows = law(*operands)
+    assert least_witness((first, middle, last), byte_rows) == least_witness((first, middle, last), list_rows)
+    reduced = (first, len(gens), last)
+    assert least_witness(reduced, lambda a, i: byte_rows(a, gens[i])) == least_witness(
+        reduced, lambda a, i: list_rows(a, gens[i])
+    )
+
+
+def assert_byte_rows_match_list_rows(add, mul):
+    """Every three-variable law scan that ``check_laws`` and the semimodule
+    check run on (add, mul), with ``add`` also standing as an action of
+    ``mul``'s carrier, and mediality only where ``check_laws`` scans it."""
+    for law, operands in (
+        (_associative, (add, add)),
+        (_associative, (mul, mul)),
+        (_associative, (mul, add)),
+        (_distributive, (add, mul)),
+        (_distributive, (add, transpose(mul))),
+    ):
+        assert_byte_rows_match_list_rows_of(law, *operands)
+    if oracle_magma(add)[1:] != (None, None):
+        assert_byte_rows_match_list_rows_of(_medial, add)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(st.integers(0, n - 1) for _ in range(2 * n * n)))))
+def test_byte_rows_match_list_rows_on_random_tables(flat):
+    n = round((len(flat) // 2) ** 0.5)
+    assert_byte_rows_match_list_rows(_square(flat[: n * n], n), _square(flat[n * n :], n))
+
+
+def test_byte_rows_match_list_rows_on_flag_products_relabellings_and_mutants():
+    """The tables of the flag-product oracle test above, with its seed."""
+    rng = random.Random(8)
+    entries = [e.structure for e in corpus() if e.structure.size <= 8]
+    for a, b in itertools.combinations(entries, 2):
+        if a.size * b.size > 64:
+            continue
+        p = direct_product([a, b])
+        assert_byte_rows_match_list_rows(p.add, p.mul)
+        perm = list(range(p.size))
+        rng.shuffle(perm)
+        assert_byte_rows_match_list_rows(_relabelled(p.add, perm), _relabelled(p.mul, perm))
+        for mutant in _one_cell_mutants(p.add, rng, 8):
+            assert_byte_rows_match_list_rows(mutant, p.mul)
+        for mutant in _one_cell_mutants(p.mul, rng, 8):
+            assert_byte_rows_match_list_rows(p.add, mutant)
+
+
+def test_byte_rows_match_list_rows_on_corpus_one_cell_mutants(all_entries):
+    rng = random.Random(0)
+    for entry in all_entries:
+        s = entry.structure
+        assert_byte_rows_match_list_rows(s.add, s.mul)
+        for add in _one_cell_mutants(s.add, rng, 8):
+            assert_byte_rows_match_list_rows(add, s.mul)
+        for mul in _one_cell_mutants(s.mul, rng, 8):
+            assert_byte_rows_match_list_rows(s.add, mul)
+
+
+def _reports_both_ways(monkeypatch, report, structures):
+    """``report`` of each structure on byte rows, then on list rows: with
+    no byte views, every table is taken as wider than a byte."""
+    on_bytes = [report(s) for s in structures]
+    with monkeypatch.context() as patch:
+        patch.setattr(tables, "_byte_views", lambda table: None)
+        return on_bytes, [report(s) for s in structures]
+
+
+def test_reports_match_the_list_path_on_corpus_ladder_and_mutants(monkeypatch, all_entries):
+    rng = random.Random(3)
+    structures = [e.structure for e in all_entries] + [saturating(top) for top in range(12, 17)]
+    for s in list(structures):
+        structures += [CayleyStructure(s.size, add, s.mul) for add in _one_cell_mutants(s.add, rng, 2)]
+        structures += [CayleyStructure(s.size, s.add, mul) for mul in _one_cell_mutants(s.mul, rng, 2)]
+    on_bytes, on_lists = _reports_both_ways(monkeypatch, _law_report, structures)
+    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_lists]
+    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_lists]
+    modules = [self_action(s) for s in structures if check_laws(s).is_semiring]
+    for m in list(modules):
+        s, k = m.semiring, m.msize
+        modules += [FiniteSemimodule(s, k, madd, m.mzero, m.action) for madd in _one_cell_mutants(m.madd, rng, 2)]
+        modules += [FiniteSemimodule(s, k, m.madd, m.mzero, act) for act in _one_cell_mutants(m.action, rng, 2)]
+    on_bytes, on_lists = _reports_both_ways(monkeypatch, _semimodule_report, modules)
+    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_lists]
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_random_tables_at_the_byte_boundary(monkeypatch, n):
+    """Byte rows serve tables of at most 256 columns; one more column takes
+    the list rows, without ``bytes()`` meeting an entry of 256. Random
+    tables fail their laws within the first prefixes, so the independent
+    oracle stays cheap at this size."""
+    rng = random.Random(n)
+    add, mul = ([rng.choices(range(n), k=n) for _ in range(n)] for _ in range(2))
+    s = CayleyStructure(n, add, mul)
+    assert (_byte_views(s.add) is None) == (n > 256)
+    (on_bytes,), (on_lists,) = _reports_both_ways(monkeypatch, _law_report, [s])
+    assert on_bytes.witnesses == on_lists.witnesses
+    assert_laws_match_oracle(s.add, s.mul)
+
+
+def test_boolean_power_scans_every_prefix_on_byte_rows():
+    """On boolean^8 every law holds and the generators of the AND are the
+    whole carrier, so multiplicative and action associativity walk all
+    65,536 prefixes on byte rows. The byte rows equal the list rows at every
+    (s, t) with s in a stride of the carrier."""
+    b = direct_product([boolean_semifield()] * 8)
+    assert generators(b.mul) == tuple(range(256))
+    rep = check_laws(b)
+    assert rep.is_commutative_semiring and rep.zerosumfree and rep.mul_idempotent and rep.complemented
+    assert set(rep.witnesses) == {"entire"}
+    assert semimodule_check(self_action(b)).valid
+    list_rows, byte_rows = _associative_rows(b.mul, b.mul), _associative_rows(b.mul, b.mul, _byte_views(b.mul))
+    for s, t in itertools.product(range(0, 256, 17), range(256)):
+        assert [list(side) for side in byte_rows(s, t)] == list(list_rows(s, t))
+
+
+def _subsets_module(extra_top):
+    """The subsets of an 8-set under union, over the boolean semifield by
+    0x = {} and 1x = x, with one more element absorbing every sum when
+    ``extra_top``: a semimodule of 256 or 257 elements whose addition has
+    ten generators at most."""
+    k = 256 + extra_top
+    madd = [[256 if 256 in (x, y) else x | y for y in range(k)] for x in range(k)]
+    return FiniteSemimodule(boolean_semifield(), k, madd, 0, [[0] * k, list(range(k))])
+
+
+@pytest.mark.parametrize("extra_top", [False, True])
+def test_semimodules_at_the_byte_boundary(monkeypatch, extra_top):
+    m = _subsets_module(extra_top)
+    assert (_byte_views(m.madd) is None) == extra_top
+    (on_bytes,), (on_lists,) = _reports_both_ways(monkeypatch, _semimodule_report, [m])
+    assert on_bytes.valid and on_lists.valid
 
 
 @pytest.mark.parametrize(
