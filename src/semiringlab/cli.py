@@ -18,7 +18,15 @@ from typing import Mapping, Optional, Sequence
 
 from . import analysis
 from .corpus import corpus, corpus_entry, corpus_names, corpus_semimodules
-from .covering import is_efficient, mccoy_exponent, semiring_avoidance, davis_witness
+from .covering import (
+    avoidance_witness,
+    davis_witness,
+    is_efficient,
+    mccoy_exponent,
+    semiring_avoidance,
+    t_semiprime_avoidance,
+    union_avoidance_suite,
+)
 from .errors import CapExceeded, StructureError, TheoremViolation
 from .fileio import ingest, structure_to_json
 from .ideals import (
@@ -28,7 +36,6 @@ from .ideals import (
     generate_ideal,
     mult_closure,
 )
-from .covering import avoidance_witness, t_semiprime_avoidance, union_avoidance_suite
 from .spectrum import compactly_packed_battery, spec_of
 from .suites import FAIL, PASS, verify_all
 from .tables import CayleyStructure, check_laws, LAW_NAMES, self_action

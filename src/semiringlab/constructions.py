@@ -23,14 +23,13 @@ from .tables import (
     StructureConstants,
     Table,
     check_laws,
+    commutative_monoid_table,
     distributive_witness,
     freeze_table,
     is_semifield,
     least_witness,
     medial_witness,
     transpose,
-    _additive_laws,
-    _byte_views,
     _is_index,
     _neutral,
 )
@@ -343,21 +342,6 @@ def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, n
         name=name or " x ".join(f.name or "?" for f in factors),
         factors=factors,
     )
-
-
-def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int]:
-    """Validate a commutative monoid table, returning it with its identity."""
-    n = len(table)
-    t = freeze_table(table, n, n, "monoid")
-    associative, commutative, _ = _additive_laws(t, _byte_views(t), ())
-    if associative is not None:
-        raise StructureError(f"monoid operation not associative, witness {associative}")
-    if commutative is not None:
-        raise StructureError(f"monoid operation not commutative, witness {commutative}")
-    e = _neutral(t, n)
-    if e is None:
-        raise StructureError("monoid has no identity")
-    return t, e
 
 
 @dataclass(frozen=True, repr=False)

@@ -48,6 +48,7 @@ from .ideals import (
     mask_members,
     maximal_masks,
     principal_masks,
+    require_module_over,
     require_same_structure,
     residual_rows,
     semiprime_residual,
@@ -523,6 +524,7 @@ def annihilator_avoidance(
     """A module-annihilator prime ideal containing an ideal that lies inside
     a finite union of module-annihilator ideals."""
     s = m.semiring
+    require_module_over(ideal.structure, m)
     rep = check_laws(s)
     if not rep.is_semiring:
         return _unmet("semiring")

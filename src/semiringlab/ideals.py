@@ -157,6 +157,13 @@ def require_same_structure(s: CayleyStructure, part: Union[IdealSet, Multiplicat
         raise StructureError(f"{what} lives over a different structure")
 
 
+def require_module_over(s: CayleyStructure, m: FiniteSemimodule) -> None:
+    """Reject a module over a structure neither s nor equal to it, whose
+    scalars would otherwise be read as elements of s."""
+    if m.semiring is not s and m.semiring != s:
+        raise StructureError("the module lives over a different structure")
+
+
 def multiplicative_set(s: CayleyStructure, members: Iterable[int]) -> MultiplicativeSet:
     """Validate that the members contain one and are closed under multiplication."""
     rep = require_semiring(s)
@@ -250,7 +257,6 @@ def generate_ideal(s: CayleyStructure, gens: Iterable[int], side: str = TWO_SIDE
     return IdealSet(structure=s, side=side, mask=close_mask(s, mask, side))
 
 
-@reader("principal")
 def principal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
     return analysis(s).get("principal", side, _principal_masks, s, side)
 
@@ -815,7 +821,6 @@ def annihilator(
     return result
 
 
-@reader("element_annihilators")
 def element_annihilators(m: FiniteSemimodule) -> tuple[IdealSet, ...]:
     """Per module element x, the annihilator Ann(x), checked as
     :func:`annihilator` checks it; one fact of the module's context."""
@@ -844,8 +849,7 @@ def maximal_annihilator_primes(s: CayleyStructure, m: FiniteSemimodule) -> tuple
     """Maximal annihilators of proper nonzero subsemimodules; each is checked
     subtractive and prime before being returned."""
     require_semiring(s)
-    if m.semiring is not s and m.semiring != s:
-        raise StructureError("module is not over the given semiring")
+    require_module_over(s, m)
     if m.msize == 1:
         raise StructureError("zero semimodule has no proper nonzero subsemimodules")
     zero_mask = 1 << m.mzero

@@ -266,9 +266,10 @@ def krull_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     yield _result(base, True, f"{checked} separations")
 
 
-def ringoid_avoidance(entry: CorpusEntry, seed: int = 0, max_family: int = 4) -> Iterator[CheckResult]:
-    """Avoidance witness for every family of subtractive primes none of which
-    contains the target ideal, by scan and by construction."""
+def ringoid_avoidance(entry: CorpusEntry, seed: int) -> Iterator[CheckResult]:
+    """Avoidance witness for every family of at most four subtractive primes
+    none of which contains the target ideal, by scan and by construction;
+    the seed drives the sampled sum trees."""
     s = entry.structure
     if not check_laws(s).is_ringoid:
         return
@@ -281,7 +282,7 @@ def ringoid_avoidance(entry: CorpusEntry, seed: int = 0, max_family: int = 4) ->
         return
     rng = random.Random(seed)
     families = 0
-    for size in range(1, max_family + 1):
+    for size in range(1, 5):
         for family in itertools.combinations(primes, size):
             for target in lattice:
                 if any(target.issubset(p) for p in family):
@@ -294,15 +295,15 @@ def ringoid_avoidance(entry: CorpusEntry, seed: int = 0, max_family: int = 4) ->
     yield _result(base, True, f"{families} (ideal, family) pairs")
 
 
-def _sample_tree_shapes(s, target, family, rng, samples: int = 3) -> None:
-    """Randomly parenthesized combinations of cross-membership elements must
-    avoid every prime in the family, exactly like the left comb."""
+def _sample_tree_shapes(s, target, family, rng) -> None:
+    """Three randomly parenthesized combinations of cross-membership elements
+    must avoid every prime in the family, exactly like the left comb."""
     try:
         bs = behrens_elements(target, family)
     except HypothesesUnmet:
         return
     union = union_mask(p.mask for p in family)
-    for _ in range(samples):
+    for _ in range(3):
         tree = random_tree(bs, rng)
         value = evaluate_tree(s, tree)
         _check(value in target and not union >> value & 1, (tree, value))
@@ -319,9 +320,9 @@ def _coverings(candidates, sizes, targets) -> Iterator[tuple[tuple[IdealSet, ...
                 yield family, covered
 
 
-def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
-    """Every covering of every ideal by subtractive ideals with at most two
-    non-primes yields a containing cover."""
+def semiring_avoidance_exhaustive(entry: CorpusEntry) -> Iterator[CheckResult]:
+    """Every covering of every ideal by at most four subtractive ideals with
+    at most two non-primes yields a containing cover."""
     s = entry.structure
     if not check_laws(s).is_semiring or s.size > 8:
         return
@@ -332,7 +333,7 @@ def semiring_avoidance_exhaustive(entry: CorpusEntry, max_family: int = 4) -> It
         i.mask: (i.is_proper and is_prime(i)[0]) for i in lattice
     }
     coverings = 0
-    for family, covered in _coverings(subtractive, range(1, max_family + 1), lattice):
+    for family, covered in _coverings(subtractive, range(1, 5), lattice):
         non_primes = [c for c in family if not prime_mask[c.mask]]
         if len(non_primes) > 2:
             continue
@@ -349,9 +350,9 @@ def _held(outcomes: list) -> int:
     return sum(not isinstance(o, WitnessReport) for o in outcomes)
 
 
-def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[CheckResult]:
+def corollary_avoidance(entry: CorpusEntry) -> Iterator[CheckResult]:
     """Radical, semiprime, and T-semiprime covering corollaries on every
-    covering of a lattice ideal by at most ``max_family`` lattice ideals,
+    covering of a lattice ideal by at most three lattice ideals,
     counting the coverings that meet each corollary's hypotheses."""
     s = entry.structure
     if _corollary_unmet(s) is not None:
@@ -359,20 +360,19 @@ def corollary_avoidance(entry: CorpusEntry, max_family: int = 3) -> Iterator[Che
     counts = {"radical": 0, "semiprime": 0, "t-semiprime": 0}
     t_set = mult_closure(s, [check_laws(s).one])
     lattice = enumerate_ideals(s, TWO_SIDED)
-    for family, covered in _coverings(lattice, range(1, max_family + 1), lattice):
+    for family, covered in _coverings(lattice, range(1, 4), lattice):
         counts["radical"] += _held(_union_outcomes(family, covered, "radical"))
         counts["semiprime"] += _held(_union_outcomes(family, covered, "semiprime"))
         counts["t-semiprime"] += _held(_t_semiprime_outcomes(family, covered, t_set))
     yield _result(f"{entry.name}/corollaries", True, str(counts))
 
 
-def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult]:
-    """Every efficient covering of a lattice ideal by three to
-    ``max_family`` lattice ideals admits a finite exponent within the
-    ideal-count bound. A cover holding the target makes every other cover
-    redundant, so each target's families are drawn from the ideals that do
-    not hold it, and its powers are built once, as far as some family
-    needs them."""
+def mccoy_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
+    """Every efficient covering of a lattice ideal by three or four lattice
+    ideals admits a finite exponent within the ideal-count bound. A cover
+    holding the target makes every other cover redundant, so each target's
+    families are drawn from the ideals that do not hold it, and its powers
+    are built once, as far as some family needs them."""
     s = entry.structure
     if _corollary_unmet(s) is not None:
         return
@@ -381,7 +381,7 @@ def mccoy_suite(entry: CorpusEntry, max_family: int = 4) -> Iterator[CheckResult
     for target in lattice:
         chain = [target]
         missing = [c for c in lattice if target.mask & ~c.mask]
-        for family, _ in _coverings(missing, range(3, max_family + 1), [target]):
+        for family, _ in _coverings(missing, range(3, 5), [target]):
             exponent = _mccoy_outcomes(family, target, chain)
             if not isinstance(exponent, WitnessReport):
                 _check(exponent <= len(lattice))
@@ -530,21 +530,14 @@ def _medial_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     return fill(0)
 
 
-def medial_magma_corpus(size_cap: int = 3, per_size_cap: int = 400) -> list[tuple]:
-    """All medial magma tables up to the size cap, at most ``per_size_cap``
-    of each size, each size in the lexicographic order of the cells read row
-    by row; then a curated batch of size-4 medial operations. Exhausting
-    size 4 is out of reach (4^16 tables), so the curated batch stands in for
-    it. The tables come from a pruned search (``_medial_tables``), not from
-    filtering all n^(n*n) tables."""
-    batch = []
-    for n in range(1, size_cap + 1):
-        count = 0
-        for table in _medial_tables(n):
-            batch.append(table)
-            count += 1
-            if count >= per_size_cap:
-                break
+def medial_magma_corpus() -> list[tuple]:
+    """All medial magma tables of sizes 1 to 3 (1, 10 and 369 of them), each
+    size in the lexicographic order of the cells read row by row; then a
+    curated batch of size-4 medial operations. Exhausting size 4 is out of
+    reach (4^16 tables), so the curated batch stands in for it. The tables
+    come from a pruned search (``_medial_tables``), not from filtering all
+    n^(n*n) tables."""
+    batch = [table for n in range(1, 4) for table in _medial_tables(n)]
     z4 = tuple(tuple((i + j) % 4 for j in range(4)) for i in range(4))
     klein = tuple(tuple(i ^ j for j in range(4)) for i in range(4))
     diamond = diamond_lattice().add
@@ -554,14 +547,14 @@ def medial_magma_corpus(size_cap: int = 3, per_size_cap: int = 400) -> list[tupl
     return batch
 
 
-def endomorphism_suite(endo_cap: int = 64) -> Iterator[CheckResult]:
-    """Endomorphism structures of medial magmas are ringoids with medial
-    addition and monoid composition."""
+def endomorphism_suite() -> Iterator[CheckResult]:
+    """Endomorphism structures of medial magmas, up to 64 endomorphisms, are
+    ringoids with medial addition and monoid composition."""
     checked = 0
     skipped = 0
     for table in medial_magma_corpus():
         try:
-            er = endomorphism_ringoid(table, cap=endo_cap)
+            er = endomorphism_ringoid(table, cap=64)
         except CapExceeded:
             skipped += 1
             continue
@@ -650,11 +643,8 @@ SUITES = (
 def run_entry_suites(entry: CorpusEntry, seed: int = 0) -> list[CheckResult]:
     results: list[CheckResult] = []
     for suite_name, suite in SUITES:
-        label = f"{entry.name}/{suite_name}"
-        if suite is ringoid_avoidance:
-            results.extend(_guard(label, lambda: suite(entry, seed)))
-        else:
-            results.extend(_guard(label, lambda: suite(entry)))
+        args = (entry, seed) if suite is ringoid_avoidance else (entry,)
+        results.extend(_guard(f"{entry.name}/{suite_name}", lambda: suite(*args)))
     for d in (0, 2):
         results.extend(
             _guard(f"{entry.name}/monoid-slices-d{d}", lambda: monoid_slice_suite(entry, d))

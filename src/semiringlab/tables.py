@@ -439,6 +439,21 @@ def _additive_laws(
     return associative, commutative_witness(add), distributive
 
 
+def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int]:
+    """Validate a commutative monoid table, returning it with its identity."""
+    n = len(table)
+    t = freeze_table(table, n, n, "monoid")
+    associative, commutative, _ = _additive_laws(t, _byte_views(t), ())
+    if associative is not None:
+        raise StructureError(f"monoid operation not associative, witness {associative}")
+    if commutative is not None:
+        raise StructureError(f"monoid operation not commutative, witness {commutative}")
+    e = _neutral(t, n)
+    if e is None:
+        raise StructureError("monoid has no identity")
+    return t, e
+
+
 def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)

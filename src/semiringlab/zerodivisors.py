@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 from .analysis import analysis, reader
 from .errors import CapExceeded, StructureError, TheoremViolation
@@ -29,6 +28,7 @@ from .ideals import (
     mask_of,
     maximal_masks,
     radical,
+    require_module_over,
     require_same_structure,
     union_mask,
 )
@@ -85,6 +85,7 @@ def property_a_check(
     over the whole ideal lattice. Returns the least offending ideal if any.
     """
     require_commutative_semiring(s)
+    require_module_over(s, m)
     require_semimodule(m)
     z = zero_divisor_mask(m)
     rows = [row for x, row in enumerate(annihilator_rows(m)) if x != m.mzero]
@@ -97,6 +98,7 @@ def property_a_check(
 def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorReport:
     """Zero-divisor decomposition with every theorem-backed equality asserted."""
     require_commutative_semiring(s)
+    require_module_over(s, m)
     require_semimodule(m)
     z = zero_divisor_mask(m)
 
@@ -161,21 +163,21 @@ class QuotientSemiring:
     the product p of U: every u in U divides p and so e, so e*u is a unit of
     e*S, whose one is e; w*x = w*y for some w in U gives e*x = e*y, and e
     lies in U. The class of (a, u) is the element e*a*(e*u)^-1 of e*S.
+
+    The extension of an ideal I, the classes of its pairs (a, u) with a in
+    I, is the image of I under a -> e*a: (e*u)^-1 is some e*v, so the class
+    e*a*(e*u)^-1 is e*(a*v), and a*v lies in I.
     """
 
     base: CayleyStructure
     structure: CayleyStructure
     units: tuple[int, ...]  # non-zero-divisors of the base, ascending
-    pair_class: Mapping  # (s, u) -> class index; read-only, as the quotient is shared
     canonical: tuple[int, ...]  # base element -> class of (element, 1)
     maximal_ideals: tuple[IdealSet, ...]
 
     def extend(self, ideal: IdealSet) -> IdealSet:
         require_same_structure(self.base, ideal, "the ideal")
-        mask = 0
-        for a in mask_members(ideal.mask):
-            for u in self.units:
-                mask |= 1 << self.pair_class[(a, u)]
+        mask = mask_of(self.canonical[a] for a in mask_members(ideal.mask))
         return IdealSet(structure=self.structure, side=TWO_SIDED, mask=mask)
 
     def __repr__(self):
@@ -231,22 +233,22 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
         if inverse[u] is None:
             raise TheoremViolation("a non-zero-divisor has no inverse in e*S")
     index: dict = {}  # class representative in e*S -> class, by least pair
-    pair_class = {
-        (a, u): index.setdefault(mul[times_e[a]][inverse[u]], len(index)) for a in range(n) for u in units
-    }
+    for a, u in itertools.product(range(n), units):
+        index.setdefault(mul[times_e[a]][inverse[u]], len(index))
+    # (a, 1) goes to e*a, since the inverse of e*1 in e*S is e itself
+    canonical = tuple(index[x] for x in times_e)
     reps = list(index)
     size = len(reps)
     q = CayleyStructure(
         size=size,
         add=[[index[add[r][t]] for t in reps] for r in reps],
         mul=[[index[mul[r][t]] for t in reps] for r in reps],
-        zero=pair_class[(rep.zero, one)],
-        one=pair_class[(one, one)],
+        zero=canonical[rep.zero],
+        one=canonical[one],
         name=f"Q({s.name or 'S'})",
     )
     require_commutative_semiring(q)
 
-    canonical = tuple(pair_class[(a, one)] for a in range(s.size))
     for a in range(s.size):
         for b in range(s.size):
             if canonical[add[a][b]] != q.add[canonical[a]][canonical[b]]:
@@ -264,7 +266,6 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
         base=s,
         structure=q,
         units=tuple(units),
-        pair_class=MappingProxyType(pair_class),
         canonical=canonical,
         maximal_ideals=maximal,
     )
@@ -317,12 +318,7 @@ def content(ms: MonoidSemiring, f: int) -> IdealSet:
     element."""
     if not isinstance(ms, MonoidSemiring):
         raise StructureError("content needs a monoid-semiring element")
-    coeffs = ms.coeffs(f)
-    base_rep = check_laws(ms.base)
-    gens = sorted(set(coeffs))
-    if gens == [base_rep.zero]:
-        return generate_ideal(ms.base, [], TWO_SIDED)
-    return generate_ideal(ms.base, gens, TWO_SIDED)
+    return generate_ideal(ms.base, ms.coeffs(f), TWO_SIDED)
 
 
 def monoid_zd_check(
@@ -339,6 +335,7 @@ def monoid_zd_check(
     """
     if not _is_index(degree_cap) or degree_cap < 0:
         raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
+    require_module_over(s, m)
     length = degree_cap + 1
     # testing the length first keeps the power small and bounds 1-element carriers
     if length > CARRIER_CAP or max(s.size, m.msize) ** length > CARRIER_CAP:

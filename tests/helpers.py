@@ -22,7 +22,6 @@ from semiringlab.constructions import (
     MonoidSemiring,
     PolynomialHemiring,
     ProductStructure,
-    commutative_monoid_table,
 )
 from semiringlab.covering import HOLDS, WitnessReport, _corollary_unmet, _covering, _unmet
 from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
@@ -42,7 +41,14 @@ from semiringlab.ideals import (
     union_mask,
 )
 from semiringlab.limits import CARRIER_CAP, IDEAL_ENUM_CAP
-from semiringlab.tables import CayleyStructure, FiniteSemimodule, StructureConstants, check_laws, is_semifield
+from semiringlab.tables import (
+    CayleyStructure,
+    FiniteSemimodule,
+    StructureConstants,
+    check_laws,
+    commutative_monoid_table,
+    is_semifield,
+)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -75,10 +81,22 @@ def semimodule_to_json(m: FiniteSemimodule, claims=()) -> dict:
     return doc
 
 
+def pair_classes(q) -> dict:
+    """The class of each pair (a, u) of a quotient, read off its own tables:
+    the c with c * canonical[u] = canonical[a]. The image of u is a unit of
+    the quotient, so there is one such c."""
+    qmul, canonical = q.structure.mul, q.canonical
+    return {
+        (a, u): next(c for c, row in enumerate(qmul) if row[canonical[u]] == canonical[a])
+        for a in range(q.base.size)
+        for u in q.units
+    }
+
+
 def quotient_classes(q) -> list:
     """The classes of pairs of a quotient, each least pair first."""
     classes = [[] for _ in range(q.structure.size)]
-    for pair, c in sorted(q.pair_class.items()):
+    for pair, c in sorted(pair_classes(q).items()):
         classes[c].append(pair)
     return classes
 

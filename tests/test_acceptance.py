@@ -110,7 +110,7 @@ def test_criterion_04_ringoid_avoidance():
     failures = []
     pairs = 0
     for entry in corpus():
-        for result in ringoid_avoidance(entry, seed=0, max_family=4):
+        for result in ringoid_avoidance(entry, seed=0):
             if result.failed:
                 failures.append(result)
             else:
@@ -122,7 +122,7 @@ def test_criterion_05_semiring_avoidance_exhaustive():
     failures = []
     total = 0
     for entry in corpus():
-        for result in semiring_avoidance_exhaustive(entry, max_family=4):
+        for result in semiring_avoidance_exhaustive(entry):
             if result.failed:
                 failures.append(result)
             elif result.detail:
@@ -139,7 +139,7 @@ def test_criterion_06_mccoy_exponents():
     failures = []
     found = 0
     for entry in corpus():
-        for result in mccoy_suite(entry, max_family=4):
+        for result in mccoy_suite(entry):
             if result.failed:
                 failures.append(result)
             elif result.detail:

@@ -386,12 +386,6 @@ def test_semimodule_witnesses_are_read_only(all_entries):
                 semimodule_check(m).witnesses["zero_neutral"] = ()
 
 
-def test_quotient_pair_classes_are_read_only():
-    q = total_quotient(chain_semiring())
-    with pytest.raises(TypeError):
-        q.pair_class[(0, 0)] = 1
-
-
 def test_a_report_copies_the_dict_it_is_given():
     witnesses = {"zero_neutral": (0,)}
     rep = tables.SemimoduleReport(*([False] + [True] * 8), witnesses=witnesses)

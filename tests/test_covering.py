@@ -447,6 +447,15 @@ def test_annihilator_avoidance_zero_ideal():
     assert report.holds
 
 
+def test_annihilator_avoidance_rejects_a_module_over_another_semiring():
+    """Ideals of f2xy against the self action of the four-element lattice
+    once let StopIteration escape from the search for a host annihilator."""
+    f = dual_numbers_mod2()
+    m = self_action(diamond_lattice())
+    with pytest.raises(StructureError, match="different structure"):
+        annihilator_avoidance(m, make_ideal(f, [0]), [make_ideal(f, [0, 1, 2, 3])])
+
+
 def test_annihilator_avoidance_rejects_non_annihilators():
     s = chain_semiring()
     m = self_action(s)

@@ -520,6 +520,11 @@ def test_gamma_for_module_over_boolean():
     assert all(p.is_proper for p in primes)
 
 
+def test_gamma_rejects_a_module_over_another_semiring():
+    with pytest.raises(StructureError, match="different structure"):
+        maximal_annihilator_primes(boolean_semifield(), self_action(boolean_square()))
+
+
 def test_gamma_rejects_zero_module():
     from semiringlab.corpus import zero_module
 

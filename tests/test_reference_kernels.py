@@ -28,7 +28,6 @@ import dataclasses
 import functools
 import itertools
 import random
-from types import MappingProxyType
 from typing import Optional
 
 import pytest
@@ -96,7 +95,7 @@ from semiringlab.zerodivisors import (
     zero_divisor_mask,
 )
 
-from helpers import _quotient_tables, iter_bits, quotient_classes
+from helpers import _quotient_tables, iter_bits, pair_classes, quotient_classes
 
 LADDER = (12, 13, 14, 15, 16)
 
@@ -229,7 +228,9 @@ def reference_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional
     return True, None
 
 
-def reference_total_quotient(s: CayleyStructure) -> QuotientSemiring:
+def reference_total_quotient(s: CayleyStructure) -> tuple[QuotientSemiring, dict]:
+    """The quotient by union-find over the pairs (a, u), with the class of
+    each pair."""
     rep = require_commutative_semiring(s)
     mul, add = s.mul, s.add
     z_mask = reference_zero_divisor_mask(self_action(s))
@@ -293,14 +294,14 @@ def reference_total_quotient(s: CayleyStructure) -> QuotientSemiring:
         for m in proper
         if not any(other != m and m & ~other == 0 for other in proper)
     )
-    return QuotientSemiring(
+    quotient = QuotientSemiring(
         base=s,
         structure=q,
         units=tuple(units),
-        pair_class=MappingProxyType(pair_class),
         canonical=canonical,
         maximal_ideals=maximal,
     )
+    return quotient, pair_class
 
 
 def outcome(fn, *args):
@@ -332,16 +333,21 @@ def assert_classifications_match(s, t_choices=None):
 def assert_quotients_match(s):
     fast = outcome(total_quotient, s)
     slow = outcome(reference_total_quotient, s)
-    if not isinstance(slow, QuotientSemiring):
+    if not isinstance(slow[0], QuotientSemiring):
         assert fast == slow
         return
+    slow, pair_class = slow
     assert isinstance(fast, QuotientSemiring), (s.name, fast)
     assert fast.structure == slow.structure, s.name
     assert fast.units == slow.units
-    assert dict(fast.pair_class) == dict(slow.pair_class)
+    assert pair_classes(fast) == pair_class
     assert fast.canonical == slow.canonical
     assert fast.maximal_ideals == slow.maximal_ideals
     assert fast == slow
+    # the extension of an ideal is the set of classes of its pairs
+    for ideal in enumerate_ideals(s, TWO_SIDED):
+        pairs = mask_of(c for (a, _), c in pair_class.items() if a in ideal)
+        assert fast.extend(ideal).mask == pairs, (s.name, ideal)
 
 
 @st.composite
@@ -1139,19 +1145,16 @@ def reference_medial_witness(table) -> Optional[tuple]:
     )
 
 
-def reference_medial_magma_corpus(size_cap: int = 3, per_size_cap: int = 400) -> list:
-    """The filter over every n^(n*n) table that the pruned search replaced."""
+def reference_medial_magma_corpus() -> list:
+    """The filter over every n^(n*n) table that the pruned search replaced,
+    followed by the curated batch of size-4 tables, which ends the corpus."""
     batch = []
-    for n in range(1, size_cap + 1):
-        count = 0
+    for n in range(1, 4):
         for flat in itertools.product(range(n), repeat=n * n):
             table = tuple(flat[i * n : (i + 1) * n] for i in range(n))
             if reference_medial_witness(table) is None:
                 batch.append(table)
-                count += 1
-                if count >= per_size_cap:
-                    break
-    return batch + medial_magma_corpus(size_cap=0)
+    return batch + [t for t in medial_magma_corpus() if len(t) == 4]
 
 
 @given(any_tables())
@@ -1188,10 +1191,10 @@ def test_medial_witness_matches_the_full_scan_on_endomorphism_additions():
                 assert medial_witness(rows) == reference_medial_witness(rows)
 
 
-@pytest.mark.parametrize("per_size_cap", [400, 7, 1])
-def test_medial_magma_corpus_matches_the_exhaustive_filter(per_size_cap):
-    """Element by element and in order. A cap of 7 cuts the ten medial
-    tables of size 2 and the 369 of size 3; a cap of 1 keeps one a size."""
-    fast = medial_magma_corpus(per_size_cap=per_size_cap)
-    assert fast == reference_medial_magma_corpus(per_size_cap=per_size_cap)
-    assert len(fast) == {400: 385, 7: 20, 1: 8}[per_size_cap]
+def test_medial_magma_corpus_matches_the_exhaustive_filter():
+    """Element by element and in order: the 1, 10 and 369 medial tables of
+    sizes 1 to 3, then the five curated ones of size 4."""
+    fast = medial_magma_corpus()
+    assert fast == reference_medial_magma_corpus()
+    assert [len(t) for t in fast].count(4) == 5
+    assert len(fast) == 385

@@ -4,6 +4,7 @@ per-pair checks it replaced (``tests/helpers.py``) on every pair the suites
 visit."""
 
 import hashlib
+import inspect
 import itertools
 
 import helpers
@@ -12,7 +13,19 @@ from semiringlab.corpus import CorpusEntry
 from semiringlab.covering import is_efficient
 from semiringlab.errors import TheoremViolation
 from semiringlab.ideals import LEFT, RIGHT, TWO_SIDED, IdealSet, all_ideals_subtractive, enumerate_ideals, mult_closure
-from semiringlab.suites import corollary_avoidance, mccoy_suite, run_entry_suites
+from semiringlab.suites import (
+    SUITES,
+    austere_suite,
+    corollary_avoidance,
+    endomorphism_suite,
+    hemialgebra_suite,
+    mccoy_suite,
+    medial_magma_corpus,
+    monoid_slice_suite,
+    product_flag_suite,
+    ringoid_avoidance,
+    run_entry_suites,
+)
 from semiringlab.tables import CayleyStructure, check_laws
 
 
@@ -184,3 +197,19 @@ def test_relabelled_covers_are_classified_by_their_mask():
             assert _corollary_reports(covering, target, covers, t_set) == want, (family, target)
             if len(family) >= 3:
                 assert covering.mccoy_exponent(target, covers) == covering.mccoy_exponent(target, family)
+
+
+def test_suites_take_no_settings():
+    """Every per-entry suite takes only the entry. The exceptions take what
+    their runner varies: the ringoid-avoidance suite the seed of its sampled
+    sum trees, the monoid-slice suite its degree cap (0 and 2). The global
+    suites and the medial magma corpus take nothing. None has a default, so
+    a new setting fails here."""
+    takes = {ringoid_avoidance: ["entry", "seed"], monoid_slice_suite: ["entry", "degree_cap"]}
+    per_entry = [suite for _, suite in SUITES] + [monoid_slice_suite]
+    for suite in per_entry:
+        params = inspect.signature(suite).parameters
+        assert list(params) == takes.get(suite, ["entry"]), suite.__name__
+        assert all(p.default is inspect.Parameter.empty for p in params.values()), suite.__name__
+    for fn in (endomorphism_suite, product_flag_suite, hemialgebra_suite, austere_suite, medial_magma_corpus):
+        assert not inspect.signature(fn).parameters, fn.__name__

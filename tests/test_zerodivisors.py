@@ -90,7 +90,23 @@ def test_decomposition_equality_corpus(commutative_entries):
             assert union == z
 
 
+def test_report_rejects_a_module_over_another_semiring():
+    """The self action of the four-element lattice read over the boolean
+    semifield once gave a zero-divisor set of three elements on two; an
+    equal boolean semifield built apart is not foreign."""
+    b = boolean_semifield()
+    with pytest.raises(StructureError, match="different structure"):
+        zero_divisor_report(b, self_action(diamond_lattice()))
+    twin = boolean_semifield()
+    assert twin is not b
+    assert zero_divisor_report(b, self_action(twin)).zset == zero_divisor_report(b, self_action(b)).zset
+
+
 # --- Property (A) and the containment theorem --------------------------------------
+
+def test_property_a_rejects_a_module_over_another_semiring():
+    with pytest.raises(StructureError, match="different structure"):
+        property_a_check(boolean_semifield(), self_action(diamond_lattice()))
 
 def test_property_a_chain():
     t = chain_semiring()
@@ -361,6 +377,12 @@ def test_slice_degree_cap_must_be_a_nonnegative_int(cap):
     b = boolean_semifield()
     with pytest.raises(StructureError, match="nonnegative integer"):
         monoid_zd_check(b, self_action(b), cap)
+
+
+def test_slice_rejects_a_module_over_another_semiring():
+    """A module over a smaller semiring once raised IndexError here."""
+    with pytest.raises(StructureError, match="different structure"):
+        monoid_zd_check(chain_semiring(), self_action(boolean_semifield()), 0)
 
 
 def test_slice_hypotheses():
