@@ -25,9 +25,12 @@ computed on its first read and read back afterwards. A context holds:
   of the mask's members. Subtractiveness, the radical and the residual rows
   do not depend on the side, so they are keyed on the mask alone;
 - ``classes``: the classification of every two-sided ideal, keyed by its
-  mask, from one pass over the lattice. The pass stores each ideal's
-  subtractive, prime and radical verdicts as the per-mask facts above, and
-  cuts each ideal's residual rows without storing them;
+  mask, from one pass over the lattice. A lattice of at most n ideals, n
+  the carrier's size, is classified once per ideal, cutting each ideal's
+  residual rows without storing them; a larger one once per element tuple
+  over all ideals at once, as bitsets over the lattice. Either layout
+  stores each ideal's subtractive, prime and radical verdicts as the
+  per-mask facts above, the second with :meth:`Analysis.put`;
 - keyed by (mask, T-mask): ``classification``, a classification with its
   T-part added, and ``semiprime_residual``, the least t in T whose residual
   quotient of the two-sided ideal is proper and semiprime, with that
@@ -134,6 +137,15 @@ class Analysis:
         _FILLED[kind] += len(missing)
         _REUSED[kind] += len(keys) - len(missing)
         return [table[key] for key in keys]
+
+    def put(self, kind: str, values: dict) -> None:
+        """Store ``kind`` facts computed together elsewhere, keeping any
+        already stored; each new one counts as computed."""
+        table = self.facts.get(kind, {})
+        new = {key: value for key, value in values.items() if key not in table}
+        if new:
+            self.facts.setdefault(kind, table).update(new)
+        _FILLED[kind] += len(new)
 
 
 _created = 0

@@ -529,6 +529,8 @@ def annihilator_avoidance(
     if not rep.is_semiring:
         return _unmet("semiring")
     covers = list(covers)
+    for c in covers:
+        require_same_structure(s, c, "a cover")
     rows = annihilator_rows(m)
     for k, c in enumerate(covers):
         if not c.is_proper:

@@ -37,10 +37,19 @@ the table, so a large carrier whose callers need few values never builds
 the n^3 bits of all planes. Radicals read one power-orbit mask per
 element: the radical of I is {x : orbit(x) meets I}.
 
-:func:`classify_ideal` reads one pass over the two-sided lattice. It
-stores the subtractive, prime and radical verdicts that
-:func:`is_subtractive`, :func:`is_prime` and :func:`radical_mask` read,
-and compute for any other mask through the same kernels.
+:func:`classify_ideal` reads one pass over the two-sided lattice, in one
+of two layouts picked per structure by the lattice's size against the
+carrier's, n. A lattice of at most n ideals (the corpus, most products,
+boolean^k) runs each test once per ideal, on its residual rows. A larger
+one (the saturating family) runs each test once per element tuple over
+all ideals at once: bit j of ``holds[v]`` is set when the j-th ideal holds
+v, so ANDs of ``holds`` give the bitset of the ideals a tuple falsifies,
+and a lexicographic walk over the tuples gives each ideal its least
+witness. An n^3 walk gains nothing over n ideals, and per-ideal scans lose
+to it over many. Either layout stores the subtractive, prime and radical
+verdicts that :func:`is_subtractive`, :func:`is_prime` and
+:func:`radical_mask` read; for any other mask these compute through the
+per-mask kernels of the per-ideal layout.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import dataclasses
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .analysis import analysis, reader
 from .closure import close, close_by_one, mask_members
@@ -466,12 +475,15 @@ def _prime(
             rest ^= low
             sandwich_prime = not _meet(rows, values[low.bit_length() - 1], outside) & outside
         if sandwich_prime != ringoid_prime:
-            ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
-            raise TheoremViolation(
-                f"prime criteria disagree on {ideal!r}: "
-                f"principal={ringoid_prime} sandwich={sandwich_prime}"
-            )
+            raise _prime_disagreement(s, mask, ringoid_prime, sandwich_prime)
     return ringoid_prime, witness
+
+
+def _prime_disagreement(s: CayleyStructure, mask: int, ringoid_prime: bool, sandwich_prime: bool) -> TheoremViolation:
+    ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+    return TheoremViolation(
+        f"prime criteria disagree on {ideal!r}: principal={ringoid_prime} sandwich={sandwich_prime}"
+    )
 
 
 def _meet(rows: Sequence[int], elements: int, outside: int) -> int:
@@ -680,56 +692,190 @@ def _t_classification(s: CayleyStructure, mask: int, t_mask: int) -> IdealClassi
 
 
 def _classify_lattice(s: CayleyStructure) -> dict[int, IdealClassification]:
-    """The classification of every two-sided ideal, by mask, in one pass.
+    """The classification of every two-sided ideal, by mask, in one pass:
+    the subtractive, prime, 2-absorbing, elementwise semiprime and radical
+    tests run once per ideal when the lattice has at most n ideals, and
+    once per element tuple over all ideals when it has more."""
+    lattice = ideal_masks(s, TWO_SIDED)
+    return _lattice_classes(s, lattice, _sliced_witnesses if len(lattice) > s.size else _per_ideal_witnesses)
+
+
+def _lattice_classes(s: CayleyStructure, lattice: tuple[int, ...], walk: Callable) -> dict[int, IdealClassification]:
+    """The classification of every ideal of the two-sided lattice, with the
+    per-test witnesses found by ``walk`` (either layout gives the same).
 
     Bit j of ``holds[v]`` (``squared[v]``) is set when v lies in the j-th
     ideal of the lattice (in its elementwise square), so the first ideal
     outside I whose square lies inside I, and the first proper strict
-    superset of I, are lowest bits of a few ORs and ANDs. Each ideal's
-    residual rows serve its prime and 2-absorbing tests and are dropped;
-    its subtractive, prime and radical verdicts are stored per mask. A flag
-    is false exactly when its witness is recorded."""
-    ctx, commutative = analysis(s), check_laws(s).is_commutative_semiring
-    lattice, full = ideal_masks(s, TWO_SIDED), (1 << s.size) - 1
+    superset of I, are lowest bits of a few ORs and ANDs (kept to
+    nonnegative operands, which are several times cheaper on the long
+    bitsets of a large lattice). The walk stores each ideal's subtractive,
+    prime and radical verdicts per mask. A flag is false exactly when its
+    witness is recorded."""
+    commutative, full = check_laws(s).is_commutative_semiring, (1 << s.size) - 1
     members = list(map(mask_members, lattice))
-    holds, squared = [0] * s.size, [0] * s.size
-    for j, jm in enumerate(members):
-        for v in jm:
-            holds[v] |= 1 << j
+    holds, squared = _transpose(lattice, s.size), [0] * s.size
     for x, row in enumerate(s.mul):
         for y, xy in enumerate(row):
             squared[xy] |= holds[x] & holds[y]
+    found = walk(s, lattice, members, holds)
     improper = 1 << lattice.index(full)
     out = {}
     for j, mask in enumerate(lattice):
-        witnesses = {"subtractive": ctx.get("subtractive", mask, _subtractive, s, mask, members[j])[1]}
+        witnesses = {"subtractive": found["subtractive"][j]}
         if mask == full:
             witnesses.update(dict.fromkeys(_FLAGS[1:], ()))  # every flag but subtractive fails
         else:
-            rows = _residual_rows(s, mask, members[j])
-            witnesses["prime"] = ctx.get("prime", mask, _prime, s, mask, rows)[1]
+            witnesses["prime"] = found["prime"][j]
             outside = mask_members(full & ~mask)
-            first = union_mask(map(holds.__getitem__, outside)) & ~union_mask(map(squared.__getitem__, outside))
-            witnesses["semiprime"] = members[(first & -first).bit_length() - 1] if first else None
+            unheld = union_mask(map(holds.__getitem__, outside))
+            first = unheld ^ (unheld & union_mask(map(squared.__getitem__, outside)))
             if commutative:
-                elem = _semiprime_elementwise(s, mask)
+                elem = found["semiprime"][j]
                 if (elem is None) != (not first):
                     raise TheoremViolation("elementwise and ideal-square semiprime criteria disagree")
                 witnesses["semiprime"] = elem
-            witnesses["two_absorbing"] = _two_absorbing_witness(s, rows)
-            above = functools.reduce(int.__and__, map(holds.__getitem__, members[j])) & ~(1 << j | improper)
+            else:
+                witnesses["semiprime"] = members[(first & -first).bit_length() - 1] if first else None
+            witnesses["two_absorbing"] = found["two_absorbing"][j]
+            above = functools.reduce(int.__and__, map(holds.__getitem__, members[j])) ^ (1 << j | improper)
             witnesses["maximal"] = members[(above & -above).bit_length() - 1] if above else None
         radical_ideal = None
         if commutative:
-            extra = ctx.get("radical", mask, _radical_mask, s, mask) & ~mask
-            radical_ideal = not extra
-            witnesses["radical_ideal"] = mask_members(extra)[:1] if extra else None
+            witnesses["radical_ideal"] = found["radical_ideal"][j]
+            radical_ideal = witnesses["radical_ideal"] is None
         witnesses = {k: w for k, w in witnesses.items() if w is not None}
         flags = {k: k not in witnesses for k in _FLAGS}
         out[mask] = IdealClassification(
             **flags, radical_ideal=radical_ideal, t_semiprime=None, t_element=None, witnesses=witnesses
         )
     return out
+
+
+def _transpose(masks: Sequence[int], width: int) -> list[int]:
+    """The columns of the masks read as rows of a bit matrix: bit j of the
+    v-th column is bit v of masks[j], for v below ``width``."""
+    rows = [f"{m:0{width}b}" for m in reversed(masks)]
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
+
+
+def _per_ideal_witnesses(s: CayleyStructure, lattice: tuple[int, ...], members: list, holds: list) -> dict[str, list]:
+    """Per test, the least witness of each ideal of the lattice (None if it
+    passes), each test run once per ideal on its members (``holds`` is left
+    to the other layout); each proper ideal's residual rows serve its prime
+    and 2-absorbing tests and are dropped."""
+    ctx, commutative, full = analysis(s), check_laws(s).is_commutative_semiring, (1 << s.size) - 1
+    found = {kind: [None] * len(lattice) for kind in _LATTICE_TESTS}
+    for j, (mask, inside) in enumerate(zip(lattice, members)):
+        found["subtractive"][j] = ctx.get("subtractive", mask, _subtractive, s, mask, inside)[1]
+        if mask != full:
+            rows = _residual_rows(s, mask, inside)
+            found["prime"][j] = ctx.get("prime", mask, _prime, s, mask, rows)[1]
+            found["two_absorbing"][j] = _two_absorbing_witness(s, rows)
+            if commutative:
+                found["semiprime"][j] = _semiprime_elementwise(s, mask)
+        if commutative:
+            extra = ctx.get("radical", mask, _radical_mask, s, mask) & ~mask
+            found["radical_ideal"][j] = mask_members(extra)[:1] if extra else None
+    return found
+
+
+_LATTICE_TESTS = ("subtractive", "prime", "two_absorbing", "semiprime", "radical_ideal")
+
+
+def _sliced_witnesses(s: CayleyStructure, lattice: tuple[int, ...], members: list, holds: list) -> dict[str, list]:
+    """What :func:`_per_ideal_witnesses` finds, from one lexicographic walk
+    per test over element tuples (``members`` is left to the other layout).
+    Each tuple yields the bitset of the ideals it falsifies, an AND of the
+    ``holds`` of elements and products and of their complements
+    (``without``); each ideal it newly falsifies takes it as least witness
+    and leaves the walk. The two prime criteria must falsify the same
+    ideals on a semiring."""
+    ctx, rep = analysis(s), check_laws(s)
+    mul, every, full = s.mul, (1 << len(lattice)) - 1, (1 << s.size) - 1
+    without = [every ^ h for h in holds]
+    found = {kind: [None] * len(lattice) for kind in _LATTICE_TESTS}
+
+    def settle(kind: str, bad: int, witness: tuple) -> None:
+        witnesses, bits = found[kind], bin(bad)[:1:-1]
+        j = bits.find("1")
+        while j >= 0:
+            witnesses[j] = witness
+            j = bits.find("1", j + 1)
+
+    # subtractive: x+y inside, just one of x, y
+    pending = every
+    for x, row in enumerate(s.add):
+        for y, v in enumerate(row):
+            bad = holds[v] & (holds[x] ^ holds[y]) & pending
+            if bad:
+                pending ^= bad
+                settle("subtractive", bad, (x, y))
+    # prime: a, b outside and (a)(b) inside; col[v] holds the ideals holding (a)*v
+    held = [[holds[v] for v in row] for row in mul]
+    principal = list(map(mask_members, principal_masks(s, TWO_SIDED)))
+    pending = every
+    for a in range(s.size):
+        cand = pending & without[a]
+        if cand:
+            col = [functools.reduce(int.__and__, column) for column in zip(*map(held.__getitem__, principal[a]))]
+            for b in range(s.size):
+                bad = cand & without[b]
+                for v in principal[b]:
+                    if not bad:
+                        break
+                    bad &= col[v]
+                if bad:
+                    cand ^= bad
+                    pending ^= bad
+                    settle("prime", bad, (a, b))
+    if rep.is_semiring:
+        # sandwich: x, y outside and x*t*y inside for every t
+        sandwich = every
+        for x, values in enumerate(map(mask_members, _absorb(s, RIGHT))):
+            cand = sandwich & without[x]
+            for y in range(s.size if cand else 0):
+                bad = cand & without[y]
+                for w in values:
+                    if not bad:
+                        break
+                    bad &= held[w][y]
+                cand ^= bad
+                sandwich ^= bad
+        if sandwich != pending:
+            low = (sandwich ^ pending) & -(sandwich ^ pending)
+            raise _prime_disagreement(s, lattice[low.bit_length() - 1], bool(pending & low), bool(sandwich & low))
+    # 2-absorbing: (x*y)*z inside, none of x*y, y*z, x*z
+    lacks = [[without[v] for v in row] for row in mul]
+    pending = every
+    for x, row in enumerate(mul):
+        lacks_x = lacks[x]
+        for y, xy in enumerate(row):
+            cand = pending & without[xy]
+            if cand:
+                for z, (h, oy, ox) in enumerate(zip(held[xy], lacks[y], lacks_x)):
+                    bad = cand & h & oy & ox
+                    if bad:
+                        cand ^= bad
+                        pending ^= bad
+                        settle("two_absorbing", bad, (x, y, z))
+    if rep.is_commutative_semiring:
+        # elementwise semiprime: x*x inside, x outside; radical: x's power
+        # orbit meets the ideal, x outside (bit j of meets[x]: x lies in
+        # the radical of the j-th ideal)
+        meets = [union_mask(map(holds.__getitem__, mask_members(orbit))) for orbit in _orbits(s)]
+        squares = [holds[row[x]] for x, row in enumerate(mul)]
+        for kind, falsified in (("semiprime", squares), ("radical_ideal", meets)):
+            pending = every
+            for x, inside in enumerate(falsified):
+                bad = inside & without[x] & pending
+                if bad:
+                    pending ^= bad
+                    settle(kind, bad, (x,))
+        ctx.put("radical", dict(zip(lattice, _transpose(meets, len(lattice)))))
+    ctx.put("subtractive", {m: (w is None, w) for m, w in zip(lattice, found["subtractive"])})
+    ctx.put("prime", {m: (w is None, w) for m, w in zip(lattice, found["prime"]) if m != full})
+    return found
 
 
 def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tuple[int, IdealSet]]:

@@ -456,6 +456,21 @@ def test_annihilator_avoidance_rejects_a_module_over_another_semiring():
         annihilator_avoidance(m, make_ideal(f, [0]), [make_ideal(f, [0, 1, 2, 3])])
 
 
+def test_annihilator_avoidance_checks_each_cover_before_reading_its_mask():
+    """Covers over bool2, lattice-4 and boolean, read as bits of the chain,
+    were once reported as unmet annihilator covers."""
+    s = chain_semiring()
+    m = self_action(s)
+    zero = make_ideal(s, [0])
+    for foreign in (
+        make_ideal(boolean_square(), [0, 2]),
+        make_ideal(diamond_lattice(), [0, 1, 2, 3]),
+        make_ideal(boolean_semifield(), [0, 1]),
+    ):
+        with pytest.raises(StructureError, match="different structure"):
+            annihilator_avoidance(m, zero, [foreign])
+
+
 def test_annihilator_avoidance_rejects_non_annihilators():
     s = chain_semiring()
     m = self_action(s)

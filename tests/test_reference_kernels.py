@@ -20,8 +20,10 @@ and the filter of every n^(n*n) table, which the pruned search for medial
 magmas replaced; the skip-one loops of
 the efficiency test and of the greedy reduction, and the radical and
 elementwise semiprime scans behind the union corollaries, which the stored
-classification flags replaced. The classification oracle reads only these
-loops, never the kernels it checks. Every field and witness must agree,
+classification flags replaced. Both layouts of the lattice pass, once per
+ideal and once per element tuple over all ideals, must give the oracle's
+classifications. The classification oracle reads only these loops, never
+the kernels it checks. Every field and witness must agree,
 and a computation that raises must raise the same error."""
 
 import dataclasses
@@ -39,11 +41,13 @@ from semiringlab.corpus import (
     boolean_semifield,
     boolean_square,
     chain_semiring,
+    corpus_entry,
     corpus_semimodules,
     diamond_lattice,
     saturating,
 )
 from semiringlab import ideals
+from semiringlab.analysis import analysis
 from semiringlab.constructions import direct_product, endomorphism_ringoid, medial_witness
 from semiringlab.covering import (
     HOLDS,
@@ -470,6 +474,140 @@ def test_classification_matches_reference_on_the_saturating_ladder():
     for top in LADDER:
         s = saturating(top)
         assert_classifications_match(s, [None, mult_closure(s, [1]).mask])
+
+
+LAYOUTS = (ideals._per_ideal_witnesses, ideals._sliced_witnesses)
+
+
+def assert_layouts_agree(s, reference=True):
+    """Both layouts, each run on a fresh twin of s, give equal
+    classifications and store equal per-mask facts; with ``reference``,
+    the classifications are the oracle's."""
+    results = []
+    for walk in LAYOUTS:
+        twin = dataclasses.replace(s)
+        classes = ideals._lattice_classes(twin, ideal_masks(twin, TWO_SIDED), walk)
+        facts = {kind: analysis(twin).facts.get(kind) for kind in ("subtractive", "prime", "radical")}
+        results.append((classes, facts))
+    assert results[0] == results[1], s.name
+    if reference:
+        assert results[0][0] == {m: _reference_without_t(s, m) for m in ideal_masks(s, TWO_SIDED)}, s.name
+
+
+def test_both_layouts_agree_with_the_reference_on_the_corpus(all_entries):
+    for entry in all_entries:
+        assert_layouts_agree(entry.structure)
+
+
+@given(any_tables())
+def test_both_layouts_agree_with_the_reference_on_any_tables(s):
+    assert_layouts_agree(s)
+
+
+@given(relabelled_semirings())
+def test_both_layouts_agree_with_the_reference_on_relabelled_semirings(s):
+    assert_layouts_agree(s)
+
+
+def boolean_matrices(upper: bool) -> CayleyStructure:
+    """The 2x2 matrices over the boolean semifield, (a, b, c, d) for
+    [[a, b], [c, d]], all 16 or the 8 upper triangular ones: semirings that
+    are not commutative. In the full one {0} is prime but not completely
+    prime (e11*e22 = 0)."""
+    cells = [m for m in itertools.product((0, 1), repeat=4) if not (upper and m[2])]
+    index = {m: i for i, m in enumerate(cells)}
+
+    def times(p, q):
+        a, b, c, d = p
+        e, f, g, h = q
+        return a & e | b & g, a & f | b & h, c & e | d & g, c & f | d & h
+
+    return CayleyStructure(
+        size=len(cells),
+        add=[[index[tuple(u | v for u, v in zip(p, q))] for q in cells] for p in cells],
+        mul=[[index[times(p, q)] for q in cells] for p in cells],
+        zero=index[0, 0, 0, 0],
+        one=index[1, 0, 0, 1],
+        name="upper-triangular-booleans" if upper else "boolean-matrices",
+    )
+
+
+def test_both_layouts_agree_with_the_reference_on_noncommutative_semirings():
+    """Where x*t*y and y*t*x differ, so a sandwich read the wrong way round
+    would show."""
+    ut, full = boolean_matrices(upper=True), boolean_matrices(upper=False)
+    for s in (ut, full, direct_product([ut, boolean_semifield()]), direct_product([ut, chain_semiring()])):
+        assert check_laws(s).is_semiring and not check_laws(s).mul_commutative
+        assert_layouts_agree(s)
+
+
+def test_both_layouts_agree_on_the_saturating_ladder():
+    """The ladder's classifications, taken in the sliced layout, match the
+    oracle in ``test_classification_matches_reference_on_the_saturating_ladder``;
+    20 elements (1,656 ideals) are too many for the oracle's per-ideal loops."""
+    for top in LADDER:
+        assert_layouts_agree(saturating(top), reference=False)
+    s = saturating(19)
+    assert len(ideal_masks(s, TWO_SIDED)) == 1656
+    assert_layouts_agree(s, reference=False)
+
+
+def _right_absorb_emptied(original):
+    """``_absorb`` with every right product set emptied, so the sandwich
+    criterion finds every proper ideal not prime."""
+
+    def absorb(s, side):
+        return (0,) * s.size if side == ideals.RIGHT else original(s, side)
+
+    return absorb
+
+
+def test_the_cross_checks_fire_in_both_layouts(monkeypatch):
+    """A broken criterion raises the same TheoremViolation in either layout:
+    the sandwich criterion, read through emptied right products, against the
+    principal-product one; and the ideal-square criterion, read over the
+    chain's lattice without {0, a}, the only ideal outside {0} whose square
+    lies in it, against the elementwise one."""
+    prime, semiprime = [], []
+    for walk in LAYOUTS:
+        s = saturating(4)
+        lattice = ideal_masks(s, TWO_SIDED)
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "_absorb", _right_absorb_emptied(ideals._absorb))
+            with pytest.raises(TheoremViolation, match="prime criteria disagree on") as raised:
+                ideals._lattice_classes(s, lattice, walk)
+        prime.append(str(raised.value))
+        chain = chain_semiring()
+        assert ideal_masks(chain, TWO_SIDED) == (0b001, 0b011, 0b111)
+        with pytest.raises(TheoremViolation) as raised:
+            ideals._lattice_classes(chain, (0b001, 0b111), walk)
+        semiprime.append(str(raised.value))
+    assert prime[0] == prime[1] == (
+        "prime criteria disagree on <IdealSet two-sided [0] of saturating-5>: principal=True sandwich=False"
+    )
+    assert semiprime[0] == semiprime[1] == "elementwise and ideal-square semiprime criteria disagree"
+
+
+def test_the_layout_follows_the_lattice_size(monkeypatch, all_entries):
+    """Lattices of more than n ideals are classified per element tuple, the
+    others per ideal: every ladder rung, and no corpus entry nor
+    f2xy x boolean (16 elements, 12 ideals)."""
+    walked = []
+    for walk in LAYOUTS:
+
+        def counted(s, *args, _walk=walk):
+            walked.append((s.name, _walk.__name__))
+            return _walk(s, *args)
+
+        monkeypatch.setattr(ideals, walk.__name__, counted)
+    ladder = [saturating(top) for top in LADDER]
+    others = [dataclasses.replace(e.structure) for e in all_entries]
+    others.append(direct_product([corpus_entry("f2xy").structure, boolean_semifield()]))
+    for s in ladder + others:
+        ideals._classify_lattice(s)
+    assert walked == [(s.name, "_sliced_witnesses") for s in ladder] + [
+        (s.name, "_per_ideal_witnesses") for s in others
+    ]
 
 
 def test_quotient_matches_reference_on_the_saturating_ladder():
