@@ -64,17 +64,23 @@ def endomorphism_ringoid(
     base = tuple(map(tuple, table))
     endos = magma_endomorphisms(base, cap)
     index = {f: i for i, f in enumerate(endos)}
-    size = len(endos)
-    add = [
-        [index[tuple(base[f[x]][g[x]] for x in range(n))] for g in endos]
-        for f in endos
-    ]
-    mul = [[index[tuple(f[g[x]] for x in range(n))] for g in endos] for f in endos]
+    # cols[x] holds g(x) for every endomorphism g, as bytes: the n^n maps
+    # enumerated above leave n far below 256. The row of f in either table is
+    # then one C gather per point x, through f(x)'s row of the magma for the
+    # sum and through f itself for the composite, zipped back into maps.
+    cols = [bytes(f[x] for f in endos) for x in range(n)]
+    luts = [bytes(row).ljust(256, b"\0") for row in base]
+
+    def indices(gathers) -> tuple[int, ...]:
+        return tuple(map(index.__getitem__, zip(*gathers)))
+
+    add = tuple(indices([cols[x].translate(luts[f[x]]) for x in range(n)]) for f in endos)
+    mul = tuple(indices([col.translate(bytes(f).ljust(256, b"\0")) for col in cols]) for f in endos)
     identity = index[tuple(range(n))]
     return EndomorphismRingoid(
-        size=size,
-        add=tuple(map(tuple, add)),
-        mul=tuple(map(tuple, mul)),
+        size=len(endos),
+        add=add,
+        mul=mul,
         zero=None,
         one=identity,
         name=name or f"End(magma of size {n})",

@@ -3,38 +3,45 @@
 Carriers are index sets 0..size-1 and binary operations are row-major tables,
 so every law is decidable by quantifier elimination over the carrier. One
 kernel, ``least_witness``, finds every witness: it walks the prefixes of the
-law's variables in lexicographic order and compares the two sides of the law
-as whole rows over the last variable. Failing laws therefore always carry the
-lexicographically least witness tuple, which keeps reports deterministic and
-golden-testable. The rows of the three-variable laws (associativity,
-distributivity, mediality) are ``bytes`` when the tables have at most 256
-columns: with ``rows[v]`` row v as bytes and ``luts[v]`` the same row padded
-to 256 entries, the gather ``[T[u][y] for y in T[v]]`` is
-``rows[v].translate(luts[u])``, done in C, and the two sides compare as
-memory. A report builds these byte views once per table, each row on first
-use, since a law that fails at its first prefixes reads only a few. Wider
-tables, from 257 elements up to ``CARRIER_CAP``, take the same laws on lists.
+law's variables in lexicographic order and compares the two sides over the
+other variables, flattened row-major, unflattening the first difference with
+``divmod``. Failing laws therefore always carry the lexicographically least
+witness tuple, which keeps reports deterministic and golden-testable.
 
-``check_laws`` proves some laws on a generating set instead of scanning every
-tuple. ``generators`` picks one greedily with the closure kernel of
-:mod:`semiringlab.closure`. By Light's test (Clifford & Preston, *The
-Algebraic Theory of Semigroups*, vol. 1, 1961), an operation is associative
-when (xg)y = x(gy) for every generator g; this is applied to both operations.
-Over an associative addition, a(g+c) = ag+ac for every additive generator g
-gives left distributivity, and the same test on the transposed
-multiplication gives right distributivity. ``_additive_laws`` is the one
-place that holds these premises: ``check_laws``, the semimodule check and
-``commutative_monoid_table`` all take an addition's laws from it. A reduced
-test only says "holds": when it fails, a full ``least_witness`` scan runs,
-so every witness is the one the full scan finds. Light's test is closed over
-every first coordinate at once, so its full scan starts again from the
-first prefix. Distributivity is closed for each multiplier on its own, so
-the multipliers before the first one that fails on generators have no
-witness, and only that multiplier's rows are scanned in full. Mediality
-of addition follows from associativity plus commutativity, so it is settled
-without a scan when both hold. Otherwise only the prefixes with b < c are
-walked: swapping b and c swaps the two sides of (a+b)+(c+d) = (a+c)+(b+d),
-so the least failing tuple has b < c.
+The three-variable laws (associativity, distributivity, mediality) run on
+``bytes`` when the tables have at most 256 columns: with ``rows[v]`` row v as
+bytes and ``luts[v]`` that row padded to 256 entries, the gather
+``[T[v][y] for y in T[u]]`` is ``rows[u].translate(luts[v])``, done in C. A
+first coordinate is one block, both sides over the last two variables joined
+from such gathers and compared as memory; blocks come in order and are
+row-major inside, so the first difference is the least witness. Mediality
+keeps its blocks at n^2 bytes, one per prefix (a, b). Wider tables, up to
+``CARRIER_CAP``, take the same laws as list rows over the last variable.
+
+``check_laws`` proves some laws on a generating set, which ``generators``
+picks greedily with the closure kernel of :mod:`semiringlab.closure`. By
+Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*,
+vol. 1, 1961), an operation is associative when (xg)y = x(gy) for every
+generator g; this is applied to both operations. Over an associative
+addition, a(g+c) = ag+ac for every additive generator g gives a(b+c) = ab+ac
+for every b. Over an associative multiplication, which ``_law_report``
+decides first, the multipliers a that distribute are closed under products,
+so both distributive laws (the right one on the transposed multiplication)
+hold once they hold at every multiplicative generator. ``_additive_laws``
+holds these premises for ``check_laws``, the semimodule check and
+``commutative_monoid_table``. A reduced test only says "holds"; when it
+fails, a full scan finds the witness. Light's test is closed over every
+first coordinate at once, so its full scan starts from the first prefix.
+Distributivity at the additive generators is closed per multiplier, so only
+the block of the first multiplier that fails there is scanned in full.
+Mediality of addition follows from associativity plus commutativity, so it
+is settled without a scan when both hold; otherwise only the tuples with
+b < c are walked, as swapping b and c swaps the two sides of
+(a+b)+(c+d) = (a+c)+(b+d).
+
+The other laws are decided a row at a time: a neutral element's row and
+column compare as tuples with the identity, ``row.index`` finds the least
+zero sum or zero divisor, and complements are counted over zipped rows.
 
 ``semimodule_check`` runs on a semiring that ``require_semiring`` has
 proved, so it reduces two more laws over the scalars. The t with
@@ -54,6 +61,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
+from operator import countOf, ne
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -229,28 +238,33 @@ def _freeze_witnesses(report) -> None:
 
 def _neutral(table: Table, n: int) -> Optional[int]:
     """Least two-sided neutral element of a magma table, if any."""
-    for e in range(n):
-        row = table[e]
-        if all(row[x] == x and table[x][e] == x for x in range(n)):
-            return e
+    ident = tuple(range(n))
+    return next((e for e, row in enumerate(table) if row == ident and tuple(r[e] for r in table) == ident), None)
+
+
+def _zero_pair(table: Table, z: int) -> Optional[tuple[int, int]]:
+    """Least (a, b) with a != z != b and ab = z, a row at a time: a pair of
+    zero divisors, or, on an addition with neutral z, a zero sum."""
+    for a, row in enumerate(table):
+        if a != z and row.count(z) > (row[z] == z):
+            b = row.index(z)
+            return a, row.index(z, b + 1) if b == z else b
     return None
 
 
-def least_witness(shape: Sequence[int], rows: Callable[..., tuple]) -> Optional[tuple[int, ...]]:
+def least_witness(shape: Sequence[int], rows: Callable[..., tuple], inner: int = 1) -> Optional[tuple[int, ...]]:
     """Lexicographically least tuple over ``range(shape[0]) x ... x range(shape[-1])``
-    that falsifies a law, or None when the law holds.
-
-    ``rows(*prefix)`` gives the law's two sides at a prefix of every coordinate
-    but the last, as two sequences of one type indexed by the last coordinate.
+    that falsifies a law, or None when the law holds. ``rows(*prefix)`` gives
+    the two sides at a prefix of all but the last ``inner`` (1 or 2)
+    coordinates, as two sequences of one type over those, flattened row-major.
     Prefixes are walked in lexicographic order, and the first differing index
-    of the first unequal pair closes the witness.
-    """
-    for prefix in itertools.product(*(range(n) for n in shape[:-1])):
+    of the first unequal pair, unflattened, closes the witness."""
+    outer = len(shape) - inner
+    for prefix in itertools.product(*map(range, shape[:outer])):
         lhs, rhs = rows(*prefix)
         if lhs != rhs:
-            for last, (x, y) in enumerate(zip(lhs, rhs)):
-                if x != y:
-                    return (*prefix, last)
+            i = next(itertools.compress(itertools.count(), map(ne, lhs, rhs)))
+            return (*prefix, *divmod(i, shape[-1])) if inner == 2 else (*prefix, i)
     return None
 
 
@@ -258,56 +272,29 @@ def transpose(table: Table) -> Table:
     return tuple(zip(*table))
 
 
-class _ByteRows(dict):
-    """Row v of a table as ``bytes``, built on first use."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: Table):
-        self.table = table
-
-    def __missing__(self, v: int) -> bytes:
-        row = self[v] = bytes(self.table[v])
-        return row
-
-
-class _Luts(dict):
-    """Row v of a table's byte rows padded to the 256 entries that
-    ``bytes.translate`` reads, built on first use."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: _ByteRows):
-        self.rows = rows
-
-    def __missing__(self, v: int) -> bytes:
-        lut = self[v] = self.rows[v].ljust(256, b"\0")
-        return lut
-
-
 # The byte views (rows, luts) of a table, or None when it has more than 256 columns.
-Views = Optional[tuple[_ByteRows, _Luts]]
+Views = Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]
 
 
 def _byte_views(table: Table) -> Views:
-    """The byte views of ``table``: None when it has more than 256 columns,
-    as its entries then need not fit a byte. Every table here has its
-    entries below its column count, so ``rows[u].translate(luts[v])`` is the
-    gather ``[table[v][y] for y in table[u]]``. Each row is built on first
-    use: a law that fails at its first prefixes reads only a few."""
+    """The byte views of ``table``, or None when its entries need not fit a
+    byte. Every table here has its entries below its column count, so
+    ``rows[u].translate(luts[v])`` is ``[table[v][y] for y in table[u]]``."""
     if len(table[0]) > 256:
         return None
-    rows = _ByteRows(table)
-    return rows, _Luts(rows)
+    rows = tuple(map(bytes, table))
+    return rows, tuple(row.ljust(256, b"\0") for row in rows)
 
 
-def _associative_rows(mul: Table, act: Table, views: Views = None) -> Callable:
-    """(st)x and s(tx) as rows over x, at a prefix (s, t): ``bytes`` gathered
-    in C when ``views`` are the byte views of ``act``, lists otherwise."""
+def _associative_rows(mul: Table, act: Table, views: Views, mids: Sequence[int]) -> tuple:
+    """(st)x and s(tx) for t in ``mids``: on the byte views of ``act``, the
+    join of ``rows[mul[s][t]]`` against the join of the ``rows[t]`` gathered
+    through ``luts[s]``; list rows otherwise."""
     if views is None:
-        return lambda s, t: (list(act[mul[s][t]]), [act[s][y] for y in act[t]])
+        return lambda s, i: (list(act[mul[s][mids[i]]]), [act[s][y] for y in act[mids[i]]]), 1
     rows, luts = views
-    return lambda s, t: (rows[mul[s][t]], rows[t].translate(luts[s]))
+    joined = b"".join(map(rows.__getitem__, mids))
+    return lambda s: (b"".join(map(rows.__getitem__, map(mul[s].__getitem__, mids))), joined.translate(luts[s])), 2
 
 
 def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
@@ -316,14 +303,29 @@ def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
     return least_witness((len(table),) * 2, lambda a: (table[a], cols[a]))
 
 
-def _distributive_rows(add: Table, mul: Table, add_views: Views = None, mul_views: Views = None) -> Callable:
-    """a(b+c) and ab+ac as rows over c, at a prefix (a, b): ``bytes`` when
-    both tables have byte views (they have, or have not, together, as
-    ``mul`` has a column per element of ``add``), lists otherwise."""
+def _distributive_rows(add: Table, mul: Table, add_views: Views, mul_views: Views, mids: Sequence[int]) -> tuple:
+    """a(b+c) and ab+ac for b in ``mids``: on byte views (both tables have
+    them or neither, as ``mul`` has a column per element of ``add``), the
+    join of the rows of ``add`` gathered through a's lut against the join
+    of a's row gathered through the luts of the ab; list rows otherwise."""
     if add_views is None or mul_views is None:
-        return lambda a, b: ([mul[a][x] for x in add[b]], [add[mul[a][b]][y] for y in mul[a]])
+        return lambda a, i: ([mul[a][x] for x in add[mids[i]]], [add[mul[a][mids[i]]][y] for y in mul[a]]), 1
     (add_rows, add_luts), (mul_rows, mul_luts) = add_views, mul_views
-    return lambda a, b: (add_rows[b].translate(mul_luts[a]), mul_rows[a].translate(add_luts[mul[a][b]]))
+    joined = b"".join(map(add_rows.__getitem__, mids))
+    return lambda a: (
+        joined.translate(mul_luts[a]),
+        b"".join(map(mul_rows[a].translate, map(add_luts.__getitem__, map(mul[a].__getitem__, mids)))),
+    ), 2
+
+
+def _scan(firsts: Sequence[int], mids: Sequence[int], last: int, law: Callable) -> Optional[tuple[int, int, int]]:
+    """Least (a, b, c) falsifying a law in three variables with a in
+    ``firsts`` and b in ``mids``, each walked in order, and c below ``last``:
+    ``law(mids)`` gives the law's rows and the number of variables they cover."""
+    rows, inner = law(mids)
+    walk = rows if firsts == range(len(firsts)) else lambda i, *b: rows(firsts[i], *b)
+    w = least_witness((len(firsts), len(mids), last), walk, inner)
+    return None if w is None else (firsts[w[0]], mids[w[1]], w[2])
 
 
 def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int]]:
@@ -331,7 +333,8 @@ def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int
     multiplier and one column per element of ``add``. Right distributivity is
     this law for ``transpose(mul)``."""
     n = len(add)
-    return least_witness((len(mul), n, n), _distributive_rows(add, mul, _byte_views(add), _byte_views(mul)))
+    law = partial(_distributive_rows, add, mul, _byte_views(add), _byte_views(mul))
+    return _scan(range(len(mul)), range(n), n, law)
 
 
 def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
@@ -341,32 +344,31 @@ def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, i
     return _medial_witness(t, _byte_views(t))
 
 
-def _medial_rows(t: Table, pairs: Sequence[tuple[int, int]], views: Views = None) -> Callable:
-    """(a+b)+(c+d) and (a+c)+(b+d) as rows over d, at a prefix (a, k) where
-    (b, c) = pairs[k]: ``bytes`` when ``views`` are the byte views of ``t``,
-    lists otherwise."""
-    if views is None:
-        def rows(a, k):
-            b, c = pairs[k]
-            return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
-    else:
-        byte_rows, luts = views
-
-        def rows(a, k):
-            b, c = pairs[k]
-            return byte_rows[c].translate(luts[t[a][b]]), byte_rows[b].translate(luts[t[a][c]])
-    return rows
+def _medial_list_rows(t: Table, a: int, b: int, c: int) -> tuple[list, list]:
+    return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
 
 
 def _medial_witness(t: Table, views: Views) -> Optional[tuple[int, int, int, int]]:
     """``medial_witness`` of a validated table with its byte views. Swapping
-    b and c swaps the two sides, so the failing tuples are symmetric under
-    b <-> c and none has b = c: the least one has b < c, and only those
-    prefixes are walked."""
+    b and c swaps the two sides, so the least failing tuple has b < c, and
+    only those are walked: a block over (c > b, d) per prefix (a, b) on byte
+    views, list rows per prefix (a, b, c) otherwise."""
     n = len(t)
-    pairs = tuple(itertools.combinations(range(n), 2))
-    w = least_witness((n, len(pairs), n), _medial_rows(t, pairs, views))
-    return None if w is None else (w[0], *pairs[w[1]], w[2])
+    if views is None:
+        pairs = tuple(itertools.combinations(range(n), 2))
+        w = least_witness((n, len(pairs), n), lambda a, k: _medial_list_rows(t, a, *pairs[k]))
+        return None if w is None else (w[0], *pairs[w[1]], w[2])
+    rows, luts = views
+    flat = b"".join(rows)
+    w = least_witness(
+        (n, n, n, n),
+        lambda a, b: (
+            flat[(b + 1) * n :].translate(luts[t[a][b]]),
+            b"".join(map(rows[b].translate, map(luts.__getitem__, t[a][b + 1 :]))),
+        ),
+        2,
+    )  # the witness's c counts from b + 1
+    return None if w is None else (w[0], w[1], w[1] + 1 + w[2], w[3])
 
 
 def generators(table: Table) -> tuple[int, ...]:
@@ -383,30 +385,31 @@ def generators(table: Table) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _generated_witness(gens: Sequence[int], shape: Sequence[int], rows: Callable) -> Optional[tuple[int, ...]]:
-    """``least_witness(shape, rows)`` for a law in three variables that holds
-    once it holds with its middle variable on ``gens``. That reduced test
-    only ever says "holds": when it fails, or when ``gens`` is the whole
-    middle range and so reduces nothing, the full scan runs."""
+def _generated_witness(gens: Sequence[int], shape: Sequence[int], law: Callable) -> Optional[tuple[int, ...]]:
+    """Least witness of a law in three variables that holds once it holds
+    with its middle variable on ``gens``: the full scan runs when that
+    reduced test fails or, on the whole middle range, reduces nothing."""
     first, middle, last = shape
-    if len(gens) < middle and least_witness((first, len(gens), last), lambda a, i: rows(a, gens[i])) is None:
+    if len(gens) < middle and _scan(range(first), gens, last, law) is None:
         return None
-    return least_witness(shape, rows)
+    return _scan(range(first), range(middle), last, law)
 
 
-def _first_block_witness(gens: Sequence[int], shape: Sequence[int], rows: Callable) -> Optional[tuple[int, ...]]:
-    """``least_witness(shape, rows)`` for a law in three variables that holds
-    at a first coordinate a once it holds there with its middle variable on
-    ``gens``. The reduced scan walks the first coordinates in order, so the
-    first a where it fails is the first a with any witness, and only a's
-    block is scanned in full. ``gens`` is either a proper subset or the
-    whole middle range in order, which reduces nothing."""
+def _first_block_witness(gens: Sequence[int], shape: Sequence[int], law: Callable, firsts=None) -> Optional[tuple]:
+    """Least witness of a law in three variables that holds at a first
+    coordinate a once it holds there with its middle variable on ``gens``
+    (a proper subset, or the whole middle range in order): only the block of
+    the first a where that reduced scan fails is scanned in full. ``firsts``,
+    when given, generate the first coordinates under a product that keeps
+    the a where the law holds, so a reduced scan over them that passes
+    proves the law."""
     first, middle, last = shape
-    w = least_witness((first, len(gens), last), lambda a, i: rows(a, gens[i]))
+    if firsts is not None and len(firsts) < first and _scan(firsts, gens, last, law) is None:
+        return None
+    w = _scan(range(first), gens, last, law)
     if w is None or len(gens) == middle:
         return w
-    a = w[0]
-    return (a, *least_witness((middle, last), lambda b: rows(a, b)))
+    return _scan((w[0],), range(middle), last, law)
 
 
 @reader("laws")
@@ -417,24 +420,23 @@ def check_laws(s: CayleyStructure) -> LawReport:
 
 
 def _additive_laws(
-    add: Table, add_views: Views, muls: Sequence[tuple[Table, Views]]
+    add: Table, add_views: Views, muls: Sequence[tuple[Table, Views]], firsts: Optional[Sequence[int]] = None
 ) -> tuple[Optional[tuple], Optional[tuple], list]:
     """The associativity and commutativity witnesses of ``add``, and the
     distributivity witness of each table of ``muls`` over it (one row per
     multiplier, one column per element of ``add``), each given with its
-    byte views.
-
-    Light's test: (x+g)+y = x+(g+y) for every generator g of ``add`` makes
-    it associative. Over an associative addition, a(g+c) = ag+ac for every
-    generator g gives a(b+c) = ab+ac for every b, by induction on b, for
-    each multiplier a on its own; otherwise every b is scanned."""
+    byte views. ``firsts``, when given, generate the multipliers under an
+    associative product that keeps those that distribute. Over an
+    associative addition, a(g+c) = ag+ac for every generator g gives
+    a(b+c) = ab+ac for every b, by induction on b, for each multiplier a on
+    its own; otherwise every b is scanned."""
     n = len(add)
     gens = generators(add)
-    associative = _generated_witness(gens, (n, n, n), _associative_rows(add, add, add_views))
+    associative = _generated_witness(gens, (n, n, n), partial(_associative_rows, add, add, add_views))
     dist_gens = gens if associative is None else range(n)
     distributive = [
-        _first_block_witness(dist_gens, (len(mul), n, n), _distributive_rows(add, mul, add_views, mul_views))
-        for mul, mul_views in muls
+        _first_block_witness(dist_gens, (len(mul), n, n), partial(_distributive_rows, add, mul, add_views, v), firsts)
+        for mul, v in muls
     ]
     return associative, commutative_witness(add), distributive
 
@@ -458,42 +460,38 @@ def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
     add_views, mul_views = _byte_views(add), _byte_views(mul)
-    add_associative, add_commutative, (left, right) = _additive_laws(
-        add, add_views, ((mul, mul_views), (mul_cols, _byte_views(mul_cols)))
-    )
+    mul_gens = generators(mul)
+    mul_associative = _generated_witness(mul_gens, (n, n, n), partial(_associative_rows, mul, mul, mul_views))
+    # over an associative multiplication, the a with a(b+c) = ab+ac for every
+    # b and c are closed under products, and so are those on the transpose
+    firsts = mul_gens if mul_associative is None else None
+    muls = ((mul, mul_views), (mul_cols, _byte_views(mul_cols)))
+    add_associative, add_commutative, (left, right) = _additive_laws(add, add_views, muls, firsts)
     zero, one = _neutral(add, n), _neutral(mul, n)
     z, e = zero, one
-
-    def complements(r):
-        return sum(
-            mul[r][rp] == z and mul[rp][r] == z and add[r][rp] == e and add[rp][r] == e for rp in range(n)
-        )
-
     found = {
         "left_distributive": left,
         "right_distributive": right,
         "add_associative": add_associative,
         "add_commutative": add_commutative,
-        "add_medial": (
-            None if add_associative is None and add_commutative is None else _medial_witness(add, add_views)
-        ),
-        "mul_associative": _generated_witness(generators(mul), (n, n, n), _associative_rows(mul, mul, mul_views)),
+        "add_medial": None if add_associative is None and add_commutative is None else _medial_witness(add, add_views),
+        "mul_associative": mul_associative,
         "mul_commutative": commutative_witness(mul),
         "has_zero": None if zero is not None else (),
         "zero_absorbing": () if zero is None else least_witness(
             (n,), lambda: (list(zip(mul[z], mul_cols[z])), [(z, z)] * n)
         ),
-        "zerosumfree": () if zero is None else least_witness(
-            (n, n), lambda a: ([v == z and (a != z or b != z) for b, v in enumerate(add[a])], [False] * n)
-        ),
-        "entire": () if zero is None else least_witness(
-            (n, n), lambda a: ([v == z and a != z and b != z for b, v in enumerate(mul[a])], [False] * n)
-        ),
+        # a sum a+b = z with a = z or b = z has a = b = z, as z is neutral
+        "zerosumfree": () if zero is None else _zero_pair(add, z),
+        "entire": () if zero is None else _zero_pair(mul, z),
         "has_one": None if one is not None else (),
-        "complemented": () if zero is None or one is None else least_witness(
-            (n,), lambda: ([complements(r) for r in range(n)], [1] * n)
+        # r's complements are the c with (rc, cr, r+c, c+r) = (z, z, e, e)
+        "complemented": () if zero is None or one is None else next(
+            ((r,) for r, cells in enumerate(map(zip, mul, mul_cols, add, transpose(add)))
+             if countOf(cells, (z, z, e, e)) != 1),
+            None,
         ),
-        "mul_idempotent": least_witness((n,), lambda: ([mul[r][r] for r in range(n)], list(range(n)))),
+        "mul_idempotent": next(((r,) for r, row in enumerate(mul) if row[r] != r), None),
     }
     witnesses = {law: w for law, w in found.items() if w is not None}
     return LawReport(**{law: law not in witnesses for law in LAW_NAMES}, zero=zero, one=one, witnesses=witnesses)
@@ -668,11 +666,13 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
         # Light's test over the scalars: the t with (st)x = s(tx) for every s
         # and x are closed under products, as the semiring's multiplication
         # is associative
-        "action_associative": _generated_witness(generators(smul), (n, n, k), _associative_rows(smul, act, act_views)),
-        "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
-        "scalar_add_distributes": _generated_witness(
-            sum_gens, (n, n, k), lambda s, t: (list(act[sadd[s][t]]), [madd[x][y] for x, y in zip(act[s], act[t])])
+        "action_associative": _generated_witness(
+            generators(smul), (n, n, k), partial(_associative_rows, smul, act, act_views)
         ),
+        "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
+        "scalar_add_distributes": _generated_witness(sum_gens, (n, n, k), lambda mids: (
+            lambda s, i: (list(act[sadd[s][mids[i]]]), [madd[x][y] for x, y in zip(act[s], act[mids[i]])]), 1
+        )),
         "module_add_distributes": module_add_distributes,
         "zero_scalar_absorbs": least_witness((k,), lambda: (list(act[rep.zero]), [mz] * k)),
         "scalar_zero_absorbs": least_witness((n,), lambda: ([row[mz] for row in act], [mz] * n)),

@@ -9,9 +9,11 @@ the per-constructor table loops that ``product_table`` and
 ``encode_tuple`` they packed cells with; and the per-pair bodies of the
 covering checks that the covering kernel replaced: ``mccoy_exponent``,
 ``union_avoidance_suite`` and ``t_semiprime_avoidance``, with the skip-one
-``_redundant`` loop they tested efficiency with; and ``_quotient_tables``,
+``_redundant`` loop they tested efficiency with; ``_quotient_tables``,
 which built the total quotient's tables from its pair classes until the
-quotient became e*S."""
+quotient became e*S; and ``endomorphism_tables``, the per-cell
+comprehensions that ``endomorphism_ringoid`` built its tables with before
+its byte gathers."""
 
 import functools
 import itertools
@@ -127,6 +129,16 @@ def closed_sets(n: int, close: Callable[[int], int]) -> tuple[int, ...]:
                 break
         found.append(b)
     return tuple(found)
+
+
+def endomorphism_tables(base, endos) -> tuple[list, list]:
+    """The pointwise sum and the composition tables of the endomorphisms
+    ``endos`` of the magma ``base``, one tuple per cell."""
+    n = len(base)
+    index = {f: i for i, f in enumerate(endos)}
+    add = [[index[tuple(base[f[x]][g[x]] for x in range(n))] for g in endos] for f in endos]
+    mul = [[index[tuple(f[g[x]] for x in range(n))] for g in endos] for f in endos]
+    return add, mul
 
 
 def encode_tuple(values: Sequence[int], base: int) -> int:

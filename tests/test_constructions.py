@@ -30,6 +30,7 @@ from semiringlab.corpus import (
 )
 from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.ideals import enumerate_ideals, is_subtractive
+from semiringlab.suites import medial_magma_corpus
 from semiringlab.tables import check_laws
 
 import helpers
@@ -58,6 +59,19 @@ def test_endomorphisms_of_singleton():
     er = endomorphism_ringoid([[0]])
     assert er.size == 1
     assert check_laws(er).is_ringoid
+
+
+def test_endomorphism_tables_match_the_per_cell_comprehensions():
+    """The byte gathers build the same sum and composition tables as one
+    tuple per cell, over the whole medial-magma corpus (its 4-element
+    tables have up to 256 endomorphisms)."""
+    corpus_tables = medial_magma_corpus()
+    assert len(corpus_tables) == 385
+    for table in corpus_tables:
+        er = endomorphism_ringoid(table)
+        add, mul = helpers.endomorphism_tables(er.base, er.endos)
+        assert er.add == tuple(map(tuple, add)) and er.mul == tuple(map(tuple, mul))
+        assert er.one == er.endos.index(tuple(range(len(table))))
 
 
 def test_non_medial_magma_rejected():

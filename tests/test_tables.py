@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab import tables
-from semiringlab.constructions import direct_product
+from semiringlab.constructions import direct_product, endomorphism_ringoid
 from semiringlab.corpus import (
     boolean_semifield,
     chain_semiring,
@@ -28,12 +28,12 @@ from semiringlab.tables import (
     _distributive_rows,
     _first_block_witness,
     _law_report,
-    _medial_rows,
+    _medial_witness,
+    _scan,
     _semimodule_report,
     check_laws,
     generators,
     is_semifield,
-    least_witness,
     semimodule_check,
     self_action,
     transpose,
@@ -230,6 +230,72 @@ def test_random_tables_witnesses_are_valid_size3(add_flat, mul_flat):
     assert_laws_match_oracle(_square(add_flat, 3), _square(mul_flat, 3))
 
 
+@st.composite
+def tables_with_neutrals(draw):
+    """An addition and a multiplication on 1-5 elements, each given a
+    neutral element at a drawn index, or left as drawn, so the laws read
+    off the zero and the one are decided too."""
+    n = draw(st.integers(1, 5))
+    tables = []
+    for _ in range(2):
+        table = [list(draw(st.tuples(*(st.integers(0, n - 1) for _ in range(n))))) for _ in range(n)]
+        e = draw(st.none() | st.integers(0, n - 1))
+        if e is not None:
+            for x in range(n):
+                table[e][x] = table[x][e] = x
+        tables.append(tuple(map(tuple, table)))
+    return tables
+
+
+@given(tables_with_neutrals())
+def test_random_tables_with_neutrals_match_oracle(tables):
+    assert_laws_match_oracle(*tables)
+
+
+def test_row_level_laws_at_their_edges(all_entries):
+    """zerosumfree, entire, complemented and the neutral elements are
+    decided a row at a time: each edge case against the oracle."""
+    # the zero at the last index: every corpus entry with a zero, relabelled
+    # so that its zero is the last element, and its one-cell mutants
+    rng = random.Random(4)
+    for entry in all_entries:
+        s = entry.structure
+        z = check_laws(s).zero
+        if z is None or z == s.size - 1:
+            continue
+        perm = list(range(s.size))
+        perm[z], perm[-1] = perm[-1], perm[z]
+        add, mul = _relabelled(s.add, perm), _relabelled(s.mul, perm)
+        assert check_laws(CayleyStructure(s.size, add, mul)).zero == s.size - 1
+        assert_laws_match_oracle(add, mul)
+        for mutant in _one_cell_mutants(mul, rng, 4):
+            assert_laws_match_oracle(add, mutant)
+    chain_max = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
+    # the zero only at (z, z), in both tables
+    rep = check_laws(CayleyStructure(3, chain_max, chain_max))
+    assert rep.zerosumfree and rep.entire and rep.witnesses["zero_absorbing"] == (1,)
+    assert_laws_match_oracle(chain_max, chain_max)
+    # 1*0 = 0 is no zero divisor pair, 1*2 = 0 is, with the zero first,
+    # in the middle and last
+    for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+        add, mul = _relabelled(chain_max, perm), _relabelled(((0, 0, 0), (0, 2, 0), (0, 0, 2)), perm)
+        w = check_laws(CayleyStructure(3, add, mul)).witnesses["entire"]
+        assert sorted(w) == sorted((perm[1], perm[2])) and mul[w[0]][w[1]] == perm[0]
+        assert_laws_match_oracle(add, mul)
+    # 2 has the two complements 2 and 3; 0, 1 and 3 have one each
+    add = ((0, 1, 2, 3), (1, 1, 2, 3), (2, 2, 1, 1), (3, 3, 1, 3))
+    mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 0, 0), (0, 3, 0, 3))
+    assert check_laws(CayleyStructure(4, add, mul)).witnesses["complemented"] == (2,)
+    assert_laws_match_oracle(add, mul)
+    # every row of x+y = y is the identity row, and no column is: no neutral
+    # element; and the transposed table, every column and no row
+    right = tuple(tuple(range(3)) for _ in range(3))
+    for add, mul in ((right, transpose(right)), (transpose(right), right)):
+        rep = check_laws(CayleyStructure(3, add, mul))
+        assert (rep.zero, rep.one) == (None, None) and rep.witnesses["has_zero"] == ()
+        assert_laws_match_oracle(add, mul)
+
+
 def _generated(table, gens):
     """The subset generated by ``gens``: products taken until nothing is new."""
     got = set(gens)
@@ -305,53 +371,101 @@ def test_first_block_scan_holds_for_any_generating_set():
     fails at b = 3; the full scan of that multiplier's block finds b = 1.
     (With the greedy generators (0, 1) the reduced witness is already the
     least, since every element below the first failing generator lies in
-    the sums of the ones before it.)"""
+    the sums of the ones before it.) Blocks and list rows agree."""
     z4 = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
     mul = ((0, 2, 0, 2), (0, 1, 0, 0))
-    rows = _distributive_rows(z4, mul)
-    assert least_witness((2, 4, 4), rows) == (1, 1, 1)
-    assert least_witness((2, 2, 4), lambda a, i: rows(a, (0, 3)[i])) == (1, 1, 1)  # that is b = 3
-    assert _first_block_witness((0, 3), (2, 4, 4), rows) == (1, 1, 1)
-    assert _first_block_witness(generators(z4), (2, 4, 4), rows) == (1, 1, 1)
+    for views in ((_byte_views(z4), _byte_views(mul)), (None, None)):
+        law = functools.partial(_distributive_rows, z4, mul, *views)
+        assert _scan(range(2), range(4), 4, law) == (1, 1, 1)
+        assert _scan(range(2), (0, 3), 4, law) == (1, 3, 1)
+        assert _first_block_witness((0, 3), (2, 4, 4), law) == (1, 1, 1)
+        assert _first_block_witness(generators(z4), (2, 4, 4), law) == (1, 1, 1)
+
+
+def test_multiplicative_generators_are_not_used_without_associativity():
+    """Over the max of the 3-chain, the multiplication below is generated
+    by 0 (0*0 = 1, 0*1 = 2) and 0 distributes, but 1 does not:
+    1(0 max 2) = 0 != 2 = 1*0 max 1*2. The multiplication is not
+    associative, so the multipliers that distribute need not be closed
+    under products, and the report must come from the full scan."""
+    chain_max = tuple(tuple(max(x, y) for y in range(3)) for x in range(3))
+    mul = ((1, 2, 2), (2, 2, 0), (1, 2, 2))
+    rep = check_laws(CayleyStructure(3, chain_max, mul))
+    assert not rep.mul_associative and generators(mul) == (0,)
+    law = functools.partial(_distributive_rows, chain_max, mul, _byte_views(chain_max), _byte_views(mul))
+    assert _scan((0,), range(3), 3, law) is None
+    assert rep.witnesses["left_distributive"] == (1, 0, 2)
+    assert_laws_match_oracle(chain_max, mul)
+
+
+def test_failing_multiplier_below_the_first_failing_generator():
+    """Over Z/3, the associative multiplication below is generated by
+    (1, 2), as 2*0 = 0. Multiplier 0 = (0, 0, 2) does not distribute and is
+    not among those generators; 1 is the identity and distributes; 2 fails
+    too. The reduced pass first fails at 2, and the scan over every
+    multiplier in order finds the least witness at 0. The greedy
+    generators cannot show this: every element below a greedy generator
+    is generated by the ones before it, so it distributes when they do."""
+    z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
+    mul = ((0, 0, 2), (0, 1, 2), (0, 0, 2))
+    assert check_laws(CayleyStructure(3, z3, mul)).mul_associative
+    for views in ((_byte_views(z3), _byte_views(mul)), (None, None)):
+        law = functools.partial(_distributive_rows, z3, mul, *views)
+        assert _scan((1, 2), generators(z3), 3, law)[0] == 2
+        assert _first_block_witness(generators(z3), (3, 3, 3), law, firsts=(1, 2)) == (0, 1, 1)
+        assert _scan(range(3), range(3), 3, law) == (0, 1, 1)
+    assert_laws_match_oracle(z3, mul)
+
+
+def test_endomorphism_ringoids_reduced_over_multiplicative_generators(monkeypatch):
+    """The endomorphisms of the constant magma on 4 elements (64) and of
+    the left projection on 3 (27). Every element is an additive generator
+    of both, so no scan reduces over the addition; composition is
+    associative with 33 and 10 generators, and both distributive laws are
+    proved on those."""
+    rings = [endomorphism_ringoid([[0] * 4] * 4), endomorphism_ringoid([[x] * 3 for x in range(3)])]
+    assert [(r.size, len(generators(r.add)), len(generators(r.mul))) for r in rings] == [(64, 64, 33), (27, 27, 10)]
+    for r in rings:
+        assert check_laws(r).mul_associative
+        assert_laws_match_oracle(r.add, r.mul)
+    on_bytes, on_lists = _reports_both_ways(monkeypatch, _law_report, rings)
+    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_lists]
+    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_lists]
 
 
 def _associative(mul, act):
     """(st)x = s(tx), its middle variable reduced on ``mul``'s generators."""
     n, k = len(mul), len(act[0])
-    views = _byte_views(act)
-    return (n, n, k), generators(mul), _associative_rows(mul, act), _associative_rows(mul, act, views)
+    laws = (functools.partial(_associative_rows, mul, act, views) for views in (_byte_views(act), None))
+    return (n, n, k), generators(mul), *laws
 
 
 def _distributive(add, mul):
     """a(b+c) = ab+ac, its middle variable reduced on ``add``'s generators."""
     n = len(add)
-    views = _byte_views(add), _byte_views(mul)
-    return (len(mul), n, n), generators(add), _distributive_rows(add, mul), _distributive_rows(add, mul, *views)
-
-
-def _medial(add):
-    """(a+b)+(c+d) = (a+c)+(b+d) on the prefixes with b < c, unreduced."""
-    n = len(add)
-    pairs = tuple(itertools.combinations(range(n), 2))
-    every = range(len(pairs))
-    return (n, len(pairs), n), every, _medial_rows(add, pairs), _medial_rows(add, pairs, _byte_views(add))
+    both_views = (_byte_views(add), _byte_views(mul)), (None, None)
+    laws = (functools.partial(_distributive_rows, add, mul, *views) for views in both_views)
+    return (len(mul), n, n), generators(add), *laws
 
 
 @functools.lru_cache(maxsize=None)
-def assert_byte_rows_match_list_rows_of(law, *operands):
-    """Byte rows and list rows of one law scan give one least witness, in
-    the full scan and in the scan with the middle variable on generators.
-    Kept per law and operands: a one-cell mutant of one table of a
-    structure shares the other with its original."""
-    (first, middle, last), gens, list_rows, byte_rows = law(*operands)
-    assert least_witness((first, middle, last), byte_rows) == least_witness((first, middle, last), list_rows)
-    reduced = (first, len(gens), last)
-    assert least_witness(reduced, lambda a, i: byte_rows(a, gens[i])) == least_witness(
-        reduced, lambda a, i: list_rows(a, gens[i])
-    )
+def assert_blocks_match_list_rows_of(law, *operands):
+    """Blocks and list rows of one law give one least witness, in the full
+    scan and in the scan with the middle variable on generators. Kept per
+    law and operands: a one-cell mutant of one table of a structure shares
+    the other with its original."""
+    (first, middle, last), gens, blocks, list_rows = law(*operands)
+    assert blocks(gens)[1] == 2 and list_rows(gens)[1] == 1
+    for mids in (range(middle), gens):
+        assert _scan(range(first), mids, last, blocks) == _scan(range(first), mids, last, list_rows)
 
 
-def assert_byte_rows_match_list_rows(add, mul):
+@functools.lru_cache(maxsize=None)
+def assert_medial_blocks_match_list_rows(add):
+    assert _medial_witness(add, _byte_views(add)) == _medial_witness(add, None)
+
+
+def assert_blocks_match_list_rows(add, mul):
     """Every three-variable law scan that ``check_laws`` and the semimodule
     check run on (add, mul), with ``add`` also standing as an action of
     ``mul``'s carrier, and mediality only where ``check_laws`` scans it."""
@@ -362,15 +476,15 @@ def assert_byte_rows_match_list_rows(add, mul):
         (_distributive, (add, mul)),
         (_distributive, (add, transpose(mul))),
     ):
-        assert_byte_rows_match_list_rows_of(law, *operands)
+        assert_blocks_match_list_rows_of(law, *operands)
     if oracle_magma(add)[1:] != (None, None):
-        assert_byte_rows_match_list_rows_of(_medial, add)
+        assert_medial_blocks_match_list_rows(add)
 
 
 @given(st.integers(1, 5).flatmap(lambda n: st.tuples(*(st.integers(0, n - 1) for _ in range(2 * n * n)))))
 def test_byte_rows_match_list_rows_on_random_tables(flat):
     n = round((len(flat) // 2) ** 0.5)
-    assert_byte_rows_match_list_rows(_square(flat[: n * n], n), _square(flat[n * n :], n))
+    assert_blocks_match_list_rows(_square(flat[: n * n], n), _square(flat[n * n :], n))
 
 
 def test_byte_rows_match_list_rows_on_flag_products_relabellings_and_mutants():
@@ -381,25 +495,25 @@ def test_byte_rows_match_list_rows_on_flag_products_relabellings_and_mutants():
         if a.size * b.size > 64:
             continue
         p = direct_product([a, b])
-        assert_byte_rows_match_list_rows(p.add, p.mul)
+        assert_blocks_match_list_rows(p.add, p.mul)
         perm = list(range(p.size))
         rng.shuffle(perm)
-        assert_byte_rows_match_list_rows(_relabelled(p.add, perm), _relabelled(p.mul, perm))
+        assert_blocks_match_list_rows(_relabelled(p.add, perm), _relabelled(p.mul, perm))
         for mutant in _one_cell_mutants(p.add, rng, 8):
-            assert_byte_rows_match_list_rows(mutant, p.mul)
+            assert_blocks_match_list_rows(mutant, p.mul)
         for mutant in _one_cell_mutants(p.mul, rng, 8):
-            assert_byte_rows_match_list_rows(p.add, mutant)
+            assert_blocks_match_list_rows(p.add, mutant)
 
 
 def test_byte_rows_match_list_rows_on_corpus_one_cell_mutants(all_entries):
     rng = random.Random(0)
     for entry in all_entries:
         s = entry.structure
-        assert_byte_rows_match_list_rows(s.add, s.mul)
+        assert_blocks_match_list_rows(s.add, s.mul)
         for add in _one_cell_mutants(s.add, rng, 8):
-            assert_byte_rows_match_list_rows(add, s.mul)
+            assert_blocks_match_list_rows(add, s.mul)
         for mul in _one_cell_mutants(s.mul, rng, 8):
-            assert_byte_rows_match_list_rows(s.add, mul)
+            assert_blocks_match_list_rows(s.add, mul)
 
 
 def _reports_both_ways(monkeypatch, report, structures):
@@ -446,18 +560,21 @@ def test_random_tables_at_the_byte_boundary(monkeypatch, n):
 
 def test_boolean_power_scans_every_prefix_on_byte_rows():
     """On boolean^8 every law holds and the generators of the AND are the
-    whole carrier, so multiplicative and action associativity walk all
-    65,536 prefixes on byte rows. The byte rows equal the list rows at every
-    (s, t) with s in a stride of the carrier."""
+    whole carrier, so multiplicative and action associativity walk all 256
+    blocks of 65,536 bytes. Each block at an s in a stride of the carrier
+    equals the list rows at (s, t) for every t, joined."""
     b = direct_product([boolean_semifield()] * 8)
     assert generators(b.mul) == tuple(range(256))
     rep = check_laws(b)
     assert rep.is_commutative_semiring and rep.zerosumfree and rep.mul_idempotent and rep.complemented
     assert set(rep.witnesses) == {"entire"}
     assert semimodule_check(self_action(b)).valid
-    list_rows, byte_rows = _associative_rows(b.mul, b.mul), _associative_rows(b.mul, b.mul, _byte_views(b.mul))
-    for s, t in itertools.product(range(0, 256, 17), range(256)):
-        assert [list(side) for side in byte_rows(s, t)] == list(list_rows(s, t))
+    blocks, inner = _associative_rows(b.mul, b.mul, _byte_views(b.mul), range(256))
+    list_rows, _ = _associative_rows(b.mul, b.mul, None, range(256))
+    assert inner == 2
+    for s in range(0, 256, 17):
+        joined = [itertools.chain.from_iterable(side) for side in zip(*(list_rows(s, t) for t in range(256)))]
+        assert [list(side) for side in blocks(s)] == [list(side) for side in joined]
 
 
 def _subsets_module(extra_top):
