@@ -30,6 +30,7 @@ from .tables import (
     least_witness,
     medial_witness,
     transpose,
+    _Rows,
     _is_index,
     _neutral,
 )
@@ -64,18 +65,18 @@ def endomorphism_ringoid(
     base = tuple(map(tuple, table))
     endos = magma_endomorphisms(base, cap)
     index = {f: i for i, f in enumerate(endos)}
-    # cols[x] holds g(x) for every endomorphism g, as bytes: the n^n maps
-    # enumerated above leave n far below 256. The row of f in either table is
-    # then one C gather per point x, through f(x)'s row of the magma for the
-    # sum and through f itself for the composite, zipped back into maps.
-    cols = [bytes(f[x] for f in endos) for x in range(n)]
-    luts = [bytes(row).ljust(256, b"\0") for row in base]
+    # gathers[x] gathers g(x) for every endomorphism g through a row. The
+    # row of f in the sum is one gather per point x, through f(x)'s row of
+    # the magma, and in the composite one per x through f itself, zipped
+    # back into maps. The magma and the maps both have n columns: one form.
+    magma, maps = _Rows(base), _Rows(endos)
+    gathers = tuple(map(magma.through, map(magma.form, zip(*endos))))
 
-    def indices(gathers) -> tuple[int, ...]:
-        return tuple(map(index.__getitem__, zip(*gathers)))
+    def indices(gathered) -> tuple[int, ...]:
+        return tuple(map(index.__getitem__, zip(*gathered)))
 
-    add = tuple(indices([cols[x].translate(luts[f[x]]) for x in range(n)]) for f in endos)
-    mul = tuple(indices([col.translate(bytes(f).ljust(256, b"\0")) for col in cols]) for f in endos)
+    add = tuple(indices([gather(magma.luts[f[x]]) for x, gather in enumerate(gathers)]) for f in endos)
+    mul = tuple(indices([gather(lut) for gather in gathers]) for lut in maps.luts)
     identity = index[tuple(range(n))]
     return EndomorphismRingoid(
         size=len(endos),
@@ -210,7 +211,7 @@ class Hemialgebra(CayleyStructure):
         return encode_tuple(coords, (self.constants.semifield.size,) * self.constants.dim)
 
 
-def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str = "") -> Hemialgebra:
+def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
     """Tuple space over a semifield with componentwise addition and the
     bilinear multiplication determined by the structure constants."""
     k = constants.semifield
@@ -218,8 +219,8 @@ def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str
         raise StructureError("structure constants must live over a semifield")
     dim, gamma = constants.dim, constants.gamma
     size = k.size**dim
-    if size > cap:
-        raise CapExceeded(f"carrier of size {size} exceeds cap {cap}")
+    if size > CARRIER_CAP:
+        raise CapExceeded(f"carrier of size {size} exceeds cap {CARRIER_CAP}")
     zero_k = check_laws(k).zero
     # a zero constant adds a zero term, and zero is neutral in a semifield
     terms = [
@@ -326,14 +327,14 @@ class ProductStructure(CayleyStructure):
         return encode_tuple(coords, [f.size for f in self.factors])
 
 
-def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, name: str = "") -> ProductStructure:
+def direct_product(factors: Sequence[CayleyStructure], name: str = "") -> ProductStructure:
     factors = tuple(factors)
     if not factors:
         raise StructureError("need at least one factor")
     radices = [f.size for f in factors]
     size = math.prod(radices)
-    if size > cap:
-        raise CapExceeded(f"product carrier of size {size} exceeds cap {cap}")
+    if size > CARRIER_CAP:
+        raise CapExceeded(f"product carrier of size {size} exceeds cap {CARRIER_CAP}")
     zero = one = None
     if all(f.zero is not None for f in factors):
         zero = encode_tuple([f.zero for f in factors], radices)
@@ -370,7 +371,7 @@ class MonoidSemiring(CayleyStructure):
 
 
 def monoid_semiring(
-    s: CayleyStructure, monoid: Sequence[Sequence[int]], cap: int = CARRIER_CAP, name: str = ""
+    s: CayleyStructure, monoid: Sequence[Sequence[int]], name: str = ""
 ) -> MonoidSemiring:
     rep = check_laws(s)
     if not rep.is_semiring:
@@ -378,8 +379,8 @@ def monoid_semiring(
     g, e = commutative_monoid_table(monoid)
     gn = len(g)
     size = s.size**gn
-    if size > cap:
-        raise CapExceeded(f"monoid semiring of size {size} exceeds cap {cap}")
+    if size > CARRIER_CAP:
+        raise CapExceeded(f"monoid semiring of size {size} exceeds cap {CARRIER_CAP}")
     # coefficient k collects the index pairs (i, j) with g_i g_j = g_k
     terms: list[list[tuple]] = [[] for _ in range(gn)]
     for i in range(gn):
@@ -420,7 +421,7 @@ class PolynomialHemiring(CayleyStructure):
 
 
 def truncated_polynomial_hemiring(
-    h: CayleyStructure, degree_cap: int, cap: int = CARRIER_CAP, name: str = ""
+    h: CayleyStructure, degree_cap: int, name: str = ""
 ) -> PolynomialHemiring:
     rep = check_laws(h)
     if not rep.is_na_hemiring:
@@ -429,8 +430,8 @@ def truncated_polynomial_hemiring(
         raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
     length = degree_cap + 1
     size = h.size**length
-    if size > cap:
-        raise CapExceeded(f"polynomial carrier of size {size} exceeds cap {cap}")
+    if size > CARRIER_CAP:
+        raise CapExceeded(f"polynomial carrier of size {size} exceeds cap {CARRIER_CAP}")
     radices = [h.size] * length
     one = None
     if rep.has_one:

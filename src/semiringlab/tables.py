@@ -8,15 +8,14 @@ other variables, flattened row-major, unflattening the first difference with
 ``divmod``. Failing laws therefore always carry the lexicographically least
 witness tuple, which keeps reports deterministic and golden-testable.
 
-The three-variable laws (associativity, distributivity, mediality) run on
-``bytes`` when the tables have at most 256 columns: with ``rows[v]`` row v as
-bytes and ``luts[v]`` that row padded to 256 entries, the gather
-``[T[v][y] for y in T[u]]`` is ``rows[u].translate(luts[v])``, done in C. A
-first coordinate is one block, both sides over the last two variables joined
-from such gathers and compared as memory; blocks come in order and are
-row-major inside, so the first difference is the least witness. Mediality
-keeps its blocks at n^2 bytes, one per prefix (a, b). Wider tables, up to
-``CARRIER_CAP``, take the same laws as list rows over the last variable.
+The three-variable laws (associativity, distributivity, mediality) are
+written once, over one gather done in C, ``[T[v][y] for y in seq]``, in the
+form the row view ``_Rows`` picks: ``seq.translate(luts[v])`` on ``bytes``
+rows up to 256 columns, ``itemgetter(*seq)(T[v])`` on the tuple rows of a
+wider table. A first coordinate is one block, both sides over the last two
+variables joined from such gathers and compared as one sequence; blocks
+come in order and are row-major inside, so the first difference is the
+least witness. Mediality keeps its blocks at n^2 entries, one per (a, b).
 
 ``check_laws`` proves some laws on a generating set, which ``generators``
 picks greedily with the closure kernel of :mod:`semiringlab.closure`. By
@@ -62,7 +61,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from operator import countOf, ne
+from operator import attrgetter, countOf, itemgetter, ne
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -112,6 +111,8 @@ def freeze_table(rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: st
     """Copy rows into tuples, validating type, shape and entry range."""
     if not isinstance(rows, (list, tuple)):
         raise StructureError(f"{what}: expected a list of rows, got {type(rows).__name__}")
+    if not rows:
+        raise StructureError(f"{what}: a table needs at least one row")
     if len(rows) != nrows:
         raise StructureError(f"{what}: expected {nrows} rows, got {len(rows)}")
     out = []
@@ -255,8 +256,9 @@ def _zero_pair(table: Table, z: int) -> Optional[tuple[int, int]]:
 def least_witness(shape: Sequence[int], rows: Callable[..., tuple], inner: int = 1) -> Optional[tuple[int, ...]]:
     """Lexicographically least tuple over ``range(shape[0]) x ... x range(shape[-1])``
     that falsifies a law, or None when the law holds. ``rows(*prefix)`` gives
-    the two sides at a prefix of all but the last ``inner`` (1 or 2)
-    coordinates, as two sequences of one type over those, flattened row-major.
+    the two sides at a prefix of all but the last ``inner`` coordinates, as
+    two sequences of one type, flattened row-major: 2 for the blocks of the
+    three-variable laws, 1 for the other laws and ``scalar_add_distributes``.
     Prefixes are walked in lexicographic order, and the first differing index
     of the first unequal pair, unflattened, closes the witness."""
     outer = len(shape) - inner
@@ -272,29 +274,41 @@ def transpose(table: Table) -> Table:
     return tuple(zip(*table))
 
 
-# The byte views (rows, luts) of a table, or None when it has more than 256 columns.
-Views = Optional[tuple[tuple[bytes, ...], tuple[bytes, ...]]]
+def _concat(seqs) -> tuple:
+    return tuple(itertools.chain.from_iterable(seqs))
 
 
-def _byte_views(table: Table) -> Views:
-    """The byte views of ``table``, or None when its entries need not fit a
-    byte. Every table here has its entries below its column count, so
-    ``rows[u].translate(luts[v])`` is ``[table[v][y] for y in table[u]]``."""
-    if len(table[0]) > 256:
-        return None
-    rows = tuple(map(bytes, table))
-    return rows, tuple(row.ljust(256, b"\0") for row in rows)
+def _tuple_getter(seq: Sequence[int]) -> Callable[[Row], tuple]:
+    """``itemgetter(*seq)``, giving a tuple also for fewer than two indices."""
+    return itemgetter(*seq) if len(seq) > 1 else lambda row: tuple(map(row.__getitem__, seq))
 
 
-def _associative_rows(mul: Table, act: Table, views: Views, mids: Sequence[int]) -> tuple:
-    """(st)x and s(tx) for t in ``mids``: on the byte views of ``act``, the
-    join of ``rows[mul[s][t]]`` against the join of the ``rows[t]`` gathered
-    through ``luts[s]``; list rows otherwise."""
-    if views is None:
-        return lambda s, i: (list(act[mul[s][mids[i]]]), [act[s][y] for y in act[mids[i]]]), 1
-    rows, luts = views
-    joined = b"".join(map(rows.__getitem__, mids))
-    return lambda s: (b"".join(map(rows.__getitem__, map(mul[s].__getitem__, mids))), joined.translate(luts[s])), 2
+class _Rows:
+    """A table's rows in the one form its gathers take: ``bytes`` up to
+    ``byte_columns`` columns, with ``luts[v]`` row v padded to 256 entries,
+    else its tuple rows, each its own lut. ``form`` makes a sequence of the
+    form, ``join`` concatenates them, and ``through(seq)(luts[v])`` gathers
+    ``[table[v][y] for y in seq]`` by ``bytes.translate`` or ``itemgetter``."""
+
+    byte_columns = 256
+
+    def __init__(self, table: Table):
+        self.table = table
+        if len(table[0]) <= self.byte_columns:
+            self.form, self.join, self.through = bytes, b"".join, attrgetter("translate")
+            self.rows = tuple(map(bytes, table))
+            self.luts = tuple(row.ljust(256, b"\0") for row in self.rows)
+        else:
+            self.form, self.join, self.through = tuple, _concat, _tuple_getter
+            self.rows = self.luts = table
+
+
+def _associative_rows(mul: Table, act: _Rows, mids: Sequence[int]) -> tuple:
+    """(st)x and s(tx) for t in ``mids``: the rows of ``act`` at the st,
+    joined, against the rows at ``mids``, joined and gathered through row s."""
+    rows, luts, join = act.rows, act.luts, act.join
+    gather = act.through(join(map(rows.__getitem__, mids)))
+    return lambda s: (join(map(rows.__getitem__, map(mul[s].__getitem__, mids))), gather(luts[s])), 2
 
 
 def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
@@ -303,25 +317,24 @@ def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
     return least_witness((len(table),) * 2, lambda a: (table[a], cols[a]))
 
 
-def _distributive_rows(add: Table, mul: Table, add_views: Views, mul_views: Views, mids: Sequence[int]) -> tuple:
-    """a(b+c) and ab+ac for b in ``mids``: on byte views (both tables have
-    them or neither, as ``mul`` has a column per element of ``add``), the
-    join of the rows of ``add`` gathered through a's lut against the join
-    of a's row gathered through the luts of the ab; list rows otherwise."""
-    if add_views is None or mul_views is None:
-        return lambda a, i: ([mul[a][x] for x in add[mids[i]]], [add[mul[a][mids[i]]][y] for y in mul[a]]), 1
-    (add_rows, add_luts), (mul_rows, mul_luts) = add_views, mul_views
-    joined = b"".join(map(add_rows.__getitem__, mids))
+def _distributive_rows(add: _Rows, mul: _Rows, mids: Sequence[int]) -> tuple:
+    """a(b+c) and ab+ac for b in ``mids``: the rows of ``add`` at ``mids``,
+    joined and gathered through row a of ``mul``, against row a gathered
+    through the rows of ``add`` at the ab. ``mul`` has a column per element
+    of ``add``, so both views take one form."""
+    rows, muls, luts, join, through = mul.rows, mul.luts, add.luts, add.join, add.through
+    gather = through(join(map(add.rows.__getitem__, mids)))
     return lambda a: (
-        joined.translate(mul_luts[a]),
-        b"".join(map(mul_rows[a].translate, map(add_luts.__getitem__, map(mul[a].__getitem__, mids)))),
+        gather(muls[a]),
+        join(map(through(rows[a]), map(luts.__getitem__, map(rows[a].__getitem__, mids)))),
     ), 2
 
 
 def _scan(firsts: Sequence[int], mids: Sequence[int], last: int, law: Callable) -> Optional[tuple[int, int, int]]:
     """Least (a, b, c) falsifying a law in three variables with a in
     ``firsts`` and b in ``mids``, each walked in order, and c below ``last``:
-    ``law(mids)`` gives the law's rows and the number of variables they cover."""
+    ``law(mids)`` gives the law's rows and the number of variables they
+    cover: 2 for blocks, 1 for the list rows of ``scalar_add_distributes``."""
     rows, inner = law(mids)
     walk = rows if firsts == range(len(firsts)) else lambda i, *b: rows(firsts[i], *b)
     w = least_witness((len(firsts), len(mids), last), walk, inner)
@@ -333,38 +346,27 @@ def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int
     multiplier and one column per element of ``add``. Right distributivity is
     this law for ``transpose(mul)``."""
     n = len(add)
-    law = partial(_distributive_rows, add, mul, _byte_views(add), _byte_views(mul))
-    return _scan(range(len(mul)), range(n), n, law)
+    return _scan(range(len(mul)), range(n), n, partial(_distributive_rows, _Rows(add), _Rows(mul)))
 
 
 def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
     """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
     n = len(table)
-    t = freeze_table(table, n, n, "magma")
-    return _medial_witness(t, _byte_views(t))
+    return _medial_witness(_Rows(freeze_table(table, n, n, "magma")))
 
 
-def _medial_list_rows(t: Table, a: int, b: int, c: int) -> tuple[list, list]:
-    return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
-
-
-def _medial_witness(t: Table, views: Views) -> Optional[tuple[int, int, int, int]]:
-    """``medial_witness`` of a validated table with its byte views. Swapping
-    b and c swaps the two sides, so the least failing tuple has b < c, and
-    only those are walked: a block over (c > b, d) per prefix (a, b) on byte
-    views, list rows per prefix (a, b, c) otherwise."""
-    n = len(t)
-    if views is None:
-        pairs = tuple(itertools.combinations(range(n), 2))
-        w = least_witness((n, len(pairs), n), lambda a, k: _medial_list_rows(t, a, *pairs[k]))
-        return None if w is None else (w[0], *pairs[w[1]], w[2])
-    rows, luts = views
-    flat = b"".join(rows)
+def _medial_witness(t: _Rows) -> Optional[tuple[int, int, int, int]]:
+    """``medial_witness`` of a validated table's rows. Swapping b and c swaps
+    the two sides, so the least failing tuple has b < c, and only those are
+    walked: one block over (c > b, d) per prefix (a, b)."""
+    n = len(t.rows)
+    rows, luts, join, through = t.rows, t.luts, t.join, t.through
+    flat = join(rows)
     w = least_witness(
         (n, n, n, n),
         lambda a, b: (
-            flat[(b + 1) * n :].translate(luts[t[a][b]]),
-            b"".join(map(rows[b].translate, map(luts.__getitem__, t[a][b + 1 :]))),
+            through(flat[(b + 1) * n :])(luts[rows[a][b]]),
+            join(map(through(rows[b]), map(luts.__getitem__, rows[a][b + 1 :]))),
         ),
         2,
     )  # the witness's c counts from b + 1
@@ -420,32 +422,32 @@ def check_laws(s: CayleyStructure) -> LawReport:
 
 
 def _additive_laws(
-    add: Table, add_views: Views, muls: Sequence[tuple[Table, Views]], firsts: Optional[Sequence[int]] = None
+    add: _Rows, muls: Sequence[_Rows], firsts: Optional[Sequence[int]] = None
 ) -> tuple[Optional[tuple], Optional[tuple], list]:
     """The associativity and commutativity witnesses of ``add``, and the
-    distributivity witness of each table of ``muls`` over it (one row per
-    multiplier, one column per element of ``add``), each given with its
-    byte views. ``firsts``, when given, generate the multipliers under an
-    associative product that keeps those that distribute. Over an
-    associative addition, a(g+c) = ag+ac for every generator g gives
-    a(b+c) = ab+ac for every b, by induction on b, for each multiplier a on
-    its own; otherwise every b is scanned."""
-    n = len(add)
-    gens = generators(add)
-    associative = _generated_witness(gens, (n, n, n), partial(_associative_rows, add, add, add_views))
+    distributivity witness over it of each of ``muls`` (one row per
+    multiplier, one column per element of ``add``), all given as row views.
+    ``firsts``, when given, generate the multipliers under an associative
+    product that keeps those that distribute. Over an associative addition,
+    a(g+c) = ag+ac for every generator g gives a(b+c) = ab+ac for every b,
+    by induction on b, for each multiplier a on its own; otherwise every b
+    is scanned."""
+    n = len(add.rows)
+    gens = generators(add.table)
+    associative = _generated_witness(gens, (n, n, n), partial(_associative_rows, add.table, add))
     dist_gens = gens if associative is None else range(n)
     distributive = [
-        _first_block_witness(dist_gens, (len(mul), n, n), partial(_distributive_rows, add, mul, add_views, v), firsts)
-        for mul, v in muls
+        _first_block_witness(dist_gens, (len(mul.rows), n, n), partial(_distributive_rows, add, mul), firsts)
+        for mul in muls
     ]
-    return associative, commutative_witness(add), distributive
+    return associative, commutative_witness(add.table), distributive
 
 
 def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int]:
     """Validate a commutative monoid table, returning it with its identity."""
     n = len(table)
     t = freeze_table(table, n, n, "monoid")
-    associative, commutative, _ = _additive_laws(t, _byte_views(t), ())
+    associative, commutative, _ = _additive_laws(_Rows(t), ())
     if associative is not None:
         raise StructureError(f"monoid operation not associative, witness {associative}")
     if commutative is not None:
@@ -459,14 +461,13 @@ def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int
 def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
-    add_views, mul_views = _byte_views(add), _byte_views(mul)
+    add_rows, mul_rows = _Rows(add), _Rows(mul)
     mul_gens = generators(mul)
-    mul_associative = _generated_witness(mul_gens, (n, n, n), partial(_associative_rows, mul, mul, mul_views))
+    mul_associative = _generated_witness(mul_gens, (n, n, n), partial(_associative_rows, mul, mul_rows))
     # over an associative multiplication, the a with a(b+c) = ab+ac for every
     # b and c are closed under products, and so are those on the transpose
     firsts = mul_gens if mul_associative is None else None
-    muls = ((mul, mul_views), (mul_cols, _byte_views(mul_cols)))
-    add_associative, add_commutative, (left, right) = _additive_laws(add, add_views, muls, firsts)
+    add_associative, add_commutative, (left, right) = _additive_laws(add_rows, (mul_rows, _Rows(mul_cols)), firsts)
     zero, one = _neutral(add, n), _neutral(mul, n)
     z, e = zero, one
     found = {
@@ -474,7 +475,7 @@ def _law_report(s: CayleyStructure) -> LawReport:
         "right_distributive": right,
         "add_associative": add_associative,
         "add_commutative": add_commutative,
-        "add_medial": None if add_associative is None and add_commutative is None else _medial_witness(add, add_views),
+        "add_medial": None if add_associative is None and add_commutative is None else _medial_witness(add_rows),
         "mul_associative": mul_associative,
         "mul_commutative": commutative_witness(mul),
         "has_zero": None if zero is not None else (),
@@ -650,10 +651,8 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
     n, k = m.semiring.size, m.msize
     sadd, smul = m.semiring.add, m.semiring.mul
     madd, act, mz = m.madd, m.action, m.mzero
-    act_views = _byte_views(act)
-    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(
-        madd, _byte_views(madd), ((act, act_views),)
-    )
+    act_rows = _Rows(act)
+    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(_Rows(madd), (act_rows,))
     # the t with (s+t)x = sx+tx for every s and x are closed under sums
     # once the module's addition is associative, as the semiring's is
     sum_gens = generators(sadd) if add_associative is None else range(n)
@@ -667,7 +666,7 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
         # and x are closed under products, as the semiring's multiplication
         # is associative
         "action_associative": _generated_witness(
-            generators(smul), (n, n, k), partial(_associative_rows, smul, act, act_views)
+            generators(smul), (n, n, k), partial(_associative_rows, smul, act_rows)
         ),
         "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
         "scalar_add_distributes": _generated_witness(sum_gens, (n, n, k), lambda mids: (

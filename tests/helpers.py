@@ -13,7 +13,10 @@ covering checks that the covering kernel replaced: ``mccoy_exponent``,
 which built the total quotient's tables from its pair classes until the
 quotient became e*S; and ``endomorphism_tables``, the per-cell
 comprehensions that ``endomorphism_ringoid`` built its tables with before
-its byte gathers."""
+its byte gathers; and the list rows that the three-variable laws took, one
+prefix at a time, on tables wider than 256 columns until one row view
+served every width: ``associative_list_rows``, ``distributive_list_rows``
+and ``medial_list_witness``."""
 
 import functools
 import itertools
@@ -50,6 +53,7 @@ from semiringlab.tables import (
     check_laws,
     commutative_monoid_table,
     is_semifield,
+    least_witness,
 )
 
 
@@ -139,6 +143,29 @@ def endomorphism_tables(base, endos) -> tuple[list, list]:
     add = [[index[tuple(base[f[x]][g[x]] for x in range(n))] for g in endos] for f in endos]
     mul = [[index[tuple(f[g[x]] for x in range(n))] for g in endos] for f in endos]
     return add, mul
+
+
+def associative_list_rows(mul, act, mids) -> tuple:
+    """(st)x and s(tx) at each prefix (s, t) with t in ``mids``, for ``_scan``."""
+    return lambda s, i: (list(act[mul[s][mids[i]]]), [act[s][y] for y in act[mids[i]]]), 1
+
+
+def distributive_list_rows(add, mul, mids) -> tuple:
+    """a(b+c) and ab+ac at each prefix (a, b) with b in ``mids``, for ``_scan``."""
+    return lambda a, i: ([mul[a][x] for x in add[mids[i]]], [add[mul[a][mids[i]]][y] for y in mul[a]]), 1
+
+
+def _medial_list_rows(t, a: int, b: int, c: int) -> tuple[list, list]:
+    return [t[t[a][b]][x] for x in t[c]], [t[t[a][c]][y] for y in t[b]]
+
+
+def medial_list_witness(t) -> Optional[tuple[int, int, int, int]]:
+    """Least (a, b, c, d) with (a+b)+(c+d) != (a+c)+(b+d), walking list rows
+    per prefix (a, b, c) with b < c only."""
+    n = len(t)
+    pairs = tuple(itertools.combinations(range(n), 2))
+    w = least_witness((n, len(pairs), n), lambda a, k: _medial_list_rows(t, a, *pairs[k]))
+    return None if w is None else (w[0], *pairs[w[1]], w[2])
 
 
 def encode_tuple(values: Sequence[int], base: int) -> int:

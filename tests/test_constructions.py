@@ -28,10 +28,11 @@ from semiringlab.corpus import (
     dual_numbers_mod2,
     saturating,
 )
-from semiringlab.errors import StructureError, TheoremViolation
+from semiringlab import constructions
+from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
 from semiringlab.ideals import enumerate_ideals, is_subtractive
 from semiringlab.suites import medial_magma_corpus
-from semiringlab.tables import check_laws
+from semiringlab.tables import check_laws, commutative_monoid_table
 
 import helpers
 from helpers import diamond_complement
@@ -235,6 +236,44 @@ def test_constructor_inputs_must_be_integers_in_range():
     for degree_cap in (1.0, True, "1", -1):
         with pytest.raises(StructureError, match="degree cap must be a nonnegative integer"):
             truncated_polynomial_hemiring(b, degree_cap)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        medial_witness,
+        commutative_monoid_table,
+        endomorphism_ringoid,
+        lambda monoid: monoid_semiring(boolean_semifield(), monoid),
+    ],
+    ids=["medial_witness", "commutative_monoid_table", "endomorphism_ringoid", "monoid_semiring"],
+)
+def test_tables_without_rows_are_rejected(build):
+    with pytest.raises(StructureError, match="at least one row"):
+        build([])
+
+
+def test_carriers_past_the_cap_are_refused_before_any_table(monkeypatch):
+    """Each constructor compares its carrier, 2^13 = 8192 elements, with
+    ``CARRIER_CAP`` (4096) before it builds a table."""
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(constructions, "product_table", no_table)
+    monkeypatch.setattr(constructions, "convolution_table", no_table)
+    b = boolean_semifield()
+    cyclic = [[(x + y) % 13 for y in range(13)] for x in range(13)]
+    gamma = tuple(tuple((0,) * 13 for _ in range(13)) for _ in range(13))
+    builds = [
+        lambda: direct_product([b] * 13),
+        lambda: monoid_semiring(b, cyclic),
+        lambda: truncated_polynomial_hemiring(b, 12),
+        lambda: hemialgebra(StructureConstants(semifield=b, dim=13, gamma=gamma)),
+    ]
+    for build in builds:
+        with pytest.raises(CapExceeded, match="8192 exceeds cap 4096"):
+            build()
 
 
 # --- products -----------------------------------------------------------------

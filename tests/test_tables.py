@@ -23,8 +23,8 @@ from semiringlab.tables import (
     FiniteSemimodule,
     LAW_NAMES,
     SEMIMODULE_AXIOMS,
+    _Rows,
     _associative_rows,
-    _byte_views,
     _distributive_rows,
     _first_block_witness,
     _law_report,
@@ -39,6 +39,8 @@ from semiringlab.tables import (
     transpose,
     verify_designations,
 )
+
+import helpers
 
 
 def test_boolean_semifield_all_flags():
@@ -371,11 +373,11 @@ def test_first_block_scan_holds_for_any_generating_set():
     fails at b = 3; the full scan of that multiplier's block finds b = 1.
     (With the greedy generators (0, 1) the reduced witness is already the
     least, since every element below the first failing generator lies in
-    the sums of the ones before it.) Blocks and list rows agree."""
+    the sums of the ones before it.) Byte blocks, tuple blocks and list
+    rows agree."""
     z4 = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
     mul = ((0, 2, 0, 2), (0, 1, 0, 0))
-    for views in ((_byte_views(z4), _byte_views(mul)), (None, None)):
-        law = functools.partial(_distributive_rows, z4, mul, *views)
+    for law in _distributive(z4, mul)[2:]:
         assert _scan(range(2), range(4), 4, law) == (1, 1, 1)
         assert _scan(range(2), (0, 3), 4, law) == (1, 3, 1)
         assert _first_block_witness((0, 3), (2, 4, 4), law) == (1, 1, 1)
@@ -392,8 +394,8 @@ def test_multiplicative_generators_are_not_used_without_associativity():
     mul = ((1, 2, 2), (2, 2, 0), (1, 2, 2))
     rep = check_laws(CayleyStructure(3, chain_max, mul))
     assert not rep.mul_associative and generators(mul) == (0,)
-    law = functools.partial(_distributive_rows, chain_max, mul, _byte_views(chain_max), _byte_views(mul))
-    assert _scan((0,), range(3), 3, law) is None
+    for law in _distributive(chain_max, mul)[2:]:
+        assert _scan((0,), range(3), 3, law) is None
     assert rep.witnesses["left_distributive"] == (1, 0, 2)
     assert_laws_match_oracle(chain_max, mul)
 
@@ -409,8 +411,7 @@ def test_failing_multiplier_below_the_first_failing_generator():
     z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
     mul = ((0, 0, 2), (0, 1, 2), (0, 0, 2))
     assert check_laws(CayleyStructure(3, z3, mul)).mul_associative
-    for views in ((_byte_views(z3), _byte_views(mul)), (None, None)):
-        law = functools.partial(_distributive_rows, z3, mul, *views)
+    for law in _distributive(z3, mul)[2:]:
         assert _scan((1, 2), generators(z3), 3, law)[0] == 2
         assert _first_block_witness(generators(z3), (3, 3, 3), law, firsts=(1, 2)) == (0, 1, 1)
         assert _scan(range(3), range(3), 3, law) == (0, 1, 1)
@@ -428,41 +429,61 @@ def test_endomorphism_ringoids_reduced_over_multiplicative_generators(monkeypatc
     for r in rings:
         assert check_laws(r).mul_associative
         assert_laws_match_oracle(r.add, r.mul)
-    on_bytes, on_lists = _reports_both_ways(monkeypatch, _law_report, rings)
-    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_lists]
-    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_lists]
+    on_bytes, on_tuples = _reports_both_ways(monkeypatch, _law_report, rings)
+    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_tuples]
+    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_tuples]
+
+
+def _tuple_rows(table):
+    """The rows of ``table`` in tuple form, whatever its width."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tables._Rows, "byte_columns", 0)
+        return _Rows(table)
+
+
+def _forms(table):
+    """The types of the rows that ``table`` gets, and gets with tuple rows forced."""
+    return type(_Rows(table).rows[0]), type(_tuple_rows(table).rows[0])
 
 
 def _associative(mul, act):
-    """(st)x = s(tx), its middle variable reduced on ``mul``'s generators."""
+    """(st)x = s(tx), its middle variable reduced on ``mul``'s generators:
+    on byte rows (as wide as ``act`` allows), on tuple rows and on list rows."""
     n, k = len(mul), len(act[0])
-    laws = (functools.partial(_associative_rows, mul, act, views) for views in (_byte_views(act), None))
-    return (n, n, k), generators(mul), *laws
+    laws = (functools.partial(_associative_rows, mul, rows) for rows in (_Rows(act), _tuple_rows(act)))
+    return (n, n, k), generators(mul), *laws, functools.partial(helpers.associative_list_rows, mul, act)
 
 
 def _distributive(add, mul):
-    """a(b+c) = ab+ac, its middle variable reduced on ``add``'s generators."""
+    """a(b+c) = ab+ac, its middle variable reduced on ``add``'s generators:
+    on byte rows (as wide as the tables allow), on tuple rows and on list rows."""
     n = len(add)
-    both_views = (_byte_views(add), _byte_views(mul)), (None, None)
-    laws = (functools.partial(_distributive_rows, add, mul, *views) for views in both_views)
-    return (len(mul), n, n), generators(add), *laws
+    views = ((_Rows(add), _Rows(mul)), (_tuple_rows(add), _tuple_rows(mul)))
+    laws = (functools.partial(_distributive_rows, *rows) for rows in views)
+    return (len(mul), n, n), generators(add), *laws, functools.partial(helpers.distributive_list_rows, add, mul)
 
 
 @functools.lru_cache(maxsize=None)
 def assert_blocks_match_list_rows_of(law, *operands):
-    """Blocks and list rows of one law give one least witness, in the full
-    scan and in the scan with the middle variable on generators. Kept per
+    """Byte blocks, tuple blocks and list rows of one law give one least
+    witness, in the full scan and in the scan with the middle variable on
+    generators, and the two kinds of block hold the same entries. Kept per
     law and operands: a one-cell mutant of one table of a structure shares
     the other with its original."""
-    (first, middle, last), gens, blocks, list_rows = law(*operands)
-    assert blocks(gens)[1] == 2 and list_rows(gens)[1] == 1
+    (first, middle, last), gens, byte_blocks, tuple_blocks, list_rows = law(*operands)
+    assert byte_blocks(gens)[1] == tuple_blocks(gens)[1] == 2 and list_rows(gens)[1] == 1
     for mids in (range(middle), gens):
-        assert _scan(range(first), mids, last, blocks) == _scan(range(first), mids, last, list_rows)
+        scans = [_scan(range(first), mids, last, rows) for rows in (byte_blocks, tuple_blocks, list_rows)]
+        assert scans[0] == scans[1] == scans[2]
+        on_bytes, on_tuples = byte_blocks(mids)[0], tuple_blocks(mids)[0]
+        for a in range(first):
+            assert [bytes(side) for side in on_tuples(a)] == [bytes(side) for side in on_bytes(a)]
 
 
 @functools.lru_cache(maxsize=None)
 def assert_medial_blocks_match_list_rows(add):
-    assert _medial_witness(add, _byte_views(add)) == _medial_witness(add, None)
+    on_bytes, on_tuples = _medial_witness(_Rows(add)), _medial_witness(_tuple_rows(add))
+    assert on_bytes == on_tuples == helpers.medial_list_witness(add)
 
 
 def assert_blocks_match_list_rows(add, mul):
@@ -517,64 +538,83 @@ def test_byte_rows_match_list_rows_on_corpus_one_cell_mutants(all_entries):
 
 
 def _reports_both_ways(monkeypatch, report, structures):
-    """``report`` of each structure on byte rows, then on list rows: with
-    no byte views, every table is taken as wider than a byte."""
+    """``report`` of each structure on byte rows, then on tuple rows: with
+    the byte width at 0 columns, every table takes tuple rows."""
     on_bytes = [report(s) for s in structures]
     with monkeypatch.context() as patch:
-        patch.setattr(tables, "_byte_views", lambda table: None)
+        patch.setattr(tables._Rows, "byte_columns", 0)
         return on_bytes, [report(s) for s in structures]
 
 
 def test_reports_match_the_list_path_on_corpus_ladder_and_mutants(monkeypatch, all_entries):
+    """Reports on byte rows equal those on tuple rows, the path of tables
+    wider than 256 columns, which the list rows took before."""
     rng = random.Random(3)
     structures = [e.structure for e in all_entries] + [saturating(top) for top in range(12, 17)]
     for s in list(structures):
         structures += [CayleyStructure(s.size, add, s.mul) for add in _one_cell_mutants(s.add, rng, 2)]
         structures += [CayleyStructure(s.size, s.add, mul) for mul in _one_cell_mutants(s.mul, rng, 2)]
-    on_bytes, on_lists = _reports_both_ways(monkeypatch, _law_report, structures)
-    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_lists]
-    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_lists]
+    on_bytes, on_tuples = _reports_both_ways(monkeypatch, _law_report, structures)
+    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_tuples]
+    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_tuples]
     modules = [self_action(s) for s in structures if check_laws(s).is_semiring]
     for m in list(modules):
         s, k = m.semiring, m.msize
         modules += [FiniteSemimodule(s, k, madd, m.mzero, m.action) for madd in _one_cell_mutants(m.madd, rng, 2)]
         modules += [FiniteSemimodule(s, k, m.madd, m.mzero, act) for act in _one_cell_mutants(m.action, rng, 2)]
-    on_bytes, on_lists = _reports_both_ways(monkeypatch, _semimodule_report, modules)
-    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_lists]
+    on_bytes, on_tuples = _reports_both_ways(monkeypatch, _semimodule_report, modules)
+    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_tuples]
 
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_random_tables_at_the_byte_boundary(monkeypatch, n):
     """Byte rows serve tables of at most 256 columns; one more column takes
-    the list rows, without ``bytes()`` meeting an entry of 256. Random
+    tuple rows, without ``bytes()`` meeting an entry of 256. Random
     tables fail their laws within the first prefixes, so the independent
     oracle stays cheap at this size."""
     rng = random.Random(n)
     add, mul = ([rng.choices(range(n), k=n) for _ in range(n)] for _ in range(2))
     s = CayleyStructure(n, add, mul)
-    assert (_byte_views(s.add) is None) == (n > 256)
-    (on_bytes,), (on_lists,) = _reports_both_ways(monkeypatch, _law_report, [s])
-    assert on_bytes.witnesses == on_lists.witnesses
+    assert _forms(s.add) == _forms(s.mul) == (bytes if n <= 256 else tuple, tuple)
+    (on_bytes,), (on_tuples,) = _reports_both_ways(monkeypatch, _law_report, [s])
+    assert on_bytes.witnesses == on_tuples.witnesses
     assert_laws_match_oracle(s.add, s.mul)
 
 
 def test_boolean_power_scans_every_prefix_on_byte_rows():
     """On boolean^8 every law holds and the generators of the AND are the
     whole carrier, so multiplicative and action associativity walk all 256
-    blocks of 65,536 bytes. Each block at an s in a stride of the carrier
-    equals the list rows at (s, t) for every t, joined."""
+    blocks of 65,536 bytes. Each block at an s in a stride of the carrier,
+    on byte rows and on tuple rows, equals the list rows at (s, t) for
+    every t, joined."""
     b = direct_product([boolean_semifield()] * 8)
     assert generators(b.mul) == tuple(range(256))
     rep = check_laws(b)
     assert rep.is_commutative_semiring and rep.zerosumfree and rep.mul_idempotent and rep.complemented
     assert set(rep.witnesses) == {"entire"}
     assert semimodule_check(self_action(b)).valid
-    blocks, inner = _associative_rows(b.mul, b.mul, _byte_views(b.mul), range(256))
-    list_rows, _ = _associative_rows(b.mul, b.mul, None, range(256))
+    assert _forms(b.mul) == (bytes, tuple)
+    laws = _associative(b.mul, b.mul)[2:]
+    (on_bytes, inner), (on_tuples, _), (on_lists, _) = (law(range(256)) for law in laws)
     assert inner == 2
     for s in range(0, 256, 17):
-        joined = [itertools.chain.from_iterable(side) for side in zip(*(list_rows(s, t) for t in range(256)))]
-        assert [list(side) for side in blocks(s)] == [list(side) for side in joined]
+        joined = [list(itertools.chain.from_iterable(side)) for side in zip(*(on_lists(s, t) for t in range(256)))]
+        assert [list(side) for side in on_bytes(s)] == [list(side) for side in on_tuples(s)] == joined
+
+
+def test_tuple_rows_gather_a_tuple_at_every_length(monkeypatch):
+    """``itemgetter`` of one index gives the bare item and cannot be made of
+    none, so the tuple gather has its own path below two indices: seen on
+    1-element tables and on the empty last blocks of mediality."""
+    monkeypatch.setattr(tables._Rows, "byte_columns", 0)
+    for table in (((0,),), ((1, 0), (0, 0))):
+        rows = _Rows(table)
+        for seq in ((), (0,), (0, 0), tuple(range(len(table)))):
+            for v, lut in enumerate(rows.luts):
+                assert rows.through(seq)(lut) == tuple(table[v][y] for y in seq)
+    assert tables.medial_witness([[0]]) is None
+    assert not _law_report(CayleyStructure(1, ((0,),), ((0,),))).witnesses
+    assert endomorphism_ringoid([[0]]).mul == ((0,),)
 
 
 def _subsets_module(extra_top):
@@ -590,9 +630,9 @@ def _subsets_module(extra_top):
 @pytest.mark.parametrize("extra_top", [False, True])
 def test_semimodules_at_the_byte_boundary(monkeypatch, extra_top):
     m = _subsets_module(extra_top)
-    assert (_byte_views(m.madd) is None) == extra_top
-    (on_bytes,), (on_lists,) = _reports_both_ways(monkeypatch, _semimodule_report, [m])
-    assert on_bytes.valid and on_lists.valid
+    assert _forms(m.madd) == _forms(m.action) == (tuple if extra_top else bytes, tuple)
+    (on_bytes,), (on_tuples,) = _reports_both_ways(monkeypatch, _semimodule_report, [m])
+    assert on_bytes.valid and on_tuples.valid
 
 
 @pytest.mark.parametrize(
