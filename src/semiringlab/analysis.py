@@ -14,19 +14,18 @@ computed on its first read and read back afterwards. A context holds:
 - ``annihilators``, keyed by side (left or right, for a structure with
   absorbing zero): per element x, the mask of the r with r*x = 0 (left) or
   x*r = 0 (right);
-- ``plane`` and ``sum_plane``, keyed by value v: the value plane of v,
-  the mask of the n*n cells x*n + y with x*y = v (``plane``) or x+y = v
-  (``sum_plane``). Planes are filled on demand, all those a read still
-  lacks in one pass over the table;
+- ``member_view``, keyed by ``"add"`` or ``"mul"``: that table's rows as
+  :func:`~semiringlab.tables.member_rows` gathers {y : x+y in a mask} or
+  {y : x*y in a mask} from them;
 - ``orbits``: per element x, the mask of its power orbit x, x^2, x^3, ...;
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
   ``radical``, the radical's mask, and ``residual``, the residual rows
-  {y : x*y in the mask} for every element x, cut from the OR of the planes
-  of the mask's members. Subtractiveness, the radical and the residual rows
-  do not depend on the side, so they are keyed on the mask alone;
+  {y : x*y in the mask} for every element x. Subtractiveness, the radical
+  and the residual rows do not depend on the side, so they are keyed on
+  the mask alone;
 - ``classes``: the classification of every two-sided ideal, keyed by its
   mask, from one pass over the lattice. A lattice of at most n ideals, n
-  the carrier's size, is classified once per ideal, cutting each ideal's
+  the carrier's size, is classified once per ideal, gathering each ideal's
   residual rows without storing them; a larger one once per element tuple
   over all ideals at once, as bitsets over the lattice. Either layout
   stores each ideal's subtractive, prime and radical verdicts as the
@@ -78,8 +77,7 @@ FACTS = (
     "annihilators",
     "subtractive",
     "prime",
-    "plane",
-    "sum_plane",
+    "member_view",
     "orbits",
     "radical",
     "residual",
@@ -119,24 +117,6 @@ class Analysis:
         self.facts.setdefault(kind, {})[key] = value
         _FILLED[kind] += 1
         return value
-
-    def fill(self, kind: str, keys: list, compute: Callable, *args) -> list:
-        """The ``kind`` facts at ``keys``, the missing ones computed together
-        as ``compute(*args, missing)``, which returns their values in order."""
-        table = self.facts.get(kind, {})
-        try:
-            values = [table[key] for key in keys]
-        except KeyError:
-            pass
-        else:
-            _REUSED[kind] += len(keys)
-            return values
-        missing = [key for key in keys if key not in table]
-        table = self.facts.setdefault(kind, table)
-        table.update(zip(missing, compute(*args, missing)))
-        _FILLED[kind] += len(missing)
-        _REUSED[kind] += len(keys) - len(missing)
-        return [table[key] for key in keys]
 
     def put(self, kind: str, values: dict) -> None:
         """Store ``kind`` facts computed together elsewhere, keeping any

@@ -16,26 +16,21 @@ set image; every other table (the ringoids and medial additions of the
 avoidance theorems) joins by the closure fixpoint, grown from A.
 Subsemimodules always meet that premise.
 
-Five mask kernels serve every module: :func:`image` (the mask of all
+Four mask kernels serve every module: :func:`image` (the mask of all
 products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
-(the masks not strictly inside another), and two kept in the context:
-:func:`residual_rows` (per element x, the residual {y : x*y in a mask})
-and :func:`annihilator_rows` (per element x, the scalars killing x). Prime,
-2-absorbing and T-semiprime tests, residual quotients, right annihilators
-and the Behrens products of :mod:`semiringlab.covering` read the residual
-rows; every other annihilator and zero-divisor set reads the annihilator
-rows. Annihilators, residuals and medial sums are checked to be ideals on
-masks, by what their members absorb and by their sum image; the cell scan
-of :func:`ideal_violation` runs only to name the witness of a failure.
-
-The residual rows of a mask are the OR of the value planes of its
-members, cut into n rows of n bits: the plane of v marks the cells
-x*n + y with x*y = v. Subtractivity reads the additive residual rows
-{y : x+y in the mask}, cut alike from sum planes (x+y = v). Planes
-are built when first needed, those a mask still lacks in one pass over
-the table, so a large carrier whose callers need few values never builds
-the n^3 bits of all planes. Radicals read one power-orbit mask per
-element: the radical of I is {x : orbit(x) meets I}.
+(the masks not strictly inside another), and the member rows of
+:mod:`semiringlab.tables` (per row x of a table, the mask of the y whose
+entry at x, y lies in a mask). The member rows of a mask in the
+multiplication are :func:`residual_rows`, {y : x*y in the mask}, which
+prime, 2-absorbing and T-semiprime tests, residual quotients and the
+Behrens products of :mod:`semiringlab.covering` read; those in the
+addition decide subtractivity; those of zero are :func:`annihilator_rows`,
+which every annihilator and zero-divisor set reads. Annihilators,
+residuals and medial sums are checked to be ideals on masks, by what their
+members absorb and by their sum image; the cell scan of
+:func:`ideal_violation` runs only to name the witness of a failure.
+Radicals read one power-orbit mask per element: the radical of I is
+{x : orbit(x) meets I}.
 
 :func:`classify_ideal` reads one pass over the two-sided lattice, in one
 of two layouts picked per structure by the lattice's size against the
@@ -70,9 +65,12 @@ from .tables import (
     _freeze_witnesses,
     _is_index,
     check_laws,
+    member_rows,
+    member_view,
     require_commutative_semiring,
     require_semimodule,
     require_semiring,
+    transpose,
 )
 
 LEFT = "left"
@@ -279,30 +277,9 @@ def residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
     return analysis(s).get("residual", mask, _residual_rows, s, mask)
 
 
-def _residual_rows(s: CayleyStructure, mask: int, members: Optional[tuple[int, ...]] = None) -> tuple[int, ...]:
-    """The OR of the value planes of the mask's members, cut into n rows."""
-    n, full = s.size, (1 << s.size) - 1
-    members = mask_members(mask) if members is None else members
-    cells = union_mask(analysis(s).fill("plane", members, _planes, s.mul))
-    return tuple([cells >> shift & full for shift in range(0, n * n, n)])
-
-
-def _planes(table, values: list[int]) -> list[int]:
-    """Per value v, the mask of the cells x*n + y with table[x][y] = v, in
-    one pass over the table: each row is sorted into its n-bit fibres before
-    any is shifted into a plane."""
-    n = len(table)
-    planes = dict.fromkeys(values, 0)
-    for x, row in enumerate(table):
-        fibres = dict.fromkeys(values, 0)
-        for y, xy in enumerate(row):
-            if xy in fibres:
-                fibres[xy] |= 1 << y
-        shift = x * n
-        for v, fibre in fibres.items():
-            if fibre:
-                planes[v] |= fibre << shift
-    return list(planes.values())
+def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
+    view = analysis(s).get("member_view", "mul", member_view, s.mul)
+    return member_rows(view, mask)
 
 
 def annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: str = LEFT) -> tuple[int, ...]:
@@ -314,18 +291,18 @@ def annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: str
 
 
 def _annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: Optional[str]) -> tuple[int, ...]:
+    """The member rows of zero in the table whose row x holds the r*x (the
+    transposed action or multiplication) or, on the right, the x*r."""
     if side is None:
-        table, zero = target.action, target.mzero
+        table, zero = transpose(target.action), target.mzero
     else:
         rep = check_laws(target)
         if not rep.is_with_zero:
             raise StructureError("annihilators need a structure with absorbing zero")
-        if side == RIGHT:
-            return residual_rows(target, 1 << rep.zero)
-        if side != LEFT:
+        if side not in (LEFT, RIGHT):
             raise ValueError("annihilator side must be left or right")
-        table, zero = target.mul, rep.zero
-    return tuple(mask_of(r for r, y in enumerate(col) if y == zero) for col in zip(*table))
+        table, zero = target.mul if side == RIGHT else transpose(target.mul), rep.zero
+    return member_rows(member_view(table), 1 << zero)
 
 
 @reader("lattice")
@@ -398,18 +375,12 @@ def is_subtractive(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     return analysis(s).get("subtractive", ideal.mask, _subtractive, s, ideal.mask)
 
 
-def _subtractive(
-    s: CayleyStructure, mask: int, members: Optional[tuple[int, ...]] = None
-) -> tuple[bool, Optional[tuple[int, int]]]:
+def _subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
     """The least (x, y) with x+y in the mask and just one of x, y in it. Row
-    x of the additive residual {y : x+y in the mask}, cut from the OR of the
-    members' sum planes, must lie inside the mask when x does and miss it
-    otherwise."""
-    n, full = s.size, (1 << s.size) - 1
-    members = mask_members(mask) if members is None else members
-    cells = union_mask(analysis(s).fill("sum_plane", members, _planes, s.add))
-    for x in range(n):
-        row = cells >> x * n & full
+    x of the additive residual {y : x+y in the mask} must lie inside the
+    mask when x does and miss it otherwise."""
+    view = analysis(s).get("member_view", "add", member_view, s.add)
+    for x, row in enumerate(member_rows(view, mask)):
         bad = row & ~mask if mask >> x & 1 else row & mask
         if bad:
             return False, (x, (bad & -bad).bit_length() - 1)
@@ -718,7 +689,7 @@ def _lattice_classes(s: CayleyStructure, lattice: tuple[int, ...], walk: Callabl
     for x, row in enumerate(s.mul):
         for y, xy in enumerate(row):
             squared[xy] |= holds[x] & holds[y]
-    found = walk(s, lattice, members, holds)
+    found = walk(s, lattice, holds)
     improper = 1 << lattice.index(full)
     out = {}
     for j, mask in enumerate(lattice):
@@ -759,17 +730,17 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
     return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
-def _per_ideal_witnesses(s: CayleyStructure, lattice: tuple[int, ...], members: list, holds: list) -> dict[str, list]:
+def _per_ideal_witnesses(s: CayleyStructure, lattice: tuple[int, ...], holds: list) -> dict[str, list]:
     """Per test, the least witness of each ideal of the lattice (None if it
-    passes), each test run once per ideal on its members (``holds`` is left
-    to the other layout); each proper ideal's residual rows serve its prime
-    and 2-absorbing tests and are dropped."""
+    passes), each test run once per ideal (``holds`` is left to the other
+    layout); each proper ideal's residual rows serve its prime and
+    2-absorbing tests and are dropped."""
     ctx, commutative, full = analysis(s), check_laws(s).is_commutative_semiring, (1 << s.size) - 1
     found = {kind: [None] * len(lattice) for kind in _LATTICE_TESTS}
-    for j, (mask, inside) in enumerate(zip(lattice, members)):
-        found["subtractive"][j] = ctx.get("subtractive", mask, _subtractive, s, mask, inside)[1]
+    for j, mask in enumerate(lattice):
+        found["subtractive"][j] = ctx.get("subtractive", mask, _subtractive, s, mask)[1]
         if mask != full:
-            rows = _residual_rows(s, mask, inside)
+            rows = _residual_rows(s, mask)
             found["prime"][j] = ctx.get("prime", mask, _prime, s, mask, rows)[1]
             found["two_absorbing"][j] = _two_absorbing_witness(s, rows)
             if commutative:
@@ -783,14 +754,13 @@ def _per_ideal_witnesses(s: CayleyStructure, lattice: tuple[int, ...], members: 
 _LATTICE_TESTS = ("subtractive", "prime", "two_absorbing", "semiprime", "radical_ideal")
 
 
-def _sliced_witnesses(s: CayleyStructure, lattice: tuple[int, ...], members: list, holds: list) -> dict[str, list]:
+def _sliced_witnesses(s: CayleyStructure, lattice: tuple[int, ...], holds: list) -> dict[str, list]:
     """What :func:`_per_ideal_witnesses` finds, from one lexicographic walk
-    per test over element tuples (``members`` is left to the other layout).
-    Each tuple yields the bitset of the ideals it falsifies, an AND of the
-    ``holds`` of elements and products and of their complements
-    (``without``); each ideal it newly falsifies takes it as least witness
-    and leaves the walk. The two prime criteria must falsify the same
-    ideals on a semiring."""
+    per test over element tuples. Each tuple yields the bitset of the ideals
+    it falsifies, an AND of the ``holds`` of elements and products and of
+    their complements (``without``); each ideal it newly falsifies takes it
+    as least witness and leaves the walk. The two prime criteria must
+    falsify the same ideals on a semiring."""
     ctx, rep = analysis(s), check_laws(s)
     mul, every, full = s.mul, (1 << len(lattice)) - 1, (1 << s.size) - 1
     without = [every ^ h for h in holds]

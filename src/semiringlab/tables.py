@@ -17,6 +17,13 @@ variables joined from such gathers and compared as one sequence; blocks
 come in order and are row-major inside, so the first difference is the
 least witness. Mediality keeps its blocks at n^2 entries, one per (a, b).
 
+The member rows of a mask M in a table T (per row x, the mask of the y
+with T[x][y] in M) are the other gather, which residuals, subtractivity and
+annihilators read: each row, reversed as bytes, goes through a lut of
+``b"0"`` and ``b"1"`` by ``bytes.translate``, read by ``int(..., 2)``. The
+format follows T's values, not its columns: past 256 values, each window
+of 256 values gathers the low bytes and keeps its own columns.
+
 ``check_laws`` proves some laws on a generating set, which ``generators``
 picks greedily with the closure kernel of :mod:`semiringlab.closure`. By
 Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*,
@@ -61,7 +68,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, countOf, itemgetter, ne
+from operator import and_, attrgetter, countOf, itemgetter, ne, or_, rshift
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -301,6 +308,45 @@ class _Rows:
         else:
             self.form, self.join, self.through = tuple, _concat, _tuple_getter
             self.rows = self.luts = table
+
+
+def member_view(table: Sequence[Sequence[int]]) -> tuple:
+    """A table's rows as :func:`member_rows` gathers them, in a format set
+    by the table's values, whatever its columns: per row, the low bytes of
+    its entries in reverse, so that ``int(..., 2)`` of a gather reads
+    column y as bit y; and per window w of 256 values, per row, the mask of
+    the columns whose entry lies in w (all, -1, when there is one window)."""
+    windows = max(map(max, table)) // 256 + 1
+    if windows == 1:
+        return tuple(bytes(row[::-1]) for row in table), ((-1,) * len(table),)
+    highs = [bytes(map(rshift, reversed(row), itertools.repeat(8))) for row in table]
+    digits = tuple(bytes(map(and_, reversed(row), itertools.repeat(255))) for row in table)
+    return digits, tuple(_digit_rows(highs, 1 << w) for w in range(windows))
+
+
+def _digit_rows(digits: Sequence[bytes], bits: int) -> tuple[int, ...]:
+    """Per row of ``digits``, the mask of the columns holding a byte v with
+    bit v of ``bits`` (below 2^256) set: the row through a lut of ``b"0"``
+    and ``b"1"``, read by ``int(..., 2)``."""
+    lut = f"{bits:0256b}"[::-1].encode()
+    return tuple(map(int, map(bytes.translate, digits, itertools.repeat(lut)), itertools.repeat(2)))
+
+
+def member_rows(view: tuple, mask: int) -> tuple[int, ...]:
+    """Per row x of a table, given its :func:`member_view`, the mask of the
+    y with table[x][y] in ``mask``; bits of ``mask`` past the table's values
+    are ignored. Each window that ``mask`` meets gathers the low bytes and
+    keeps the columns whose entry lies in that window."""
+    digits, lanes = view
+    out = [0] * len(digits)
+    for w, window in enumerate(lanes):
+        bits = (mask >> 256 * w) & _WINDOW
+        if bits:
+            out = list(map(or_, out, map(and_, _digit_rows(digits, bits), window)))
+    return tuple(out)
+
+
+_WINDOW = (1 << 256) - 1
 
 
 def _associative_rows(mul: Table, act: _Rows, mids: Sequence[int]) -> tuple:

@@ -247,7 +247,10 @@ def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
         one=canonical[one],
         name=f"Q({s.name or 'S'})",
     )
-    require_commutative_semiring(q)
+    try:
+        require_commutative_semiring(q)
+    except StructureError as exc:
+        raise TheoremViolation(f"the total quotient breaks its laws: {exc}") from None
 
     for a in range(s.size):
         for b in range(s.size):

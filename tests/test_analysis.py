@@ -78,11 +78,10 @@ def reads(s):
     if t_set is not None:
         out.append(("orbits", None, ideals._orbits(s)))
         out.append(("quotient", None, total_quotient(s)))
-    # planes have no public read: each is checked as the residual rows and
-    # subtractive tests left it
-    for kind in ("plane", "sum_plane"):
-        for key, value in analysis(s).facts.get(kind, {}).items():
-            out.append((kind, key, value))
+    # the member views have no public read: each is checked as the residual
+    # rows and subtractive tests left it
+    for op, view in analysis(s).facts.get("member_view", {}).items():
+        out.append(("member_view", op, view))
     return out
 
 
@@ -97,8 +96,7 @@ COMPUTE = {
     "annihilators": lambda target, side: ideals._annihilator_rows(target, side),
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
     "prime": lambda s, mask: ideals._prime(s, mask),
-    "plane": lambda s, value: ideals._planes(s.mul, [value])[0],
-    "sum_plane": lambda s, value: ideals._planes(s.add, [value])[0],
+    "member_view": lambda s, op: tables.member_view(getattr(s, op)),
     "orbits": lambda s, key: ideals._orbit_masks(s),
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
     "residual": lambda s, mask: ideals._residual_rows(s, mask),
@@ -243,6 +241,7 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
                 is_subtractive(IdealSet(structure=s, side=side, mask=i.mask))
             classify_ideal(i)
             radical(i)
+            residual_rows(s, i.mask)
             if i.is_proper:
                 is_prime(i)
         all_ideals_subtractive(s)
@@ -294,25 +293,10 @@ def test_the_lattice_pass_leaves_no_per_mask_work():
     assert not set(analysis(s).facts.get("residual", {})) & {i.mask for i in lattice}
 
 
-def test_each_plane_is_built_once(monkeypatch):
-    """Planes are built on demand, every plane a read lacks in one pass."""
-    built = []
-    original = ideals._planes
-
-    def counted(s, values):
-        built.append(list(values))
-        return original(s, values)
-
-    monkeypatch.setattr(ideals, "_planes", counted)
-    s = chain_semiring()
-    for mask in (1, (1 << s.size) - 1, *range(1 << s.size)):
-        residual_rows(s, mask)
-    assert built == [[0], [1, 2]]
-
-
 def test_one_residual_row_set_of_a_large_carrier_stays_small():
-    """The right annihilators of a 512-element lattice need the plane of
-    zero alone: 32 KiB, where all 512 planes would take 16 MiB."""
+    """The residual rows of zero in a 512-element lattice take well under
+    the n^3 bits of a per-value layout: the multiplication's member view,
+    two windows of 256 values, and the rows gathered from it."""
     n = 512
     s = CayleyStructure(
         size=n,
@@ -327,7 +311,6 @@ def test_one_residual_row_set_of_a_large_carrier_stays_small():
     finally:
         tracemalloc.stop()
     assert rows[0] == (1 << n) - 1 and rows[n - 1] == 1
-    assert set(analysis(s).facts["plane"]) == {0}
     assert peak <= 1 << 20, peak
 
 

@@ -6,16 +6,16 @@ per-class-pair combine for the quotient tables and the full row compare of
 every class member, which the translation generators replaced (the
 generator tables, kept in ``helpers`` since the quotient became e*S, still
 meet that compare); the pairwise product test and the triple-loop sandwich
-for primality, the residual comprehension
-(which the value planes replaced), the power-orbit scan for radicals
-(which the orbit masks replaced), the principal-product scan behind the
+for primality, the residual comprehension (which the member rows of the
+multiplication replaced), the power-orbit scan for radicals (which the
+orbit masks replaced), the principal-product scan behind the
 Behrens elements, Davis' keep-and-chain loop and the maximal-family
 comprehension; the three-branch annihilator, the zero-divisor loop, the
 Property (A) loop, the constant-killer loop and the killed list, which the
 annihilator rows replaced, and the cell scan of ``ideal_violation``, which
 the mask test of annihilators, residuals and medial sums replaced; the cell
-search for subtractivity, which the sum planes replaced; the scan of
-mediality over all four variables, which the walk over b < c replaced,
+search for subtractivity, which the member rows of the addition replaced;
+the scan of mediality over all four variables, which the walk over b < c replaced,
 and the filter of every n^(n*n) table, which the pruned search for medial
 magmas replaced; the skip-one loops of
 the efficiency test and of the greedy reduction, and the radical and
@@ -218,7 +218,7 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
 
 
 def reference_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
-    """The n^2 cell search that the sum planes replaced."""
+    """The n^2 cell search that the member rows of the addition replaced."""
     add = s.add
     for x in range(s.size):
         for y in range(s.size):

@@ -1,9 +1,13 @@
 """Zero-divisor reports, total quotients, Kasch verdicts, contents, slices."""
 
+import dataclasses
 import itertools
+import json
 
 import pytest
 
+from semiringlab import tables
+from semiringlab.cli import main
 from semiringlab.constructions import monoid_semiring
 from semiringlab.corpus import (
     austere_z6,
@@ -18,6 +22,7 @@ from semiringlab.corpus import (
 )
 from semiringlab.covering import UNMET
 from semiringlab.errors import StructureError, TheoremViolation
+from semiringlab.fileio import structure_to_json
 from semiringlab.ideals import annihilator, enumerate_ideals, generate_ideal, mask_of
 from semiringlab.tables import CayleyStructure, check_laws, self_action
 from semiringlab.zerodivisors import (
@@ -190,6 +195,27 @@ def test_quotient_austere_collapses_to_boolean():
     assert q.structure.size == 2
     assert q.canonical[0] == 0
     assert set(q.canonical[1:]) == {1}
+
+
+def test_a_quotient_that_breaks_its_laws_is_a_theorem_violation(monkeypatch, tmp_path, capsys):
+    """The quotient's laws are still checked, and their failure falsifies
+    the construction, not the input: it names the failing law, and the
+    command line exits 1, not 2. The law check here fails for q alone."""
+    checked = tables.check_laws
+
+    def failing_for_the_quotient(s):
+        rep = checked(s)
+        if not s.name.startswith("Q("):
+            return rep
+        return dataclasses.replace(rep, mul_associative=False, witnesses={**rep.witnesses, "mul_associative": (0, 0, 0)})
+
+    monkeypatch.setattr(tables, "check_laws", failing_for_the_quotient)
+    with pytest.raises(TheoremViolation, match="mul_associative"):
+        total_quotient(dataclasses.replace(chain_semiring()))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(structure_to_json(chain_semiring())))
+    assert main(["quotient", str(path)]) == 1
+    assert "mul_associative" in capsys.readouterr().err
 
 
 def test_quotient_tables_rebuild_the_quotient(commutative_entries):
