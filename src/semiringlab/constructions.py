@@ -1,12 +1,14 @@
 """Constructors that assemble new structures from smaller data.
 
-Every constructed carrier is a tuple space encoded big-endian, so the index
-order of the carrier agrees with lexicographic order on the tuples and all
-outputs are deterministic. Two kernels build every table of such a carrier:
-``product_table``, the componentwise operation folded one table at a time,
-and ``convolution_table``, the bilinear product of coefficient tuples. One
-codec, ``encode_tuple``/``decode_tuple`` with a radix per digit, serves every
-``coords``/``coeffs``/``index_of`` method and every designated zero and one.
+Products, hemialgebras, monoid semirings and truncated polynomials are
+``EncodedStructure`` carriers: tuple spaces with a radix per digit, encoded
+big-endian, so the index order of the carrier agrees with lexicographic
+order on the tuples and all outputs are deterministic. One builder makes
+each of them: it checks ``CARRIER_CAP``, adds componentwise with
+``product_table``, multiplies with ``product_table`` or with
+``convolution_table``, the bilinear product of coefficient tuples, and
+encodes the designated zero and one. ``EncodedStructure.coords`` and
+``index_of`` are the one codec between elements and digit tuples.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ def endomorphism_ringoid(
     )
 
 
-@dataclass(frozen=True, repr=False)
-class AustereExtension(CayleyStructure):
+def austere_extension(
+    mul_table: Sequence[Sequence[int]], zero: int, one: int, name: str = ""
+) -> CayleyStructure:
     """Adjoins a fresh additive neutral to a unital magma with absorbing zero.
 
     Index 0 is the adjoined element; magma element k sits at index k+1.
@@ -99,13 +102,6 @@ class AustereExtension(CayleyStructure):
     element, which makes the result zerosumfree and entire while destroying
     subtractivity of every intermediate one-sided ideal.
     """
-
-    base_size: int = 0
-
-
-def austere_extension(
-    mul_table: Sequence[Sequence[int]], zero: int, one: int, name: str = ""
-) -> AustereExtension:
     n = len(mul_table)
     base = freeze_table(mul_table, n, n, "magma")
     for label, v in (("zero", zero), ("one", one)):
@@ -128,34 +124,27 @@ def austere_extension(
             add[a][b] = zero + 1
             mul[a][b] = base[a - 1][b - 1] + 1
     # row/column 0 of mul stays 0: the adjoined element absorbs multiplicatively
-    return AustereExtension(
+    return CayleyStructure(
         size=size,
         add=tuple(map(tuple, add)),
         mul=tuple(map(tuple, mul)),
         zero=0,
         one=one + 1,
         name=name or f"austere extension of a {n}-element magma",
-        base_size=n,
     )
 
 
 def encode_tuple(values: Sequence[int], radices: Sequence[int]) -> int:
-    """The index of a tuple whose digit p runs over range(radices[p])."""
+    """The index of a tuple whose digit p runs over range(radices[p]). A
+    tuple of another length, or a digit outside its range, is refused."""
+    if not isinstance(values, (list, tuple)) or len(values) != len(radices):
+        raise StructureError(f"expected a tuple of {len(radices)} digits, got {values!r}")
     idx = 0
     for v, r in zip(values, radices):
+        if not (_is_index(v) and 0 <= v < r):
+            raise StructureError(f"digit {v!r} is not an integer in 0..{r - 1}")
         idx = idx * r + v
     return idx
-
-
-def decode_tuple(idx: int, radices: Sequence[int]) -> tuple[int, ...]:
-    size = math.prod(radices)
-    if not 0 <= idx < size:
-        raise StructureError(f"index {idx} outside 0..{size - 1}")
-    out = []
-    for r in reversed(radices):
-        idx, d = divmod(idx, r)
-        out.append(d)
-    return tuple(reversed(out))
 
 
 def product_table(tables: Sequence[Table]) -> list[list[int]]:
@@ -201,14 +190,60 @@ def convolution_table(s: CayleyStructure, terms: Sequence[Sequence[tuple]]) -> l
 
 
 @dataclass(frozen=True, repr=False)
-class Hemialgebra(CayleyStructure):
-    constants: Optional[StructureConstants] = None
+class EncodedStructure(CayleyStructure):
+    """A carrier of digit tuples, digit p running over range(radices[p]).
+    An element's index is its tuple read big-endian, so index order is
+    lexicographic order on the tuples."""
+
+    radices: tuple = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if math.prod(self.radices) != self.size:
+            raise StructureError(f"radices {self.radices} do not span a carrier of size {self.size}")
 
     def coords(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, (self.constants.semifield.size,) * self.constants.dim)
+        """The digit tuple of element ``idx``; ``index_of`` inverts it."""
+        if not (_is_index(idx) and 0 <= idx < self.size):
+            raise StructureError(f"index {idx!r} outside 0..{self.size - 1}")
+        out = []
+        for r in reversed(self.radices):
+            idx, d = divmod(idx, r)
+            out.append(d)
+        return tuple(reversed(out))
 
     def index_of(self, coords: Sequence[int]) -> int:
-        return encode_tuple(coords, (self.constants.semifield.size,) * self.constants.dim)
+        return encode_tuple(coords, self.radices)
+
+
+def _encoded(
+    cls: type, digits: Sequence[CayleyStructure], zero, one, name: str, terms=None, **provenance
+) -> EncodedStructure:
+    """The ``cls`` on the tuples whose digit p is an element of ``digits[p]``,
+    added componentwise, with the digit tuples ``zero`` and ``one`` (or None)
+    designated. Multiplication is componentwise too, or, given ``terms``,
+    the ``convolution_table`` over the structure every digit shares. The
+    carrier is compared with ``CARRIER_CAP`` before any table is built or
+    ``terms``, which may be lazy, is read."""
+    radices = tuple(d.size for d in digits)
+    size = math.prod(radices)
+    if size > CARRIER_CAP:
+        raise CapExceeded(f"carrier of size {size} exceeds cap {CARRIER_CAP}")
+    return cls(
+        size=size,
+        add=product_table([d.add for d in digits]),
+        mul=product_table([d.mul for d in digits]) if terms is None else convolution_table(digits[0], list(terms)),
+        zero=None if zero is None else encode_tuple(zero, radices),
+        one=None if one is None else encode_tuple(one, radices),
+        name=name,
+        radices=radices,
+        **provenance,
+    )
+
+
+@dataclass(frozen=True, repr=False)
+class Hemialgebra(EncodedStructure):
+    constants: Optional[StructureConstants] = None
 
 
 def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
@@ -218,45 +253,28 @@ def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
     if not is_semifield(k):
         raise StructureError("structure constants must live over a semifield")
     dim, gamma = constants.dim, constants.gamma
-    size = k.size**dim
-    if size > CARRIER_CAP:
-        raise CapExceeded(f"carrier of size {size} exceeds cap {CARRIER_CAP}")
     zero_k = check_laws(k).zero
     # a zero constant adds a zero term, and zero is neutral in a semifield
     terms = [
         [(i, j, gamma[i][j][t]) for i in range(dim) for j in range(dim) if gamma[i][j][t] != zero_k]
         for t in range(dim)
     ]
-    return Hemialgebra(
-        size=size,
-        add=product_table([k.add] * dim),
-        mul=convolution_table(k, terms),
-        zero=encode_tuple([zero_k] * dim, [k.size] * dim),
-        one=None,
-        name=name or f"hemialgebra of dim {dim} over {k.name or 'K'}",
-        constants=constants,
-    )
+    name = name or f"hemialgebra of dim {dim} over {k.name or 'K'}"
+    return _encoded(Hemialgebra, [k] * dim, [zero_k] * dim, None, name, terms, constants=constants)
 
 
 def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
     """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab)."""
-    k = h.constants.semifield
-    kmul = k.mul
-    ksize = k.size
+    mul = h.mul
+    # scales[alpha][x] is the tuple x with every digit multiplied by alpha
+    scales = [product_table([(row,)] * h.constants.dim)[0] for row in h.constants.semifield.mul]
 
-    def scale(alpha, idx):
-        coords = h.coords(idx)
-        return h.index_of([kmul[alpha][c] for c in coords])
+    def rows(alpha: int, a: int) -> tuple[list, list]:
+        scale, row = scales[alpha], mul[a]
+        mid = list(map(row.__getitem__, scale))
+        return list(zip(mul[scale[a]], mid)), list(zip(mid, map(scale.__getitem__, row)))
 
-    for alpha in range(ksize):
-        for a in range(h.size):
-            for b in range(h.size):
-                lhs = h.mul[scale(alpha, a)][b]
-                mid = h.mul[a][scale(alpha, b)]
-                rhs = scale(alpha, h.mul[a][b])
-                if lhs != mid or mid != rhs:
-                    return (alpha, a, b)
-    return None
+    return least_witness((len(scales), h.size, h.size), rows)
 
 
 @dataclass(frozen=True, repr=False)
@@ -317,57 +335,35 @@ def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
 
 
 @dataclass(frozen=True, repr=False)
-class ProductStructure(CayleyStructure):
+class ProductStructure(EncodedStructure):
     factors: tuple = ()
-
-    def coords(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, [f.size for f in self.factors])
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        return encode_tuple(coords, [f.size for f in self.factors])
 
 
 def direct_product(factors: Sequence[CayleyStructure], name: str = "") -> ProductStructure:
     factors = tuple(factors)
     if not factors:
         raise StructureError("need at least one factor")
-    radices = [f.size for f in factors]
-    size = math.prod(radices)
-    if size > CARRIER_CAP:
-        raise CapExceeded(f"product carrier of size {size} exceeds cap {CARRIER_CAP}")
-    zero = one = None
-    if all(f.zero is not None for f in factors):
-        zero = encode_tuple([f.zero for f in factors], radices)
-    if all(f.one is not None for f in factors):
-        one = encode_tuple([f.one for f in factors], radices)
-    return ProductStructure(
-        size=size,
-        add=product_table([f.add for f in factors]),
-        mul=product_table([f.mul for f in factors]),
-        zero=zero,
-        one=one,
-        name=name or " x ".join(f.name or "?" for f in factors),
+    zeros, ones = [f.zero for f in factors], [f.one for f in factors]
+    return _encoded(
+        ProductStructure,
+        factors,
+        None if None in zeros else zeros,
+        None if None in ones else ones,
+        name or " x ".join(f.name or "?" for f in factors),
         factors=factors,
     )
 
 
 @dataclass(frozen=True, repr=False)
-class MonoidSemiring(CayleyStructure):
+class MonoidSemiring(EncodedStructure):
     """Functions from a finite commutative monoid into a semiring.
 
-    The coefficient tuple of index i is ``coeffs(i)``; entry g of the tuple
-    is the coefficient attached to monoid element g.
+    Entry g of the digit tuple ``coords(i)`` is the coefficient that
+    element i attaches to monoid element g.
     """
 
     base: Optional[CayleyStructure] = None
     monoid: Table = ()
-    monoid_identity: int = 0
-
-    def coeffs(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, (self.base.size,) * len(self.monoid))
-
-    def index_of(self, coeffs: Sequence[int]) -> int:
-        return encode_tuple(coeffs, (self.base.size,) * len(self.monoid))
 
 
 def monoid_semiring(
@@ -378,32 +374,19 @@ def monoid_semiring(
         raise StructureError("base must be a semiring")
     g, e = commutative_monoid_table(monoid)
     gn = len(g)
-    size = s.size**gn
-    if size > CARRIER_CAP:
-        raise CapExceeded(f"monoid semiring of size {size} exceeds cap {CARRIER_CAP}")
     # coefficient k collects the index pairs (i, j) with g_i g_j = g_k
     terms: list[list[tuple]] = [[] for _ in range(gn)]
     for i in range(gn):
         for j in range(gn):
             terms[g[i][j]].append((i, j, None))
-    radices = [s.size] * gn
-    one_coeffs = [rep.zero] * gn
-    one_coeffs[e] = rep.one
-    return MonoidSemiring(
-        size=size,
-        add=product_table([s.add] * gn),
-        mul=convolution_table(s, terms),
-        zero=encode_tuple([rep.zero] * gn, radices),
-        one=encode_tuple(one_coeffs, radices),
-        name=name or f"{s.name or 'S'}[G] with |G|={gn}",
-        base=s,
-        monoid=g,
-        monoid_identity=e,
-    )
+    one = [rep.zero] * gn
+    one[e] = rep.one
+    name = name or f"{s.name or 'S'}[G] with |G|={gn}"
+    return _encoded(MonoidSemiring, [s] * gn, [rep.zero] * gn, one, name, terms, base=s, monoid=g)
 
 
 @dataclass(frozen=True, repr=False)
-class PolynomialHemiring(CayleyStructure):
+class PolynomialHemiring(EncodedStructure):
     """Polynomials over a hemiring truncated above a fixed degree.
 
     Coefficient tuples are degree-ascending. Dropping degrees above the cap
@@ -412,12 +395,6 @@ class PolynomialHemiring(CayleyStructure):
 
     base: Optional[CayleyStructure] = None
     degree_cap: int = 0
-
-    def coeffs(self, idx: int) -> tuple[int, ...]:
-        return decode_tuple(idx, (self.base.size,) * (self.degree_cap + 1))
-
-    def index_of(self, coeffs: Sequence[int]) -> int:
-        return encode_tuple(coeffs, (self.base.size,) * (self.degree_cap + 1))
 
 
 def truncated_polynomial_hemiring(
@@ -429,20 +406,10 @@ def truncated_polynomial_hemiring(
     if not _is_index(degree_cap) or degree_cap < 0:
         raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
     length = degree_cap + 1
-    size = h.size**length
-    if size > CARRIER_CAP:
-        raise CapExceeded(f"polynomial carrier of size {size} exceeds cap {CARRIER_CAP}")
-    radices = [h.size] * length
-    one = None
-    if rep.has_one:
-        one = encode_tuple([rep.one] + [rep.zero] * degree_cap, radices)
-    return PolynomialHemiring(
-        size=size,
-        add=product_table([h.add] * length),
-        mul=convolution_table(h, [[(i, k - i, None) for i in range(k + 1)] for k in range(length)]),
-        zero=encode_tuple([rep.zero] * length, radices),
-        one=one,
-        name=name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}",
-        base=h,
-        degree_cap=degree_cap,
+    # coefficient k of a product sums a_i b_(k-i); listed only under the cap
+    terms = ([(i, k - i, None) for i in range(k + 1)] for k in range(length))
+    one = [rep.one] + [rep.zero] * degree_cap if rep.has_one else None
+    name = name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}"
+    return _encoded(
+        PolynomialHemiring, [h] * length, [rep.zero] * length, one, name, terms, base=h, degree_cap=degree_cap
     )

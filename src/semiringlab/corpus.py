@@ -19,14 +19,15 @@ import functools
 from dataclasses import dataclass, field
 
 from .constructions import (
+    EncodedStructure,
     StructureConstants,
     austere_extension,
-    convolution_table,
     direct_product,
     encode_tuple,
     hemialgebra,
     monoid_semiring,
     product_table,
+    _encoded,
 )
 from .errors import StructureError
 from .tables import CayleyStructure, FiniteSemimodule, check_laws, self_action
@@ -97,21 +98,14 @@ def diamond_lattice() -> CayleyStructure:
     )
 
 
-def dual_numbers_mod2() -> CayleyStructure:
+def dual_numbers_mod2() -> EncodedStructure:
     """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
     the two-element field. Element (a, b, c) = a + bx + cy sits at index
     4a + 2b + c."""
     f2 = CayleyStructure(size=2, add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)), zero=0, one=1, name="f2")
     # the coefficients of 1, x and y in (a + bx + cy)(d + ex + fy): ad, ae + bd, af + cd
     terms = [[(0, 0, None)], [(0, 1, None), (1, 0, None)], [(0, 2, None), (2, 0, None)]]
-    return CayleyStructure(
-        size=8,
-        add=product_table([f2.add] * 3),
-        mul=convolution_table(f2, terms),
-        zero=encode_tuple((0, 0, 0), (2, 2, 2)),
-        one=encode_tuple((1, 0, 0), (2, 2, 2)),
-        name="f2xy",
-    )
+    return _encoded(EncodedStructure, [f2] * 3, (0, 0, 0), (1, 0, 0), "f2xy", terms)
 
 
 def cross_product_hemiring() -> CayleyStructure:

@@ -602,21 +602,20 @@ class StructureConstants:
         if not _is_index(self.dim) or self.dim <= 0:
             raise StructureError(f"dimension must be a positive integer, got {self.dim!r}")
         ksize = self.semifield.size
-        if len(self.gamma) != self.dim:
+        if not isinstance(self.gamma, (list, tuple)) or len(self.gamma) != self.dim:
             raise StructureError("gamma must have one block per basis vector")
         frozen = []
-        for i, block in enumerate(self.gamma):
-            if len(block) != self.dim:
+        for block in self.gamma:
+            if not isinstance(block, (list, tuple)) or len(block) != self.dim:
                 raise StructureError("gamma block has wrong shape")
             brows = []
-            for j, row in enumerate(block):
-                row = tuple(row)
-                if len(row) != self.dim:
+            for row in block:
+                if not isinstance(row, (list, tuple)) or len(row) != self.dim:
                     raise StructureError("gamma block has wrong shape")
                 for v in row:
                     if not (_is_index(v) and 0 <= v < ksize):
                         raise StructureError(f"gamma entry {v!r} not in the semifield carrier")
-                brows.append(row)
+                brows.append(tuple(row))
             frozen.append(tuple(brows))
         object.__setattr__(self, "gamma", tuple(frozen))
 

@@ -321,7 +321,7 @@ def content(ms: MonoidSemiring, f: int) -> IdealSet:
     element."""
     if not isinstance(ms, MonoidSemiring):
         raise StructureError("content needs a monoid-semiring element")
-    return generate_ideal(ms.base, ms.coeffs(f), TWO_SIDED)
+    return generate_ideal(ms.base, ms.coords(f), TWO_SIDED)
 
 
 def monoid_zd_check(

@@ -6,7 +6,9 @@ the per-constructor table loops that ``product_table`` and
 ``convolution_table`` replaced: ``direct_product``, ``hemialgebra``,
 ``monoid_semiring``, ``truncated_polynomial_hemiring``,
 ``componentwise_module`` and ``dual_numbers_mod2``, each with the one-base
-``encode_tuple`` they packed cells with; and the per-pair bodies of the
+``encode_tuple`` they packed cells with; ``scalar_identity_witness``, the
+cell loop that scaled tuples through the codec before the scan kernel
+compared scaling rows; and the per-pair bodies of the
 covering checks that the covering kernel replaced: ``mccoy_exponent``,
 ``union_avoidance_suite`` and ``t_semiprime_avoidance``, with the skip-one
 ``_redundant`` loop they tested efficiency with; ``_quotient_tables``,
@@ -23,6 +25,7 @@ import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from semiringlab.constructions import (
+    EncodedStructure,
     Hemialgebra,
     MonoidSemiring,
     PolynomialHemiring,
@@ -218,8 +221,28 @@ def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str
         zero=encode_tuple([zero_k] * dim, ksize),
         one=None,
         name=name or f"hemialgebra of dim {dim} over {k.name or 'K'}",
+        radices=(ksize,) * dim,
         constants=constants,
     )
+
+
+def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
+    """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab),
+    scaling each cell's tuples through the codec."""
+    kmul = h.constants.semifield.mul
+
+    def scale(alpha, idx):
+        return h.index_of([kmul[alpha][c] for c in h.coords(idx)])
+
+    for alpha in range(len(kmul)):
+        for a in range(h.size):
+            for b in range(h.size):
+                lhs = h.mul[scale(alpha, a)][b]
+                mid = h.mul[a][scale(alpha, b)]
+                rhs = scale(alpha, h.mul[a][b])
+                if lhs != mid or mid != rhs:
+                    return (alpha, a, b)
+    return None
 
 
 def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, name: str = "") -> ProductStructure:
@@ -260,6 +283,7 @@ def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, n
         zero=zero,
         one=one,
         name=name or " x ".join(f.name or "?" for f in factors),
+        radices=tuple(f.size for f in factors),
         factors=factors,
     )
 
@@ -309,9 +333,9 @@ def monoid_semiring(
         zero=encode_tuple([zero_s] * gn, s.size),
         one=encode_tuple(one_coeffs, s.size),
         name=name or f"{s.name or 'S'}[G] with |G|={gn}",
+        radices=(s.size,) * gn,
         base=s,
         monoid=g,
-        monoid_identity=e,
     )
 
 
@@ -358,12 +382,13 @@ def truncated_polynomial_hemiring(
         zero=encode_tuple([zero_h] * length, h.size),
         one=one,
         name=name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}",
+        radices=(h.size,) * length,
         base=h,
         degree_cap=degree_cap,
     )
 
 
-def dual_numbers_mod2() -> CayleyStructure:
+def dual_numbers_mod2() -> EncodedStructure:
     """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
     the two-element field. Element (a, b, c) = a + bx + cy sits at index
     4a + 2b + c."""
@@ -387,7 +412,7 @@ def dual_numbers_mod2() -> CayleyStructure:
             d, e, f = unpack(j)
             row.append(pack(a & d, (a & e) ^ (b & d), (a & f) ^ (c & d)))
         mul.append(row)
-    return CayleyStructure(size=size, add=add, mul=mul, zero=0, one=4, name="f2xy")
+    return EncodedStructure(size=size, add=add, mul=mul, zero=0, one=4, name="f2xy", radices=(2, 2, 2))
 
 
 def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> FiniteSemimodule:

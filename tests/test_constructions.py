@@ -1,11 +1,17 @@
 """Constructors checked against hand enumeration and the law oracle."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from semiringlab.constructions import (
+    EncodedStructure,
+    Hemialgebra,
+    MonoidSemiring,
+    PolynomialHemiring,
+    ProductStructure,
     StructureConstants,
     austere_extension,
     direct_product,
@@ -157,13 +163,10 @@ def test_cross_product_matches_direct_formula():
             assert cross.coords(cross.mul[i][j]) == direct(u, v)
 
 
-def test_coords_reject_an_index_outside_the_carrier():
-    product = direct_product([chain_semiring(), boolean_semifield()])
-    for structure in (cross_product_hemiring(), product):
-        assert structure.coords(structure.size - 1)
-        for idx in (-1, structure.size):
-            with pytest.raises(StructureError):
-                structure.coords(idx)
+def test_gamma_parts_that_are_not_lists_are_rejected():
+    for gamma in (5, (5,), ((5,),)):  # gamma, a block, a row
+        with pytest.raises(StructureError, match="gamma"):
+            StructureConstants(semifield=boolean_semifield(), dim=1, gamma=gamma)
 
 
 def test_zero_constants_give_null_multiplication():
@@ -182,6 +185,21 @@ def test_dim_one_identity_constants_reproduce_the_semifield():
 
 def test_scalar_identity_holds_for_cross_product():
     assert scalar_identity_witness(cross_product_hemiring()) is None
+
+
+def test_scalar_identity_rows_match_the_cell_loop():
+    """The scaling-row scan and the cell loop in ``helpers`` agree on
+    bool3-cross and on each of its 448 one-cell mutants of ``mul``."""
+    cross = cross_product_hemiring()
+    mutants = [cross]
+    for a, b, v in itertools.product(cross.elements(), repeat=3):
+        if v != cross.mul[a][b]:
+            mul = [list(row) for row in cross.mul]
+            mul[a][b] = v
+            mutants.append(dataclasses.replace(cross, mul=mul))
+    found = [scalar_identity_witness(h) for h in mutants]
+    assert found == [helpers.scalar_identity_witness(h) for h in mutants]
+    assert found[0] is None and None in found[1:] and any(found)
 
 
 def test_non_semifield_rejected():
@@ -377,6 +395,67 @@ def test_truncated_polynomial_square_golden():
 def test_zero_polynomial_absorbs():
     ph = truncated_polynomial_hemiring(chain_semiring(), 1)
     assert all(ph.mul[ph.zero][i] == ph.zero == ph.mul[i][ph.zero] for i in range(ph.size))
+
+
+# --- the one tuple codec --------------------------------------------------------
+
+RADICES_FROM_PROVENANCE = {
+    ProductStructure: lambda s: tuple(f.size for f in s.factors),
+    Hemialgebra: lambda s: (s.constants.semifield.size,) * s.constants.dim,
+    MonoidSemiring: lambda s: (s.base.size,) * len(s.monoid),
+    PolynomialHemiring: lambda s: (s.base.size,) * (s.degree_cap + 1),
+    EncodedStructure: lambda s: (2, 2, 2),  # the dual numbers, three bits
+}
+
+ENCODED = [
+    direct_product([boolean_semifield()] * 2),
+    direct_product([chain_semiring(), boolean_semifield(), chain_semiring()]),
+    cross_product_hemiring(),
+    hemialgebra(StructureConstants(semifield=boolean_semifield(), dim=2, gamma=[[[1, 0], [0, 1]], [[0, 1], [1, 1]]])),
+    monoid_semiring(boolean_semifield(), ((0, 1), (1, 0))),
+    monoid_semiring(chain_semiring(), ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+    truncated_polynomial_hemiring(chain_semiring(), 1),
+    truncated_polynomial_hemiring(boolean_semifield(), 2),
+    dual_numbers_mod2(),
+]
+
+
+@pytest.mark.parametrize("s", ENCODED, ids=lambda s: s.name)
+def test_the_codec_round_trips_every_tuple_and_element(s):
+    assert s.radices == RADICES_FROM_PROVENANCE[type(s)](s)
+    tuples = list(itertools.product(*map(range, s.radices)))
+    assert all(s.coords(s.index_of(t)) == t for t in tuples)
+    assert all(s.index_of(s.coords(i)) == i for i in s.elements())
+    assert [s.index_of(t) for t in tuples] == list(s.elements())  # index order is lexicographic
+
+
+def test_coords_reject_an_index_outside_the_carrier():
+    for structure in ENCODED:
+        assert structure.coords(structure.size - 1)
+        for idx in (-1, structure.size, True, False, 1.0):
+            with pytest.raises(StructureError):
+                structure.coords(idx)
+
+
+@pytest.mark.parametrize("s", ENCODED, ids=lambda s: s.name)
+def test_index_of_refuses_malformed_tuples(s):
+    """A tuple one digit short or long, a bare digit, or one digit at its
+    radix, negative, a bool, a float or a string. Unchecked, (2, 0), (1,)
+    and (-1, 1) on boolean x boolean encode as 4, 1 and -1, and (True, 2)
+    on chain-3[X] truncated at degree 1 as 5."""
+    last = s.coords(s.size - 1)
+    malformed = [last[:-1], last + (0,), last[0]]
+    for p, r in enumerate(s.radices):
+        malformed += [last[:p] + (v,) + last[p + 1:] for v in (r, -1, True, 1.0, "0")]
+    for t in malformed:
+        with pytest.raises(StructureError):
+            s.index_of(t)
+
+
+def test_radices_must_span_the_carrier():
+    b = boolean_semifield()
+    with pytest.raises(StructureError, match="radices"):
+        EncodedStructure(size=2, add=b.add, mul=b.mul, radices=(2, 2))
 
 
 # --- the tuple-table kernels against the loops they replaced -----------------

@@ -3,8 +3,10 @@ somewhere in the package, so a helper that loses its last caller cannot
 linger. Reads from tests do not count, and a function reading only itself
 is not read. Every public top-level function or class is exported from the
 package root, read somewhere in the package, the tests or the benchmark, or
-traced by the benchmark. Like ``test_unused_imports``, the checks walk
-syntax trees."""
+traced by the benchmark. Every annotated field of a package dataclass is
+read as an attribute, or named to ``getattr``, in the package, the tests or
+the benchmark, so a field that is only ever set cannot linger. Like
+``test_unused_imports``, the checks walk syntax trees."""
 
 import ast
 import importlib.util
@@ -82,6 +84,43 @@ def unused_public_names(sources: dict[str, str], outside: list[str], exported, t
     return unread_names(sources, private=False, read_elsewhere=frozenset(elsewhere))
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def _fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of each dataclass under the tree."""
+    return [
+        (node.name, stmt.target.id)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list))
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Attributes loaded under the tree, and its strings that are
+    identifiers: ``getattr`` may be given any of them, directly or from a
+    tuple of names."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) and sub.value.isidentifier():
+            out.add(sub.value)
+    return out
+
+
+def unread_fields(sources: dict[str, str], outside: list[str]) -> list[str]:
+    """``module.Class.field`` for each annotated dataclass field of the
+    sources that neither they nor the ``outside`` sources read."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_attribute_reads, [*trees.values(), *map(ast.parse, outside)]))
+    return sorted(f"{module}.{cls}.{name}" for module, tree in trees.items() for cls, name in _fields(tree) if name not in read)
+
+
 def test_the_check_finds_an_unread_helper():
     sources = {
         "a": (
@@ -125,3 +164,40 @@ def test_every_public_name_is_exported_read_or_traced():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     outside = [p.read_text() for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))]
     assert unused_public_names(sources, outside, semiringlab.__all__, traced_names()) == []
+
+
+def test_the_check_finds_an_unread_field():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class Point:\n"
+            "    x: int\n"
+            "    y: int = 0\n"
+            "    label: str = ''\n"
+            "    tag: str = ''\n"
+            "    written: int = 0\n"
+            "    LIMIT = 3\n"
+            "    def norm(self):\n        return self.x\n"
+            "@dataclasses.dataclass\n"
+            "class Box:\n"
+            "    corner: Point\n"
+            "    side: int\n"
+            "class Plain:\n"
+            "    width: int\n"
+            "def build(p):\n"
+            "    p.written = 1\n"
+            "    return Box(corner=p, side=getattr(p, 'label'))\n"
+            "def tags(p):\n"
+            "    return [getattr(p, field) for field in ('tag',)]\n"
+        ),
+    }
+    outside = ["def test(b):\n    return b.corner.y\n"]
+    assert unread_fields(sources, outside) == ["a.Box.side", "a.Point.written"]
+
+
+def test_every_dataclass_field_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    outside = [p.read_text() for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))]
+    assert unread_fields(sources, outside) == []
