@@ -12,10 +12,17 @@ The three-variable laws (associativity, distributivity, mediality) are
 written once, over one gather done in C, ``[T[v][y] for y in seq]``, in the
 form the row view ``_Rows`` picks: ``seq.translate(luts[v])`` on ``bytes``
 rows up to 256 columns, ``itemgetter(*seq)(T[v])`` on the tuple rows of a
-wider table. A first coordinate is one block, both sides over the last two
-variables joined from such gathers and compared as one sequence; blocks
-come in order and are row-major inside, so the first difference is the
-least witness. Mediality keeps its blocks at n^2 entries, one per (a, b).
+wider table. Associativity and distributivity are decided on their whole
+cube (first x middle x last) when it holds at most ``_Rows.cube_entries``
+(2^15) entries, which covers every table of up to 32 elements: each side is
+one sequence over every first coordinate, (xy)z the rows at every xy,
+joined, and x(yz) the joined rows gathered through each row x, so one
+compare decides the law, and halving by slices finds the first difference,
+unflattened into the least witness. Past the budget, a first coordinate is
+one block, both sides over the last two variables joined from such gathers
+and compared as one sequence; blocks come in order and are row-major
+inside, so again the first difference is the least witness. Mediality
+keeps its blocks at n^2 entries, one per (a, b).
 
 The member rows of a mask M in a table T (per row x, the mask of the y
 with T[x][y] in M) are the other gather, which residuals, subtractivity and
@@ -24,22 +31,28 @@ annihilators read: each row, reversed as bytes, goes through a lut of
 format follows T's values, not its columns: past 256 values, each window
 of 256 values gathers the low bytes and keeps its own columns.
 
-``check_laws`` proves some laws on a generating set, which ``generators``
-picks greedily with the closure kernel of :mod:`semiringlab.closure`. By
-Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups*,
-vol. 1, 1961), an operation is associative when (xg)y = x(gy) for every
-generator g; this is applied to both operations. Over an associative
-addition, a(g+c) = ag+ac for every additive generator g gives a(b+c) = ab+ac
-for every b. Over an associative multiplication, which ``_law_report``
-decides first, the multipliers a that distribute are closed under products,
-so both distributive laws (the right one on the transposed multiplication)
-hold once they hold at every multiplicative generator. ``_additive_laws``
-holds these premises for ``check_laws``, the semimodule check and
+Past the budget, ``check_laws`` proves some laws on a generating set, which
+``generators`` picks greedily with the closure kernel of
+:mod:`semiringlab.closure`, from both ends of the carrier, keeping the
+smaller set: on a meet, least-first takes the whole carrier. ``generators``
+runs only there; within the budget the cube is cheaper than the generators
+it would prune with. By Light's test (Clifford & Preston, *The Algebraic
+Theory of Semigroups*, vol. 1, 1961), an operation is associative when
+(xg)y = x(gy) for every generator g; this is applied to both operations.
+Over an associative addition, a(g+c) = ag+ac for every additive generator g
+gives a(b+c) = ab+ac for every b. Over an associative multiplication, which
+``_law_report`` decides first, the multipliers a that distribute are closed
+under products, so both distributive laws (the right one on the transposed
+multiplication) hold once they hold at every multiplicative generator.
+``_additive_laws`` holds these premises, and the choice between cube and
+generators, for ``check_laws``, the semimodule check and
 ``commutative_monoid_table``. A reduced test only says "holds"; when it
 fails, a full scan finds the witness. Light's test is closed over every
 first coordinate at once, so its full scan starts from the first prefix.
 Distributivity at the additive generators is closed per multiplier, so only
-the block of the first multiplier that fails there is scanned in full.
+the block of the first multiplier that fails there is scanned in full. A
+multiplication equal to its transpose is commutative without a scan, and
+its right distributive law is its left one, scanned once.
 Mediality of addition follows from associativity plus commutativity, so it
 is settled without a scan when both hold; otherwise only the tuples with
 b < c are walked, as swapping b and c swaps the two sides of
@@ -50,13 +63,14 @@ column compare as tuples with the identity, ``row.index`` finds the least
 zero sum or zero divisor, and complements are counted over zipped rows.
 
 ``semimodule_check`` runs on a semiring that ``require_semiring`` has
-proved, so it reduces two more laws over the scalars. The t with
-(st)x = s(tx) for every s and x are closed under products, because the
-semiring's multiplication is associative: Light's test over the generators
-of that multiplication proves the action associative. Once the module's
-addition is associative, the t with (s+t)x = sx+tx for every s and x are
-closed under sums, so that law is tested on the semiring's additive
-generators.
+proved, so it reduces two more laws over the scalars: action associativity
+past the budget, and scalar-add distributivity, which keeps its list rows
+and has no cube, always. The t with (st)x = s(tx) for every s and x are
+closed under products, because the semiring's multiplication is
+associative: Light's test over the generators of that multiplication
+proves the action associative. Once the module's addition is associative,
+the t with (s+t)x = sx+tx for every s and x are closed under sums, so that
+law is tested on the semiring's additive generators.
 
 Every report is built from its witnesses: each law's witness, or None when
 it holds, goes into one dict in report order, and a flag is False exactly
@@ -66,6 +80,7 @@ when its law has an entry.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import and_, attrgetter, countOf, itemgetter, ne, or_, rshift
@@ -115,13 +130,21 @@ def _is_index(v) -> bool:
 
 
 def freeze_table(rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: str = "table") -> Table:
-    """Copy rows into tuples, validating type, shape and entry range."""
+    """Copy rows into tuples, validating type, shape and entry range. The
+    whole table is checked at once, by the sets of its row types, row
+    lengths and cell types and by its least and greatest entry; only a table
+    that fails those is walked cell by cell, which names the first bad row
+    or entry, or accepts subclasses of list, tuple and int."""
     if not isinstance(rows, (list, tuple)):
         raise StructureError(f"{what}: expected a list of rows, got {type(rows).__name__}")
     if not rows:
         raise StructureError(f"{what}: a table needs at least one row")
     if len(rows) != nrows:
         raise StructureError(f"{what}: expected {nrows} rows, got {len(rows)}")
+    if {*map(type, rows)} <= {list, tuple} and {*map(len, rows)} == {ncols}:
+        cells = list(itertools.chain.from_iterable(rows))
+        if {*map(type, cells)} == {int} and 0 <= min(cells) and max(cells) < ncols:
+            return tuple(map(tuple, rows))
     out = []
     for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)):
@@ -295,9 +318,13 @@ class _Rows:
     ``byte_columns`` columns, with ``luts[v]`` row v padded to 256 entries,
     else its tuple rows, each its own lut. ``form`` makes a sequence of the
     form, ``join`` concatenates them, and ``through(seq)(luts[v])`` gathers
-    ``[table[v][y] for y in seq]`` by ``bytes.translate`` or ``itemgetter``."""
+    ``[table[v][y] for y in seq]`` by ``bytes.translate`` or ``itemgetter``.
+    ``cube_entries`` bounds the cube (first x middle x last) of a law in
+    three variables that one compare decides: every table of up to 32
+    elements."""
 
     byte_columns = 256
+    cube_entries = 1 << 15
 
     def __init__(self, table: Table):
         self.table = table
@@ -357,9 +384,19 @@ def _associative_rows(mul: Table, act: _Rows, mids: Sequence[int]) -> tuple:
     return lambda s: (join(map(rows.__getitem__, map(mul[s].__getitem__, mids))), gather(luts[s])), 2
 
 
+def _associative_cube(mul: Table, act: _Rows) -> tuple:
+    """(st)x and s(tx) over every (s, t, x) at once: the rows of ``act`` at
+    every st, joined, against the rows of ``act``, joined and gathered
+    through each row s."""
+    rows, join = act.rows, act.join
+    return join(map(rows.__getitem__, itertools.chain.from_iterable(mul))), join(map(act.through(join(rows)), act.luts))
+
+
 def commutative_witness(table: Table) -> Optional[tuple[int, int]]:
-    """Least (a, b) with ab != ba."""
+    """Least (a, b) with ab != ba; None at once on a table equal to its transpose."""
     cols = transpose(table)
+    if cols == table:
+        return None
     return least_witness((len(table),) * 2, lambda a: (table[a], cols[a]))
 
 
@@ -374,6 +411,35 @@ def _distributive_rows(add: _Rows, mul: _Rows, mids: Sequence[int]) -> tuple:
         gather(muls[a]),
         join(map(through(rows[a]), map(luts.__getitem__, map(rows[a].__getitem__, mids)))),
     ), 2
+
+
+def _distributive_cube(add: _Rows, mul: _Rows) -> tuple:
+    """a(b+c) and ab+ac over every (a, b, c) at once: the rows of ``add``,
+    joined and gathered through each row a of ``mul``, against each row a
+    gathered through the rows of ``add`` at the ab."""
+    join, through, luts = add.join, add.through, add.luts
+    return join(map(through(join(add.rows)), mul.luts)), join(
+        itertools.chain.from_iterable(map(through(row), map(luts.__getitem__, row)) for row in mul.rows)
+    )
+
+
+def _cube_witness(shape: Sequence[int], sides: tuple) -> Optional[tuple[int, int, int]]:
+    """Least (a, b, c) falsifying a law in three variables, given its two
+    sides over the whole cube ``shape``, flattened row-major: one compare,
+    and where they differ, the first differing index, found by halving and
+    unflattened."""
+    lhs, rhs = sides
+    if lhs == rhs:
+        return None
+    lo, hi = 0, len(lhs)
+    while hi - lo > 1:  # the sides agree before lo and differ before hi
+        mid = (lo + hi) // 2
+        if lhs[lo:mid] == rhs[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    a, i = divmod(lo, shape[1] * shape[2])
+    return (a, *divmod(i, shape[2]))
 
 
 def _scan(firsts: Sequence[int], mids: Sequence[int], last: int, law: Callable) -> Optional[tuple[int, int, int]]:
@@ -420,37 +486,66 @@ def _medial_witness(t: _Rows) -> Optional[tuple[int, int, int, int]]:
 
 
 def generators(table: Table) -> tuple[int, ...]:
-    """A generating set of the magma ``table``, picked greedily: the least
-    element outside the subset generated so far, until that is the carrier."""
+    """A generating set of the magma ``table``, picked greedily from both
+    ends: the greatest element outside the subset generated so far, until
+    that is the carrier, and likewise the least; the smaller set, the
+    least-first one on a tie. On a meet, where an element is only ever the
+    product of larger ones, least-first takes the whole carrier and
+    greatest-first the co-atoms and the top."""
     n = len(table)
     full, absorb = (1 << n) - 1, (0,) * n
-    gens: list[int] = []
-    closed = 0
-    while closed != full:
-        g = (~closed & (closed + 1)).bit_length() - 1  # the least element outside
-        gens.append(g)
-        closed = close(table, absorb, 1 << g, closed)
-    return tuple(gens)
+
+    def greedy(pick: Callable[[int], int], most: int) -> Optional[list[int]]:
+        """The generators ``pick`` gives, or None when ``most`` of them
+        do not generate the carrier."""
+        gens: list[int] = []
+        closed = 0
+        while closed != full and len(gens) < most:
+            gens.append(pick(closed))
+            closed = close(table, absorb, 1 << gens[-1], closed)
+        return gens if closed == full else None
+
+    down = greedy(lambda closed: (full & ~closed).bit_length() - 1, n)
+    up = greedy(lambda closed: (~closed & (closed + 1)).bit_length() - 1, len(down))
+    return tuple(up or down)
 
 
-def _generated_witness(gens: Sequence[int], shape: Sequence[int], law: Callable) -> Optional[tuple[int, ...]]:
+def _reducing(table: Table, shape: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The generators of ``table``, on which a law in three variables over
+    the cube ``shape`` is reduced, or None when the cube fits
+    ``_Rows.cube_entries`` and one compare decides the law."""
+    return None if math.prod(shape) <= _Rows.cube_entries else generators(table)
+
+
+def _generated_witness(
+    gens: Optional[Sequence[int]], shape: Sequence[int], law: Callable, cube: Optional[Callable] = None
+) -> Optional[tuple[int, ...]]:
     """Least witness of a law in three variables that holds once it holds
-    with its middle variable on ``gens``: the full scan runs when that
-    reduced test fails or, on the whole middle range, reduces nothing."""
+    with its middle variable on ``gens``: decided on the whole cube, with
+    ``cube()`` giving its two sides, when ``gens`` is None; else the full
+    scan runs when that reduced test fails or, on the whole middle range,
+    reduces nothing."""
+    if gens is None:
+        return _cube_witness(shape, cube())
     first, middle, last = shape
     if len(gens) < middle and _scan(range(first), gens, last, law) is None:
         return None
     return _scan(range(first), range(middle), last, law)
 
 
-def _first_block_witness(gens: Sequence[int], shape: Sequence[int], law: Callable, firsts=None) -> Optional[tuple]:
+def _first_block_witness(
+    gens: Optional[Sequence[int]], shape: Sequence[int], law: Callable, firsts=None, cube: Optional[Callable] = None
+) -> Optional[tuple]:
     """Least witness of a law in three variables that holds at a first
     coordinate a once it holds there with its middle variable on ``gens``
-    (a proper subset, or the whole middle range in order): only the block of
-    the first a where that reduced scan fails is scanned in full. ``firsts``,
-    when given, generate the first coordinates under a product that keeps
-    the a where the law holds, so a reduced scan over them that passes
-    proves the law."""
+    (a proper subset, or the whole middle range in order): decided on the
+    whole cube, as ``_generated_witness`` does, when ``gens`` is None; else
+    only the block of the first a where that reduced scan fails is scanned
+    in full. ``firsts``, when given, generate the first coordinates under a
+    product that keeps the a where the law holds, so a reduced scan over
+    them that passes proves the law."""
+    if gens is None:
+        return _cube_witness(shape, cube())
     first, middle, last = shape
     if firsts is not None and len(firsts) < first and _scan(firsts, gens, last, law) is None:
         return None
@@ -473,19 +568,28 @@ def _additive_laws(
     """The associativity and commutativity witnesses of ``add``, and the
     distributivity witness over it of each of ``muls`` (one row per
     multiplier, one column per element of ``add``), all given as row views.
+    A law whose cube fits the budget is decided on it. Past the budget,
     ``firsts``, when given, generate the multipliers under an associative
-    product that keeps those that distribute. Over an associative addition,
-    a(g+c) = ag+ac for every generator g gives a(b+c) = ab+ac for every b,
-    by induction on b, for each multiplier a on its own; otherwise every b
-    is scanned."""
+    product that keeps those that distribute; and over an associative
+    addition, a(g+c) = ag+ac for every generator g gives a(b+c) = ab+ac for
+    every b, by induction on b, for each multiplier a on its own; otherwise
+    every b is scanned."""
     n = len(add.rows)
-    gens = generators(add.table)
-    associative = _generated_witness(gens, (n, n, n), partial(_associative_rows, add.table, add))
-    dist_gens = gens if associative is None else range(n)
-    distributive = [
-        _first_block_witness(dist_gens, (len(mul.rows), n, n), partial(_distributive_rows, add, mul), firsts)
-        for mul in muls
-    ]
+    gens = _reducing(add.table, (n, n, n))
+    associative = _generated_witness(
+        gens, (n, n, n), partial(_associative_rows, add.table, add), partial(_associative_cube, add.table, add)
+    )
+    distributive = []
+    for mul in muls:
+        shape = (len(mul.rows), n, n)
+        if math.prod(shape) <= _Rows.cube_entries:
+            mids = None
+        elif associative is None:
+            mids = gens or generators(add.table)  # None when add's own cube fits
+        else:
+            mids = range(n)
+        law, cube = partial(_distributive_rows, add, mul), partial(_distributive_cube, add, mul)
+        distributive.append(_first_block_witness(mids, shape, law, firsts, cube))
     return associative, commutative_witness(add.table), distributive
 
 
@@ -508,12 +612,17 @@ def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
     add_rows, mul_rows = _Rows(add), _Rows(mul)
-    mul_gens = generators(mul)
-    mul_associative = _generated_witness(mul_gens, (n, n, n), partial(_associative_rows, mul, mul_rows))
+    mul_gens = _reducing(mul, (n, n, n))
+    mul_associative = _generated_witness(
+        mul_gens, (n, n, n), partial(_associative_rows, mul, mul_rows), partial(_associative_cube, mul, mul_rows)
+    )
     # over an associative multiplication, the a with a(b+c) = ab+ac for every
     # b and c are closed under products, and so are those on the transpose
     firsts = mul_gens if mul_associative is None else None
-    add_associative, add_commutative, (left, right) = _additive_laws(add_rows, (mul_rows, _Rows(mul_cols)), firsts)
+    # a multiplication equal to its transpose has one distributive law
+    muls = (mul_rows,) if mul_cols == mul else (mul_rows, _Rows(mul_cols))
+    add_associative, add_commutative, distributive = _additive_laws(add_rows, muls, firsts)
+    left, right = distributive[0], distributive[-1]
     zero, one = _neutral(add, n), _neutral(mul, n)
     z, e = zero, one
     found = {
@@ -711,7 +820,8 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
         # and x are closed under products, as the semiring's multiplication
         # is associative
         "action_associative": _generated_witness(
-            generators(smul), (n, n, k), partial(_associative_rows, smul, act_rows)
+            _reducing(smul, (n, n, k)), (n, n, k),
+            partial(_associative_rows, smul, act_rows), partial(_associative_cube, smul, act_rows),
         ),
         "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
         "scalar_add_distributes": _generated_witness(sum_gens, (n, n, k), lambda mids: (

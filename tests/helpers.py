@@ -18,7 +18,9 @@ comprehensions that ``endomorphism_ringoid`` built its tables with before
 its byte gathers; and the list rows that the three-variable laws took, one
 prefix at a time, on tables wider than 256 columns until one row view
 served every width: ``associative_list_rows``, ``distributive_list_rows``
-and ``medial_list_witness``."""
+and ``medial_list_witness``; and ``freeze_table_by_cells``, the cell loop
+that validated every table before ``freeze_table`` checked a table at a
+time."""
 
 import functools
 import itertools
@@ -53,6 +55,7 @@ from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
     StructureConstants,
+    _is_index,
     check_laws,
     commutative_monoid_table,
     is_semifield,
@@ -169,6 +172,28 @@ def medial_list_witness(t) -> Optional[tuple[int, int, int, int]]:
     pairs = tuple(itertools.combinations(range(n), 2))
     w = least_witness((n, len(pairs), n), lambda a, k: _medial_list_rows(t, a, *pairs[k]))
     return None if w is None else (w[0], *pairs[w[1]], w[2])
+
+
+def freeze_table_by_cells(rows, nrows: int, ncols: int, what: str = "table") -> tuple:
+    """``freeze_table`` one row and one cell at a time, refusing the first
+    bad row or entry with its message."""
+    if not isinstance(rows, (list, tuple)):
+        raise StructureError(f"{what}: expected a list of rows, got {type(rows).__name__}")
+    if not rows:
+        raise StructureError(f"{what}: a table needs at least one row")
+    if len(rows) != nrows:
+        raise StructureError(f"{what}: expected {nrows} rows, got {len(rows)}")
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise StructureError(f"{what}: row {i} is a {type(row).__name__}, not a list")
+        if len(row) != ncols:
+            raise StructureError(f"{what}: row {i} has length {len(row)}, expected {ncols}")
+        for v in row:
+            if not (_is_index(v) and 0 <= v < ncols):
+                raise StructureError(f"{what}: entry {v!r} in row {i} is not an integer in 0..{ncols - 1}")
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def encode_tuple(values: Sequence[int], base: int) -> int:

@@ -1,5 +1,6 @@
 """Law checking and semimodule axioms against independent in-test oracles."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -18,13 +19,17 @@ from semiringlab.corpus import (
     saturating,
 )
 from semiringlab.errors import StructureError
+from semiringlab.fileio import ingest_doc
 from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
     LAW_NAMES,
     SEMIMODULE_AXIOMS,
     _Rows,
+    _associative_cube,
     _associative_rows,
+    _cube_witness,
+    _distributive_cube,
     _distributive_rows,
     _first_block_witness,
     _law_report,
@@ -32,8 +37,11 @@ from semiringlab.tables import (
     _scan,
     _semimodule_report,
     check_laws,
+    distributive_witness,
+    freeze_table,
     generators,
     is_semifield,
+    least_witness,
     semimodule_check,
     self_action,
     transpose,
@@ -106,6 +114,60 @@ def test_malformed_table_rejected():
         CayleyStructure(size=2, add=((0, 1), (1, 2)), mul=((0, 0), (0, 1)))
     with pytest.raises(StructureError):
         CayleyStructure(size=2, add=((0, 1),), mul=((0, 0), (0, 1)))
+
+
+class _Index(int):
+    """An int subclass: accepted as a table entry, as a bool is not."""
+
+
+class _Row(list):
+    """A list subclass: accepted as a table row."""
+
+
+MALFORMED_TABLES = (
+    [[0, True], [1, 0]],
+    [[0, 1.0], [1, 0]],
+    [[0, "1"], [1, 0]],
+    [[0, [1]], [1, 0]],
+    [[0, -1], [1, 0]],
+    [[0, 2], [1, 0]],
+    [[0, 1], [1]],
+    [[0, 1], "10"],
+    [[0, 1], 7],
+    [],
+    [[0, 1]],
+    {0: [0, 1], 1: [1, 0]},
+)
+
+
+def test_tables_are_refused_as_the_cell_loop_refuses_them():
+    """Each malformed table is refused by ``CayleyStructure``,
+    ``FiniteSemimodule`` and ``ingest_doc`` with the message of the cell
+    loop that validated every table before; bool, float, str and nested
+    entries, a negative and an out-of-range entry, a short row, rows that
+    are not lists, an empty table, a missing row and a table that is not a
+    list. Tables of int and list subclasses are accepted by both."""
+    good = [[0, 1], [1, 0]]
+    b = boolean_semifield()
+    for bad in MALFORMED_TABLES:
+        def message(what):
+            with pytest.raises(StructureError) as want:
+                helpers.freeze_table_by_cells(bad, 2, 2, what)
+            return str(want.value)
+
+        for what, build in (
+            ("add", lambda: CayleyStructure(2, bad, good)),
+            ("mul", lambda: CayleyStructure(2, good, bad)),
+            ("madd", lambda: FiniteSemimodule(b, 2, bad, 0, good)),
+            ("action", lambda: FiniteSemimodule(b, 2, good, 0, bad)),
+            ("add", lambda: ingest_doc({"size": 2, "add": bad, "mul": good})),
+            ("mul", lambda: ingest_doc({"size": 2, "add": good, "mul": bad})),
+        ):
+            with pytest.raises(StructureError) as got:
+                build()
+            assert str(got.value) == message(what)
+    for table in ([[_Index(0), 1], [1, 0]], [_Row([0, 1]), (1, 0)], ((0, 1), (1, 0)), good):
+        assert freeze_table(table, 2, 2) == helpers.freeze_table_by_cells(table, 2, 2) == ((0, 1), (1, 0))
 
 
 def _least(sizes, bad):
@@ -308,16 +370,27 @@ def _generated(table, gens):
         got |= new
 
 
+def _greedy(table, order):
+    """Generators picked along ``order``: each the first element of
+    ``order`` outside the subset generated by the ones before it."""
+    gens = []
+    while rest := [x for x in order if x not in _generated(table, gens)]:
+        gens.append(rest[0])
+    return tuple(gens)
+
+
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(*(st.integers(0, n - 1) for _ in range(n * n)))))
 def test_generators_are_picked_greedily_and_generate(flat):
-    """Each generator is the least element outside the subset generated by
-    the ones before it, and together they generate the carrier: the reduced
-    law tests are sound only on a generating set."""
+    """Generators are picked greedily from both ends: each the least (or
+    the greatest) element outside the subset generated by the ones before
+    it. The smaller set is kept, the least-first one on a tie, and it
+    generates the carrier: the reduced law tests are sound only on a
+    generating set."""
     n = round(len(flat) ** 0.5)
     table = _square(flat, n)
+    up, down = _greedy(table, range(n)), _greedy(table, range(n - 1, -1, -1))
     gens = generators(table)
-    for i, g in enumerate(gens):
-        assert g == min(set(range(n)) - _generated(table, gens[:i]))
+    assert gens == (up if len(up) <= len(down) else down)
     assert _generated(table, gens) == set(range(n))
 
 
@@ -420,18 +493,24 @@ def test_failing_multiplier_below_the_first_failing_generator():
 
 def test_endomorphism_ringoids_reduced_over_multiplicative_generators(monkeypatch):
     """The endomorphisms of the constant magma on 4 elements (64) and of
-    the left projection on 3 (27). Every element is an additive generator
-    of both, so no scan reduces over the addition; composition is
-    associative with 33 and 10 generators, and both distributive laws are
-    proved on those."""
+    the left projection on 3 (27). Every element of the first but the zero
+    map is an additive generator, and every element of the second; so the
+    scans barely reduce, or not at all, over the addition. Composition is
+    associative with 9 and 7 generators, and both distributive laws are
+    proved on those. The 27-element ringoid fits the cube budget, so it
+    is checked a second time with the budget at 0, where it takes the
+    reduced scans."""
     rings = [endomorphism_ringoid([[0] * 4] * 4), endomorphism_ringoid([[x] * 3 for x in range(3)])]
-    assert [(r.size, len(generators(r.add)), len(generators(r.mul))) for r in rings] == [(64, 64, 33), (27, 27, 10)]
-    for r in rings:
-        assert check_laws(r).mul_associative
-        assert_laws_match_oracle(r.add, r.mul)
-    on_bytes, on_tuples = _reports_both_ways(monkeypatch, _law_report, rings)
-    assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_tuples]
-    assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_tuples]
+    assert [(r.size, len(generators(r.add)), len(generators(r.mul))) for r in rings] == [(64, 63, 9), (27, 27, 7)]
+    for budget in (tables._Rows.cube_entries, 0):
+        with monkeypatch.context() as patch:
+            patch.setattr(tables._Rows, "cube_entries", budget)
+            for r in rings:
+                assert _law_report(r).mul_associative
+                assert_laws_match_oracle(r.add, r.mul)
+            on_bytes, on_tuples = _reports_both_ways(monkeypatch, _law_report, rings)
+        assert [r.witnesses for r in on_bytes] == [r.witnesses for r in on_tuples]
+        assert [(r.zero, r.one) for r in on_bytes] == [(r.zero, r.one) for r in on_tuples]
 
 
 def _tuple_rows(table):
@@ -582,19 +661,21 @@ def test_random_tables_at_the_byte_boundary(monkeypatch, n):
 
 
 def test_boolean_power_scans_every_prefix_on_byte_rows():
-    """On boolean^8 every law holds and the generators of the AND are the
-    whole carrier, so multiplicative and action associativity walk all 256
-    blocks of 65,536 bytes. Each block at an s in a stride of the carrier,
-    on byte rows and on tuple rows, equals the list rows at (s, t) for
-    every t, joined."""
+    """On boolean^8 every law holds. The generators of the AND, picked
+    from the top, are the 8 co-atoms and the top, so the laws are proved
+    on those; the full byte-row scan of associativity walks all 256 blocks
+    of 65,536 bytes when driven over the full range. Each block at an s in
+    a stride of the carrier, on byte rows and on tuple rows, equals the
+    list rows at (s, t) for every t, joined."""
     b = direct_product([boolean_semifield()] * 8)
-    assert generators(b.mul) == tuple(range(256))
+    assert generators(b.mul) == (255, *(255 ^ 1 << i for i in range(8)))
     rep = check_laws(b)
     assert rep.is_commutative_semiring and rep.zerosumfree and rep.mul_idempotent and rep.complemented
     assert set(rep.witnesses) == {"entire"}
     assert semimodule_check(self_action(b)).valid
     assert _forms(b.mul) == (bytes, tuple)
     laws = _associative(b.mul, b.mul)[2:]
+    assert _scan(range(256), range(256), 256, laws[0]) is None
     (on_bytes, inner), (on_tuples, _), (on_lists, _) = (law(range(256)) for law in laws)
     assert inner == 2
     for s in range(0, 256, 17):
@@ -737,3 +818,159 @@ def test_semimodule_shape_validation():
         FiniteSemimodule(
             semiring=b, msize=2, madd=((0, 1), (1, 1)), mzero=0, action=((0, 0),)
         )
+
+
+def _cubes(law, *operands):
+    """Both sides of a law's whole cube, on byte rows and on tuple rows."""
+    if law is _associative:
+        mul, act = operands
+        return [_associative_cube(mul, rows) for rows in (_Rows(act), _tuple_rows(act))]
+    add, mul = operands
+    return [_distributive_cube(*views) for views in ((_Rows(add), _Rows(mul)), (_tuple_rows(add), _tuple_rows(mul)))]
+
+
+def assert_cube_matches_scans(law, *operands):
+    """One compare over a law's whole cube, on byte rows and on tuple rows,
+    gives the witness of the full block scans over every first coordinate
+    and of the list rows; the two cubes hold the same entries."""
+    shape, _, *rows = law(*operands)
+    first, middle, last = shape
+    scans = [_scan(range(first), range(middle), last, law_rows) for law_rows in rows]
+    cubes = _cubes(law, *operands)
+    assert [bytes(side) for side in cubes[1]] == [bytes(side) for side in cubes[0]]
+    assert [_cube_witness(shape, sides) for sides in cubes] == scans[:2] == scans[1:]
+
+
+SMALL_STRUCTURES = tuple(e.structure for e in corpus() if e.structure.size <= 8)
+
+
+@st.composite
+def cube_operands(draw):
+    """An addition and a multiplication on n <= 8 elements, and a module
+    addition on k <= 8 elements with an action of the n scalars: drawn at
+    random, or a corpus structure of at most 8 elements acting on itself,
+    with one cell of one of the four tables changed."""
+    if draw(st.booleans()):
+        n, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        shapes = ((n, n), (n, n), (k, k), (n, k))
+        tables_ = [[draw(st.lists(st.integers(0, c - 1), min_size=c, max_size=c)) for _ in range(r)] for r, c in shapes]
+    else:
+        s = draw(st.sampled_from(SMALL_STRUCTURES))
+        tables_ = [list(map(list, t)) for t in (s.add, s.mul, s.add, s.mul)]
+        t = draw(st.sampled_from(tables_))
+        i, j = draw(st.integers(0, len(t) - 1)), draw(st.integers(0, len(t[0]) - 1))
+        t[i][j] = (t[i][j] + draw(st.integers(1, len(t[0])))) % len(t[0])
+    return tuple(tuple(map(tuple, t)) for t in tables_)
+
+
+@given(cube_operands())
+def test_cube_witness_matches_block_scans_and_list_rows(operands):
+    """Both associativities, action associativity, both distributive laws
+    and module-add distributivity, each decided on its cube."""
+    add, mul, madd, act = operands
+    for law, pair in (
+        (_associative, (add, add)),
+        (_associative, (mul, mul)),
+        (_associative, (mul, act)),
+        (_distributive, (add, mul)),
+        (_distributive, (add, transpose(mul))),
+        (_distributive, (madd, act)),
+    ):
+        assert_cube_matches_scans(law, *pair)
+
+
+def _picked_generators(monkeypatch):
+    """The tables whose generators the package picks from now on."""
+    picked = []
+    monkeypatch.setattr(tables, "generators", lambda table: picked.append(table) or generators(table))
+    return picked
+
+
+@pytest.fixture
+def no_cube(monkeypatch):
+    """Every law past the cube budget: small tables take Light's test, the
+    first-block scans and the multiplicative firsts, as past the budget."""
+    monkeypatch.setattr(tables._Rows, "cube_entries", 0)
+    picked = _picked_generators(monkeypatch)
+    yield
+    assert picked
+
+
+@pytest.fixture
+def fresh_entries(all_entries):
+    """The corpus with every structure built again, so that no report made
+    under the cube is read back from a structure's context."""
+    return [
+        dataclasses.replace(e, structure=CayleyStructure(
+            e.structure.size, e.structure.add, e.structure.mul, e.structure.zero, e.structure.one, e.structure.name
+        ))
+        for e in all_entries
+    ]
+
+
+def test_corpus_one_cell_mutants_match_oracle_past_the_budget(no_cube, fresh_entries):
+    test_corpus_one_cell_mutants_match_oracle(fresh_entries)
+
+
+def test_flag_products_relabellings_and_mutants_match_oracle_past_the_budget(no_cube):
+    test_flag_products_relabellings_and_mutants_match_oracle()
+
+
+def test_reports_match_the_list_path_past_the_budget(no_cube, monkeypatch, fresh_entries):
+    test_reports_match_the_list_path_on_corpus_ladder_and_mutants(monkeypatch, fresh_entries)
+
+
+def test_semimodule_axioms_match_oracle_past_the_budget(no_cube, fresh_entries):
+    test_semimodule_axioms_match_oracle(fresh_entries)
+    test_self_action_is_semimodule_for_every_corpus_semiring(fresh_entries)
+    test_componentwise_module_over_boolean()
+    test_broken_action_carries_witness()
+
+
+@pytest.mark.parametrize("n", [32, 33])
+def test_laws_either_side_of_the_cube_budget(monkeypatch, n):
+    """32^3 entries fill the budget, so on 32 elements every three-variable
+    law of ``check_laws`` and of the semimodule check is decided on its
+    cube, with no generators picked; 33^3 do not, and the reduced scans
+    run. On saturating, its self action and one-cell mutants of each
+    table, flags and witnesses equal the oracle's either side."""
+    picked = _picked_generators(monkeypatch)
+    s, rng = saturating(n - 1), random.Random(n)
+    assert_laws_match_oracle(s.add, s.mul)
+    for add in _one_cell_mutants(s.add, rng, 2):
+        assert_laws_match_oracle(add, s.mul)
+    for mul in _one_cell_mutants(s.mul, rng, 3):
+        assert_laws_match_oracle(s.add, mul)
+    assert (len(picked) > 0) == (n > 32)
+    own = self_action(s)
+    for m in [own] + [FiniteSemimodule(s, n, own.madd, 0, act) for act in _one_cell_mutants(own.action, rng, 2)]:
+        assert semimodule_check(m).witnesses == oracle_semimodule(m)
+
+
+def test_a_multiplication_equal_to_its_transpose_is_scanned_once(monkeypatch):
+    """Right distributivity is the left scan, and commutativity needs no
+    scan, where the multiplication equals its transpose. On a commutative
+    multiplication, a symmetric one-cell mutant of it that fails to
+    distribute, a one-cell mutant that breaks commutativity and a
+    non-commutative multiplication, the right distributive witness is the
+    transposed scan's and the commutativity witness the row scan's. With
+    ``generators`` made to raise, ``check_laws`` of 16 elements completes."""
+    s = saturating(15)
+    mul = [list(row) for row in s.mul]
+    mul[3][5] = mul[5][3] = 2
+    broken = [list(row) for row in s.mul]
+    broken[3][5] = 2
+    z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
+    for add, mul in ((s.add, s.mul), (s.add, mul), (s.add, broken), (z3, ((0, 0, 2), (0, 1, 2), (0, 0, 2)))):
+        add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+        n, cols = len(add), transpose(mul)
+        rep = check_laws(CayleyStructure(n, add, mul))
+        assert rep.witnesses.get("right_distributive") == distributive_witness(add, cols)
+        assert rep.witnesses.get("mul_commutative") == least_witness((n, n), lambda a: (mul[a], cols[a]))
+        assert_laws_match_oracle(add, mul)
+
+    def refuse(table):
+        raise AssertionError("generators picked within the cube budget")
+
+    monkeypatch.setattr(tables, "generators", refuse)
+    assert check_laws(saturating(15)).is_commutative_semiring
