@@ -4,25 +4,21 @@ Carriers are index sets 0..size-1 and binary operations are row-major tables,
 so every law is decidable by quantifier elimination over the carrier. One
 kernel, ``least_witness``, finds every witness: it walks the prefixes of the
 law's variables in lexicographic order and compares the two sides over the
-other variables, flattened row-major, unflattening the first difference with
-``divmod``. Failing laws therefore always carry the lexicographically least
-witness tuple, which keeps reports deterministic and golden-testable.
+other variables, flattened row-major; in the first unequal pair, halving by
+slices finds the first difference, unflattened by ``divmod``. Failing laws
+therefore always carry the lexicographically least witness tuple, which
+keeps reports deterministic and golden-testable.
 
 The three-variable laws (associativity, distributivity, mediality) are
 written once, over one gather done in C, ``[T[v][y] for y in seq]``, in the
 form the row view ``_Rows`` picks: ``seq.translate(luts[v])`` on ``bytes``
 rows up to 256 columns, ``itemgetter(*seq)(T[v])`` on the tuple rows of a
-wider table. Associativity and distributivity are decided on their whole
-cube (first x middle x last) when it holds at most ``_Rows.cube_entries``
-(2^15) entries, which covers every table of up to 32 elements: each side is
-one sequence over every first coordinate, (xy)z the rows at every xy,
-joined, and x(yz) the joined rows gathered through each row x, so one
-compare decides the law, and halving by slices finds the first difference,
-unflattened into the least witness. Past the budget, a first coordinate is
-one block, both sides over the last two variables joined from such gathers
-and compared as one sequence; blocks come in order and are row-major
-inside, so again the first difference is the least witness. Mediality
-keeps its blocks at n^2 entries, one per (a, b).
+wider table. Each side of associativity and distributivity comes two ways:
+over the whole cube (first x middle x last), one sequence over every first
+coordinate, (xy)z the rows at every xy, joined, and x(yz) the joined rows
+gathered through each row x, which ``least_witness`` takes with no prefix;
+or as blocks, one per first coordinate over the last two variables.
+Mediality keeps its blocks at n^2 entries, one per (a, b).
 
 The member rows of a mask M in a table T (per row x, the mask of the y
 with T[x][y] in M) are the other gather, which residuals, subtractivity and
@@ -31,28 +27,31 @@ annihilators read: each row, reversed as bytes, goes through a lut of
 format follows T's values, not its columns: past 256 values, each window
 of 256 values gathers the low bytes and keeps its own columns.
 
-Past the budget, ``check_laws`` proves some laws on a generating set, which
+One driver, ``_law_witness``, decides every law in three variables but
+mediality, and alone reads the budget ``_Rows.cube_entries`` (2^15
+entries, every table of up to 32 elements): within it, one compare over the
+cube decides the law. Past it, the law is reduced to a generating set, which
 ``generators`` picks greedily with the closure kernel of
 :mod:`semiringlab.closure`, from both ends of the carrier, keeping the
-smaller set: on a meet, least-first takes the whole carrier. ``generators``
-runs only there; within the budget the cube is cheaper than the generators
-it would prune with. By Light's test (Clifford & Preston, *The Algebraic
-Theory of Semigroups*, vol. 1, 1961), an operation is associative when
-(xg)y = x(gy) for every generator g; this is applied to both operations.
-Over an associative addition, a(g+c) = ag+ac for every additive generator g
-gives a(b+c) = ab+ac for every b. Over an associative multiplication, which
-``_law_report`` decides first, the multipliers a that distribute are closed
-under products, so both distributive laws (the right one on the transposed
-multiplication) hold once they hold at every multiplicative generator.
-``_additive_laws`` holds these premises, and the choice between cube and
-generators, for ``check_laws``, the semimodule check and
+smaller set: on a meet, least-first takes the whole carrier. Each report
+picks a table's generators at most once, and only there; within the budget
+the cube is cheaper than the generators it would prune with. By Light's
+test (Clifford & Preston, *The Algebraic Theory of Semigroups*, vol. 1,
+1961), an operation is associative when (xg)y = x(gy) for every generator
+g; this is applied to both operations. Over an associative addition,
+a(g+c) = ag+ac for every additive generator g gives a(b+c) = ab+ac for
+every b. Over an associative multiplication, which ``_law_report`` decides
+first, the multipliers a that distribute are closed under products, so
+both distributive laws (the right one on the transposed multiplication)
+hold once they hold at every multiplicative generator. ``_additive_laws``
+holds these premises for ``check_laws``, the semimodule check and
 ``commutative_monoid_table``. A reduced test only says "holds"; when it
 fails, a full scan finds the witness. Light's test is closed over every
 first coordinate at once, so its full scan starts from the first prefix.
 Distributivity at the additive generators is closed per multiplier, so only
 the block of the first multiplier that fails there is scanned in full. A
 multiplication equal to its transpose is commutative without a scan, and
-its right distributive law is its left one, scanned once.
+its right distributive law is its left one, decided once.
 Mediality of addition follows from associativity plus commutativity, so it
 is settled without a scan when both hold; otherwise only the tuples with
 b < c are walked, as swapping b and c swaps the two sides of
@@ -63,10 +62,10 @@ column compare as tuples with the identity, ``row.index`` finds the least
 zero sum or zero divisor, and complements are counted over zipped rows.
 
 ``semimodule_check`` runs on a semiring that ``require_semiring`` has
-proved, so it reduces two more laws over the scalars: action associativity
-past the budget, and scalar-add distributivity, which keeps its list rows
-and has no cube, always. The t with (st)x = s(tx) for every s and x are
-closed under products, because the semiring's multiplication is
+proved, so the driver reduces two more laws over the scalars: action
+associativity past the budget, and scalar-add distributivity, which keeps
+its list rows and has no cube, always. The t with (st)x = s(tx) for every s
+and x are closed under products, because the semiring's multiplication is
 associative: Light's test over the generators of that multiplication
 proves the action associative. Once the module's addition is associative,
 the t with (s+t)x = sx+tx for every s and x are closed under sums, so that
@@ -83,7 +82,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from operator import and_, attrgetter, countOf, itemgetter, ne, or_, rshift
+from operator import and_, attrgetter, countOf, itemgetter, or_, rshift
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -287,16 +286,27 @@ def least_witness(shape: Sequence[int], rows: Callable[..., tuple], inner: int =
     """Lexicographically least tuple over ``range(shape[0]) x ... x range(shape[-1])``
     that falsifies a law, or None when the law holds. ``rows(*prefix)`` gives
     the two sides at a prefix of all but the last ``inner`` coordinates, as
-    two sequences of one type, flattened row-major: 2 for the blocks of the
-    three-variable laws, 1 for the other laws and ``scalar_add_distributes``.
-    Prefixes are walked in lexicographic order, and the first differing index
-    of the first unequal pair, unflattened, closes the witness."""
+    two sequences of one type, flattened row-major: 3 for a whole cube, 2 for
+    the blocks of the three-variable laws, 1 for the other laws and
+    ``scalar_add_distributes``. Prefixes are walked in lexicographic order;
+    in the first unequal pair, halving by slices finds the first differing
+    index, and unflattened it closes the witness."""
     outer = len(shape) - inner
     for prefix in itertools.product(*map(range, shape[:outer])):
         lhs, rhs = rows(*prefix)
         if lhs != rhs:
-            i = next(itertools.compress(itertools.count(), map(ne, lhs, rhs)))
-            return (*prefix, *divmod(i, shape[-1])) if inner == 2 else (*prefix, i)
+            lo, hi = 0, len(lhs)
+            while hi - lo > 1:  # the sides agree before lo and differ before hi
+                mid = (lo + hi) // 2
+                if lhs[lo:mid] == rhs[lo:mid]:
+                    lo = mid
+                else:
+                    hi = mid
+            tail = ()
+            for d in reversed(shape[outer + 1 :]):
+                lo, r = divmod(lo, d)
+                tail = (r, *tail)
+            return (*prefix, lo, *tail)
     return None
 
 
@@ -423,25 +433,6 @@ def _distributive_cube(add: _Rows, mul: _Rows) -> tuple:
     )
 
 
-def _cube_witness(shape: Sequence[int], sides: tuple) -> Optional[tuple[int, int, int]]:
-    """Least (a, b, c) falsifying a law in three variables, given its two
-    sides over the whole cube ``shape``, flattened row-major: one compare,
-    and where they differ, the first differing index, found by halving and
-    unflattened."""
-    lhs, rhs = sides
-    if lhs == rhs:
-        return None
-    lo, hi = 0, len(lhs)
-    while hi - lo > 1:  # the sides agree before lo and differ before hi
-        mid = (lo + hi) // 2
-        if lhs[lo:mid] == rhs[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    a, i = divmod(lo, shape[1] * shape[2])
-    return (a, *divmod(i, shape[2]))
-
-
 def _scan(firsts: Sequence[int], mids: Sequence[int], last: int, law: Callable) -> Optional[tuple[int, int, int]]:
     """Least (a, b, c) falsifying a law in three variables with a in
     ``firsts`` and b in ``mids``, each walked in order, and c below ``last``:
@@ -510,44 +501,32 @@ def generators(table: Table) -> tuple[int, ...]:
     return tuple(up or down)
 
 
-def _reducing(table: Table, shape: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """The generators of ``table``, on which a law in three variables over
-    the cube ``shape`` is reduced, or None when the cube fits
-    ``_Rows.cube_entries`` and one compare decides the law."""
-    return None if math.prod(shape) <= _Rows.cube_entries else generators(table)
+def _generators_once(table: Table) -> Callable[[], Sequence[int]]:
+    """``generators(table)``, picked on the first call and then kept."""
+    picked = {}
+    return lambda: picked[0] if picked else picked.setdefault(0, generators(table))
 
 
-def _generated_witness(
-    gens: Optional[Sequence[int]], shape: Sequence[int], law: Callable, cube: Optional[Callable] = None
-) -> Optional[tuple[int, ...]]:
-    """Least witness of a law in three variables that holds once it holds
-    with its middle variable on ``gens``: decided on the whole cube, with
-    ``cube()`` giving its two sides, when ``gens`` is None; else the full
-    scan runs when that reduced test fails or, on the whole middle range,
-    reduces nothing."""
-    if gens is None:
-        return _cube_witness(shape, cube())
+def _law_witness(
+    shape: Sequence[int], law: Callable, cube: Optional[Callable], mids: Callable[[], Sequence[int]],
+    firsts: Optional[Callable[[], Sequence[int]]] = None, per_first: bool = False,
+) -> Optional[tuple[int, int, int]]:
+    """Least witness of a law in three variables over ``shape``: one
+    compare over the cube ``cube()`` within ``_Rows.cube_entries``; past it,
+    or with no cube, scans of ``law(mids)`` with the middle variable first
+    reduced to ``mids()``. With ``per_first`` the law is closed per first
+    coordinate, so only the block of the first one failing the reduced scan
+    is scanned in full, and a reduced pass over ``firsts()``, when given,
+    proves it; otherwise a failed reduced scan is followed by a full one."""
+    if cube is not None and math.prod(shape) <= _Rows.cube_entries:
+        return least_witness(shape, cube, 3)
     first, middle, last = shape
-    if len(gens) < middle and _scan(range(first), gens, last, law) is None:
-        return None
-    return _scan(range(first), range(middle), last, law)
-
-
-def _first_block_witness(
-    gens: Optional[Sequence[int]], shape: Sequence[int], law: Callable, firsts=None, cube: Optional[Callable] = None
-) -> Optional[tuple]:
-    """Least witness of a law in three variables that holds at a first
-    coordinate a once it holds there with its middle variable on ``gens``
-    (a proper subset, or the whole middle range in order): decided on the
-    whole cube, as ``_generated_witness`` does, when ``gens`` is None; else
-    only the block of the first a where that reduced scan fails is scanned
-    in full. ``firsts``, when given, generate the first coordinates under a
-    product that keeps the a where the law holds, so a reduced scan over
-    them that passes proves the law."""
-    if gens is None:
-        return _cube_witness(shape, cube())
-    first, middle, last = shape
-    if firsts is not None and len(firsts) < first and _scan(firsts, gens, last, law) is None:
+    gens = mids()
+    if not per_first:
+        if len(gens) < middle and _scan(range(first), gens, last, law) is None:
+            return None
+        return _scan(range(first), range(middle), last, law)
+    if firsts is not None and len(firsts()) < first and _scan(firsts(), gens, last, law) is None:
         return None
     w = _scan(range(first), gens, last, law)
     if w is None or len(gens) == middle:
@@ -563,33 +542,29 @@ def check_laws(s: CayleyStructure) -> LawReport:
 
 
 def _additive_laws(
-    add: _Rows, muls: Sequence[_Rows], firsts: Optional[Sequence[int]] = None
+    add: _Rows, gens: Callable[[], Sequence[int]], muls: Sequence[_Rows],
+    firsts: Optional[Callable[[], Sequence[int]]] = None,
 ) -> tuple[Optional[tuple], Optional[tuple], list]:
-    """The associativity and commutativity witnesses of ``add``, and the
-    distributivity witness over it of each of ``muls`` (one row per
-    multiplier, one column per element of ``add``), all given as row views.
-    A law whose cube fits the budget is decided on it. Past the budget,
-    ``firsts``, when given, generate the multipliers under an associative
-    product that keeps those that distribute; and over an associative
-    addition, a(g+c) = ag+ac for every generator g gives a(b+c) = ab+ac for
-    every b, by induction on b, for each multiplier a on its own; otherwise
-    every b is scanned."""
+    """The associativity and commutativity witnesses of ``add``, whose
+    generators ``gens()`` picks, and the distributivity witness over it of
+    each of ``muls`` (one row per multiplier, one column per element of
+    ``add``), all given as row views. ``firsts``, when given, generate the
+    multipliers under an associative product that keeps those that
+    distribute. Over an associative addition, a(g+c) = ag+ac for every
+    generator g gives a(b+c) = ab+ac for every b, by induction on b, for
+    each multiplier a on its own; otherwise every b is scanned."""
     n = len(add.rows)
-    gens = _reducing(add.table, (n, n, n))
-    associative = _generated_witness(
-        gens, (n, n, n), partial(_associative_rows, add.table, add), partial(_associative_cube, add.table, add)
+    associative = _law_witness(
+        (n, n, n), partial(_associative_rows, add.table, add), partial(_associative_cube, add.table, add), gens
     )
-    distributive = []
-    for mul in muls:
-        shape = (len(mul.rows), n, n)
-        if math.prod(shape) <= _Rows.cube_entries:
-            mids = None
-        elif associative is None:
-            mids = gens or generators(add.table)  # None when add's own cube fits
-        else:
-            mids = range(n)
-        law, cube = partial(_distributive_rows, add, mul), partial(_distributive_cube, add, mul)
-        distributive.append(_first_block_witness(mids, shape, law, firsts, cube))
+    mids = gens if associative is None else partial(range, n)
+    distributive = [
+        _law_witness(
+            (len(mul.rows), n, n), partial(_distributive_rows, add, mul), partial(_distributive_cube, add, mul),
+            mids, firsts, per_first=True,
+        )
+        for mul in muls
+    ]
     return associative, commutative_witness(add.table), distributive
 
 
@@ -597,7 +572,7 @@ def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int
     """Validate a commutative monoid table, returning it with its identity."""
     n = len(table)
     t = freeze_table(table, n, n, "monoid")
-    associative, commutative, _ = _additive_laws(_Rows(t), ())
+    associative, commutative, _ = _additive_laws(_Rows(t), _generators_once(t), ())
     if associative is not None:
         raise StructureError(f"monoid operation not associative, witness {associative}")
     if commutative is not None:
@@ -612,16 +587,16 @@ def _law_report(s: CayleyStructure) -> LawReport:
     n, add, mul = s.size, s.add, s.mul
     mul_cols = transpose(mul)
     add_rows, mul_rows = _Rows(add), _Rows(mul)
-    mul_gens = _reducing(mul, (n, n, n))
-    mul_associative = _generated_witness(
-        mul_gens, (n, n, n), partial(_associative_rows, mul, mul_rows), partial(_associative_cube, mul, mul_rows)
+    mul_gens = _generators_once(mul)
+    mul_associative = _law_witness(
+        (n, n, n), partial(_associative_rows, mul, mul_rows), partial(_associative_cube, mul, mul_rows), mul_gens
     )
     # over an associative multiplication, the a with a(b+c) = ab+ac for every
     # b and c are closed under products, and so are those on the transpose
     firsts = mul_gens if mul_associative is None else None
     # a multiplication equal to its transpose has one distributive law
     muls = (mul_rows,) if mul_cols == mul else (mul_rows, _Rows(mul_cols))
-    add_associative, add_commutative, distributive = _additive_laws(add_rows, muls, firsts)
+    add_associative, add_commutative, distributive = _additive_laws(add_rows, _generators_once(add), muls, firsts)
     left, right = distributive[0], distributive[-1]
     zero, one = _neutral(add, n), _neutral(mul, n)
     z, e = zero, one
@@ -690,9 +665,7 @@ def is_semifield(s: CayleyStructure) -> bool:
     if not rep.is_commutative_semiring:
         return False
     z, e = rep.zero, rep.one
-    return all(
-        any(s.mul[x][y] == e for y in s.elements()) for x in s.elements() if x != z
-    )
+    return all(e in row for x, row in enumerate(s.mul) if x != z)
 
 
 @dataclass(frozen=True)
@@ -806,10 +779,15 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
     sadd, smul = m.semiring.add, m.semiring.mul
     madd, act, mz = m.madd, m.action, m.mzero
     act_rows = _Rows(act)
-    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(_Rows(madd), (act_rows,))
+    madd_gens = _generators_once(madd)
+    add_associative, add_commutative, (module_add_distributes,) = _additive_laws(_Rows(madd), madd_gens, (act_rows,))
     # the t with (s+t)x = sx+tx for every s and x are closed under sums
-    # once the module's addition is associative, as the semiring's is
-    sum_gens = generators(sadd) if add_associative is None else range(n)
+    # once the module's addition is associative, as the semiring's is; a
+    # self action's two additions are one table, whose generators are kept
+    if add_associative is not None:
+        sum_gens = partial(range, n)
+    else:
+        sum_gens = madd_gens if madd == sadd else _generators_once(sadd)
     found = {
         "add_associative": add_associative,
         "add_commutative": add_commutative,
@@ -819,14 +797,14 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
         # Light's test over the scalars: the t with (st)x = s(tx) for every s
         # and x are closed under products, as the semiring's multiplication
         # is associative
-        "action_associative": _generated_witness(
-            _reducing(smul, (n, n, k)), (n, n, k),
-            partial(_associative_rows, smul, act_rows), partial(_associative_cube, smul, act_rows),
+        "action_associative": _law_witness(
+            (n, n, k), partial(_associative_rows, smul, act_rows), partial(_associative_cube, smul, act_rows),
+            _generators_once(smul),
         ),
         "action_unital": least_witness((k,), lambda: (list(act[rep.one]), list(range(k)))),
-        "scalar_add_distributes": _generated_witness(sum_gens, (n, n, k), lambda mids: (
+        "scalar_add_distributes": _law_witness((n, n, k), lambda mids: (
             lambda s, i: (list(act[sadd[s][mids[i]]]), [madd[x][y] for x, y in zip(act[s], act[mids[i]])]), 1
-        )),
+        ), None, sum_gens),
         "module_add_distributes": module_add_distributes,
         "zero_scalar_absorbs": least_witness((k,), lambda: (list(act[rep.zero]), [mz] * k)),
         "scalar_zero_absorbs": least_witness((n,), lambda: ([row[mz] for row in act], [mz] * n)),

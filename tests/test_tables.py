@@ -28,11 +28,10 @@ from semiringlab.tables import (
     _Rows,
     _associative_cube,
     _associative_rows,
-    _cube_witness,
     _distributive_cube,
     _distributive_rows,
-    _first_block_witness,
     _law_report,
+    _law_witness,
     _medial_witness,
     _scan,
     _semimodule_report,
@@ -57,6 +56,14 @@ def test_boolean_semifield_all_flags():
     assert rep.entire and rep.zerosumfree and rep.mul_idempotent
     assert rep.zero == 0 and rep.one == 1
     assert is_semifield(boolean_semifield())
+
+
+def test_a_commutative_semiring_with_a_non_unit_is_no_semifield():
+    """The 3-chain is a commutative semiring whose middle element a has no
+    inverse: a times anything is 0 or a, never the top."""
+    c = chain_semiring()
+    assert check_laws(c).is_commutative_semiring
+    assert not is_semifield(c)
 
 
 def test_cross_product_not_associative():
@@ -439,7 +446,11 @@ def test_flag_products_relabellings_and_mutants_match_oracle():
             assert_laws_match_oracle(p.add, mutant)
 
 
-def test_first_block_scan_holds_for_any_generating_set():
+def _no_cube():
+    raise AssertionError("cube decided past the budget")
+
+
+def test_first_block_scan_holds_for_any_generating_set(monkeypatch):
     """Over the cyclic group of order 4, the first multiplier is an
     endomorphism and the second, f = (0, 1, 0, 0), first fails at
     f(1+1) != f(1)+f(1). On the generators (0, 3) the reduced scan first
@@ -447,14 +458,15 @@ def test_first_block_scan_holds_for_any_generating_set():
     (With the greedy generators (0, 1) the reduced witness is already the
     least, since every element below the first failing generator lies in
     the sums of the ones before it.) Byte blocks, tuple blocks and list
-    rows agree."""
+    rows agree; with the cube budget at 0, the driver takes the scans."""
+    monkeypatch.setattr(tables._Rows, "cube_entries", 0)
     z4 = tuple(tuple((x + y) % 4 for y in range(4)) for x in range(4))
     mul = ((0, 2, 0, 2), (0, 1, 0, 0))
     for law in _distributive(z4, mul)[2:]:
         assert _scan(range(2), range(4), 4, law) == (1, 1, 1)
         assert _scan(range(2), (0, 3), 4, law) == (1, 3, 1)
-        assert _first_block_witness((0, 3), (2, 4, 4), law) == (1, 1, 1)
-        assert _first_block_witness(generators(z4), (2, 4, 4), law) == (1, 1, 1)
+        assert _law_witness((2, 4, 4), law, _no_cube, lambda: (0, 3), per_first=True) == (1, 1, 1)
+        assert _law_witness((2, 4, 4), law, _no_cube, lambda: generators(z4), per_first=True) == (1, 1, 1)
 
 
 def test_multiplicative_generators_are_not_used_without_associativity():
@@ -473,20 +485,23 @@ def test_multiplicative_generators_are_not_used_without_associativity():
     assert_laws_match_oracle(chain_max, mul)
 
 
-def test_failing_multiplier_below_the_first_failing_generator():
+def test_failing_multiplier_below_the_first_failing_generator(monkeypatch):
     """Over Z/3, the associative multiplication below is generated by
     (1, 2), as 2*0 = 0. Multiplier 0 = (0, 0, 2) does not distribute and is
     not among those generators; 1 is the identity and distributes; 2 fails
     too. The reduced pass first fails at 2, and the scan over every
     multiplier in order finds the least witness at 0. The greedy
     generators cannot show this: every element below a greedy generator
-    is generated by the ones before it, so it distributes when they do."""
+    is generated by the ones before it, so it distributes when they do.
+    The cube budget is at 0, so the driver takes the scans."""
+    monkeypatch.setattr(tables._Rows, "cube_entries", 0)
     z3 = tuple(tuple((x + y) % 3 for y in range(3)) for x in range(3))
     mul = ((0, 0, 2), (0, 1, 2), (0, 0, 2))
     assert check_laws(CayleyStructure(3, z3, mul)).mul_associative
     for law in _distributive(z3, mul)[2:]:
         assert _scan((1, 2), generators(z3), 3, law)[0] == 2
-        assert _first_block_witness(generators(z3), (3, 3, 3), law, firsts=(1, 2)) == (0, 1, 1)
+        mids, firsts = lambda: generators(z3), lambda: (1, 2)
+        assert _law_witness((3, 3, 3), law, _no_cube, mids, firsts, per_first=True) == (0, 1, 1)
         assert _scan(range(3), range(3), 3, law) == (0, 1, 1)
     assert_laws_match_oracle(z3, mul)
 
@@ -830,15 +845,15 @@ def _cubes(law, *operands):
 
 
 def assert_cube_matches_scans(law, *operands):
-    """One compare over a law's whole cube, on byte rows and on tuple rows,
-    gives the witness of the full block scans over every first coordinate
-    and of the list rows; the two cubes hold the same entries."""
+    """``least_witness`` over a law's whole cube, on byte rows and on tuple
+    rows, gives the witness of the full block scans over every first
+    coordinate and of the list rows; the two cubes hold the same entries."""
     shape, _, *rows = law(*operands)
     first, middle, last = shape
     scans = [_scan(range(first), range(middle), last, law_rows) for law_rows in rows]
     cubes = _cubes(law, *operands)
     assert [bytes(side) for side in cubes[1]] == [bytes(side) for side in cubes[0]]
-    assert [_cube_witness(shape, sides) for sides in cubes] == scans[:2] == scans[1:]
+    assert [least_witness(shape, lambda: sides, 3) for sides in cubes] == scans[:2] == scans[1:]
 
 
 SMALL_STRUCTURES = tuple(e.structure for e in corpus() if e.structure.size <= 8)
@@ -945,6 +960,31 @@ def test_laws_either_side_of_the_cube_budget(monkeypatch, n):
     own = self_action(s)
     for m in [own] + [FiniteSemimodule(s, n, own.madd, 0, act) for act in _one_cell_mutants(own.action, rng, 2)]:
         assert semimodule_check(m).witnesses == oracle_semimodule(m)
+
+
+def test_generators_are_picked_once_per_table_and_only_past_the_budget(monkeypatch):
+    """The 64 endomorphisms of the constant magma on 4 elements are past
+    the cube budget, so ``_law_report`` reduces its laws on the generators
+    of both tables: those of the multiplication serve Light's test and the
+    distributive firsts, those of the addition its associativity and both
+    distributive laws, and each set is picked once. Within the budget, on
+    the 27 endomorphisms of the left projection on 3 elements and on
+    saturating(15), none is picked. The self action of saturating(40), past
+    the budget too, has one addition for the module and the scalars, and
+    its generators are picked once, as are those of the multiplication."""
+    picked = _picked_generators(monkeypatch)
+    r = endomorphism_ringoid([[0] * 4] * 4)
+    assert _law_report(r).is_ringoid
+    assert sorted(picked) == sorted([r.add, r.mul])
+    picked.clear()
+    for s in (endomorphism_ringoid([[x] * 3 for x in range(3)]), saturating(15)):
+        _law_report(s)
+    assert picked == []
+    s = saturating(40)
+    m = self_action(s)
+    picked.clear()
+    assert _semimodule_report(m).valid
+    assert sorted(picked) == sorted([s.add, s.mul])
 
 
 def test_a_multiplication_equal_to_its_transpose_is_scanned_once(monkeypatch):
