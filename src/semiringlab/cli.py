@@ -31,6 +31,7 @@ from .errors import CapExceeded, StructureError, TheoremViolation
 from .fileio import ingest, structure_to_json
 from .ideals import (
     TWO_SIDED,
+    _FLAGS,
     classify_ideal,
     enumerate_ideals,
     generate_ideal,
@@ -129,15 +130,7 @@ def cmd_ideals(args) -> int:
         row = {"members": list(ideal.members())}
         if args.side == TWO_SIDED:
             cls = classify_ideal(ideal)
-            row.update(
-                subtractive=cls.subtractive,
-                proper=cls.proper,
-                prime=cls.prime,
-                semiprime=cls.semiprime,
-                two_absorbing=cls.two_absorbing,
-                maximal=cls.maximal,
-                radical_ideal=cls.radical_ideal,
-            )
+            row.update({flag: getattr(cls, flag) for flag in (*_FLAGS, "radical_ideal")})
         rows.append(row)
     _emit({"job": {"command": "ideals", "structure": args.structure, "side": args.side}, "ideals": rows}, args.json)
     return 0

@@ -3,10 +3,10 @@
 Products, hemialgebras, monoid semirings and truncated polynomials are
 ``EncodedStructure`` carriers: tuple spaces with a radix per digit, encoded
 big-endian, so the index order of the carrier agrees with lexicographic
-order on the tuples and all outputs are deterministic. One builder makes
-each of them: it checks ``CARRIER_CAP``, adds componentwise with
-``product_table``, multiplies with ``product_table`` or with
-``convolution_table``, the bilinear product of coefficient tuples, and
+order on the tuples and all outputs are deterministic. Each is first
+sized against ``CARRIER_CAP``; then one builder makes it: it adds
+componentwise with ``product_table``, multiplies with ``product_table`` or
+with ``convolution_table``, the bilinear product of coefficient tuples, and
 encodes the designated zero and one. ``EncodedStructure.coords`` and
 ``index_of`` are the one codec between elements and digit tuples.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, StructureError, TheoremViolation
 from .limits import CARRIER_CAP
@@ -216,23 +216,35 @@ class EncodedStructure(CayleyStructure):
         return encode_tuple(coords, self.radices)
 
 
-def _encoded(
-    cls: type, digits: Sequence[CayleyStructure], zero, one, name: str, terms=None, **provenance
-) -> EncodedStructure:
-    """The ``cls`` on the tuples whose digit p is an element of ``digits[p]``,
-    added componentwise, with the digit tuples ``zero`` and ``one`` (or None)
-    designated. Multiplication is componentwise too, or, given ``terms``,
-    the ``convolution_table`` over the structure every digit shares. The
-    carrier is compared with ``CARRIER_CAP`` before any table is built or
-    ``terms``, which may be lazy, is read."""
-    radices = tuple(d.size for d in digits)
-    size = math.prod(radices)
+def _carrier_size(radices: Iterable[int], terms: int = 0) -> int:
+    """The product of ``radices``, read one at a time, and so an encoded
+    carrier's size, refused when it or the number of convolution ``terms``
+    exceeds ``CARRIER_CAP``; a size past 2^64 is refused unprinted."""
+    size = 1
+    for r in radices:
+        size *= r
+        if size >> 64:
+            raise CapExceeded(f"carrier of size over 2^64 exceeds cap {CARRIER_CAP}")
     if size > CARRIER_CAP:
         raise CapExceeded(f"carrier of size {size} exceeds cap {CARRIER_CAP}")
+    if terms > CARRIER_CAP:
+        raise CapExceeded(f"{terms} convolution terms exceed cap {CARRIER_CAP}")
+    return size
+
+
+def _encoded(
+    cls: type, size: int, digits: Sequence[CayleyStructure], zero, one, name: str, terms=None, **provenance
+) -> EncodedStructure:
+    """The ``cls`` on the ``size`` tuples, as ``_carrier_size`` allowed,
+    whose digit p is an element of ``digits[p]``, added componentwise, with
+    the digit tuples ``zero`` and ``one`` (or None) designated.
+    Multiplication is componentwise too, or, given ``terms``, the
+    ``convolution_table`` over the structure every digit shares."""
+    radices = tuple(d.size for d in digits)
     return cls(
         size=size,
         add=product_table([d.add for d in digits]),
-        mul=product_table([d.mul for d in digits]) if terms is None else convolution_table(digits[0], list(terms)),
+        mul=product_table([d.mul for d in digits]) if terms is None else convolution_table(digits[0], terms),
         zero=None if zero is None else encode_tuple(zero, radices),
         one=None if one is None else encode_tuple(one, radices),
         name=name,
@@ -253,6 +265,7 @@ def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
     if not is_semifield(k):
         raise StructureError("structure constants must live over a semifield")
     dim, gamma = constants.dim, constants.gamma
+    size = _carrier_size(itertools.repeat(k.size, dim))
     zero_k = check_laws(k).zero
     # a zero constant adds a zero term, and zero is neutral in a semifield
     terms = [
@@ -260,7 +273,7 @@ def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
         for t in range(dim)
     ]
     name = name or f"hemialgebra of dim {dim} over {k.name or 'K'}"
-    return _encoded(Hemialgebra, [k] * dim, [zero_k] * dim, None, name, terms, constants=constants)
+    return _encoded(Hemialgebra, size, [k] * dim, [zero_k] * dim, None, name, terms, constants=constants)
 
 
 def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
@@ -343,9 +356,11 @@ def direct_product(factors: Sequence[CayleyStructure], name: str = "") -> Produc
     factors = tuple(factors)
     if not factors:
         raise StructureError("need at least one factor")
+    size = _carrier_size(f.size for f in factors)
     zeros, ones = [f.zero for f in factors], [f.one for f in factors]
     return _encoded(
         ProductStructure,
+        size,
         factors,
         None if None in zeros else zeros,
         None if None in ones else ones,
@@ -374,6 +389,7 @@ def monoid_semiring(
         raise StructureError("base must be a semiring")
     g, e = commutative_monoid_table(monoid)
     gn = len(g)
+    size = _carrier_size(itertools.repeat(s.size, gn))
     # coefficient k collects the index pairs (i, j) with g_i g_j = g_k
     terms: list[list[tuple]] = [[] for _ in range(gn)]
     for i in range(gn):
@@ -382,7 +398,7 @@ def monoid_semiring(
     one = [rep.zero] * gn
     one[e] = rep.one
     name = name or f"{s.name or 'S'}[G] with |G|={gn}"
-    return _encoded(MonoidSemiring, [s] * gn, [rep.zero] * gn, one, name, terms, base=s, monoid=g)
+    return _encoded(MonoidSemiring, size, [s] * gn, [rep.zero] * gn, one, name, terms, base=s, monoid=g)
 
 
 @dataclass(frozen=True, repr=False)
@@ -406,10 +422,11 @@ def truncated_polynomial_hemiring(
     if not _is_index(degree_cap) or degree_cap < 0:
         raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
     length = degree_cap + 1
-    # coefficient k of a product sums a_i b_(k-i); listed only under the cap
-    terms = ([(i, k - i, None) for i in range(k + 1)] for k in range(length))
+    # coefficient k of a product sums a_i b_(k-i), k + 1 terms
+    size = _carrier_size(itertools.repeat(h.size, length), length * (length + 1) // 2)
+    terms = [[(i, k - i, None) for i in range(k + 1)] for k in range(length)]
     one = [rep.one] + [rep.zero] * degree_cap if rep.has_one else None
     name = name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}"
     return _encoded(
-        PolynomialHemiring, [h] * length, [rep.zero] * length, one, name, terms, base=h, degree_cap=degree_cap
+        PolynomialHemiring, size, [h] * length, [rep.zero] * length, one, name, terms, base=h, degree_cap=degree_cap
     )

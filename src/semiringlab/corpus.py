@@ -30,7 +30,7 @@ from .constructions import (
     _encoded,
 )
 from .errors import StructureError
-from .tables import CayleyStructure, FiniteSemimodule, check_laws, self_action
+from .tables import CayleyStructure, FiniteSemimodule, check_laws, is_semifield, self_action
 
 CROSS_GAMMA = (
     # gamma[i][j][k]: coefficient of basis k in the product of basis i and j
@@ -105,7 +105,7 @@ def dual_numbers_mod2() -> EncodedStructure:
     f2 = CayleyStructure(size=2, add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)), zero=0, one=1, name="f2")
     # the coefficients of 1, x and y in (a + bx + cy)(d + ex + fy): ad, ae + bd, af + cd
     terms = [[(0, 0, None)], [(0, 1, None), (1, 0, None)], [(0, 2, None), (2, 0, None)]]
-    return _encoded(EncodedStructure, [f2] * 3, (0, 0, 0), (1, 0, 0), "f2xy", terms)
+    return _encoded(EncodedStructure, 8, [f2] * 3, (0, 0, 0), (1, 0, 0), "f2xy", terms)
 
 
 def cross_product_hemiring() -> CayleyStructure:
@@ -288,8 +288,6 @@ def corpus() -> tuple[CorpusEntry, ...]:
 
 
 def claim_holds(s: CayleyStructure, claim: str) -> bool:
-    from .tables import is_semifield  # local to avoid a cycle at import time
-
     rep = check_laws(s)
     if claim == "ringoid":
         return rep.is_ringoid

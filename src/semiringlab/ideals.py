@@ -52,8 +52,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .analysis import analysis, reader
 from .closure import close, close_by_one, mask_members
@@ -62,7 +62,8 @@ from .limits import BRUTE_FORCE_CAP
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
-    _freeze_witnesses,
+    _Verdicts,
+    _flag_names,
     _is_index,
     check_laws,
     member_rows,
@@ -320,18 +321,27 @@ def ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
 
 
 def _ideal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
-    add, principal = s.add, principal_masks(s, side)
-    if _sum_joins(check_laws(s), side):
+    # the empty set is the least closed set
+    return _closed_sets(s.add, _absorb(s, side), 0, _sum_joins(check_laws(s), side), principal_masks(s, side))
+
+
+def _closed_sets(
+    add, absorb: Sequence[int], bottom: int, sums: bool, principal: Optional[Sequence[int]] = None
+) -> tuple[int, ...]:
+    """The nonempty sets closed under ``add`` and holding ``absorb[x]`` for
+    each member x, sorted by member tuple, by Close-by-One from the least,
+    ``bottom``, and the closures of bottom and each element, ``principal``
+    unless given. A closed set joins a principal one in their sum when
+    ``sums``, else in the closure grown from the set."""
+    if principal is None:
+        principal = [close(add, absorb, 1 << x, bottom) for x in range(len(add))]
+    if sums:
         def join(a: int, j: int) -> int:
             return _sum_join(add, a, principal[j])
     else:
-        absorb = _absorb(s, side)
-
         def join(a: int, j: int) -> int:
             return close(add, absorb, principal[j], a)
-    # the empty set is the least closed set
-    masks = close_by_one(0, principal, join)
-    return tuple(sorted((m for m in masks if m), key=mask_members))
+    return tuple(sorted(filter(None, close_by_one(bottom, principal, join)), key=mask_members))
 
 
 def _sum_joins(rep, side: str) -> bool:
@@ -577,27 +587,27 @@ def residual(ideal: IdealSet, t: int) -> IdealSet:
 
 
 @dataclass(frozen=True, repr=False)
-class IdealClassification:
-    subtractive: bool
-    proper: bool
-    prime: bool
-    semiprime: bool
-    two_absorbing: bool
-    maximal: bool
+class IdealClassification(_Verdicts):
+    """A two-sided ideal's classes. ``radical_ideal`` and ``t_semiprime`` are
+    given: None off commutative semirings or with no T-set, else whether
+    their name has no witness."""
+
+    subtractive: bool = field(init=False)
+    proper: bool = field(init=False)
+    prime: bool = field(init=False)
+    semiprime: bool = field(init=False)
+    two_absorbing: bool = field(init=False)
+    maximal: bool = field(init=False)
     radical_ideal: Optional[bool]
     t_semiprime: Optional[bool]
     t_element: Optional[int]
-    witnesses: Mapping
-
-    def __post_init__(self):
-        _freeze_witnesses(self)
 
     def __repr__(self):
         flags = {k: getattr(self, k) for k in _FLAGS}
         return f"<IdealClassification {flags}>"
 
 
-_FLAGS = ("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal")
+_FLAGS = _flag_names(IdealClassification)
 
 
 def _semiprime_elementwise(s: CayleyStructure, mask: int) -> Optional[tuple[int]]:
@@ -656,9 +666,7 @@ def _t_classification(s: CayleyStructure, mask: int, t_mask: int) -> IdealClassi
         rest ^= low
         if squared_in & ~rows[low.bit_length() - 1] == 0:
             t_element = low.bit_length() - 1
-    witnesses = dict(cls.witnesses)
-    if t_element is None:
-        witnesses["t_semiprime"] = ()
+    witnesses = {**cls.witnesses, "t_semiprime": () if t_element is None else None}
     return dataclasses.replace(cls, t_semiprime=t_element is not None, t_element=t_element, witnesses=witnesses)
 
 
@@ -681,8 +689,8 @@ def _lattice_classes(s: CayleyStructure, lattice: tuple[int, ...], walk: Callabl
     superset of I, are lowest bits of a few ORs and ANDs (kept to
     nonnegative operands, which are several times cheaper on the long
     bitsets of a large lattice). The walk stores each ideal's subtractive,
-    prime and radical verdicts per mask. A flag is false exactly when its
-    witness is recorded."""
+    prime and radical verdicts per mask. Each class is built from its
+    witnesses alone."""
     commutative, full = check_laws(s).is_commutative_semiring, (1 << s.size) - 1
     members = list(map(mask_members, lattice))
     holds, squared = _transpose(lattice, s.size), [0] * s.size
@@ -711,15 +719,9 @@ def _lattice_classes(s: CayleyStructure, lattice: tuple[int, ...], walk: Callabl
             witnesses["two_absorbing"] = found["two_absorbing"][j]
             above = functools.reduce(int.__and__, map(holds.__getitem__, members[j])) ^ (1 << j | improper)
             witnesses["maximal"] = members[(above & -above).bit_length() - 1] if above else None
-        radical_ideal = None
-        if commutative:
-            witnesses["radical_ideal"] = found["radical_ideal"][j]
-            radical_ideal = witnesses["radical_ideal"] is None
-        witnesses = {k: w for k, w in witnesses.items() if w is not None}
-        flags = {k: k not in witnesses for k in _FLAGS}
-        out[mask] = IdealClassification(
-            **flags, radical_ideal=radical_ideal, t_semiprime=None, t_element=None, witnesses=witnesses
-        )
+        witnesses["radical_ideal"] = found["radical_ideal"][j]  # None unless commutative
+        radical_ideal = witnesses["radical_ideal"] is None if commutative else None
+        out[mask] = IdealClassification(witnesses, radical_ideal=radical_ideal, t_semiprime=None, t_element=None)
     return out
 
 
@@ -954,11 +956,8 @@ def subsemimodule_masks(m: FiniteSemimodule) -> tuple[int, ...]:
     distributes over it, so the join of a subsemimodule with the one
     generated by x is their sum, and Close-by-One enumerates them."""
     require_semimodule(m)
-    madd, act, zero = m.madd, m.action, 1 << m.mzero
-    absorb = tuple(mask_of(row[x] for row in act) for x in range(m.msize))
-    principal = [close(madd, absorb, 1 << x | zero) for x in range(m.msize)]
-    masks = close_by_one(close(madd, absorb, zero), principal, lambda a, j: _sum_join(madd, a, principal[j]))
-    return tuple(sorted(masks, key=mask_members))
+    absorb = tuple(map(mask_of, transpose(m.action)))
+    return _closed_sets(m.madd, absorb, close(m.madd, absorb, 1 << m.mzero), True)
 
 
 def maximal_annihilator_primes(s: CayleyStructure, m: FiniteSemimodule) -> tuple[IdealSet, ...]:

@@ -71,17 +71,17 @@ proves the action associative. Once the module's addition is associative,
 the t with (s+t)x = sx+tx for every s and x are closed under sums, so that
 law is tested on the semiring's additive generators.
 
-Every report is built from its witnesses: each law's witness, or None when
-it holds, goes into one dict in report order, and a flag is False exactly
-when its law has an entry.
+Every report is built from its witnesses alone, each law's witness or None
+in report order; ``_Verdicts`` keeps those not None and derives one flag
+per law, False exactly when it has a witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field, fields
+from functools import cache, partial
 from operator import and_, attrgetter, countOf, itemgetter, or_, rshift
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
@@ -92,23 +92,6 @@ from .errors import StructureError
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
-
-LAW_NAMES = (
-    "left_distributive",
-    "right_distributive",
-    "add_associative",
-    "add_commutative",
-    "add_medial",
-    "mul_associative",
-    "mul_commutative",
-    "has_zero",
-    "zero_absorbing",
-    "has_one",
-    "zerosumfree",
-    "entire",
-    "complemented",
-    "mul_idempotent",
-)
 
 # The laws a semiring must satisfy besides zero != one (``LawReport.is_semiring``).
 SEMIRING_LAWS = (
@@ -192,34 +175,52 @@ class CayleyStructure:
 
 
 @dataclass(frozen=True, repr=False)
-class LawReport:
-    """Outcome of exhaustive law checking.
+class _Verdicts:
+    """A report given each name's witness (the least falsifying tuple, or
+    the empty tuple when there is nothing to exhibit), or None where the
+    name holds. It keeps the witnesses as a read-only copy, as reports are
+    shared through the analysis context, and sets each field a subclass
+    declares with ``init=False`` to whether its name has no witness."""
 
-    A flag is False exactly when ``witnesses`` carries an entry under the
-    flag's name; the entry is the least tuple falsifying the law, or the
-    empty tuple for existence flags with nothing to exhibit.
-    """
-
-    left_distributive: bool
-    right_distributive: bool
-    add_associative: bool
-    add_commutative: bool
-    add_medial: bool
-    mul_associative: bool
-    mul_commutative: bool
-    has_zero: bool
-    zero_absorbing: bool
-    has_one: bool
-    zerosumfree: bool
-    entire: bool
-    complemented: bool
-    mul_idempotent: bool
-    zero: Optional[int]
-    one: Optional[int]
     witnesses: Mapping
 
     def __post_init__(self):
-        _freeze_witnesses(self)
+        witnesses = MappingProxyType({name: w for name, w in self.witnesses.items() if w is not None})
+        object.__setattr__(self, "witnesses", witnesses)
+        for name in _flag_names(type(self)):
+            object.__setattr__(self, name, name not in witnesses)
+
+    def __repr__(self):
+        failing = sorted(self.witnesses)
+        return f"<{type(self).__name__} ok={not failing} failing={failing}>"
+
+
+@cache
+def _flag_names(cls: type) -> tuple[str, ...]:
+    """The flags of a :class:`_Verdicts` class, in declaration order."""
+    return tuple(f.name for f in fields(cls) if not f.init)
+
+
+@dataclass(frozen=True, repr=False)
+class LawReport(_Verdicts):
+    """Outcome of exhaustive law checking, with the neutral elements found."""
+
+    left_distributive: bool = field(init=False)
+    right_distributive: bool = field(init=False)
+    add_associative: bool = field(init=False)
+    add_commutative: bool = field(init=False)
+    add_medial: bool = field(init=False)
+    mul_associative: bool = field(init=False)
+    mul_commutative: bool = field(init=False)
+    has_zero: bool = field(init=False)
+    zero_absorbing: bool = field(init=False)
+    has_one: bool = field(init=False)
+    zerosumfree: bool = field(init=False)
+    entire: bool = field(init=False)
+    complemented: bool = field(init=False)
+    mul_idempotent: bool = field(init=False)
+    zero: Optional[int]
+    one: Optional[int]
 
     def flag(self, law: str) -> bool:
         if law not in LAW_NAMES:
@@ -255,15 +256,8 @@ class LawReport:
     def is_commutative_semiring(self) -> bool:
         return self.is_semiring and self.mul_commutative
 
-    def __repr__(self):
-        failing = sorted(self.witnesses)
-        return f"<LawReport ok={not failing} failing={failing}>"
 
-
-def _freeze_witnesses(report) -> None:
-    """Replace a report's witnesses by a read-only copy: reports are shared
-    through the analysis context, so a write would change later answers."""
-    object.__setattr__(report, "witnesses", MappingProxyType(dict(report.witnesses)))
+LAW_NAMES = _flag_names(LawReport)
 
 
 def _neutral(table: Table, n: int) -> Optional[int]:
@@ -624,8 +618,7 @@ def _law_report(s: CayleyStructure) -> LawReport:
         ),
         "mul_idempotent": next(((r,) for r, row in enumerate(mul) if row[r] != r), None),
     }
-    witnesses = {law: w for law, w in found.items() if w is not None}
-    return LawReport(**{law: law not in witnesses for law in LAW_NAMES}, zero=zero, one=one, witnesses=witnesses)
+    return LawReport(found, zero=zero, one=one)
 
 
 def verify_designations(s: CayleyStructure) -> None:
@@ -730,41 +723,24 @@ class FiniteSemimodule:
         return f"<FiniteSemimodule {self.name or 'anonymous'} msize={self.msize} over {self.semiring.name or 'S'}>"
 
 
-SEMIMODULE_AXIOMS = (
-    "add_associative",
-    "add_commutative",
-    "zero_neutral",
-    "action_associative",
-    "action_unital",
-    "scalar_add_distributes",
-    "module_add_distributes",
-    "zero_scalar_absorbs",
-    "scalar_zero_absorbs",
-)
-
-
 @dataclass(frozen=True, repr=False)
-class SemimoduleReport:
-    add_associative: bool
-    add_commutative: bool
-    zero_neutral: bool
-    action_associative: bool
-    action_unital: bool
-    scalar_add_distributes: bool
-    module_add_distributes: bool
-    zero_scalar_absorbs: bool
-    scalar_zero_absorbs: bool
-    witnesses: Mapping
-
-    def __post_init__(self):
-        _freeze_witnesses(self)
+class SemimoduleReport(_Verdicts):
+    add_associative: bool = field(init=False)
+    add_commutative: bool = field(init=False)
+    zero_neutral: bool = field(init=False)
+    action_associative: bool = field(init=False)
+    action_unital: bool = field(init=False)
+    scalar_add_distributes: bool = field(init=False)
+    module_add_distributes: bool = field(init=False)
+    zero_scalar_absorbs: bool = field(init=False)
+    scalar_zero_absorbs: bool = field(init=False)
 
     @property
     def valid(self) -> bool:
         return not self.witnesses
 
-    def __repr__(self):
-        return f"<SemimoduleReport ok={self.valid} failing={sorted(self.witnesses)}>"
+
+SEMIMODULE_AXIOMS = _flag_names(SemimoduleReport)
 
 
 @reader("semimodule")
@@ -809,8 +785,7 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
         "zero_scalar_absorbs": least_witness((k,), lambda: (list(act[rep.zero]), [mz] * k)),
         "scalar_zero_absorbs": least_witness((n,), lambda: ([row[mz] for row in act], [mz] * n)),
     }
-    witnesses = {axiom: w for axiom, w in found.items() if w is not None}
-    return SemimoduleReport(**{axiom: axiom not in witnesses for axiom in SEMIMODULE_AXIOMS}, witnesses=witnesses)
+    return SemimoduleReport(found)
 
 
 def require_semimodule(m: FiniteSemimodule) -> SemimoduleReport:

@@ -371,6 +371,7 @@ def test_semimodule_witnesses_are_read_only(all_entries):
 
 def test_a_report_copies_the_dict_it_is_given():
     witnesses = {"zero_neutral": (0,)}
-    rep = tables.SemimoduleReport(*([False] + [True] * 8), witnesses=witnesses)
+    rep = tables.SemimoduleReport(witnesses)
     witnesses.clear()
     assert rep.witnesses == {"zero_neutral": (0,)}
+    assert not rep.zero_neutral and rep.add_associative

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import pytest
 
@@ -292,6 +293,20 @@ def test_carriers_past_the_cap_are_refused_before_any_table(monkeypatch):
     for build in builds:
         with pytest.raises(CapExceeded, match="8192 exceeds cap 4096"):
             build()
+    # carriers too large to print, and a one-element base whose carrier fits
+    # but whose 101 * 102 / 2 = 5151 convolution terms do not, are refused
+    # before any list with an entry per digit is built
+    monkeypatch.setattr(constructions, "encode_tuple", no_table)
+    single = endomorphism_ringoid([[0]])
+    for build, message in [
+        (lambda: truncated_polynomial_hemiring(b, 20000), "over 2\\^64 exceeds cap 4096"),
+        (lambda: direct_product([b] * 15000), "over 2\\^64 exceeds cap 4096"),
+        (lambda: truncated_polynomial_hemiring(single, 100), "5151 convolution terms exceed cap 4096"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=message):
+            build()
+        assert time.perf_counter() - start < 0.5
 
 
 # --- products -----------------------------------------------------------------

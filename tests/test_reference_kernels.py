@@ -203,18 +203,20 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
         if not radical_ideal:
             witnesses["radical_ideal"] = mask_members(rad & ~mask)[:1]
 
-    return IdealClassification(
-        subtractive=subtractive,
-        proper=proper,
-        prime=prime,
-        semiprime=semiprime,
-        two_absorbing=two_absorbing,
-        maximal=maximal,
-        radical_ideal=radical_ideal,
-        t_semiprime=None,
-        t_element=None,
-        witnesses=witnesses,
-    )
+    flags = {
+        "subtractive": subtractive,
+        "proper": proper,
+        "prime": prime,
+        "semiprime": semiprime,
+        "two_absorbing": two_absorbing,
+        "maximal": maximal,
+        "radical_ideal": radical_ideal,
+    }
+    # the report derives its flags from the witnesses, so the oracle's own
+    # flags must agree with its witnesses for the comparison to test them
+    disagree = [name for name, holds in flags.items() if holds is not None and holds == (name in witnesses)]
+    assert not disagree, f"reference flags disagree with their witnesses: {disagree}"
+    return IdealClassification(witnesses, radical_ideal=radical_ideal, t_semiprime=None, t_element=None)
 
 
 def reference_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:

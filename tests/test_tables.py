@@ -20,6 +20,7 @@ from semiringlab.corpus import (
 )
 from semiringlab.errors import StructureError
 from semiringlab.fileio import ingest_doc
+from semiringlab.ideals import _FLAGS, IdealClassification
 from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
@@ -104,6 +105,41 @@ def test_witness_iff_flag_false():
         rep = check_laws(s)
         for law in LAW_NAMES:
             assert rep.flag(law) == (law not in rep.witnesses)
+
+
+def test_report_names_are_read_off_the_flag_fields_in_order():
+    """The law, axiom and ideal-class names are the reports' init-less
+    fields; ``laws`` and ``ideals`` print their flags and the product-flag
+    suite names its first failing law in this order."""
+    assert LAW_NAMES == (
+        "left_distributive", "right_distributive", "add_associative", "add_commutative", "add_medial",
+        "mul_associative", "mul_commutative", "has_zero", "zero_absorbing", "has_one", "zerosumfree",
+        "entire", "complemented", "mul_idempotent",
+    )
+    assert SEMIMODULE_AXIOMS == (
+        "add_associative", "add_commutative", "zero_neutral", "action_associative", "action_unital",
+        "scalar_add_distributes", "module_add_distributes", "zero_scalar_absorbs", "scalar_zero_absorbs",
+    )
+    assert _FLAGS == ("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal")
+
+
+def test_a_report_built_from_witnesses_alone_derives_its_flags():
+    """A report is given witnesses, None for a name that holds, and derives
+    every flag; a flag cannot be given, and a replaced report derives its
+    flags again from its new witnesses."""
+    rep = tables.LawReport({"has_one": (), "add_medial": None, "entire": (1, 2)}, zero=0, one=None)
+    assert [law for law in LAW_NAMES if not rep.flag(law)] == ["has_one", "entire"]
+    assert dict(rep.witnesses) == {"has_one": (), "entire": (1, 2)}
+    assert rep == tables.LawReport({"has_one": (), "entire": (1, 2)}, zero=0, one=None)
+    with pytest.raises(TypeError):
+        tables.LawReport({}, zero=None, one=None, entire=False)
+    mod = tables.SemimoduleReport({"action_unital": (0,)})
+    assert [axiom for axiom in SEMIMODULE_AXIOMS if not getattr(mod, axiom)] == ["action_unital"]
+    assert not mod.valid and tables.SemimoduleReport({}).valid
+    cls = IdealClassification({"proper": (), "maximal": None}, radical_ideal=None, t_semiprime=None, t_element=None)
+    assert [flag for flag in _FLAGS if not getattr(cls, flag)] == ["proper"]
+    again = dataclasses.replace(cls, witnesses={"prime": (0, 1)})
+    assert [flag for flag in _FLAGS if not getattr(again, flag)] == ["prime"]
 
 
 def test_designation_validation():
