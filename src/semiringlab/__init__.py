@@ -45,6 +45,7 @@ from .ideals import (
     radical,
     residual,
     subtractive_sumtree_property,
+    t_semiprime_element,
     t_semiprime_equivalence,
 )
 from .covering import (

@@ -30,9 +30,10 @@ computed on its first read and read back afterwards. A context holds:
   over all ideals at once, as bitsets over the lattice. Either layout
   stores each ideal's subtractive, prime and radical verdicts as the
   per-mask facts above, the second with :meth:`Analysis.put`;
-- keyed by (mask, T-mask): ``classification``, a classification with its
-  T-part added, and ``semiprime_residual``, the least t in T whose residual
-  quotient of the two-sided ideal is proper and semiprime, with that
+- keyed by (mask, T-mask), the two sides of the T-semiprime equivalence:
+  ``t_element``, the least t in T with t*x in the two-sided ideal for every
+  x with x*x in it, or None, and ``semiprime_residual``, the least t in T
+  whose residual quotient of the ideal is proper and semiprime, with that
   quotient's mask, or None;
 - ``self_action``: for a semiring, the semiring as a semimodule over
   itself, one module per structure, so the module's own facts are
@@ -82,7 +83,7 @@ FACTS = (
     "radical",
     "residual",
     "classes",
-    "classification",
+    "t_element",
     "semiprime_residual",
     "semimodule",
     "element_annihilators",

@@ -130,7 +130,7 @@ def cmd_ideals(args) -> int:
         row = {"members": list(ideal.members())}
         if args.side == TWO_SIDED:
             cls = classify_ideal(ideal)
-            row.update({flag: getattr(cls, flag) for flag in (*_FLAGS, "radical_ideal")})
+            row.update({flag: getattr(cls, flag) for flag in _FLAGS})
         rows.append(row)
     _emit({"job": {"command": "ideals", "structure": args.structure, "side": args.side}, "ideals": rows}, args.json)
     return 0

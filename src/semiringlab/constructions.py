@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, StructureError, TheoremViolation
@@ -33,6 +33,7 @@ from .tables import (
     medial_witness,
     transpose,
     _Rows,
+    _Verdicts,
     _is_index,
     _neutral,
 )
@@ -291,22 +292,24 @@ def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
 
 
 @dataclass(frozen=True, repr=False)
-class NewmanReport:
+class NewmanReport(_Verdicts):
     """Axiom-by-axiom verdicts plus re-verified consequences.
 
     ``derived`` stays None unless all four axioms hold with distinct zero and
     one; when populated, every entry has been re-checked exhaustively.
     """
 
-    axioms: dict
-    witnesses: dict
+    n1_additive_unital: bool = field(init=False)
+    n2_right_identity: bool = field(init=False)
+    n3_distributive: bool = field(init=False)
+    n4_complement: bool = field(init=False)
     zero: Optional[int]
     one: Optional[int]
     derived: Optional[dict]
 
     @property
     def newman_holds(self) -> bool:
-        return all(self.axioms.values())
+        return not self.witnesses
 
 
 def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
@@ -326,11 +329,9 @@ def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
             (n,), lambda: ([(mul[a][c], add[a][c]) for a, c in enumerate(comp)], [(zero, one)] * n)
         ),
     }
-    witnesses = {axiom: w for axiom, w in found.items() if w is not None}
-    axioms = {axiom: axiom not in witnesses for axiom in found}
 
     derived = None
-    if all(axioms.values()) and zero != one:
+    if all(w is None for w in found.values()) and zero != one:
         rep = check_laws(s)
         derived = {
             "mul_idempotent": rep.mul_idempotent,
@@ -344,7 +345,7 @@ def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
             raise TheoremViolation(
                 f"Newman axioms hold but derived facts fail: {failed}"
             )
-    return NewmanReport(axioms=axioms, witnesses=witnesses, zero=zero, one=one, derived=derived)
+    return NewmanReport(found, zero=zero, one=one, derived=derived)
 
 
 @dataclass(frozen=True, repr=False)

@@ -5,10 +5,11 @@ Every check takes (target, covers), after Davis' element or the module of
 the annihilator form. The seven whose covers must cover the target reject
 no covers, covers over another structure and an uncovered target with
 ValueError; :func:`avoidance_witness` and :func:`davis_witness` take primes
-that the target escapes. The corollaries share one hypothesis gate (a
+that the target escapes, and with :func:`behrens_elements` refuse primes
+over another structure. The corollaries share one hypothesis gate (a
 commutative semiring whose ideals are all subtractive) and read stored
-facts: each cover's classification flags, the semiprime residual per
-(cover, T) and the element annihilators.
+facts: each cover's classification flags, its least T-element and its
+semiprime residual per (cover, T), and the element annihilators.
 
 The radical, semiprime and T-semiprime corollaries and McCoy's exponent
 have one implementation, a kernel that checks a statement for one family of
@@ -52,6 +53,7 @@ from .ideals import (
     require_same_structure,
     residual_rows,
     semiprime_residual,
+    t_semiprime_element,
     annihilator,
     annihilator_rows,
     union_mask,
@@ -143,6 +145,15 @@ def _corollary_unmet(s: CayleyStructure) -> Optional[WitnessReport]:
     return None
 
 
+def _primes_over(s: CayleyStructure, primes: Sequence[IdealSet]) -> list[IdealSet]:
+    """The primes as a list, once they are known to live over s (or a
+    structure equal to it)."""
+    primes = list(primes)
+    for p in primes:
+        require_same_structure(s, p, "a prime")
+    return primes
+
+
 def _verify_subtractive_primes(primes: Sequence[IdealSet]) -> Optional[WitnessReport]:
     for k, p in enumerate(primes):
         ok, w = is_subtractive(p)
@@ -187,7 +198,7 @@ def behrens_elements(
     element of the ideal avoiding the single prime.
     """
     s = ideal.structure
-    primes = list(primes)
+    primes = _primes_over(s, primes)
     n = len(primes)
     if n == 0:
         raise ValueError("need at least one prime")
@@ -271,14 +282,14 @@ def avoidance_witness(ideal: IdealSet, primes: Sequence[IdealSet]) -> WitnessRep
     Found twice: by direct scan and by the constructive route that combines
     cross-membership elements through a sum tree. Both must succeed.
     """
-    primes = list(primes)
+    s = ideal.structure
+    primes = _primes_over(s, primes)
     bad = _verify_subtractive_primes(primes)
     if bad is not None:
         return bad
     for k, p in enumerate(primes):
         if ideal.issubset(p):
             return _unmet("containment", index=k)
-    s = ideal.structure
     union = union_mask(p.mask for p in primes)
     scanned = _scan_avoiding(ideal.mask, union)
     constructed = _avoid_constructive(s, ideal, primes)
@@ -330,11 +341,11 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
     """Some y in the ideal with x+y outside every listed subtractive prime,
     provided (x) + ideal is not covered by the primes."""
     s = ideal.structure
+    primes = _primes_over(s, primes)
     _element_mask(s, [x])
     rep = check_laws(s)
     if not rep.is_semiring:
         return _unmet("semiring")
-    primes = list(primes)
     bad = _verify_subtractive_primes(primes)
     if bad is not None:
         return bad
@@ -404,10 +415,10 @@ def _t_semiprime_outcomes(
     for k, p in enumerate(family):
         if p.mask & t_set.mask:
             return [_unmet("t-disjointness", index=k)] * len(targets)
-        cls = classify_ideal(p, t_set)
+        cls = classify_ideal(p)
         if not cls.two_absorbing:
-            return [_unmet("2-absorbing", index=k, witness=cls.witnesses.get("two_absorbing"))] * len(targets)
-        if not cls.t_semiprime:
+            return [_unmet("2-absorbing", index=k, witness=cls.witnesses["two_absorbing"])] * len(targets)
+        if t_semiprime_element(p, t_set) is None:
             return [_unmet("t-semiprime", index=k)] * len(targets)
         found = semiprime_residual(p, t_set)
         if found is None:

@@ -44,12 +44,13 @@ witness. An n^3 walk gains nothing over n ideals, and per-ideal scans lose
 to it over many. Either layout stores the subtractive, prime and radical
 verdicts that :func:`is_subtractive`, :func:`is_prime` and
 :func:`radical_mask` read; for any other mask these compute through the
-per-mask kernels of the per-ideal layout.
+per-mask kernels of the per-ideal layout. A classification holds its
+witnesses only. T-semiprimeness also depends on a multiplicative set T, so
+it is no class but a fact of its own, :func:`t_semiprime_element`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -524,6 +525,7 @@ def _orbit_masks(s: CayleyStructure) -> tuple[int, ...]:
 def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
     """Elementwise sums; an ideal whenever addition is medial."""
     s = a.structure
+    require_same_structure(s, b, "the second ideal")
     rep = check_laws(s)
     if not rep.add_medial:
         raise HypothesesUnmet("sum of ideals needs an additively medial ringoid")
@@ -537,6 +539,7 @@ def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
 
 def set_product_mask(a: IdealSet, b: IdealSet) -> int:
     """Raw elementwise products. Not an ideal in general."""
+    require_same_structure(a.structure, b, "the second ideal")
     mask = image(a.structure.mul, a.mask, b.mask)
     if a.side == RIGHT and b.side == LEFT or a.side == b.side == TWO_SIDED:
         meet = a.mask & b.mask
@@ -551,6 +554,7 @@ def generated_product(a: IdealSet, b: IdealSet) -> IdealSet:
 
 
 def ideal_intersect(a: IdealSet, b: IdealSet) -> IdealSet:
+    require_same_structure(a.structure, b, "the second ideal")
     if a.side != b.side:
         raise ValueError("sides differ")
     mask = a.mask & b.mask
@@ -588,9 +592,9 @@ def residual(ideal: IdealSet, t: int) -> IdealSet:
 
 @dataclass(frozen=True, repr=False)
 class IdealClassification(_Verdicts):
-    """A two-sided ideal's classes. ``radical_ideal`` and ``t_semiprime`` are
-    given: None off commutative semirings or with no T-set, else whether
-    their name has no witness."""
+    """A two-sided ideal's classes, each flag whether its name has no
+    witness. Radical ideals are asked about on commutative semirings only,
+    so ``radical_ideal`` is None off them."""
 
     subtractive: bool = field(init=False)
     proper: bool = field(init=False)
@@ -598,13 +602,7 @@ class IdealClassification(_Verdicts):
     semiprime: bool = field(init=False)
     two_absorbing: bool = field(init=False)
     maximal: bool = field(init=False)
-    radical_ideal: Optional[bool]
-    t_semiprime: Optional[bool]
-    t_element: Optional[int]
-
-    def __repr__(self):
-        flags = {k: getattr(self, k) for k in _FLAGS}
-        return f"<IdealClassification {flags}>"
+    radical_ideal: Optional[bool] = field(init=False)
 
 
 _FLAGS = _flag_names(IdealClassification)
@@ -637,37 +635,16 @@ def _two_absorbing_witness(s: CayleyStructure, inside: tuple[int, ...]) -> Optio
     return None
 
 
-def classify_ideal(ideal: IdealSet, t_set: Optional[MultiplicativeSet] = None) -> IdealClassification:
+def classify_ideal(ideal: IdealSet) -> IdealClassification:
     """All classification flags of a two-sided ideal, read from the lattice
-    pass; a T-set adds the least t in T with t*x in the ideal for every x
-    with x*x in it."""
+    pass."""
     s = ideal.structure
     if ideal.side != TWO_SIDED:
         raise ValueError("classification applies to two-sided ideals")
-    if t_set is not None:
-        require_same_structure(s, t_set, "T")
-        key = (ideal.mask, t_set.mask)
-        return analysis(s).get("classification", key, _t_classification, s, *key)
     cls = analysis(s).get("classes", None, _classify_lattice, s).get(ideal.mask)
     if cls is None:
         raise StructureError(f"not a two-sided ideal: {ideal!r}")
     return cls
-
-
-def _t_classification(s: CayleyStructure, mask: int, t_mask: int) -> IdealClassification:
-    cls = classify_ideal(IdealSet(structure=s, side=TWO_SIDED, mask=mask))
-    if mask & t_mask:
-        raise StructureError("T-semiprimeness needs an ideal disjoint from T")
-    squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
-    rows = residual_rows(s, mask)
-    t_element, rest = None, t_mask
-    while rest and t_element is None:
-        low = rest & -rest
-        rest ^= low
-        if squared_in & ~rows[low.bit_length() - 1] == 0:
-            t_element = low.bit_length() - 1
-    witnesses = {**cls.witnesses, "t_semiprime": () if t_element is None else None}
-    return dataclasses.replace(cls, t_semiprime=t_element is not None, t_element=t_element, witnesses=witnesses)
 
 
 def _classify_lattice(s: CayleyStructure) -> dict[int, IdealClassification]:
@@ -702,9 +679,12 @@ def _lattice_classes(s: CayleyStructure, lattice: tuple[int, ...], walk: Callabl
     out = {}
     for j, mask in enumerate(lattice):
         witnesses = {"subtractive": found["subtractive"][j]}
-        if mask == full:
-            witnesses.update(dict.fromkeys(_FLAGS[1:], ()))  # every flag but subtractive fails
+        if commutative:
+            witnesses["radical_ideal"] = found["radical_ideal"][j]
+        if mask == full:  # the other classes need a proper ideal
+            witnesses.update(proper=(), prime=(), semiprime=(), two_absorbing=(), maximal=())
         else:
+            witnesses["proper"] = None
             witnesses["prime"] = found["prime"][j]
             outside = mask_members(full & ~mask)
             unheld = union_mask(map(holds.__getitem__, outside))
@@ -719,9 +699,7 @@ def _lattice_classes(s: CayleyStructure, lattice: tuple[int, ...], walk: Callabl
             witnesses["two_absorbing"] = found["two_absorbing"][j]
             above = functools.reduce(int.__and__, map(holds.__getitem__, members[j])) ^ (1 << j | improper)
             witnesses["maximal"] = members[(above & -above).bit_length() - 1] if above else None
-        witnesses["radical_ideal"] = found["radical_ideal"][j]  # None unless commutative
-        radical_ideal = witnesses["radical_ideal"] is None if commutative else None
-        out[mask] = IdealClassification(witnesses, radical_ideal=radical_ideal, t_semiprime=None, t_element=None)
+        out[mask] = IdealClassification(witnesses)
     return out
 
 
@@ -875,31 +853,45 @@ def _semiprime_residual(s: CayleyStructure, mask: int, t_mask: int) -> Optional[
     return None
 
 
-def t_semiprime_equivalence(
-    ideal: IdealSet, t_set: MultiplicativeSet
-) -> tuple[bool, Union[int, tuple, None]]:
+def t_semiprime_element(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[int]:
+    """The least t in T with t*x in a two-sided ideal disjoint from T for
+    every x with x*x in it, or None if the ideal is not T-semiprime."""
+    s = ideal.structure
+    if ideal.side != TWO_SIDED:
+        raise ValueError("T-semiprimeness is defined for two-sided ideals")
+    require_same_structure(s, t_set, "T")
+    key = (ideal.mask, t_set.mask)
+    return analysis(s).get("t_element", key, _t_semiprime_element, s, *key)
+
+
+def _t_semiprime_element(s: CayleyStructure, mask: int, t_mask: int) -> Optional[int]:
+    if not _is_ideal_mask(s, mask, TWO_SIDED):
+        raise StructureError(f"not a two-sided ideal: {IdealSet(structure=s, side=TWO_SIDED, mask=mask)!r}")
+    if mask & t_mask:
+        raise StructureError("T-semiprimeness needs an ideal disjoint from T")
+    squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
+    rows = residual_rows(s, mask)
+    return next((t for t in mask_members(t_mask) if squared_in & ~rows[t] == 0), None)
+
+
+def t_semiprime_equivalence(ideal: IdealSet, t_set: MultiplicativeSet) -> tuple[bool, Optional[int]]:
     """Match T-semiprimeness against semiprimeness of some residual quotient.
 
-    Returns (verdict, t) with the least t realizing both sides, or raises if
-    the two sides of the equivalence disagree, which would falsify the
-    residual-quotient theorem.
+    Returns (verdict, t), t the smaller of the two sides' least t (the
+    least t in T making the ideal T-semiprime, and the least whose residual
+    quotient is proper and semiprime) or None, or raises if the sides
+    disagree, which would falsify the residual-quotient theorem.
     """
-    s = ideal.structure
-    require_commutative_semiring(s)
-    require_same_structure(s, t_set, "T")
-    cls = classify_ideal(ideal, t_set)
-    if not cls.two_absorbing:
+    require_commutative_semiring(ideal.structure)
+    direct = t_semiprime_element(ideal, t_set)
+    if not classify_ideal(ideal).two_absorbing:
         raise HypothesesUnmet("equivalence needs a 2-absorbing ideal")
-    direct = cls.t_semiprime
     found = semiprime_residual(ideal, t_set)
-    via_residual = found is not None
-    if direct != via_residual:
+    if (direct is None) != (found is None):
         raise TheoremViolation(
-            f"T-semiprime equivalence broken: direct={direct} residual={via_residual}"
+            f"T-semiprime equivalence broken: direct={direct is not None} residual={found is not None}"
         )
-    if direct:
-        return True, min(cls.t_element, found[0])
-    return False, None
+    return (False, None) if found is None else (True, min(direct, found[0]))
 
 
 def annihilator(

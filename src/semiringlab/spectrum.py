@@ -19,6 +19,7 @@ from .ideals import (
     mask_members,
     principal_masks,
     radical_mask,
+    require_same_structure,
     union_mask,
     _semiprime_elementwise,
 )
@@ -57,6 +58,7 @@ def vanishing_sets(
     s: CayleyStructure, ideal: IdealSet
 ) -> tuple[tuple[IdealSet, ...], tuple[IdealSet, ...]]:
     """Partition of the spectrum into primes containing the ideal and the rest."""
+    require_same_structure(s, ideal, "the ideal")
     inside, outside = [], []
     for p in spec_of(s):
         (inside if ideal.issubset(p) else outside).append(p)
@@ -188,6 +190,9 @@ def principal_open_refinement(
 ) -> int:
     """An element x of the ideal whose principal open set contains the given
     points and sits inside the open set of the ideal."""
+    require_same_structure(s, ideal, "the ideal")
+    for p in points:
+        require_same_structure(s, p, "a point")
     rep = check_laws(s)
     if not rep.is_semiring:
         raise HypothesesUnmet("needs a semiring")

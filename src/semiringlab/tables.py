@@ -178,17 +178,18 @@ class CayleyStructure:
 class _Verdicts:
     """A report given each name's witness (the least falsifying tuple, or
     the empty tuple when there is nothing to exhibit), or None where the
-    name holds. It keeps the witnesses as a read-only copy, as reports are
-    shared through the analysis context, and sets each field a subclass
-    declares with ``init=False`` to whether its name has no witness."""
+    name holds; a name left out does not apply. It keeps the witnesses as a
+    read-only copy, as reports are shared through the analysis context, and
+    sets each field a subclass declares with ``init=False`` to whether its
+    name has no witness, or to None when its name was left out."""
 
     witnesses: Mapping
 
     def __post_init__(self):
-        witnesses = MappingProxyType({name: w for name, w in self.witnesses.items() if w is not None})
-        object.__setattr__(self, "witnesses", witnesses)
+        given = self.witnesses
+        object.__setattr__(self, "witnesses", MappingProxyType({name: w for name, w in given.items() if w is not None}))
         for name in _flag_names(type(self)):
-            object.__setattr__(self, name, name not in witnesses)
+            object.__setattr__(self, name, given[name] is None if name in given else None)
 
     def __repr__(self):
         failing = sorted(self.witnesses)

@@ -46,9 +46,14 @@ from .tables import (
 from .constructions import MonoidSemiring
 
 
+def _nonzero_annihilator_rows(m: FiniteSemimodule) -> list[int]:
+    """Per nonzero module element, in order, the mask of the scalars killing it."""
+    return [row for x, row in enumerate(annihilator_rows(m)) if x != m.mzero]
+
+
 def zero_divisor_mask(m: FiniteSemimodule) -> int:
     """Scalars killing some nonzero module element; empty for the zero module."""
-    return union_mask(row for x, row in enumerate(annihilator_rows(m)) if x != m.mzero)
+    return union_mask(_nonzero_annihilator_rows(m))
 
 
 @dataclass(frozen=True, repr=False)
@@ -88,7 +93,7 @@ def property_a_check(
     require_module_over(s, m)
     require_semimodule(m)
     z = zero_divisor_mask(m)
-    rows = [row for x, row in enumerate(annihilator_rows(m)) if x != m.mzero]
+    rows = _nonzero_annihilator_rows(m)
     for im in ideal_masks(s, TWO_SIDED):
         if im & ~z == 0 and not any(im & ~row == 0 for row in rows):
             return False, IdealSet(structure=s, side=TWO_SIDED, mask=im)
@@ -360,7 +365,7 @@ def monoid_zd_check(
         raise TheoremViolation("associated primes do not cover the zero divisors")
 
     madd, act, mz = m.madd, m.action, m.mzero
-    killers = [row for b, row in enumerate(annihilator_rows(m)) if b != mz]
+    killers = _nonzero_annihilator_rows(m)
 
     def poly_times_module(f, g):
         out = [mz] * (2 * length - 1)

@@ -48,6 +48,7 @@ from semiringlab.ideals import (
     mask_members,
     mask_of,
     semiprime_residual,
+    t_semiprime_element,
     union_mask,
 )
 from semiringlab.limits import CARRIER_CAP, IDEAL_ENUM_CAP
@@ -566,10 +567,10 @@ def t_semiprime_avoidance(
     for k, p in enumerate(covers):
         if p.mask & t_set.mask:
             return _unmet("t-disjointness", index=k)
-        cls = classify_ideal(p, t_set)
+        cls = classify_ideal(p)
         if not cls.two_absorbing:
             return _unmet("2-absorbing", index=k, witness=cls.witnesses.get("two_absorbing"))
-        if not cls.t_semiprime:
+        if t_semiprime_element(p, t_set) is None:
             return _unmet("t-semiprime", index=k)
         found = semiprime_residual(p, t_set)
         if found is None:

@@ -38,6 +38,7 @@ from semiringlab.ideals import (
     radical,
     residual_rows,
     semiprime_residual,
+    t_semiprime_element,
 )
 from semiringlab.spectrum import _spec_masks, compactly_packed_battery, spec_of
 from semiringlab.tables import CayleyStructure, check_laws, self_action, semimodule_check
@@ -71,7 +72,7 @@ def reads(s):
         if t_set is not None:
             out.append(("radical", i.mask, radical(i).mask))
             if not i.mask & t_set.mask:
-                out.append(("classification", (i.mask, t_set.mask), classify_ideal(i, t_set)))
+                out.append(("t_element", (i.mask, t_set.mask), t_semiprime_element(i, t_set)))
                 found = semiprime_residual(i, t_set)
                 stored = None if found is None else (found[0], found[1].mask)
                 out.append(("semiprime_residual", (i.mask, t_set.mask), stored))
@@ -101,7 +102,7 @@ COMPUTE = {
     "radical": lambda s, mask: ideals._radical_mask(s, mask),
     "residual": lambda s, mask: ideals._residual_rows(s, mask),
     "classes": lambda s, key: ideals._classify_lattice(s),
-    "classification": lambda s, key: ideals._t_classification(s, *key),
+    "t_element": lambda s, key: ideals._t_semiprime_element(s, *key),
     "semiprime_residual": lambda s, key: ideals._semiprime_residual(s, *key),
     "semimodule": lambda m, key: tables._semimodule_report(m),
     "element_annihilators": lambda m, key: ideals._element_annihilators(m),
@@ -374,4 +375,4 @@ def test_a_report_copies_the_dict_it_is_given():
     rep = tables.SemimoduleReport(witnesses)
     witnesses.clear()
     assert rep.witnesses == {"zero_neutral": (0,)}
-    assert not rep.zero_neutral and rep.add_associative
+    assert rep.zero_neutral is False and rep.add_associative is None

@@ -11,6 +11,7 @@ from semiringlab.corpus import (
     chain_semiring,
     diamond_lattice,
     dual_numbers_mod2,
+    saturating,
 )
 from semiringlab.covering import (
     FAILS,
@@ -30,16 +31,18 @@ from semiringlab.covering import (
 from semiringlab.errors import HypothesesUnmet, StructureError
 from semiringlab.ideals import (
     annihilator,
-    classify_ideal,
     enumerate_ideals,
     generate_ideal,
+    ideal_arith,
     is_prime,
     krull_separation,
     mult_closure,
     semiprime_residual,
     set_product_mask,
+    t_semiprime_element,
     t_semiprime_equivalence,
 )
+from semiringlab.spectrum import principal_open_refinement, spec_of, vanishing_sets
 from semiringlab.tables import check_laws, self_action
 
 from helpers import make_ideal
@@ -111,6 +114,38 @@ def test_covers_over_another_structure_are_not_compared_as_bits():
             union_avoidance_suite(target, [foreign], mode)
 
 
+def _foreign_readers(s, target, foreign_primes, foreign_ideal):
+    """Each check that reads primes, points or a second ideal alongside an
+    ideal of s, given ones over another structure."""
+    readers = {
+        "avoidance_witness": lambda: avoidance_witness(target, foreign_primes),
+        "davis_witness": lambda: davis_witness(0, target, foreign_primes),
+        "behrens_elements": lambda: behrens_elements(target, foreign_primes),
+        "principal_open_refinement": lambda: principal_open_refinement(s, foreign_primes, target),
+        "principal_open_refinement-ideal": lambda: principal_open_refinement(foreign_ideal.structure, [], target),
+        "vanishing_sets": lambda: vanishing_sets(s, foreign_ideal),
+    }
+    for op in ("sum", "intersect", "set_product", "generated_product"):
+        readers[op] = lambda op=op: ideal_arith(op, target, foreign_ideal)
+        readers[f"{op}-prime"] = lambda op=op: ideal_arith(op, target, foreign_primes[-1])
+    return readers
+
+
+def test_primes_points_and_ideals_over_another_structure_are_not_read_as_bits():
+    """Primes of the saturating semiring passed with an ideal of the
+    four-element lattice were judged as its own (an unmet subtractivity
+    judged on the other structure, or a broken refinement), and the ideal
+    operations mixed the two carriers; each check now refuses them."""
+    s, f = diamond_lattice(), saturating(3)
+    target = generate_ideal(s, [3])
+    for name, read in _foreign_readers(s, target, spec_of(f), generate_ideal(f, [1])).items():
+        with pytest.raises(StructureError, match="different structure"):
+            read()
+    twin = diamond_lattice()
+    assert avoidance_witness(target, spec_of(twin)) == avoidance_witness(target, spec_of(s))
+    assert ideal_arith("sum", target, generate_ideal(twin, [1])) == ideal_arith("sum", target, generate_ideal(s, [1]))
+
+
 def test_an_equal_structure_built_apart_is_not_foreign():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
@@ -121,8 +156,8 @@ def _t_set_readers(s, zero, mid, t_set):
     """Each check that reads a T-set alongside ideals of s, on a call that
     reaches that read."""
     return {
-        "classify_ideal": lambda: classify_ideal(zero, t_set),
-        "classify_ideal-mid": lambda: classify_ideal(mid, t_set),
+        "t_semiprime_element": lambda: t_semiprime_element(zero, t_set),
+        "t_semiprime_element-mid": lambda: t_semiprime_element(mid, t_set),
         "semiprime_residual": lambda: semiprime_residual(mid, t_set),
         "t_semiprime_equivalence": lambda: t_semiprime_equivalence(mid, t_set),
         "t_semiprime_avoidance": lambda: t_semiprime_avoidance(mid, [mid], t_set),

@@ -45,6 +45,7 @@ from semiringlab.ideals import (
     set_product_mask,
     semiprime_residual,
     subtractive_sumtree_property,
+    t_semiprime_element,
     t_semiprime_equivalence,
 )
 from semiringlab.tables import CayleyStructure, check_laws, self_action
@@ -301,9 +302,8 @@ def test_semiprime_is_t_semiprime_with_one(all_entries):
         for i in enumerate_ideals(s):
             if not i.is_proper or i.mask & t_set.mask:
                 continue
-            cls = classify_ideal(i, t_set)
-            if cls.semiprime:
-                assert cls.t_semiprime and cls.t_element == rep.one
+            if classify_ideal(i).semiprime:
+                assert t_semiprime_element(i, t_set) == rep.one
 
 
 def test_classification_chain_invariant(all_entries):
@@ -445,6 +445,14 @@ def test_semiprime_residual_is_taken_of_two_sided_ideals():
         semiprime_residual(make_ideal(t, [0, 1], LEFT), t_set)
 
 
+def test_t_semiprime_element_rejects_a_mask_that_is_no_ideal():
+    """{1} of the chain is no ideal (0*1 = 0 escapes it), as the lattice
+    classification once told the T-semiprime test."""
+    t = chain_semiring()
+    with pytest.raises(StructureError, match="not a two-sided ideal"):
+        t_semiprime_element(IdealSet(structure=t, side=TWO_SIDED, mask=0b010), mult_closure(t, [t.one]))
+
+
 def test_equivalence_rejects_meeting_t():
     t = chain_semiring()
     p = make_ideal(t, [0, 1])
@@ -457,8 +465,7 @@ def test_equivalence_needs_two_absorbing():
     whole_minus = enumerate_ideals(s)
     t_set = mult_closure(s, [check_laws(s).one])
     zero = generate_ideal(s, [])
-    cls = classify_ideal(zero, t_set)
-    if not cls.two_absorbing:
+    if not classify_ideal(zero).two_absorbing:
         with pytest.raises(HypothesesUnmet):
             t_semiprime_equivalence(zero, t_set)
 

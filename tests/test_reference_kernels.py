@@ -1,6 +1,6 @@
 """The bit-row and mask kernels against the loops they replaced, kept here
 as slow references: the per-J square loop for semiprimeness, the triple
-loop for 2-absorbing ideals, the all() loop for the T-element, the scan
+loop for 2-absorbing ideals, the all() loop for the least T-element, the scan
 over every non-zero-divisor for the localization relation, the
 per-class-pair combine for the quotient tables and the full row compare of
 every class member, which the translation generators replaced (the
@@ -78,6 +78,7 @@ from semiringlab.ideals import (
     principal_masks,
     residual,
     residual_rows,
+    t_semiprime_element,
     union_mask,
 )
 from semiringlab.spectrum import spec_of
@@ -104,42 +105,32 @@ from helpers import _quotient_tables, iter_bits, pair_classes, quotient_classes
 LADDER = (12, 13, 14, 15, 16)
 
 
-def reference_classification(s: CayleyStructure, mask: int, t_mask: Optional[int]) -> IdealClassification:
-    cls = _reference_without_t(s, mask)
-    if t_mask is None:
-        return cls
+def reference_t_element(s: CayleyStructure, mask: int, t_mask: int) -> Optional[int]:
+    """The all() loop for the least T-element of a two-sided ideal."""
     if mask & t_mask:
         raise StructureError("T-semiprimeness needs an ideal disjoint from T")
     mul = s.mul
-    t_element = None
     for t in iter_bits(t_mask):
         if all(mask >> mul[t][x] & 1 for x in range(s.size) if mask >> mul[x][x] & 1):
-            t_element = t
-            break
-    witnesses = dict(cls.witnesses)
-    if t_element is None:
-        witnesses["t_semiprime"] = ()
-    return dataclasses.replace(cls, t_semiprime=t_element is not None, t_element=t_element, witnesses=witnesses)
+            return t
+    return None
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
+def reference_classification(s: CayleyStructure, mask: int) -> IdealClassification:
     ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
     rep = check_laws(s)
-    witnesses: dict = {}
+    # every class that applies is named, None while it holds
+    witnesses: dict = dict.fromkeys(("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal"))
 
-    subtractive, w = reference_subtractive(s, mask)
-    if w is not None:
-        witnesses["subtractive"] = w
+    subtractive, witnesses["subtractive"] = reference_subtractive(s, mask)
 
     proper = ideal.is_proper
     if not proper:
         witnesses["proper"] = ()
 
     if proper:
-        prime, w = reference_prime(s, mask)
-        if w is not None:
-            witnesses["prime"] = w
+        prime, witnesses["prime"] = reference_prime(s, mask)
     else:
         prime = False
         witnesses["prime"] = ()
@@ -200,8 +191,7 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
     if rep.is_commutative_semiring:
         rad = reference_radical(s, mask)
         radical_ideal = rad == mask
-        if not radical_ideal:
-            witnesses["radical_ideal"] = mask_members(rad & ~mask)[:1]
+        witnesses["radical_ideal"] = None if radical_ideal else mask_members(rad & ~mask)[:1]
 
     flags = {
         "subtractive": subtractive,
@@ -214,9 +204,9 @@ def _reference_without_t(s: CayleyStructure, mask: int) -> IdealClassification:
     }
     # the report derives its flags from the witnesses, so the oracle's own
     # flags must agree with its witnesses for the comparison to test them
-    disagree = [name for name, holds in flags.items() if holds is not None and holds == (name in witnesses)]
+    disagree = [name for name, holds in flags.items() if holds != (witnesses[name] is None if name in witnesses else None)]
     assert not disagree, f"reference flags disagree with their witnesses: {disagree}"
-    return IdealClassification(witnesses, radical_ideal=radical_ideal, t_semiprime=None, t_element=None)
+    return IdealClassification(witnesses)
 
 
 def reference_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -326,13 +316,17 @@ def t_masks(s):
 
 
 def assert_classifications_match(s, t_choices=None):
+    """Each ideal's classes (T-mask None) and least T-element against the
+    oracles, which must also raise alike, on an ideal meeting T too."""
     for t_mask in t_masks(s) if t_choices is None else t_choices:
         t_set = None if t_mask is None else mult_closure(s, mask_members(t_mask))
         for ideal in enumerate_ideals(s, TWO_SIDED):
-            if t_mask is not None and ideal.mask & t_mask:
-                continue
-            fast = outcome(classify_ideal, ideal, t_set)
-            slow = outcome(reference_classification, s, ideal.mask, t_mask)
+            if t_set is None:
+                fast = outcome(classify_ideal, ideal)
+                slow = outcome(reference_classification, s, ideal.mask)
+            else:
+                fast = outcome(t_semiprime_element, ideal, t_set)
+                slow = outcome(reference_t_element, s, ideal.mask, t_mask)
             assert fast == slow, (s.name, mask_members(ideal.mask), t_mask)
 
 
@@ -493,7 +487,7 @@ def assert_layouts_agree(s, reference=True):
         results.append((classes, facts))
     assert results[0] == results[1], s.name
     if reference:
-        assert results[0][0] == {m: _reference_without_t(s, m) for m in ideal_masks(s, TWO_SIDED)}, s.name
+        assert results[0][0] == {m: reference_classification(s, m) for m in ideal_masks(s, TWO_SIDED)}, s.name
 
 
 def test_both_layouts_agree_with_the_reference_on_the_corpus(all_entries):

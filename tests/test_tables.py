@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab import tables
-from semiringlab.constructions import direct_product, endomorphism_ringoid
+from semiringlab.constructions import NewmanReport, direct_product, endomorphism_ringoid, newman_check
 from semiringlab.corpus import (
     boolean_semifield,
     chain_semiring,
@@ -20,7 +20,7 @@ from semiringlab.corpus import (
 )
 from semiringlab.errors import StructureError
 from semiringlab.fileio import ingest_doc
-from semiringlab.ideals import _FLAGS, IdealClassification
+from semiringlab.ideals import _FLAGS, TWO_SIDED, IdealClassification, classify_ideal, enumerate_ideals
 from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
@@ -120,26 +120,68 @@ def test_report_names_are_read_off_the_flag_fields_in_order():
         "add_associative", "add_commutative", "zero_neutral", "action_associative", "action_unital",
         "scalar_add_distributes", "module_add_distributes", "zero_scalar_absorbs", "scalar_zero_absorbs",
     )
-    assert _FLAGS == ("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal")
+    assert _FLAGS == ("subtractive", "proper", "prime", "semiprime", "two_absorbing", "maximal", "radical_ideal")
 
 
 def test_a_report_built_from_witnesses_alone_derives_its_flags():
     """A report is given witnesses, None for a name that holds, and derives
-    every flag; a flag cannot be given, and a replaced report derives its
-    flags again from its new witnesses."""
+    every flag; a name left out reads None, as a test that does not apply.
+    A flag cannot be given, and a replaced report derives its flags again
+    from its new witnesses."""
     rep = tables.LawReport({"has_one": (), "add_medial": None, "entire": (1, 2)}, zero=0, one=None)
-    assert [law for law in LAW_NAMES if not rep.flag(law)] == ["has_one", "entire"]
+    assert {law: rep.flag(law) for law in LAW_NAMES if rep.flag(law) is not None} == {
+        "has_one": False, "add_medial": True, "entire": False,
+    }
     assert dict(rep.witnesses) == {"has_one": (), "entire": (1, 2)}
-    assert rep == tables.LawReport({"has_one": (), "entire": (1, 2)}, zero=0, one=None)
+    assert rep == tables.LawReport({"entire": (1, 2), "add_medial": None, "has_one": ()}, zero=0, one=None)
+    assert rep != tables.LawReport({"has_one": (), "entire": (1, 2)}, zero=0, one=None)
     with pytest.raises(TypeError):
         tables.LawReport({}, zero=None, one=None, entire=False)
     mod = tables.SemimoduleReport({"action_unital": (0,)})
-    assert [axiom for axiom in SEMIMODULE_AXIOMS if not getattr(mod, axiom)] == ["action_unital"]
-    assert not mod.valid and tables.SemimoduleReport({}).valid
-    cls = IdealClassification({"proper": (), "maximal": None}, radical_ideal=None, t_semiprime=None, t_element=None)
-    assert [flag for flag in _FLAGS if not getattr(cls, flag)] == ["proper"]
+    assert [axiom for axiom in SEMIMODULE_AXIOMS if getattr(mod, axiom) is not None] == ["action_unital"]
+    assert not mod.action_unital and not mod.valid and tables.SemimoduleReport({}).valid
+    cls = IdealClassification({"proper": (), "maximal": None})
+    assert {flag: getattr(cls, flag) for flag in _FLAGS if getattr(cls, flag) is not None} == {
+        "proper": False, "maximal": True,
+    }
     again = dataclasses.replace(cls, witnesses={"prime": (0, 1)})
-    assert [flag for flag in _FLAGS if not getattr(again, flag)] == ["prime"]
+    assert [flag for flag in _FLAGS if getattr(again, flag) is not None] == ["prime"] and not again.prime
+
+
+def _report_contract_structures(entries):
+    """The corpus, eight one-cell mutants of each corpus table and the
+    saturating semirings with 12 to 16 elements."""
+    rng = random.Random(0)
+    for entry in entries:
+        s = entry.structure
+        yield s
+        for add in _one_cell_mutants(s.add, rng, 8):
+            yield CayleyStructure(size=s.size, add=add, mul=s.mul, name=f"{s.name}-add-mutant")
+        for mul in _one_cell_mutants(s.mul, rng, 8):
+            yield CayleyStructure(size=s.size, add=s.add, mul=mul, name=f"{s.name}-mul-mutant")
+    for top in range(11, 16):
+        yield saturating(top)
+
+
+def test_every_flag_of_a_built_report_is_a_bool(all_entries):
+    """Each builder names every law, axiom and class that applies, so its
+    flags are bools; only ``radical_ideal`` does not apply, and reads None,
+    exactly off commutative semirings."""
+    newman_axioms = tables._flag_names(NewmanReport)
+    assert newman_axioms == ("n1_additive_unital", "n2_right_identity", "n3_distributive", "n4_complement")
+    for s in _report_contract_structures(all_entries):
+        rep = check_laws(s)
+        assert all(type(rep.flag(law)) is bool for law in LAW_NAMES), s.name
+        newman = newman_check(s, [s.size - 1 - x for x in range(s.size)])
+        assert all(type(getattr(newman, axiom)) is bool for axiom in newman_axioms), s.name
+        if rep.is_semiring:
+            mod = semimodule_check(self_action(s))
+            assert all(type(getattr(mod, axiom)) is bool for axiom in SEMIMODULE_AXIOMS), s.name
+        for ideal in enumerate_ideals(s, TWO_SIDED):
+            cls = classify_ideal(ideal)
+            assert all(type(getattr(cls, flag)) is bool for flag in _FLAGS if flag != "radical_ideal"), s.name
+            assert (cls.radical_ideal is None) == (not rep.is_commutative_semiring), s.name
+            assert cls.radical_ideal is None or type(cls.radical_ideal) is bool
 
 
 def test_designation_validation():
