@@ -8,8 +8,7 @@ computed on its first read and read back afterwards. A context holds:
 - ``absorb``, ``principal`` and ``lattice``, keyed by side: what an ideal
   holding each element must hold, the principal ideal masks and the ideal
   lattice;
-- ``spectrum`` (the prime ideal masks) and ``quotient`` (the total
-  quotient semiring);
+- ``spectrum``: the prime ideal masks;
 - ``all_subtractive``: whether every two-sided ideal is subtractive;
 - ``annihilators``, keyed by side (left or right, for a structure with
   absorbing zero): per element x, the mask of the r with r*x = 0 (left) or
@@ -73,7 +72,6 @@ FACTS = (
     "principal",
     "lattice",
     "spectrum",
-    "quotient",
     "all_subtractive",
     "annihilators",
     "subtractive",

@@ -26,15 +26,13 @@ from .tables import (
     Table,
     check_laws,
     commutative_monoid_table,
-    distributive_witness,
     freeze_table,
     is_semifield,
     least_witness,
     medial_witness,
-    transpose,
     _Rows,
     _Verdicts,
-    _is_index,
+    _int_in,
     _neutral,
 )
 
@@ -105,9 +103,8 @@ def austere_extension(
     """
     n = len(mul_table)
     base = freeze_table(mul_table, n, n, "magma")
-    for label, v in (("zero", zero), ("one", one)):
-        if not (_is_index(v) and 0 <= v < n):
-            raise StructureError(f"{label}={v!r} is not an element of a {n}-element magma")
+    _int_in(zero, "zero", 0, n)
+    _int_in(one, "one", 0, n)
     if zero == one:
         raise StructureError("absorbing element and identity must differ")
     if any(base[one][x] != x or base[x][one] != x for x in range(n)):
@@ -142,9 +139,7 @@ def encode_tuple(values: Sequence[int], radices: Sequence[int]) -> int:
         raise StructureError(f"expected a tuple of {len(radices)} digits, got {values!r}")
     idx = 0
     for v, r in zip(values, radices):
-        if not (_is_index(v) and 0 <= v < r):
-            raise StructureError(f"digit {v!r} is not an integer in 0..{r - 1}")
-        idx = idx * r + v
+        idx = idx * r + _int_in(v, "digit", 0, r)
     return idx
 
 
@@ -205,8 +200,7 @@ class EncodedStructure(CayleyStructure):
 
     def coords(self, idx: int) -> tuple[int, ...]:
         """The digit tuple of element ``idx``; ``index_of`` inverts it."""
-        if not (_is_index(idx) and 0 <= idx < self.size):
-            raise StructureError(f"index {idx!r} outside 0..{self.size - 1}")
+        _int_in(idx, "index", 0, self.size)
         out = []
         for r in reversed(self.radices):
             idx, d = divmod(idx, r)
@@ -314,17 +308,15 @@ class NewmanReport(_Verdicts):
 
 def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
     n, add, mul = s.size, s.add, s.mul
-    comp = tuple(complement)
-    if len(comp) != n or not all(_is_index(v) and 0 <= v < n for v in comp):
-        raise StructureError("complement table malformed")
-
-    zero = _neutral(add, n)
+    (comp,) = freeze_table((complement,), 1, n, "complement")
+    rep = check_laws(s)
+    zero = rep.zero
     one = next((e for e in range(n) if all(mul[x][e] == x for x in range(n))), None)
     found = {
         "n1_additive_unital": None if zero is not None else (),
         "n2_right_identity": None if one is not None else (),
         # the left law's witness, else the right law's (a witness is never empty)
-        "n3_distributive": distributive_witness(add, mul) or distributive_witness(add, transpose(mul)),
+        "n3_distributive": rep.witnesses.get("left_distributive") or rep.witnesses.get("right_distributive"),
         "n4_complement": () if zero is None or one is None else least_witness(
             (n,), lambda: ([(mul[a][c], add[a][c]) for a, c in enumerate(comp)], [(zero, one)] * n)
         ),
@@ -332,7 +324,6 @@ def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
 
     derived = None
     if all(w is None for w in found.values()) and zero != one:
-        rep = check_laws(s)
         derived = {
             "mul_idempotent": rep.mul_idempotent,
             "complemented": rep.complemented,
@@ -420,9 +411,7 @@ def truncated_polynomial_hemiring(
     rep = check_laws(h)
     if not rep.is_na_hemiring:
         raise StructureError("base must be a hemiring with commutative monoid addition")
-    if not _is_index(degree_cap) or degree_cap < 0:
-        raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
-    length = degree_cap + 1
+    length = _int_in(degree_cap, "degree cap") + 1
     # coefficient k of a product sums a_i b_(k-i), k + 1 terms
     size = _carrier_size(itertools.repeat(h.size, length), length * (length + 1) // 2)
     terms = [[(i, k - i, None) for i in range(k + 1)] for k in range(length)]

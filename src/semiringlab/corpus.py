@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .constructions import (
     EncodedStructure,
@@ -30,7 +31,7 @@ from .constructions import (
     _encoded,
 )
 from .errors import StructureError
-from .tables import CayleyStructure, FiniteSemimodule, check_laws, is_semifield, self_action
+from .tables import LAW_NAMES, CayleyStructure, FiniteSemimodule, check_laws, is_semifield, self_action
 
 CROSS_GAMMA = (
     # gamma[i][j][k]: coefficient of basis k in the product of basis i and j
@@ -283,11 +284,14 @@ def corpus() -> tuple[CorpusEntry, ...]:
         ),
     )
     for entry in entries:
-        verify_entry_claims(entry)
+        failing = failing_claims(entry.structure, entry.claims)
+        if failing:
+            raise StructureError(f"corpus entry {entry.name} fails its own claims: {failing}")
     return entries
 
 
 def claim_holds(s: CayleyStructure, claim: str) -> bool:
+    """Whether a law, or a class named by its laws, holds; an unknown claim is refused."""
     rep = check_laws(s)
     if claim == "ringoid":
         return rep.is_ringoid
@@ -303,17 +307,17 @@ def claim_holds(s: CayleyStructure, claim: str) -> bool:
         return rep.is_commutative_semiring
     if claim == "semifield":
         return is_semifield(s)
+    if claim not in LAW_NAMES:
+        raise StructureError(f"unknown claim {claim!r}")
     return rep.flag(claim)
 
 
-def verify_entry_claims(entry: CorpusEntry) -> None:
-    rep = check_laws(entry.structure)
-    failing = [c for c in entry.claims if not claim_holds(entry.structure, c)]
-    if failing:
-        raise StructureError(
-            f"corpus entry {entry.name} fails its own claims {failing}: "
-            f"witnesses {dict(rep.witnesses)}"
-        )
+def failing_claims(s: CayleyStructure, claims: Sequence[str]) -> list[tuple[str, tuple]]:
+    """Each claim that does not hold on ``s``, in order, with its law's
+    witness (the empty tuple for a claim that is no single law); an unknown
+    claim is refused."""
+    rep = check_laws(s)
+    return [(claim, rep.witnesses.get(claim, ())) for claim in claims if not claim_holds(s, claim)]
 
 
 def corpus_entry(name: str) -> CorpusEntry:

@@ -12,12 +12,11 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .corpus import claim_holds
+from .corpus import failing_claims
 from .errors import StructureError
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
-    check_laws,
     require_semimodule,
     verify_designations,
 )
@@ -55,21 +54,6 @@ def _structure_from_doc(doc: dict) -> CayleyStructure:
     )
 
 
-def _verify_claims(s: CayleyStructure, claims) -> None:
-    rep = check_laws(s)
-    failures = []
-    for claim in claims:
-        try:
-            ok = claim_holds(s, claim)
-        except KeyError:
-            raise StructureError(f"unknown claim {claim!r}")
-        if not ok:
-            failures.append((claim, rep.witnesses.get(claim, ())))
-    if failures:
-        lines = ", ".join(f"{c} (witness {w})" for c, w in failures)
-        raise StructureError(f"claims failed: {lines}")
-
-
 def ingest_doc(doc: dict) -> Union[CayleyStructure, FiniteSemimodule]:
     if not isinstance(doc, dict):
         raise StructureError("top level must be a JSON object")
@@ -78,7 +62,10 @@ def ingest_doc(doc: dict) -> Union[CayleyStructure, FiniteSemimodule]:
     claims = doc.get("claims", [])
     if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
         raise StructureError("claims must be a list of law names")
-    _verify_claims(s, claims)
+    failures = failing_claims(s, claims)
+    if failures:
+        lines = ", ".join(f"{c} (witness {w})" for c, w in failures)
+        raise StructureError(f"claims failed: {lines}")
     if not MODULE_KEYS & doc.keys():
         return s
     missing = MODULE_KEYS - doc.keys()

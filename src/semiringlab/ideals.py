@@ -65,7 +65,7 @@ from .tables import (
     FiniteSemimodule,
     _Verdicts,
     _flag_names,
-    _is_index,
+    _int_in,
     check_laws,
     member_rows,
     member_view,
@@ -90,10 +90,7 @@ def mask_of(indices: Iterable[int]) -> int:
 
 def _element_mask(s: CayleyStructure, members: Iterable[int]) -> int:
     """The mask of the members, each checked to be an element of ``s``."""
-    members = list(members)
-    if any(not (_is_index(x) and 0 <= x < s.size) for x in members):
-        raise StructureError("element out of range")
-    return mask_of(members)
+    return mask_of(_int_in(x, "element", 0, s.size) for x in members)
 
 
 def image(table, a: int, b: int) -> int:
@@ -227,6 +224,12 @@ def _is_ideal_mask(s: CayleyStructure, mask: int, side: str) -> bool:
     Callers scan with :func:`ideal_violation` only to name a failure."""
     absorbed = union_mask(map(_absorb(s, side).__getitem__, mask_members(mask)))
     return mask != 0 and (absorbed | image(s.add, mask, mask)) & ~mask == 0
+
+
+def _require_ideal(s: CayleyStructure, mask: int) -> None:
+    """Refuse, as input, a mask that is no two-sided ideal of ``s``."""
+    if mask >> s.size or not _is_ideal_mask(s, mask, TWO_SIDED):
+        raise StructureError(f"not a two-sided ideal: {IdealSet(structure=s, side=TWO_SIDED, mask=mask)!r}")
 
 
 def _absorb(s: CayleyStructure, side: str) -> tuple[int, ...]:
@@ -493,7 +496,8 @@ def power_orbit(s: CayleyStructure, x: int) -> tuple[int, ...]:
 
 
 def radical(ideal: IdealSet) -> IdealSet:
-    """Elements with some positive power inside the ideal."""
+    """Elements with some positive power inside the ideal; a mask that is
+    no ideal is refused."""
     s = ideal.structure
     require_commutative_semiring(s)
     return IdealSet(structure=s, side=ideal.side, mask=radical_mask(s, ideal.mask))
@@ -501,11 +505,13 @@ def radical(ideal: IdealSet) -> IdealSet:
 
 def radical_mask(s: CayleyStructure, mask: int) -> int:
     """The radical's mask, for a caller that has checked that the structure
-    is a commutative semiring."""
+    is a commutative semiring, where the sides of an ideal agree; a mask
+    that is no ideal is refused, once per mask."""
     return analysis(s).get("radical", mask, _radical_mask, s, mask)
 
 
 def _radical_mask(s: CayleyStructure, mask: int) -> int:
+    _require_ideal(s, mask)
     out = 0
     for x, orbit in enumerate(_orbits(s)):
         if orbit & mask:
@@ -578,16 +584,24 @@ def ideal_arith(op: str, a: IdealSet, b: IdealSet):
 
 
 def residual(ideal: IdealSet, t: int) -> IdealSet:
-    """Elements whose product with t lands in the ideal."""
+    """Elements whose product with t lands in the ideal; a mask that is no
+    ideal is refused."""
     s = ideal.structure
     require_commutative_semiring(s)
     _element_mask(s, [t])
-    mask = residual_rows(s, ideal.mask)[t]
-    if not _is_ideal_mask(s, mask, ideal.side):
-        raise TheoremViolation(f"residual failed to be an ideal: {ideal_violation(s, mask, ideal.side)}")
-    if ideal.mask & ~mask:
+    _require_ideal(s, ideal.mask)
+    return IdealSet(structure=s, side=ideal.side, mask=_residual_mask(s, ideal.mask, t))
+
+
+def _residual_mask(s: CayleyStructure, mask: int, t: int) -> int:
+    """The mask of (I : t) for an ideal mask I of a commutative semiring,
+    where the sides of an ideal agree, checked to be an ideal holding I."""
+    out = residual_rows(s, mask)[t]
+    if not _is_ideal_mask(s, out, TWO_SIDED):
+        raise TheoremViolation(f"residual failed to be an ideal: {ideal_violation(s, out, TWO_SIDED)}")
+    if mask & ~out:
         raise TheoremViolation("residual does not contain the ideal")
-    return IdealSet(structure=s, side=ideal.side, mask=mask)
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -845,11 +859,14 @@ def semiprime_residual(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[tu
 
 
 def _semiprime_residual(s: CayleyStructure, mask: int, t_mask: int) -> Optional[tuple[int, int]]:
-    ideal = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+    require_commutative_semiring(s)
+    _require_ideal(s, mask)
+    _element_mask(s, mask_members(t_mask))
+    full = (1 << s.size) - 1
     for t in mask_members(t_mask):
-        r = residual(ideal, t)
-        if r.is_proper and _semiprime_elementwise(s, r.mask) is None:
-            return t, r.mask
+        r = _residual_mask(s, mask, t)
+        if r != full and _semiprime_elementwise(s, r) is None:
+            return t, r
     return None
 
 
@@ -865,8 +882,8 @@ def t_semiprime_element(ideal: IdealSet, t_set: MultiplicativeSet) -> Optional[i
 
 
 def _t_semiprime_element(s: CayleyStructure, mask: int, t_mask: int) -> Optional[int]:
-    if not _is_ideal_mask(s, mask, TWO_SIDED):
-        raise StructureError(f"not a two-sided ideal: {IdealSet(structure=s, side=TWO_SIDED, mask=mask)!r}")
+    _require_ideal(s, mask)
+    _element_mask(s, mask_members(t_mask))
     if mask & t_mask:
         raise StructureError("T-semiprimeness needs an ideal disjoint from T")
     squared_in = mask_of(x for x, row in enumerate(s.mul) if mask >> row[x] & 1)
@@ -905,14 +922,14 @@ def annihilator(
     killing every listed element. For a structure target the side picks
     between left and right annihilators.
     """
-    xs = sorted(set(xs))
+    xs = list(xs)
     if not xs:
         raise StructureError("annihilator of the empty set is undefined")
     if isinstance(target, FiniteSemimodule):
         require_semimodule(target)
         s, side = target.semiring, TWO_SIDED
-        if any(not (_is_index(x) and 0 <= x < target.msize) for x in xs):
-            raise StructureError("module element out of range")
+        for x in xs:
+            _int_in(x, "module element", 0, target.msize)
     else:
         s = target
         if not check_laws(s).is_with_zero:

@@ -74,6 +74,11 @@ law is tested on the semiring's additive generators.
 Every report is built from its witnesses alone, each law's witness or None
 in report order; ``_Verdicts`` keeps those not None and derives one flag
 per law, False exactly when it has a witness.
+
+Every integer the package takes from outside (a size, a designated or
+named element, a digit, a degree cap) is checked by ``_int_in``, and
+every table by ``freeze_table``, both here; each refuses with
+``StructureError``.
 """
 
 from __future__ import annotations
@@ -111,12 +116,26 @@ def _is_index(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def freeze_table(rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: str = "table") -> Table:
-    """Copy rows into tuples, validating type, shape and entry range. The
-    whole table is checked at once, by the sets of its row types, row
-    lengths and cell types and by its least and greatest entry; only a table
-    that fails those is walked cell by cell, which names the first bad row
-    or entry, or accepts subclasses of list, tuple and int."""
+def _int_in(v, what: str, low: int = 0, high: Optional[int] = None):
+    """``v`` when it is an int, not a bool, with low <= v and, when ``high``
+    is given, v < high; else StructureError, worded alike for every integer
+    taken from outside."""
+    if _is_index(v) and low <= v and (high is None or v < high):
+        return v
+    span = f">= {low}" if high is None else f"in {low}..{high - 1}"
+    raise StructureError(f"{what} out of range: {v!r} is not an integer {span}")
+
+
+def freeze_table(
+    rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: str = "table", bound: Optional[int] = None
+) -> Table:
+    """Copy rows into tuples, validating type, shape and that every entry
+    is an integer below ``bound`` (``ncols`` unless given). The whole table
+    is checked at once, by the sets of its row types, row lengths and cell
+    types and by its least and greatest entry; only a table that fails those
+    is walked cell by cell, which names the first bad row or entry, or
+    accepts subclasses of list, tuple and int."""
+    bound = ncols if bound is None else bound
     if not isinstance(rows, (list, tuple)):
         raise StructureError(f"{what}: expected a list of rows, got {type(rows).__name__}")
     if not rows:
@@ -125,7 +144,7 @@ def freeze_table(rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: st
         raise StructureError(f"{what}: expected {nrows} rows, got {len(rows)}")
     if {*map(type, rows)} <= {list, tuple} and {*map(len, rows)} == {ncols}:
         cells = list(itertools.chain.from_iterable(rows))
-        if {*map(type, cells)} == {int} and 0 <= min(cells) and max(cells) < ncols:
+        if {*map(type, cells)} == {int} and 0 <= min(cells) and max(cells) < bound:
             return tuple(map(tuple, rows))
     out = []
     for i, row in enumerate(rows):
@@ -134,8 +153,8 @@ def freeze_table(rows: Sequence[Sequence[int]], nrows: int, ncols: int, what: st
         if len(row) != ncols:
             raise StructureError(f"{what}: row {i} has length {len(row)}, expected {ncols}")
         for v in row:
-            if not (_is_index(v) and 0 <= v < ncols):
-                raise StructureError(f"{what}: entry {v!r} in row {i} is not an integer in 0..{ncols - 1}")
+            if not (_is_index(v) and 0 <= v < bound):
+                raise StructureError(f"{what}: entry {v!r} in row {i} is not an integer in 0..{bound - 1}")
         out.append(tuple(row))
     return tuple(out)
 
@@ -158,14 +177,12 @@ class CayleyStructure:
     name: str = ""
 
     def __post_init__(self):
-        if not _is_index(self.size) or self.size <= 0:
-            raise StructureError(f"carrier size must be a positive integer, got {self.size!r}")
+        _int_in(self.size, "carrier size", 1)
         object.__setattr__(self, "add", freeze_table(self.add, self.size, self.size, "add"))
         object.__setattr__(self, "mul", freeze_table(self.mul, self.size, self.size, "mul"))
         for label in ("zero", "one"):
-            v = getattr(self, label)
-            if v is not None and not (_is_index(v) and 0 <= v < self.size):
-                raise StructureError(f"{label}={v!r} is not an element of a carrier of size {self.size}")
+            if getattr(self, label) is not None:
+                _int_in(getattr(self, label), label, 0, self.size)
 
     def elements(self) -> range:
         return range(self.size)
@@ -439,14 +456,6 @@ def _scan(firsts: Sequence[int], mids: Sequence[int], last: int, law: Callable) 
     return None if w is None else (firsts[w[0]], mids[w[1]], w[2])
 
 
-def distributive_witness(add: Table, mul: Table) -> Optional[tuple[int, int, int]]:
-    """Least (a, b, c) with a(b+c) != ab+ac, where ``mul`` has one row per
-    multiplier and one column per element of ``add``. Right distributivity is
-    this law for ``transpose(mul)``."""
-    n = len(add)
-    return _scan(range(len(mul)), range(n), n, partial(_distributive_rows, _Rows(add), _Rows(mul)))
-
-
 def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
     """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
     n = len(table)
@@ -675,25 +684,12 @@ class StructureConstants:
     gamma: tuple
 
     def __post_init__(self):
-        if not _is_index(self.dim) or self.dim <= 0:
-            raise StructureError(f"dimension must be a positive integer, got {self.dim!r}")
-        ksize = self.semifield.size
+        _int_in(self.dim, "dimension", 1)
         if not isinstance(self.gamma, (list, tuple)) or len(self.gamma) != self.dim:
             raise StructureError("gamma must have one block per basis vector")
-        frozen = []
-        for block in self.gamma:
-            if not isinstance(block, (list, tuple)) or len(block) != self.dim:
-                raise StructureError("gamma block has wrong shape")
-            brows = []
-            for row in block:
-                if not isinstance(row, (list, tuple)) or len(row) != self.dim:
-                    raise StructureError("gamma block has wrong shape")
-                for v in row:
-                    if not (_is_index(v) and 0 <= v < ksize):
-                        raise StructureError(f"gamma entry {v!r} not in the semifield carrier")
-                brows.append(tuple(row))
-            frozen.append(tuple(brows))
-        object.__setattr__(self, "gamma", tuple(frozen))
+        n, k = self.dim, self.semifield.size
+        blocks = (freeze_table(block, n, n, f"gamma[{i}]", k) for i, block in enumerate(self.gamma))
+        object.__setattr__(self, "gamma", tuple(blocks))
 
 
 @dataclass(frozen=True, repr=False)
@@ -708,14 +704,12 @@ class FiniteSemimodule:
     name: str = ""
 
     def __post_init__(self):
-        if not _is_index(self.msize) or self.msize <= 0:
-            raise StructureError(f"module carrier size must be a positive integer, got {self.msize!r}")
+        _int_in(self.msize, "module carrier size", 1)
         object.__setattr__(self, "madd", freeze_table(self.madd, self.msize, self.msize, "madd"))
         object.__setattr__(
             self, "action", freeze_table(self.action, self.semiring.size, self.msize, "action")
         )
-        if not (_is_index(self.mzero) and 0 <= self.mzero < self.msize):
-            raise StructureError(f"mzero={self.mzero!r} is not an element of the module")
+        _int_in(self.mzero, "mzero", 0, self.msize)
 
     def elements(self) -> range:
         return range(self.msize)

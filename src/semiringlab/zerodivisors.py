@@ -11,7 +11,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .analysis import analysis, reader
 from .errors import CapExceeded, StructureError, TheoremViolation
 from .limits import CARRIER_CAP
 from .ideals import (
@@ -37,7 +36,7 @@ from .spectrum import compactly_packed_battery, spec_of
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
-    _is_index,
+    _int_in,
     check_laws,
     require_commutative_semiring,
     require_semimodule,
@@ -189,12 +188,7 @@ class QuotientSemiring:
         return f"<QuotientSemiring size={self.structure.size} of {self.base.name or 'S'}>"
 
 
-@reader("quotient")
 def total_quotient(s: CayleyStructure) -> QuotientSemiring:
-    return analysis(s).get("quotient", None, _total_quotient, s)
-
-
-def _total_quotient(s: CayleyStructure) -> QuotientSemiring:
     """The quotient as e*S (see :class:`QuotientSemiring`), with its classes
     numbered by their least pair, a then u ascending, and the tables of s
     restricted to their elements e*a*(e*u)^-1. The relation is still built
@@ -341,10 +335,8 @@ def monoid_zd_check(
     inconclusive, never a refutation. Slices of more than ``CARRIER_CAP``
     scalars or module polynomials raise :class:`CapExceeded` up front.
     """
-    if not _is_index(degree_cap) or degree_cap < 0:
-        raise StructureError(f"degree cap must be a nonnegative integer, got {degree_cap!r}")
+    length = _int_in(degree_cap, "degree cap") + 1
     require_module_over(s, m)
-    length = degree_cap + 1
     # testing the length first keeps the power small and bounds 1-element carriers
     if length > CARRIER_CAP or max(s.size, m.msize) ** length > CARRIER_CAP:
         raise CapExceeded(f"degree cap {degree_cap} gives a slice of more than {CARRIER_CAP} polynomials")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab import analysis as ctxmod
-from semiringlab import ideals, spectrum, tables, zerodivisors
+from semiringlab import ideals, spectrum, tables
 from semiringlab.analysis import analysis
 from semiringlab.cli import _plain
 from semiringlab.corpus import chain_semiring, corpus_semimodules, saturating
@@ -42,7 +42,6 @@ from semiringlab.ideals import (
 )
 from semiringlab.spectrum import _spec_masks, compactly_packed_battery, spec_of
 from semiringlab.tables import CayleyStructure, check_laws, self_action, semimodule_check
-from semiringlab.zerodivisors import total_quotient
 
 
 def reads(s):
@@ -78,7 +77,6 @@ def reads(s):
                 out.append(("semiprime_residual", (i.mask, t_set.mask), stored))
     if t_set is not None:
         out.append(("orbits", None, ideals._orbits(s)))
-        out.append(("quotient", None, total_quotient(s)))
     # the member views have no public read: each is checked as the residual
     # rows and subtractive tests left it
     for op, view in analysis(s).facts.get("member_view", {}).items():
@@ -92,7 +90,6 @@ COMPUTE = {
     "principal": lambda s, side: ideals._principal_masks(s, side),
     "lattice": lambda s, side: ideals._ideal_masks(s, side),
     "spectrum": lambda s, key: spectrum._prime_masks(s),
-    "quotient": lambda s, key: zerodivisors._total_quotient(s),
     "all_subtractive": lambda s, key: ideals._all_ideals_subtractive(s),
     "annihilators": lambda target, side: ideals._annihilator_rows(target, side),
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
@@ -319,8 +316,8 @@ def test_a_computation_that_raises_leaves_no_trace():
     s = CayleyStructure(size=2, add=[[0, 1], [1, 0]], mul=[[1, 1], [1, 1]], name="raises")
     for _ in range(2):
         with pytest.raises(StructureError):
-            total_quotient(s)
-    assert "quotient" not in analysis(s).facts
+            self_action(s)
+    assert "self_action" not in analysis(s).facts
     check_against_scratch(s)
 
 

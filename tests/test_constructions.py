@@ -142,7 +142,7 @@ def test_austere_precondition_checks():
 def test_austere_designations_outside_the_magma_are_rejected():
     # one=-1 would wrap to the last element, and zero=5 index past the table
     for zero, one in ((0, -1), (5, 1), (0, True), (0.0, 1)):
-        with pytest.raises(StructureError, match="is not an element of a 2-element magma"):
+        with pytest.raises(StructureError, match=r"(zero|one) out of range: .* is not an integer in 0\.\.1"):
             austere_extension([[0, 0], [0, 1]], zero=zero, one=one)
 
 
@@ -243,17 +243,17 @@ def test_constructor_inputs_must_be_integers_in_range():
     b = boolean_semifield()
     one = ((1,),)
     for entry in (1.7, "1", True):
-        with pytest.raises(StructureError, match="gamma entry"):
+        with pytest.raises(StructureError, match=r"gamma\[0\]: entry .* in row 0 is not an integer in 0\.\.1"):
             StructureConstants(semifield=b, dim=1, gamma=(((entry,),),))
     for dim in (1.0, True, 0, "1"):
-        with pytest.raises(StructureError, match="dimension must be a positive integer"):
+        with pytest.raises(StructureError, match="dimension out of range: .* is not an integer >= 1"):
             StructureConstants(semifield=b, dim=dim, gamma=(one,))
     assert StructureConstants(semifield=b, dim=1, gamma=[[[1]]]).gamma == (one,)
     for complement in ([1, 0.0], [3.9, 0], ["1", 0], [True, 0]):
-        with pytest.raises(StructureError, match="complement table malformed"):
+        with pytest.raises(StructureError, match=r"complement: entry .* in row 0 is not an integer in 0\.\.1"):
             newman_check(b, complement)
     for degree_cap in (1.0, True, "1", -1):
-        with pytest.raises(StructureError, match="degree cap must be a nonnegative integer"):
+        with pytest.raises(StructureError, match="degree cap out of range: .* is not an integer >= 0"):
             truncated_polynomial_hemiring(b, degree_cap)
 
 

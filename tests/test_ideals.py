@@ -22,6 +22,7 @@ from semiringlab.errors import HypothesesUnmet, StructureError
 from semiringlab.ideals import (
     LEFT,
     IdealSet,
+    MultiplicativeSet,
     TWO_SIDED,
     all_tree_shapes,
     annihilator,
@@ -107,6 +108,9 @@ def test_generate_from_empty_set():
         lambda s: generate_ideal(s, [1.0]),
         lambda s: annihilator(s, [1.0]),
         lambda s: annihilator(self_action(s), [1.0]),
+        # a str among ints once failed to sort, with TypeError
+        lambda s: annihilator(s, [0, "1"]),
+        lambda s: annihilator(self_action(s), [0, "1"]),
         # -1 would read the last row of the residuals and 3 none at all
         lambda s: residual(generate_ideal(s, [0]), -1),
         lambda s: residual(generate_ideal(s, [0]), 3),
@@ -120,6 +124,8 @@ def test_generate_from_empty_set():
         "float-generator",
         "float-annihilated",
         "float-module-element",
+        "str-annihilated",
+        "str-module-element",
         "residual-negative",
         "residual-past-the-end",
         "residual-bool",
@@ -451,6 +457,36 @@ def test_t_semiprime_element_rejects_a_mask_that_is_no_ideal():
     t = chain_semiring()
     with pytest.raises(StructureError, match="not a two-sided ideal"):
         t_semiprime_element(IdealSet(structure=t, side=TWO_SIDED, mask=0b010), mult_closure(t, [t.one]))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda i: residual(i, 1),
+        lambda i: semiprime_residual(i, mult_closure(i.structure, [i.structure.one])),
+        radical,
+    ],
+    ids=["residual", "semiprime-residual", "radical"],
+)
+def test_ideal_readers_reject_a_mask_that_is_no_ideal(read):
+    """{1} of the chain, the empty mask and a mask past the carrier, twice
+    each, as a refusal stores nothing. {1} once gave the theorem verdict
+    TheoremViolation (its residual by 1, {1, 2}, is no ideal) from the
+    residual readers, and a radical without complaint."""
+    t = chain_semiring()
+    for mask in (0b010, 0, 0b1000):
+        for _ in range(2):
+            with pytest.raises(StructureError, match="not a two-sided ideal"):
+                read(IdealSet(structure=t, side=TWO_SIDED, mask=mask))
+
+
+@pytest.mark.parametrize("read", [t_semiprime_element, semiprime_residual], ids=["t-element", "semiprime-residual"])
+def test_t_readers_reject_a_t_past_the_carrier(read):
+    """A hand-built T holding 3 on the 3-element chain; the T-element read
+    once raised IndexError."""
+    t = chain_semiring()
+    with pytest.raises(StructureError, match=r"element out of range: 3 is not an integer in 0\.\.2"):
+        read(generate_ideal(t, [0]), MultiplicativeSet(structure=t, mask=0b1100))
 
 
 def test_equivalence_rejects_meeting_t():

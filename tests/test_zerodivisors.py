@@ -401,7 +401,7 @@ def test_slice_zero_polynomial():
 @pytest.mark.parametrize("cap", [1.0, True, -1])
 def test_slice_degree_cap_must_be_a_nonnegative_int(cap):
     b = boolean_semifield()
-    with pytest.raises(StructureError, match="nonnegative integer"):
+    with pytest.raises(StructureError, match="degree cap out of range: .* is not an integer >= 0"):
         monoid_zd_check(b, self_action(b), cap)
 
 
