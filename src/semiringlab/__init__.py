@@ -24,8 +24,6 @@ from .constructions import (
     endomorphism_ringoid,
     hemialgebra,
     monoid_semiring,
-    newman_check,
-    truncated_polynomial_hemiring,
 )
 from .ideals import (
     IdealSet,
@@ -35,26 +33,18 @@ from .ideals import (
     classify_ideal,
     enumerate_ideals,
     generate_ideal,
-    ideal_arith,
     is_prime,
     is_subtractive,
     krull_separation,
-    maximal_annihilator_primes,
     mult_closure,
-    multiplicative_set,
     radical,
-    residual,
-    subtractive_sumtree_property,
     t_semiprime_element,
-    t_semiprime_equivalence,
 )
 from .covering import (
     WitnessReport,
-    annihilator_avoidance,
     avoidance_witness,
     behrens_elements,
     davis_witness,
-    efficient_reduce,
     is_efficient,
     mccoy_exponent,
     semiring_avoidance,
@@ -64,15 +54,12 @@ from .covering import (
 from .spectrum import (
     SpectrumReport,
     compactly_packed_battery,
-    principal_open_refinement,
     spec_of,
-    vanishing_sets,
     zariski_axioms,
 )
 from .zerodivisors import (
     QuotientSemiring,
     ZeroDivisorReport,
-    content,
     few_zero_divisors,
     kasch_semilocal_report,
     monoid_zd_check,

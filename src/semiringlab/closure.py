@@ -2,12 +2,11 @@
 
 :func:`close` gives the least superset of a mask closed under a binary
 table. Law scans use it to pick generating sets (:mod:`semiringlab.tables`);
-ideals, subsemimodules and multiplicative closures use it through
-:mod:`semiringlab.ideals`.
+ideals and multiplicative closures use it through :mod:`semiringlab.ideals`.
 
 :func:`close_by_one` enumerates a closure system from its joins with the
 closures of single elements: :mod:`semiringlab.ideals` enumerates ideal
-lattices and subsemimodules with it.
+lattices with it.
 """
 
 from __future__ import annotations

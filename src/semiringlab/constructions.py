@@ -1,6 +1,6 @@
 """Constructors that assemble new structures from smaller data.
 
-Products, hemialgebras, monoid semirings and truncated polynomials are
+Products, hemialgebras and monoid semirings are
 ``EncodedStructure`` carriers: tuple spaces with a radix per digit, encoded
 big-endian, so the index order of the carrier agrees with lexicographic
 order on the tuples and all outputs are deterministic. Each is first
@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceeded, StructureError, TheoremViolation
+from .errors import CapExceeded, StructureError
 from .limits import CARRIER_CAP
 from .tables import (
     CayleyStructure,
@@ -31,7 +31,6 @@ from .tables import (
     least_witness,
     medial_witness,
     _Rows,
-    _Verdicts,
     _int_in,
     _neutral,
 )
@@ -211,10 +210,10 @@ class EncodedStructure(CayleyStructure):
         return encode_tuple(coords, self.radices)
 
 
-def _carrier_size(radices: Iterable[int], terms: int = 0) -> int:
+def _carrier_size(radices: Iterable[int]) -> int:
     """The product of ``radices``, read one at a time, and so an encoded
-    carrier's size, refused when it or the number of convolution ``terms``
-    exceeds ``CARRIER_CAP``; a size past 2^64 is refused unprinted."""
+    carrier's size, refused when it exceeds ``CARRIER_CAP``; a size past
+    2^64 is refused unprinted."""
     size = 1
     for r in radices:
         size *= r
@@ -222,8 +221,6 @@ def _carrier_size(radices: Iterable[int], terms: int = 0) -> int:
             raise CapExceeded(f"carrier of size over 2^64 exceeds cap {CARRIER_CAP}")
     if size > CARRIER_CAP:
         raise CapExceeded(f"carrier of size {size} exceeds cap {CARRIER_CAP}")
-    if terms > CARRIER_CAP:
-        raise CapExceeded(f"{terms} convolution terms exceed cap {CARRIER_CAP}")
     return size
 
 
@@ -286,60 +283,6 @@ def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
 
 
 @dataclass(frozen=True, repr=False)
-class NewmanReport(_Verdicts):
-    """Axiom-by-axiom verdicts plus re-verified consequences.
-
-    ``derived`` stays None unless all four axioms hold with distinct zero and
-    one; when populated, every entry has been re-checked exhaustively.
-    """
-
-    n1_additive_unital: bool = field(init=False)
-    n2_right_identity: bool = field(init=False)
-    n3_distributive: bool = field(init=False)
-    n4_complement: bool = field(init=False)
-    zero: Optional[int]
-    one: Optional[int]
-    derived: Optional[dict]
-
-    @property
-    def newman_holds(self) -> bool:
-        return not self.witnesses
-
-
-def newman_check(s: CayleyStructure, complement: Sequence[int]) -> NewmanReport:
-    n, add, mul = s.size, s.add, s.mul
-    (comp,) = freeze_table((complement,), 1, n, "complement")
-    rep = check_laws(s)
-    zero = rep.zero
-    one = next((e for e in range(n) if all(mul[x][e] == x for x in range(n))), None)
-    found = {
-        "n1_additive_unital": None if zero is not None else (),
-        "n2_right_identity": None if one is not None else (),
-        # the left law's witness, else the right law's (a witness is never empty)
-        "n3_distributive": rep.witnesses.get("left_distributive") or rep.witnesses.get("right_distributive"),
-        "n4_complement": () if zero is None or one is None else least_witness(
-            (n,), lambda: ([(mul[a][c], add[a][c]) for a, c in enumerate(comp)], [(zero, one)] * n)
-        ),
-    }
-
-    derived = None
-    if all(w is None for w in found.values()) and zero != one:
-        derived = {
-            "mul_idempotent": rep.mul_idempotent,
-            "complemented": rep.complemented,
-            "zero_absorbing": rep.zero_absorbing,
-            "add_associative": rep.add_associative,
-            "add_commutative": rep.add_commutative,
-        }
-        failed = sorted(k for k, v in derived.items() if not v)
-        if failed:
-            raise TheoremViolation(
-                f"Newman axioms hold but derived facts fail: {failed}"
-            )
-    return NewmanReport(found, zero=zero, one=one, derived=derived)
-
-
-@dataclass(frozen=True, repr=False)
 class ProductStructure(EncodedStructure):
     factors: tuple = ()
 
@@ -391,32 +334,3 @@ def monoid_semiring(
     one[e] = rep.one
     name = name or f"{s.name or 'S'}[G] with |G|={gn}"
     return _encoded(MonoidSemiring, size, [s] * gn, [rep.zero] * gn, one, name, terms, base=s, monoid=g)
-
-
-@dataclass(frozen=True, repr=False)
-class PolynomialHemiring(EncodedStructure):
-    """Polynomials over a hemiring truncated above a fixed degree.
-
-    Coefficient tuples are degree-ascending. Dropping degrees above the cap
-    is a congruence quotient, so every ringoid law of the base survives.
-    """
-
-    base: Optional[CayleyStructure] = None
-    degree_cap: int = 0
-
-
-def truncated_polynomial_hemiring(
-    h: CayleyStructure, degree_cap: int, name: str = ""
-) -> PolynomialHemiring:
-    rep = check_laws(h)
-    if not rep.is_na_hemiring:
-        raise StructureError("base must be a hemiring with commutative monoid addition")
-    length = _int_in(degree_cap, "degree cap") + 1
-    # coefficient k of a product sums a_i b_(k-i), k + 1 terms
-    size = _carrier_size(itertools.repeat(h.size, length), length * (length + 1) // 2)
-    terms = [[(i, k - i, None) for i in range(k + 1)] for k in range(length)]
-    one = [rep.one] + [rep.zero] * degree_cap if rep.has_one else None
-    name = name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}"
-    return _encoded(
-        PolynomialHemiring, size, [h] * length, [rep.zero] * length, one, name, terms, base=h, degree_cap=degree_cap
-    )

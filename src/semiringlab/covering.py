@@ -1,15 +1,16 @@
 """Covering and avoidance checks: efficient coverings, avoidance witnesses,
 exponent bounds for efficient coverings, and the corollary suites.
 
-Every check takes (target, covers), after Davis' element or the module of
-the annihilator form. The seven whose covers must cover the target reject
-no covers, covers over another structure and an uncovered target with
-ValueError; :func:`avoidance_witness` and :func:`davis_witness` take primes
-that the target escapes, and with :func:`behrens_elements` refuse primes
-over another structure. The corollaries share one hypothesis gate (a
+Every check takes (target, covers), after Davis' element. The five whose
+covers must cover the target reject no covers, covers over another
+structure and an uncovered target with ValueError;
+:func:`avoidance_witness` and :func:`davis_witness` take primes that the
+target escapes, and with :func:`behrens_elements` refuse primes over
+another structure. The corollaries share one hypothesis gate (a
 commutative semiring whose ideals are all subtractive) and read stored
-facts: each cover's classification flags, its least T-element and its
-semiprime residual per (cover, T), and the element annihilators.
+facts: each cover's classification flags, and its least T-element and its
+semiprime residual per (cover, T), the two sides of the T-semiprime
+equivalence, which must agree.
 
 The radical, semiprime and T-semiprime corollaries and McCoy's exponent
 have one implementation, a kernel that checks a statement for one family of
@@ -38,7 +39,6 @@ from .ideals import (
     _element_mask,
     all_ideals_subtractive,
     classify_ideal,
-    element_annihilators,
     evaluate_tree,
     generated_product,
     ideal_masks,
@@ -49,16 +49,13 @@ from .ideals import (
     mask_members,
     maximal_masks,
     principal_masks,
-    require_module_over,
     require_same_structure,
     residual_rows,
     semiprime_residual,
     t_semiprime_element,
-    annihilator,
-    annihilator_rows,
     union_mask,
 )
-from .tables import CayleyStructure, FiniteSemimodule, check_laws
+from .tables import CayleyStructure, check_laws
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -122,17 +119,6 @@ def _redundant(target: IdealSet, covers: Sequence[IdealSet]) -> Optional[int]:
 def is_efficient(target: IdealSet, covers: Sequence[IdealSet]) -> bool:
     """Whether no cover can be dropped from a covering of the target."""
     return _redundant(target, _covering(target, covers)) is None
-
-
-def efficient_reduce(target: IdealSet, covers: Sequence[IdealSet]) -> tuple[IdealSet, ...]:
-    """Greedily drop redundant covers, leftmost first, until efficient."""
-    covers = _covering(target, covers)
-    while len(covers) > 1:
-        skip = _redundant(target, covers)
-        if skip is None:
-            break
-        covers = covers[:skip] + covers[skip + 1:]
-    return covers
 
 
 def _corollary_unmet(s: CayleyStructure) -> Optional[WitnessReport]:
@@ -418,11 +404,16 @@ def _t_semiprime_outcomes(
         cls = classify_ideal(p)
         if not cls.two_absorbing:
             return [_unmet("2-absorbing", index=k, witness=cls.witnesses["two_absorbing"])] * len(targets)
-        if t_semiprime_element(p, t_set) is None:
-            return [_unmet("t-semiprime", index=k)] * len(targets)
+        # a cover is T-semiprime exactly when some residual (P : t) is
+        # semiprime: both sides are computed and must agree
         found = semiprime_residual(p, t_set)
+        direct = t_semiprime_element(p, t_set)
+        if (direct is None) != (found is None):
+            raise TheoremViolation(
+                f"T-semiprime equivalence broken: direct={direct is not None} residual={found is not None}"
+            )
         if found is None:
-            raise TheoremViolation("T-semiprime cover with no semiprime residual")
+            return [_unmet("t-semiprime", index=k)] * len(targets)
         ts.append(found[0])
         residuals.append(found[1])
     out = []
@@ -527,51 +518,3 @@ def t_semiprime_avoidance(
     covers = _two_sided(s, _covering(ideal, covers))
     require_same_structure(s, t_set, "T")
     return _report(_t_semiprime_outcomes(covers, [ideal], t_set)[0])
-
-
-def annihilator_avoidance(
-    m: FiniteSemimodule, ideal: IdealSet, covers: Sequence[IdealSet]
-) -> WitnessReport:
-    """A module-annihilator prime ideal containing an ideal that lies inside
-    a finite union of module-annihilator ideals."""
-    s = m.semiring
-    require_module_over(ideal.structure, m)
-    rep = check_laws(s)
-    if not rep.is_semiring:
-        return _unmet("semiring")
-    covers = list(covers)
-    for c in covers:
-        require_same_structure(s, c, "a cover")
-    rows = annihilator_rows(m)
-    for k, c in enumerate(covers):
-        if not c.is_proper:
-            # only annihilators of sets with a nonzero element are proper,
-            # and the containment conclusion needs a proper prime
-            return _unmet("annihilator-covers", index=k, detail="not proper")
-        killed = [x for x, row in enumerate(rows) if c.mask & ~row == 0]
-        if not killed or annihilator(m, killed).mask != c.mask:
-            return _unmet("annihilator-covers", index=k)
-    covers = _covering(ideal, covers)
-    # every Ann(X) is the meet of the Ann(x), x in X, so a maximal proper
-    # annihilator ideal is a maximal proper element annihilator
-    full = (1 << s.size) - 1
-    element_anns = (a.mask for a in element_annihilators(m))
-    maximal = sorted(maximal_masks(am for am in element_anns if am != full), key=mask_members)
-    enlarged = []
-    for c in covers:
-        host = next(am for am in maximal if c.mask & ~am == 0)
-        p = IdealSet(structure=s, side=TWO_SIDED, mask=host)
-        ok = is_subtractive(p)[0]
-        prime = p.is_proper and is_prime(p)[0]
-        if not (ok and prime):
-            raise TheoremViolation("maximal annihilator is not a subtractive prime")
-        enlarged.append(p)
-    inner = semiring_avoidance(ideal, enlarged)
-    if not inner.holds:
-        raise TheoremViolation("avoidance failed over maximal annihilator primes")
-    chosen = enlarged[inner.witness]
-    return WitnessReport(
-        verdict=HOLDS,
-        witness=inner.witness,
-        details={"prime": chosen.members()},
-    )

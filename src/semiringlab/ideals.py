@@ -14,7 +14,6 @@ associative and commutative and multiplication distributes on the ideal's
 side, the ideal generated by an ideal A and x is A | (x) | A + (x), one
 set image; every other table (the ringoids and medial additions of the
 avoidance theorems) joins by the closure fixpoint, grown from A.
-Subsemimodules always meet that premise.
 
 Four mask kernels serve every module: :func:`image` (the mask of all
 products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
@@ -170,20 +169,6 @@ def require_module_over(s: CayleyStructure, m: FiniteSemimodule) -> None:
         raise StructureError("the module lives over a different structure")
 
 
-def multiplicative_set(s: CayleyStructure, members: Iterable[int]) -> MultiplicativeSet:
-    """Validate that the members contain one and are closed under multiplication."""
-    rep = require_semiring(s)
-    mask = _element_mask(s, members)
-    if not mask >> rep.one & 1:
-        raise StructureError("multiplicative set must contain one")
-    members = mask_members(mask)
-    for x in members:
-        for y in members:
-            if not mask >> s.mul[x][y] & 1:
-                raise StructureError(f"not multiplicatively closed: {x}*{y} escapes")
-    return MultiplicativeSet(structure=s, mask=mask)
-
-
 def mult_closure(s: CayleyStructure, gens: Iterable[int]) -> MultiplicativeSet:
     rep = require_semiring(s)
     mask = close(s.mul, (0,) * s.size, _element_mask(s, gens) | 1 << rep.one)
@@ -329,16 +314,12 @@ def _ideal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
     return _closed_sets(s.add, _absorb(s, side), 0, _sum_joins(check_laws(s), side), principal_masks(s, side))
 
 
-def _closed_sets(
-    add, absorb: Sequence[int], bottom: int, sums: bool, principal: Optional[Sequence[int]] = None
-) -> tuple[int, ...]:
+def _closed_sets(add, absorb: Sequence[int], bottom: int, sums: bool, principal: Sequence[int]) -> tuple[int, ...]:
     """The nonempty sets closed under ``add`` and holding ``absorb[x]`` for
     each member x, sorted by member tuple, by Close-by-One from the least,
-    ``bottom``, and the closures of bottom and each element, ``principal``
-    unless given. A closed set joins a principal one in their sum when
-    ``sums``, else in the closure grown from the set."""
-    if principal is None:
-        principal = [close(add, absorb, 1 << x, bottom) for x in range(len(add))]
+    ``bottom``, and ``principal``, the closures of bottom and each element.
+    A closed set joins a principal one in their sum when ``sums``, else in
+    the closure grown from the set."""
     if sums:
         def join(a: int, j: int) -> int:
             return _sum_join(add, a, principal[j])
@@ -512,6 +493,12 @@ def radical_mask(s: CayleyStructure, mask: int) -> int:
 
 def _radical_mask(s: CayleyStructure, mask: int) -> int:
     _require_ideal(s, mask)
+    return _orbit_radical(s, mask)
+
+
+def _orbit_radical(s: CayleyStructure, mask: int) -> int:
+    """The radical of a mask known to be an ideal: the elements whose power
+    orbit meets it."""
     out = 0
     for x, orbit in enumerate(_orbits(s)):
         if orbit & mask:
@@ -567,30 +554,6 @@ def ideal_intersect(a: IdealSet, b: IdealSet) -> IdealSet:
     if mask == 0:
         raise StructureError("empty intersection is not an ideal")
     return IdealSet(structure=a.structure, side=a.side, mask=mask)
-
-
-def ideal_arith(op: str, a: IdealSet, b: IdealSet):
-    """Dispatch by name; op is one of sum, set_product, generated_product,
-    intersect."""
-    if op == "sum":
-        return ideal_sum(a, b)
-    if op == "set_product":
-        return mask_members(set_product_mask(a, b))
-    if op == "generated_product":
-        return generated_product(a, b)
-    if op == "intersect":
-        return ideal_intersect(a, b)
-    raise ValueError(f"unknown ideal operation {op!r}")
-
-
-def residual(ideal: IdealSet, t: int) -> IdealSet:
-    """Elements whose product with t lands in the ideal; a mask that is no
-    ideal is refused."""
-    s = ideal.structure
-    require_commutative_semiring(s)
-    _element_mask(s, [t])
-    _require_ideal(s, ideal.mask)
-    return IdealSet(structure=s, side=ideal.side, mask=_residual_mask(s, ideal.mask, t))
 
 
 def _residual_mask(s: CayleyStructure, mask: int, t: int) -> int:
@@ -740,7 +703,8 @@ def _per_ideal_witnesses(s: CayleyStructure, lattice: tuple[int, ...], holds: li
             if commutative:
                 found["semiprime"][j] = _semiprime_elementwise(s, mask)
         if commutative:
-            extra = ctx.get("radical", mask, _radical_mask, s, mask) & ~mask
+            # a lattice member is an ideal by construction, so unchecked
+            extra = ctx.get("radical", mask, _orbit_radical, s, mask) & ~mask
             found["radical_ideal"][j] = mask_members(extra)[:1] if extra else None
     return found
 
@@ -891,26 +855,6 @@ def _t_semiprime_element(s: CayleyStructure, mask: int, t_mask: int) -> Optional
     return next((t for t in mask_members(t_mask) if squared_in & ~rows[t] == 0), None)
 
 
-def t_semiprime_equivalence(ideal: IdealSet, t_set: MultiplicativeSet) -> tuple[bool, Optional[int]]:
-    """Match T-semiprimeness against semiprimeness of some residual quotient.
-
-    Returns (verdict, t), t the smaller of the two sides' least t (the
-    least t in T making the ideal T-semiprime, and the least whose residual
-    quotient is proper and semiprime) or None, or raises if the sides
-    disagree, which would falsify the residual-quotient theorem.
-    """
-    require_commutative_semiring(ideal.structure)
-    direct = t_semiprime_element(ideal, t_set)
-    if not classify_ideal(ideal).two_absorbing:
-        raise HypothesesUnmet("equivalence needs a 2-absorbing ideal")
-    found = semiprime_residual(ideal, t_set)
-    if (direct is None) != (found is None):
-        raise TheoremViolation(
-            f"T-semiprime equivalence broken: direct={direct is not None} residual={found is not None}"
-        )
-    return (False, None) if found is None else (True, min(direct, found[0]))
-
-
 def annihilator(
     target: Union[CayleyStructure, FiniteSemimodule],
     xs: Iterable[int],
@@ -958,44 +902,6 @@ def _element_annihilators(m: FiniteSemimodule) -> tuple[IdealSet, ...]:
     return tuple(annihilator(m, [x]) for x in range(m.msize))
 
 
-def subsemimodule_masks(m: FiniteSemimodule) -> tuple[int, ...]:
-    """All subsets containing zero and closed under addition and the action.
-
-    A semimodule's addition is associative and commutative and the action
-    distributes over it, so the join of a subsemimodule with the one
-    generated by x is their sum, and Close-by-One enumerates them."""
-    require_semimodule(m)
-    absorb = tuple(map(mask_of, transpose(m.action)))
-    return _closed_sets(m.madd, absorb, close(m.madd, absorb, 1 << m.mzero), True)
-
-
-def maximal_annihilator_primes(s: CayleyStructure, m: FiniteSemimodule) -> tuple[IdealSet, ...]:
-    """Maximal annihilators of proper nonzero subsemimodules; each is checked
-    subtractive and prime before being returned."""
-    require_semiring(s)
-    require_module_over(s, m)
-    if m.msize == 1:
-        raise StructureError("zero semimodule has no proper nonzero subsemimodules")
-    zero_mask = 1 << m.mzero
-    full = (1 << m.msize) - 1
-    gamma = set()
-    for nm in subsemimodule_masks(m):
-        if nm == zero_mask or nm == full:
-            continue
-        gamma.add(annihilator(m, mask_members(nm)).mask)
-    out = []
-    for am in sorted(maximal_masks(gamma), key=mask_members):
-        ideal = IdealSet(structure=s, side=TWO_SIDED, mask=am)
-        ok, w = is_subtractive(ideal)
-        if not ok:
-            raise TheoremViolation(f"maximal annihilator not subtractive: {w}")
-        prime, w = is_prime(ideal)
-        if not prime:
-            raise TheoremViolation(f"maximal annihilator not prime: {w}")
-        out.append(ideal)
-    return tuple(out)
-
-
 def krull_separation(s: CayleyStructure, t_set: MultiplicativeSet, ideal: IdealSet) -> IdealSet:
     """A prime ideal containing the given one, maximal among ideals disjoint
     from the multiplicative set; ties break to the least member tuple."""
@@ -1026,13 +932,6 @@ def krull_separation(s: CayleyStructure, t_set: MultiplicativeSet, ideal: IdealS
 Tree = Union[int, tuple]
 
 
-def tree_leaves(tree: Tree) -> list[int]:
-    if isinstance(tree, int):
-        return [tree]
-    left, right = tree
-    return tree_leaves(left) + tree_leaves(right)
-
-
 def evaluate_tree(s: CayleyStructure, tree: Tree) -> int:
     if isinstance(tree, int):
         return tree
@@ -1049,37 +948,8 @@ def left_comb(values: Sequence[int]) -> Tree:
     return tree
 
 
-def all_tree_shapes(values: Sequence[int]) -> list[Tree]:
-    if len(values) == 1:
-        return [values[0]]
-    shapes = []
-    for split in range(1, len(values)):
-        for l in all_tree_shapes(values[:split]):
-            for r in all_tree_shapes(values[split:]):
-                shapes.append((l, r))
-    return shapes
-
-
 def random_tree(values: Sequence[int], rng) -> Tree:
     if len(values) == 1:
         return values[0]
     split = rng.randrange(1, len(values))
     return (random_tree(values[:split], rng), random_tree(values[split:], rng))
-
-
-def subtractive_sumtree_property(ideal: IdealSet, tree: Tree, hole: int) -> bool:
-    """Membership of the hole leaf when the tree value and all other leaves
-    lie in a subtractive ideal. Guaranteed true; exposed for diagnostics."""
-    ok, w = is_subtractive(ideal)
-    if not ok:
-        raise HypothesesUnmet(f"ideal is not subtractive, witness {w}")
-    leaves = tree_leaves(tree)
-    if not 0 <= hole < len(leaves):
-        raise ValueError("hole index out of range")
-    value = evaluate_tree(ideal.structure, tree)
-    if value not in ideal:
-        raise HypothesesUnmet("tree value must lie in the ideal")
-    for pos, leaf in enumerate(leaves):
-        if pos != hole and leaf not in ideal:
-            raise HypothesesUnmet("all leaves except the hole must lie in the ideal")
-    return leaves[hole] in ideal

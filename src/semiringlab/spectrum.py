@@ -8,18 +8,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .analysis import analysis
-from .errors import HypothesesUnmet, TheoremViolation
+from .errors import TheoremViolation
 from .ideals import (
     IdealSet,
     TWO_SIDED,
-    all_ideals_subtractive,
     ideal_masks,
     is_prime,
     is_subtractive,
     mask_members,
     principal_masks,
     radical_mask,
-    require_same_structure,
     union_mask,
     _semiprime_elementwise,
 )
@@ -52,17 +50,6 @@ def spec_of(s: CayleyStructure) -> tuple[IdealSet, ...]:
     return tuple(
         IdealSet(structure=s, side=TWO_SIDED, mask=m) for m in _spec_masks(s)
     )
-
-
-def vanishing_sets(
-    s: CayleyStructure, ideal: IdealSet
-) -> tuple[tuple[IdealSet, ...], tuple[IdealSet, ...]]:
-    """Partition of the spectrum into primes containing the ideal and the rest."""
-    require_same_structure(s, ideal, "the ideal")
-    inside, outside = [], []
-    for p in spec_of(s):
-        (inside if ideal.issubset(p) else outside).append(p)
-    return tuple(inside), tuple(outside)
 
 
 def zariski_axioms(s: CayleyStructure) -> bool:
@@ -183,35 +170,3 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
         equivalence_table=table,
         radical_principal_map=radical_principal_map,
     )
-
-
-def principal_open_refinement(
-    s: CayleyStructure, points: Sequence[IdealSet], ideal: IdealSet
-) -> int:
-    """An element x of the ideal whose principal open set contains the given
-    points and sits inside the open set of the ideal."""
-    require_same_structure(s, ideal, "the ideal")
-    for p in points:
-        require_same_structure(s, p, "a point")
-    rep = check_laws(s)
-    if not rep.is_semiring:
-        raise HypothesesUnmet("needs a semiring")
-    if not all_ideals_subtractive(s):
-        raise HypothesesUnmet("needs every ideal subtractive")
-    for p in points:
-        if ideal.issubset(p):
-            raise HypothesesUnmet("a point lies outside the open set of the ideal")
-    avoid = union_mask(p.mask for p in points)
-    rest = ideal.mask & ~avoid
-    if not rest:
-        raise TheoremViolation("no refinement element despite verified hypotheses")
-    x = (rest & -rest).bit_length() - 1
-    x_ideal = IdealSet(structure=s, side=TWO_SIDED, mask=principal_masks(s, TWO_SIDED)[x])
-    _, d_x = vanishing_sets(s, x_ideal)
-    _, d_i = vanishing_sets(s, ideal)
-    d_x_masks = {p.mask for p in d_x}
-    if any(p.mask not in d_x_masks for p in points):
-        raise TheoremViolation("refinement misses a point")
-    if any(p.mask not in {q.mask for q in d_i} for p in d_x):
-        raise TheoremViolation("refined open set escapes the original")
-    return x

@@ -2,7 +2,7 @@
 
 Covers the radical decomposition of the zero-divisor set, associated primes,
 Property (A), the total quotient semiring with its Kasch and semi-local
-verdicts, contents, and the bounded-degree monoid checks.
+verdicts, and the bounded-degree monoid checks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .ideals import (
     _element_mask,
     annihilator_rows,
     element_annihilators,
-    generate_ideal,
     ideal_masks,
     is_prime,
     is_subtractive,
@@ -42,7 +41,6 @@ from .tables import (
     require_semimodule,
     self_action,
 )
-from .constructions import MonoidSemiring
 
 
 def _nonzero_annihilator_rows(m: FiniteSemimodule) -> list[int]:
@@ -112,12 +110,19 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
             "zero divisors differ from the union of radical annihilators"
         )
 
+    # a maximal proper element annihilator is prime; it is the annihilator
+    # of a nonzero element, so it is one of the associated primes
     ass = ass_primes(m)
-    very_few = union_mask(ann.mask for _, ann in ass) == z
+    ass_masks = {ann.mask for _, ann in ass}
+    full = (1 << s.size) - 1
+    maximal = maximal_masks(row for row in _nonzero_annihilator_rows(m) if row != full)
+    if any(am not in ass_masks for am in maximal):
+        raise TheoremViolation("a maximal annihilator of a nonzero element is not prime")
+    very_few = union_mask(ass_masks) == z
     if not very_few:
         raise TheoremViolation(
-            "finite semimodule without very few zero-divisors; primality of "
-            "maximal annihilators must have failed"
+            "finite semimodule without very few zero-divisors, although every "
+            "maximal annihilator is prime"
         )
 
     prop_a, _ = property_a_check(s, m)
@@ -313,14 +318,6 @@ def kasch_semilocal_report(q: QuotientSemiring) -> KaschReport:
         very_few=zrep.very_few,
         maximal_matches=tuple(matches),
     )
-
-
-def content(ms: MonoidSemiring, f: int) -> IdealSet:
-    """Ideal of the base generated by the coefficients of a monoid-semiring
-    element."""
-    if not isinstance(ms, MonoidSemiring):
-        raise StructureError("content needs a monoid-semiring element")
-    return generate_ideal(ms.base, ms.coords(f), TWO_SIDED)
 
 
 def monoid_zd_check(

@@ -1,26 +1,24 @@
-"""Builders that only the tests use: a checked ideal from its members, the
-diamond lattice's complement map, a semimodule's JSON document, the pair
-classes of a total quotient, NextClosure, the reference enumerator of
-closed sets, the bit iterator the reference kernels walk masks with, and
-the per-constructor table loops that ``product_table`` and
-``convolution_table`` replaced: ``direct_product``, ``hemialgebra``,
-``monoid_semiring``, ``truncated_polynomial_hemiring``,
-``componentwise_module`` and ``dual_numbers_mod2``, each with the one-base
-``encode_tuple`` they packed cells with; ``scalar_identity_witness``, the
-cell loop that scaled tuples through the codec before the scan kernel
-compared scaling rows; and the per-pair bodies of the
-covering checks that the covering kernel replaced: ``mccoy_exponent``,
-``union_avoidance_suite`` and ``t_semiprime_avoidance``, with the skip-one
-``_redundant`` loop they tested efficiency with; ``_quotient_tables``,
-which built the total quotient's tables from its pair classes until the
-quotient became e*S; and ``endomorphism_tables``, the per-cell
-comprehensions that ``endomorphism_ringoid`` built its tables with before
-its byte gathers; and the list rows that the three-variable laws took, one
-prefix at a time, on tables wider than 256 columns until one row view
-served every width: ``associative_list_rows``, ``distributive_list_rows``
-and ``medial_list_witness``; and ``freeze_table_by_cells``, the cell loop
-that validated every table before ``freeze_table`` checked a table at a
-time."""
+"""Builders that only the tests use: a checked ideal from its members, a
+semimodule's JSON document, the pair classes of a total quotient,
+NextClosure, the reference enumerator of closed sets, the bit iterator the
+reference kernels walk masks with, and the per-constructor table loops that
+``product_table`` and ``convolution_table`` replaced: ``direct_product``,
+``hemialgebra``, ``monoid_semiring``, ``componentwise_module`` and
+``dual_numbers_mod2``, each with the one-base ``encode_tuple`` they packed
+cells with; ``scalar_identity_witness``, the cell loop that scaled tuples
+through the codec before the scan kernel compared scaling rows; and the
+per-pair bodies of the covering checks that the covering kernel replaced:
+``mccoy_exponent``, ``union_avoidance_suite`` and
+``t_semiprime_avoidance``, with the skip-one ``_redundant`` loop they
+tested efficiency with; ``_quotient_tables``, which built the total
+quotient's tables from its pair classes until the quotient became e*S; and
+``endomorphism_tables``, the per-cell comprehensions that
+``endomorphism_ringoid`` built its tables with before its byte gathers; and
+the list rows that the three-variable laws took, one prefix at a time, on
+tables wider than 256 columns until one row view served every width:
+``associative_list_rows``, ``distributive_list_rows`` and
+``medial_list_witness``; and ``freeze_table_by_cells``, the cell loop that
+validated every table before ``freeze_table`` checked a table at a time."""
 
 import functools
 import itertools
@@ -30,7 +28,6 @@ from semiringlab.constructions import (
     EncodedStructure,
     Hemialgebra,
     MonoidSemiring,
-    PolynomialHemiring,
     ProductStructure,
 )
 from semiringlab.covering import HOLDS, WitnessReport, _corollary_unmet, _covering, _unmet
@@ -77,11 +74,6 @@ def make_ideal(s: CayleyStructure, members: Iterable[int], side: str = TWO_SIDED
     if bad is not None:
         raise StructureError(f"not a {side} ideal: violation {bad}")
     return IdealSet(structure=s, side=side, mask=mask)
-
-
-def diamond_complement() -> tuple[int, ...]:
-    """The complement of each element of ``corpus.diamond_lattice``."""
-    return (3, 2, 1, 0)
 
 
 def semimodule_to_json(m: FiniteSemimodule, claims=()) -> dict:
@@ -362,55 +354,6 @@ def monoid_semiring(
         radices=(s.size,) * gn,
         base=s,
         monoid=g,
-    )
-
-
-def truncated_polynomial_hemiring(
-    h: CayleyStructure, degree_cap: int, cap: int = CARRIER_CAP, name: str = ""
-) -> PolynomialHemiring:
-    rep = check_laws(h)
-    if not rep.is_na_hemiring:
-        raise StructureError("base must be a hemiring with commutative monoid addition")
-    if degree_cap < 0:
-        raise StructureError("degree cap must be nonnegative")
-    length = degree_cap + 1
-    size = h.size**length
-    if size > cap:
-        raise CapExceeded(f"polynomial carrier of size {size} exceeds cap {cap}")
-    hadd, hmul = h.add, h.mul
-    zero_h = rep.zero
-    carrier = list(itertools.product(range(h.size), repeat=length))
-    add_rows = [
-        [encode_tuple([hadd[x][y] for x, y in zip(a, b)], h.size) for b in carrier]
-        for a in carrier
-    ]
-    mul_rows = []
-    for a in carrier:
-        row = []
-        for b in carrier:
-            coeffs = []
-            for k in range(length):
-                acc = zero_h
-                for i in range(k + 1):
-                    acc = hadd[acc][hmul[a[i]][b[k - i]]]
-                coeffs.append(acc)
-            row.append(encode_tuple(coeffs, h.size))
-        mul_rows.append(row)
-    one = None
-    if rep.has_one:
-        one_coeffs = [zero_h] * length
-        one_coeffs[0] = rep.one
-        one = encode_tuple(one_coeffs, h.size)
-    return PolynomialHemiring(
-        size=size,
-        add=tuple(map(tuple, add_rows)),
-        mul=tuple(map(tuple, mul_rows)),
-        zero=encode_tuple([zero_h] * length, h.size),
-        one=one,
-        name=name or f"{h.name or 'H'}[X] truncated at degree {degree_cap}",
-        radices=(h.size,) * length,
-        base=h,
-        degree_cap=degree_cap,
     )
 
 

@@ -1,8 +1,8 @@
-"""Close-by-One and the annihilator hosts against slow references: ideals
-and subsemimodules against a direct filter and against NextClosure (a
-test helper), the choice of the ideal join, the maximal proper
-annihilator ideals against brute-force intersections, and the cap on the
-number of closed sets, which both enumerators count alike."""
+"""Close-by-One and the maximal annihilators against slow references:
+ideals against a direct filter and against NextClosure (a test helper),
+the choice of the ideal join, the maximal proper annihilator ideals
+against brute-force intersections, and the cap on the number of closed
+sets, which both enumerators count alike."""
 
 import itertools
 
@@ -10,16 +10,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab import ideals
-from semiringlab.closure import close, close_by_one
+from semiringlab.closure import close_by_one
 from semiringlab.constructions import endomorphism_ringoid
 from semiringlab.corpus import chain_semiring, corpus_semimodules
-from semiringlab.covering import annihilator_avoidance
 from semiringlab.errors import CapExceeded
 from semiringlab.ideals import (
     LEFT,
     SIDES,
     TWO_SIDED,
-    IdealSet,
     annihilator,
     brute_force_ideal_masks,
     close_mask,
@@ -27,11 +25,11 @@ from semiringlab.ideals import (
     mask_members,
     mask_of,
     maximal_masks,
-    subsemimodule_masks,
 )
 from semiringlab.limits import IDEAL_ENUM_CAP
 from semiringlab.suites import medial_magma_corpus
-from semiringlab.tables import CayleyStructure, check_laws, self_action
+from semiringlab.tables import CayleyStructure, check_laws
+from semiringlab.zerodivisors import zero_divisor_report
 
 from helpers import closed_sets
 
@@ -139,15 +137,6 @@ def test_close_by_one_matches_next_closure_on_the_corpus(all_entries):
     assert joined >= 20
 
 
-def test_subsemimodules_match_next_closure(all_entries):
-    modules = [m for _, m in _module_pairs(all_entries)]
-    modules += [self_action(e.structure) for e in all_entries if check_laws(e.structure).is_semiring]
-    for m in modules:
-        absorb = tuple(mask_of(row[x] for row in m.action) for x in range(m.msize))
-        masks = closed_sets(m.msize, lambda mask: close(m.madd, absorb, mask | 1 << m.mzero))
-        assert subsemimodule_masks(m) == tuple(sorted(masks, key=mask_members)), m.name
-
-
 def test_closure_join_serves_only_tables_whose_join_is_not_a_sum(monkeypatch):
     """A ringoid whose medial addition is not associative joins by the
     closure, on every side; a commutative semiring joins by the sum."""
@@ -173,29 +162,11 @@ def _module_pairs(all_entries):
             yield f"{e.name}/{name}", m
 
 
-def test_subsemimodules_match_subset_filter(all_entries):
-    checked = 0
-    for label, m in _module_pairs(all_entries):
-        elems = range(m.msize)
-        want = []
-        for bits in range(1 << m.msize):
-            members = [x for x in elems if bits >> x & 1]
-            if not bits >> m.mzero & 1:
-                continue
-            if any(not bits >> m.madd[x][y] & 1 for x in members for y in members):
-                continue
-            if any(not bits >> row[x] & 1 for row in m.action for x in members):
-                continue
-            want.append(bits)
-        assert subsemimodule_masks(m) == tuple(sorted(want, key=mask_members)), label
-        checked += 1
-    assert checked >= 10
-
-
 def test_annihilator_ideals_are_all_intersections(all_entries):
     """The maximal proper intersections of element annihilators, found by
-    brute force, are the maximal proper element annihilators, and they are
-    the hosts annihilator_avoidance picks."""
+    brute force, are the maximal proper element annihilators, and over a
+    commutative semiring each is an associated prime of the zero-divisor
+    report, which checks that every maximal element annihilator is one."""
     hosted = 0
     for label, m in _module_pairs(all_entries):
         s, n = m.semiring, m.semiring.size
@@ -213,11 +184,10 @@ def test_annihilator_ideals_are_all_intersections(all_entries):
         want = sorted(maximal_masks(am for am in meets if am != full), key=mask_members)
         elements = (annihilator(m, [x]).mask for x in range(m.msize))
         assert want == sorted(maximal_masks(am for am in elements if am != full), key=mask_members), label
-        if not check_laws(s).is_semiring:
+        if not check_laws(s).is_commutative_semiring:
             continue
+        ass = {mask_of(members) for _, members in zero_divisor_report(s, m).ass}
         for host in want:
-            p = IdealSet(structure=s, side=TWO_SIDED, mask=host)
-            report = annihilator_avoidance(m, p, [p])
-            assert report.holds and report.details["prime"] == mask_members(host), label
+            assert host in ass, label
             hosted += 1
     assert hosted >= 10

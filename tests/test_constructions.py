@@ -11,7 +11,6 @@ from semiringlab.constructions import (
     EncodedStructure,
     Hemialgebra,
     MonoidSemiring,
-    PolynomialHemiring,
     ProductStructure,
     StructureConstants,
     austere_extension,
@@ -20,9 +19,7 @@ from semiringlab.constructions import (
     hemialgebra,
     medial_witness,
     monoid_semiring,
-    newman_check,
     scalar_identity_witness,
-    truncated_polynomial_hemiring,
 )
 from semiringlab.corpus import (
     CROSS_GAMMA,
@@ -31,7 +28,6 @@ from semiringlab.corpus import (
     componentwise_module,
     corpus,
     cross_product_hemiring,
-    diamond_lattice,
     dual_numbers_mod2,
     saturating,
 )
@@ -42,7 +38,6 @@ from semiringlab.suites import medial_magma_corpus
 from semiringlab.tables import check_laws, commutative_monoid_table
 
 import helpers
-from helpers import diamond_complement
 
 
 # --- endomorphism structures -------------------------------------------------
@@ -208,37 +203,6 @@ def test_non_semifield_rejected():
         hemialgebra(StructureConstants(semifield=chain_semiring(), dim=1, gamma=(((0,),),)))
 
 
-# --- newman algebras ----------------------------------------------------------
-
-def test_newman_two_element_boolean():
-    report = newman_check(boolean_semifield(), [1, 0])
-    assert report.newman_holds
-    assert report.derived == {
-        "mul_idempotent": True,
-        "complemented": True,
-        "zero_absorbing": True,
-        "add_associative": True,
-        "add_commutative": True,
-    }
-
-
-def test_newman_four_element_boolean():
-    report = newman_check(diamond_lattice(), diamond_complement())
-    assert report.newman_holds and report.derived["complemented"]
-
-
-def test_newman_violation_carries_witness():
-    report = newman_check(boolean_semifield(), [0, 1])
-    assert not report.newman_holds
-    assert report.witnesses["n4_complement"] == (0,)
-    assert report.derived is None
-
-
-def test_newman_rejects_malformed_complement():
-    with pytest.raises(StructureError):
-        newman_check(boolean_semifield(), [0, 2])
-
-
 def test_constructor_inputs_must_be_integers_in_range():
     b = boolean_semifield()
     one = ((1,),)
@@ -249,12 +213,6 @@ def test_constructor_inputs_must_be_integers_in_range():
         with pytest.raises(StructureError, match="dimension out of range: .* is not an integer >= 1"):
             StructureConstants(semifield=b, dim=dim, gamma=(one,))
     assert StructureConstants(semifield=b, dim=1, gamma=[[[1]]]).gamma == (one,)
-    for complement in ([1, 0.0], [3.9, 0], ["1", 0], [True, 0]):
-        with pytest.raises(StructureError, match=r"complement: entry .* in row 0 is not an integer in 0\.\.1"):
-            newman_check(b, complement)
-    for degree_cap in (1.0, True, "1", -1):
-        with pytest.raises(StructureError, match="degree cap out of range: .* is not an integer >= 0"):
-            truncated_polynomial_hemiring(b, degree_cap)
 
 
 @pytest.mark.parametrize(
@@ -287,26 +245,18 @@ def test_carriers_past_the_cap_are_refused_before_any_table(monkeypatch):
     builds = [
         lambda: direct_product([b] * 13),
         lambda: monoid_semiring(b, cyclic),
-        lambda: truncated_polynomial_hemiring(b, 12),
         lambda: hemialgebra(StructureConstants(semifield=b, dim=13, gamma=gamma)),
     ]
     for build in builds:
         with pytest.raises(CapExceeded, match="8192 exceeds cap 4096"):
             build()
-    # carriers too large to print, and a one-element base whose carrier fits
-    # but whose 101 * 102 / 2 = 5151 convolution terms do not, are refused
-    # before any list with an entry per digit is built
+    # a carrier too large to print is refused before any list with an entry
+    # per digit is built
     monkeypatch.setattr(constructions, "encode_tuple", no_table)
-    single = endomorphism_ringoid([[0]])
-    for build, message in [
-        (lambda: truncated_polynomial_hemiring(b, 20000), "over 2\\^64 exceeds cap 4096"),
-        (lambda: direct_product([b] * 15000), "over 2\\^64 exceeds cap 4096"),
-        (lambda: truncated_polynomial_hemiring(single, 100), "5151 convolution terms exceed cap 4096"),
-    ]:
-        start = time.perf_counter()
-        with pytest.raises(CapExceeded, match=message):
-            build()
-        assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="over 2\\^64 exceeds cap 4096"):
+        direct_product([b] * 15000)
+    assert time.perf_counter() - start < 0.5
 
 
 # --- products -----------------------------------------------------------------
@@ -344,7 +294,7 @@ def test_product_is_not_entire_even_when_factors_are():
     assert prod.mul[a][c] == prod.zero and a != prod.zero and c != prod.zero
 
 
-# --- monoid semirings and truncated polynomials --------------------------------
+# --- monoid semirings ----------------------------------------------------------
 
 def test_monoid_semiring_over_trivial_monoid():
     b = boolean_semifield()
@@ -393,32 +343,12 @@ def test_monoid_semiring_rejections_name_the_least_witness(monoid, message):
     assert str(raised.value) == message
 
 
-def test_truncated_polynomials_degree_zero():
-    b = boolean_semifield()
-    ph = truncated_polynomial_hemiring(b, 0)
-    assert ph.size == 2
-    assert ph.add == b.add and ph.mul == b.mul
-
-
-def test_truncated_polynomial_square_golden():
-    ph = truncated_polynomial_hemiring(boolean_semifield(), 1)
-    one_plus_x = ph.index_of((1, 1))
-    assert ph.mul[one_plus_x][one_plus_x] == one_plus_x
-    assert check_laws(ph).is_na_hemiring
-
-
-def test_zero_polynomial_absorbs():
-    ph = truncated_polynomial_hemiring(chain_semiring(), 1)
-    assert all(ph.mul[ph.zero][i] == ph.zero == ph.mul[i][ph.zero] for i in range(ph.size))
-
-
 # --- the one tuple codec --------------------------------------------------------
 
 RADICES_FROM_PROVENANCE = {
     ProductStructure: lambda s: tuple(f.size for f in s.factors),
     Hemialgebra: lambda s: (s.constants.semifield.size,) * s.constants.dim,
     MonoidSemiring: lambda s: (s.base.size,) * len(s.monoid),
-    PolynomialHemiring: lambda s: (s.base.size,) * (s.degree_cap + 1),
     EncodedStructure: lambda s: (2, 2, 2),  # the dual numbers, three bits
 }
 
@@ -429,8 +359,6 @@ ENCODED = [
     hemialgebra(StructureConstants(semifield=boolean_semifield(), dim=2, gamma=[[[1, 0], [0, 1]], [[0, 1], [1, 1]]])),
     monoid_semiring(boolean_semifield(), ((0, 1), (1, 0))),
     monoid_semiring(chain_semiring(), ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
-    truncated_polynomial_hemiring(chain_semiring(), 1),
-    truncated_polynomial_hemiring(boolean_semifield(), 2),
     dual_numbers_mod2(),
 ]
 
@@ -457,7 +385,7 @@ def test_index_of_refuses_malformed_tuples(s):
     """A tuple one digit short or long, a bare digit, or one digit at its
     radix, negative, a bool, a float or a string. Unchecked, (2, 0), (1,)
     and (-1, 1) on boolean x boolean encode as 4, 1 and -1, and (True, 2)
-    on chain-3[X] truncated at degree 1 as 5."""
+    on a carrier of radices (3, 3) as 5."""
     last = s.coords(s.size - 1)
     malformed = [last[:-1], last + (0,), last[0]]
     for p, r in enumerate(s.radices):
@@ -481,7 +409,6 @@ def test_tuple_kernels_reproduce_the_per_constructor_loops():
     ``helpers``; dataclass equality compares every field."""
     entries = [e.structure for e in corpus()]
     semirings = [s for s in entries if check_laws(s).is_semiring]
-    hemirings = [s for s in entries if check_laws(s).is_na_hemiring]
     b = boolean_semifield()
     monoids = [
         ((0,),),
@@ -501,7 +428,6 @@ def test_tuple_kernels_reproduce_the_per_constructor_loops():
         + [([b] * k,) for k in range(1, 7)],
         "componentwise_module": [(s, k) for s in semirings for k in range(4) if s.size**k <= 32],
         "monoid_semiring": [(s, m) for s in semirings for m in monoids if s.size ** len(m) <= 32],
-        "truncated_polynomial_hemiring": [(h, d) for h in hemirings for d in range(3) if h.size ** (d + 1) <= 32],
         "hemialgebra": [(StructureConstants(semifield=b, dim=len(g), gamma=g),) for g in gammas],
         "dual_numbers_mod2": [()],
     }
@@ -509,7 +435,6 @@ def test_tuple_kernels_reproduce_the_per_constructor_loops():
         "direct_product": direct_product,
         "componentwise_module": componentwise_module,
         "monoid_semiring": monoid_semiring,
-        "truncated_polynomial_hemiring": truncated_polynomial_hemiring,
         "hemialgebra": hemialgebra,
         "dual_numbers_mod2": dual_numbers_mod2,
     }

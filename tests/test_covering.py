@@ -17,53 +17,37 @@ from semiringlab.covering import (
     FAILS,
     HOLDS,
     UNMET,
-    annihilator_avoidance,
     avoidance_witness,
     behrens_elements,
     davis_witness,
-    efficient_reduce,
     is_efficient,
     mccoy_exponent,
     semiring_avoidance,
     t_semiprime_avoidance,
     union_avoidance_suite,
 )
-from semiringlab.errors import HypothesesUnmet, StructureError
+from semiringlab import covering
+from semiringlab.errors import HypothesesUnmet, StructureError, TheoremViolation
 from semiringlab.ideals import (
-    annihilator,
     enumerate_ideals,
     generate_ideal,
-    ideal_arith,
+    generated_product,
+    ideal_intersect,
+    ideal_sum,
     is_prime,
     krull_separation,
     mult_closure,
     semiprime_residual,
     set_product_mask,
     t_semiprime_element,
-    t_semiprime_equivalence,
 )
-from semiringlab.spectrum import principal_open_refinement, spec_of, vanishing_sets
-from semiringlab.tables import check_laws, self_action
+from semiringlab.spectrum import spec_of
+from semiringlab.tables import check_laws
 
 from helpers import make_ideal
 
 
 # --- efficient coverings --------------------------------------------------------
-
-def test_reduce_drops_duplicates():
-    t = chain_semiring()
-    mid = make_ideal(t, [0, 1])
-    covers = efficient_reduce(mid, [mid, mid])
-    assert len(covers) == 1 and is_efficient(mid, covers)
-
-
-def test_reduce_keeps_single_containing_cover():
-    t = chain_semiring()
-    mid = make_ideal(t, [0, 1])
-    zero = make_ideal(t, [0])
-    covers = efficient_reduce(mid, [mid, zero, zero])
-    assert [c.members() for c in covers] == [(0, 1)]
-
 
 def test_f2xy_three_lines_efficient():
     s = dual_numbers_mod2()
@@ -76,20 +60,18 @@ def test_f2xy_three_lines_efficient():
 
 
 def test_not_a_covering_raises():
-    """Every check that takes (target, covers) validates the covering. On
-    the chain {0, 1} is the annihilator of 1, and the chain is a commutative
-    semiring with every ideal subtractive, so each check reaches the test."""
+    """Every check that takes (target, covers) validates the covering. The
+    chain is a commutative semiring with every ideal subtractive, so each
+    check reaches the test."""
     t = chain_semiring()
     whole, mid = make_ideal(t, [0, 1, 2]), make_ideal(t, [0, 1])
     t_set = mult_closure(t, [t.one])
     checks = (
         is_efficient,
-        efficient_reduce,
         mccoy_exponent,
         semiring_avoidance,
         lambda target, covers: union_avoidance_suite(target, covers, "radical"),
         lambda target, covers: t_semiprime_avoidance(target, covers, t_set),
-        lambda target, covers: annihilator_avoidance(self_action(t), target, covers),
     )
     for check in checks:
         with pytest.raises(ValueError, match="not a covering"):
@@ -114,36 +96,39 @@ def test_covers_over_another_structure_are_not_compared_as_bits():
             union_avoidance_suite(target, [foreign], mode)
 
 
-def _foreign_readers(s, target, foreign_primes, foreign_ideal):
-    """Each check that reads primes, points or a second ideal alongside an
-    ideal of s, given ones over another structure."""
+def _foreign_readers(target, foreign_primes, foreign_ideal):
+    """Each check that reads primes or a second ideal alongside an ideal,
+    given ones over another structure."""
     readers = {
         "avoidance_witness": lambda: avoidance_witness(target, foreign_primes),
         "davis_witness": lambda: davis_witness(0, target, foreign_primes),
         "behrens_elements": lambda: behrens_elements(target, foreign_primes),
-        "principal_open_refinement": lambda: principal_open_refinement(s, foreign_primes, target),
-        "principal_open_refinement-ideal": lambda: principal_open_refinement(foreign_ideal.structure, [], target),
-        "vanishing_sets": lambda: vanishing_sets(s, foreign_ideal),
     }
-    for op in ("sum", "intersect", "set_product", "generated_product"):
-        readers[op] = lambda op=op: ideal_arith(op, target, foreign_ideal)
-        readers[f"{op}-prime"] = lambda op=op: ideal_arith(op, target, foreign_primes[-1])
+    operations = {
+        "sum": ideal_sum,
+        "intersect": ideal_intersect,
+        "set_product": set_product_mask,
+        "generated_product": generated_product,
+    }
+    for op, operate in operations.items():
+        readers[op] = lambda operate=operate: operate(target, foreign_ideal)
+        readers[f"{op}-prime"] = lambda operate=operate: operate(target, foreign_primes[-1])
     return readers
 
 
 def test_primes_points_and_ideals_over_another_structure_are_not_read_as_bits():
     """Primes of the saturating semiring passed with an ideal of the
     four-element lattice were judged as its own (an unmet subtractivity
-    judged on the other structure, or a broken refinement), and the ideal
-    operations mixed the two carriers; each check now refuses them."""
+    judged on the other structure), and the ideal operations mixed the two
+    carriers; each check now refuses them."""
     s, f = diamond_lattice(), saturating(3)
     target = generate_ideal(s, [3])
-    for name, read in _foreign_readers(s, target, spec_of(f), generate_ideal(f, [1])).items():
+    for name, read in _foreign_readers(target, spec_of(f), generate_ideal(f, [1])).items():
         with pytest.raises(StructureError, match="different structure"):
             read()
     twin = diamond_lattice()
     assert avoidance_witness(target, spec_of(twin)) == avoidance_witness(target, spec_of(s))
-    assert ideal_arith("sum", target, generate_ideal(twin, [1])) == ideal_arith("sum", target, generate_ideal(s, [1]))
+    assert ideal_sum(target, generate_ideal(twin, [1])) == ideal_sum(target, generate_ideal(s, [1]))
 
 
 def test_an_equal_structure_built_apart_is_not_foreign():
@@ -159,7 +144,6 @@ def _t_set_readers(s, zero, mid, t_set):
         "t_semiprime_element": lambda: t_semiprime_element(zero, t_set),
         "t_semiprime_element-mid": lambda: t_semiprime_element(mid, t_set),
         "semiprime_residual": lambda: semiprime_residual(mid, t_set),
-        "t_semiprime_equivalence": lambda: t_semiprime_equivalence(mid, t_set),
         "t_semiprime_avoidance": lambda: t_semiprime_avoidance(mid, [mid], t_set),
         "krull_separation": lambda: krull_separation(s, t_set, zero),
     }
@@ -455,60 +439,25 @@ def test_t_semiprime_avoidance_reduces_to_semiprime():
     assert elem == 2 and idx == 0
 
 
-def test_annihilator_avoidance_single_prime_cover():
-    s = boolean_square()
-    m = self_action(s)
-    a1 = annihilator(m, [1])  # the axis through index 2
-    report = annihilator_avoidance(m, generate_ideal(s, [2]), [a1])
-    assert report.holds and report.details["prime"] == a1.members()
-
-
-def test_annihilator_avoidance_two_covers():
-    s = boolean_square()
-    m = self_action(s)
-    a1 = annihilator(m, [1])
-    a2 = annihilator(m, [2])
-    target = generate_ideal(s, [1])
-    report = annihilator_avoidance(m, target, [a1, a2])
-    assert report.holds
-    chosen = make_ideal(s, report.details["prime"])
-    assert target.issubset(chosen)
-
-
-def test_annihilator_avoidance_zero_ideal():
-    s = boolean_square()
-    m = self_action(s)
-    report = annihilator_avoidance(m, generate_ideal(s, []), [annihilator(m, [1])])
-    assert report.holds
-
-
-def test_annihilator_avoidance_rejects_a_module_over_another_semiring():
-    """Ideals of f2xy against the self action of the four-element lattice
-    once let StopIteration escape from the search for a host annihilator."""
-    f = dual_numbers_mod2()
-    m = self_action(diamond_lattice())
-    with pytest.raises(StructureError, match="different structure"):
-        annihilator_avoidance(m, make_ideal(f, [0]), [make_ideal(f, [0, 1, 2, 3])])
-
-
-def test_annihilator_avoidance_checks_each_cover_before_reading_its_mask():
-    """Covers over bool2, lattice-4 and boolean, read as bits of the chain,
-    were once reported as unmet annihilator covers."""
-    s = chain_semiring()
-    m = self_action(s)
-    zero = make_ideal(s, [0])
-    for foreign in (
-        make_ideal(boolean_square(), [0, 2]),
-        make_ideal(diamond_lattice(), [0, 1, 2, 3]),
-        make_ideal(boolean_semifield(), [0, 1]),
-    ):
-        with pytest.raises(StructureError, match="different structure"):
-            annihilator_avoidance(m, zero, [foreign])
-
-
-def test_annihilator_avoidance_rejects_non_annihilators():
-    s = chain_semiring()
-    m = self_action(s)
-    whole = make_ideal(s, [0, 1, 2])
-    report = annihilator_avoidance(m, generate_ideal(s, []), [whole])
-    assert report.verdict == UNMET and report.violated_hypothesis == "annihilator-covers"
+@pytest.mark.parametrize("side", ["residual", "element"])
+def test_t_semiprime_avoidance_checks_the_residual_equivalence(monkeypatch, side):
+    """A cover is T-semiprime exactly when one of its residuals (P : t) is
+    proper and semiprime, and the check computes both sides. On the chain,
+    {0} is 2-absorbing and misses T = {2}, but 1*1 lies in it and 2*1 does
+    not, so it is not T-semiprime and no residual is semiprime. A residual
+    reported anyway, or a T-element denied to {0, 1}, breaks the
+    equivalence."""
+    t = chain_semiring()
+    zero, mid = make_ideal(t, [0]), make_ideal(t, [0, 1])
+    t_set = mult_closure(t, [2])
+    assert t_semiprime_element(zero, t_set) is None and semiprime_residual(zero, t_set) is None
+    assert t_semiprime_avoidance(zero, [zero], t_set).violated_hypothesis == "t-semiprime"
+    assert t_semiprime_avoidance(mid, [mid], t_set).holds
+    if side == "residual":
+        monkeypatch.setattr(covering, "semiprime_residual", lambda p, t_set: (2, mid))
+        target = zero
+    else:
+        monkeypatch.setattr(covering, "t_semiprime_element", lambda p, t_set: None)
+        target = mid
+    with pytest.raises(TheoremViolation, match="T-semiprime equivalence broken"):
+        t_semiprime_avoidance(target, [target], t_set)

@@ -17,39 +17,42 @@ from semiringlab.corpus import (
     chain_semiring,
     componentwise_module,
     dual_numbers_mod2,
+    saturating,
 )
 from semiringlab.errors import HypothesesUnmet, StructureError
+from semiringlab.constructions import direct_product
+from semiringlab.covering import t_semiprime_avoidance
 from semiringlab.ideals import (
     LEFT,
     IdealSet,
     MultiplicativeSet,
     TWO_SIDED,
-    all_tree_shapes,
+    _residual_mask,
     annihilator,
     classify_ideal,
     enumerate_ideals,
     evaluate_tree,
     generate_ideal,
-    ideal_arith,
+    generated_product,
+    ideal_intersect,
     ideal_masks,
+    ideal_sum,
     is_prime,
     is_subtractive,
     krull_separation,
     left_comb,
     mask_members,
     mask_of,
-    maximal_annihilator_primes,
+    maximal_masks,
     mult_closure,
-    multiplicative_set,
     radical,
-    residual,
+    radical_mask,
     set_product_mask,
     semiprime_residual,
-    subtractive_sumtree_property,
     t_semiprime_element,
-    t_semiprime_equivalence,
 )
 from semiringlab.tables import CayleyStructure, check_laws, self_action
+from semiringlab.zerodivisors import zero_divisor_report
 
 from helpers import make_ideal
 
@@ -101,9 +104,8 @@ def test_generate_from_empty_set():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda s: multiplicative_set(s, [2, 7]),
         lambda s: mult_closure(s, [7]),
-        lambda s: multiplicative_set(s, [-1, 2]),
+        lambda s: mult_closure(s, [-1, 2]),
         lambda s: generate_ideal(s, [-1]),
         lambda s: generate_ideal(s, [1.0]),
         lambda s: annihilator(s, [1.0]),
@@ -111,13 +113,8 @@ def test_generate_from_empty_set():
         # a str among ints once failed to sort, with TypeError
         lambda s: annihilator(s, [0, "1"]),
         lambda s: annihilator(self_action(s), [0, "1"]),
-        # -1 would read the last row of the residuals and 3 none at all
-        lambda s: residual(generate_ideal(s, [0]), -1),
-        lambda s: residual(generate_ideal(s, [0]), 3),
-        lambda s: residual(generate_ideal(s, [0]), True),
     ],
     ids=[
-        "multiplicative-set",
         "mult-closure",
         "negative-member",
         "negative-generator",
@@ -126,9 +123,6 @@ def test_generate_from_empty_set():
         "float-module-element",
         "str-annihilated",
         "str-module-element",
-        "residual-negative",
-        "residual-past-the-end",
-        "residual-bool",
     ],
 )
 def test_set_constructors_reject_elements_outside_the_carrier(build):
@@ -366,10 +360,10 @@ def test_radical_idempotent_monotone_extensive(seed):
 def test_chain_ideal_sums_and_products():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
-    assert ideal_arith("sum", mid, mid).members() == (0, 1)
-    assert ideal_arith("set_product", mid, mid) == (0,)
-    assert ideal_arith("generated_product", mid, mid).members() == (0,)
-    assert ideal_arith("intersect", mid, mid).members() == (0, 1)
+    assert ideal_sum(mid, mid).members() == (0, 1)
+    assert mask_members(set_product_mask(mid, mid)) == (0,)
+    assert generated_product(mid, mid).members() == (0,)
+    assert ideal_intersect(mid, mid).members() == (0, 1)
 
 
 def test_product_lands_in_intersection(all_entries):
@@ -399,10 +393,13 @@ def test_sum_requires_medial():
     if not rep.add_medial and rep.is_ringoid:
         ideals = enumerate_ideals(s)
         with pytest.raises(HypothesesUnmet):
-            ideal_arith("sum", ideals[0], ideals[0])
+            ideal_sum(ideals[0], ideals[0])
 
 
 # --- residuals ----------------------------------------------------------------
+#
+# (I : t) is ``_residual_mask``, the theorem-checked core that the
+# semiprime residuals of the T-semiprime corollary read.
 
 def test_residual_by_one_is_identity(all_entries):
     for e in all_entries:
@@ -411,14 +408,14 @@ def test_residual_by_one_is_identity(all_entries):
         if not rep.is_commutative_semiring:
             continue
         for i in enumerate_ideals(s):
-            assert residual(i, rep.one).mask == i.mask
+            assert _residual_mask(s, i.mask, rep.one) == i.mask
 
 
 def test_residual_chain_golden():
     t = chain_semiring()
     zero = make_ideal(t, [0])
     # oracle: 1*0 = 0, 1*1 = 0, 1*2 = 1, so exactly {0, 1} divides into zero
-    assert residual(zero, 1).members() == (0, 1)
+    assert mask_members(_residual_mask(t, zero.mask, 1)) == (0, 1)
 
 
 def test_residual_contains_ideal(all_entries):
@@ -428,17 +425,22 @@ def test_residual_contains_ideal(all_entries):
             continue
         for i in enumerate_ideals(s):
             for t in range(s.size):
-                assert i.issubset(residual(i, t))
+                assert i.issubset(_residual_mask(s, i.mask, t))
 
 
 # --- T-semiprime equivalence ------------------------------------------------------
 
 def test_equivalence_semiprime_case():
+    """Both sides of the equivalence, which the T-semiprime avoidance check
+    compares on every cover: the least T-element, and the least t whose
+    residual (P : t) is proper and semiprime."""
     t = chain_semiring()
     p = make_ideal(t, [0, 1])
     t_set = mult_closure(t, [2])
-    holds, witness = t_semiprime_equivalence(p, t_set)
-    assert holds and witness == 2  # the unit element realizes the equivalence
+    # the unit element realizes the equivalence
+    assert t_semiprime_element(p, t_set) == 2
+    assert semiprime_residual(p, t_set)[0] == 2
+    assert t_semiprime_avoidance(p, [p], t_set).witness == (2, 0)
 
 
 def test_semiprime_residual_is_taken_of_two_sided_ideals():
@@ -462,11 +464,10 @@ def test_t_semiprime_element_rejects_a_mask_that_is_no_ideal():
 @pytest.mark.parametrize(
     "read",
     [
-        lambda i: residual(i, 1),
         lambda i: semiprime_residual(i, mult_closure(i.structure, [i.structure.one])),
         radical,
     ],
-    ids=["residual", "semiprime-residual", "radical"],
+    ids=["semiprime-residual", "radical"],
 )
 def test_ideal_readers_reject_a_mask_that_is_no_ideal(read):
     """{1} of the chain, the empty mask and a mask past the carrier, twice
@@ -478,6 +479,23 @@ def test_ideal_readers_reject_a_mask_that_is_no_ideal(read):
         for _ in range(2):
             with pytest.raises(StructureError, match="not a two-sided ideal"):
                 read(IdealSet(structure=t, side=TWO_SIDED, mask=mask))
+
+
+@pytest.mark.parametrize("s", [chain_semiring(), saturating(6)], ids=lambda s: s.name)
+def test_radical_readers_refuse_a_mask_that_is_no_ideal_after_the_lattice_pass(s):
+    """The lattice pass stores each ideal's radical without asking whether
+    its mask is an ideal; a mask outside the lattice is still refused. The
+    chain takes the per-ideal layout, saturating(6) the sliced one."""
+    lattice = set(ideal_masks(s))
+    for mask in ideal_masks(s):
+        classify_ideal(IdealSet(structure=s, side=TWO_SIDED, mask=mask))
+    others = [m for m in range(1 << s.size) if m not in lattice] + [1 << s.size]
+    assert len(others) > 1
+    for mask in others:
+        with pytest.raises(StructureError, match="not a two-sided ideal"):
+            radical_mask(s, mask)
+        with pytest.raises(StructureError, match="not a two-sided ideal"):
+            radical(IdealSet(structure=s, side=TWO_SIDED, mask=mask))
 
 
 @pytest.mark.parametrize("read", [t_semiprime_element, semiprime_residual], ids=["t-element", "semiprime-residual"])
@@ -492,18 +510,20 @@ def test_t_readers_reject_a_t_past_the_carrier(read):
 def test_equivalence_rejects_meeting_t():
     t = chain_semiring()
     p = make_ideal(t, [0, 1])
+    t_set = mult_closure(t, [1, 2, 0])
     with pytest.raises(StructureError):
-        t_semiprime_equivalence(p, multiplicative_set(t, [1, 2, 0]))
+        t_semiprime_element(p, t_set)
+    assert t_semiprime_avoidance(p, [p], t_set).violated_hypothesis == "t-disjointness"
 
 
 def test_equivalence_needs_two_absorbing():
-    s = boolean_square()
-    whole_minus = enumerate_ideals(s)
+    """The zero ideal of boolean^3 meets three primes and is not
+    2-absorbing, so the equivalence is never asked of it."""
+    s = direct_product([boolean_semifield()] * 3)
     t_set = mult_closure(s, [check_laws(s).one])
     zero = generate_ideal(s, [])
-    if not classify_ideal(zero).two_absorbing:
-        with pytest.raises(HypothesesUnmet):
-            t_semiprime_equivalence(zero, t_set)
+    assert not classify_ideal(zero).two_absorbing
+    assert t_semiprime_avoidance(zero, [zero], t_set).violated_hypothesis == "2-absorbing"
 
 
 # --- annihilators ----------------------------------------------------------------
@@ -544,36 +564,28 @@ def test_structure_annihilator_sides():
 
 
 # --- maximal annihilator primes -----------------------------------------------------
+#
+# ``zero_divisor_report`` checks that every maximal proper annihilator of a
+# nonzero element is one of the associated primes it reports.
 
-def test_gamma_empty_for_boolean_self():
-    b = boolean_semifield()
-    assert maximal_annihilator_primes(b, self_action(b)) == ()
+def maximal_associated_primes(s, m):
+    ass = zero_divisor_report(s, m).ass
+    return sorted(map(mask_members, maximal_masks(mask_of(members) for _, members in ass)))
 
 
 def test_gamma_for_boolean_square_self():
     s = boolean_square()
-    primes = maximal_annihilator_primes(s, self_action(s))
-    assert [p.members() for p in primes] == [(0, 1), (0, 2)]
+    assert maximal_associated_primes(s, self_action(s)) == [(0, 1), (0, 2)]
 
 
 def test_gamma_for_module_over_boolean():
     b = boolean_semifield()
-    primes = maximal_annihilator_primes(b, componentwise_module(b, 2))
-    assert [p.members() for p in primes] == [(0,)]
-    assert all(p.is_proper for p in primes)
+    assert maximal_associated_primes(b, componentwise_module(b, 2)) == [(0,)]
 
 
 def test_gamma_rejects_a_module_over_another_semiring():
     with pytest.raises(StructureError, match="different structure"):
-        maximal_annihilator_primes(boolean_semifield(), self_action(boolean_square()))
-
-
-def test_gamma_rejects_zero_module():
-    from semiringlab.corpus import zero_module
-
-    b = boolean_semifield()
-    with pytest.raises(StructureError):
-        maximal_annihilator_primes(b, zero_module(b))
+        zero_divisor_report(boolean_semifield(), self_action(boolean_square()))
 
 
 # --- Krull separation ----------------------------------------------------------------
@@ -593,7 +605,7 @@ def test_krull_fixed_point():
 def test_krull_rejects_meeting_t():
     t = chain_semiring()
     with pytest.raises(HypothesesUnmet):
-        krull_separation(t, multiplicative_set(t, [1, 2, 0]), make_ideal(t, [0]))
+        krull_separation(t, mult_closure(t, [1, 2, 0]), make_ideal(t, [0]))
 
 
 def test_krull_always_prime_and_disjoint(all_entries):
@@ -612,33 +624,30 @@ def test_krull_always_prime_and_disjoint(all_entries):
 
 # --- sum trees ----------------------------------------------------------------
 
+# A sum tree whose value and whose leaves but one lie in a subtractive ideal
+# has its last leaf there too; the suites check it on sampled tree shapes.
+
 def test_two_leaf_tree_is_the_definition():
     t = chain_semiring()
     mid = make_ideal(t, [0, 1])
     # 1 + 2 = 2 is outside the ideal; 1 + 1 = 1 inside
     assert evaluate_tree(t, (1, 1)) == 1
-    assert subtractive_sumtree_property(mid, (1, 1), 1) is True
+    assert is_subtractive(mid) == (True, None)
 
 
 def test_three_leaf_trees_exhaustive_over_boolean():
     b = boolean_semifield()
     zero = make_ideal(b, [0])
-    for leaves in itertools.product(range(2), repeat=3):
-        for tree in all_tree_shapes(leaves):
+    for a, c, d in itertools.product(range(2), repeat=3):
+        leaves = (a, c, d)
+        for tree in (((a, c), d), (a, (c, d))):
             value = evaluate_tree(b, tree)
             for hole in range(3):
                 others_in = all(
                     leaf == 0 for pos, leaf in enumerate(leaves) if pos != hole
                 )
-                if value == 0 and others_in:
-                    assert subtractive_sumtree_property(zero, tree, hole)
-
-
-def test_sumtree_rejects_nonsubtractive_ideal():
-    s = austere_z6()
-    m1 = generate_ideal(s, [3])
-    with pytest.raises(HypothesesUnmet):
-        subtractive_sumtree_property(m1, (3, 3), 0)
+                if value in zero and others_in:
+                    assert leaves[hole] in zero
 
 
 def test_left_comb_shape():

@@ -3,7 +3,9 @@ somewhere in the package, so a helper that loses its last caller cannot
 linger. Reads from tests do not count, and a function reading only itself
 is not read. Every public top-level function or class is exported from the
 package root, read somewhere in the package, the tests or the benchmark, or
-traced by the benchmark. Every annotated field of a package dataclass is
+traced by the benchmark. Every function exported from the package root is
+read by a module of the package other than the root and outside its own
+body, so that some command reaches it. Every annotated field of a package dataclass is
 read as an attribute, or named to ``getattr``, in the package, the tests or
 the benchmark, so a field that is only ever set cannot linger. Like
 ``test_unused_imports``, the checks walk syntax trees."""
@@ -82,6 +84,18 @@ def unused_public_names(sources: dict[str, str], outside: list[str], exported, t
     for source in outside:
         elsewhere |= _reads(ast.parse(source))
     return unread_names(sources, private=False, read_elsewhere=frozenset(elsewhere))
+
+
+def unreached_exports(sources: dict[str, str], exported) -> list[str]:
+    """``module.name`` for each exported public function that no statement
+    of the sources, other than its own definition, reads."""
+    functions = {
+        node.name
+        for source in sources.values()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    return [name for name in unread_names(sources, private=False) if name.split(".")[1] in functions & set(exported)]
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
@@ -164,6 +178,28 @@ def test_every_public_name_is_exported_read_or_traced():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     outside = [p.read_text() for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))]
     assert unused_public_names(sources, outside, semiringlab.__all__, traced_names()) == []
+
+
+def test_the_check_finds_an_unreached_export():
+    sources = {
+        "a": (
+            "def exported():\n    pass\n"
+            "def reached():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "def unexported():\n    pass\n"
+            "class Exported:\n    pass\n"
+        ),
+        "b": "from .a import reached\n",
+    }
+    exported = {"exported", "reached", "recursive", "Exported"}
+    assert unreached_exports(sources, exported) == ["a.exported", "a.recursive"]
+
+
+def test_every_exported_function_is_reached_by_the_package():
+    """Reads from the root's re-exports, the tests and the benchmark do not
+    count: an export only they call checks nothing that a command runs."""
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    assert unreached_exports(sources, semiringlab.__all__) == []
 
 
 def test_the_check_finds_an_unread_field():

@@ -1,4 +1,4 @@
-"""Spectra, vanishing sets, packedness battery, and topology refinements."""
+"""Spectra, vanishing sets and the packedness battery."""
 
 import itertools
 
@@ -8,16 +8,13 @@ from hypothesis import given, strategies as st
 from semiringlab.corpus import (
     austere_z6,
     boolean_semifield,
-    boolean_square,
     chain_semiring,
     diamond_lattice,
     dual_numbers_mod2,
     saturating,
 )
-from semiringlab.errors import HypothesesUnmet, StructureError
+from semiringlab.errors import StructureError
 from semiringlab.ideals import (
-    TWO_SIDED,
-    IdealSet,
     enumerate_ideals,
     generate_ideal,
     is_prime,
@@ -26,14 +23,10 @@ from semiringlab.ideals import (
 from semiringlab.spectrum import (
     _union_condition,
     compactly_packed_battery,
-    principal_open_refinement,
     spec_of,
-    vanishing_sets,
     zariski_axioms,
 )
 from semiringlab.tables import check_laws
-
-from helpers import make_ideal
 
 
 def brute_spec(s):
@@ -58,17 +51,6 @@ def test_spec_goldens():
 def test_spec_matches_element_criterion(commutative_entries):
     for e in commutative_entries:
         assert [p.members() for p in spec_of(e.structure)] == brute_spec(e.structure)
-
-
-def test_vanishing_partition():
-    t = chain_semiring()
-    v, d = vanishing_sets(t, make_ideal(t, [0]))
-    assert [p.members() for p in v] == [(0, 1)]
-    assert d == ()
-    v, d = vanishing_sets(t, generate_ideal(t, [1]))
-    assert [p.members() for p in v] == [(0, 1)]
-    v, d = vanishing_sets(t, make_ideal(t, [0, 1, 2]))
-    assert v == () and [p.members() for p in d] == [(0, 1)]
 
 
 def test_zariski_axioms_corpus(commutative_entries):
@@ -174,42 +156,6 @@ def test_battery_rejects_noncommutative():
 
     with pytest.raises(StructureError):
         compactly_packed_battery(cross_product_hemiring())
-
-
-def test_refinement_boolean_square_golden():
-    s = boolean_square()
-    axis1 = generate_ideal(s, [2])
-    whole = make_ideal(s, range(4))
-    x = principal_open_refinement(s, [axis1], whole)
-    assert x == 1  # the opposite axis generator avoids the chosen point
-    assert x not in axis1
-
-
-def test_refinement_chain_top():
-    t = chain_semiring()
-    mid = generate_ideal(t, [1])
-    x = principal_open_refinement(t, [mid], make_ideal(t, [0, 1, 2]))
-    assert x == 2
-
-
-def test_refinement_empty_points():
-    t = chain_semiring()
-    x = principal_open_refinement(t, [], generate_ideal(t, [1]))
-    assert x in generate_ideal(t, [1])
-
-
-def test_refinement_needs_subtractive_structure():
-    s = saturating(3)
-    whole = make_ideal(s, range(4))
-    with pytest.raises(HypothesesUnmet):
-        principal_open_refinement(s, [], whole)
-
-
-def test_refinement_rejects_points_outside():
-    t = chain_semiring()
-    mid_prime = IdealSet(structure=t, side=TWO_SIDED, mask=0b011)
-    with pytest.raises(HypothesesUnmet):
-        principal_open_refinement(t, [mid_prime], generate_ideal(t, [1]))
 
 
 def test_packed_definition_for_packed_entries(commutative_entries):

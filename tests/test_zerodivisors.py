@@ -1,4 +1,4 @@
-"""Zero-divisor reports, total quotients, Kasch verdicts, contents, slices."""
+"""Zero-divisor reports, total quotients, Kasch verdicts, slices."""
 
 import dataclasses
 import itertools
@@ -6,9 +6,8 @@ import json
 
 import pytest
 
-from semiringlab import tables
+from semiringlab import tables, zerodivisors
 from semiringlab.cli import main
-from semiringlab.constructions import monoid_semiring
 from semiringlab.corpus import (
     austere_z6,
     boolean_semifield,
@@ -28,7 +27,6 @@ from semiringlab.tables import CayleyStructure, check_laws, self_action
 from semiringlab.zerodivisors import (
     annihilator_extension_check,
     ass_primes,
-    content,
     few_zero_divisors,
     kasch_semilocal_report,
     monoid_zd_check,
@@ -105,6 +103,19 @@ def test_report_rejects_a_module_over_another_semiring():
     twin = boolean_semifield()
     assert twin is not b
     assert zero_divisor_report(b, self_action(twin)).zset == zero_divisor_report(b, self_action(b)).zset
+
+
+def test_the_report_checks_that_maximal_annihilators_are_prime(monkeypatch):
+    """The maximal annihilators of nonzero elements of boolean^2 are its two
+    primes {0, 1} and {0, 2}. Were {0, 1} judged not prime, it would be no
+    associated prime, and the report refuses to stand."""
+    s = boolean_square()
+    m = self_action(s)
+    assert {members for _, members in zero_divisor_report(s, m).ass} == {(0, 1), (0, 2)}
+    real = zerodivisors.is_prime
+    monkeypatch.setattr(zerodivisors, "is_prime", lambda i: (False, (2, 2)) if i.mask == 0b0011 else real(i))
+    with pytest.raises(TheoremViolation, match="maximal annihilator of a nonzero element is not prime"):
+        zero_divisor_report(s, m)
 
 
 # --- Property (A) and the containment theorem --------------------------------------
@@ -323,38 +334,6 @@ def test_quotient_maximal_ideals_are_extensions(commutative_entries):
         assert {q.extend(p).mask for p in decomposition} == {
             m.mask for m in q.maximal_ideals
         }
-
-
-# --- content -----------------------------------------------------------------------
-
-def test_content_of_zero():
-    ms = monoid_semiring(chain_semiring(), ((0, 1), (1, 0)))
-    assert content(ms, ms.zero).members() == (0,)
-
-
-def test_content_with_unit_coefficient():
-    ms = monoid_semiring(chain_semiring(), ((0, 1), (1, 0)))
-    f = ms.index_of((0, 2))  # one unit coefficient
-    assert content(ms, f).count == 3
-
-
-def test_content_chain_golden():
-    ms = monoid_semiring(chain_semiring(), ((0, 1), (1, 0)))
-    f = ms.index_of((1, 1))  # a + aX
-    assert content(ms, f).members() == (0, 1)
-
-
-def test_content_requires_monoid_semiring():
-    with pytest.raises(StructureError):
-        content(chain_semiring(), 0)
-
-
-def test_content_rejects_an_index_outside_the_carrier():
-    ms = monoid_semiring(chain_semiring(), ((0, 1), (1, 0)))
-    assert ms.size == 9
-    for f in (-1, 9, 27):
-        with pytest.raises(StructureError):
-            content(ms, f)
 
 
 # --- bounded-degree slices -----------------------------------------------------------
