@@ -10,9 +10,6 @@ computed on its first read and read back afterwards. A context holds:
   lattice;
 - ``spectrum``: the prime ideal masks;
 - ``all_subtractive``: whether every two-sided ideal is subtractive;
-- ``annihilators``, keyed by side (left or right, for a structure with
-  absorbing zero): per element x, the mask of the r with r*x = 0 (left) or
-  x*r = 0 (right);
 - ``member_view``, keyed by ``"add"`` or ``"mul"``: that table's rows as
   :func:`~semiringlab.tables.member_rows` gathers {y : x+y in a mask} or
   {y : x*y in a mask} from them;
@@ -36,13 +33,14 @@ computed on its first read and read back afterwards. A context holds:
   quotient's mask, or None;
 - ``self_action``: for a semiring, the semiring as a semimodule over
   itself, one module per structure, so the module's own facts are
-  computed once.
+  computed once. Its report is stored with it, read off the semiring's
+  laws, so a self action is never scanned.
 
 A semimodule has a context of its own, holding ``semimodule``: its
-:class:`~semiringlab.tables.SemimoduleReport`; ``annihilators``, keyed
-by None: per module element x, the mask of the scalars r with r*x = 0;
-and ``element_annihilators``: per module element x, the annihilator
-ideal Ann(x), checked once as every annihilator is.
+:class:`~semiringlab.tables.SemimoduleReport`; ``annihilators``: per
+module element x, the mask of the scalars r with r*x = 0; and
+``element_annihilators``: per module element x, the annihilator ideal
+Ann(x), checked once as every annihilator is.
 
 The module that owns a fact computes it with a private function, which
 the context calls once per key; a computation that raises stores nothing,

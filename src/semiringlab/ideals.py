@@ -23,11 +23,12 @@ entry at x, y lies in a mask). The member rows of a mask in the
 multiplication are :func:`residual_rows`, {y : x*y in the mask}, which
 prime, 2-absorbing and T-semiprime tests, residual quotients and the
 Behrens products of :mod:`semiringlab.covering` read; those in the
-addition decide subtractivity; those of zero are :func:`annihilator_rows`,
-which every annihilator and zero-divisor set reads. Annihilators,
-residuals and medial sums are checked to be ideals on masks, by what their
-members absorb and by their sum image; the cell scan of
-:func:`ideal_violation` runs only to name the witness of a failure.
+addition decide subtractivity; those of zero in a semimodule's action are
+:func:`annihilator_rows`, which every annihilator and zero-divisor set
+reads. Annihilators, residuals and the masks the public per-ideal readers
+are given are checked to be ideals on masks, by what their members absorb
+and by their sum image; the cell scan of :func:`ideal_violation` runs only
+to name the witness of a failure.
 Radicals read one power-orbit mask per element: the radical of I is
 {x : orbit(x) meets I}.
 
@@ -211,10 +212,17 @@ def _is_ideal_mask(s: CayleyStructure, mask: int, side: str) -> bool:
     return mask != 0 and (absorbed | image(s.add, mask, mask)) & ~mask == 0
 
 
-def _require_ideal(s: CayleyStructure, mask: int) -> None:
-    """Refuse, as input, a mask that is no two-sided ideal of ``s``."""
-    if mask >> s.size or not _is_ideal_mask(s, mask, TWO_SIDED):
-        raise StructureError(f"not a two-sided ideal: {IdealSet(structure=s, side=TWO_SIDED, mask=mask)!r}")
+def _require_ideal(s: CayleyStructure, mask: int, side: str = TWO_SIDED) -> None:
+    """Refuse, as input, a mask that is no ideal of the side of ``s``."""
+    if mask >> s.size or not _is_ideal_mask(s, mask, side):
+        raise StructureError(f"not a {side} ideal: {IdealSet(structure=s, side=side, mask=mask)!r}")
+
+
+def _checked(compute: Callable, s: CayleyStructure, mask: int, side: str = TWO_SIDED):
+    """``compute(s, mask)``, for a mask refused unless it is an ideal of the
+    side: a public per-mask reader's fact, checked once per mask."""
+    _require_ideal(s, mask, side)
+    return compute(s, mask)
 
 
 def _absorb(s: CayleyStructure, side: str) -> tuple[int, ...]:
@@ -272,27 +280,14 @@ def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
     return member_rows(view, mask)
 
 
-def annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: str = LEFT) -> tuple[int, ...]:
-    """Per element x, the mask of the scalars killing x: {r : r*x = 0} for a
-    semimodule's action (which has no side) or for the left side of a
-    structure with absorbing zero, and {r : x*r = 0} for its right side."""
-    key = None if isinstance(target, FiniteSemimodule) else side
-    return analysis(target).get("annihilators", key, _annihilator_rows, target, key)
+def annihilator_rows(m: FiniteSemimodule) -> tuple[int, ...]:
+    """Per module element x, the mask of the scalars killing it, {r : r*x = 0}."""
+    return analysis(m).get("annihilators", None, _annihilator_rows, m)
 
 
-def _annihilator_rows(target: Union[CayleyStructure, FiniteSemimodule], side: Optional[str]) -> tuple[int, ...]:
-    """The member rows of zero in the table whose row x holds the r*x (the
-    transposed action or multiplication) or, on the right, the x*r."""
-    if side is None:
-        table, zero = transpose(target.action), target.mzero
-    else:
-        rep = check_laws(target)
-        if not rep.is_with_zero:
-            raise StructureError("annihilators need a structure with absorbing zero")
-        if side not in (LEFT, RIGHT):
-            raise ValueError("annihilator side must be left or right")
-        table, zero = target.mul if side == RIGHT else transpose(target.mul), rep.zero
-    return member_rows(member_view(table), 1 << zero)
+def _annihilator_rows(m: FiniteSemimodule) -> tuple[int, ...]:
+    """The member rows of zero in the transposed action, whose row x holds the r*x."""
+    return member_rows(member_view(transpose(m.action)), 1 << m.mzero)
 
 
 @reader("lattice")
@@ -310,23 +305,18 @@ def ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[int, ...]:
 
 
 def _ideal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
-    # the empty set is the least closed set
-    return _closed_sets(s.add, _absorb(s, side), 0, _sum_joins(check_laws(s), side), principal_masks(s, side))
-
-
-def _closed_sets(add, absorb: Sequence[int], bottom: int, sums: bool, principal: Sequence[int]) -> tuple[int, ...]:
-    """The nonempty sets closed under ``add`` and holding ``absorb[x]`` for
-    each member x, sorted by member tuple, by Close-by-One from the least,
-    ``bottom``, and ``principal``, the closures of bottom and each element.
-    A closed set joins a principal one in their sum when ``sums``, else in
-    the closure grown from the set."""
-    if sums:
+    """The nonempty closed sets, by Close-by-One from the empty set, the
+    least closed set, and the principal ideals. An ideal joins a principal
+    one in their sum when ``_sum_joins`` holds, else in the closure grown
+    from the ideal."""
+    add, absorb, principal = s.add, _absorb(s, side), principal_masks(s, side)
+    if _sum_joins(check_laws(s), side):
         def join(a: int, j: int) -> int:
             return _sum_join(add, a, principal[j])
     else:
         def join(a: int, j: int) -> int:
             return close(add, absorb, principal[j], a)
-    return tuple(sorted(filter(None, close_by_one(bottom, principal, join)), key=mask_members))
+    return tuple(sorted(filter(None, close_by_one(0, principal, join)), key=mask_members))
 
 
 def _sum_joins(rep, side: str) -> bool:
@@ -365,9 +355,17 @@ def brute_force_ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[
 
 
 def is_subtractive(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Check both cancellation directions; witness is the least failing pair."""
+    """Check both cancellation directions; witness is the least failing
+    pair. A mask that is no ideal of its side is refused. Subtractivity
+    does not involve the multiplication, so a verdict is stored per mask,
+    and a mask is checked once, on the side it is first asked about on."""
     s = ideal.structure
-    return analysis(s).get("subtractive", ideal.mask, _subtractive, s, ideal.mask)
+    return analysis(s).get("subtractive", ideal.mask, _checked, _subtractive, s, ideal.mask, ideal.side)
+
+
+def _ideal_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
+    """:func:`is_subtractive` of a mask known to be an ideal, unchecked."""
+    return analysis(s).get("subtractive", mask, _subtractive, s, mask)
 
 
 def _subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -389,18 +387,24 @@ def all_ideals_subtractive(s: CayleyStructure) -> bool:
 
 
 def _all_ideals_subtractive(s: CayleyStructure) -> bool:
-    return all(is_subtractive(i)[0] for i in enumerate_ideals(s, TWO_SIDED))
+    return all(_ideal_subtractive(s, mask)[0] for mask in ideal_masks(s, TWO_SIDED))
 
 
 def is_prime(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     """Primality via principal-ideal products; on semirings the element-wise
-    sandwich criterion is computed as well and the two must agree."""
+    sandwich criterion is computed as well and the two must agree. A mask
+    that is no two-sided ideal is refused, once per mask."""
     s = ideal.structure
     if ideal.side != TWO_SIDED:
         raise ValueError("primality is defined for two-sided ideals")
     if not ideal.is_proper:
         raise ValueError("primality is defined for proper ideals")
-    return analysis(s).get("prime", ideal.mask, _prime, s, ideal.mask)
+    return analysis(s).get("prime", ideal.mask, _checked, _prime, s, ideal.mask)
+
+
+def _ideal_prime(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
+    """:func:`is_prime` of a mask known to be a proper ideal, unchecked."""
+    return analysis(s).get("prime", mask, _prime, s, mask)
 
 
 def _prime(
@@ -488,12 +492,7 @@ def radical_mask(s: CayleyStructure, mask: int) -> int:
     """The radical's mask, for a caller that has checked that the structure
     is a commutative semiring, where the sides of an ideal agree; a mask
     that is no ideal is refused, once per mask."""
-    return analysis(s).get("radical", mask, _radical_mask, s, mask)
-
-
-def _radical_mask(s: CayleyStructure, mask: int) -> int:
-    _require_ideal(s, mask)
-    return _orbit_radical(s, mask)
+    return analysis(s).get("radical", mask, _checked, _orbit_radical, s, mask)
 
 
 def _orbit_radical(s: CayleyStructure, mask: int) -> int:
@@ -513,21 +512,6 @@ def _orbits(s: CayleyStructure) -> tuple[int, ...]:
 
 def _orbit_masks(s: CayleyStructure) -> tuple[int, ...]:
     return tuple(mask_of(power_orbit(s, x)) for x in range(s.size))
-
-
-def ideal_sum(a: IdealSet, b: IdealSet) -> IdealSet:
-    """Elementwise sums; an ideal whenever addition is medial."""
-    s = a.structure
-    require_same_structure(s, b, "the second ideal")
-    rep = check_laws(s)
-    if not rep.add_medial:
-        raise HypothesesUnmet("sum of ideals needs an additively medial ringoid")
-    if a.side != b.side:
-        raise ValueError("sides differ")
-    mask = image(s.add, a.mask, b.mask)
-    if not _is_ideal_mask(s, mask, a.side):
-        raise TheoremViolation(f"medial sum failed to be an ideal: {ideal_violation(s, mask, a.side)}")
-    return IdealSet(structure=s, side=a.side, mask=mask)
 
 
 def set_product_mask(a: IdealSet, b: IdealSet) -> int:
@@ -855,38 +839,23 @@ def _t_semiprime_element(s: CayleyStructure, mask: int, t_mask: int) -> Optional
     return next((t for t in mask_members(t_mask) if squared_in & ~rows[t] == 0), None)
 
 
-def annihilator(
-    target: Union[CayleyStructure, FiniteSemimodule],
-    xs: Iterable[int],
-    side: str = LEFT,
-) -> IdealSet:
-    """Annihilator of a nonempty subset, of the carrier or of a semimodule.
-
-    For a semimodule target the result is the two-sided ideal of scalars
-    killing every listed element. For a structure target the side picks
-    between left and right annihilators.
-    """
+def annihilator(m: FiniteSemimodule, xs: Iterable[int]) -> IdealSet:
+    """The two-sided ideal of the scalars killing every element of a
+    nonempty subset of a semimodule."""
     xs = list(xs)
     if not xs:
         raise StructureError("annihilator of the empty set is undefined")
-    if isinstance(target, FiniteSemimodule):
-        require_semimodule(target)
-        s, side = target.semiring, TWO_SIDED
-        for x in xs:
-            _int_in(x, "module element", 0, target.msize)
-    else:
-        s = target
-        if not check_laws(s).is_with_zero:
-            raise StructureError("annihilators need a structure with absorbing zero")
-        _element_mask(s, xs)
-    rows = annihilator_rows(target, side)
+    require_semimodule(m)
+    s = m.semiring
+    for x in xs:
+        _int_in(x, "module element", 0, m.msize)
+    rows = annihilator_rows(m)
     mask = functools.reduce(int.__and__, (rows[x] for x in xs))
-    result = IdealSet(structure=s, side=side, mask=mask)
-    if not _is_ideal_mask(s, mask, side):
-        what = "two-sided" if side == TWO_SIDED else f"a {side} ideal"
-        raise StructureError(f"annihilator is not {what} here: {ideal_violation(s, mask, side)}")
-    if check_laws(result.structure).mul_associative:
-        ok, w = is_subtractive(result)
+    result = IdealSet(structure=s, side=TWO_SIDED, mask=mask)
+    if not _is_ideal_mask(s, mask, TWO_SIDED):
+        raise StructureError(f"annihilator is not two-sided here: {ideal_violation(s, mask, TWO_SIDED)}")
+    if check_laws(s).mul_associative:
+        ok, w = _ideal_subtractive(s, mask)
         if not ok:
             raise TheoremViolation(f"annihilator not subtractive, witness {w}")
     return result

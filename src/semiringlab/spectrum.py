@@ -13,12 +13,12 @@ from .ideals import (
     IdealSet,
     TWO_SIDED,
     ideal_masks,
-    is_prime,
-    is_subtractive,
     mask_members,
     principal_masks,
     radical_mask,
     union_mask,
+    _ideal_prime,
+    _ideal_subtractive,
     _semiprime_elementwise,
 )
 from .tables import CayleyStructure, check_laws, require_commutative_semiring
@@ -37,12 +37,8 @@ def _spec_masks(s: CayleyStructure) -> tuple[int, ...]:
 
 
 def _prime_masks(s: CayleyStructure) -> tuple[int, ...]:
-    out = []
-    for m in ideal_masks(s, TWO_SIDED):
-        ideal = IdealSet(structure=s, side=TWO_SIDED, mask=m)
-        if ideal.is_proper and is_prime(ideal)[0]:
-            out.append(m)
-    return tuple(out)
+    full = (1 << s.size) - 1
+    return tuple(m for m in ideal_masks(s, TWO_SIDED) if m != full and _ideal_prime(s, m)[0])
 
 
 def spec_of(s: CayleyStructure) -> tuple[IdealSet, ...]:
@@ -159,10 +155,7 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
     if len(set(table.values())) != 1:
         raise TheoremViolation(f"packedness conditions disagree: {table}")
 
-    weak_gaussian = all(
-        is_subtractive(IdealSet(structure=s, side=TWO_SIDED, mask=pm))[0]
-        for pm in primes
-    )
+    weak_gaussian = all(_ideal_subtractive(s, pm)[0] for pm in primes)
     return SpectrumReport(
         primes=spec_of(s),
         weak_gaussian=weak_gaussian,

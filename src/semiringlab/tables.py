@@ -61,15 +61,17 @@ The other laws are decided a row at a time: a neutral element's row and
 column compare as tuples with the identity, ``row.index`` finds the least
 zero sum or zero divisor, and complements are counted over zipped rows.
 
-``semimodule_check`` runs on a semiring that ``require_semiring`` has
-proved, so the driver reduces two more laws over the scalars: action
-associativity past the budget, and scalar-add distributivity, which keeps
-its list rows and has no cube, always. The t with (st)x = s(tx) for every s
-and x are closed under products, because the semiring's multiplication is
-associative: Light's test over the generators of that multiplication
-proves the action associative. Once the module's addition is associative,
-the t with (s+t)x = sx+tx for every s and x are closed under sums, so that
-law is tested on the semiring's additive generators.
+A self action's axioms are its semiring's laws, so ``self_action`` stores
+its report, unscanned. ``semimodule_check`` scans every other module over a
+semiring that ``require_semiring`` has proved, so the driver reduces two
+more laws over the scalars: action associativity past the budget, and
+scalar-add distributivity, which keeps its list rows and has no cube,
+always. The t with (st)x = s(tx) for every s and x are closed under
+products, because the semiring's multiplication is associative: Light's
+test over the generators of that multiplication proves the action
+associative. Once the module's addition is associative, the t with
+(s+t)x = sx+tx for every s and x are closed under sums, so that law is
+tested on the semiring's additive generators.
 
 Every report is built from its witnesses alone, each law's witness or None
 in report order; ``_Verdicts`` keeps those not None and derives one flag
@@ -753,12 +755,8 @@ def _semimodule_report(m: FiniteSemimodule) -> SemimoduleReport:
     madd_gens = _generators_once(madd)
     add_associative, add_commutative, (module_add_distributes,) = _additive_laws(_Rows(madd), madd_gens, (act_rows,))
     # the t with (s+t)x = sx+tx for every s and x are closed under sums
-    # once the module's addition is associative, as the semiring's is; a
-    # self action's two additions are one table, whose generators are kept
-    if add_associative is not None:
-        sum_gens = partial(range, n)
-    else:
-        sum_gens = madd_gens if madd == sadd else _generators_once(sadd)
+    # once the module's addition is associative, as the semiring's is
+    sum_gens = partial(range, n) if add_associative is not None else _generators_once(sadd)
     found = {
         "add_associative": add_associative,
         "add_commutative": add_commutative,
@@ -797,8 +795,13 @@ def self_action(s: CayleyStructure) -> FiniteSemimodule:
 
 
 def _self_action(s: CayleyStructure) -> FiniteSemimodule:
+    """The module, with its report read off the laws ``require_semiring``
+    has just proved: add associative and commutative, zero neutral
+    (``has_zero``), action associative (``mul_associative``) and unital
+    (``has_one``), scalar-add and module-add distributive (the right and
+    left distributive laws) and both zero absorbing (``zero_absorbing``)."""
     rep = require_semiring(s)
-    return FiniteSemimodule(
+    m = FiniteSemimodule(
         semiring=s,
         msize=s.size,
         madd=s.add,
@@ -806,3 +809,5 @@ def _self_action(s: CayleyStructure) -> FiniteSemimodule:
         action=s.mul,
         name=f"{s.name or 'S'} on itself",
     )
+    analysis(m).put("semimodule", {None: SemimoduleReport(dict.fromkeys(SEMIMODULE_AXIOMS))})
+    return m

@@ -6,7 +6,6 @@ cross-product golden.
 """
 
 import hashlib
-import itertools
 import json
 import os
 import subprocess
@@ -33,8 +32,6 @@ from semiringlab.ideals import (
 )
 from semiringlab.spectrum import compactly_packed_battery
 from semiringlab.suites import (
-    FAIL,
-    corollary_avoidance,
     mccoy_suite,
     ringoid_avoidance,
     semiring_avoidance_exhaustive,

@@ -22,7 +22,6 @@ from semiringlab.constructions import (
     scalar_identity_witness,
 )
 from semiringlab.corpus import (
-    CROSS_GAMMA,
     boolean_semifield,
     chain_semiring,
     componentwise_module,
@@ -32,7 +31,7 @@ from semiringlab.corpus import (
     saturating,
 )
 from semiringlab import constructions
-from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
+from semiringlab.errors import CapExceeded, StructureError
 from semiringlab.ideals import enumerate_ideals, is_subtractive
 from semiringlab.suites import medial_magma_corpus
 from semiringlab.tables import check_laws, commutative_monoid_table

@@ -15,7 +15,6 @@ from semiringlab.corpus import (
 )
 from semiringlab.covering import (
     FAILS,
-    HOLDS,
     UNMET,
     avoidance_witness,
     behrens_elements,
@@ -33,7 +32,6 @@ from semiringlab.ideals import (
     generate_ideal,
     generated_product,
     ideal_intersect,
-    ideal_sum,
     is_prime,
     krull_separation,
     mult_closure,
@@ -42,7 +40,6 @@ from semiringlab.ideals import (
     t_semiprime_element,
 )
 from semiringlab.spectrum import spec_of
-from semiringlab.tables import check_laws
 
 from helpers import make_ideal
 
@@ -105,7 +102,6 @@ def _foreign_readers(target, foreign_primes, foreign_ideal):
         "behrens_elements": lambda: behrens_elements(target, foreign_primes),
     }
     operations = {
-        "sum": ideal_sum,
         "intersect": ideal_intersect,
         "set_product": set_product_mask,
         "generated_product": generated_product,
@@ -128,7 +124,6 @@ def test_primes_points_and_ideals_over_another_structure_are_not_read_as_bits():
             read()
     twin = diamond_lattice()
     assert avoidance_witness(target, spec_of(twin)) == avoidance_witness(target, spec_of(s))
-    assert ideal_sum(target, generate_ideal(twin, [1])) == ideal_sum(target, generate_ideal(s, [1]))
 
 
 def test_an_equal_structure_built_apart_is_not_foreign():

@@ -3,9 +3,9 @@ somewhere in the package, so a helper that loses its last caller cannot
 linger. Reads from tests do not count, and a function reading only itself
 is not read. Every public top-level function or class is exported from the
 package root, read somewhere in the package, the tests or the benchmark, or
-traced by the benchmark. Every function exported from the package root is
-read by a module of the package other than the root and outside its own
-body, so that some command reaches it. Every annotated field of a package dataclass is
+traced by the benchmark. Every public top-level function is read by a
+module of the package other than the root and outside its own body, so
+that some command reaches it. Every annotated field of a package dataclass is
 read as an attribute, or named to ``getattr``, in the package, the tests or
 the benchmark, so a field that is only ever set cannot linger. Like
 ``test_unused_imports``, the checks walk syntax trees."""
@@ -86,8 +86,8 @@ def unused_public_names(sources: dict[str, str], outside: list[str], exported, t
     return unread_names(sources, private=False, read_elsewhere=frozenset(elsewhere))
 
 
-def unreached_exports(sources: dict[str, str], exported) -> list[str]:
-    """``module.name`` for each exported public function that no statement
+def unreached_functions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each public top-level function that no statement
     of the sources, other than its own definition, reads."""
     functions = {
         node.name
@@ -95,7 +95,7 @@ def unreached_exports(sources: dict[str, str], exported) -> list[str]:
         for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-    return [name for name in unread_names(sources, private=False) if name.split(".")[1] in functions & set(exported)]
+    return [name for name in unread_names(sources, private=False) if name.split(".")[1] in functions]
 
 
 def _is_dataclass(decorator: ast.expr) -> bool:
@@ -191,15 +191,15 @@ def test_the_check_finds_an_unreached_export():
         ),
         "b": "from .a import reached\n",
     }
-    exported = {"exported", "reached", "recursive", "Exported"}
-    assert unreached_exports(sources, exported) == ["a.exported", "a.recursive"]
+    assert unreached_functions(sources) == ["a.exported", "a.recursive", "a.unexported"]
 
 
 def test_every_exported_function_is_reached_by_the_package():
-    """Reads from the root's re-exports, the tests and the benchmark do not
-    count: an export only they call checks nothing that a command runs."""
+    """Every public function, exported or not. Reads from the root's
+    re-exports, the tests and the benchmark do not count: a function only
+    they call checks nothing that a command runs."""
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
-    assert unreached_exports(sources, semiringlab.__all__) == []
+    assert unreached_functions(sources) == []
 
 
 def test_the_check_finds_an_unread_field():

@@ -26,7 +26,6 @@ from semiringlab.spectrum import (
     spec_of,
     zariski_axioms,
 )
-from semiringlab.tables import check_laws
 
 
 def brute_spec(s):

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package or a test file imports is read in
+that file.
 
-No linter is a dependency, so the check walks each module's syntax tree.
-``__init__.py`` exists to re-export names and is exempt, as are
-``from __future__`` imports."""
+No linter is a dependency, so the check walks each file's syntax tree.
+The package's ``__init__.py`` exists to re-export names and is exempt, as
+are ``from __future__`` imports."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import semiringlab
 
 MODULES = sorted(p for p in Path(semiringlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,6 +43,6 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["Sequence", "chain", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text()) == []

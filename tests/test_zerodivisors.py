@@ -1,7 +1,6 @@
 """Zero-divisor reports, total quotients, Kasch verdicts, slices."""
 
 import dataclasses
-import itertools
 import json
 
 import pytest
@@ -22,7 +21,7 @@ from semiringlab.corpus import (
 from semiringlab.covering import UNMET
 from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.fileio import structure_to_json
-from semiringlab.ideals import annihilator, enumerate_ideals, generate_ideal, mask_of
+from semiringlab.ideals import annihilator, enumerate_ideals, generate_ideal
 from semiringlab.tables import CayleyStructure, check_laws, self_action
 from semiringlab.zerodivisors import (
     annihilator_extension_check,
