@@ -9,23 +9,22 @@ computed on its first read and read back afterwards. A context holds:
   holding each element must hold, the principal ideal masks and the ideal
   lattice;
 - ``spectrum``: the prime ideal masks;
-- ``all_subtractive``: whether every two-sided ideal is subtractive;
 - ``member_view``, keyed by ``"add"`` or ``"mul"``: that table's rows as
   :func:`~semiringlab.tables.member_rows` gathers {y : x+y in a mask} or
   {y : x*y in a mask} from them;
 - ``orbits``: per element x, the mask of its power orbit x, x^2, x^3, ...;
 - per mask: ``subtractive`` and ``prime``, each with its least witness,
-  ``radical``, the radical's mask, and ``residual``, the residual rows
-  {y : x*y in the mask} for every element x. Subtractiveness, the radical
-  and the residual rows do not depend on the side, so they are keyed on
-  the mask alone;
+  and ``radical``, the radical's mask. Subtractiveness and the radical do
+  not depend on the side, so they are keyed on the mask alone. A context
+  stores verdicts, not rows: the residual rows {y : x*y in the mask} are
+  gathered from the ``"mul"`` member view by each reader that needs them;
 - ``classes``: the classification of every two-sided ideal, keyed by its
   mask, from one pass over the lattice. A lattice of at most n ideals, n
-  the carrier's size, is classified once per ideal, gathering each ideal's
-  residual rows without storing them; a larger one once per element tuple
-  over all ideals at once, as bitsets over the lattice. Either layout
-  stores each ideal's subtractive, prime and radical verdicts as the
-  per-mask facts above, the second with :meth:`Analysis.put`;
+  the carrier's size, is classified once per ideal, on each ideal's
+  residual rows; a larger one once per element tuple over all ideals at
+  once, as bitsets over the lattice. Either layout stores each ideal's
+  subtractive, prime and radical verdicts as the per-mask facts above, the
+  second with :meth:`Analysis.put`;
 - keyed by (mask, T-mask), the two sides of the T-semiprime equivalence:
   ``t_element``, the least t in T with t*x in the two-sided ideal for every
   x with x*x in it, or None, and ``semiprime_residual``, the least t in T
@@ -70,14 +69,12 @@ FACTS = (
     "principal",
     "lattice",
     "spectrum",
-    "all_subtractive",
     "annihilators",
     "subtractive",
     "prime",
     "member_view",
     "orbits",
     "radical",
-    "residual",
     "classes",
     "t_element",
     "semiprime_residual",

@@ -159,12 +159,11 @@ def _scan_avoiding(target_mask: int, avoid_mask: int) -> Optional[int]:
 
 
 def _prime_pair_product(
-    s: CayleyStructure, principal: Sequence[int], left: int, right: int, prime_mask: int
+    s: CayleyStructure, principal: Sequence[int], left: int, right: int, rows: Sequence[int]
 ) -> int:
     """Least product of principal-ideal members avoiding a prime that
-    contains neither generator: for the least u in (left) whose residual
-    row misses part of (right), its product with the least v missed."""
-    rows = residual_rows(s, prime_mask)
+    contains neither generator, read off the prime's residual rows: the
+    least u in (left) whose row misses part of (right), times the least v."""
     for u in mask_members(principal[left]):
         missed = principal[right] & ~rows[u]
         if missed:
@@ -215,10 +214,10 @@ def behrens_elements(
     out = []
     for l in range(n):
         factors = [pattern[i] for i in range(n) if i != l]
-        target = primes[l].mask
+        rows = residual_rows(s, primes[l].mask)
         cur = factors[0]
         for nxt in factors[1:]:
-            cur = _prime_pair_product(s, principal, cur, nxt, target)
+            cur = _prime_pair_product(s, principal, cur, nxt, rows)
         if cur not in ideal:
             raise TheoremViolation("constructed element escaped the ideal")
         for i in range(n):

@@ -22,13 +22,16 @@ products or sums of two masks), :func:`union_mask`, :func:`maximal_masks`
 entry at x, y lies in a mask). The member rows of a mask in the
 multiplication are :func:`residual_rows`, {y : x*y in the mask}, which
 prime, 2-absorbing and T-semiprime tests, residual quotients and the
-Behrens products of :mod:`semiringlab.covering` read; those in the
-addition decide subtractivity; those of zero in a semimodule's action are
-:func:`annihilator_rows`, which every annihilator and zero-divisor set
-reads. Annihilators, residuals and the masks the public per-ideal readers
-are given are checked to be ideals on masks, by what their members absorb
-and by their sum image; the cell scan of :func:`ideal_violation` runs only
-to name the witness of a failure.
+Behrens products of :mod:`semiringlab.covering` gather where they read
+them (no context stores them); those in the addition decide subtractivity;
+those of zero in a semimodule's action are :func:`annihilator_rows`, which
+every annihilator and zero-divisor set reads. Annihilators, residuals and
+the masks the public per-ideal readers are given are checked to be ideals
+on masks, by what their members absorb and by their sum image; the cell
+scan of :func:`ideal_violation` runs only to name the witness of a
+failure. Masks the package built as ideals (lattice members, annihilators)
+are read through the unchecked ``_ideal_subtractive``, ``_ideal_prime``
+and ``_ideal_radical``.
 Radicals read one power-orbit mask per element: the radical of I is
 {x : orbit(x) meets I}.
 
@@ -271,13 +274,10 @@ def _principal_masks(s: CayleyStructure, side: str) -> tuple[int, ...]:
 
 
 def residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
-    """Per element x, the residual {y : x*y in the mask}."""
-    return analysis(s).get("residual", mask, _residual_rows, s, mask)
-
-
-def _residual_rows(s: CayleyStructure, mask: int) -> tuple[int, ...]:
-    view = analysis(s).get("member_view", "mul", member_view, s.mul)
-    return member_rows(view, mask)
+    """Per element x, the residual {y : x*y in the mask}: a gather through
+    the stored member view of the multiplication. The rows are stored
+    nowhere; each reader gathers them where it needs them."""
+    return member_rows(analysis(s).get("member_view", "mul", member_view, s.mul), mask)
 
 
 def annihilator_rows(m: FiniteSemimodule) -> tuple[int, ...]:
@@ -356,11 +356,14 @@ def brute_force_ideal_masks(s: CayleyStructure, side: str = TWO_SIDED) -> tuple[
 
 def is_subtractive(ideal: IdealSet) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check both cancellation directions; witness is the least failing
-    pair. A mask that is no ideal of its side is refused. Subtractivity
-    does not involve the multiplication, so a verdict is stored per mask,
-    and a mask is checked once, on the side it is first asked about on."""
+    pair. A mask that is no ideal of its side is refused. Subtractivity does
+    not involve the multiplication, so a two-sided verdict is stored per
+    mask, checked once; a one-sided ask is checked on its side at every
+    call and stores nothing."""
     s = ideal.structure
-    return analysis(s).get("subtractive", ideal.mask, _checked, _subtractive, s, ideal.mask, ideal.side)
+    if ideal.side != TWO_SIDED:
+        return _checked(_subtractive, s, ideal.mask, ideal.side)
+    return analysis(s).get("subtractive", ideal.mask, _checked, _subtractive, s, ideal.mask)
 
 
 def _ideal_subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -382,11 +385,7 @@ def _subtractive(s: CayleyStructure, mask: int) -> tuple[bool, Optional[tuple[in
 
 def all_ideals_subtractive(s: CayleyStructure) -> bool:
     """Whether every two-sided ideal is subtractive, as the covering
-    corollaries assume."""
-    return analysis(s).get("all_subtractive", None, _all_ideals_subtractive, s)
-
-
-def _all_ideals_subtractive(s: CayleyStructure) -> bool:
+    corollaries assume: the AND of the stored verdicts."""
     return all(_ideal_subtractive(s, mask)[0] for mask in ideal_masks(s, TWO_SIDED))
 
 
@@ -495,6 +494,11 @@ def radical_mask(s: CayleyStructure, mask: int) -> int:
     return analysis(s).get("radical", mask, _checked, _orbit_radical, s, mask)
 
 
+def _ideal_radical(s: CayleyStructure, mask: int) -> int:
+    """:func:`radical_mask` of a mask known to be an ideal, unchecked."""
+    return analysis(s).get("radical", mask, _orbit_radical, s, mask)
+
+
 def _orbit_radical(s: CayleyStructure, mask: int) -> int:
     """The radical of a mask known to be an ideal: the elements whose power
     orbit meets it."""
@@ -540,15 +544,15 @@ def ideal_intersect(a: IdealSet, b: IdealSet) -> IdealSet:
     return IdealSet(structure=a.structure, side=a.side, mask=mask)
 
 
-def _residual_mask(s: CayleyStructure, mask: int, t: int) -> int:
-    """The mask of (I : t) for an ideal mask I of a commutative semiring,
-    where the sides of an ideal agree, checked to be an ideal holding I."""
-    out = residual_rows(s, mask)[t]
-    if not _is_ideal_mask(s, out, TWO_SIDED):
-        raise TheoremViolation(f"residual failed to be an ideal: {ideal_violation(s, out, TWO_SIDED)}")
-    if mask & ~out:
+def _residual_mask(s: CayleyStructure, mask: int, row: int) -> int:
+    """(I : t) for an ideal mask I of a commutative semiring, where the
+    sides of an ideal agree: ``row``, row t of I's residual rows, checked
+    to be an ideal holding I."""
+    if not _is_ideal_mask(s, row, TWO_SIDED):
+        raise TheoremViolation(f"residual failed to be an ideal: {ideal_violation(s, row, TWO_SIDED)}")
+    if mask & ~row:
         raise TheoremViolation("residual does not contain the ideal")
-    return out
+    return row
 
 
 @dataclass(frozen=True, repr=False)
@@ -674,21 +678,20 @@ def _transpose(masks: Sequence[int], width: int) -> list[int]:
 def _per_ideal_witnesses(s: CayleyStructure, lattice: tuple[int, ...], holds: list) -> dict[str, list]:
     """Per test, the least witness of each ideal of the lattice (None if it
     passes), each test run once per ideal (``holds`` is left to the other
-    layout); each proper ideal's residual rows serve its prime and
-    2-absorbing tests and are dropped."""
+    layout); each proper ideal's residual rows are gathered once, for its
+    prime and 2-absorbing tests."""
     ctx, commutative, full = analysis(s), check_laws(s).is_commutative_semiring, (1 << s.size) - 1
     found = {kind: [None] * len(lattice) for kind in _LATTICE_TESTS}
     for j, mask in enumerate(lattice):
-        found["subtractive"][j] = ctx.get("subtractive", mask, _subtractive, s, mask)[1]
+        found["subtractive"][j] = _ideal_subtractive(s, mask)[1]
         if mask != full:
-            rows = _residual_rows(s, mask)
+            rows = residual_rows(s, mask)
             found["prime"][j] = ctx.get("prime", mask, _prime, s, mask, rows)[1]
             found["two_absorbing"][j] = _two_absorbing_witness(s, rows)
             if commutative:
                 found["semiprime"][j] = _semiprime_elementwise(s, mask)
         if commutative:
-            # a lattice member is an ideal by construction, so unchecked
-            extra = ctx.get("radical", mask, _orbit_radical, s, mask) & ~mask
+            extra = _ideal_radical(s, mask) & ~mask
             found["radical_ideal"][j] = mask_members(extra)[:1] if extra else None
     return found
 
@@ -810,9 +813,9 @@ def _semiprime_residual(s: CayleyStructure, mask: int, t_mask: int) -> Optional[
     require_commutative_semiring(s)
     _require_ideal(s, mask)
     _element_mask(s, mask_members(t_mask))
-    full = (1 << s.size) - 1
+    full, rows = (1 << s.size) - 1, residual_rows(s, mask)
     for t in mask_members(t_mask):
-        r = _residual_mask(s, mask, t)
+        r = _residual_mask(s, mask, rows[t])
         if r != full and _semiprime_elementwise(s, r) is None:
             return t, r
     return None

@@ -15,9 +15,9 @@ from .ideals import (
     ideal_masks,
     mask_members,
     principal_masks,
-    radical_mask,
     union_mask,
     _ideal_prime,
+    _ideal_radical,
     _ideal_subtractive,
     _semiprime_elementwise,
 )
@@ -120,7 +120,7 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
     cond1 = _union_condition(lattice, primes)
     cond2 = _union_condition(primes, primes)
 
-    principal_radicals = tuple(radical_mask(s, pm) for pm in principal_masks(s, TWO_SIDED))
+    principal_radicals = tuple(_ideal_radical(s, pm) for pm in principal_masks(s, TWO_SIDED))
 
     radical_principal_map = {}
     cond3 = True
@@ -145,7 +145,7 @@ def compactly_packed_battery(s: CayleyStructure) -> SpectrumReport:
 
     cond5 = True
     for m in lattice:
-        if radical_mask(s, m) != m:
+        if _ideal_radical(s, m) != m:
             continue
         if m not in principal_radicals:
             cond5 = False

@@ -17,15 +17,15 @@ from .ideals import (
     IdealSet,
     TWO_SIDED,
     _element_mask,
+    _ideal_prime,
+    _ideal_radical,
     annihilator_rows,
     element_annihilators,
     ideal_masks,
-    is_prime,
     is_subtractive,
     mask_members,
     mask_of,
     maximal_masks,
-    radical,
     require_module_over,
     require_same_structure,
     union_mask,
@@ -70,11 +70,11 @@ class ZeroDivisorReport:
 
 
 def ass_primes(m: FiniteSemimodule) -> tuple[tuple[int, IdealSet], ...]:
-    """Module elements whose annihilator is a prime ideal."""
+    """Module elements whose annihilator, an ideal by construction, is prime."""
     return tuple(
         (x, ann)
         for x, ann in enumerate(element_annihilators(m))
-        if x != m.mzero and ann.is_proper and is_prime(ann)[0]
+        if x != m.mzero and ann.is_proper and _ideal_prime(m.semiring, ann.mask)[0]
     )
 
 
@@ -104,8 +104,8 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
     require_semimodule(m)
     z = zero_divisor_mask(m)
 
-    radicals = [(x, radical(ann)) for x, ann in enumerate(element_annihilators(m)) if x != m.mzero]
-    if union_mask(rad.mask for _, rad in radicals) != z:
+    radicals = [(x, _ideal_radical(s, ann.mask)) for x, ann in enumerate(element_annihilators(m)) if x != m.mzero]
+    if union_mask(rad for _, rad in radicals) != z:
         raise TheoremViolation(
             "zero divisors differ from the union of radical annihilators"
         )
@@ -131,7 +131,7 @@ def zero_divisor_report(s: CayleyStructure, m: FiniteSemimodule) -> ZeroDivisorR
 
     return ZeroDivisorReport(
         zset=mask_members(z),
-        radical_decomposition=tuple((x, rad.members()) for x, rad in radicals),
+        radical_decomposition=tuple((x, mask_members(rad)) for x, rad in radicals),
         ass=tuple((x, ann.members()) for x, ann in ass),
         very_few=very_few,
         few=union_mask(_subtractive_primes_inside(s, z)) == z,

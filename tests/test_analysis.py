@@ -15,7 +15,8 @@ from semiringlab import analysis as ctxmod
 from semiringlab import ideals, spectrum, tables
 from semiringlab.analysis import analysis
 from semiringlab.cli import _plain
-from semiringlab.corpus import chain_semiring, corpus_semimodules, saturating
+from semiringlab.constructions import direct_product
+from semiringlab.corpus import boolean_semifield, chain_semiring, corpus_semimodules, saturating
 from semiringlab.errors import StructureError
 from semiringlab.ideals import (
     SIDES,
@@ -46,7 +47,7 @@ def reads(s):
     """Every fact of the structure, read through the public functions, as
     (kind, key, value read)."""
     rep = check_laws(s)
-    out = [("laws", None, rep), ("all_subtractive", None, all_ideals_subtractive(s))]
+    out = [("laws", None, rep)]
     for side in SIDES:
         out.append(("absorb", side, _absorb(s, side)))
         out.append(("principal", side, principal_masks(s, side)))
@@ -60,7 +61,6 @@ def reads(s):
     lattice = enumerate_ideals(s, TWO_SIDED)
     out.append(("classes", None, {i.mask: classify_ideal(i) for i in lattice}))
     for i in lattice:
-        out.append(("residual", i.mask, residual_rows(s, i.mask)))
         if i.is_proper:
             out.append(("prime", i.mask, is_prime(i)))
         if t_set is not None:
@@ -85,14 +85,12 @@ COMPUTE = {
     "principal": lambda s, side: ideals._principal_masks(s, side),
     "lattice": lambda s, side: ideals._ideal_masks(s, side),
     "spectrum": lambda s, key: spectrum._prime_masks(s),
-    "all_subtractive": lambda s, key: ideals._all_ideals_subtractive(s),
     "annihilators": lambda m, key: ideals._annihilator_rows(m),
     "subtractive": lambda s, mask: ideals._subtractive(s, mask),
     "prime": lambda s, mask: ideals._prime(s, mask),
     "member_view": lambda s, op: tables.member_view(getattr(s, op)),
     "orbits": lambda s, key: ideals._orbit_masks(s),
     "radical": lambda s, mask: ideals._checked(ideals._orbit_radical, s, mask),
-    "residual": lambda s, mask: ideals._residual_rows(s, mask),
     "classes": lambda s, key: ideals._classify_lattice(s),
     "t_element": lambda s, key: ideals._t_semiprime_element(s, *key),
     "semiprime_residual": lambda s, key: ideals._semiprime_residual(s, *key),
@@ -208,49 +206,41 @@ def test_contexts_are_freed_with_their_structures():
 
 def test_each_per_mask_fact_is_computed_once(monkeypatch):
     calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            key = (name, args[1:])
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
     for module, name in (
         (ideals, "_subtractive"),
         (ideals, "_prime"),
         (ideals, "_orbit_radical"),
         (ideals, "_orbit_masks"),
-        (ideals, "_residual_rows"),
         (ideals, "_annihilator_rows"),
         (ideals, "_classify_lattice"),
-        (ideals, "_all_ideals_subtractive"),
         (tables, "_self_action"),
         (tables, "_semimodule_report"),
     ):
-        original = getattr(module, name)
-
-        def counted(*args, _name=name, _original=original):
-            key = (_name, args[1:])
-            calls[key] = calls.get(key, 0) + 1
-            return _original(*args)
-
-        monkeypatch.setattr(module, name, counted)
+        count(module, name)
 
     s = chain_semiring()
     for _ in range(3):
         for i in enumerate_ideals(s, TWO_SIDED):
-            for side in SIDES:
-                is_subtractive(IdealSet(structure=s, side=side, mask=i.mask))
+            is_subtractive(i)
             classify_ideal(i)
             radical(i)
-            residual_rows(s, i.mask)
             if i.is_proper:
                 is_prime(i)
         all_ideals_subtractive(s)
         for x in range(s.size):
             annihilator(self_action(s), [x])
     lattice = ideal_masks(s)
-    # the lattice pass cuts the residual rows of each proper ideal once and
-    # drops them, and a read of the residual fact cuts its mask's rows once
-    cut = {}
-    for key in [key for key in calls if key[0] == "_residual_rows"]:
-        cut[key[1][0]] = cut.get(key[1][0], 0) + calls.pop(key)
-    stored = analysis(s).facts["residual"]
-    proper = set(lattice) - {(1 << s.size) - 1}
-    assert cut == {m: (m in proper) + (m in stored) for m in proper | set(stored)}
     assert calls and set(calls.values()) == {1}
     # one module per semiring, however often self_action is called, and
     # its report is read off the semiring's laws, never scanned
@@ -260,6 +250,21 @@ def test_each_per_mask_fact_is_computed_once(monkeypatch):
     # the lattice pass takes each radical unchecked, through _orbit_radical
     for name in ("_subtractive", "_orbit_radical", "_prime"):
         assert sum(k[0] == name for k in calls) == len(lattice) - (name == "_prime"), name
+    # a one-sided ask checks its side and computes its verdict at every
+    # call, and stores nothing
+    stored = dict(analysis(s).facts["subtractive"])
+    calls.clear()
+    count(ideals, "_is_ideal_mask")
+    one_sided = [side for side in SIDES if side != TWO_SIDED]
+    for _ in range(3):
+        for mask in lattice:
+            for side in one_sided:
+                is_subtractive(IdealSet(structure=s, side=side, mask=mask))
+    assert calls == {
+        **{("_is_ideal_mask", (mask, side)): 3 for mask in lattice for side in one_sided},
+        **{("_subtractive", (mask,)): 3 * len(one_sided) for mask in lattice},
+    }
+    assert analysis(s).facts["subtractive"] == stored
 
 
 def test_the_lattice_pass_leaves_no_per_mask_work():
@@ -285,7 +290,30 @@ def test_the_lattice_pass_leaves_no_per_mask_work():
         assert after[kind][0] == classified[kind][0], kind
         assert after[kind][1] > classified[kind][1], kind
     assert "square" not in ctxmod.FACTS
-    assert not set(analysis(s).facts.get("residual", {})) & {i.mask for i in lattice}
+    assert "residual" not in ctxmod.FACTS
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: saturating(16), lambda: direct_product([boolean_semifield()] * 5)], ids=["saturating-16", "boolean^5"]
+)
+def test_the_spectrum_and_the_battery_store_verdicts_only(monkeypatch, build):
+    """With no classification before them, the spectrum and the packed
+    battery read every lattice ideal's prime verdict and radical, gathering
+    residual rows where a verdict needs them and storing none (no fact keyed
+    by an ideal's mask holds a row per element), and check no mask the
+    package built to be an ideal."""
+    s = build()
+    checks = []
+    real = ideals._is_ideal_mask
+    monkeypatch.setattr(ideals, "_is_ideal_mask", lambda *args: checks.append(args[1:]) or real(*args))
+    spec_of(s)
+    compactly_packed_battery(s)
+    assert checks == []
+    lattice = set(ideal_masks(s))
+    for kind, table in analysis(s).facts.items():
+        for key, value in table.items():
+            if key in lattice:
+                assert not (isinstance(value, tuple) and len(value) == s.size), (kind, key)
 
 
 def test_one_residual_row_set_of_a_large_carrier_stays_small():

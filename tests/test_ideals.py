@@ -22,8 +22,10 @@ from semiringlab.corpus import (
 from semiringlab.errors import HypothesesUnmet, StructureError
 from semiringlab.constructions import direct_product
 from semiringlab.covering import t_semiprime_avoidance
+from semiringlab.analysis import analysis
 from semiringlab.ideals import (
     LEFT,
+    RIGHT,
     IdealSet,
     MultiplicativeSet,
     TWO_SIDED,
@@ -46,6 +48,7 @@ from semiringlab.ideals import (
     mult_closure,
     radical,
     radical_mask,
+    residual_rows,
     set_product_mask,
     semiprime_residual,
     t_semiprime_element,
@@ -381,8 +384,9 @@ def test_right_ideal_times_carrier():
 
 # --- residuals ----------------------------------------------------------------
 #
-# (I : t) is ``_residual_mask``, the theorem-checked core that the
-# semiprime residuals of the T-semiprime corollary read.
+# (I : t) is ``_residual_mask`` of row t of I's residual rows, the
+# theorem-checked core that the semiprime residuals of the T-semiprime
+# corollary read.
 
 def test_residual_by_one_is_identity(all_entries):
     for e in all_entries:
@@ -391,14 +395,14 @@ def test_residual_by_one_is_identity(all_entries):
         if not rep.is_commutative_semiring:
             continue
         for i in enumerate_ideals(s):
-            assert _residual_mask(s, i.mask, rep.one) == i.mask
+            assert _residual_mask(s, i.mask, residual_rows(s, i.mask)[rep.one]) == i.mask
 
 
 def test_residual_chain_golden():
     t = chain_semiring()
     zero = make_ideal(t, [0])
     # oracle: 1*0 = 0, 1*1 = 0, 1*2 = 1, so exactly {0, 1} divides into zero
-    assert mask_members(_residual_mask(t, zero.mask, 1)) == (0, 1)
+    assert mask_members(_residual_mask(t, zero.mask, residual_rows(t, zero.mask)[1])) == (0, 1)
 
 
 def test_residual_contains_ideal(all_entries):
@@ -407,8 +411,9 @@ def test_residual_contains_ideal(all_entries):
         if not check_laws(s).is_commutative_semiring:
             continue
         for i in enumerate_ideals(s):
+            rows = residual_rows(s, i.mask)
             for t in range(s.size):
-                assert i.issubset(_residual_mask(s, i.mask, t))
+                assert i.issubset(_residual_mask(s, i.mask, rows[t]))
 
 
 # --- T-semiprime equivalence ------------------------------------------------------
@@ -503,11 +508,19 @@ def test_prime_and_subtractive_readers_refuse_a_mask_that_is_no_ideal(s):
 def test_subtractivity_of_a_one_sided_ideal_is_checked_on_its_side():
     """Under x*y = x on the 3-element max chain every set is a right
     ideal and only the carrier a left one, so {1} is asked about as a
-    right ideal and refused as a left one."""
-    s = CayleyStructure(size=3, add=((0, 1, 2), (1, 1, 2), (2, 2, 2)), mul=((0, 0, 0), (1, 1, 1), (2, 2, 2)))
-    with pytest.raises(StructureError, match="not a left ideal"):
-        is_subtractive(IdealSet(structure=s, side=LEFT, mask=0b010))
-    assert is_subtractive(IdealSet(structure=s, side="right", mask=0b010)) == (False, (0, 1))
+    right ideal and refused as a left one and as a two-sided one, in
+    either order: a right ask once stored its verdict, which a later left
+    or two-sided ask read unchecked."""
+    for order in ((LEFT, RIGHT, TWO_SIDED), (RIGHT, LEFT, TWO_SIDED), (RIGHT, TWO_SIDED, LEFT)):
+        s = CayleyStructure(size=3, add=((0, 1, 2), (1, 1, 2), (2, 2, 2)), mul=((0, 0, 0), (1, 1, 1), (2, 2, 2)))
+        for side in order:
+            ideal = IdealSet(structure=s, side=side, mask=0b010)
+            if side == RIGHT:
+                assert is_subtractive(ideal) == (False, (0, 1)), order
+            else:
+                with pytest.raises(StructureError, match=f"not a {side} ideal"):
+                    is_subtractive(ideal)
+        assert 0b010 not in analysis(s).facts.get("subtractive", {}), order
 
 
 @pytest.mark.parametrize("read", [t_semiprime_element, semiprime_residual], ids=["t-element", "semiprime-residual"])

@@ -807,7 +807,7 @@ def package_residual(ideal: IdealSet, t: int) -> IdealSet:
     """(I : t) as the semiprime residuals take it, on a commutative semiring."""
     s = ideal.structure
     require_commutative_semiring(s)
-    return IdealSet(structure=s, side=ideal.side, mask=ideals._residual_mask(s, ideal.mask, t))
+    return IdealSet(structure=s, side=ideal.side, mask=ideals._residual_mask(s, ideal.mask, residual_rows(s, ideal.mask)[t]))
 
 
 def reference_residual(ideal: IdealSet, t: int) -> IdealSet:
@@ -949,7 +949,7 @@ def assert_primality_matches(s, masks, pair_masks, checked_ideals):
         assert outcome(package_residual, ideal, t) == outcome(reference_residual, ideal, t), (s.name, ideal, t)
     principal = principal_masks(s, TWO_SIDED)
     for pm, a, b in itertools.product(pair_masks, range(s.size), range(s.size)):
-        fast = outcome(_prime_pair_product, s, principal, a, b, pm)
+        fast = outcome(_prime_pair_product, s, principal, a, b, residual_rows(s, pm))
         assert fast == outcome(reference_prime_pair_product, s, principal, a, b, pm), (s.name, pm, a, b)
     if not check_laws(s).is_semiring:
         return
