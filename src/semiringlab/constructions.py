@@ -1,21 +1,20 @@
 """Constructors that assemble new structures from smaller data.
 
-Products, hemialgebras and monoid semirings are
-``EncodedStructure`` carriers: tuple spaces with a radix per digit, encoded
-big-endian, so the index order of the carrier agrees with lexicographic
-order on the tuples and all outputs are deterministic. Each is first
-sized against ``CARRIER_CAP``; then one builder makes it: it adds
-componentwise with ``product_table``, multiplies with ``product_table`` or
-with ``convolution_table``, the bilinear product of coefficient tuples, and
-encodes the designated zero and one. ``EncodedStructure.coords`` and
-``index_of`` are the one codec between elements and digit tuples.
+Every constructor returns a plain ``CayleyStructure``. Products,
+hemialgebras and monoid semirings have tuple spaces for carriers, a radix
+per digit, encoded big-endian, so the index order of the carrier agrees
+with lexicographic order on the tuples and all outputs are deterministic.
+Each is first sized against ``CARRIER_CAP``; then one builder makes it: it
+adds componentwise with ``product_table``, multiplies with
+``product_table`` or with ``convolution_table``, the bilinear product of
+coefficient tuples, and places the designated zero and one with
+``encode_tuple``. Those three functions are the only code that knows the
+encoding.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapExceeded, StructureError
@@ -48,15 +47,7 @@ def magma_endomorphisms(table: Table, cap: int = CARRIER_CAP) -> tuple[tuple[int
     return tuple(endos)
 
 
-@dataclass(frozen=True, repr=False)
-class EndomorphismRingoid(CayleyStructure):
-    base: Table = ()
-    endos: tuple = ()
-
-
-def endomorphism_ringoid(
-    table: Sequence[Sequence[int]], cap: int = CARRIER_CAP, name: str = ""
-) -> EndomorphismRingoid:
+def endomorphism_ringoid(table: Sequence[Sequence[int]], cap: int = CARRIER_CAP) -> CayleyStructure:
     """The endomorphisms of a medial magma under pointwise sum and composition."""
     n = len(table)
     bad = medial_witness(table)  # validates the table as an n-element magma
@@ -78,16 +69,7 @@ def endomorphism_ringoid(
     add = tuple(indices([gather(magma.luts[f[x]]) for x, gather in enumerate(gathers)]) for f in endos)
     mul = tuple(indices([gather(lut) for gather in gathers]) for lut in maps.luts)
     identity = index[tuple(range(n))]
-    return EndomorphismRingoid(
-        size=len(endos),
-        add=add,
-        mul=mul,
-        zero=None,
-        one=identity,
-        name=name or f"End(magma of size {n})",
-        base=base,
-        endos=endos,
-    )
+    return CayleyStructure(len(endos), add, mul, one=identity, name=f"End(magma of size {n})")
 
 
 def austere_extension(
@@ -184,32 +166,6 @@ def convolution_table(s: CayleyStructure, terms: Sequence[Sequence[tuple]]) -> l
     return rows
 
 
-@dataclass(frozen=True, repr=False)
-class EncodedStructure(CayleyStructure):
-    """A carrier of digit tuples, digit p running over range(radices[p]).
-    An element's index is its tuple read big-endian, so index order is
-    lexicographic order on the tuples."""
-
-    radices: tuple = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        if math.prod(self.radices) != self.size:
-            raise StructureError(f"radices {self.radices} do not span a carrier of size {self.size}")
-
-    def coords(self, idx: int) -> tuple[int, ...]:
-        """The digit tuple of element ``idx``; ``index_of`` inverts it."""
-        _int_in(idx, "index", 0, self.size)
-        out = []
-        for r in reversed(self.radices):
-            idx, d = divmod(idx, r)
-            out.append(d)
-        return tuple(reversed(out))
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        return encode_tuple(coords, self.radices)
-
-
 def _carrier_size(radices: Iterable[int]) -> int:
     """The product of ``radices``, read one at a time, and so an encoded
     carrier's size, refused when it exceeds ``CARRIER_CAP``; a size past
@@ -224,33 +180,24 @@ def _carrier_size(radices: Iterable[int]) -> int:
     return size
 
 
-def _encoded(
-    cls: type, size: int, digits: Sequence[CayleyStructure], zero, one, name: str, terms=None, **provenance
-) -> EncodedStructure:
-    """The ``cls`` on the ``size`` tuples, as ``_carrier_size`` allowed,
+def _encoded(size: int, digits: Sequence[CayleyStructure], zero, one, name: str, terms=None) -> CayleyStructure:
+    """The structure on the ``size`` tuples, as ``_carrier_size`` allowed,
     whose digit p is an element of ``digits[p]``, added componentwise, with
     the digit tuples ``zero`` and ``one`` (or None) designated.
     Multiplication is componentwise too, or, given ``terms``, the
     ``convolution_table`` over the structure every digit shares."""
     radices = tuple(d.size for d in digits)
-    return cls(
+    return CayleyStructure(
         size=size,
         add=product_table([d.add for d in digits]),
         mul=product_table([d.mul for d in digits]) if terms is None else convolution_table(digits[0], terms),
         zero=None if zero is None else encode_tuple(zero, radices),
         one=None if one is None else encode_tuple(one, radices),
         name=name,
-        radices=radices,
-        **provenance,
     )
 
 
-@dataclass(frozen=True, repr=False)
-class Hemialgebra(EncodedStructure):
-    constants: Optional[StructureConstants] = None
-
-
-def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
+def hemialgebra(constants: StructureConstants, name: str = "") -> CayleyStructure:
     """Tuple space over a semifield with componentwise addition and the
     bilinear multiplication determined by the structure constants."""
     k = constants.semifield
@@ -265,14 +212,16 @@ def hemialgebra(constants: StructureConstants, name: str = "") -> Hemialgebra:
         for t in range(dim)
     ]
     name = name or f"hemialgebra of dim {dim} over {k.name or 'K'}"
-    return _encoded(Hemialgebra, size, [k] * dim, [zero_k] * dim, None, name, terms, constants=constants)
+    return _encoded(size, [k] * dim, [zero_k] * dim, None, name, terms)
 
 
-def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
-    """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab)."""
+def scalar_identity_witness(h: CayleyStructure, constants: StructureConstants) -> Optional[tuple[int, int, int]]:
+    """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab) in
+    ``h``, the hemialgebra built from ``constants``: alpha runs over the
+    semifield and scales every digit of a tuple."""
     mul = h.mul
     # scales[alpha][x] is the tuple x with every digit multiplied by alpha
-    scales = [product_table([(row,)] * h.constants.dim)[0] for row in h.constants.semifield.mul]
+    scales = [product_table([(row,)] * constants.dim)[0] for row in constants.semifield.mul]
 
     def rows(alpha: int, a: int) -> tuple[list, list]:
         scale, row = scales[alpha], mul[a]
@@ -282,43 +231,27 @@ def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
     return least_witness((len(scales), h.size, h.size), rows)
 
 
-@dataclass(frozen=True, repr=False)
-class ProductStructure(EncodedStructure):
-    factors: tuple = ()
-
-
-def direct_product(factors: Sequence[CayleyStructure], name: str = "") -> ProductStructure:
+def direct_product(factors: Sequence[CayleyStructure], name: str = "") -> CayleyStructure:
     factors = tuple(factors)
     if not factors:
         raise StructureError("need at least one factor")
     size = _carrier_size(f.size for f in factors)
     zeros, ones = [f.zero for f in factors], [f.one for f in factors]
     return _encoded(
-        ProductStructure,
         size,
         factors,
         None if None in zeros else zeros,
         None if None in ones else ones,
         name or " x ".join(f.name or "?" for f in factors),
-        factors=factors,
     )
 
 
-@dataclass(frozen=True, repr=False)
-class MonoidSemiring(EncodedStructure):
+def monoid_semiring(s: CayleyStructure, monoid: Sequence[Sequence[int]], name: str = "") -> CayleyStructure:
     """Functions from a finite commutative monoid into a semiring.
 
-    Entry g of the digit tuple ``coords(i)`` is the coefficient that
-    element i attaches to monoid element g.
+    Entry g of element i's digit tuple is the coefficient that i attaches
+    to monoid element g.
     """
-
-    base: Optional[CayleyStructure] = None
-    monoid: Table = ()
-
-
-def monoid_semiring(
-    s: CayleyStructure, monoid: Sequence[Sequence[int]], name: str = ""
-) -> MonoidSemiring:
     rep = check_laws(s)
     if not rep.is_semiring:
         raise StructureError("base must be a semiring")
@@ -333,4 +266,4 @@ def monoid_semiring(
     one = [rep.zero] * gn
     one[e] = rep.one
     name = name or f"{s.name or 'S'}[G] with |G|={gn}"
-    return _encoded(MonoidSemiring, size, [s] * gn, [rep.zero] * gn, one, name, terms, base=s, monoid=g)
+    return _encoded(size, [s] * gn, [rep.zero] * gn, one, name, terms)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .constructions import (
-    EncodedStructure,
     StructureConstants,
     austere_extension,
     direct_product,
@@ -32,14 +31,6 @@ from .constructions import (
 )
 from .errors import StructureError
 from .tables import LAW_NAMES, CayleyStructure, FiniteSemimodule, check_laws, is_semifield, self_action
-
-CROSS_GAMMA = (
-    # gamma[i][j][k]: coefficient of basis k in the product of basis i and j
-    ((0, 0, 0), (0, 0, 1), (0, 1, 0)),
-    ((0, 0, 1), (0, 0, 0), (1, 0, 0)),
-    ((0, 1, 0), (1, 0, 0), (0, 0, 0)),
-)
-
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -99,21 +90,29 @@ def diamond_lattice() -> CayleyStructure:
     )
 
 
-def dual_numbers_mod2() -> EncodedStructure:
+def dual_numbers_mod2() -> CayleyStructure:
     """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
     the two-element field. Element (a, b, c) = a + bx + cy sits at index
     4a + 2b + c."""
     f2 = CayleyStructure(size=2, add=((0, 1), (1, 0)), mul=((0, 0), (0, 1)), zero=0, one=1, name="f2")
     # the coefficients of 1, x and y in (a + bx + cy)(d + ex + fy): ad, ae + bd, af + cd
     terms = [[(0, 0, None)], [(0, 1, None), (1, 0, None)], [(0, 2, None), (2, 0, None)]]
-    return _encoded(EncodedStructure, 8, [f2] * 3, (0, 0, 0), (1, 0, 0), "f2xy", terms)
+    return _encoded(8, [f2] * 3, (0, 0, 0), (1, 0, 0), "f2xy", terms)
+
+
+def cross_constants() -> StructureConstants:
+    """The cross product on three Boolean coordinates: gamma[i][j][k] is
+    the coefficient of basis k in the product of basis i and j."""
+    gamma = (
+        ((0, 0, 0), (0, 0, 1), (0, 1, 0)),
+        ((0, 0, 1), (0, 0, 0), (1, 0, 0)),
+        ((0, 1, 0), (1, 0, 0), (0, 0, 0)),
+    )
+    return StructureConstants(semifield=boolean_semifield(), dim=3, gamma=gamma)
 
 
 def cross_product_hemiring() -> CayleyStructure:
-    return hemialgebra(
-        StructureConstants(semifield=boolean_semifield(), dim=3, gamma=CROSS_GAMMA),
-        name="bool3-cross",
-    )
+    return hemialgebra(cross_constants(), name="bool3-cross")
 
 
 def austere_z6() -> CayleyStructure:
@@ -133,7 +132,7 @@ def boolean_c2() -> CayleyStructure:
     return monoid_semiring(boolean_semifield(), ((0, 1), (1, 0)), name="bool-c2")
 
 
-def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> FiniteSemimodule:
+def componentwise_module(s: CayleyStructure, copies: int) -> FiniteSemimodule:
     """The semiring acting coordinatewise on tuples of itself."""
     rep = check_laws(s)
     return FiniteSemimodule(
@@ -142,13 +141,13 @@ def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> Fin
         madd=product_table([s.add] * copies),
         mzero=encode_tuple((rep.zero,) * copies, (s.size,) * copies),
         action=[product_table([(row,)] * copies)[0] for row in s.mul],
-        name=name or f"{s.name}^{copies}",
+        name=f"{s.name}^{copies}",
     )
 
 
 def zero_module(s: CayleyStructure) -> FiniteSemimodule:
     return FiniteSemimodule(
-        semiring=s, msize=1, madd=((0,),), mzero=0, action=tuple((0,) for _ in s.elements()),
+        semiring=s, msize=1, madd=((0,),), mzero=0, action=((0,),) * s.size,
         name=f"zero module over {s.name}",
     )
 

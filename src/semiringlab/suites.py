@@ -24,6 +24,7 @@ from .corpus import (
     corpus,
     corpus_entry,
     corpus_semimodules,
+    cross_constants,
     diamond_lattice,
     failing_claims,
 )
@@ -89,10 +90,6 @@ class CheckResult:
     name: str
     status: str
     detail: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.status == FAIL
 
 
 def _result(name: str, ok: bool, detail: str = "") -> CheckResult:
@@ -584,7 +581,7 @@ def product_flag_suite() -> Iterator[CheckResult]:
 
 def hemialgebra_suite() -> Iterator[CheckResult]:
     cross = corpus_entry("bool3-cross").structure
-    w = scalar_identity_witness(cross)
+    w = scalar_identity_witness(cross, cross_constants())
     yield _result("constructions/scalar-identity", w is None, str(w or ""))
 
 

@@ -186,9 +186,6 @@ class CayleyStructure:
             if getattr(self, label) is not None:
                 _int_in(getattr(self, label), label, 0, self.size)
 
-    def elements(self) -> range:
-        return range(self.size)
-
     def __repr__(self):  # tables are noisy; show identity only
         return f"<{type(self).__name__} {self.name or 'anonymous'} size={self.size}>"
 
@@ -712,9 +709,6 @@ class FiniteSemimodule:
             self, "action", freeze_table(self.action, self.semiring.size, self.msize, "action")
         )
         _int_in(self.mzero, "mzero", 0, self.msize)
-
-    def elements(self) -> range:
-        return range(self.msize)
 
     def __repr__(self):
         return f"<FiniteSemimodule {self.name or 'anonymous'} msize={self.msize} over {self.semiring.name or 'S'}>"

@@ -5,8 +5,9 @@ reference kernels walk masks with, and the per-constructor table loops that
 ``product_table`` and ``convolution_table`` replaced: ``direct_product``,
 ``hemialgebra``, ``monoid_semiring``, ``componentwise_module`` and
 ``dual_numbers_mod2``, each with the one-base ``encode_tuple`` they packed
-cells with; ``scalar_identity_witness``, the cell loop that scaled tuples
-through the codec before the scan kernel compared scaling rows; and the
+cells with; ``scalar_identity_witness``, the cell loop that decoded each
+element's digits, scaled them and encoded them again before the scan
+kernel compared scaling rows; and the
 per-pair bodies of the covering checks that the covering kernel replaced:
 ``mccoy_exponent``, ``union_avoidance_suite`` and
 ``t_semiprime_avoidance``, with the skip-one ``_redundant`` loop they
@@ -24,12 +25,6 @@ import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from semiringlab.constructions import (
-    EncodedStructure,
-    Hemialgebra,
-    MonoidSemiring,
-    ProductStructure,
-)
 from semiringlab.covering import HOLDS, WitnessReport, _corollary_unmet, _covering, _unmet
 from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
 from semiringlab.fileio import structure_to_json
@@ -196,7 +191,7 @@ def encode_tuple(values: Sequence[int], base: int) -> int:
     return idx
 
 
-def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str = "") -> Hemialgebra:
+def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str = "") -> CayleyStructure:
     """Tuple space over a semifield with componentwise addition and the
     bilinear multiplication determined by the structure constants."""
     k = constants.semifield
@@ -232,25 +227,33 @@ def hemialgebra(constants: StructureConstants, cap: int = CARRIER_CAP, name: str
                         coeffs[t] = kadd[coeffs[t]][term]
             row.append(encode_tuple(coeffs, ksize))
         mul_rows.append(row)
-    return Hemialgebra(
+    return CayleyStructure(
         size=size,
         add=tuple(map(tuple, add_rows)),
         mul=tuple(map(tuple, mul_rows)),
         zero=encode_tuple([zero_k] * dim, ksize),
         one=None,
         name=name or f"hemialgebra of dim {dim} over {k.name or 'K'}",
-        radices=(ksize,) * dim,
-        constants=constants,
     )
 
 
-def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
-    """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab),
-    scaling each cell's tuples through the codec."""
-    kmul = h.constants.semifield.mul
+def decode_tuple(idx: int, base: int, length: int) -> tuple[int, ...]:
+    """The ``length`` digits of ``idx`` in ``base``, most significant first."""
+    out = []
+    for _ in range(length):
+        idx, digit = divmod(idx, base)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def scalar_identity_witness(h: CayleyStructure, constants: StructureConstants) -> Optional[tuple[int, int, int]]:
+    """Least (alpha, a, b) violating (alpha a)b = a(alpha b) = alpha(ab) in
+    the hemialgebra ``h`` built from ``constants``, decoding, scaling and
+    encoding each cell's tuples."""
+    kmul, ksize = constants.semifield.mul, constants.semifield.size
 
     def scale(alpha, idx):
-        return h.index_of([kmul[alpha][c] for c in h.coords(idx)])
+        return encode_tuple([kmul[alpha][c] for c in decode_tuple(idx, ksize, constants.dim)], ksize)
 
     for alpha in range(len(kmul)):
         for a in range(h.size):
@@ -263,7 +266,7 @@ def scalar_identity_witness(h: Hemialgebra) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, name: str = "") -> ProductStructure:
+def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, name: str = "") -> CayleyStructure:
     factors = tuple(factors)
     if not factors:
         raise StructureError("need at least one factor")
@@ -294,21 +297,19 @@ def direct_product(factors: Sequence[CayleyStructure], cap: int = CARRIER_CAP, n
     one = None
     if all(f.one is not None for f in factors):
         one = pack([f.one for f in factors])
-    return ProductStructure(
+    return CayleyStructure(
         size=size,
         add=tuple(map(tuple, add)),
         mul=tuple(map(tuple, mul)),
         zero=zero,
         one=one,
         name=name or " x ".join(f.name or "?" for f in factors),
-        radices=tuple(f.size for f in factors),
-        factors=factors,
     )
 
 
 def monoid_semiring(
     s: CayleyStructure, monoid: Sequence[Sequence[int]], cap: int = CARRIER_CAP, name: str = ""
-) -> MonoidSemiring:
+) -> CayleyStructure:
     rep = check_laws(s)
     if not rep.is_semiring:
         raise StructureError("base must be a semiring")
@@ -344,20 +345,17 @@ def monoid_semiring(
         mul_rows.append(row)
     one_coeffs = [zero_s] * gn
     one_coeffs[e] = rep.one
-    return MonoidSemiring(
+    return CayleyStructure(
         size=size,
         add=tuple(map(tuple, add_rows)),
         mul=tuple(map(tuple, mul_rows)),
         zero=encode_tuple([zero_s] * gn, s.size),
         one=encode_tuple(one_coeffs, s.size),
         name=name or f"{s.name or 'S'}[G] with |G|={gn}",
-        radices=(s.size,) * gn,
-        base=s,
-        monoid=g,
     )
 
 
-def dual_numbers_mod2() -> EncodedStructure:
+def dual_numbers_mod2() -> CayleyStructure:
     """The eight-element ring spanned by 1, x, y with xx = xy = yy = 0 over
     the two-element field. Element (a, b, c) = a + bx + cy sits at index
     4a + 2b + c."""
@@ -381,10 +379,10 @@ def dual_numbers_mod2() -> EncodedStructure:
             d, e, f = unpack(j)
             row.append(pack(a & d, (a & e) ^ (b & d), (a & f) ^ (c & d)))
         mul.append(row)
-    return EncodedStructure(size=size, add=add, mul=mul, zero=0, one=4, name="f2xy", radices=(2, 2, 2))
+    return CayleyStructure(size=size, add=add, mul=mul, zero=0, one=4, name="f2xy")
 
 
-def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> FiniteSemimodule:
+def componentwise_module(s: CayleyStructure, copies: int) -> FiniteSemimodule:
     """The semiring acting coordinatewise on tuples of itself."""
     rep = check_laws(s)
     size = s.size**copies
@@ -416,7 +414,7 @@ def componentwise_module(s: CayleyStructure, copies: int, name: str = "") -> Fin
         madd=madd,
         mzero=pack((rep.zero,) * copies),
         action=action,
-        name=name or f"{s.name}^{copies}",
+        name=f"{s.name}^{copies}",
     )
 
 

@@ -32,6 +32,7 @@ from semiringlab.ideals import (
 )
 from semiringlab.spectrum import compactly_packed_battery
 from semiringlab.suites import (
+    FAIL,
     mccoy_suite,
     ringoid_avoidance,
     semiring_avoidance_exhaustive,
@@ -108,7 +109,7 @@ def test_criterion_04_ringoid_avoidance():
     pairs = 0
     for entry in corpus():
         for result in ringoid_avoidance(entry, seed=0):
-            if result.failed:
+            if result.status == FAIL:
                 failures.append(result)
             else:
                 pairs += int(result.detail.split()[0]) if result.detail else 0
@@ -120,7 +121,7 @@ def test_criterion_05_semiring_avoidance_exhaustive():
     total = 0
     for entry in corpus():
         for result in semiring_avoidance_exhaustive(entry):
-            if result.failed:
+            if result.status == FAIL:
                 failures.append(result)
             elif result.detail:
                 total += int(result.detail.split()[0])
@@ -137,7 +138,7 @@ def test_criterion_06_mccoy_exponents():
     found = 0
     for entry in corpus():
         for result in mccoy_suite(entry):
-            if result.failed:
+            if result.status == FAIL:
                 failures.append(result)
             elif result.detail:
                 found += int(result.detail.split()[0])

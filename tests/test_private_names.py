@@ -7,11 +7,15 @@ traced by the benchmark. Every public top-level function is read by a
 module of the package other than the root and outside its own body, so
 that some command reaches it. Every annotated field of a package dataclass is
 read as an attribute, or named to ``getattr``, in the package, the tests or
-the benchmark, so a field that is only ever set cannot linger. Like
-``test_unused_imports``, the checks walk syntax trees."""
+the benchmark, so a field that is only ever set cannot linger. Every method
+or property of a package class, other than a dunder, is read as an
+attribute by a module of the package outside its own body; reads from
+tests do not count. Like ``test_unused_imports``, the checks walk syntax
+trees."""
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import semiringlab
@@ -135,6 +139,32 @@ def unread_fields(sources: dict[str, str], outside: list[str]) -> list[str]:
     return sorted(f"{module}.{cls}.{name}" for module, tree in trees.items() for cls, name in _fields(tree) if name not in read)
 
 
+def unreached_methods(sources: dict[str, str]) -> list[str]:
+    """``module.Class.method`` for each method or property, other than a
+    dunder, of a class of the sources that no statement of theirs reads as
+    an attribute outside the method's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = Counter(
+        sub.attr
+        for tree in trees.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+    out = []
+    for module, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or method.name.startswith("__"):
+                    continue
+                own = sum(
+                    isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load) and sub.attr == method.name
+                    for sub in ast.walk(method)
+                )
+                if reads[method.name] == own:
+                    out.append(f"{module}.{cls.name}.{method.name}")
+    return sorted(out)
+
+
 def test_the_check_finds_an_unread_helper():
     sources = {
         "a": (
@@ -237,3 +267,32 @@ def test_every_dataclass_field_is_read():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     outside = [p.read_text() for folder in ("tests", "perfbench") for p in sorted((ROOT / folder).glob("*.py"))]
     assert unread_fields(sources, outside) == []
+
+
+def test_the_check_finds_an_unreached_method():
+    sources = {
+        "a": (
+            "class Point:\n"
+            "    def __repr__(self):\n        return ''\n"
+            "    def norm(self):\n        return self.x\n"
+            "    @property\n"
+            "    def size(self):\n        return self.norm()\n"
+            "    @property\n"
+            "    def unread(self):\n        return 0\n"
+            "    def recursive(self, n):\n        return self.recursive(n - 1)\n"
+            "    def tested(self):\n        return 0\n"
+            "    def set_only(self):\n        return 0\n"
+            "    @staticmethod\n"
+            "    def helper():\n        return 0\n"
+            "def area(p):\n"
+            "    p.set_only = None\n"
+            "    return p.size * Point.helper()\n"
+        ),
+    }
+    # the tests read Point.tested; that read does not count
+    assert unreached_methods(sources) == ["a.Point.recursive", "a.Point.set_only", "a.Point.tested", "a.Point.unread"]
+
+
+def test_every_method_is_reached_by_the_package():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreached_methods(sources) == []
