@@ -382,7 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zdiv", parents=[common], help="zero-divisor report for the self action")
     p.add_argument("structure")
-    p.add_argument("--degree-cap", type=int, default=None)
+    p.add_argument(
+        "--degree-cap",
+        type=int,
+        default=None,
+        help="also check the monoid zero-divisor decomposition on polynomials of degree at most this",
+    )
     p.set_defaults(func=cmd_zdiv)
 
     p = sub.add_parser("quotient", parents=[common], help="total quotient semiring report")

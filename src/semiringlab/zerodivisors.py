@@ -320,6 +320,49 @@ def kasch_semilocal_report(q: QuotientSemiring) -> KaschReport:
     )
 
 
+def _annihilated(f, madd, act, mz: int) -> bool:
+    """Whether some nonzero g with len(f) coefficients has f·g = 0.
+
+    Coefficient k of f·g folds the terms f_i·g_(k-i) over i ascending from
+    ``mz``. For k < len(f) it reads only g_0..g_k, so the walk picks g's
+    coefficients in order and leaves a value as soon as its coefficient is
+    not zero; a complete g still checks the coefficients past its last one
+    and that it is not the zero polynomial. The walk keeps one index per
+    coefficient instead of recursing, since a one-element carrier admits
+    slices of 4,096 coefficients.
+    """
+    length = len(f)
+    rows = [act[fi] for fi in f]
+    top = len(madd) - 1
+    g = [-1] * length
+    k = 0
+    while k >= 0:
+        if g[k] == top:
+            g[k] = -1
+            k -= 1
+            continue
+        g[k] += 1
+        c = mz
+        for i in range(k + 1):
+            c = madd[c][rows[i][g[k - i]]]
+        if c != mz:
+            continue
+        if k + 1 < length:
+            k += 1
+            continue
+        if g.count(mz) == length:
+            continue
+        for high in range(length, 2 * length - 1):
+            c = mz
+            for i in range(high - length + 1, length):
+                c = madd[c][rows[i][g[high - i]]]
+            if c != mz:
+                break
+        else:
+            return True
+    return False
+
+
 def monoid_zd_check(
     s: CayleyStructure, m: FiniteSemimodule, degree_cap: int
 ) -> WitnessReport:
@@ -329,8 +372,14 @@ def monoid_zd_check(
     Scalars are tuples of base coefficients indexed by exponents 0..degree_cap.
     The containment direction that rests on an external annihilation theorem
     is downgraded to witness search: an absent annihilator in the slice is
-    inconclusive, never a refutation. Slices of more than ``CARRIER_CAP``
-    scalars or module polynomials raise :class:`CapExceeded` up front.
+    inconclusive, never a refutation. For each scalar f, ``_annihilated``
+    searches the module slice coefficient by coefficient and cuts a branch
+    at its first nonzero coefficient of f·g. The tallies read only whether
+    an annihilator exists, never which one, so the order of the search
+    cannot change them; each coefficient still folds its terms as the full
+    convolution does, so a table that breaks a law gets the same answer.
+    Slices of more than ``CARRIER_CAP`` scalars or module polynomials raise
+    :class:`CapExceeded` up front.
     """
     length = _int_in(degree_cap, "degree cap") + 1
     require_module_over(s, m)
@@ -353,17 +402,7 @@ def monoid_zd_check(
     if union_mask(decomposition) != z_mask:
         raise TheoremViolation("associated primes do not cover the zero divisors")
 
-    madd, act, mz = m.madd, m.action, m.mzero
     killers = _nonzero_annihilator_rows(m)
-
-    def poly_times_module(f, g):
-        out = [mz] * (2 * length - 1)
-        for i, fi in enumerate(f):
-            for j, gj in enumerate(g):
-                k = i + j
-                out[k] = madd[out[k]][act[fi][gj]]
-        return out
-
     tallies = {
         "slice_size": 0,
         "sup_checked": 0,
@@ -372,8 +411,6 @@ def monoid_zd_check(
         "sub_inconclusive": 0,
         "sub_violations": 0,
     }
-    module_slice = list(itertools.product(range(m.msize), repeat=length))
-    zero_poly = tuple([mz] * length)
     for f in itertools.product(range(s.size), repeat=length):
         tallies["slice_size"] += 1
         coefficients = mask_of(f)
@@ -386,14 +423,7 @@ def monoid_zd_check(
                     "no constant annihilator despite Property (A)"
                 )
             tallies["sup_witnessed"] += 1
-        annihilating = None
-        for g in module_slice:
-            if g == zero_poly:
-                continue
-            if all(c == mz for c in poly_times_module(f, g)):
-                annihilating = g
-                break
-        if annihilating is not None:
+        if _annihilated(f, m.madd, m.action, m.mzero):
             if in_decomposition:
                 tallies["sub_witnessed"] += 1
             else:

@@ -14,7 +14,9 @@ per-pair bodies of the covering checks that the covering kernel replaced:
 tested efficiency with; ``_quotient_tables``, which built the total
 quotient's tables from its pair classes until the quotient became e*S; and
 ``endomorphism_tables``, the per-cell comprehensions that
-``endomorphism_ringoid`` built its tables with before its byte gathers; and
+``endomorphism_ringoid`` built its tables with before its byte gathers, and
+``magma_endomorphisms``, the filter over all n^n maps that the search
+assigning one value at a time replaced; and
 the list rows that the three-variable laws took, one prefix at a time, on
 tables wider than 256 columns until one row view served every width:
 ``associative_list_rows``, ``distributive_list_rows`` and
@@ -127,6 +129,18 @@ def closed_sets(n: int, close: Callable[[int], int]) -> tuple[int, ...]:
                 break
         found.append(b)
     return tuple(found)
+
+
+def magma_endomorphisms(table, cap: int = CARRIER_CAP) -> tuple[tuple[int, ...], ...]:
+    """All maps f with f(x+y) = f(x)+f(y), in lexicographic order."""
+    n = len(table)
+    endos = []
+    for f in itertools.product(range(n), repeat=n):
+        if all(f[table[x][y]] == table[f[x]][f[y]] for x in range(n) for y in range(n)):
+            endos.append(f)
+            if len(endos) > cap:
+                raise CapExceeded(f"more than {cap} endomorphisms")
+    return tuple(endos)
 
 
 def endomorphism_tables(base, endos) -> tuple[list, list]:

@@ -6,6 +6,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from semiringlab.constructions import (
     StructureConstants,
@@ -68,14 +69,49 @@ def test_endomorphisms_of_singleton():
 def test_endomorphism_tables_match_the_per_cell_comprehensions():
     """The byte gathers build the same sum and composition tables as one
     tuple per cell, over the whole medial-magma corpus (its 4-element
-    tables have up to 256 endomorphisms)."""
+    tables have up to 256 endomorphisms), and the search lists the same
+    maps in the same order as the filter over all n^n maps."""
     corpus_tables = medial_magma_corpus()
     assert len(corpus_tables) == 385
     for table in corpus_tables:
         er, endos = endomorphism_ringoid(table), magma_endomorphisms(table)
+        assert endos == helpers.magma_endomorphisms(table)
         add, mul = helpers.endomorphism_tables(table, endos)
         assert er.add == tuple(map(tuple, add)) and er.mul == tuple(map(tuple, mul))
         assert er.one == endos.index(tuple(range(len(table))))
+
+
+def _endomorphisms_or_cap(table, cap):
+    try:
+        return magma_endomorphisms(table, cap), helpers.magma_endomorphisms(table, cap)
+    except CapExceeded as fast:
+        with pytest.raises(CapExceeded, match=str(fast)):
+            helpers.magma_endomorphisms(table, cap)
+        return None, None
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    ),
+    st.integers(0, 30),
+)
+def test_endomorphisms_match_the_filter_over_every_map_on_any_magma(table, cap):
+    """Drawn magmas are rarely medial; a small cap must fire at the same map."""
+    fast, slow = _endomorphisms_or_cap(table, cap)
+    assert fast == slow
+
+
+def test_endomorphism_cap_fires_at_the_same_map():
+    """The join endomorphisms of the 5-element max chain are its C(9, 5) =
+    126 monotone maps: cap 126 lists them all, and cap 125 raises in both
+    searches."""
+    join = [[max(x, y) for y in range(5)] for x in range(5)]
+    fast, slow = _endomorphisms_or_cap(join, 126)
+    assert fast == slow and len(fast) == 126
+    assert _endomorphisms_or_cap(join, 125) == (None, None)
+    with pytest.raises(CapExceeded, match="more than 125 endomorphisms"):
+        magma_endomorphisms(join, 125)
 
 
 def test_non_medial_magma_rejected():

@@ -20,7 +20,9 @@ and the filter of every n^(n*n) table, which the pruned search for medial
 magmas replaced; the skip-one loop of
 the efficiency test, and the radical and
 elementwise semiprime scans behind the union corollaries, which the stored
-classification flags replaced. Both layouts of the lattice pass, once per
+classification flags replaced; and the loop over every module polynomial
+behind the monoid zero-divisor slices, which the coefficient search
+replaced. Both layouts of the lattice pass, once per
 ideal and once per element tuple over all ideals, must give the oracle's
 classifications. The classification oracle reads only these loops, never
 the kernels it checks. Every field and witness must agree,
@@ -33,7 +35,7 @@ import random
 from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from semiringlab.corpus import (
     austere_z6,
@@ -50,7 +52,9 @@ from semiringlab import ideals
 from semiringlab.analysis import analysis
 from semiringlab.constructions import direct_product, endomorphism_ringoid, medial_witness
 from semiringlab.covering import (
+    FAILS,
     HOLDS,
+    UNMET,
     WitnessReport,
     _prime_pair_product,
     _scan_avoiding,
@@ -75,15 +79,18 @@ from semiringlab.ideals import (
     maximal_masks,
     mult_closure,
     principal_masks,
+    require_module_over,
     residual_rows,
     t_semiprime_element,
     union_mask,
 )
-from semiringlab.spectrum import spec_of
+from semiringlab.limits import CARRIER_CAP
+from semiringlab.spectrum import compactly_packed_battery, spec_of
 from semiringlab.suites import medial_magma_corpus
 from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
+    _int_in,
     check_laws,
     freeze_table,
     least_witness,
@@ -93,6 +100,10 @@ from semiringlab.tables import (
 )
 from semiringlab.zerodivisors import (
     QuotientSemiring,
+    _annihilated,
+    _nonzero_annihilator_rows,
+    ass_primes,
+    monoid_zd_check,
     property_a_check,
     total_quotient,
     zero_divisor_mask,
@@ -1286,3 +1297,142 @@ def test_medial_magma_corpus_matches_the_exhaustive_filter():
     assert fast == reference_medial_magma_corpus()
     assert [len(t) for t in fast].count(4) == 5
     assert len(fast) == 385
+
+
+# --- monoid zero-divisor slices -------------------------------------------------------
+
+
+def reference_annihilated(f, madd, act, mz) -> bool:
+    """The loop the coefficient search replaced: every nonzero module
+    polynomial g in turn, each by a full convolution of f and g."""
+    length = len(f)
+
+    def poly_times_module(f, g):
+        out = [mz] * (2 * length - 1)
+        for i, fi in enumerate(f):
+            for j, gj in enumerate(g):
+                k = i + j
+                out[k] = madd[out[k]][act[fi][gj]]
+        return out
+
+    module_slice = list(itertools.product(range(len(madd)), repeat=length))
+    zero_poly = tuple([mz] * length)
+    annihilating = None
+    for g in module_slice:
+        if g == zero_poly:
+            continue
+        if all(c == mz for c in poly_times_module(f, g)):
+            annihilating = g
+            break
+    return annihilating is not None
+
+
+def reference_monoid_zd(s: CayleyStructure, m: FiniteSemimodule, degree_cap: int) -> WitnessReport:
+    """``monoid_zd_check`` as it was before the coefficient search, its loop
+    over the module slice moved into ``reference_annihilated``."""
+    length = _int_in(degree_cap, "degree cap") + 1
+    require_module_over(s, m)
+    # testing the length first keeps the power small and bounds 1-element carriers
+    if length > CARRIER_CAP or max(s.size, m.msize) ** length > CARRIER_CAP:
+        raise CapExceeded(f"degree cap {degree_cap} gives a slice of more than {CARRIER_CAP} polynomials")
+    rep = check_laws(s)
+    if not rep.is_commutative_semiring:
+        return WitnessReport(verdict=UNMET, violated_hypothesis="commutative-semiring")
+    battery = compactly_packed_battery(s)
+    if not battery.compactly_packed:
+        return WitnessReport(verdict=UNMET, violated_hypothesis="compactly-packed")
+    prop_a, bad = property_a_check(s, m)
+    if not prop_a:
+        return WitnessReport(
+            verdict=UNMET, violated_hypothesis="property-a", details={"ideal": bad.members()}
+        )
+    z_mask = zero_divisor_mask(m)
+    decomposition = maximal_masks(ann.mask for _, ann in ass_primes(m))
+    if union_mask(decomposition) != z_mask:
+        raise TheoremViolation("associated primes do not cover the zero divisors")
+
+    killers = _nonzero_annihilator_rows(m)
+    tallies = {
+        "slice_size": 0,
+        "sup_checked": 0,
+        "sup_witnessed": 0,
+        "sub_witnessed": 0,
+        "sub_inconclusive": 0,
+        "sub_violations": 0,
+    }
+    for f in itertools.product(range(s.size), repeat=length):
+        tallies["slice_size"] += 1
+        coefficients = mask_of(f)
+        in_decomposition = any(coefficients & ~pm == 0 for pm in decomposition)
+        if in_decomposition:
+            tallies["sup_checked"] += 1
+            if not any(coefficients & ~row == 0 for row in killers):
+                raise TheoremViolation(
+                    "polynomial with coefficients in a decomposition prime has "
+                    "no constant annihilator despite Property (A)"
+                )
+            tallies["sup_witnessed"] += 1
+        if reference_annihilated(f, m.madd, m.action, m.mzero):
+            if in_decomposition:
+                tallies["sub_witnessed"] += 1
+            else:
+                tallies["sub_violations"] += 1
+        elif not in_decomposition:
+            tallies["sub_inconclusive"] += 1
+    verdict = HOLDS if tallies["sub_violations"] == 0 else FAILS
+    return WitnessReport(verdict=verdict, details=tallies)
+
+
+@pytest.mark.parametrize("degree_cap", [0, 1, 2])
+def test_monoid_slices_match_the_loop_on_the_corpus(all_entries, degree_cap):
+    """The whole report of every semimodule each corpus entry carries."""
+    seen = 0
+    for e in all_entries:
+        for m in corpus_semimodules(e).values():
+            fast = monoid_zd_check(e.structure, m, degree_cap)
+            assert fast == reference_monoid_zd(e.structure, m, degree_cap), (e.name, m.name)
+            seen += fast.verdict == HOLDS
+    assert seen == 9
+
+
+@pytest.mark.parametrize(
+    "name, degree_cap", [("boolean", 6), ("chain-3", 3), ("chain-3", 4), ("bool2", 3)]
+)
+def test_monoid_slices_match_the_loop_on_deeper_slices(name, degree_cap):
+    """Up to the caps where the loop still takes well under a second."""
+    s = corpus_entry(name).structure
+    m = self_action(s)
+    fast = monoid_zd_check(s, m, degree_cap)
+    assert fast.holds and fast == reference_monoid_zd(s, m, degree_cap)
+
+
+@st.composite
+def slice_tables(draw):
+    """A scalar polynomial of 1-4 coefficients acting on a module through
+    arbitrary tables on 1-3 elements, which mostly break every law, or
+    through the self action of a small commutative semiring."""
+    f_length = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(SMALL_SEMIRINGS))
+        if s.size ** f_length > 256:
+            f_length = 2
+        m = self_action(s)
+        madd, act, mz, scalars = m.madd, m.action, m.mzero, s.size
+    else:
+        n, scalars = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cells = st.integers(0, n - 1)
+        madd = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+        act = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=scalars, max_size=scalars))
+        mz = draw(cells)
+    f = tuple(draw(st.lists(st.integers(0, scalars - 1), min_size=f_length, max_size=f_length)))
+    return f, madd, act, mz
+
+
+@given(slice_tables())
+@example(((2, 1), ((2, 2, 0), (2, 0, 1), (0, 0, 0)), ((0, 0, 1), (2, 0, 2), (2, 0, 0)), 0))
+@example(((0, 0, 0), ((1, 1, 0), (1, 0, 0), (2, 0, 2)), ((2, 0, 1),), 1))
+def test_annihilator_search_matches_the_loop_on_any_tables(drawn):
+    """The two examples answer otherwise when a coefficient folds its terms
+    in another order: the first in a coefficient below len(f), the second
+    in one above."""
+    assert _annihilated(*drawn) == reference_annihilated(*drawn)

@@ -23,7 +23,7 @@ from semiringlab.covering import UNMET
 from semiringlab.errors import StructureError, TheoremViolation
 from semiringlab.fileio import structure_to_json
 from semiringlab.ideals import annihilator, enumerate_ideals, generate_ideal
-from semiringlab.tables import CayleyStructure, check_laws, self_action
+from semiringlab.tables import CayleyStructure, FiniteSemimodule, check_laws, self_action
 from semiringlab.zerodivisors import (
     annihilator_extension_check,
     ass_primes,
@@ -395,6 +395,35 @@ def test_slice_zero_polynomial():
     report = monoid_zd_check(t, m, 1)
     assert report.holds
     assert report.details["sup_checked"] == 4
+
+
+def test_slice_boolean_degree_nine_closed_form():
+    """Over the boolean semifield a nonzero polynomial kills no nonzero
+    polynomial, so of the 1,024 in the slice only the zero polynomial lies
+    in the decomposition and has an annihilator; 1,023 stay inconclusive."""
+    b = boolean_semifield()
+    report = monoid_zd_check(b, self_action(b), 9)
+    assert report.holds
+    assert report.details == {
+        "slice_size": 1024,
+        "sup_checked": 1,
+        "sup_witnessed": 1,
+        "sub_witnessed": 1,
+        "sub_inconclusive": 1023,
+        "sub_violations": 0,
+    }
+
+
+def test_slice_degree_cap_past_the_recursion_limit():
+    """A one-element carrier admits degree caps up to CARRIER_CAP - 1. It is
+    no semiring (its zero is its one), so the check stops at the laws; the
+    annihilator search on that slice walks its 4,096 coefficients without
+    recursing and finds only the zero polynomial."""
+    one = CayleyStructure(size=1, add=[[0]], mul=[[0]], zero=0, one=0, name="one")
+    m = FiniteSemimodule(one, 1, [[0]], 0, [[0]])
+    report = monoid_zd_check(one, m, 4095)
+    assert report.violated_hypothesis == "commutative-semiring"
+    assert not zerodivisors._annihilated((0,) * 4096, m.madd, m.action, m.mzero)
 
 
 @pytest.mark.parametrize("cap", [1.0, True, -1])
