@@ -1,4 +1,4 @@
-"""The closure kernel and the closed-set enumerator.
+"""The closure kernel, the closed-set enumerator and the ordered search.
 
 :func:`close` gives the least superset of a mask closed under a binary
 table. Law scans use it to pick generating sets (:mod:`semiringlab.tables`);
@@ -7,11 +7,15 @@ ideals and multiplicative closures use it through :mod:`semiringlab.ideals`.
 :func:`close_by_one` enumerates a closure system from its joins with the
 closures of single elements: :mod:`semiringlab.ideals` enumerates ideal
 lattices with it.
+
+:func:`ordered_search` lists the assignments that pass a per-position
+check: the medial tables of :mod:`semiringlab.suites` and the magma
+endomorphisms of :mod:`semiringlab.constructions` come from it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .limits import IDEAL_ENUM_CAP
@@ -81,3 +85,30 @@ def close_by_one(bottom: int, principal: Sequence[int], join: Callable[[int, int
             if b & low == a & low:
                 stack.append((b, j + 1))
     return found
+
+
+def ordered_search(length: int, values: int, fits: Callable[[list[int], int], bool]) -> Iterator[tuple[int, ...]]:
+    """Every a in range(values)^length, length >= 1, in lexicographic order,
+    for which ``fits(a, k)`` holds at every position k, where ``fits``
+    reads only a[0..k] (backtracking, Knuth, TAOCP 4B §7.2.2, Algorithm B).
+
+    The search sets a[0], a[1], ... in turn, each to its values in
+    increasing order, asks ``fits`` once a[k] is set, and leaves the value
+    at once when it fails. So a constraint belongs to the step of its
+    latest position, and the search yields what a filter over all
+    values^length assignments yields, in the same order. It keeps one
+    index per position instead of recursing, so no length meets the
+    recursion limit.
+    """
+    a = [-1] * length
+    k = 0
+    while k >= 0:
+        a[k] += 1
+        if a[k] == values:
+            a[k] = -1
+            k -= 1
+        elif fits(a, k):
+            if k == length - 1:
+                yield tuple(a)
+            else:
+                k += 1

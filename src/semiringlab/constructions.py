@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional, Sequence
 
+from .closure import ordered_search
 from .errors import CapExceeded, StructureError
 from .limits import CARRIER_CAP
 from .tables import (
@@ -38,33 +39,25 @@ from .tables import (
 def magma_endomorphisms(table: Table, cap: int = CARRIER_CAP) -> tuple[tuple[int, ...], ...]:
     """All maps f with f(x+y) = f(x)+f(y), in lexicographic order.
 
-    A search assigns f(0), f(1), ... in turn, each in increasing value
-    order, so complete maps come out in lexicographic order. Once f(k) is
-    set it checks exactly the pairs (x, y) with max(x, y, x+y) = k, the
-    ones whose equation f(0..k) has just fixed, and leaves a value at its
-    first failing pair. Every map it skips fails a pair, so it lists the
-    same maps as a filter over all n^n, and raises ``CapExceeded`` at the
-    same (cap+1)-th map.
+    The ordered search sets f(0), f(1), ... and at step k checks exactly
+    the pairs (x, y) with max(x, y, x+y) = k, the ones whose equation
+    f(0..k) has just fixed. So it lists the same maps as a filter over all
+    n^n, and raises ``CapExceeded`` at the same (cap+1)-th map.
     """
     n = len(table)
     pairs = [[] for _ in range(n)]
     for x, y in itertools.product(range(n), repeat=2):
         pairs[max(x, y, table[x][y])].append((x, y, table[x][y]))
+
+    def fits(f, k):
+        for x, y, xy in pairs[k]:
+            if f[xy] != table[f[x]][f[y]]:
+                return False
+        return True
+
     endos = []
-    f = [-1] * n
-    k = 0
-    while k >= 0:
-        if f[k] == n - 1:
-            f[k] = -1
-            k -= 1
-            continue
-        f[k] += 1
-        if any(f[xy] != table[f[x]][f[y]] for x, y, xy in pairs[k]):
-            continue
-        if k + 1 < n:
-            k += 1
-            continue
-        endos.append(tuple(f))
+    for f in ordered_search(n, n, fits):
+        endos.append(f)
         if len(endos) > cap:
             raise CapExceeded(f"more than {cap} endomorphisms")
     return tuple(endos)

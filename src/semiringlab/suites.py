@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
+from .closure import ordered_search
 from .constructions import (
     direct_product,
     endomorphism_ringoid,
@@ -488,12 +489,10 @@ def monoid_slice_suite(entry: CorpusEntry, degree_cap: int) -> Iterator[CheckRes
 
 def _medial_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every medial table on n elements, in the lexicographic order of its
-    cells read row by row. A depth-first search assigns the cells in that
-    order, tries each value in increasing order and cuts a branch as soon as
-    an instance (a+b)+(c+d) = (a+c)+(b+d) with all six cells assigned fails.
+    cells read row by row. The ordered search checks an instance
+    (a+b)+(c+d) = (a+c)+(b+d) at the step of the latest of its six cells.
     Only instances with b < c are checked: swapping b and c swaps the sides."""
     size = n * n
-    cells = [0] * size
     quads = [
         (a * n + b, c * n + d, a * n + c, b * n + d)
         for a, b, c, d in itertools.product(range(n), repeat=4)
@@ -502,24 +501,14 @@ def _medial_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     # instances whose four inner cells are assigned once cell k is
     assigned = [[q for q in quads if max(q) <= k] for k in range(size)]
 
-    def holds(k: int) -> bool:
-        """No instance completed by cell k fails; earlier ones held before."""
+    def fits(cells, k):
         for p, q, r, u in assigned[k]:
             left, right = cells[p] * n + cells[q], cells[r] * n + cells[u]
             if max(p, q, r, u, left, right) == k and cells[left] != cells[right]:
                 return False
         return True
 
-    def fill(k: int):
-        if k == size:
-            yield tuple(tuple(cells[i : i + n]) for i in range(0, size, n))
-            return
-        for v in range(n):
-            cells[k] = v
-            if holds(k):
-                yield from fill(k + 1)
-
-    return fill(0)
+    return (tuple(cells[i : i + n] for i in range(0, size, n)) for cells in ordered_search(size, n, fits))
 
 
 def medial_magma_corpus() -> list[tuple]:

@@ -325,11 +325,13 @@ def _annihilated(f, madd, act, mz: int) -> bool:
 
     Coefficient k of f·g folds the terms f_i·g_(k-i) over i ascending from
     ``mz``. For k < len(f) it reads only g_0..g_k, so the walk picks g's
-    coefficients in order and leaves a value as soon as its coefficient is
-    not zero; a complete g still checks the coefficients past its last one
-    and that it is not the zero polynomial. The walk keeps one index per
-    coefficient instead of recursing, since a one-element carrier admits
-    slices of 4,096 coefficients.
+    coefficients in order, as :func:`~semiringlab.closure.ordered_search`
+    does, and leaves a value as soon as its coefficient is not zero; a
+    complete g still checks the coefficients past its last one and that it
+    is not the zero polynomial. It keeps its own walk because the kernel's
+    per-step call made the deep slices 17-25% slower with the fold inside
+    it, and with each coefficient's terms built ahead took memory quadratic
+    in the length (210 MiB against 13 MiB on 2,048 coefficients).
     """
     length = len(f)
     rows = [act[fi] for fi in f]

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -184,7 +185,11 @@ def test_each_structure_owns_its_context():
 def test_contexts_are_freed_with_their_structures():
     """Analysing 3,000 distinct 16-element structures and dropping them
     leaves no memory behind, so a long-lived process that ingests new
-    structures does not grow."""
+    structures does not grow. The measure is the count of live pymalloc
+    blocks: dropping every structure leaves fewer than a hundred more,
+    keeping them leaves about 55 per structure, and keeping one small
+    object per structure leaves 3,000. Memory taken outside pymalloc, by
+    objects over 512 bytes, is not counted."""
     rng = random.Random(0)
     n = 16
 
@@ -192,16 +197,12 @@ def test_contexts_are_freed_with_their_structures():
         return [rng.choices(range(n), k=n) for _ in range(n)]
 
     gc.collect()
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        for k in range(3000):
-            check_laws(CayleyStructure(size=n, add=table(), mul=table(), name=f"dropped-{k}"))
-        gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert after - before <= 1 << 20, after - before
+    before = sys.getallocatedblocks()
+    for k in range(3000):
+        check_laws(CayleyStructure(size=n, add=table(), mul=table(), name=f"dropped-{k}"))
+    gc.collect()
+    grown = sys.getallocatedblocks() - before
+    assert grown < 1000, grown
 
 
 def test_each_per_mask_fact_is_computed_once(monkeypatch):

@@ -2,7 +2,8 @@
 ideals against a direct filter and against NextClosure (a test helper),
 the choice of the ideal join, the maximal proper annihilator ideals
 against brute-force intersections, and the cap on the number of closed
-sets, which both enumerators count alike."""
+sets, which both enumerators count alike. Last, the ordered search against
+a filter over every assignment."""
 
 import itertools
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiringlab import ideals
-from semiringlab.closure import close_by_one
+from semiringlab.closure import close_by_one, ordered_search
 from semiringlab.constructions import endomorphism_ringoid
 from semiringlab.corpus import chain_semiring, corpus_semimodules
 from semiringlab.errors import CapExceeded
@@ -191,3 +192,32 @@ def test_annihilator_ideals_are_all_intersections(all_entries):
             assert host in ass, label
             hosted += 1
     assert hosted >= 10
+
+
+@st.composite
+def prefix_checks(draw):
+    """A length >= 1, a value count >= 1 and a set of refused prefixes. A
+    check that reads only a[0..k] is a set of refused prefixes, so these
+    draw every such check on small searches."""
+    length = draw(st.integers(1, 4))
+    values = draw(st.integers(1, 4))
+    prefix = st.lists(st.integers(0, values - 1), min_size=1, max_size=length).map(tuple)
+    return length, values, draw(st.frozensets(prefix, max_size=12))
+
+
+@given(prefix_checks())
+def test_ordered_search_matches_the_filter_over_every_assignment(drawn):
+    length, values, refused = drawn
+
+    def fits(a, k):
+        return tuple(a[: k + 1]) not in refused
+
+    expected = [
+        a for a in itertools.product(range(values), repeat=length) if all(fits(a, k) for k in range(length))
+    ]
+    assert list(ordered_search(length, values, fits)) == expected
+
+
+def test_ordered_search_walks_past_the_recursion_limit():
+    """One index per position: 5,000 positions, each refusing its value 1."""
+    assert list(ordered_search(5000, 2, lambda a, k: a[k] == 0)) == [(0,) * 5000]
