@@ -39,9 +39,8 @@ from .ideals import (
 )
 from .spectrum import compactly_packed_battery, spec_of
 from .suites import FAIL, PASS, verify_all
-from .tables import CayleyStructure, check_laws, LAW_NAMES, self_action
+from .tables import CLASS_NAMES, LAW_NAMES, CayleyStructure, check_laws, claim_holds, self_action
 from .zerodivisors import (
-    few_zero_divisors,
     kasch_semilocal_report,
     monoid_zd_check,
     total_quotient,
@@ -67,6 +66,16 @@ def _parse_gens(text: str) -> list[int]:
     if not text:
         return []
     return [int(part) for part in text.split(",")]
+
+
+def _target_and_covers(s: CayleyStructure, args) -> tuple[list, list]:
+    """The generator lists of ``--target`` and of each ``--cover``, and the
+    ideals they generate; each list is parsed, then generated, in turn."""
+    gens, ideals = [], []
+    for text in (args.target, *args.cover):
+        gens.append(_parse_gens(text))
+        ideals.append(generate_ideal(s, gens[-1]))
+    return gens, ideals
 
 
 def _emit(doc: dict, as_json: bool) -> None:
@@ -106,13 +115,7 @@ def cmd_laws(args) -> int:
         "witnesses": {k: list(v) for k, v in sorted(rep.witnesses.items())},
         "zero": rep.zero,
         "one": rep.one,
-        "classes": {
-            "ringoid": rep.is_ringoid,
-            "na_hemiring": rep.is_na_hemiring,
-            "na_semiring": rep.is_na_semiring,
-            "semiring": rep.is_semiring,
-            "commutative_semiring": rep.is_commutative_semiring,
-        },
+        "classes": {name: claim_holds(s, name) for name in CLASS_NAMES},
     }
     _emit(doc, args.json)
     return 0
@@ -160,8 +163,7 @@ def cmd_avoid(args) -> int:
         if value is not None and args.mode != mode:
             raise StructureError(f"{flag} applies to {mode} mode only, not to {args.mode} mode")
     s = _resolve(args.structure)
-    target = generate_ideal(s, _parse_gens(args.target))
-    covers = [generate_ideal(s, _parse_gens(c)) for c in args.cover]
+    (target_gens, *cover_gens), (target, *covers) = _target_and_covers(s, args)
     if args.mode == "ringoid":
         report = avoidance_witness(target, covers)
     elif args.mode == "semiring":
@@ -180,8 +182,8 @@ def cmd_avoid(args) -> int:
             "command": "avoid",
             "structure": args.structure,
             "mode": args.mode,
-            "target": _parse_gens(args.target),
-            "covers": [_parse_gens(c) for c in args.cover],
+            "target": target_gens,
+            "covers": cover_gens,
         },
         "verdict": report.verdict,
         "witness": report.witness if not isinstance(report.witness, tuple) else list(report.witness),
@@ -194,15 +196,14 @@ def cmd_avoid(args) -> int:
 
 def cmd_mccoy(args) -> int:
     s = _resolve(args.structure)
-    target = generate_ideal(s, _parse_gens(args.target))
-    covers = [generate_ideal(s, _parse_gens(c)) for c in args.cover]
+    (target_gens, *cover_gens), (target, *covers) = _target_and_covers(s, args)
     report = mccoy_exponent(target, covers)
     doc = {
         "job": {
             "command": "mccoy",
             "structure": args.structure,
-            "target": _parse_gens(args.target),
-            "covers": [_parse_gens(c) for c in args.cover],
+            "target": target_gens,
+            "covers": cover_gens,
         },
         "efficient": is_efficient(target, covers),
         "verdict": report.verdict,
@@ -246,7 +247,6 @@ def cmd_quotient(args) -> int:
     s = _resolve(args.structure)
     q = total_quotient(s)
     report = kasch_semilocal_report(q)
-    few, decomposition = few_zero_divisors(s)
     doc = {
         "job": {"command": "quotient", "structure": args.structure},
         "size": q.structure.size,
@@ -255,8 +255,8 @@ def cmd_quotient(args) -> int:
         "kasch": report.kasch,
         "semilocal": report.semilocal,
         "very_few": report.very_few,
-        "few_zero_divisors": few,
-        "decomposition": [list(p.members()) for p in decomposition],
+        "few_zero_divisors": report.few_zero_divisors,
+        "decomposition": [list(p.members()) for p in report.decomposition],
     }
     _emit(doc, args.json)
     return 0

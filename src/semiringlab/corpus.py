@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .constructions import (
     StructureConstants,
@@ -30,7 +29,7 @@ from .constructions import (
     _encoded,
 )
 from .errors import StructureError
-from .tables import LAW_NAMES, CayleyStructure, FiniteSemimodule, check_laws, is_semifield, self_action
+from .tables import CayleyStructure, FiniteSemimodule, check_laws, failing_claims, self_action
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -287,36 +286,6 @@ def corpus() -> tuple[CorpusEntry, ...]:
         if failing:
             raise StructureError(f"corpus entry {entry.name} fails its own claims: {failing}")
     return entries
-
-
-def claim_holds(s: CayleyStructure, claim: str) -> bool:
-    """Whether a law, or a class named by its laws, holds; an unknown claim is refused."""
-    rep = check_laws(s)
-    if claim == "ringoid":
-        return rep.is_ringoid
-    if claim == "with_zero":
-        return rep.is_with_zero
-    if claim == "na_hemiring":
-        return rep.is_na_hemiring
-    if claim == "na_semiring":
-        return rep.is_na_semiring
-    if claim == "semiring":
-        return rep.is_semiring
-    if claim == "commutative_semiring":
-        return rep.is_commutative_semiring
-    if claim == "semifield":
-        return is_semifield(s)
-    if claim not in LAW_NAMES:
-        raise StructureError(f"unknown claim {claim!r}")
-    return rep.flag(claim)
-
-
-def failing_claims(s: CayleyStructure, claims: Sequence[str]) -> list[tuple[str, tuple]]:
-    """Each claim that does not hold on ``s``, in order, with its law's
-    witness (the empty tuple for a claim that is no single law); an unknown
-    claim is refused."""
-    rep = check_laws(s)
-    return [(claim, rep.witnesses.get(claim, ())) for claim in claims if not claim_holds(s, claim)]
 
 
 def corpus_entry(name: str) -> CorpusEntry:

@@ -105,15 +105,11 @@ def _first_inside(mask: int, masks: Sequence[int]) -> Optional[int]:
     return next((k for k, m in enumerate(masks) if mask & ~m == 0), None)
 
 
-def _unions_but_one(masks: Sequence[int]) -> list[int]:
-    """Per k, the union of every mask but the k-th."""
-    return [union_mask(masks[:k] + masks[k + 1:]) for k in range(len(masks))]
-
-
 def _redundant(target: IdealSet, covers: Sequence[IdealSet]) -> Optional[int]:
     """The index of the first cover whose removal still leaves the target
     covered, or None when the covering is efficient."""
-    return _first_inside(target.mask, _unions_but_one([c.mask for c in covers]))
+    masks = [c.mask for c in covers]
+    return _first_inside(target.mask, [union_mask(masks[:k] + masks[k + 1:]) for k in range(len(masks))])
 
 
 def is_efficient(target: IdealSet, covers: Sequence[IdealSet]) -> bool:
@@ -234,11 +230,6 @@ def _avoid_constructive(s: CayleyStructure, ideal: IdealSet, primes: list[IdealS
     n = len(primes)
     if n == 0:
         return (ideal.mask & -ideal.mask).bit_length() - 1
-    if n == 1:
-        a = _scan_avoiding(ideal.mask, primes[0].mask)
-        if a is None:
-            raise TheoremViolation("single-prime case has no witness despite hypotheses")
-        return a
     if n == 2:
         x = _scan_avoiding(ideal.mask, primes[0].mask)
         y = _scan_avoiding(ideal.mask, primes[1].mask)
@@ -257,7 +248,12 @@ def _avoid_constructive(s: CayleyStructure, ideal: IdealSet, primes: list[IdealS
     for i, a_i in enumerate(candidates):
         if a_i not in primes[i]:
             return a_i
-    bs = behrens_elements(ideal, primes, pattern=candidates)
+    # the candidates avoid every other prime by construction, so a pattern
+    # that behrens_elements refuses means the construction broke
+    try:
+        bs = behrens_elements(ideal, primes, pattern=candidates)
+    except HypothesesUnmet as exc:
+        raise TheoremViolation(f"the constructed pattern broke: {exc}") from None
     return evaluate_tree(s, left_comb(bs))
 
 
@@ -432,10 +428,10 @@ def _mccoy_outcomes(
     of a covering by at least three covers, where the covering is
     efficient; else the efficiency report. ``chain`` holds the powers of
     the target built so far, for reuse across its families."""
+    if _redundant(target, family) is not None:
+        return _unmet("efficiency")
     masks = [c.mask for c in family]
     mask = target.mask
-    if _first_inside(mask, _unions_but_one(masks)) is not None:
-        return _unmet("efficiency")
     total = functools.reduce(int.__and__, masks)
     # inside the target, any n-1 of the covers already meet in all n
     for k in range(len(masks)):

@@ -12,11 +12,11 @@ import json
 from pathlib import Path
 from typing import Union
 
-from .corpus import failing_claims
 from .errors import StructureError
 from .tables import (
     CayleyStructure,
     FiniteSemimodule,
+    failing_claims,
     require_semimodule,
     verify_designations,
 )

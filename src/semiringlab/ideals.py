@@ -139,10 +139,6 @@ class IdealSet:
     def is_proper(self) -> bool:
         return self.mask != (1 << self.structure.size) - 1
 
-    @property
-    def count(self) -> int:
-        return self.mask.bit_count()
-
     def __repr__(self):
         return f"<IdealSet {self.side} {list(self.members())} of {self.structure.name or 'R'}>"
 
@@ -151,9 +147,6 @@ class IdealSet:
 class MultiplicativeSet:
     structure: CayleyStructure
     mask: int
-
-    def members(self) -> tuple[int, ...]:
-        return mask_members(self.mask)
 
     def __contains__(self, idx: int) -> bool:
         return bool(self.mask >> idx & 1)

@@ -27,7 +27,6 @@ from .corpus import (
     corpus_semimodules,
     cross_constants,
     diamond_lattice,
-    failing_claims,
 )
 from .covering import (
     UNMET,
@@ -68,14 +67,12 @@ from .ideals import (
 )
 from .limits import BRUTE_FORCE_CAP
 from .spectrum import compactly_packed_battery, spec_of, zariski_axioms
-from .tables import LAW_NAMES, CayleyStructure, check_laws, self_action
+from .tables import LAW_NAMES, CayleyStructure, check_laws, failing_claims, self_action
 from .zerodivisors import (
     annihilator_extension_check,
     ass_primes,
-    few_zero_divisors,
     kasch_semilocal_report,
     monoid_zd_check,
-    property_a_check,
     total_quotient,
     zero_divisor_mask,
     zero_divisor_report,
@@ -437,8 +434,7 @@ def zdiv_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
             if not any(im & ~ann.mask == 0 for _, ann in ass):
                 ok = False
         yield _result(f"{base}/{mod_name}/ideal-in-ass-prime", ok)
-        prop_a, witness = property_a_check(s, m)
-        yield _result(f"{base}/{mod_name}/property-a", prop_a, str(witness or ""))
+        yield _result(f"{base}/{mod_name}/property-a", report.property_a)
 
 
 def quotient_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
@@ -453,9 +449,8 @@ def quotient_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     yield _result(f"{base}/very-few", report.very_few)
     ok = all(annihilator_extension_check(q, x) for x in range(s.size))
     yield _result(f"{base}/annihilator-extension", ok)
-    few, decomposition = few_zero_divisors(s)
     yield _result(
-        f"{base}/few-zero-divisors", few, str([p.members() for p in decomposition])
+        f"{base}/few-zero-divisors", report.few_zero_divisors, str([p.members() for p in report.decomposition])
     )
 
 

@@ -275,6 +275,8 @@ class LawReport(_Verdicts):
 
 
 LAW_NAMES = _flag_names(LawReport)
+# The classes ``LawReport.is_<name>`` decides, from the fewest laws to the most.
+CLASS_NAMES = ("ringoid", "na_hemiring", "na_semiring", "semiring", "commutative_semiring")
 
 
 def _neutral(table: Table, n: int) -> Optional[int]:
@@ -668,6 +670,27 @@ def is_semifield(s: CayleyStructure) -> bool:
         return False
     z, e = rep.zero, rep.one
     return all(e in row for x, row in enumerate(s.mul) if x != z)
+
+
+def claim_holds(s: CayleyStructure, claim: str) -> bool:
+    """Whether a law, a class, ``with_zero`` or ``semifield`` holds on s; an
+    unknown claim is refused."""
+    if claim == "semifield":
+        return is_semifield(s)
+    rep = check_laws(s)
+    if claim in CLASS_NAMES or claim == "with_zero":
+        return getattr(rep, f"is_{claim}")
+    if claim not in LAW_NAMES:
+        raise StructureError(f"unknown claim {claim!r}")
+    return rep.flag(claim)
+
+
+def failing_claims(s: CayleyStructure, claims: Sequence[str]) -> list[tuple[str, tuple]]:
+    """Each claim that does not hold on ``s``, in order, with its law's
+    witness (the empty tuple for a claim that is no single law); an unknown
+    claim is refused."""
+    rep = check_laws(s)
+    return [(claim, rep.witnesses.get(claim, ())) for claim in claims if not claim_holds(s, claim)]
 
 
 @dataclass(frozen=True)

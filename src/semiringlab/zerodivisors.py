@@ -196,9 +196,11 @@ class QuotientSemiring:
 def total_quotient(s: CayleyStructure) -> QuotientSemiring:
     """The quotient as e*S (see :class:`QuotientSemiring`), with its classes
     numbered by their least pair, a then u ascending, and the tables of s
-    restricted to their elements e*a*(e*u)^-1. The relation is still built
-    by its definition and must be the kernel of x -> e*x; any failure of
-    the lemma or of the quotient's laws raises :class:`TheoremViolation`."""
+    restricted to their elements e*a*(e*u)^-1; when those classes are
+    0..n-1 in order, the quotient's structure is s itself. The relation is
+    still built by its definition and must be the kernel of x -> e*x; any
+    failure of the lemma or of the quotient's laws raises
+    :class:`TheoremViolation`."""
     rep = require_commutative_semiring(s)
     mul, add, n = s.mul, s.add, s.size
     z_mask = zero_divisor_mask(self_action(s))
@@ -243,7 +245,9 @@ def total_quotient(s: CayleyStructure) -> QuotientSemiring:
     canonical = tuple(index[x] for x in times_e)
     reps = list(index)
     size = len(reps)
-    q = CayleyStructure(
+    # classes numbered as the base's elements restrict s's tables to s itself,
+    # so q is s, and reads the facts s has already computed
+    q = s if reps == list(range(n)) else CayleyStructure(
         size=size,
         add=[[index[add[r][t]] for t in reps] for r in reps],
         mul=[[index[mul[r][t]] for t in reps] for r in reps],
@@ -263,7 +267,7 @@ def total_quotient(s: CayleyStructure) -> QuotientSemiring:
             if canonical[mul[a][b]] != q.mul[canonical[a]][canonical[b]]:
                 raise TheoremViolation("canonical map is not multiplicative")
     for u in units:
-        if not any(q.mul[canonical[u]][c] == q.one for c in range(size)):
+        if not any(q.mul[canonical[u]][c] == canonical[one] for c in range(size)):
             raise TheoremViolation("a non-zero-divisor failed to become a unit")
 
     full = (1 << size) - 1
@@ -293,11 +297,14 @@ class KaschReport:
     semilocal: bool
     very_few: bool
     maximal_matches: tuple  # (maximal ideal members, annihilating element or None)
+    few_zero_divisors: bool  # of the base, as :func:`few_zero_divisors` decides it
+    decomposition: tuple[IdealSet, ...]  # the base's maximal subtractive primes inside its zero divisors
 
 
 def kasch_semilocal_report(q: QuotientSemiring) -> KaschReport:
-    """Match every maximal ideal of the quotient against element annihilators
-    and recompute the zero-divisor verdicts inside the quotient."""
+    """Match every maximal ideal of the quotient against element annihilators,
+    decide whether the base has few zero divisors, and recompute the
+    zero-divisor verdicts inside the quotient."""
     qs = q.structure
     module = self_action(qs)
     anns = [a.mask for a in element_annihilators(module)]
@@ -317,6 +324,8 @@ def kasch_semilocal_report(q: QuotientSemiring) -> KaschReport:
         semilocal=semilocal,
         very_few=zrep.very_few,
         maximal_matches=tuple(matches),
+        few_zero_divisors=few,
+        decomposition=decomposition,
     )
 
 

@@ -259,6 +259,46 @@ def test_behrens_three_primes_on_cube():
             assert (value in p) == (i != l)
 
 
+def test_a_broken_avoidance_construction_is_a_violation(monkeypatch, tmp_path, capsys):
+    """The construction builds its own cross-membership pattern, so a pattern
+    that ``behrens_elements`` refuses falsifies the construction, not the
+    input: here every candidate the construction builds is zero, which lies
+    in every other prime, so each family of the cube's three planes breaks. The suite row fails, not skips, and the
+    command line exits 1, not 2."""
+    import json
+
+    from semiringlab.cli import main
+    from semiringlab.constructions import direct_product
+    from semiringlab.corpus import CorpusEntry
+    from semiringlab.fileio import structure_to_json
+    from semiringlab.suites import FAIL, run_entry_suites
+
+    constructive = covering._avoid_constructive
+    outer = []
+
+    def misplaced(s, ideal, primes):
+        """The construction, with zero for every candidate it builds below itself."""
+        if outer:
+            return 0
+        outer.append(primes)
+        try:
+            return constructive(s, ideal, primes)
+        finally:
+            outer.pop()
+
+    b = boolean_semifield()
+    cube = direct_product([b, b, b], name="cube")
+    monkeypatch.setattr(covering, "_avoid_constructive", misplaced)
+    rows = {r.name: r for r in run_entry_suites(CorpusEntry(name="cube", structure=cube, claims=()))}
+    assert rows["cube/ringoid-avoidance"].status == FAIL
+    assert "pattern element 0 lies in another prime" in rows["cube/ringoid-avoidance"].detail
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(structure_to_json(cube)))
+    argv = ["avoid", str(path), "--mode", "ringoid", "--target", "7", "--cover", "3", "--cover", "5", "--cover", "6"]
+    assert main(argv) == 1
+    assert "pattern element 0 lies in another prime" in capsys.readouterr().err
+
+
 # --- semiring avoidance -----------------------------------------------------------
 
 def test_austere_counterexample_golden():

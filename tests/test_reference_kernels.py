@@ -339,6 +339,11 @@ def assert_classifications_match(s, t_choices=None):
             assert fast == slow, (s.name, mask_members(ideal.mask), t_mask)
 
 
+def _operations(s):
+    """The tables, zero and one of a structure, without its name."""
+    return s.size, s.add, s.mul, s.zero, s.one
+
+
 def assert_quotients_match(s):
     fast = outcome(total_quotient, s)
     slow = outcome(reference_total_quotient, s)
@@ -347,12 +352,16 @@ def assert_quotients_match(s):
         return
     slow, pair_class = slow
     assert isinstance(fast, QuotientSemiring), (s.name, fast)
-    assert fast.structure == slow.structure, s.name
+    # the quotient may be s itself, under s's name, so the structures are
+    # compared by their tables, zero and one; the laws are proved on the
+    # separately built one
+    assert _operations(fast.structure) == _operations(slow.structure), s.name
+    require_commutative_semiring(slow.structure)
+    assert fast.base == slow.base
     assert fast.units == slow.units
     assert pair_classes(fast) == pair_class
     assert fast.canonical == slow.canonical
-    assert fast.maximal_ideals == slow.maximal_ideals
-    assert fast == slow
+    assert [m.mask for m in fast.maximal_ideals] == [m.mask for m in slow.maximal_ideals]
     # the extension of an ideal is the set of classes of its pairs
     for ideal in enumerate_ideals(s, TWO_SIDED):
         pairs = mask_of(c for (a, _), c in pair_class.items() if a in ideal)

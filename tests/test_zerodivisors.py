@@ -231,7 +231,8 @@ def test_quotient_austere_collapses_to_boolean():
 def test_a_quotient_that_breaks_its_laws_is_a_theorem_violation(monkeypatch, tmp_path, capsys):
     """The quotient's laws are still checked, and their failure falsifies
     the construction, not the input: it names the failing law, and the
-    command line exits 1, not 2. The law check here fails for q alone."""
+    command line exits 1, not 2. The law check here fails for q alone, on
+    saturating-4, whose quotient has 2 elements and so is not its base."""
     checked = tables.check_laws
 
     def failing_for_the_quotient(s):
@@ -242,9 +243,9 @@ def test_a_quotient_that_breaks_its_laws_is_a_theorem_violation(monkeypatch, tmp
 
     monkeypatch.setattr(tables, "check_laws", failing_for_the_quotient)
     with pytest.raises(TheoremViolation, match="mul_associative"):
-        total_quotient(dataclasses.replace(chain_semiring()))
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(structure_to_json(chain_semiring())))
+        total_quotient(dataclasses.replace(saturating(3)))
+    path = tmp_path / "saturating.json"
+    path.write_text(json.dumps(structure_to_json(saturating(3))))
     assert main(["quotient", str(path)]) == 1
     assert "mul_associative" in capsys.readouterr().err
 
