@@ -4,8 +4,9 @@ Structure references are corpus names or paths to structure files. Reports
 are JSON with sorted keys and no timestamps, so identical jobs produce
 byte-identical output; timing is opt-in and goes to stderr.
 
-Exit codes: 0 success, 1 theorem-assertion failure, 2 input error,
-3 cap exceeded.
+Each ``cmd_*`` function returns its report. ``main`` alone prints it, times
+the command for ``--timing`` and picks the exit code: 0 success, 1 a theorem
+violation or a failed check, 2 input error, 3 cap exceeded.
 """
 
 from __future__ import annotations
@@ -51,13 +52,10 @@ REPORT_VERSION = 1
 
 
 def _resolve(ref: str) -> CayleyStructure:
-    for name in corpus_names():
-        if name == ref:
-            return corpus_entry(ref).structure
+    if ref in corpus_names():
+        return corpus_entry(ref).structure
     loaded = ingest(ref)
-    if isinstance(loaded, CayleyStructure):
-        return loaded
-    return loaded.semiring
+    return loaded if isinstance(loaded, CayleyStructure) else loaded.semiring
 
 
 def _parse_gens(text: str) -> list[int]:
@@ -106,22 +104,29 @@ def _render(doc, prefix="") -> list[str]:
     return lines
 
 
-def cmd_laws(args) -> int:
+def _job(args, **fields) -> dict:
+    """A report's ``job`` block: the command, its structure when it takes
+    one, and the command's own ``fields``."""
+    job = {"command": args.command, **fields}
+    if "structure" in args:
+        job["structure"] = args.structure
+    return job
+
+
+def cmd_laws(args) -> dict:
     s = _resolve(args.structure)
     rep = check_laws(s)
-    doc = {
-        "job": {"command": "laws", "structure": args.structure},
+    return {
+        "job": _job(args),
         "flags": {law: rep.flag(law) for law in LAW_NAMES},
         "witnesses": {k: list(v) for k, v in sorted(rep.witnesses.items())},
         "zero": rep.zero,
         "one": rep.one,
         "classes": {name: claim_holds(s, name) for name in CLASS_NAMES},
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def cmd_ideals(args) -> int:
+def cmd_ideals(args) -> dict:
     s = _resolve(args.structure)
     rows = []
     for ideal in enumerate_ideals(s, args.side):
@@ -130,22 +135,19 @@ def cmd_ideals(args) -> int:
             cls = classify_ideal(ideal)
             row.update({flag: getattr(cls, flag) for flag in _FLAGS})
         rows.append(row)
-    _emit({"job": {"command": "ideals", "structure": args.structure, "side": args.side}, "ideals": rows}, args.json)
-    return 0
+    return {"job": _job(args, side=args.side), "ideals": rows}
 
 
-def cmd_spec(args) -> int:
+def cmd_spec(args) -> dict:
     s = _resolve(args.structure)
-    primes = [list(p.members()) for p in spec_of(s)]
-    _emit({"job": {"command": "spec", "structure": args.structure}, "primes": primes}, args.json)
-    return 0
+    return {"job": _job(args), "primes": [list(p.members()) for p in spec_of(s)]}
 
 
-def cmd_packed(args) -> int:
+def cmd_packed(args) -> dict:
     s = _resolve(args.structure)
     battery = compactly_packed_battery(s)
-    doc = {
-        "job": {"command": "packed", "structure": args.structure},
+    return {
+        "job": _job(args),
         "primes": [list(p.members()) for p in battery.primes],
         "weak_gaussian": battery.weak_gaussian,
         "compactly_packed": battery.compactly_packed,
@@ -154,11 +156,9 @@ def cmd_packed(args) -> int:
             str(list(k)): v for k, v in sorted(battery.radical_principal_map.items())
         },
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def cmd_avoid(args) -> int:
+def cmd_avoid(args) -> dict:
     for flag, value, mode in (("--t-set", args.t_set, "t-semiprime"), ("--element", args.element, "davis")):
         if value is not None and args.mode != mode:
             raise StructureError(f"{flag} applies to {mode} mode only, not to {args.mode} mode")
@@ -177,51 +177,36 @@ def cmd_avoid(args) -> int:
         if args.element is None:
             raise StructureError("davis mode needs --element")
         report = davis_witness(args.element, target, covers)
-    doc = {
-        "job": {
-            "command": "avoid",
-            "structure": args.structure,
-            "mode": args.mode,
-            "target": target_gens,
-            "covers": cover_gens,
-        },
+    return {
+        "job": _job(args, mode=args.mode, target=target_gens, covers=cover_gens),
         "verdict": report.verdict,
         "witness": report.witness if not isinstance(report.witness, tuple) else list(report.witness),
         "violated_hypothesis": report.violated_hypothesis,
         "details": _plain(report.details),
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def cmd_mccoy(args) -> int:
+def cmd_mccoy(args) -> dict:
     s = _resolve(args.structure)
     (target_gens, *cover_gens), (target, *covers) = _target_and_covers(s, args)
     report = mccoy_exponent(target, covers)
-    doc = {
-        "job": {
-            "command": "mccoy",
-            "structure": args.structure,
-            "target": target_gens,
-            "covers": cover_gens,
-        },
+    return {
+        "job": _job(args, target=target_gens, covers=cover_gens),
         "efficient": is_efficient(target, covers),
         "verdict": report.verdict,
         "exponent": report.exponent,
         "violated_hypothesis": report.violated_hypothesis,
         "details": _plain(report.details),
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def cmd_zdiv(args) -> int:
+def cmd_zdiv(args) -> dict:
     s = _resolve(args.structure)
     m = self_action(s)
     slice_report = None if args.degree_cap is None else monoid_zd_check(s, m, args.degree_cap)
     report = zero_divisor_report(s, m)
     doc = {
-        "job": {"command": "zdiv", "structure": args.structure, "degree_cap": args.degree_cap},
+        "job": _job(args, degree_cap=args.degree_cap),
         "zero_divisors": list(report.zset),
         "radical_decomposition": [
             {"element": x, "radical": list(r)} for x, r in report.radical_decomposition
@@ -239,16 +224,15 @@ def cmd_zdiv(args) -> int:
             "violated_hypothesis": slice_report.violated_hypothesis,
             "tallies": _plain(slice_report.details),
         }
-    _emit(doc, args.json)
-    return 0
+    return doc
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args) -> dict:
     s = _resolve(args.structure)
     q = total_quotient(s)
     report = kasch_semilocal_report(q)
-    doc = {
-        "job": {"command": "quotient", "structure": args.structure},
+    return {
+        "job": _job(args),
         "size": q.structure.size,
         "canonical_map": list(q.canonical),
         "maximal_ideals": [list(m.members()) for m in q.maximal_ideals],
@@ -258,11 +242,9 @@ def cmd_quotient(args) -> int:
         "few_zero_divisors": report.few_zero_divisors,
         "decomposition": [list(p.members()) for p in report.decomposition],
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args) -> dict:
     scope = None if args.scope is None else [n for n in args.scope.split(",") if n]
     if scope is not None:
         if not scope:
@@ -271,59 +253,40 @@ def cmd_verify_all(args) -> int:
         unknown = [name for name in scope if name not in known]
         if unknown:
             raise StructureError(f"unknown corpus entries {unknown}")
-    started = time.perf_counter()
-    results = verify_all(scope=scope, seed=args.seed)
-    elapsed = time.perf_counter() - started
+    results = sorted(verify_all(scope=scope, seed=args.seed), key=lambda r: r.name)
     tallies = {"checks": len(results), "passed": 0, "failed": 0, "skipped": 0}
-    rows = []
-    for r in sorted(results, key=lambda r: r.name):
+    for r in results:
         tallies["passed" if r.status == PASS else "failed" if r.status == FAIL else "skipped"] += 1
-        rows.append({"check": r.name, "status": r.status, "detail": r.detail})
-    doc = {
-        "job": {"command": "verify-all", "scope": sorted(scope) if scope else None, "seed": args.seed},
+    return {
+        "job": _job(args, scope=sorted(scope) if scope else None, seed=args.seed),
         "tallies": tallies,
-        "results": rows,
+        "results": [{"check": r.name, "status": r.status, "detail": r.detail} for r in results],
     }
-    _emit(doc, args.json)
-    if args.timing:
-        counts = analysis.counts()
-        filled = sum(f for f, _ in counts.values())
-        reused = sum(r for _, r in counts.values())
-        print(
-            f"elapsed: {elapsed:.2f}s; analysis: {analysis.context_count()} contexts, "
-            f"{filled} facts computed, {reused} reads reused",
-            file=sys.stderr,
-        )
-    return 1 if tallies["failed"] else 0
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args) -> dict:
     loaded = ingest(args.path)
     s = loaded if isinstance(loaded, CayleyStructure) else loaded.semiring
-    doc = {
-        "job": {"command": "ingest", "path": args.path},
+    return {
+        "job": _job(args, path=args.path),
         "loaded": structure_to_json(s),
         "kind": "structure" if isinstance(loaded, CayleyStructure) else "semimodule",
     }
-    _emit(doc, args.json)
-    return 0
 
 
-def cmd_corpus(args) -> int:
-    rows = []
-    for entry in corpus():
-        rows.append(
-            {
-                "name": entry.name,
-                "size": entry.structure.size,
-                "claims": list(entry.claims),
-                "flags": dict(sorted(entry.flags.items())),
-                "modules": sorted(corpus_semimodules(entry)),
-                "doc": entry.doc,
-            }
-        )
-    _emit({"job": {"command": "corpus"}, "entries": rows}, args.json)
-    return 0
+def cmd_corpus(args) -> dict:
+    rows = [
+        {
+            "name": entry.name,
+            "size": entry.structure.size,
+            "claims": list(entry.claims),
+            "flags": dict(sorted(entry.flags.items())),
+            "modules": sorted(corpus_semimodules(entry)),
+            "doc": entry.doc,
+        }
+        for entry in corpus()
+    ]
+    return {"job": _job(args), "entries": rows}
 
 
 def _plain(value):
@@ -344,25 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("laws", parents=[common], help="check every law of a structure")
-    p.add_argument("structure")
-    p.set_defaults(func=cmd_laws)
+    def command(name, func, help, structure=True) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=help)
+        if structure:
+            p.add_argument("structure")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("ideals", parents=[common], help="enumerate and classify ideals")
-    p.add_argument("structure")
+    command("laws", cmd_laws, "check every law of a structure")
+    p = command("ideals", cmd_ideals, "enumerate and classify ideals")
     p.add_argument("--side", choices=["left", "right", TWO_SIDED], default=TWO_SIDED)
-    p.set_defaults(func=cmd_ideals)
+    command("spec", cmd_spec, "prime spectrum")
+    command("packed", cmd_packed, "compactly packed battery")
 
-    p = sub.add_parser("spec", parents=[common], help="prime spectrum")
-    p.add_argument("structure")
-    p.set_defaults(func=cmd_spec)
-
-    p = sub.add_parser("packed", parents=[common], help="compactly packed battery")
-    p.add_argument("structure")
-    p.set_defaults(func=cmd_packed)
-
-    p = sub.add_parser("avoid", parents=[common], help="avoidance and covering checks")
-    p.add_argument("structure")
+    p = command("avoid", cmd_avoid, "avoidance and covering checks")
     p.add_argument("--target", required=True, help="comma separated generator indices")
     p.add_argument("--cover", action="append", required=True, help="generators; repeatable")
     p.add_argument(
@@ -372,29 +330,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--t-set", help="generators of the multiplicative set")
     p.add_argument("--element", type=int, help="element x for davis mode")
-    p.set_defaults(func=cmd_avoid)
 
-    p = sub.add_parser("mccoy", parents=[common], help="exponent for an efficient covering")
-    p.add_argument("structure")
+    p = command("mccoy", cmd_mccoy, "exponent for an efficient covering")
     p.add_argument("--target", required=True)
     p.add_argument("--cover", action="append", required=True)
-    p.set_defaults(func=cmd_mccoy)
 
-    p = sub.add_parser("zdiv", parents=[common], help="zero-divisor report for the self action")
-    p.add_argument("structure")
+    p = command("zdiv", cmd_zdiv, "zero-divisor report for the self action")
     p.add_argument(
         "--degree-cap",
         type=int,
         default=None,
         help="also check the monoid zero-divisor decomposition on polynomials of degree at most this",
     )
-    p.set_defaults(func=cmd_zdiv)
+    command("quotient", cmd_quotient, "total quotient semiring report")
 
-    p = sub.add_parser("quotient", parents=[common], help="total quotient semiring report")
-    p.add_argument("structure")
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("verify-all", parents=[common], help="run every theorem suite")
+    p = command("verify-all", cmd_verify_all, "run every theorem suite", structure=False)
     p.add_argument("--scope", help="comma separated corpus names")
     p.add_argument("--seed", type=int, default=0, help="seed for sum-tree sampling")
     p.add_argument(
@@ -402,23 +352,28 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print elapsed time, analysis contexts created, facts computed and reads reused to stderr",
     )
-    p.set_defaults(func=cmd_verify_all)
 
-    p = sub.add_parser("ingest", parents=[common], help="load and verify a structure file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("corpus", parents=[common], help="list built-in structures")
-    p.set_defaults(func=cmd_corpus)
-
+    command("ingest", cmd_ingest, "load and verify a structure file", structure=False).add_argument("path")
+    command("corpus", cmd_corpus, "list built-in structures", structure=False)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: print its report, and with ``--timing`` the time it
+    took and the analysis counts on stderr; return the exit code."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        doc = args.func(args)
+        elapsed = time.perf_counter() - started
+        _emit(doc, args.json)
+        if getattr(args, "timing", False):
+            filled, reused = map(sum, zip(*analysis.counts().values()))
+            print(
+                f"elapsed: {elapsed:.2f}s; analysis: {analysis.context_count()} contexts, "
+                f"{filled} facts computed, {reused} reads reused",
+                file=sys.stderr,
+            )
     except TheoremViolation as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return 1
@@ -428,6 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (StructureError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    # a report that tallies its checks fails when one of them failed
+    return 1 if doc.get("tallies", {}).get("failed") else 0
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from semiringlab.corpus import (
 )
 from semiringlab.errors import StructureError
 from semiringlab.fileio import ingest, ingest_doc, structure_to_json
+from semiringlab.suites import FAIL, PASS, CheckResult
 from semiringlab.tables import CayleyStructure, FiniteSemimodule, check_laws, self_action
 
 from helpers import semimodule_to_json
@@ -360,6 +361,16 @@ def test_cli_verify_scope_runs_clean(capsys):
     doc = json.loads(out)
     assert doc["tallies"]["failed"] == 0
     assert doc["tallies"]["checks"] > 0
+
+
+def test_cli_verify_all_prints_its_report_and_exits_1_on_a_failed_check(capsys, monkeypatch):
+    results = [CheckResult("b", FAIL, "broken"), CheckResult("a", PASS)]
+    monkeypatch.setattr("semiringlab.cli.verify_all", lambda scope, seed: results)
+    code, out, err = run_cli(capsys, "verify-all", "--json")
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["tallies"] == {"checks": 2, "passed": 1, "failed": 1, "skipped": 0}
+    assert [row["check"] for row in doc["results"]] == ["a", "b"]
 
 
 @pytest.mark.parametrize("command", ["packed", "zdiv", "quotient"])
