@@ -66,17 +66,20 @@ def magma_endomorphisms(table: Table, cap: int = CARRIER_CAP) -> tuple[tuple[int
 def endomorphism_ringoid(table: Sequence[Sequence[int]], cap: int = CARRIER_CAP) -> CayleyStructure:
     """The endomorphisms of a medial magma under pointwise sum and composition."""
     n = len(table)
-    bad = medial_witness(table)  # validates the table as an n-element magma
+    # the table is frozen and proved medial once; its one row view serves
+    # the proof and the gathers
+    base = freeze_table(table, n, n, "magma")
+    magma = _Rows(base)
+    bad = medial_witness(magma)
     if bad is not None:
         raise StructureError(f"magma is not medial, witness {bad}")
-    base = tuple(map(tuple, table))
     endos = magma_endomorphisms(base, cap)
     index = {f: i for i, f in enumerate(endos)}
     # gathers[x] gathers g(x) for every endomorphism g through a row. The
     # row of f in the sum is one gather per point x, through f(x)'s row of
     # the magma, and in the composite one per x through f itself, zipped
     # back into maps. The magma and the maps both have n columns: one form.
-    magma, maps = _Rows(base), _Rows(endos)
+    maps = _Rows(endos)
     gathers = tuple(map(magma.through, map(magma.form, zip(*endos))))
 
     def indices(gathered) -> tuple[int, ...]:

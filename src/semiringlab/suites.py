@@ -486,20 +486,30 @@ def _medial_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Every medial table on n elements, in the lexicographic order of its
     cells read row by row. The ordered search checks an instance
     (a+b)+(c+d) = (a+c)+(b+d) at the step of the latest of its six cells.
-    Only instances with b < c are checked: swapping b and c swaps the sides."""
+    Only instances with b < c are checked: swapping b and c swaps the sides.
+    The instances are indexed by the step k that fills the last of their
+    four inner cells: in ``new[k]`` one is checked at step k when both its
+    outer cells, a+b's row at c+d and a+c's row at b+d, are at most k; past
+    that step it lies in ``old`` and is checked at the step equal to its
+    later outer cell, so at exactly one step."""
     size = n * n
-    quads = [
-        (a * n + b, c * n + d, a * n + c, b * n + d)
-        for a, b, c, d in itertools.product(range(n), repeat=4)
-        if b < c
-    ]
-    # instances whose four inner cells are assigned once cell k is
-    assigned = [[q for q in quads if max(q) <= k] for k in range(size)]
+    new = [[] for _ in range(size)]
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        if b < c:
+            quad = (a * n + b, c * n + d, a * n + c, b * n + d)
+            new[max(quad)].append(quad)
+    # old[k]: the instances whose four inner cells were all filled before k
+    old = [list(itertools.chain.from_iterable(new[:k])) for k in range(size)]
 
     def fits(cells, k):
-        for p, q, r, u in assigned[k]:
+        for p, q, r, u in new[k]:
             left, right = cells[p] * n + cells[q], cells[r] * n + cells[u]
-            if max(p, q, r, u, left, right) == k and cells[left] != cells[right]:
+            if left <= k and right <= k and cells[left] != cells[right]:
+                return False
+        for p, q, r, u in old[k]:
+            left, right = cells[p] * n + cells[q], cells[r] * n + cells[u]
+            # max(left, right) == k, spelt out: a call to max costs more here
+            if (left == k and right <= k or right == k and left <= k) and cells[left] != cells[right]:
                 return False
         return True
 

@@ -18,7 +18,8 @@ over the whole cube (first x middle x last), one sequence over every first
 coordinate, (xy)z the rows at every xy, joined, and x(yz) the joined rows
 gathered through each row x, which ``least_witness`` takes with no prefix;
 or as blocks, one per first coordinate over the last two variables.
-Mediality keeps its blocks at n^2 entries, one per (a, b).
+Mediality, in four variables, has a cube of n^4 entries and blocks of
+n^2, one per (a, b).
 
 The member rows of a mask M in a table T (per row x, the mask of the y
 with T[x][y] in M) are the other gather, which residuals, subtractivity and
@@ -27,11 +28,12 @@ annihilators read: each row, reversed as bytes, goes through a lut of
 format follows T's values, not its columns: past 256 values, each window
 of 256 values gathers the low bytes and keeps its own columns.
 
-One driver, ``_law_witness``, decides every law in three variables but
+One driver, ``_law_witness``, decides every law in three variables and
 mediality, and alone reads the budget ``_Rows.cube_entries`` (2^15
-entries, every table of up to 32 elements): within it, one compare over the
-cube decides the law. Past it, the law is reduced to a generating set, which
-``generators`` picks greedily with the closure kernel of
+entries: a law in three variables on every table of up to 32 elements,
+mediality on every table of up to 13): within it, one compare over the
+cube decides the law. Past it, a law in three variables is reduced to a
+generating set, which ``generators`` picks greedily with the closure kernel of
 :mod:`semiringlab.closure`, from both ends of the carrier, keeping the
 smaller set: on a meet, least-first takes the whole carrier. Each report
 picks a table's generators at most once, and only there; within the budget
@@ -53,9 +55,12 @@ the block of the first multiplier that fails there is scanned in full. A
 multiplication equal to its transpose is commutative without a scan, and
 its right distributive law is its left one, decided once.
 Mediality of addition follows from associativity plus commutativity, so it
-is settled without a scan when both hold; otherwise only the tuples with
-b < c are walked, as swapping b and c swaps the two sides of
-(a+b)+(c+d) = (a+c)+(b+d).
+is settled without a scan when both hold. Otherwise, within the budget,
+the cube's first block, (a, b) = (0, 0), is a probe: most tables that are
+not medial fail there, and the whole cube is built only where it holds.
+Past the budget, the walk compares only the tuples with b < c, as swapping
+b and c swaps the two sides of (a+b)+(c+d) = (a+c)+(b+d); so the cube's
+least witness has b < c too.
 
 The other laws are decided a row at a time: a neutral element's row and
 column compare as tuples with the identity, ``row.index`` finds the least
@@ -89,7 +94,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from functools import cache, partial
-from operator import and_, attrgetter, countOf, itemgetter, or_, rshift
+from operator import and_, attrgetter, countOf, getitem, itemgetter, or_, rshift
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -342,9 +347,9 @@ class _Rows:
     else its tuple rows, each its own lut. ``form`` makes a sequence of the
     form, ``join`` concatenates them, and ``through(seq)(luts[v])`` gathers
     ``[table[v][y] for y in seq]`` by ``bytes.translate`` or ``itemgetter``.
-    ``cube_entries`` bounds the cube (first x middle x last) of a law in
-    three variables that one compare decides: every table of up to 32
-    elements."""
+    ``cube_entries`` bounds the cube that one compare decides: that of a
+    law in three variables (first x middle x last), every table of up to 32
+    elements, and mediality's n^4 cube, every table of up to 13."""
 
     byte_columns = 256
     cube_entries = 1 << 15
@@ -457,16 +462,28 @@ def _scan(firsts: Sequence[int], mids: Sequence[int], last: int, law: Callable) 
     return None if w is None else (firsts[w[0]], mids[w[1]], w[2])
 
 
-def medial_witness(table: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int, int]]:
-    """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial."""
-    n = len(table)
-    return _medial_witness(_Rows(freeze_table(table, n, n, "magma")))
+def medial_witness(table: Sequence[Sequence[int]] | _Rows) -> Optional[tuple[int, int, int, int]]:
+    """Least (a,b,c,d) with (a+b)+(c+d) != (a+c)+(b+d), or None if medial,
+    of a magma table, validated here, or of the ``_Rows`` of one that
+    ``freeze_table`` has validated."""
+    if not isinstance(table, _Rows):
+        n = len(table)
+        table = _Rows(freeze_table(table, n, n, "magma"))
+    return _medial_witness(table)
 
 
 def _medial_witness(t: _Rows) -> Optional[tuple[int, int, int, int]]:
-    """``medial_witness`` of a validated table's rows. Swapping b and c swaps
-    the two sides, so the least failing tuple has b < c, and only those are
-    walked: one block over (c > b, d) per prefix (a, b)."""
+    """``medial_witness`` of a validated table's rows: one compare over the
+    n^4 cube (a, b, c, d) within ``_Rows.cube_entries``, after a probe of
+    its first block; past the budget, the walk."""
+    n = len(t.rows)
+    return _law_witness((n,) * 4, partial(_medial_walk, t), partial(_medial_cube, t), None)
+
+
+def _medial_walk(t: _Rows) -> Optional[tuple[int, int, int, int]]:
+    """The least failing tuple, walked over b < c: swapping b and c swaps
+    the two sides, so the least one has b < c. One block over (c > b, d)
+    per prefix (a, b)."""
     n = len(t.rows)
     rows, luts, join, through = t.rows, t.luts, t.join, t.through
     flat = join(rows)
@@ -479,6 +496,27 @@ def _medial_witness(t: _Rows) -> Optional[tuple[int, int, int, int]]:
         2,
     )  # the witness's c counts from b + 1
     return None if w is None else (w[0], w[1], w[1] + 1 + w[2], w[3])
+
+
+def _medial_cube(t: _Rows) -> tuple:
+    """(a+b)+(c+d) and (a+c)+(b+d) over every (a, b, c, d) at once: row v
+    gathered at every c+d, ``sums[v]``, joined at every a+b, against
+    ``g[b][v]``, row v gathered through row b, joined at every (a, b, c)
+    with v = a+c. The first block, (a, b) = (0, 0), is probed first: where
+    its sides differ, as on most tables that are not medial, it alone is
+    returned, a prefix of the cube's sides that holds their first
+    difference, and the cube is not built."""
+    rows, luts, join, through = t.rows, t.luts, t.join, t.through
+    flat = join(rows)
+    first = through(flat)(luts[rows[0][0]]), join(map(through(rows[0]), map(luts.__getitem__, rows[0])))
+    if first[0] != first[1]:
+        return first
+    n = len(rows)
+    sums = tuple(map(through(flat), luts))
+    g = [tuple(map(through(row), luts)) for row in rows]
+    # per (a, b, c) in order: g[b], and a+c from row a repeated once per b
+    blocks = [gb for gb in g for _ in range(n)] * n
+    return join(map(sums.__getitem__, flat)), join(map(getitem, blocks, join(row * n for row in rows)))
 
 
 def generators(table: Table) -> tuple[int, ...]:
@@ -513,18 +551,22 @@ def _generators_once(table: Table) -> Callable[[], Sequence[int]]:
 
 
 def _law_witness(
-    shape: Sequence[int], law: Callable, cube: Optional[Callable], mids: Callable[[], Sequence[int]],
+    shape: Sequence[int], law: Callable, cube: Optional[Callable], mids: Optional[Callable[[], Sequence[int]]],
     firsts: Optional[Callable[[], Sequence[int]]] = None, per_first: bool = False,
-) -> Optional[tuple[int, int, int]]:
-    """Least witness of a law in three variables over ``shape``: one
-    compare over the cube ``cube()`` within ``_Rows.cube_entries``; past it,
-    or with no cube, scans of ``law(mids)`` with the middle variable first
-    reduced to ``mids()``. With ``per_first`` the law is closed per first
-    coordinate, so only the block of the first one failing the reduced scan
-    is scanned in full, and a reduced pass over ``firsts()``, when given,
-    proves it; otherwise a failed reduced scan is followed by a full one."""
+) -> Optional[tuple[int, ...]]:
+    """Least witness of a law over ``shape``: one compare over the cube
+    ``cube()`` within ``_Rows.cube_entries``. Past it, or with no cube, a
+    law that no generators reduce, given no ``mids`` (mediality), is decided
+    by ``law()``; one in three variables by scans of ``law(mids)`` with the
+    middle variable first reduced to ``mids()``. With ``per_first`` the law
+    is closed per first coordinate, so only the block of the first one
+    failing the reduced scan is scanned in full, and a reduced pass over
+    ``firsts()``, when given, proves it; otherwise a failed reduced scan is
+    followed by a full one."""
     if cube is not None and math.prod(shape) <= _Rows.cube_entries:
-        return least_witness(shape, cube, 3)
+        return least_witness(shape, cube, len(shape))
+    if mids is None:
+        return law()
     first, middle, last = shape
     gens = mids()
     if not per_first:

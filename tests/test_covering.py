@@ -40,6 +40,7 @@ from semiringlab.ideals import (
     t_semiprime_element,
 )
 from semiringlab.spectrum import spec_of
+from semiringlab.tables import CayleyStructure
 
 from helpers import make_ideal
 
@@ -174,6 +175,27 @@ def test_boolean_square_avoidance_golden():
     assert report.holds
     assert report.witness == 3  # the top element avoids both axes
     assert report.details["constructive"] == 3
+
+
+def _chain_lattice() -> CayleyStructure:
+    """The chain 0 < 1 < 2 under max and min: its primes {0} and {0, 1} are
+    subtractive and nested."""
+    add, mul = ([[op(i, j) for j in range(3)] for i in range(3)] for op in (max, min))
+    return CayleyStructure(3, add, mul, zero=0, one=2, name="chain lattice")
+
+
+@pytest.mark.parametrize("primes", [([0, 1], [0]), ([0], [0, 1])], ids=["returns-x", "returns-y"])
+def test_two_prime_construction_returns_the_scan_element_that_misses_the_other_prime(primes):
+    """With two primes, the construction takes x and y, the least elements
+    of the ideal outside the first and the second prime, and returns x when
+    x misses the second prime, else y when y misses the first, before it
+    tries x + y. On the chain lattice with the whole chain as the ideal:
+    for ({0, 1}, {0}), x = 2 misses {0} and y = 1 lies in {0, 1}; for ({0},
+    {0, 1}), x = 1 lies in {0, 1} and y = 2 misses {0}. The element returned
+    is 2 both times; the other one would lie in a prime."""
+    s = _chain_lattice()
+    report = avoidance_witness(make_ideal(s, range(3)), [make_ideal(s, members) for members in primes])
+    assert report.holds and report.details["constructive"] == 2
 
 
 def test_single_prime_avoidance():

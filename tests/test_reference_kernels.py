@@ -90,6 +90,7 @@ from semiringlab.suites import medial_magma_corpus
 from semiringlab.tables import (
     CayleyStructure,
     FiniteSemimodule,
+    _Rows,
     _int_in,
     check_laws,
     freeze_table,
@@ -1281,22 +1282,53 @@ def _endomorphism_additions():
     return out
 
 
+def _one_cell_mutants(table, rng: random.Random, count: int = 4) -> list:
+    """``count`` copies of a table of two or more elements, each with one
+    cell moved to another value."""
+    n = len(table)
+    out = []
+    for _ in range(count):
+        rows = [list(row) for row in table]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = (rows[i][j] + 1 + rng.randrange(n - 1)) % n
+        out.append(rows)
+    return out
+
+
+def assert_mutants_match_the_full_scan(tables_: list, rng: random.Random) -> int:
+    """Each one-cell mutant's least witness is the full scan's; returns how
+    many mutants within the cube budget pass the walk's first block, (a, b)
+    = (0, 0), and fail later, where only the cube decides them."""
+    late = 0
+    for table in tables_:
+        for rows in _one_cell_mutants(table, rng):
+            w = medial_witness(rows)
+            assert w == reference_medial_witness(rows)
+            late += w is not None and w[:2] != (0, 0) and len(rows) ** 4 <= _Rows.cube_entries
+    return late
+
+
 def test_medial_witness_matches_the_full_scan_on_endomorphism_additions():
     """Every endomorphism-ringoid addition of ``endomorphism_suite`` holds,
-    and so does each one-cell mutant's least witness. The 64-element one
-    (the endomorphisms of the constant magma) is left out: its full scan
-    alone walks 2^18 rows of 64."""
+    and so does each one-cell mutant's least witness: those of up to 13
+    elements are decided within the cube budget, the larger ones by the
+    walk. The 64-element one (the endomorphisms of the constant magma) is
+    left out: its full scan alone walks 2^18 rows of 64."""
     rng = random.Random(0)
     additions = [add for add in _endomorphism_additions() if len(add) < 64]
     assert len(additions) == 384
     for add in additions:
         assert medial_witness(add) == reference_medial_witness(add) is None
-        if len(add) >= 10:
-            for _ in range(4):
-                rows = [list(row) for row in add]
-                i, j = rng.randrange(len(add)), rng.randrange(len(add))
-                rows[i][j] = (rows[i][j] + 1 + rng.randrange(len(add) - 1)) % len(add)
-                assert medial_witness(rows) == reference_medial_witness(rows)
+    assert {len(add) ** 4 <= _Rows.cube_entries for add in additions} == {True, False}
+    assert assert_mutants_match_the_full_scan([add for add in additions if len(add) > 1], rng) > 0
+
+
+def test_medial_witness_matches_the_full_scan_on_mutants_of_the_magma_corpus():
+    """One-cell mutants of every medial magma of 2 to 4 elements that
+    ``endomorphism_suite`` reads, all within the cube budget: some fail only
+    past the first block."""
+    rng = random.Random(1)
+    assert assert_mutants_match_the_full_scan([t for t in medial_magma_corpus() if len(t) > 1], rng) > 0
 
 
 def test_medial_magma_corpus_matches_the_exhaustive_filter():

@@ -33,6 +33,7 @@ from semiringlab.tables import (
     _distributive_rows,
     _law_report,
     _law_witness,
+    _medial_walk,
     _medial_witness,
     _scan,
     _semimodule_report,
@@ -651,8 +652,10 @@ def assert_blocks_match_list_rows_of(law, *operands):
 
 @functools.lru_cache(maxsize=None)
 def assert_medial_blocks_match_list_rows(add):
-    on_bytes, on_tuples = _medial_witness(_Rows(add)), _medial_witness(_tuple_rows(add))
-    assert on_bytes == on_tuples == helpers.medial_list_witness(add)
+    """The cube, within its budget, and the walk, each on byte and on tuple
+    rows, against the list rows."""
+    found = {law(rows(add)) for law in (_medial_witness, _medial_walk) for rows in (_Rows, _tuple_rows)}
+    assert found == {helpers.medial_list_witness(add)}
 
 
 def assert_blocks_match_list_rows(add, mul):
