@@ -26,7 +26,7 @@ from .tables import (
     Table,
     check_laws,
     commutative_monoid_table,
-    freeze_table,
+    freeze_square,
     is_semifield,
     least_witness,
     medial_witness,
@@ -65,10 +65,10 @@ def magma_endomorphisms(table: Table, cap: int = CARRIER_CAP) -> tuple[tuple[int
 
 def endomorphism_ringoid(table: Sequence[Sequence[int]], cap: int = CARRIER_CAP) -> CayleyStructure:
     """The endomorphisms of a medial magma under pointwise sum and composition."""
-    n = len(table)
     # the table is frozen and proved medial once; its one row view serves
     # the proof and the gathers
-    base = freeze_table(table, n, n, "magma")
+    base = freeze_square(table, "magma")
+    n = len(base)
     magma = _Rows(base)
     bad = medial_witness(magma)
     if bad is not None:
@@ -101,8 +101,8 @@ def austere_extension(
     element, which makes the result zerosumfree and entire while destroying
     subtractivity of every intermediate one-sided ideal.
     """
-    n = len(mul_table)
-    base = freeze_table(mul_table, n, n, "magma")
+    base = freeze_square(mul_table, "magma")
+    n = len(base)
     _int_in(zero, "zero", 0, n)
     _int_in(one, "one", 0, n)
     if zero == one:

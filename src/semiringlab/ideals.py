@@ -25,13 +25,17 @@ prime, 2-absorbing and T-semiprime tests, residual quotients and the
 Behrens products of :mod:`semiringlab.covering` gather where they read
 them (no context stores them); those in the addition decide subtractivity;
 those of zero in a semimodule's action are :func:`annihilator_rows`, which
-every annihilator and zero-divisor set reads. Annihilators, residuals and
-the masks the public per-ideal readers are given are checked to be ideals
-on masks, by what their members absorb and by their sum image; the cell
-scan of :func:`ideal_violation` runs only to name the witness of a
-failure. Masks the package built as ideals (lattice members, annihilators)
-are read through the unchecked ``_ideal_subtractive``, ``_ideal_prime``
-and ``_ideal_radical``.
+every annihilator and zero-divisor set reads. The set products of every
+ordered pair of a lattice's ideals are one kernel,
+:func:`lattice_product_masks`, which gathers each ideal's row images once
+and unions them; :func:`set_product_mask` is the one-pair path, and both
+state the product's check in ``_require_inside_meets``. Annihilators,
+residuals and the masks the public per-ideal readers are given are checked
+to be ideals on masks, by what their members absorb and by their sum
+image; the cell scan of :func:`ideal_violation` runs only to name the
+witness of a failure. Masks the package built as ideals (lattice members,
+annihilators) are read through the unchecked ``_ideal_subtractive``,
+``_ideal_prime`` and ``_ideal_radical``.
 Radicals read one power-orbit mask per element: the radical of I is
 {x : orbit(x) meets I}.
 
@@ -515,11 +519,49 @@ def set_product_mask(a: IdealSet, b: IdealSet) -> int:
     """Raw elementwise products. Not an ideal in general."""
     require_same_structure(a.structure, b, "the second ideal")
     mask = image(a.structure.mul, a.mask, b.mask)
-    if a.side == RIGHT and b.side == LEFT or a.side == b.side == TWO_SIDED:
-        meet = a.mask & b.mask
-        if mask & ~meet:
-            raise TheoremViolation("product of a right and a left ideal escaped their intersection")
+    _require_inside_meets(a, [b], [mask])
     return mask
+
+
+def lattice_product_masks(lattice: Sequence[IdealSet]) -> list[list[int]]:
+    """``set_product_mask`` of every ordered pair of ideals of one structure:
+    row i, column j holds the product of ``lattice[i]`` and ``lattice[j]``,
+    with its check on every pair. Per ideal b, the row x*b of each element x
+    is one gather over b's members; a*b is the union of the rows of a's
+    members. Where multiplication commutes, (b, a) reads the union of (a, b)."""
+    if not lattice:
+        return []
+    s = lattice[0].structure
+    for b in lattice:
+        require_same_structure(s, b, "an ideal")
+    bits = [tuple(1 << v for v in row) for row in s.mul]
+    gathers = [_gather(mask_members(b.mask)) for b in lattice]
+    images = [[functools.reduce(operator.or_, gather(row)) for row in bits] for gather in gathers]
+    commutative = check_laws(s).mul_commutative
+    products: list[list[int]] = []
+    for i, (a, gather) in enumerate(zip(lattice, gathers)):
+        start = i if commutative else 0
+        row = [products[j][i] for j in range(start)]
+        row += [functools.reduce(operator.or_, gather(rows)) for rows in images[start:]]
+        _require_inside_meets(a, lattice, row)
+        products.append(row)
+    return products
+
+
+def _gather(members: tuple[int, ...]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The entries of a sequence at the members, as one tuple: the first
+    member is read twice, since an ``itemgetter`` of one index returns the
+    entry alone; an empty mask reads the one entry 0."""
+    return operator.itemgetter(*members, *members[:1]) if members else lambda row: (0,)
+
+
+def _require_inside_meets(a: IdealSet, bs: Sequence[IdealSet], masks: Iterable[int]) -> None:
+    """Refuse, as a theorem violation, a set product of a and an ideal b of
+    ``bs``, given in ``masks``, that escapes a ∩ b when a is a right and b a
+    left ideal, or both are two-sided."""
+    for b, mask in zip(bs, masks):
+        if mask & ~(a.mask & b.mask) and (a.side == RIGHT and b.side == LEFT or a.side == b.side == TWO_SIDED):
+            raise TheoremViolation("product of a right and a left ideal escaped their intersection")
 
 
 def generated_product(a: IdealSet, b: IdealSet) -> IdealSet:

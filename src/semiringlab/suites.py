@@ -56,13 +56,13 @@ from .ideals import (
     is_prime,
     is_subtractive,
     krull_separation,
+    lattice_product_masks,
     mask_of,
     mult_closure,
     principal_masks,
     radical,
     radical_mask,
     random_tree,
-    set_product_mask,
     union_mask,
 )
 from .limits import BRUTE_FORCE_CAP
@@ -172,48 +172,37 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
             mismatches += 1
     yield _result(f"{base}/generate-is-least", mismatches == 0, f"{checked} generator sets")
 
-    # intersections of subtractive ideals stay subtractive
-    ok = True
-    for a in lattice:
-        for b in lattice:
-            if a.mask & b.mask == 0:
-                continue
-            if is_subtractive(a)[0] and is_subtractive(b)[0]:
-                if not is_subtractive(ideal_intersect(a, b))[0]:
-                    ok = False
+    # intersections of subtractive ideals stay subtractive: each distinct
+    # nonzero meet is checked once
+    subtractive = [a for a in lattice if is_subtractive(a)[0]]
+    meets = {a.mask & b.mask: (a, b) for a in subtractive for b in subtractive}
+    meets.pop(0, None)
+    ok = all(is_subtractive(ideal_intersect(a, b))[0] for a, b in meets.values())
     yield _result(f"{base}/subtractive-intersections", ok)
 
-    # products of ideals stay inside intersections (checked inside the
-    # helper); where multiplication commutes, (b, a) gives the product of (a, b)
-    products = [[0] * len(lattice) for _ in lattice]
-    for i, a in enumerate(lattice):
-        for j in range(i if rep.mul_commutative else 0, len(lattice)):
-            products[i][j] = set_product_mask(a, lattice[j])
-            if rep.mul_commutative:
-                products[j][i] = products[i][j]
+    # products of ideals stay inside intersections (checked inside the kernel)
+    products = lattice_product_masks(lattice)
     yield _result(f"{base}/product-inside-intersection", True, f"{len(lattice)}^2 pairs")
 
     if rep.is_commutative_semiring:
-        ok_rad = True
         radicals = [radical(i) for i in lattice]
-        for i, r in zip(lattice, radicals):
-            if i.mask & ~r.mask or radical(r).mask != r.mask:
-                ok_rad = False
-            for j, rj in zip(lattice, radicals):
-                if i.issubset(j) and not r.issubset(rj):
-                    ok_rad = False
+        rads = [r.mask for r in radicals]
+        ok_rad = all(m & ~rad == 0 and radical(r).mask == rad for m, r, rad in zip(masks, radicals, rads))
+        ok_rad = ok_rad and not any(
+            m & ~other == 0 and rad & ~other_rad for m, rad in zip(masks, rads) for other, other_rad in zip(masks, rads)
+        )
         yield _result(f"{base}/radical-extensive-idempotent-monotone", ok_rad)
 
     if rep.is_semiring:
-        # prime implies the pairwise ideal-product criterion
+        # prime implies the pairwise ideal-product criterion; a pair with a
+        # factor inside p passes, so only the ideals outside p are paired
         ok_pairs = True
         for p in lattice:
             if not p.is_proper or not is_prime(p)[0]:
                 continue
-            for a, row in zip(lattice, products):
-                for b, prod in zip(lattice, row):
-                    if prod & ~p.mask == 0 and not (a.issubset(p) or b.issubset(p)):
-                        ok_pairs = False
+            outside = [i for i, a in enumerate(masks) if a & ~p.mask]
+            if any(products[i][j] & ~p.mask == 0 for i in outside for j in outside):
+                ok_pairs = False
         yield _result(f"{base}/prime-ideal-pair-criterion", ok_pairs)
 
         # classification chain on commutative semirings
@@ -228,17 +217,18 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
             yield _result(f"{base}/prime-semiprime-radical-chain", chain_ok)
 
     # annihilator intersections equal annihilators of unions (self action),
-    # and both equal {r : r*x = 0 = r*y}, read off the action table itself
+    # and both equal {r : r*x = 0 = r*y}, the meet of the kill columns of x
+    # and y read off the action table itself
     if rep.is_commutative_semiring:
         m = self_action(s)
-        act, mz = m.action, m.mzero
+        mz = m.mzero
+        kills = [mask_of(r for r, v in enumerate(column) if v == mz) for column in zip(*m.action)]
         singles = [a.mask for a in element_annihilators(m)]
         ok_ann = True
         for x in range(s.size):
             for y in range(s.size):
                 lhs = singles[x] & singles[y]
-                scanned = mask_of(r for r in range(s.size) if act[r][x] == mz == act[r][y])
-                if lhs != scanned or lhs != annihilator(m, [x, y]).mask:
+                if lhs != kills[x] & kills[y] or lhs != annihilator(m, [x, y]).mask:
                     ok_ann = False
         yield _result(f"{base}/annihilator-union-law", ok_ann)
 

@@ -84,8 +84,8 @@ per law, False exactly when it has a witness.
 
 Every integer the package takes from outside (a size, a designated or
 named element, a digit, a degree cap) is checked by ``_int_in``, and
-every table by ``freeze_table``, both here; each refuses with
-``StructureError``.
+every table by ``freeze_table`` (a square one, sized by its rows, by
+``freeze_square``), all here; each refuses with ``StructureError``.
 """
 
 from __future__ import annotations
@@ -164,6 +164,13 @@ def freeze_table(
                 raise StructureError(f"{what}: entry {v!r} in row {i} is not an integer in 0..{bound - 1}")
         out.append(tuple(row))
     return tuple(out)
+
+
+def freeze_square(rows: Sequence[Sequence[int]], what: str = "table") -> Table:
+    """``freeze_table`` of an n-by-n table of entries below n, where n is
+    the number of rows, read only once the rows are known to be a list."""
+    n = len(rows) if isinstance(rows, (list, tuple)) else 0
+    return freeze_table(rows, n, n, what)
 
 
 @dataclass(frozen=True)
@@ -467,8 +474,7 @@ def medial_witness(table: Sequence[Sequence[int]] | _Rows) -> Optional[tuple[int
     of a magma table, validated here, or of the ``_Rows`` of one that
     ``freeze_table`` has validated."""
     if not isinstance(table, _Rows):
-        n = len(table)
-        table = _Rows(freeze_table(table, n, n, "magma"))
+        table = _Rows(freeze_square(table, "magma"))
     return _medial_witness(table)
 
 
@@ -617,8 +623,8 @@ def _additive_laws(
 
 def commutative_monoid_table(table: Sequence[Sequence[int]]) -> tuple[Table, int]:
     """Validate a commutative monoid table, returning it with its identity."""
-    n = len(table)
-    t = freeze_table(table, n, n, "monoid")
+    t = freeze_square(table, "monoid")
+    n = len(t)
     associative, commutative, _ = _additive_laws(_Rows(t), _generators_once(t), ())
     if associative is not None:
         raise StructureError(f"monoid operation not associative, witness {associative}")

@@ -20,8 +20,12 @@ assigning one value at a time replaced; and
 the list rows that the three-variable laws took, one prefix at a time, on
 tables wider than 256 columns until one row view served every width:
 ``associative_list_rows``, ``distributive_list_rows`` and
-``medial_list_witness``; and ``freeze_table_by_cells``, the cell loop that
-validated every table before ``freeze_table`` checked a table at a time."""
+``medial_list_witness``; ``freeze_table_by_cells``, the cell loop that
+validated every table before ``freeze_table`` checked a table at a time;
+and the lattice-wide loops of the ideal suite as they ran before the
+lattice product kernel: ``product_table`` (``set_product_mask`` on every
+ordered pair), ``subtractive_intersections``, ``radical_monotone``,
+``prime_pair_criterion`` and ``annihilator_union_law``."""
 
 import functools
 import itertools
@@ -34,14 +38,21 @@ from semiringlab.ideals import (
     TWO_SIDED,
     IdealSet,
     MultiplicativeSet,
+    annihilator,
     classify_ideal,
+    element_annihilators,
     generated_product,
+    ideal_intersect,
     ideal_masks,
     ideal_violation,
     image,
+    is_prime,
+    is_subtractive,
     mask_members,
     mask_of,
+    radical,
     semiprime_residual,
+    set_product_mask,
     t_semiprime_element,
     union_mask,
 )
@@ -55,6 +66,7 @@ from semiringlab.tables import (
     commutative_monoid_table,
     is_semifield,
     least_witness,
+    self_action,
 )
 
 
@@ -620,3 +632,70 @@ def _quotient_tables(s: CayleyStructure, classes: list) -> tuple[list, list]:
     add_rows = table(add_row, add_generators, lambda row: row[at_one])
     mul_rows = table(mul_row, mul_generators, lambda row: (row[at_one], [block[one] for block in row]))
     return add_rows, mul_rows
+
+
+# --- the ideal suite's lattice-wide loops before the lattice product kernel --
+
+
+def product_table(lattice: Sequence[IdealSet]) -> list[list[int]]:
+    """Row i, column j: ``set_product_mask`` of the i-th and j-th ideal."""
+    return [[set_product_mask(a, b) for b in lattice] for a in lattice]
+
+
+def subtractive_intersections(lattice: Sequence[IdealSet]) -> bool:
+    """Whether every nonzero meet of two subtractive ideals is subtractive,
+    asked pair by pair."""
+    ok = True
+    for a in lattice:
+        for b in lattice:
+            if a.mask & b.mask == 0:
+                continue
+            if is_subtractive(a)[0] and is_subtractive(b)[0]:
+                if not is_subtractive(ideal_intersect(a, b))[0]:
+                    ok = False
+    return ok
+
+
+def radical_monotone(lattice: Sequence[IdealSet]) -> bool:
+    """Whether the radical is extensive, idempotent and monotone on the
+    lattice, by ``IdealSet`` methods on every pair."""
+    ok = True
+    radicals = [radical(i) for i in lattice]
+    for i, r in zip(lattice, radicals):
+        if i.mask & ~r.mask or radical(r).mask != r.mask:
+            ok = False
+        for j, rj in zip(lattice, radicals):
+            if i.issubset(j) and not r.issubset(rj):
+                ok = False
+    return ok
+
+
+def prime_pair_criterion(lattice: Sequence[IdealSet], products: Sequence[Sequence[int]]) -> bool:
+    """Whether every proper prime p holds a or b whenever it holds the
+    product of a and b, read from ``products``, over every pair."""
+    ok = True
+    for p in lattice:
+        if not p.is_proper or not is_prime(p)[0]:
+            continue
+        for a, row in zip(lattice, products):
+            for b, prod in zip(lattice, row):
+                if prod & ~p.mask == 0 and not (a.issubset(p) or b.issubset(p)):
+                    ok = False
+    return ok
+
+
+def annihilator_union_law(s: CayleyStructure) -> bool:
+    """Whether Ann(x) ∩ Ann(y), Ann({x, y}) and {r : r*x = 0 = r*y}, the
+    last scanned over r for each pair, agree for every x, y of the self
+    action."""
+    m = self_action(s)
+    act, mz = m.action, m.mzero
+    singles = [a.mask for a in element_annihilators(m)]
+    ok = True
+    for x in range(s.size):
+        for y in range(s.size):
+            lhs = singles[x] & singles[y]
+            scanned = mask_of(r for r in range(s.size) if act[r][x] == mz == act[r][y])
+            if lhs != scanned or lhs != annihilator(m, [x, y]).mask:
+                ok = False
+    return ok

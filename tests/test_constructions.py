@@ -255,19 +255,32 @@ def test_constructor_inputs_must_be_integers_in_range():
     assert StructureConstants(semifield=b, dim=1, gamma=[[[1]]]).gamma == (one,)
 
 
-@pytest.mark.parametrize(
+TABLE_READERS = pytest.mark.parametrize(
     "build",
     [
         medial_witness,
         commutative_monoid_table,
         endomorphism_ringoid,
         lambda monoid: monoid_semiring(boolean_semifield(), monoid),
+        lambda table: austere_extension(table, 0, 1),
     ],
-    ids=["medial_witness", "commutative_monoid_table", "endomorphism_ringoid", "monoid_semiring"],
+    ids=["medial_witness", "commutative_monoid_table", "endomorphism_ringoid", "monoid_semiring", "austere_extension"],
 )
+
+
+@TABLE_READERS
 def test_tables_without_rows_are_rejected(build):
     with pytest.raises(StructureError, match="at least one row"):
         build([])
+
+
+@TABLE_READERS
+@pytest.mark.parametrize("table", [None, 5, "01"], ids=["None", "int", "str"])
+def test_tables_that_are_no_list_are_refused(build, table):
+    """A table that is no list of rows is refused with ``StructureError``
+    naming its type, before its length is read."""
+    with pytest.raises(StructureError, match=f"expected a list of rows, got {type(table).__name__}$"):
+        build(table)
 
 
 def test_carriers_past_the_cap_are_refused_before_any_table(monkeypatch):
