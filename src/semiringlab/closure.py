@@ -9,8 +9,9 @@ closures of single elements: :mod:`semiringlab.ideals` enumerates ideal
 lattices with it.
 
 :func:`ordered_search` lists the assignments that pass a per-position
-check: the medial tables of :mod:`semiringlab.suites` and the magma
-endomorphisms of :mod:`semiringlab.constructions` come from it.
+check: the medial tables of :mod:`semiringlab.suites`, the magma
+endomorphisms of :mod:`semiringlab.constructions` and the efficient
+coverings of :mod:`semiringlab.covering` come from it.
 """
 
 from __future__ import annotations

@@ -15,9 +15,10 @@ equivalence, which must agree.
 The radical, semiprime and T-semiprime corollaries and McCoy's exponent
 have one implementation, a kernel that checks a statement for one family of
 covers against every target it covers, reading what depends on the family
-alone once. The public checks run it on their one target after the gate;
-the corollary and McCoy suites of :mod:`semiringlab.suites` run it on every
-covering of a lattice.
+alone once. The public checks run it on their one target after the gate.
+The McCoy suite of :mod:`semiringlab.suites` runs McCoy's kernel on each
+efficient covering that :func:`_efficient_families` finds; the corollary
+suite checks every covering of a lattice from per-cover bitsets instead.
 
 Operations validate their hypotheses first. Reports never publish an
 unchecked verdict: every holds verdict re-verifies the claimed witness, and
@@ -29,8 +30,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
+from .closure import ordered_search
 from .errors import HypothesesUnmet, TheoremViolation
 from .ideals import (
     IdealSet,
@@ -363,7 +365,11 @@ def davis_witness(x: int, ideal: IdealSet, primes: Sequence[IdealSet]) -> Witnes
 # --- the covering kernel: per family of two-sided covers of a structure past
 # the corollaries' gate, one outcome per target, a witness or the report of
 # a hypothesis the family misses, built once for all its targets; McCoy's
-# takes one target, whose families the suite draws from the ideals missing it
+# takes one target. The public checks run these kernels; the suites do not
+# run them per family. The McCoy suite draws each target's efficient
+# families from ``_efficient_families``, a search over the ideals missing
+# it, and the corollary suite counts and checks a family by or-ing the
+# bitsets of the lattice ideals inside each cover and each cover's residual
 
 _MODE_FLAGS = {"radical": "radical_ideal", "semiprime": "semiprime"}
 
@@ -441,6 +447,49 @@ def _mccoy_outcomes(
     if exponent is None:
         raise TheoremViolation("no exponent within the ideal-count bound")
     return exponent
+
+
+def _efficient_families(masks: Sequence[int], target: int, size: int) -> Iterator[tuple[int, ...]]:
+    """Every index tuple i_0 < ... < i_(size-1), size >= 1, whose masks
+    cover the target efficiently, in ``itertools.combinations`` order: each
+    mask holds a point of the target that no other mask holds.
+
+    The ordered search (:func:`semiringlab.closure.ordered_search`) picks
+    the indices in increasing order and leaves a branch once its newest
+    mask adds no point of the target, once an earlier mask's private part
+    of the target is empty, or once the chosen masks and every later mask
+    together miss a point of the target. Adding a mask only shrinks the
+    private parts, so no cut drops an efficient family. ``once[k]`` and
+    ``twice[k]`` hold the target's points that the first k chosen masks
+    cover at least once and at least twice."""
+    parts = [m & target for m in masks]
+    later = [0] * (len(parts) + 1)  # later[i]: the points of masks i, i+1, ...
+    for i in reversed(range(len(parts))):
+        later[i] = later[i + 1] | parts[i]
+    once, twice, last = [0] * (size + 1), [0] * (size + 1), size - 1
+
+    def fits(picked, k):
+        i = picked[k]
+        if k and i <= picked[k - 1]:
+            return False
+        part, seen = parts[i], once[k]
+        if not part & ~seen:
+            return False
+        both = twice[k] | part & seen
+        for j in range(k):
+            if not parts[picked[j]] & ~both:
+                return False
+        covered = seen | part
+        if k == last:
+            if covered != target:
+                return False
+        # a later mask could add nothing to a covered target
+        elif covered == target or covered | later[i + 1] != target:
+            return False
+        once[k + 1], twice[k + 1] = covered, both
+        return True
+
+    return ordered_search(size, len(parts), fits)
 
 
 def _least_power_inside(chain: list[IdealSet], total: int, bound: int) -> Optional[int]:

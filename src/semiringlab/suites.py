@@ -32,9 +32,8 @@ from .covering import (
     UNMET,
     WitnessReport,
     _corollary_unmet,
+    _efficient_families,
     _mccoy_outcomes,
-    _t_semiprime_outcomes,
-    _union_outcomes,
     avoidance_witness,
     behrens_elements,
     semiring_avoidance,
@@ -53,16 +52,20 @@ from .ideals import (
     generate_ideal,
     ideal_intersect,
     ideal_masks,
+    image,
     is_prime,
     is_subtractive,
     krull_separation,
     lattice_product_masks,
+    mask_members,
     mask_of,
     mult_closure,
     principal_masks,
     radical,
     radical_mask,
     random_tree,
+    semiprime_residual,
+    t_semiprime_element,
     union_mask,
 )
 from .limits import BRUTE_FORCE_CAP
@@ -218,7 +221,8 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
 
     # annihilator intersections equal annihilators of unions (self action),
     # and both equal {r : r*x = 0 = r*y}, the meet of the kill columns of x
-    # and y read off the action table itself
+    # and y read off the action table itself; the law is symmetric in x and
+    # y, so each pair is visited once, x = y included
     if rep.is_commutative_semiring:
         m = self_action(s)
         mz = m.mzero
@@ -226,7 +230,7 @@ def ideal_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
         singles = [a.mask for a in element_annihilators(m)]
         ok_ann = True
         for x in range(s.size):
-            for y in range(s.size):
+            for y in range(x, s.size):
                 lhs = singles[x] & singles[y]
                 if lhs != kills[x] & kills[y] or lhs != annihilator(m, [x, y]).mask:
                     ok_ann = False
@@ -325,25 +329,71 @@ def semiring_avoidance_exhaustive(entry: CorpusEntry) -> Iterator[CheckResult]:
     yield _result(base, True, f"{coverings} coverings")
 
 
-def _held(outcomes: list) -> int:
-    """How many outcomes of the covering kernel are witnesses."""
-    return sum(not isinstance(o, WitnessReport) for o in outcomes)
-
-
 def corollary_avoidance(entry: CorpusEntry) -> Iterator[CheckResult]:
     """Radical, semiprime, and T-semiprime covering corollaries on every
-    covering of a lattice ideal by at most three lattice ideals,
-    counting the coverings that meet each corollary's hypotheses."""
+    covering of a lattice ideal by at most three lattice ideals, with T the
+    multiplicative closure of 1, counting the coverings that meet each
+    corollary's hypotheses.
+
+    Bit i of a cover's bitset is set when the i-th lattice ideal lies
+    inside the cover; a T-semiprime cover P has a second bitset, of its
+    semiprime residual (P : t). A family's targets C, the lattice ideals
+    inside its union, are found once per union. Where the family meets a
+    corollary's hypotheses, the corollary puts each target inside a cover
+    (a residual), so C must lie inside the or of the family's cover
+    (residual) bitsets, and |C| adds to its count. What depends on one
+    cover is read and checked once: its flags, the two sides of its
+    T-semiprime equivalence, that its residual is semiprime, and that t*J
+    lies inside P for every lattice ideal J inside (P : t)."""
     s = entry.structure
     if _corollary_unmet(s) is not None:
         return
-    counts = {"radical": 0, "semiprime": 0, "t-semiprime": 0}
     t_set = mult_closure(s, [check_laws(s).one])
     lattice = enumerate_ideals(s, TWO_SIDED)
-    for family, covered in _coverings(lattice, range(1, 4), lattice):
-        counts["radical"] += _held(_union_outcomes(family, covered, "radical"))
-        counts["semiprime"] += _held(_union_outcomes(family, covered, "semiprime"))
-        counts["t-semiprime"] += _held(_t_semiprime_outcomes(family, covered, t_set))
+    masks = [i.mask for i in lattice]
+
+    def inside(union: int) -> int:
+        return sum(1 << i for i, m in enumerate(masks) if m & ~union == 0)
+
+    below = [inside(m) for m in masks]
+    classes = [classify_ideal(i) for i in lattice]
+    inner = [None] * len(lattice)  # the bitsets of the residuals of the T-semiprime covers
+    for k, (p, cls) in enumerate(zip(lattice, classes)):
+        if p.mask & t_set.mask or not cls.two_absorbing:
+            continue
+        found = semiprime_residual(p, t_set)
+        direct = t_semiprime_element(p, t_set)
+        _check(
+            (direct is None) == (found is None),
+            f"T-semiprime equivalence broken: direct={direct is not None} residual={found is not None}",
+        )
+        if found is None:
+            continue
+        t, residual = found
+        _check(classify_ideal(residual).semiprime, "semiprime avoidance failed on residual quotients")
+        inner[k] = inside(residual.mask)
+        for j in mask_members(inner[k]):
+            _check(image(s.mul, 1 << t, masks[j]) & ~p.mask == 0, "t*I escaped the chosen cover")
+    # per mode: the covers' bitsets, which covers meet its hypothesis, and
+    # how many covers of a family may miss it
+    modes = {
+        "radical": (below, [c.radical_ideal for c in classes], 2),
+        "semiprime": (below, [c.semiprime for c in classes], 2),
+        "t-semiprime": (inner, [b is not None for b in inner], 0),
+    }
+    counts = dict.fromkeys(modes, 0)
+    covered = {}
+    for size in range(1, 4):
+        for family in itertools.combinations(range(len(lattice)), size):
+            union = union_mask(masks[k] for k in family)
+            targets = covered.get(union)
+            if targets is None:
+                targets = covered[union] = inside(union)
+            for mode, (bitsets, meets, slack) in modes.items():
+                if sum(meets[k] for k in family) >= size - slack:
+                    contained = union_mask(bitsets[k] for k in family)
+                    _check(targets & ~contained == 0, "no containing cover despite verified hypotheses")
+                    counts[mode] += targets.bit_count()
     yield _result(f"{entry.name}/corollaries", True, str(counts))
 
 
@@ -351,8 +401,11 @@ def mccoy_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     """Every efficient covering of a lattice ideal by three or four lattice
     ideals admits a finite exponent within the ideal-count bound. A cover
     holding the target makes every other cover redundant, so each target's
-    families are drawn from the ideals that do not hold it, and its powers
-    are built once, as far as some family needs them."""
+    families are drawn from the ideals that do not hold it, by the search
+    for efficient families, in ``itertools.combinations`` order, three
+    covers before four. Each family the search yields is checked to be
+    efficient again, and the target's powers are built once, as far as
+    some family needs them."""
     s = entry.structure
     if _corollary_unmet(s) is not None:
         return
@@ -361,9 +414,12 @@ def mccoy_suite(entry: CorpusEntry) -> Iterator[CheckResult]:
     for target in lattice:
         chain = [target]
         missing = [c for c in lattice if target.mask & ~c.mask]
-        for family, _ in _coverings(missing, range(3, 5), [target]):
-            exponent = _mccoy_outcomes(family, target, chain)
-            if not isinstance(exponent, WitnessReport):
+        masks = [c.mask for c in missing]
+        for size in (3, 4):
+            for picked in _efficient_families(masks, target.mask, size):
+                exponent = _mccoy_outcomes(tuple(missing[k] for k in picked), target, chain)
+                redundant = isinstance(exponent, WitnessReport)
+                _check(not redundant, "the efficient-cover search yielded a redundant covering")
                 _check(exponent <= len(lattice))
                 found += 1
     yield _result(f"{entry.name}/mccoy", True, f"{found} efficient coverings")

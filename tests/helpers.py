@@ -11,8 +11,10 @@ kernel compared scaling rows; and the
 per-pair bodies of the covering checks that the covering kernel replaced:
 ``mccoy_exponent``, ``union_avoidance_suite`` and
 ``t_semiprime_avoidance``, with the skip-one ``_redundant`` loop they
-tested efficiency with; ``_quotient_tables``, which built the total
-quotient's tables from its pair classes until the quotient became e*S; and
+tested efficiency with; ``efficient_families``, the filter over every
+family that the McCoy suite ran before its efficient-cover search;
+``_quotient_tables``, which built the total quotient's tables from its
+pair classes until the quotient became e*S; and
 ``endomorphism_tables``, the per-cell comprehensions that
 ``endomorphism_ringoid`` built its tables with before its byte gathers, and
 ``magma_endomorphisms``, the filter over all n^n maps that the search
@@ -31,6 +33,7 @@ import functools
 import itertools
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from semiringlab import covering
 from semiringlab.covering import HOLDS, WitnessReport, _corollary_unmet, _covering, _unmet
 from semiringlab.errors import CapExceeded, StructureError, TheoremViolation
 from semiringlab.fileio import structure_to_json
@@ -454,6 +457,20 @@ def _redundant(target: IdealSet, covers: Sequence[IdealSet]) -> Optional[int]:
         if target.mask & ~union_mask(c.mask for k, c in enumerate(covers) if k != skip) == 0:
             return skip
     return None
+
+
+def efficient_families(target: IdealSet, candidates: Sequence[IdealSet], size: int) -> list[tuple[int, ...]]:
+    """The index tuples of the families of ``size`` candidates that cover
+    the target efficiently, as the McCoy suite found them before its
+    search: every family in ``itertools.combinations`` order, kept when its
+    union holds the target and the kernel's ``_redundant`` finds no cover
+    to drop."""
+    return [
+        family
+        for family in itertools.combinations(range(len(candidates)), size)
+        if target.mask & ~union_mask(candidates[k].mask for k in family) == 0
+        and covering._redundant(target, [candidates[k] for k in family]) is None
+    ]
 
 
 def mccoy_exponent(target: IdealSet, covers: Sequence[IdealSet]) -> WitnessReport:

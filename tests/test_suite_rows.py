@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import inspect
 import itertools
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,7 @@ from semiringlab.ideals import (
     mult_closure,
     radical,
     set_product_mask,
+    union_mask,
 )
 from semiringlab.suites import (
     FAIL,
@@ -233,6 +235,100 @@ def test_suites_count_what_the_oracle_holds(commutative_entries):
         found = sum(helpers.mccoy_exponent(t, f).holds for f, t in _pairs(lattice, range(3, 5)))
         assert [r.detail for r in corollary_avoidance(entry)] == [str(counts)], s.name
         assert [r.detail for r in mccoy_suite(entry)] == [f"{found} efficient coverings"], s.name
+
+
+@given(
+    st.lists(st.integers(0, 63), max_size=9),
+    st.integers(0, 63),
+    st.integers(1, 4),
+)
+def test_the_efficient_cover_search_yields_what_the_filter_keeps(masks, target, size):
+    """On drawn masks, repeats, empty masks and masks missing the target
+    allowed, the search yields the filter's families in its order."""
+    candidates = [IdealSet(structure=None, side=TWO_SIDED, mask=m) for m in masks]
+    want = helpers.efficient_families(IdealSet(structure=None, side=TWO_SIDED, mask=target), candidates, size)
+    assert list(covering._efficient_families(masks, target, size)) == want
+
+
+def test_the_efficient_cover_search_yields_what_the_filter_keeps_on_lattices():
+    """For every target of the pool structures inside the corollaries'
+    gate and of f2xy × boolean^2, the families of three and four ideals
+    missing it that the search yields are the filter's, in its order."""
+    structures = [s for s in _golden_structures() if covering._corollary_unmet(s) is None]
+    assert len(structures) == 5
+    for s in structures + [_product(_product(_f2xy(), _boolean()), _boolean())]:
+        lattice = enumerate_ideals(s, TWO_SIDED)
+        for target in lattice:
+            missing = [c for c in lattice if target.mask & ~c.mask]
+            for size in (3, 4):
+                got = list(covering._efficient_families([c.mask for c in missing], target.mask, size))
+                assert got == helpers.efficient_families(target, missing, size), (s.name, target, size)
+
+
+def test_the_frontier_counts_stay_pinned():
+    """The corollary and McCoy counts on boolean^5 and f2xy × boolean^3, as
+    the filters over every family found them. Those filters take about 7 s
+    on these two inputs, so a return to them shows in this test's time."""
+    b5 = _boolean()
+    for _ in range(4):
+        b5 = _product(b5, _boolean())
+    f2xy_b3 = _product(_product(_product(_f2xy(), _boolean()), _boolean()), _boolean())
+    pinned = {
+        b5: ["{'radical': 84460, 'semiprime': 84460, 't-semiprime': 11085}", "0 efficient coverings"],
+        f2xy_b3: ["{'radical': 331345, 'semiprime': 307537, 't-semiprime': 5835}", "729 efficient coverings"],
+    }
+    for s, details in pinned.items():
+        rows = [*corollary_avoidance(_entry(s)), *mccoy_suite(_entry(s))]
+        assert [(r.status, r.detail) for r in rows] == [(PASS, d) for d in details], s.name
+
+
+def _entry_row(s, suite_name):
+    """The one row of a suite of ``run_entry_suites`` on s."""
+    return next(r for r in run_entry_suites(_entry(s), 1) if r.name == f"{s.name}/{suite_name}")
+
+
+def test_covers_called_radical_and_semiprime_fail_the_corollaries(monkeypatch):
+    """Once every ideal of f2xy × boolean is reported radical and
+    semiprime, families such as the lines (x), (y) and (x + y) of f2xy,
+    times boolean's zero ideal, meet the corollaries' hypotheses and cover
+    (x, y) times it with none holding it: the corollaries row fails."""
+    s = _product(_f2xy(), _boolean())
+    assert _entry_row(s, "corollaries").status == PASS
+    classify = suites.classify_ideal
+
+    def fake(ideal):
+        cls = classify(ideal)
+        flags = {f.name: getattr(cls, f.name) for f in dataclasses.fields(cls)}
+        return types.SimpleNamespace(**{**flags, "radical_ideal": True, "semiprime": True})
+
+    monkeypatch.setattr(suites, "classify_ideal", fake)
+    row = _entry_row(s, "corollaries")
+    assert (row.status, row.detail) == (FAIL, "no containing cover despite verified hypotheses")
+
+
+def test_a_redundant_family_from_the_search_fails_the_mccoy_row(monkeypatch):
+    """A search that also yields one redundant covering, the first family
+    of four ideals that covers its target although one of them can be
+    dropped, fails the McCoy row of f2xy × boolean through the kernel's
+    second check."""
+    s = _product(_f2xy(), _boolean())
+    assert _entry_row(s, "mccoy").status == PASS
+    search = covering._efficient_families
+    fed = []
+
+    def fake(masks, target, size):
+        yield from search(masks, target, size)
+        if size == 4 and not fed:
+            efficient = set(search(masks, target, size))
+            for family in itertools.combinations(range(len(masks)), size):
+                if target & ~union_mask(masks[k] for k in family) == 0 and family not in efficient:
+                    fed.append(family)
+                    yield family
+                    return
+
+    monkeypatch.setattr(suites, "_efficient_families", fake)
+    row = _entry_row(s, "mccoy")
+    assert fed and (row.status, row.detail) == (FAIL, "the efficient-cover search yielded a redundant covering")
 
 
 def test_relabelled_covers_are_classified_by_their_mask():
